@@ -50,10 +50,6 @@ class RestrictionSite:
     t_index: int = 0
 
 
-def site_order(ctx: SchemeCtx, site: RestrictionSite) -> int:
-    return site.v1.dim + (ctx.m - site.w1.dim)
-
-
 def _scheme_of(f: FnTable) -> SchemeCtx:
     if not isinstance(f.domain, SchemeCtx):
         raise ToolkitError("operator requires a scheme-domain function")

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .calculus import laplacian_mask
 from .errors import ToolkitError
 from .fqlin import (
     Subspace,
@@ -110,14 +111,16 @@ def _site_witness(pair_idx: int, vp: Subspace, wp: Subspace, rep: int) -> str:
     return f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={rep}"
 
 
-def _audit_rows(f: FnTable, dmax: int, per_site_values, epsilon_rule, kind: str) -> GlobalnessReport:
+def _audit_rows(f: FnTable, dmax: int, order_values, epsilon_rule, kind: str) -> GlobalnessReport:
+    """order_values(d) yields (coset reps, value per rep) for each pair of
+    restriction_pairs(d), in that order."""
     ctx = _scheme_of(f)
     rows = []
     for d in range(dmax + 1):
         best = -1.0
         witness = ""
-        for pair_idx, (vp, wp) in enumerate(ctx.restriction_pairs(d)):
-            reps, vals = per_site_values(vp, wp)
+        pairs = ctx.restriction_pairs(d)
+        for pair_idx, ((vp, wp), (reps, vals)) in enumerate(zip(pairs, order_values(d), strict=True)):
             j = int(np.argmax(vals))
             if vals[j] > best + 1e-15:
                 best = float(vals[j])
@@ -127,36 +130,58 @@ def _audit_rows(f: FnTable, dmax: int, per_site_values, epsilon_rule, kind: str)
     return GlobalnessReport(kind, rows)
 
 
+def _coset_means(ctx: SchemeCtx, values: np.ndarray):
+    """order_values for an audit of the coset means of `values`."""
+
+    def order_values(d):
+        for vp, wp in ctx.restriction_pairs(d):
+            reps, members = ctx.site_cosets(vp, wp)
+            yield reps, np.mean(values[members], axis=1)
+
+    return order_values
+
+
 def global_audit(f: FnTable, dmax: int, epsilon_rule=None, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
     """Exact max of ||f_{(V',W')->T}||_2^2 over all d-restrictions, d <= dmax."""
     ctx = _scheme_of(f)
     if dmax > ctx.n + ctx.m:
         raise ToolkitError(f"dmax={dmax} too large for {ctx!r}")
     epsilon_rule = epsilon_rule or default_epsilon_rule(f, zeta)
-    sq = np.abs(f.values) ** 2
+    return _audit_rows(f, dmax, _coset_means(ctx, np.abs(f.values) ** 2), epsilon_rule, "restriction-norm2")
 
-    def site_vals(vp, wp):
-        reps, members = ctx.site_cosets(vp, wp)
-        return reps, np.mean(sq[members], axis=1)
 
-    return _audit_rows(f, dmax, site_vals, epsilon_rule, "restriction-norm2")
+# complex entries per batched inverse transform in influence_audit; bounds
+# its peak memory at about 16 MB a batch whatever the domain size
+_LAPLACIAN_BATCH_ELEMENTS = 2**20
 
 
 def influence_audit(f: FnTable, dmax: int, epsilon_rule=None, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
     """Exact max generalized influence over sites of each order <= dmax.
 
+    f is transformed once.  For each order the cached Laplacian masks of
+    its sites are stacked and all their Laplacians come from batched
+    inverse transforms of at most _LAPLACIAN_BATCH_ELEMENTS entries; the
+    values equal calculus.influence_per_rep at every site bit for bit.
+
     The (d, eps)-small-influences reading aggregates orders <= d; use
     report.max_upto(d) for that.
     """
-    from .calculus import influence_per_rep
-
     ctx = _scheme_of(f)
     epsilon_rule = epsilon_rule or default_epsilon_rule(f, zeta)
+    spectrum = ctx.fourier_forward(f.values)
+    per_batch = max(1, _LAPLACIAN_BATCH_ELEMENTS // ctx.size)
 
-    def site_vals(vp, wp):
-        return influence_per_rep(f, vp, wp)
+    def order_values(d):
+        pairs = ctx.restriction_pairs(d)
+        for lo in range(0, len(pairs), per_batch):
+            batch = pairs[lo: lo + per_batch]
+            masks = np.stack([laplacian_mask(ctx, vp, wp) for vp, wp in batch])
+            laps = ctx.fourier_inverse(spectrum * masks)
+            for (vp, wp), lap in zip(batch, laps):
+                reps, members = ctx.site_cosets(vp, wp)
+                yield reps, np.mean(np.abs(lap[members]) ** 2, axis=1)
 
-    return _audit_rows(f, dmax, site_vals, epsilon_rule, "influence")
+    return _audit_rows(f, dmax, order_values, epsilon_rule, "influence")
 
 
 def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int, power: float = 2.0) -> float:
@@ -164,16 +189,15 @@ def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int, pow
 
     Restrictions compose, so the r-restrictions of f_{U->T} over every T
     are exactly the (r+1)-restrictions of f at sites with V' >= U (side
-    'v') or W' <= U (side 'w').  This computes their max in one pass.
+    'v') or W' <= U (side 'w').  Those sites come from the context's
+    cached refinement lists (SchemeCtx.refining_pairs), so a call does
+    no subspace containment tests once the list for (U, side, order)
+    exists; the max is then taken over their coset means.
     """
     ctx = _scheme_of(f)
     ab = np.abs(f.values) ** power
     best = -1.0
-    for vp, wp in ctx.restriction_pairs(order):
-        if side == "v" and not vp.contains(ctx.field, u):
-            continue
-        if side == "w" and not u.contains(ctx.field, wp):
-            continue
+    for vp, wp in ctx.refining_pairs(u, side, order):
         _, members = ctx.site_cosets(vp, wp)
         best = max(best, float(np.max(np.mean(ab[members], axis=1))))
     return best
@@ -185,13 +209,13 @@ def lp_global_audit(f: FnTable, rmax: int, ellp: float, epsilon_rule=None) -> Gl
     if ellp < 1:
         raise ToolkitError("ell' must be >= 1")
     epsilon_rule = epsilon_rule or (lambda d: float("inf"))
-    ab = np.abs(f.values) ** ellp
+    means = _coset_means(ctx, np.abs(f.values) ** ellp)
 
-    def site_vals(vp, wp):
-        reps, members = ctx.site_cosets(vp, wp)
-        return reps, np.mean(ab[members], axis=1) ** (1.0 / ellp)
+    def order_values(d):
+        for reps, vals in means(d):
+            yield reps, vals ** (1.0 / ellp)
 
-    return _audit_rows(f, rmax, site_vals, epsilon_rule, f"restriction-L{ellp}")
+    return _audit_rows(f, rmax, order_values, epsilon_rule, f"restriction-L{ellp}")
 
 
 # ---------------------------------------------------------------------------

@@ -304,19 +304,46 @@ def _level_generator_masks(group: GroupTable, d: int, include_dual: bool = False
     return np.array(rows, dtype=np.float64)
 
 
-def _mgs_extend(basis_rows: list[np.ndarray], gen: np.ndarray, size: int, tol: float = 1e-8):
-    """Modified Gram-Schmidt with one re-orthogonalization pass."""
-    r = gen.astype(np.complex128)
-    for _ in range(2):
-        if basis_rows:
-            b = np.array(basis_rows)
-            coeffs = b.conj() @ r / size
-            r = r - coeffs @ b
-    norm = np.sqrt(np.mean(np.abs(r) ** 2).real)
-    if norm > tol:
-        basis_rows.append(r / norm)
+class _GramSchmidtRows:
+    """Rows orthonormal under E_G, grown by modified Gram-Schmidt with one
+    re-orthogonalization pass.
+
+    The rows and their conjugates are kept in buffers that double when
+    full, so extending never re-stacks or re-conjugates the basis.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.count = 0
+        self._rows = np.empty((min(16, size), size), dtype=np.complex128)
+        self._conj = np.empty_like(self._rows)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def extend(self, gen: np.ndarray, tol: float = 1e-8) -> bool:
+        """Append the normalized residual of gen if it exceeds tol."""
+        r = gen.astype(np.complex128)
+        if self.count:
+            b = self._rows[: self.count]
+            b_conj = self._conj[: self.count]
+            for _ in range(2):
+                coeffs = b_conj @ r / self.size
+                r = r - coeffs @ b
+        norm = np.sqrt(np.mean(np.abs(r) ** 2).real)
+        if norm <= tol:
+            return False
+        if self.count == len(self._rows):
+            pad = np.empty((min(self.count, self.size - self.count), self.size), dtype=np.complex128)
+            self._rows = np.concatenate([self._rows, pad])
+            self._conj = np.concatenate([self._conj, pad])
+        self._rows[self.count] = r / norm
+        np.conj(self._rows[self.count], out=self._conj[self.count])
+        self.count += 1
         return True
-    return False
+
+    def basis(self) -> np.ndarray:
+        return self._rows[: self.count].copy()
 
 
 @dataclass
@@ -369,17 +396,17 @@ def build_level_basis(
             return LevelBasisSet(group, mode, include_dual, list(map(int, data["dims"])), data["basis"])
 
     chars = multiplicative_characters(group) if mode == "twisted" else np.ones((1, group.size))
-    basis_rows: list[np.ndarray] = []
+    rows = _GramSchmidtRows(group.size)
     dims = []
     prev_gens = 0
     for d in range(dmax + 1):
         gens = _level_generator_masks(group, d, include_dual)
         for row in gens[prev_gens:]:
             for chi in chars:
-                _mgs_extend(basis_rows, row * chi, group.size)
+                rows.extend(row * chi)
         prev_gens = gens.shape[0]
-        dims.append(len(basis_rows))
-    basis = np.array(basis_rows) if basis_rows else np.zeros((0, group.size), dtype=np.complex128)
+        dims.append(len(rows))
+    basis = rows.basis()
     out = LevelBasisSet(group, mode, include_dual, dims, basis)
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)

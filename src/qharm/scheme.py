@@ -13,8 +13,13 @@ conflated.
 
 tr(X A) pairs entry X[i, j] with A[j, i], so the transform factorizes
 into one q-point kernel per matrix entry followed by a digit
-permutation.  That factorized path is the default; a naive
-character-matrix path is kept for cross-checks on small domains.
+permutation.  The kernels are applied in a single pass over the
+flattened table (Good's interaction algorithm): each step views the
+table as (batch, q, rest), contracts the leading digit with the kernel
+and moves it to the back, so after k = nm steps the digits are back in
+order and one transpose applies the permutation.  That is the only
+fast path; a naive character-matrix path is kept for cross-checks on
+small domains.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ from .fqlin import (
     QuotientFrame,
     Subspace,
     mat_mul,
-    zero_space,
-    full_space,
     enumerate_subspaces,
 )
 from .gf import FieldCtx, get_field
@@ -75,6 +78,7 @@ class SchemeCtx:
         self._subspaces: dict = {}
         self._pairs: dict = {}
         self._masks: dict = {}
+        self._refining: dict = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -113,6 +117,23 @@ class SchemeCtx:
             self._pairs[order] = pairs
         return self._pairs[order]
 
+    def refining_pairs(self, u: Subspace, side: str, order: int) -> list[tuple[Subspace, Subspace]]:
+        """The order-`order` restriction pairs refining the direction U, cached.
+
+        Side 'v' keeps the pairs with V' >= U, side 'w' those with W' <= U;
+        the order of restriction_pairs is kept.
+        """
+        key = (u.key, side, order)
+        if key not in self._refining:
+            if side == "v":
+                keep = [(vp, wp) for vp, wp in self.restriction_pairs(order) if vp.contains(self.field, u)]
+            elif side == "w":
+                keep = [(vp, wp) for vp, wp in self.restriction_pairs(order) if u.contains(self.field, wp)]
+            else:
+                raise ToolkitError(f"unknown side {side!r}")
+            self._refining[key] = keep
+        return self._refining[key]
+
     # -- characters and transforms -------------------------------------------
 
     def char_value(self, X: np.ndarray, A: np.ndarray) -> complex:
@@ -128,23 +149,23 @@ class SchemeCtx:
                 acc = f.add(acc, f.mul(int(X[i, j]), int(A[j, i])))
         return f.char(acc)
 
-    def _axis_apply(self, tensor: np.ndarray, kernel: np.ndarray, nbatch: int) -> np.ndarray:
-        for ax in range(nbatch, nbatch + self.k):
-            tensor = np.moveaxis(np.moveaxis(tensor, ax, -1) @ kernel.T, -1, ax)
-        return tensor
-
     def _transform(self, values: np.ndarray, kernel: np.ndarray, perm: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.complex128)
-        batch = values.shape[:-1]
-        nbatch = len(batch)
-        q = self.q
-        t = values.reshape(batch + (q,) * self.k) if self.k else values.reshape(batch + ())
         if self.k == 0:
             return values.copy()
-        t = self._axis_apply(t, kernel, nbatch)
-        axes = tuple(range(nbatch)) + tuple(nbatch + perm)
-        t = np.transpose(t, axes)
-        return t.reshape(batch + (self.size,))
+        batch = values.shape[:-1]
+        q, size = self.q, self.size
+        b = int(np.prod(batch, dtype=np.int64))
+        t = values.reshape(b, size)
+        kernel_t = kernel.T
+        # Contract the leading digit and rotate it to the back; after k
+        # steps the digits are in their original order again.  Keep this
+        # operand order: `kernel @ t` rounds differently in the last bits
+        # and would change every written spectrum.
+        for _ in range(self.k):
+            t = (t.reshape(b, q, size // q).transpose(0, 2, 1) @ kernel_t).reshape(b, size)
+        t = t.reshape((b,) + (q,) * self.k).transpose((0,) + tuple(1 + perm))
+        return t.reshape(batch + (size,))
 
     def fourier_forward(self, values: np.ndarray) -> np.ndarray:
         """Spectrum over the dual index; supports batched (..., N) input."""
@@ -413,11 +434,3 @@ def random_table(ctx: SchemeCtx, rng: np.random.Generator, kind: str = "real", d
     else:
         raise ToolkitError(f"unknown random table kind {kind!r}")
     return FnTable(ctx, vals)
-
-
-def scheme_zero_space(ctx: SchemeCtx, side: str) -> Subspace:
-    return zero_space(ctx.field, ctx.n if side == "v" else ctx.m)
-
-
-def scheme_full_space(ctx: SchemeCtx, side: str) -> Subspace:
-    return full_space(ctx.field, ctx.n if side == "v" else ctx.m)

@@ -328,6 +328,7 @@ class SchemeInstanceChecks:
         )
         self._cum: dict[int, FnTable] = {}
         self._cum_inf: dict[int, GlobalnessReport] = {}
+        self._pure_inf: dict[int, GlobalnessReport] = {}
         self._cum_glob: dict[tuple, GlobalnessReport] = {}
 
     def cum(self, d: int) -> FnTable:
@@ -340,6 +341,11 @@ class SchemeInstanceChecks:
             self._cum_inf[d] = influence_audit(self.cum(d), d)
         return self._cum_inf[d]
 
+    def pure_influences(self, d: int) -> GlobalnessReport:
+        if d not in self._pure_inf:
+            self._pure_inf[d] = influence_audit(self.parts[d], d)
+        return self._pure_inf[d]
+
     def cum_global(self, d: int, rmax: int) -> GlobalnessReport:
         key = (d, rmax)
         if key not in self._cum_glob:
@@ -351,7 +357,7 @@ class SchemeInstanceChecks:
     def check_globalness_implies_small_influences(self, d: int):
         """(d,eps)-global f  =>  f^{=d} has (d, q^{10 d^2} eps)-small influences."""
         eps = self.audit.value_at(d)
-        inf = influence_audit(self.parts[d], d).max_upto(d)
+        inf = self.pure_influences(d).max_upto(d)
         return _row(self.name, f"global->influences(d={d})", inf, _qpow(self.q, 10 * d * d) * eps)
 
     def check_small_influences_imply_globalness(self, d: int, r: int):
@@ -461,7 +467,7 @@ class SchemeInstanceChecks:
         base = fd.norm2sq()
         if base < 1e-14:
             return None
-        beta = influence_audit(fd, d).max_upto(d) / base
+        beta = self.pure_influences(d).max_upto(d) / base
         assert beta >= 1 - 1e-9
         ellp = ell / (ell - 1)
         rhs = _qpow(self.q, 420 * d * d * ell) * beta ** (1 - 2 / ell) * self.f.lp_norm(ellp) ** 2
@@ -471,7 +477,7 @@ class SchemeInstanceChecks:
         """(d,eps,L^{l'})-global: f^{=d} has (d, q^{500 d^2 ell} eps^2)-small influences."""
         ellp = ell / (ell - 1)
         eps = lp_global_audit(self.f, d, ellp).value_at(d)
-        inf = influence_audit(self.parts[d], d).max_upto(d)
+        inf = self.pure_influences(d).max_upto(d)
         return _row(
             self.name,
             f"lp-global-influences(d={d},ell={ell})",

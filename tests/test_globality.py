@@ -4,6 +4,7 @@ good-umvirate partitions, and the density-bump search."""
 import numpy as np
 import pytest
 
+from qharm.errors import ToolkitError
 from qharm.fqlin import span_of
 from qharm.gf import get_field
 from qharm.globality import (
@@ -116,6 +117,56 @@ def test_influence_audit_cases():
     f = random_table(ctx, RNG, "complex")
     rep2 = influence_audit(f, 1)
     assert abs(rep2.value_at(0) - f.norm2sq()) < 1e-12
+
+
+def per_site_influence_audit(f, dmax):
+    """Oracle: (order, max, witness) rows from influence_per_rep at each site."""
+    from qharm.calculus import influence_per_rep
+
+    ctx = f.domain
+    rows = []
+    for d in range(dmax + 1):
+        best, witness = -1.0, ""
+        for pair_idx, (vp, wp) in enumerate(ctx.restriction_pairs(d)):
+            reps, vals = influence_per_rep(f, vp, wp)
+            j = int(np.argmax(vals))
+            if vals[j] > best + 1e-15:
+                best = float(vals[j])
+                witness = f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={int(reps[j])}"
+        rows.append((d, best, witness))
+    return rows
+
+
+@pytest.mark.parametrize("small_batches", [False, True])
+def test_batched_influence_audit_matches_per_site_oracle(monkeypatch, small_batches):
+    import qharm.globality as globality
+
+    for (q, n, m), dmax in [((2, 2, 2), 4), ((3, 2, 2), 4), ((2, 3, 3), 2)]:
+        ctx = get_scheme(q, n, m)
+        if small_batches:
+            # two sites per batched inverse, so every order of size > 2 spans several batches
+            monkeypatch.setattr(globality, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
+        for kind in ("real", "boolean"):
+            f = random_table(ctx, RNG, kind)
+            rep = influence_audit(f, dmax)
+            got = [(r.order, r.value, r.witness) for r in rep.rows]
+            assert got == per_site_influence_audit(f, dmax)
+
+
+def test_refining_pairs_match_contains_filter():
+    from qharm.calculus import direction_subspaces
+
+    for (q, n, m) in [(2, 2, 2), (3, 2, 2), (2, 2, 3), (2, 3, 3)]:
+        ctx = get_scheme(q, n, m)
+        for u, side in direction_subspaces(ctx):
+            for order in range(n + m + 1):
+                if side == "v":
+                    expect = [(vp, wp) for vp, wp in ctx.restriction_pairs(order) if vp.contains(ctx.field, u)]
+                else:
+                    expect = [(vp, wp) for vp, wp in ctx.restriction_pairs(order) if u.contains(ctx.field, wp)]
+                assert ctx.refining_pairs(u, side, order) == expect
+    with pytest.raises(ToolkitError):
+        ctx.refining_pairs(u, "x", 1)
 
 
 def test_lp_audit_consistency_with_l2():

@@ -120,13 +120,13 @@ def test_level_dims_match_naive_generator_stream():
     levels = get_levels(g)
     q, n = g.q, g.n
     act = g.vector_action(False)
-    from qharm.groups import _mgs_extend
+    from qharm.groups import _GramSchmidtRows
 
-    rows: list[np.ndarray] = []
+    rows = _GramSchmidtRows(g.size)
     dims = []
     for d in range(n + 1):
         if d == 0:
-            _mgs_extend(rows, np.ones(g.size), g.size)
+            rows.extend(np.ones(g.size))
         else:
             import itertools
 
@@ -136,7 +136,7 @@ def test_level_dims_match_naive_generator_stream():
                     v, u = tup[2 * t], tup[2 * t + 1]
                     mask &= act[:, v] == u if v else np.full(g.size, u == 0)
                 if mask.any():
-                    _mgs_extend(rows, mask.astype(float), g.size)
+                    rows.extend(mask.astype(float))
         dims.append(len(rows))
     assert dims == levels.dims
 

@@ -71,6 +71,36 @@ def test_fast_transform_matches_naive():
         assert np.max(np.abs(back_naive - f)) < 1e-10
 
 
+def _moveaxis_transform(ctx, values, kernel, perm):
+    """Reference: the q-point kernel applied axis by axis via np.moveaxis."""
+    values = np.asarray(values, dtype=np.complex128)
+    batch = values.shape[:-1]
+    nb = len(batch)
+    t = values.reshape(batch + (ctx.q,) * ctx.k)
+    for ax in range(nb, nb + ctx.k):
+        t = np.moveaxis(np.moveaxis(t, ax, -1) @ kernel.T, -1, ax)
+    t = np.transpose(t, tuple(range(nb)) + tuple(nb + perm))
+    return t.reshape(batch + (ctx.size,))
+
+
+def test_transform_bit_identical_to_moveaxis_reference():
+    for (q, n, m) in [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 3, 3), (3, 3, 3), (4, 2, 1), (2, 1, 3), (2, 4, 4)]:
+        ctx = get_scheme(q, n, m)
+        batches = [()] if ctx.size > 20000 else [(), (3,), (2, 3)]
+        for batch in batches:
+            shape = batch + (ctx.size,)
+            v = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+            fwd = ctx.fourier_forward(v)
+            assert fwd.shape == shape
+            assert np.array_equal(fwd, _moveaxis_transform(ctx, v, ctx._kernel_fwd, ctx._perm_fwd))
+            inv = ctx.fourier_inverse(v)
+            assert inv.shape == shape
+            assert np.array_equal(inv, _moveaxis_transform(ctx, v, ctx._kernel_inv, ctx._perm_inv))
+        if batches[-1]:
+            # each row of a batched transform equals its unbatched transform
+            assert np.array_equal(fwd[1, 2], ctx.fourier_forward(v[1, 2]))
+
+
 def test_parseval_and_roundtrip_random():
     for (q, n, m) in [(2, 2, 2), (3, 2, 2), (4, 1, 2)]:
         ctx = get_scheme(q, n, m)
