@@ -26,13 +26,13 @@ import numpy as np
 from .errors import ConsistencyError, ToolkitError
 from .fqlin import (
     Subspace,
+    batched_rank,
     decode_vector,
     encode_vector,
     full_space,
     kernel_basis,
     mat_mul,
-    rank,
-    rref,
+    rref,  # not called here; perfbench wraps and restores calculus.rref by name
     span_of,
     zero_space,
 )
@@ -58,44 +58,46 @@ def _scheme_of(f: FnTable) -> SchemeCtx:
 
 # ---------------------------------------------------------------------------
 # spectral masks (cached per context)
+#
+# Each mask is a rank comparison over the stack of all dual matrices X,
+# evaluated by one batched elimination.  Im(X) is the row space of X^T,
+# Ker(X) is the annihilator of the row space of X, and W1^perp is
+# kernel_basis(W1.basis) (the identity when W1 = 0, empty when W1 = W):
+#
+#   Im(X) >= V1             iff rank[X^T; V1] = rank X
+#   X^{-1}(V1) <= W1        iff rank[Q X; W1^perp] = rank(Q X),
+#                           Q the quotient map of V1, since
+#                           X^{-1}(V1) = ker(Q X) and ker(Q X) <= W1
+#                           iff W1^perp <= row(Q X)
+#   Im(X) <= V'             iff rank[V'; X^T] = dim V'
+#   v not in Im(X)          iff rank[X^T; v] != rank X
+#   Ker(X) + W' = W         iff rank[X; W'^perp] = rank X + dim W'^perp
 # ---------------------------------------------------------------------------
 
-def _image_row_basis(ctx: SchemeCtx, x: np.ndarray) -> np.ndarray:
-    r, piv = rref(ctx.field, x.T.copy())
-    return r[: len(piv)]
+def _stacked_rank(ctx: SchemeCtx, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rank of [xs[i]; rows] for every i, rows shared by the whole stack."""
+    shared = np.broadcast_to(rows, (xs.shape[0],) + rows.shape)
+    return batched_rank(ctx.field, np.concatenate([xs, shared], axis=1))
+
+
+def _damping(ctx: SchemeCtx, keep: np.ndarray) -> np.ndarray:
+    """q^{-rank(X)} where keep holds, else 0."""
+    ranks = ctx.rank_table_dual()
+    scale = np.array([float(ctx.q) ** (-r) for r in range(int(ranks.max()) + 1)])
+    return np.where(keep, scale[ranks], 0.0)
 
 
 def laplacian_mask(ctx: SchemeCtx, v1: Subspace, w1: Subspace) -> np.ndarray:
     """Boolean mask over dual indices: Im(X) >= V1 and X^{-1}(V1) <= W1."""
     key = ("lap", v1.key, w1.key)
     if key not in ctx._masks:
-        field = ctx.field
-        frame = ctx.quotient_frame(v1)
-        qmap = frame.quotient_map  # (n - dim V1, n)
-        mask = np.zeros(ctx.size, dtype=bool)
+        xs = ctx.dual_matrices()
         ranks = ctx.rank_table_dual()
-        for xi in range(ctx.size):
-            if ranks[xi] < v1.dim:
-                continue
-            x = ctx.dual_index.to_matrix(xi)
-            img = _image_row_basis(ctx, x)
-            if v1.dim:
-                stacked = np.concatenate([img, v1.basis])
-                if rank(field, stacked) != ranks[xi]:
-                    continue
-            # preimage of V1 under X is ker(quotient_map @ X)
-            if qmap.shape[0]:
-                pre = kernel_basis(field, mat_mul(field, qmap, x))
-            else:
-                pre = np.eye(ctx.m, dtype=np.uint8)
-            if pre.shape[0]:
-                if w1.dim == 0:
-                    continue
-                stacked = np.concatenate([w1.basis, pre])
-                if rank(field, stacked) != w1.dim:
-                    continue
-            mask[xi] = True
-        ctx._masks[key] = mask
+        qx = mat_mul(ctx.field, ctx.quotient_frame(v1).quotient_map, xs)
+        w1_perp = kernel_basis(ctx.field, w1.basis)
+        contains_v1 = _stacked_rank(ctx, xs.transpose(0, 2, 1), v1.basis) == ranks
+        preimage_in_w1 = _stacked_rank(ctx, qx, w1_perp) == batched_rank(ctx.field, qx)
+        ctx._masks[key] = contains_v1 & preimage_in_w1
     return ctx._masks[key]
 
 
@@ -103,18 +105,8 @@ def quotient_mask(ctx: SchemeCtx, vp: Subspace) -> np.ndarray:
     """Boolean mask over dual indices: Im(X) <= V'."""
     key = ("quot", vp.key)
     if key not in ctx._masks:
-        field = ctx.field
-        mask = np.zeros(ctx.size, dtype=bool)
-        for xi in range(ctx.size):
-            img = _image_row_basis(ctx, ctx.dual_index.to_matrix(xi))
-            if img.shape[0] == 0:
-                mask[xi] = True
-                continue
-            if vp.dim == 0:
-                continue
-            stacked = np.concatenate([vp.basis, img])
-            mask[xi] = rank(field, stacked) == vp.dim
-        ctx._masks[key] = mask
+        xs_t = ctx.dual_matrices().transpose(0, 2, 1)
+        ctx._masks[key] = _stacked_rank(ctx, xs_t, vp.basis) == vp.dim
     return ctx._masks[key]
 
 
@@ -122,19 +114,9 @@ def vector_avg_factors(ctx: SchemeCtx, v: np.ndarray) -> np.ndarray:
     """Spectral multipliers of E_v: q^{-rank(X)} if v not in Im(X), else 0."""
     key = ("eav", encode_vector(v, ctx.q))
     if key not in ctx._masks:
-        field = ctx.field
-        ranks = ctx.rank_table_dual()
-        fac = np.zeros(ctx.size, dtype=np.float64)
-        for xi in range(ctx.size):
-            img = _image_row_basis(ctx, ctx.dual_index.to_matrix(xi))
-            if img.shape[0]:
-                stacked = np.concatenate([img, np.asarray(v, dtype=np.uint8).reshape(1, -1)])
-                in_image = rank(field, stacked) == ranks[xi]
-            else:
-                in_image = not np.any(v)
-            if not in_image:
-                fac[xi] = float(ctx.q) ** (-int(ranks[xi]))
-        ctx._masks[key] = fac
+        xs_t = ctx.dual_matrices().transpose(0, 2, 1)
+        v_row = np.asarray(v, dtype=np.uint8).reshape(1, -1)
+        ctx._masks[key] = _damping(ctx, _stacked_rank(ctx, xs_t, v_row) != ctx.rank_table_dual())
     return ctx._masks[key]
 
 
@@ -142,15 +124,9 @@ def dual_avg_factors(ctx: SchemeCtx, wp: Subspace) -> np.ndarray:
     """Spectral multipliers of E_{W'}: q^{-rank(X)} if Ker(X) + W' = W."""
     key = ("edu", wp.key)
     if key not in ctx._masks:
-        field = ctx.field
-        ranks = ctx.rank_table_dual()
-        fac = np.zeros(ctx.size, dtype=np.float64)
-        for xi in range(ctx.size):
-            ker = kernel_basis(field, ctx.dual_index.to_matrix(xi))
-            stacked = np.concatenate([wp.basis, ker]) if ker.shape[0] else wp.basis
-            if rank(field, stacked) == ctx.m:
-                fac[xi] = float(ctx.q) ** (-int(ranks[xi]))
-        ctx._masks[key] = fac
+        wp_perp = kernel_basis(ctx.field, wp.basis)
+        full = ctx.rank_table_dual() + wp_perp.shape[0]
+        ctx._masks[key] = _damping(ctx, _stacked_rank(ctx, ctx.dual_matrices(), wp_perp) == full)
     return ctx._masks[key]
 
 

@@ -3,7 +3,13 @@
 Matrices are numpy uint8 arrays with entries in [0, q); all arithmetic
 goes through the FieldCtx tables, so q may be a proper prime power.
 Gaussian elimination is used throughout: domains are small enough that
-asymptotically faster algorithms would be noise.
+asymptotically faster algorithms would be noise.  It comes in two forms:
+the scalar `rref`, which serves single matrices and is the reference,
+and `batched_rank`, which eliminates a whole (B, r, c) stack at once
+with one Python step per column and table gathers across the batch.
+`mat_mul` broadcasts over leading axes in the same way, so per-index
+tables over a domain (ranks, spectral masks, restriction embeddings)
+are built without a Python loop per index.
 
 Canonical conventions, fixed once so that enumerations and audits are
 bit-reproducible:
@@ -34,35 +40,19 @@ DEFAULT_MAX_SUBSPACES = 2**20
 # matrix arithmetic
 # ---------------------------------------------------------------------------
 
-def as_mat(entries, rows: int, cols: int) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.uint8).reshape(rows, cols)
-    return a
-
-
 def mat_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over F_q."""
-    if a.shape[1] != b.shape[0]:
+    """Matrix product over F_q; leading axes broadcast like numpy's matmul."""
+    if a.shape[-1] != b.shape[-2]:
         raise ToolkitError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for k in range(a.shape[1]):
-        out = ctx.add_table[out, ctx.mul_table[a[:, k][:, None], b[k, :][None, :]]]
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    out = np.zeros(shape, dtype=np.uint8)
+    for k in range(a.shape[-1]):
+        out = ctx.add_table[out, ctx.mul_table[a[..., :, k, None], b[..., None, k, :]]]
     return out
 
 
 def mat_vec(ctx: FieldCtx, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat_mul(ctx, a, np.asarray(v, dtype=np.uint8).reshape(-1, 1))[:, 0]
-
-
-def mat_add(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ctx.add_table[a, b]
-
-
-def mat_neg(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
-    return ctx.neg_table[a]
-
-
-def mat_sub(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ctx.add_table[a, ctx.neg_table[b]]
 
 
 def rref(ctx: FieldCtx, a: np.ndarray, n_pivot_cols: int | None = None) -> tuple[np.ndarray, list[int]]:
@@ -103,6 +93,39 @@ def rref(ctx: FieldCtx, a: np.ndarray, n_pivot_cols: int | None = None) -> tuple
 
 def rank(ctx: FieldCtx, a: np.ndarray) -> int:
     return len(rref(ctx, a)[1])
+
+
+def batched_rank(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
+    """rank of every matrix in a (B, r, c) stack, as a (B,) int64 array.
+
+    Elimination on all B matrices at once, one Python step per column.
+    In every matrix whose column is nonzero, the step takes the first row
+    with a nonzero entry there as pivot and subtracts multiples of it from
+    every row with a nonzero entry, the pivot row included, so the pivot
+    row drops out as zero.  The rank is the number of columns that had a
+    pivot.  No row is swapped or scaled, and only the columns to the
+    right of the current one are updated.
+    """
+    a = np.array(stack, dtype=np.uint8)
+    if a.ndim != 3:
+        raise ToolkitError(f"expected a (B, r, c) stack, got shape {a.shape}")
+    n_mats, rows, cols = a.shape
+    ranks = np.zeros(n_mats, dtype=np.int64)
+    lane = np.arange(n_mats)
+    for col in range(cols):
+        column = a[:, :, col]
+        nonzero = column != 0
+        has = nonzero.any(axis=1)
+        ranks += has
+        if col + 1 == cols or not has.any():
+            continue
+        found = nonzero.argmax(axis=1)  # row 0 where the column is zero: every factor is 0
+        factors = ctx.mul_table[ctx.neg_table[column], ctx.inv_table[column[lane, found]][:, None]]
+        pivot_row = a[lane, found, col + 1:]
+        a[:, :, col + 1:] = ctx.add_table[
+            a[:, :, col + 1:], ctx.mul_table[factors[:, :, None], pivot_row[:, None, :]]
+        ]
+    return ranks
 
 
 def det(ctx: FieldCtx, a: np.ndarray) -> int:
@@ -384,10 +407,9 @@ class IndexMap:
         return self.ctx.neg_table[da].astype(np.int64) @ self.powers
 
     def rank_table(self) -> np.ndarray:
-        ranks = np.zeros(self.size, dtype=np.int8)
-        for i in range(self.size):
-            ranks[i] = rank(self.ctx, self.to_matrix(i))
-        return ranks
+        """rank of the matrix of every index, as int8."""
+        stack = self.digits_table().reshape(self.size, self.rows, self.cols)
+        return batched_rank(self.ctx, stack).astype(np.int8)
 
 
 def canonicalize(ctx: FieldCtx, a: np.ndarray):

@@ -316,7 +316,7 @@ class _SetAuditTables:
 
 
 def _audit_tables(group: GroupTable) -> _SetAuditTables:
-    if not hasattr(group, "_set_audit_tables"):
+    if group._set_audit_tables is None:
         group._set_audit_tables = _SetAuditTables(group)
     return group._set_audit_tables
 
@@ -397,8 +397,6 @@ def set_global_audit(
 def block_subgroup_members(group: GroupTable, k: int) -> np.ndarray:
     """Ordinals of L_k = {diag(I_k, X) : X in SL_{n-k}}."""
     key = ("Lk", k)
-    if not hasattr(group, "_lk_cache"):
-        group._lk_cache = {}
     if key not in group._lk_cache:
         n = group.n
         if k < 0 or k > n:
@@ -711,13 +709,6 @@ class BumpResult:
 
     def umvirate(self, group: GroupTable) -> GoodUmvirate:
         return GoodUmvirate(group, self.k, self.g, self.h)
-
-
-def _embed_ordinal(big: GroupTable, small_mat: np.ndarray, k: int) -> int:
-    m = np.eye(big.n, dtype=np.uint8)
-    if small_mat.shape[0]:
-        m[k:, k:] = small_mat
-    return int(big.pos[big.scheme.domain_index.to_index(m)])
 
 
 def density_bump_search(

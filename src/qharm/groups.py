@@ -68,6 +68,8 @@ class GroupTable:
         self._xyinv: np.ndarray | None = None
         self._classes: np.ndarray | None = None
         self._vec_action: dict = {}
+        self._set_audit_tables = None  # globality._SetAuditTables, built on first set audit
+        self._lk_cache: dict = {}  # block subgroup ordinals L_k, keyed by ("Lk", k)
 
     @property
     def q(self) -> int:
@@ -179,10 +181,6 @@ def get_group(kind: str, n: int, q: int, cap: int = DEFAULT_GROUP_CAP) -> GroupT
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = GroupTable(kind, n, get_field(q), cap=cap)
     return _GROUP_CACHE[key]
-
-
-def enumerate_group(kind: str, n: int, ctx: FieldCtx, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
-    return get_group(kind, n, ctx.q, cap=cap)
 
 
 def _group_of(f: FnTable) -> GroupTable:

@@ -33,6 +33,7 @@ from .fqlin import (
     Subspace,
     mat_mul,
     enumerate_subspaces,
+    rref,
 )
 from .gf import FieldCtx, get_field
 
@@ -94,6 +95,10 @@ class SchemeCtx:
         if self._rank_dual is None:
             self._rank_dual = self.dual_index.rank_table()
         return self._rank_dual
+
+    def dual_matrices(self) -> np.ndarray:
+        """(N, n, m) read-only stack of every dual matrix X, in index order."""
+        return self.dual_index.digits_table().reshape(self.size, self.n, self.m)
 
     def subspaces(self, side: str, dim: int) -> list[Subspace]:
         """Cached subspace lists; side 'v' is F_q^n, side 'w' is F_q^m."""
@@ -211,21 +216,16 @@ class SchemeCtx:
 
         The embedded copy of L(V/V', W') is the set of maps with V' in
         the kernel and image inside W'; the identification goes through
-        the deterministic quotient frame of V'.
+        the deterministic quotient frame of V': S maps to Cw^T S Q, with
+        Cw the basis of W' and Q the quotient map of V'.
         """
         key = (vp.key, wp.key)
         if key not in self._embeddings:
             sub = get_scheme(self.q, self.n - vp.dim, wp.dim)
             frame = self.quotient_frame(vp)
-            cw_t = wp.basis.T.copy()  # (m, w')
-            emb = np.empty(sub.size, dtype=np.int64)
-            for kk in range(sub.size):
-                s_bar = sub.domain_index.to_matrix(kk)  # (w', n - dim V')
-                if s_bar.size:
-                    embedded = mat_mul(self.field, mat_mul(self.field, cw_t, s_bar), frame.quotient_map)
-                else:
-                    embedded = np.zeros((self.m, self.n), dtype=np.uint8)
-                emb[kk] = self.domain_index.to_index(embedded)
+            s_bar = sub.domain_index.digits_table().reshape(sub.size, wp.dim, sub.n)
+            embedded = mat_mul(self.field, mat_mul(self.field, wp.basis.T, s_bar), frame.quotient_map)
+            emb = embedded.reshape(sub.size, self.k).astype(np.int64) @ self.domain_index.powers
             self._embeddings[key] = (sub, emb)
         return self._embeddings[key]
 
@@ -242,25 +242,41 @@ class SchemeCtx:
         y = mat_mul(self.field, mat_mul(self.field, frame.quotient_map, x), wp.basis.T.copy())
         return sub.dual_index.to_index(y)
 
+    def char_restriction_table(self, vp: Subspace, wp: Subspace) -> np.ndarray:
+        """Dual index of Y = Q X Cw^T in the restricted scheme, for every X.
+
+        Entry x equals char_restriction_dual_index(vp, wp, x); cached.
+        """
+        key = ("char_restriction", vp.key, wp.key)
+        if key not in self._embeddings:
+            sub, _ = self.restriction_embedding(vp, wp)
+            qx = mat_mul(self.field, self.quotient_frame(vp).quotient_map, self.dual_matrices())
+            ys = mat_mul(self.field, qx, wp.basis.T)
+            self._embeddings[key] = ys.reshape(self.size, sub.k).astype(np.int64) @ sub.dual_index.powers
+        return self._embeddings[key]
+
     def site_cosets(self, vp: Subspace, wp: Subspace):
         """(reps, members) for the coset partition of L(V,W) by the embedded
         copy of L(V/V', W'); reps are least-index, ascending; members is
-        (n_reps, subgroup_size) of domain indices."""
+        (n_reps, subgroup_size) of domain indices.
+
+        The embedded copy E is an F_q-subspace of the digit vectors.  Take
+        an echelon basis of E with its pivots on the most significant
+        digits.  A member of E is fixed by its pivot digits, so each coset
+        T + E has exactly one member whose pivot digits are all zero, and
+        it is the least: adding a nonzero element of E makes the highest
+        pivot it touches nonzero and leaves the digits above unchanged.
+        """
         key = (vp.key, wp.key)
         if key not in self._cosets:
-            _, emb = self.restriction_embedding(vp, wp)
-            emb_sorted = np.sort(emb)
-            visited = np.zeros(self.size, dtype=bool)
-            reps = []
-            rows = []
-            for idx in range(self.size):
-                if visited[idx]:
-                    continue
-                members = self.domain_index.add_indices(emb_sorted, idx)
-                visited[members] = True
-                reps.append(idx)
-                rows.append(members)
-            self._cosets[key] = (np.array(reps, dtype=np.int64), np.array(rows, dtype=np.int64))
+            sub, emb = self.restriction_embedding(vp, wp)
+            digits = self.domain_index.digits_table()
+            # images of the sub-domain unit matrices span E; pivots on reversed digits
+            gens = digits[emb[sub.domain_index.powers]][:, ::-1]
+            pivot_digits = self.k - 1 - np.array(rref(self.field, gens)[1], dtype=np.int64)
+            reps = np.flatnonzero(~digits[:, pivot_digits].any(axis=1))
+            members = self.domain_index.add_indices(reps[:, None], np.sort(emb)[None, :])
+            self._cosets[key] = (reps, members)
         return self._cosets[key]
 
     # -- constructors ---------------------------------------------------------

@@ -686,16 +686,5 @@ def group_inequality_suite(groups=None, ells=(4, 8), n_sets: int = 40, seed: int
     return [r for r in rows if r is not None]
 
 
-def inequality_suite(which: str, **kw) -> list[dict]:
-    """Dispatch: 'hyper' and 'level' run on the scheme, 'level-G' on groups."""
-    if which == "hyper":
-        return [r for r in scheme_inequality_suite(**kw) if "norm" in r["inequality"]]
-    if which == "level":
-        return [r for r in scheme_inequality_suite(**kw) if "level" in r["inequality"]]
-    if which == "level-G":
-        return group_inequality_suite(**kw)
-    raise ToolkitError(f"unknown inequality suite {which!r}")
-
-
 def violations(rows: list[dict]) -> list[dict]:
     return [r for r in rows if not r["holds"]]

@@ -165,17 +165,14 @@ def criterion_operator_identities(seed: int = 23, n_funcs: int = 100) -> CheckRe
             site = RestrictionSite(vp, wp, t_idx)
             order = vp.dim + (m - wp.dim)
 
-            # character-restriction identity, by linearity through a random f
+            # character-restriction identity, by linearity through a random f:
+            # restricting u_X to T + L(V/V', W') gives u_X(T) u_Y with Y = Q X Cw^T
             xf = ctx.fourier_forward(f.values)
             rest = restrict(f, vp, wp, t_idx)
             sub = rest.domain
-            recon = np.zeros(sub.size, dtype=np.complex128)
-            for xi in np.flatnonzero(np.abs(xf) > 1e-13):
-                y = ctx.char_restriction_dual_index(vp, wp, int(xi))
-                scale = ctx.char_value(
-                    ctx.dual_index.to_matrix(int(xi)), ctx.domain_index.to_matrix(t_idx)
-                )
-                recon += xf[xi] * scale * sub.char_fn(y).values
+            coeffs = np.zeros(sub.size, dtype=np.complex128)
+            np.add.at(coeffs, ctx.char_restriction_table(vp, wp), xf * ctx.char_matrix()[:, t_idx])
+            recon = sub.fourier_inverse(coeffs)
             track("char-restriction", np.max(np.abs(recon - rest.values)))
 
             # degree shift under the derivative

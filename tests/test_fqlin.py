@@ -5,6 +5,7 @@ from qharm.errors import SizeCapError
 from qharm.fqlin import (
     IndexMap,
     QuotientFrame,
+    batched_rank,
     canonicalize,
     det,
     encode_vector,
@@ -184,6 +185,33 @@ def test_rank_table_counts():
     hist = np.bincount(ranks, minlength=3)
     assert list(hist) == [1, 9, 6]
     assert int(np.sum(ranks == 0)) == 1
+
+
+def test_batched_rank_matches_scalar_rank():
+    rng = np.random.default_rng(11)
+    for q in (2, 3, 4, 5):
+        ctx = get_field(q)
+        for rows, cols in [(0, 3), (3, 0), (0, 0), (1, 1), (2, 5), (4, 3), (5, 5), (6, 2)]:
+            stack = rng.integers(0, q, size=(60, rows, cols)).astype(np.uint8)
+            # low-rank and repeated-row members exercise the pivot search
+            stack[::3] = 0
+            if rows >= 2:
+                stack[1::3, 1] = stack[1::3, 0]
+            got = batched_rank(ctx, stack)
+            assert got.shape == (60,)
+            assert list(got) == [rank(ctx, a) for a in stack]
+
+
+def test_batched_mat_mul_matches_per_matrix_product():
+    rng = np.random.default_rng(12)
+    for q in (2, 3, 4):
+        ctx = get_field(q)
+        a = rng.integers(0, q, size=(7, 3, 4)).astype(np.uint8)
+        b = rng.integers(0, q, size=(4, 2)).astype(np.uint8)
+        got = mat_mul(ctx, a, b)
+        assert np.array_equal(got, np.stack([mat_mul(ctx, x, b) for x in a]))
+        c = rng.integers(0, q, size=(5, 3)).astype(np.uint8)
+        assert np.array_equal(mat_mul(ctx, c, a), np.stack([mat_mul(ctx, c, x) for x in a]))
 
 
 def test_vector_encoding_round_trip():
