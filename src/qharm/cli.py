@@ -257,10 +257,10 @@ def cmd_influence_audit(args) -> int:
 def cmd_levels(args) -> int:
     group = _group_from_args(args)
     dmax = args.dmax if args.dmax is not None else group.n
-    levels = build_level_basis(group, dmax, cache_dir=args.cache_dir)
+    levels = build_level_basis(group, dmax)
     rows = [{"d": d, "dim_le_d": levels.dims[d]} for d in range(dmax + 1)]
     if args.include_dual:
-        dual = build_level_basis(group, dmax, include_dual=True, cache_dir=args.cache_dir)
+        dual = build_level_basis(group, dmax, include_dual=True)
         for d in range(dmax + 1):
             rows[d]["dim_le_d_with_dual"] = dual.dims[d]
     outdir = _outdir(args)
@@ -436,10 +436,9 @@ def cmd_set_audit(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all
 
-    _, ok = run_all(threads=args.threads)
+    _, ok = run_all()
     outdir = _outdir(args)
-    write_manifest(outdir, "verify", {"q": args.q, "n": args.n, "group": args.group,
-                                      "threads": args.threads}, [])
+    write_manifest(outdir, "verify", {"q": args.q, "n": args.n, "group": args.group}, [])
     return 0 if ok else 1
 
 
@@ -467,17 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--zeta", type=float, default=0.01)
         sp.add_argument("--c", type=float, default=0.05)
         sp.add_argument("--max-domain", type=int, default=DEFAULT_MAX_DOMAIN)
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("QHARM_THREADS", "1")),
-            help="worker bound for parallel sections",
-        )
-        sp.add_argument(
-            "--cache-dir",
-            default=os.environ.get("QHARM_CACHE_DIR"),
-            help="directory for persistent level-basis caches",
-        )
 
     sp = sub.add_parser("field-info", help="print field tables and characters")
     common(sp)
@@ -530,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("opnorm", help="convolution operator norms on levels")
     common(sp, group=True)
     sp.add_argument("--set", required=True)
-    sp.add_argument("--method", choices=["exact", "power"], default="exact")
     sp.set_defaults(fn=cmd_opnorm)
 
     sp = sub.add_parser("convolve", help="convolution of two set indicators")

@@ -31,7 +31,6 @@ from .fqlin import (
     decode_vector,
     det,
     encode_vector,
-    enumerate_subspaces,
     inv_matrix,
     mat_mul,
     rank,
@@ -278,49 +277,6 @@ class Umvirate:
         return f"rows[{rr}]funcs[{ff}]"
 
 
-# -- canonical constraint-system enumeration (cached per group) --------------
-
-class _SetAuditTables:
-    def __init__(self, group: GroupTable, max_order: int | None = None):
-        self.group = group
-        n, q, field = group.n, group.q, group.field
-        max_order = 2 * n if max_order is None else max_order
-        self.max_row = min(n, max_order)
-        std = group.vector_action(False)
-        dual = group.vector_action(True)
-        self.row_systems, self.row_masks, self.row_orders = self._family(std, self.max_row)
-        self.func_systems, self.func_masks, self.func_orders = self._family(dual, self.max_row)
-
-    def _family(self, action: np.ndarray, amax: int):
-        group = self.group
-        n, q, field = group.n, group.q, group.field
-        systems: list[tuple] = [()]
-        masks = [np.ones(group.size, dtype=bool)]
-        orders = [0]
-        from .groups import _independent_tuples
-
-        nonzero = list(range(1, q**n))
-        for a in range(1, amax + 1):
-            subs = enumerate_subspaces(field, n, a)
-            targets = _independent_tuples(field, n, nonzero, a, need_sorted=False)
-            for sub in subs:
-                v_encs = [encode_vector(row, q) for row in sub.basis]
-                acts = action[:, v_encs]
-                for us in targets:
-                    mask = np.all(acts == np.array(us)[None, :], axis=1)
-                    if mask.any():
-                        systems.append(tuple(zip(v_encs, us)))
-                        masks.append(mask)
-                        orders.append(a)
-        return systems, np.array(masks, dtype=np.uint8), np.array(orders, dtype=np.int64)
-
-
-def _audit_tables(group: GroupTable) -> _SetAuditTables:
-    if group._set_audit_tables is None:
-        group._set_audit_tables = _SetAuditTables(group)
-    return group._set_audit_tables
-
-
 @dataclass
 class SetAuditResult:
     report: GlobalnessReport
@@ -343,8 +299,8 @@ def set_global_audit(
     ordinals = np.asarray(ordinals, dtype=np.int64)
     if ordinals.size == 0:
         raise ToolkitError("set audit requires a nonempty set")
-    tables = _audit_tables(group)
-    rmax = 2 * tables.max_row if rmax is None else rmax
+    tables = group.dictator_systems()
+    rmax = 2 * group.n if rmax is None else rmax
     r = float(group.q) ** (zeta * group.n / 2) if r is None else r
     mu = ordinals.size / group.size
 

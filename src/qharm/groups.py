@@ -8,16 +8,18 @@ convolution by random class functions splits each level into isotypic
 components, giving exact irreducible dimensions without any character
 theory.
 
-Conventions: levels are built from generators with independent
-constraint vectors only (products with dependent constraints collapse
-to shorter products or vanish on G, so the span is unchanged), each
-constraint scaled so its input vector is monic.
+Conventions: levels and set audits share one table of dictator
+systems per group (`GroupTable.dictator_systems`).  A system of order s
+fixes the images of one basis of an s-dimensional subspace, with
+independent targets; products with dependent constraints collapse to
+shorter products or vanish on G, and for a fixed subspace every basis
+gives the same set of masks, so one basis per subspace spans the same
+levels.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +29,15 @@ from .fqlin import (
     decode_vector,
     det,
     encode_vector,
+    enumerate_subspaces,
     inv_matrix,
+    rank,
 )
 from .gf import FieldCtx, get_field
 from .scheme import FnTable, degree_project, get_scheme
 
 DEFAULT_GROUP_CAP = 10**5
 _MUL_TABLE_CAP = 6000
-LEVEL_CACHE_VERSION = 1
 
 
 class GroupTable:
@@ -68,7 +71,7 @@ class GroupTable:
         self._xyinv: np.ndarray | None = None
         self._classes: np.ndarray | None = None
         self._vec_action: dict = {}
-        self._set_audit_tables = None  # globality._SetAuditTables, built on first set audit
+        self._dictator_systems: DictatorSystems | None = None
         self._lk_cache: dict = {}  # block subgroup ordinals L_k, keyed by ("Lk", k)
 
     @property
@@ -134,6 +137,12 @@ class GroupTable:
 
     def dictator_mask(self, v_enc: int, u_enc: int, transpose: bool = False) -> np.ndarray:
         return self.vector_action(transpose)[:, v_enc] == u_enc
+
+    def dictator_systems(self) -> DictatorSystems:
+        """The shared table of independent dictator systems, built on first use."""
+        if self._dictator_systems is None:
+            self._dictator_systems = DictatorSystems(self)
+        return self._dictator_systems
 
     # -- conjugacy classes -------------------------------------------------------
 
@@ -232,24 +241,9 @@ def convolve_batch(f_values: np.ndarray, basis: np.ndarray, group: GroupTable) -
 # tensor-rank level filtration
 # ---------------------------------------------------------------------------
 
-def _monic_vectors(field: FieldCtx, n: int) -> list[int]:
-    """Encodings of one representative per projective class (first nonzero = 1)."""
-    out = []
-    q = field.q
-    for vi in range(1, q**n):
-        v = decode_vector(vi, n, q)
-        lead = v[np.flatnonzero(v)[0]]
-        if lead == 1:
-            out.append(vi)
-    return out
-
-
-def _independent_tuples(field: FieldCtx, n: int, vecs: list[int], size: int, need_sorted: bool):
-    """Tuples of encoded vectors with linearly independent decodes.
-
-    need_sorted restricts to strictly increasing tuples (sets); otherwise
-    ordered tuples are produced.
-    """
+def _independent_tuples(field: FieldCtx, n: int, vecs: list[int], size: int):
+    """Ordered tuples of encoded vectors with linearly independent decodes,
+    in lexicographic order."""
     q = field.q
     out: list[tuple[int, ...]] = []
 
@@ -257,49 +251,57 @@ def _independent_tuples(field: FieldCtx, n: int, vecs: list[int], size: int, nee
         if len(prefix) == size:
             out.append(prefix)
             return
-        from .fqlin import rank as fq_rank
-
         for enc in vecs:
-            if need_sorted and prefix and enc <= prefix[-1]:
-                continue
             if enc in prefix:
                 continue
             v = decode_vector(enc, n, q)
             stacked = np.array(rows + [v], dtype=np.uint8)
-            if fq_rank(field, stacked) == len(rows) + 1:
+            if rank(field, stacked) == len(rows) + 1:
                 extend(prefix + (enc,), rows + [v])
 
     extend((), [])
     return out
 
 
-def _level_generator_masks(group: GroupTable, d: int, include_dual: bool = False) -> np.ndarray:
-    """Indicator rows of all canonical <= d-umvirate products.
+def _dictator_family(group: GroupTable, action: np.ndarray, targets_by_order: list[list[tuple]]):
+    """Systems, masks and orders of one dictator family (one action).
 
-    Constraint families use independent input vectors only (monic, sorted)
-    with independent targets; dependent-target products vanish on G.
+    Order by order, subspace by subspace (echelon basis), target tuple by
+    target tuple; systems that no element of G satisfies are dropped.
     """
-    field = group.field
-    n = group.n
     q = group.q
-    monic = _monic_vectors(field, n)
-    nonzero = list(range(1, q**n))
-    action = group.vector_action(False)
-    rows = [np.ones(group.size, dtype=bool)]
-    families = [(False, action)]
-    if include_dual:
-        families.append((True, group.vector_action(True)))
-    for s in range(1, d + 1):
-        v_sets = _independent_tuples(field, n, monic, s, need_sorted=True)
-        u_tuples = _independent_tuples(field, n, nonzero, s, need_sorted=False)
-        for transpose, act in families:
-            for vs in v_sets:
-                sub_act = act[:, list(vs)]
-                for us in u_tuples:
-                    mask = np.all(sub_act == np.array(us)[None, :], axis=1)
-                    if mask.any():
-                        rows.append(mask)
-    return np.array(rows, dtype=np.float64)
+    systems: list[tuple] = [()]
+    masks = [np.ones(group.size, dtype=bool)]
+    orders = [0]
+    for a, targets in enumerate(targets_by_order, 1):
+        for sub in enumerate_subspaces(group.field, group.n, a):
+            v_encs = [encode_vector(row, q) for row in sub.basis]
+            acts = action[:, v_encs]
+            for us in targets:
+                mask = np.all(acts == np.array(us)[None, :], axis=1)
+                if mask.any():
+                    systems.append(tuple(zip(v_encs, us)))
+                    masks.append(mask)
+                    orders.append(a)
+    return systems, np.array(masks, dtype=np.uint8), np.array(orders, dtype=np.int64)
+
+
+class DictatorSystems:
+    """Every independent dictator system of order <= n on G.
+
+    A row system ((v_1, u_1), ..., (v_a, u_a)) is the umvirate
+    {g : g v_i = u_i} for an echelon basis v of an a-dimensional
+    subspace and independent targets u; a functional system is the same
+    with g^T in place of g.  Row k of `row_masks` (uint8, one column per
+    ordinal) is the indicator of `row_systems[k]`, of order
+    `row_orders[k]`; index 0 of each family is the empty system (all of G).
+    """
+
+    def __init__(self, group: GroupTable):
+        nonzero = list(range(1, group.q**group.n))
+        targets = [_independent_tuples(group.field, group.n, nonzero, a) for a in range(1, group.n + 1)]
+        self.row_systems, self.row_masks, self.row_orders = _dictator_family(group, group.vector_action(False), targets)
+        self.func_systems, self.func_masks, self.func_orders = _dictator_family(group, group.vector_action(True), targets)
 
 
 class _GramSchmidtRows:
@@ -381,35 +383,25 @@ def build_level_basis(
     dmax: int,
     mode: str = "strict",
     include_dual: bool = False,
-    cache_dir: str | None = None,
 ) -> LevelBasisSet:
+    """Gram-Schmidt over the order-d dictator masks, d = 0..dmax, in table
+    order (functional masks of order d >= 1 follow the row masks with
+    include_dual), each times every determinant character in twisted mode."""
     if dmax > group.n:
         raise ToolkitError(f"dmax={dmax} exceeds n={group.n}")
-    cache_path = None
-    if cache_dir:
-        tag = f"{group.kind}{group.n}q{group.q}d{dmax}{mode}{'dual' if include_dual else ''}v{LEVEL_CACHE_VERSION}"
-        cache_path = os.path.join(cache_dir, f"levels_{tag}.npz")
-        if os.path.exists(cache_path):
-            data = np.load(cache_path)
-            return LevelBasisSet(group, mode, include_dual, list(map(int, data["dims"])), data["basis"])
-
+    systems = group.dictator_systems()
     chars = multiplicative_characters(group) if mode == "twisted" else np.ones((1, group.size))
     rows = _GramSchmidtRows(group.size)
     dims = []
-    prev_gens = 0
     for d in range(dmax + 1):
-        gens = _level_generator_masks(group, d, include_dual)
-        for row in gens[prev_gens:]:
+        gens = [systems.row_masks[systems.row_orders == d]]
+        if include_dual and d >= 1:
+            gens.append(systems.func_masks[systems.func_orders == d])
+        for row in np.concatenate(gens):
             for chi in chars:
                 rows.extend(row * chi)
-        prev_gens = gens.shape[0]
         dims.append(len(rows))
-    basis = rows.basis()
-    out = LevelBasisSet(group, mode, include_dual, dims, basis)
-    if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        np.savez(cache_path, dims=np.array(dims), basis=basis)
-    return out
+    return LevelBasisSet(group, mode, include_dual, dims, rows.basis())
 
 
 _LEVEL_CACHE: dict[tuple, LevelBasisSet] = {}

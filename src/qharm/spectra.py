@@ -56,44 +56,10 @@ def conv_operator_matrix(f: FnTable, d: int) -> np.ndarray:
     return b.conj() @ convs.T / group.size  # [i, j] = <f*b_j, b_i>
 
 
-def _adjoint_values(f: FnTable) -> np.ndarray:
-    group: GroupTable = f.domain
-    return np.conj(f.values[group.inv])
-
-
-def conv_operator_norm(f: FnTable, d: int, method: str = "exact") -> float:
-    """||T_f|| restricted to V_{=d}: exact singular value or power iteration."""
-    group: GroupTable = f.domain
-    levels = get_levels(group)
-    b = levels.eq_basis(d)
-    if b.shape[0] == 0:
-        return 0.0
-    if method == "exact":
-        m = conv_operator_matrix(f, d)
-        return float(np.linalg.norm(m, 2))
-    if method == "power":
-        rng = np.random.default_rng(7)
-        coeff = rng.standard_normal(b.shape[0]) + 1j * rng.standard_normal(b.shape[0])
-        h = coeff @ b
-        fstar = _adjoint_values(f)
-        kern = group.xyinv_table()
-        lam = 0.0
-        for _ in range(10**4):
-            th = f.values[kern] @ h / group.size
-            s = fstar[kern] @ th / group.size
-            # re-project for numerical hygiene; T_f preserves the level
-            s = (b.conj() @ s / group.size) @ b
-            new = float(np.sqrt(np.abs(np.vdot(h, s) / np.vdot(h, h))))
-            ns = np.sqrt(np.mean(np.abs(s) ** 2))
-            if ns < 1e-300:
-                return 0.0
-            h = s / ns
-            if abs(new - lam) < 1e-10:
-                lam = new
-                break
-            lam = new
-        return lam
-    raise ToolkitError(f"unknown method {method!r}")
+def conv_operator_norm(f: FnTable, d: int) -> float:
+    """||T_f|| restricted to V_{=d}: the largest singular value of its matrix."""
+    m = conv_operator_matrix(f, d)
+    return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
 @dataclass
@@ -118,7 +84,7 @@ def sarnak_xue_check(f: FnTable, d: int, c_report: float = 0.05) -> OperatorNorm
     m = conv_operator_matrix(fd, d)
     trace_matrix = float(np.sum(np.abs(m) ** 2))  # Frobenius^2 = tr(T*T) on V_=d
     trace_direct = fd.norm2sq()
-    norm = conv_operator_norm(f, d, "exact")
+    norm = conv_operator_norm(f, d)
     iso = get_isotypic(group)
     m_d = iso.m_d.get(d, 0)
     sx_bound = float(np.sqrt(trace_direct / m_d)) if m_d else float("inf")

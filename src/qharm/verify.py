@@ -33,7 +33,7 @@ from .calculus import (
 )
 from .errors import ToolkitError
 from .fqlin import full_space, span_of
-from .globality import Umvirate, good_umvirate_partition, _audit_tables
+from .globality import Umvirate, good_umvirate_partition
 from .groups import (
     get_group,
     get_isotypic,
@@ -488,7 +488,7 @@ def criterion_bogolyubov(seed: int = 47) -> CheckResult:
     # partitions of every 1- and 2-umvirate: disjoint, covering, uniform order
     from qharm.fqlin import decode_vector
 
-    tables = _audit_tables(g3)
+    tables = g3.dictator_systems()
     n_checked = 0
     for i, rsys in enumerate(tables.row_systems):
         for j, fsys in enumerate(tables.func_systems):
@@ -535,26 +535,14 @@ CRITERIA = [
 ]
 
 
-def run_all(print_fn=print, threads: int = 1) -> tuple[list[CheckResult], bool]:
+def run_all(print_fn=print) -> tuple[list[CheckResult], bool]:
     t0 = time.time()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(tag, pool.submit(fn)) for tag, fn in CRITERIA]
-            results = []
-            for tag, fut in futures:
-                res = fut.result()
-                results.append(res)
-                status = "PASS" if res.passed else "FAIL"
-                print_fn(f"[{status}] criterion {tag}: {res.name} ({res.elapsed:.1f}s) - {res.details}")
-    else:
-        results = []
-        for tag, fn in CRITERIA:
-            res = fn()
-            results.append(res)
-            status = "PASS" if res.passed else "FAIL"
-            print_fn(f"[{status}] criterion {tag}: {res.name} ({res.elapsed:.1f}s) - {res.details}")
+    results = []
+    for tag, fn in CRITERIA:
+        res = fn()
+        results.append(res)
+        status = "PASS" if res.passed else "FAIL"
+        print_fn(f"[{status}] criterion {tag}: {res.name} ({res.elapsed:.1f}s) - {res.details}")
     total = time.time() - t0
     all_ok = all(r.passed for r in results) and total < 600
     print_fn(f"[{'PASS' if all_ok else 'FAIL'}] criterion 9: end-to-end verify in {total:.1f}s (< 600s required)")

@@ -85,19 +85,25 @@ def test_cli_global_audit_on_set(tmp_path):
 
 def test_cli_levels_and_isotypic(tmp_path):
     out = tmp_path / "out"
-    rc = main(["levels", "--q", "2", "--n", "2", "--group", "sl", "-o", str(out),
-               "--cache-dir", str(tmp_path / "cache")])
+    rc = main(["levels", "--q", "2", "--n", "2", "--group", "sl", "-o", str(out)])
     assert rc == 0
     rows = (out / "level_dims.csv").read_text().strip().splitlines()
     assert rows[-1].endswith("6")  # dims saturate at |SL_2(F_2)| = 6
-    # cache reuse path
-    rc = main(["levels", "--q", "2", "--n", "2", "--group", "sl", "-o", str(out),
-               "--cache-dir", str(tmp_path / "cache")])
-    assert rc == 0
     rc = main(["isotypic", "--q", "2", "--n", "2", "--group", "sl", "-o", str(out)])
     assert rc == 0
     data = json.loads((out / "isotypic.json").read_text())
     assert data["sum_of_squares"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--threads", "2"],
+    ["levels", "--cache-dir", "cache"],
+    ["opnorm", "--set", "a.txt", "--method", "power"],
+])
+def test_cli_rejects_removed_options(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_levels_include_dual(tmp_path):

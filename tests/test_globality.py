@@ -328,10 +328,7 @@ def test_partition_trivial_cases():
 
 def test_partition_disjoint_covering_all_1_and_2_umvirates():
     g = get_group("sl", 3, 2)
-    tables = None
-    from qharm.globality import _audit_tables
-
-    tables = _audit_tables(g)
+    tables = g.dictator_systems()
     checked = 0
     for i, rsys in enumerate(tables.row_systems):
         for j, fsys in enumerate(tables.func_systems):

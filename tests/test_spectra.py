@@ -34,7 +34,7 @@ def test_operator_norm_constant_function():
     g = get_group("sl", 2, 3)
     ones = g.constant(1.0)
     for d in (1, 2):
-        assert conv_operator_norm(ones, d, "exact") < 1e-10
+        assert conv_operator_norm(ones, d) < 1e-10
 
 
 def test_operator_norm_point_mass_identity():
@@ -42,17 +42,7 @@ def test_operator_norm_point_mass_identity():
     point = g.table(np.eye(1, g.size, g.identity)[0] * g.size)
     for d in range(g.n + 1):
         if get_levels(g).eq_basis(d).shape[0]:
-            assert abs(conv_operator_norm(point, d, "exact") - 1.0) < 1e-9
-
-
-def test_exact_and_power_methods_agree():
-    g = get_group("sl", 2, 3)
-    for _ in range(5):
-        f = g.indicator(RNG.choice(g.size, size=10, replace=False))
-        for d in (1, 2):
-            ex = conv_operator_norm(f, d, "exact")
-            pw = conv_operator_norm(f, d, "power")
-            assert abs(ex - pw) < 1e-6
+            assert abs(conv_operator_norm(point, d) - 1.0) < 1e-9
 
 
 def test_trace_identity_and_sx_bound():
