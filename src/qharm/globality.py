@@ -283,6 +283,26 @@ class SetAuditResult:
     violations: list[dict]  # each: order, ratio, umvirate
 
 
+def cell_umvirate(group: GroupTable, cell: int) -> Umvirate:
+    """The mixed umvirate at a flat cell index of `group.dictator_systems()`."""
+    tables = group.dictator_systems()
+    i, j = divmod(int(cell), len(tables.func_systems))
+    n, q = group.n, group.q
+    row, func = ([(decode_vector(v, n, q), decode_vector(w, n, q)) for v, w in s] for s in
+                 (tables.row_systems[i], tables.func_systems[j]))
+    return Umvirate(group.field, n, row, func)
+
+
+def _set_ordinals(group: GroupTable, ordinals, what: str) -> np.ndarray:
+    """Sorted unique ordinals of a nonempty subset of G."""
+    ordinals = np.unique(np.asarray(ordinals, dtype=np.int64))
+    if ordinals.size == 0:
+        raise ToolkitError(f"{what} requires a nonempty set")
+    if ordinals[0] < 0 or ordinals[-1] >= group.size:
+        raise ToolkitError(f"{what}: ordinals must lie in [0, {group.size})")
+    return ordinals
+
+
 def set_global_audit(
     group: GroupTable,
     ordinals: np.ndarray,
@@ -294,55 +314,30 @@ def set_global_audit(
 
     Umvirates mix row and functional dictators (the concatenated
     standard + dual action).  Pass threshold is r^d with the configured
-    r (default q^{zeta n / 2}).
+    r (default q^{zeta n / 2}).  The witness of each order is its
+    row-major first maximal cell, and it is also the order's violation
+    when the maximum exceeds the threshold.
     """
-    ordinals = np.asarray(ordinals, dtype=np.int64)
-    if ordinals.size == 0:
-        raise ToolkitError("set audit requires a nonempty set")
+    ordinals = _set_ordinals(group, ordinals, "set audit")
     tables = group.dictator_systems()
     rmax = 2 * group.n if rmax is None else rmax
     r = float(group.q) ** (zeta * group.n / 2) if r is None else r
     mu = ordinals.size / group.size
-
-    amask = np.zeros(group.size, dtype=np.uint8)
-    amask[ordinals] = 1
-    rm, fm = tables.row_masks, tables.func_masks
-    u_counts = rm.astype(np.int64) @ fm.T.astype(np.int64)
-    a_counts = (rm * amask[None, :]).astype(np.int64) @ fm.T.astype(np.int64)
-    orders = tables.row_orders[:, None] + tables.func_orders[None, :]
+    rm, fm = (m[:, ordinals].astype(np.float64) for m in (tables.row_masks, tables.func_masks))
+    counts = (rm @ fm.T).ravel()
 
     rows = []
     violations = []
-    for d in range(rmax + 1):
-        sel = (orders == d) & (u_counts > 0)
-        if not sel.any():
-            if d == 0:
-                rows.append(ReportRow(0, 1.0, "G", r**0, True))
-            continue
-        ratios = np.zeros_like(u_counts, dtype=np.float64)
-        ratios[sel] = (a_counts[sel] / u_counts[sel]) / mu
-        flat = int(np.argmax(np.where(sel, ratios, -1.0)))
-        i, j = divmod(flat, ratios.shape[1])
-        best = float(ratios[i, j])
-        thr = r**d
-        u = Umvirate(
-            group.field,
-            group.n,
-            [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.row_systems[i]],
-            [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.func_systems[j]],
-        )
-        rows.append(ReportRow(d, best, u.describe(), float(thr), bool(best <= thr + 1e-12)))
+    for d in range(min(rmax, 2 * group.n) + 1):
+        cells = tables.cells[d]
+        ratios = (counts[cells] / tables.cell_sizes[d]) / mu
+        k = int(np.argmax(ratios))
+        best = float(ratios[k])
+        thr = float(r**d)
+        u = cell_umvirate(group, cells[k])
+        rows.append(ReportRow(d, best, u.describe(), thr, bool(best <= thr + 1e-12)))
         if best > thr + 1e-12:
-            vi, vj = np.nonzero(sel & (ratios > thr + 1e-12))
-            order_pairs = sorted(zip(vi, vj), key=lambda p: -ratios[p[0], p[1]])
-            bi, bj = order_pairs[0]
-            uv = Umvirate(
-                group.field,
-                group.n,
-                [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.row_systems[bi]],
-                [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.func_systems[bj]],
-            )
-            violations.append({"order": d, "ratio": float(ratios[bi, bj]), "umvirate": uv})
+            violations.append({"order": d, "ratio": best, "umvirate": u})
     return SetAuditResult(GlobalnessReport("set-umvirate-density", rows), violations)
 
 
@@ -681,9 +676,7 @@ def density_bump_search(
     into the densest piece.  Density never decreases by construction;
     the trace certifies each step's gain against the proof's r^s bound.
     """
-    ordinals = np.asarray(ordinals, dtype=np.int64)
-    if ordinals.size == 0:
-        raise ToolkitError("bump search requires a nonempty set")
+    ordinals = _set_ordinals(group, ordinals, "bump search")
     r = float(group.q) ** (zeta * group.n / 2) if r is None else r
 
     field = group.field

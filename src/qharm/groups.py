@@ -295,6 +295,18 @@ class DictatorSystems:
     with g^T in place of g.  Row k of `row_masks` (uint8, one column per
     ordinal) is the indicator of `row_systems[k]`, of order
     `row_orders[k]`; index 0 of each family is the empty system (all of G).
+
+    The mixed umvirates of the set audit are the cells (i, j) of the
+    row-by-functional grid, U = row system i & functional system j, of
+    order row_orders[i] + func_orders[j].  `cells[d]` holds, ascending,
+    the row-major flat indices i * len(func_systems) + j of the order-d
+    cells with U & G nonempty, and `cell_sizes[d]` the sizes |U & G|.
+    Each g lies in exactly one system per subspace in each family (the
+    one with targets g v), so the cells containing g are the products of
+    its row and functional systems, |G| (#subspaces)^2 pairs in all.  A
+    set audit counts |A & U| with a float64 product of the masks over
+    A's columns: every count is an integer <= |G| < 2^53, so float64
+    holds it exactly and the ratios divide bit for bit as integers would.
     """
 
     def __init__(self, group: GroupTable):
@@ -302,6 +314,13 @@ class DictatorSystems:
         targets = [_independent_tuples(group.field, group.n, nonzero, a) for a in range(1, group.n + 1)]
         self.row_systems, self.row_masks, self.row_orders = _dictator_family(group, group.vector_action(False), targets)
         self.func_systems, self.func_masks, self.func_orders = _dictator_family(group, group.vector_action(True), targets)
+        rows_of = np.nonzero(self.row_masks.T)[1].reshape(group.size, -1)
+        funcs_of = np.nonzero(self.func_masks.T)[1].reshape(group.size, -1)
+        width = len(self.func_systems)
+        cells, sizes = np.unique(rows_of[:, :, None] * width + funcs_of[:, None, :], return_counts=True)
+        orders = self.row_orders[cells // width] + self.func_orders[cells % width]
+        self.cells = [cells[orders == d] for d in range(2 * group.n + 1)]
+        self.cell_sizes = [sizes[orders == d] for d in range(2 * group.n + 1)]
 
 
 class _GramSchmidtRows:

@@ -33,7 +33,7 @@ from .calculus import (
 )
 from .errors import ToolkitError
 from .fqlin import full_space, span_of
-from .globality import Umvirate, good_umvirate_partition
+from .globality import cell_umvirate, good_umvirate_partition
 from .groups import (
     get_group,
     get_isotypic,
@@ -485,34 +485,21 @@ def criterion_bogolyubov(seed: int = 47) -> CheckResult:
         if not (res.covers and res.inside_a5):
             issues.append("cover containment failed")
 
-    # partitions of every 1- and 2-umvirate: disjoint, covering, uniform order
-    from qharm.fqlin import decode_vector
-
+    # partitions of every nonempty 1- and 2-umvirate: disjoint, covering, uniform order
     tables = g3.dictator_systems()
     n_checked = 0
-    for i, rsys in enumerate(tables.row_systems):
-        for j, fsys in enumerate(tables.func_systems):
-            order = tables.row_orders[i] + tables.func_orders[j]
-            if order < 1 or order > 2:
-                continue
-            u = Umvirate(
-                g3.field,
-                3,
-                [(decode_vector(v, 3, 2), decode_vector(w, 3, 2)) for v, w in rsys],
-                [(decode_vector(v, 3, 2), decode_vector(w, 3, 2)) for v, w in fsys],
-            )
-            mask = u.members_mask(g3)
-            if not mask.any():
-                continue
-            parts = good_umvirate_partition(g3, u)
-            union = np.concatenate([p.members() for p in parts])
-            if len(union) != len(np.unique(union)) or set(union.tolist()) != set(
-                np.flatnonzero(mask).tolist()
-            ):
-                issues.append(f"partition failed for {u.describe()}")
-            if len({p.order for p in parts}) != 1 or parts[0].order > 2 * u.order:
-                issues.append(f"partition order wrong for {u.describe()}")
-            n_checked += 1
+    for cell in np.concatenate(tables.cells[1:3]):
+        u = cell_umvirate(g3, cell)
+        mask = u.members_mask(g3)
+        parts = good_umvirate_partition(g3, u)
+        union = np.concatenate([p.members() for p in parts])
+        if len(union) != len(np.unique(union)) or set(union.tolist()) != set(
+            np.flatnonzero(mask).tolist()
+        ):
+            issues.append(f"partition failed for {u.describe()}")
+        if len({p.order for p in parts}) != 1 or parts[0].order > 2 * u.order:
+            issues.append(f"partition order wrong for {u.describe()}")
+        n_checked += 1
     ok = not issues
     return _result(
         "bogolyubov pipeline",

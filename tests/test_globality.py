@@ -1,11 +1,14 @@
 """Globalness audits against brute-force oracles, umvirate normal forms,
 good-umvirate partitions, and the density-bump search."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from qharm.errors import ToolkitError
-from qharm.fqlin import span_of
+from qharm.fqlin import decode_vector, encode_vector, span_of
 from qharm.gf import get_field
 from qharm.globality import (
     GoodUmvirate,
@@ -202,50 +205,60 @@ def test_set_audit_own_umvirate_ratio():
     assert res.report.value_at(1) >= expected - 1e-9
 
 
-def brute_force_set_ratios(g, ordinals, dmax=2):
+def brute_force_set_ratios(g, ordinals):
     """Counting oracle over all 1- and 2-umvirates, including scaled and
-    redundant presentations."""
+    redundant presentations: every single dictator, and every pair of
+    them whose constraint vectors are independent within a family."""
     q, n = g.q, g.n
-    std = g.vector_action(False)
-    dual = g.vector_action(True)
     amask = np.zeros(g.size, dtype=bool)
     amask[ordinals] = True
     mu = len(ordinals) / g.size
-    singles = []
-    for v in range(1, q**n):
-        for w in range(1, q**n):
-            m = std[:, v] == w
-            if m.any():
-                singles.append(("r", v, w, m))
-            md = dual[:, v] == w
-            if md.any():
-                singles.append(("f", v, w, md))
-    best = {0: 1.0, 1: -1.0, 2: -1.0}
-    for _, _, _, m in singles:
-        best[1] = max(best[1], (amask & m).sum() / m.sum() / mu)
-    from qharm.fqlin import decode_vector, rank as fq_rank
-
-    for i in range(len(singles)):
-        for j in range(i + 1, len(singles)):
-            t1, v1, w1, m1 = singles[i]
-            t2, v2, w2, m2 = singles[j]
-            if t1 == t2:
-                vecs = np.array([decode_vector(v1, n, q), decode_vector(v2, n, q)])
-                if fq_rank(g.field, vecs) < 2:
-                    continue
-            m = m1 & m2
-            if m.any():
-                best[2] = max(best[2], (amask & m).sum() / m.sum() / mu)
+    # line[v]: the least encoding on the projective line of v
+    line = [min(encode_vector(g.field.mul_table[c, decode_vector(v, n, q)], q) for c in range(1, q)) for v in range(q**n)]
+    masks, kinds, lines = [], [], []
+    for kind, act in enumerate((g.vector_action(False), g.vector_action(True))):
+        for v in range(1, q**n):
+            for w in range(1, q**n):
+                m = act[:, v] == w
+                if m.any():
+                    masks.append(m)
+                    kinds.append(kind)
+                    lines.append(line[v])
+    masks, kinds, lines = np.array(masks), np.array(kinds), np.array(lines)
+    best = {0: 1.0, 1: float(np.max((masks & amask).sum(1) / masks.sum(1) / mu)), 2: -1.0}
+    for i in range(len(masks)):
+        m = masks[i] & masks[i + 1:]
+        sizes = m.sum(1)
+        keep = ((kinds[i + 1:] != kinds[i]) | (lines[i + 1:] != lines[i])) & (sizes > 0)
+        if keep.any():
+            best[2] = max(best[2], float(np.max((m & amask)[keep].sum(1) / sizes[keep] / mu)))
     return best
 
 
+def _witness_umvirate(g, text):
+    """The Umvirate that `Umvirate.describe` printed as text."""
+    rows, funcs = re.fullmatch(r"rows\[(.*)\]funcs\[(.*)\]", text).groups()
+
+    def pairs(part):
+        return [tuple(np.array(json.loads(x), np.uint8) for x in p.split("->")) for p in part.split(";") if p]
+
+    return Umvirate(g.field, g.n, pairs(rows), pairs(funcs))
+
+
 def test_set_audit_matches_counting_oracle():
-    g = get_group("sl", 2, 3)
-    ordinals = np.sort(RNG.choice(g.size, size=12, replace=False))
-    res = set_global_audit(g, ordinals, rmax=2)
-    oracle = brute_force_set_ratios(g, ordinals)
-    for d in (1, 2):
-        assert res.report.value_at(d) == pytest.approx(oracle[d], abs=1e-9)
+    for kind, n, q in [("sl", 2, 3), ("sl", 2, 5), ("sl", 3, 2), ("gl", 2, 3)]:
+        g = get_group(kind, n, q)
+        ordinals = np.sort(RNG.choice(g.size, size=g.size // 2, replace=False))
+        res = set_global_audit(g, ordinals, rmax=2)
+        oracle = brute_force_set_ratios(g, ordinals)
+        mu = ordinals.size / g.size
+        for d in (1, 2):
+            assert res.report.value_at(d) == pytest.approx(oracle[d], abs=1e-9)
+        # each witness, recounted from its own members, has the reported ratio
+        for row in res.report.rows:
+            mask = _witness_umvirate(g, row.witness).members_mask(g)
+            assert mask.sum() > 0
+            assert (np.count_nonzero(mask[ordinals]) / mask.sum()) / mu == row.value
 
 
 # ---------------------------------------------------------------------------

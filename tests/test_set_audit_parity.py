@@ -1,0 +1,138 @@
+"""`set_global_audit` against a reference copy of its dense int64 form.
+
+The reference recomputes every row x functional intersection size with
+int64 matrix products on each call and re-sorts the violating cells to
+pick the violation witness.  The audit under test reads the intersection
+sizes from the group's cached cell table and takes its counts from one
+float64 product; every report row and every violation must be equal.
+"""
+
+import numpy as np
+import pytest
+
+from qharm.errors import ToolkitError
+from qharm.fqlin import decode_vector
+from qharm.globality import (
+    DEFAULT_ZETA,
+    GlobalnessReport,
+    GoodUmvirate,
+    ReportRow,
+    SetAuditResult,
+    Umvirate,
+    density_bump_search,
+    set_global_audit,
+)
+from qharm.groups import get_group
+
+
+def reference_set_global_audit(group, ordinals, rmax=None, r=None, zeta=DEFAULT_ZETA):
+    """The dense int64 set audit, kept as the oracle of the cell-table one."""
+    ordinals = np.asarray(ordinals, dtype=np.int64)
+    if ordinals.size == 0:
+        raise ToolkitError("set audit requires a nonempty set")
+    tables = group.dictator_systems()
+    rmax = 2 * group.n if rmax is None else rmax
+    r = float(group.q) ** (zeta * group.n / 2) if r is None else r
+    mu = ordinals.size / group.size
+
+    amask = np.zeros(group.size, dtype=np.uint8)
+    amask[ordinals] = 1
+    rm, fm = tables.row_masks, tables.func_masks
+    u_counts = rm.astype(np.int64) @ fm.T.astype(np.int64)
+    a_counts = (rm * amask[None, :]).astype(np.int64) @ fm.T.astype(np.int64)
+    orders = tables.row_orders[:, None] + tables.func_orders[None, :]
+
+    rows = []
+    violations = []
+    for d in range(rmax + 1):
+        sel = (orders == d) & (u_counts > 0)
+        if not sel.any():
+            if d == 0:
+                rows.append(ReportRow(0, 1.0, "G", r**0, True))
+            continue
+        ratios = np.zeros_like(u_counts, dtype=np.float64)
+        ratios[sel] = (a_counts[sel] / u_counts[sel]) / mu
+        flat = int(np.argmax(np.where(sel, ratios, -1.0)))
+        i, j = divmod(flat, ratios.shape[1])
+        best = float(ratios[i, j])
+        thr = r**d
+        u = Umvirate(
+            group.field,
+            group.n,
+            [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.row_systems[i]],
+            [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.func_systems[j]],
+        )
+        rows.append(ReportRow(d, best, u.describe(), float(thr), bool(best <= thr + 1e-12)))
+        if best > thr + 1e-12:
+            vi, vj = np.nonzero(sel & (ratios > thr + 1e-12))
+            order_pairs = sorted(zip(vi, vj), key=lambda p: -ratios[p[0], p[1]])
+            bi, bj = order_pairs[0]
+            uv = Umvirate(
+                group.field,
+                group.n,
+                [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.row_systems[bi]],
+                [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.func_systems[bj]],
+            )
+            violations.append({"order": d, "ratio": float(ratios[bi, bj]), "umvirate": uv})
+    return SetAuditResult(GlobalnessReport("set-umvirate-density", rows), violations)
+
+
+def _sets(g, rng):
+    """A singleton, random sets of density 1/8 and 1/2, a set
+    concentrated on a good umvirate, and G."""
+    gu = GoodUmvirate(g, 1, int(rng.integers(g.size)), int(rng.integers(g.size))).members()
+    noise = rng.choice(g.size, size=max(1, g.size // 16), replace=False)
+    return [
+        np.array([int(rng.integers(g.size))]),
+        np.sort(rng.choice(g.size, size=g.size // 8, replace=False)),
+        np.sort(rng.choice(g.size, size=g.size // 2, replace=False)),
+        np.unique(np.concatenate([gu, noise])),
+        np.arange(g.size),
+    ]
+
+
+def _assert_same(res, ref):
+    assert res.report.kind == ref.report.kind
+    assert res.report.rows == ref.report.rows
+    got = [(v["order"], v["ratio"], v["umvirate"].describe()) for v in res.violations]
+    want = [(v["order"], v["ratio"], v["umvirate"].describe()) for v in ref.violations]
+    assert got == want
+
+
+@pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 2, 5), ("sl", 2, 7), ("sl", 3, 2), ("gl", 2, 3)])
+def test_set_audit_equals_dense_reference(kind, n, q):
+    g = get_group(kind, n, q)
+    rng = np.random.default_rng(1000 * n + q)
+    rmaxes = [0, 1, 2 * n, 2 * n + 2]
+    for i, a in enumerate(_sets(g, rng)):
+        rmax = rmaxes[i % len(rmaxes)]
+        _assert_same(set_global_audit(g, a, rmax=rmax), reference_set_global_audit(g, a, rmax=rmax))
+        # r < 1 makes every order >= 1 a violation, each with its own witness
+        res = set_global_audit(g, a, rmax=2 * n + 2, r=0.5)
+        _assert_same(res, reference_set_global_audit(g, a, rmax=2 * n + 2, r=0.5))
+        assert [v["order"] for v in res.violations] == list(range(1, 2 * n + 1))
+    assert len(res.report.rows) == 2 * n + 1
+
+
+def test_set_audit_rejects_bad_ordinals():
+    g = get_group("sl", 2, 3)
+    # duplicates do not count twice towards mu(A)
+    dup = set_global_audit(g, [0, 5, 7, 7, 7])
+    assert dup.report.rows == set_global_audit(g, [0, 5, 7]).report.rows
+    assert dup.report.value_at(0) == 1.0
+    for bad in ([0, -1], [0, g.size], [g.size + 5]):
+        with pytest.raises(ToolkitError, match="ordinals must lie in"):
+            set_global_audit(g, bad)
+        with pytest.raises(ToolkitError, match="ordinals must lie in"):
+            density_bump_search(g, bad)
+    with pytest.raises(ToolkitError, match="nonempty"):
+        set_global_audit(g, [])
+
+
+def test_bump_search_ignores_duplicate_ordinals():
+    g = get_group("sl", 3, 2)
+    a = GoodUmvirate(g, 1, 17, 101).members()[:20]
+    once = density_bump_search(g, a)
+    twice = density_bump_search(g, np.concatenate([a, a[:5]]))
+    assert [vars(t) for t in twice.trace] == [vars(t) for t in once.trace]
+    assert twice.trace[0].density_before == a.size / g.size
