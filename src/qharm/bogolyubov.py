@@ -33,7 +33,7 @@ class GroupSet:
     ordinals: np.ndarray
 
     def __post_init__(self):
-        self.ordinals = np.unique(np.asarray(self.ordinals, dtype=np.int64))
+        self.ordinals = np.unique(self.group.check_ordinals(self.ordinals))
 
     @property
     def size(self) -> int:
@@ -112,7 +112,7 @@ def groumvirate_enumerate(group: GroupTable, k: int) -> list[GoodUmvirate]:
             if d != 1:
                 g = g.copy()
                 g[:, 0] = field.mul_table[g[:, 0], field.inv(d)]
-            g_ord = int(group.pos[group.scheme.domain_index.to_index(g)])
+            g_ord = int(group.ordinals_of(g))
             assert g_ord >= 0
             out.append(GoodUmvirate(group, k, g_ord, int(group.inv[g_ord])))
     return out

@@ -38,8 +38,6 @@ from .fqlin import (
 )
 from .scheme import FnTable, SchemeCtx, dualize, restrict
 
-CROSS_CHECK = True  # disable only for profiling; tests rely on it
-
 
 @dataclass(frozen=True)
 class RestrictionSite:
@@ -183,11 +181,10 @@ def avg_quotient(f: FnTable, vp: Subspace) -> FnTable:
     ctx = _scheme_of(f)
     coeffs = ctx.fourier_forward(f.values) * quotient_mask(ctx, vp)
     spectral = ctx.fourier_inverse(coeffs)
-    if CROSS_CHECK:
-        direct = _avg_quotient_direct(f, vp)
-        err = float(np.max(np.abs(spectral - direct)))
-        if err > 1e-8:
-            raise ConsistencyError(f"avg_quotient realizations disagree by {err}")
+    direct = _avg_quotient_direct(f, vp)
+    err = float(np.max(np.abs(spectral - direct)))
+    if err > 1e-8:
+        raise ConsistencyError(f"avg_quotient realizations disagree by {err}")
     return FnTable(ctx, spectral)
 
 
@@ -248,25 +245,24 @@ def avg_vector(f: FnTable, v: np.ndarray) -> FnTable:
     if not np.any(v):
         raise ToolkitError("E_v requires a nonzero vector")
     spectral = ctx.fourier_inverse(ctx.fourier_forward(f.values) * vector_avg_factors(ctx, v))
-    if CROSS_CHECK:
-        bv = _bv_cached(ctx, v)
-        via_bv = bv.average(f.values)
-        err = float(np.max(np.abs(spectral - via_bv)))
-        if err > 1e-8:
-            raise ConsistencyError(f"E_v spectral vs B_v forms disagree by {err}")
-        planes = [
-            s
-            for s in ctx.subspaces("v", ctx.n - 1)
-            if not s.contains_vector(ctx.field, v)
-        ]
-        assert len(planes) == ctx.q ** (ctx.n - 1)
-        acc = np.zeros_like(f.values)
-        for vp in planes:
-            acc += _avg_quotient_direct(f, vp)
-        acc /= len(planes)
-        err2 = float(np.max(np.abs(spectral - acc)))
-        if err2 > 1e-8:
-            raise ConsistencyError(f"E_v spectral vs hyperplane forms disagree by {err2}")
+    bv = _bv_cached(ctx, v)
+    via_bv = bv.average(f.values)
+    err = float(np.max(np.abs(spectral - via_bv)))
+    if err > 1e-8:
+        raise ConsistencyError(f"E_v spectral vs B_v forms disagree by {err}")
+    planes = [
+        s
+        for s in ctx.subspaces("v", ctx.n - 1)
+        if not s.contains_vector(ctx.field, v)
+    ]
+    assert len(planes) == ctx.q ** (ctx.n - 1)
+    acc = np.zeros_like(f.values)
+    for vp in planes:
+        acc += _avg_quotient_direct(f, vp)
+    acc /= len(planes)
+    err2 = float(np.max(np.abs(spectral - acc)))
+    if err2 > 1e-8:
+        raise ConsistencyError(f"E_v spectral vs hyperplane forms disagree by {err2}")
     return FnTable(ctx, spectral)
 
 
@@ -291,10 +287,9 @@ def avg_dual(f: FnTable, wp: Subspace) -> FnTable:
     fd = dualize(f)
     composite = dualize(FnTable(fd.domain, _avg_vector_spectral(fd, phi))).values
     spectral = ctx.fourier_inverse(ctx.fourier_forward(f.values) * dual_avg_factors(ctx, wp))
-    if CROSS_CHECK:
-        err = float(np.max(np.abs(spectral - composite)))
-        if err > 1e-8:
-            raise ConsistencyError(f"E_W' realizations disagree by {err}")
+    err = float(np.max(np.abs(spectral - composite)))
+    if err > 1e-8:
+        raise ConsistencyError(f"E_W' realizations disagree by {err}")
     return FnTable(ctx, spectral)
 
 

@@ -86,8 +86,7 @@ def read_set_file(path: str, group) -> np.ndarray:
             if any(not 0 <= x < q for x in entries):
                 raise InputFormatError(f"{path}:{ln}: entries must lie in [0, {q})")
             mat = np.array(entries, dtype=np.uint8).reshape(n, n)
-            idx = group.scheme.domain_index.to_index(mat)
-            pos = int(group.pos[idx])
+            pos = int(group.ordinals_of(mat))
             if pos < 0:
                 raise InputFormatError(
                     f"{path}:{ln}: matrix is not a member of {group.kind}_{n}(F_{q}) (determinant check)"
@@ -438,7 +437,7 @@ def cmd_verify(args) -> int:
 
     _, ok = run_all()
     outdir = _outdir(args)
-    write_manifest(outdir, "verify", {"q": args.q, "n": args.n, "group": args.group}, [])
+    write_manifest(outdir, "verify", {}, [])
     return 0 if ok else 1
 
 
@@ -454,21 +453,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scheme=False, group=False):
+    def common(sp, scheme=False, group=False, zeta=False):
+        """Options of the scheme and group subcommands; each handler reads every one it gets."""
         sp.add_argument("--q", type=int, default=2)
         sp.add_argument("--n", type=int, default=2)
         if scheme:
             sp.add_argument("--m", type=int, default=2)
         if group:
             sp.add_argument("--group", choices=["sl", "gl"], default="sl")
+        if zeta:
+            sp.add_argument("--zeta", type=float, default=0.01)
         sp.add_argument("--output", "-o", default="out")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--zeta", type=float, default=0.01)
-        sp.add_argument("--c", type=float, default=0.05)
         sp.add_argument("--max-domain", type=int, default=DEFAULT_MAX_DOMAIN)
 
     sp = sub.add_parser("field-info", help="print field tables and characters")
-    common(sp)
+    sp.add_argument("--q", type=int, default=2)
+    sp.add_argument("--output", "-o", default="out")
     sp.set_defaults(fn=cmd_field_info)
 
     sp = sub.add_parser("fourier", help="forward transform of a function CSV")
@@ -484,21 +484,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_project_degree)
 
     sp = sub.add_parser("global-audit", help="exact restriction-norm audit")
-    common(sp, scheme=True, group=True)
+    common(sp, scheme=True, group=True, zeta=True)
     sp.add_argument("--input")
     sp.add_argument("--set")
     sp.add_argument("--dmax", type=int, default=2)
     sp.set_defaults(fn=cmd_global_audit)
 
     sp = sub.add_parser("influence-audit", help="exact generalized-influence audit")
-    common(sp, scheme=True, group=True)
+    common(sp, scheme=True, group=True, zeta=True)
     sp.add_argument("--input")
     sp.add_argument("--set")
     sp.add_argument("--dmax", type=int, default=2)
     sp.set_defaults(fn=cmd_influence_audit)
 
     sp = sub.add_parser("set-audit", help="umvirate density audit of a set on G")
-    common(sp, group=True)
+    common(sp, group=True, zeta=True)
     sp.add_argument("--set", required=True)
     sp.add_argument("--dmax", type=int, default=None)
     sp.set_defaults(fn=cmd_set_audit)
@@ -513,11 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("isotypic", help="isotypic refinement and m_d")
     common(sp, group=True)
     sp.add_argument("--trials", type=int, default=3)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_isotypic)
 
     sp = sub.add_parser("opnorm", help="convolution operator norms on levels")
     common(sp, group=True)
     sp.add_argument("--set", required=True)
+    sp.add_argument("--c", type=float, default=0.05)
     sp.set_defaults(fn=cmd_opnorm)
 
     sp = sub.add_parser("convolve", help="convolution of two set indicators")
@@ -540,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_product_mixing)
 
     sp = sub.add_parser("bogolyubov", help="groumvirate containment in AA^-1AA^-1")
-    common(sp, group=True)
+    common(sp, group=True, zeta=True)
     sp.add_argument("--set", required=True)
     sp.set_defaults(fn=cmd_bogolyubov)
 
@@ -550,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_approx_group)
 
     sp = sub.add_parser("verify", help="run the full invariant/acceptance suite")
-    common(sp, group=True)
+    sp.add_argument("--output", "-o", default="out")
     sp.set_defaults(fn=cmd_verify)
 
     return p

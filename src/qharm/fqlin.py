@@ -9,15 +9,18 @@ and `batched_rank`, which eliminates a whole (B, r, c) stack at once
 with one Python step per column and table gathers across the batch.
 `mat_mul` broadcasts over leading axes in the same way, so per-index
 tables over a domain (ranks, spectral masks, restriction embeddings)
-are built without a Python loop per index.
+are built without a Python loop per index.  `det` is the exception to
+elimination: a Leibniz expansion, n! signed products of table gathers,
+which broadcasts like `mat_mul` and serves a single matrix and all of
+L(F_q^n) alike.
 
 Canonical conventions, fixed once so that enumerations and audits are
 bit-reproducible:
 
   * subspaces are stored as reduced row-echelon bases with strictly
     increasing pivot columns, one basis vector per row;
-  * quotient lifts complete a subspace basis by the least-index vectors
-    (vector index = sum of v_i * q^i);
+  * bases are completed by the least-index vectors (vector index =
+    sum of v_i * q^i), in quotient lifts and umvirate normal forms alike;
   * matrix <-> integer index maps are row-major base q, entry (i, j) of
     an r x c matrix contributing digit i*c + j.
 """
@@ -25,7 +28,7 @@ bit-reproducible:
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -128,32 +131,26 @@ def batched_rank(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def det(ctx: FieldCtx, a: np.ndarray) -> int:
-    """Determinant over F_q by elimination."""
-    if a.shape[0] != a.shape[1]:
+def det(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
+    """Determinant over F_q of every matrix in a (..., n, n) stack.
+
+    The Leibniz expansion: one signed product of n table gathers per
+    permutation of the columns, summed over all n! permutations.  Leading
+    axes broadcast as in `mat_mul`; a single matrix gives a scalar.
+    """
+    a = np.asarray(a, dtype=np.uint8)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ToolkitError("determinant of a non-square matrix")
-    m = np.array(a, dtype=np.uint8)
-    n = m.shape[0]
-    d = 1
-    for col in range(n):
-        found = -1
-        for row in range(col, n):
-            if m[row, col]:
-                found = row
-                break
-        if found < 0:
-            return 0
-        if found != col:
-            m[[col, found]] = m[[found, col]]
-            d = ctx.neg(d)
-        piv = int(m[col, col])
-        d = ctx.mul(d, piv)
-        piv_inv = ctx.inv(piv)
-        m[col] = ctx.mul_table[m[col], piv_inv]
-        for row in range(col + 1, n):
-            if m[row, col]:
-                m[row] = ctx.add_table[m[row], ctx.mul_table[m[col], ctx.neg(int(m[row, col]))]]
-    return d
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-2], dtype=np.uint8)
+    for perm in permutations(range(n)):
+        term = np.ones(a.shape[:-2], dtype=np.uint8)
+        for row, col in enumerate(perm):
+            term = ctx.mul_table[term, a[..., row, col]]
+        if sum(i > j for i, j in combinations(perm, 2)) % 2:
+            term = ctx.neg_table[term]
+        out = ctx.add_table[out, term]
+    return out[()]
 
 
 def inv_matrix(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
@@ -309,12 +306,25 @@ def enumerate_subspaces(
 # quotient frames
 # ---------------------------------------------------------------------------
 
+def complete_basis(ctx: FieldCtx, rows, n: int) -> np.ndarray:
+    """(n, n) basis of F_q^n: the independent `rows` first, then the
+    least-index vectors that complete them, in index order."""
+    basis = [np.asarray(row, dtype=np.uint8) for row in rows]
+    idx = 1
+    while len(basis) < n:
+        v = decode_vector(idx, n, ctx.q)
+        if rank(ctx, np.array(basis + [v], dtype=np.uint8)) == len(basis) + 1:
+            basis.append(v)
+        idx += 1
+    return np.array(basis, dtype=np.uint8).reshape(n, n)
+
+
 class QuotientFrame:
     """A deterministic identification of V/V' with a complement of V'.
 
-    lift_basis holds the least-index completion of the subspace basis to
-    a basis of F_q^n.  coord_matrix maps a vector to its coordinates in
-    the combined basis (subspace rows first); quotient_map keeps only
+    full_basis holds the subspace basis followed by its least-index
+    completion to a basis of F_q^n (the lifts).  coord_matrix maps a
+    vector to its coordinates in that basis; quotient_map keeps only
     the lift coordinates.
     """
 
@@ -323,18 +333,7 @@ class QuotientFrame:
         k = subspace.dim
         self.ctx = ctx
         self.subspace = subspace
-        rows = [subspace.basis[i] for i in range(k)]
-        lifts = []
-        idx = 1
-        while len(rows) < n:
-            v = decode_vector(idx, n, ctx.q)
-            stacked = np.array(rows + [v], dtype=np.uint8)
-            if rank(ctx, stacked) == len(rows) + 1:
-                rows.append(v)
-                lifts.append(v)
-            idx += 1
-        self.lift_basis = np.array(lifts, dtype=np.uint8).reshape(n - k, n)
-        self.full_basis = np.array(rows, dtype=np.uint8)
+        self.full_basis = complete_basis(ctx, subspace.basis, n)
         # coords c of v satisfy v = sum c_i * basis_row_i, i.e. c = (B^T)^{-1} v.
         self.coord_matrix = inv_matrix(ctx, self.full_basis.T.copy())
         self.quotient_map = self.coord_matrix[k:, :].copy()

@@ -28,6 +28,7 @@ from .calculus import laplacian_mask
 from .errors import ToolkitError
 from .fqlin import (
     Subspace,
+    complete_basis,
     decode_vector,
     det,
     encode_vector,
@@ -295,11 +296,9 @@ def cell_umvirate(group: GroupTable, cell: int) -> Umvirate:
 
 def _set_ordinals(group: GroupTable, ordinals, what: str) -> np.ndarray:
     """Sorted unique ordinals of a nonempty subset of G."""
-    ordinals = np.unique(np.asarray(ordinals, dtype=np.int64))
+    ordinals = np.unique(group.check_ordinals(ordinals, what))
     if ordinals.size == 0:
         raise ToolkitError(f"{what} requires a nonempty set")
-    if ordinals[0] < 0 or ordinals[-1] >= group.size:
-        raise ToolkitError(f"{what}: ordinals must lie in [0, {group.size})")
     return ordinals
 
 
@@ -345,24 +344,28 @@ def set_global_audit(
 # good umvirates and normal forms
 # ---------------------------------------------------------------------------
 
+def _block_embedding(n: int, k: int, q: int) -> np.ndarray:
+    """diag(I_k, X) for every X in SL_{n-k}(F_q), in the ordinal order of SL_{n-k}."""
+    blocks = get_group("sl", n - k, q).mats if k < n else np.zeros((1, 0, 0), dtype=np.uint8)
+    out = np.tile(np.eye(n, dtype=np.uint8), (len(blocks), 1, 1))
+    out[:, k:, k:] = blocks
+    return out
+
+
+def _block_restriction(group: GroupTable, in_set: np.ndarray, g: np.ndarray, h: np.ndarray, k: int) -> np.ndarray:
+    """Ordinals of the X in SL_{n-k} with g diag(I_k, X) h in the set given
+    by the mask in_set over G; g and h are matrices."""
+    prods = mat_mul(group.field, mat_mul(group.field, g, _block_embedding(group.n, k, group.q)), h)
+    return np.flatnonzero(in_set[group.ordinals_of(prods)])
+
+
 def block_subgroup_members(group: GroupTable, k: int) -> np.ndarray:
     """Ordinals of L_k = {diag(I_k, X) : X in SL_{n-k}}."""
     key = ("Lk", k)
     if key not in group._lk_cache:
-        n = group.n
-        if k < 0 or k > n:
+        if k < 0 or k > group.n:
             raise ToolkitError(f"invalid block size k={k}")
-        if k == n:
-            group._lk_cache[key] = np.array([group.identity], dtype=np.int64)
-        else:
-            sub = get_group("sl", n - k, group.q) if n - k >= 2 else None
-            mats = sub.mats if sub is not None else [np.eye(max(n - k, 0), dtype=np.uint8)]
-            out = []
-            for x in mats:
-                m = np.eye(n, dtype=np.uint8)
-                m[k:, k:] = x
-                out.append(group.pos[group.scheme.domain_index.to_index(m)])
-            group._lk_cache[key] = np.array(sorted(out), dtype=np.int64)
+        group._lk_cache[key] = np.sort(group.ordinals_of(_block_embedding(group.n, k, group.q)))
     return group._lk_cache[key]
 
 
@@ -398,19 +401,6 @@ class GoodUmvirate:
 
     def describe(self) -> str:
         return f"U_{self.k}^(g={self.g},h={self.h})"
-
-
-def _complete_columns(field: FieldCtx, cols: list[np.ndarray], n: int) -> np.ndarray:
-    """Invertible matrix whose first columns are the given ones (least-index completion)."""
-    chosen = [np.asarray(c, dtype=np.uint8) for c in cols]
-    idx = 1
-    while len(chosen) < n:
-        v = decode_vector(idx, n, field.q)
-        stacked = np.array(chosen + [v], dtype=np.uint8)
-        if rank(field, stacked) == len(chosen) + 1:
-            chosen.append(v)
-        idx += 1
-    return np.array(chosen, dtype=np.uint8).T.copy()
 
 
 def _rank_factor(field: FieldCtx, m: np.ndarray):
@@ -480,9 +470,8 @@ def umvirate_normal_form(group: GroupTable, u: Umvirate) -> UmvirateNormalForm:
     n = group.n
     a = len(u.rows)
     b = len(u.funcs)
-    c_mat = _complete_columns(field, [v for v, _ in u.rows], n) if a else _complete_columns(field, [], n)
-    d_rows = [phi for phi, _ in u.funcs]
-    d_mat = _complete_columns(field, d_rows, n).T.copy() if b else np.eye(n, dtype=np.uint8)
+    c_mat = complete_basis(field, [v for v, _ in u.rows], n).T.copy()
+    d_mat = complete_basis(field, [phi for phi, _ in u.funcs], n)
     # fixed data of h = D g C
     w_cols = np.array([w for _, w in u.rows], dtype=np.uint8).reshape(a, n).T if a else np.zeros((n, 0), dtype=np.uint8)
     psi_rows = np.array([psi for _, psi in u.funcs], dtype=np.uint8).reshape(b, n) if b else np.zeros((0, n), dtype=np.uint8)
@@ -532,8 +521,7 @@ def _piece_to_good_umvirate(group: GroupTable, d_mat, c_mat, kk, big_k, big_b, b
     c_fix[0, 0] = det(field, right)
     g0 = mat_mul(field, g0, c_fix)
     h0 = mat_mul(field, inv_matrix(field, c_fix), right)
-    g_ord = group.pos[group.scheme.domain_index.to_index(g0)]
-    h_ord = group.pos[group.scheme.domain_index.to_index(h0)]
+    g_ord, h_ord = group.ordinals_of(np.stack([g0, h0]))
     if g_ord < 0 or h_ord < 0:
         raise ToolkitError("normal-form factors left the group")  # pragma: no cover
     return GoodUmvirate(group, kk, int(g_ord), int(h_ord))
@@ -719,14 +707,7 @@ def density_bump_search(
         hp = cur_group.mats[piece.h]
         if sub_n >= 1:
             sub_group = get_group("sl", sub_n, group.q)
-            new_ordinals = []
-            for xo in range(sub_group.size):
-                m = np.eye(cur_group.n, dtype=np.uint8)
-                m[k_step:, k_step:] = sub_group.mats[xo]
-                prod = mat_mul(field, mat_mul(field, gp, m), hp)
-                if in_set[cur_group.pos[cur_group.scheme.domain_index.to_index(prod)]]:
-                    new_ordinals.append(xo)
-            new_ordinals = np.array(new_ordinals, dtype=np.int64)
+            new_ordinals = _block_restriction(cur_group, in_set, gp, hp, k_step)
         else:
             sub_group = None
             new_ordinals = None
@@ -758,8 +739,7 @@ def density_bump_search(
         if cur_ordinals.size == 0:  # pragma: no cover - densities only grow
             raise ToolkitError("restriction emptied the set")
 
-    g_ord = int(group.pos[group.scheme.domain_index.to_index(g_acc)])
-    h_ord = int(group.pos[group.scheme.domain_index.to_index(h_acc)])
+    g_ord, h_ord = (int(o) for o in group.ordinals_of(np.stack([g_acc, h_acc])))
     if cur_group is None:
         cur_group = group
         cur_ordinals = np.array([], dtype=np.int64)

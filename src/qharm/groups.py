@@ -1,7 +1,12 @@
 """SL_n(F_q) and GL_n(F_q) as subsets of the matrix scheme L(V, V).
 
 The group is enumerated explicitly and every element is addressed both
-by its scheme index and by its ordinal position.  L^2(G) is filtered by
+by its scheme index and by its ordinal position (`GroupTable.ordinals_of`
+maps a stack of matrices to ordinals).  The tables are gathers, with no
+loop per element: one broadcast determinant over L(V, V) selects G, the
+vector action is one broadcast product with every vector, and inverses
+and products are read off it, since column k of g^-1 is the preimage of
+e_k and column k of g h is g applied to column k of h.  L^2(G) is filtered by
 the span of products of at most d dictator indicators 1[g v = u]; those
 spans realize the tensor-rank level spaces, and an eigen-refinement of
 convolution by random class functions splits each level into isotypic
@@ -14,7 +19,9 @@ fixes the images of one basis of an s-dimensional subspace, with
 independent targets; products with dependent constraints collapse to
 shorter products or vanish on G, and for a fixed subspace every basis
 gives the same set of masks, so one basis per subspace spans the same
-levels.
+levels.  The systems of a subspace with basis v are the distinct rows
+of the action's columns v, in lexicographic order: the target tuples
+that some element of G meets.
 """
 
 from __future__ import annotations
@@ -24,17 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RefinementError, SizeCapError, ToolkitError
-from .fqlin import (
-    Subspace,
-    decode_vector,
-    det,
-    encode_vector,
-    enumerate_subspaces,
-    inv_matrix,
-    rank,
-)
+from .fqlin import IndexMap, Subspace, det, encode_vector, enumerate_subspaces, mat_mul
 from .gf import FieldCtx, get_field
-from .scheme import FnTable, degree_project, get_scheme
+from .scheme import FnTable, degree_project, get_scheme, random_table
 
 DEFAULT_GROUP_CAP = 10**5
 _MUL_TABLE_CAP = 6000
@@ -50,9 +49,8 @@ class GroupTable:
         self.n = n
         self.field = field
         self.scheme = get_scheme(field.q, n, n)
-        dets = np.empty(self.scheme.size, dtype=np.uint8)
-        for i in range(self.scheme.size):
-            dets[i] = det(field, self.scheme.domain_index.to_matrix(i))
+        every = self.scheme.domain_index.digits_table().reshape(-1, n, n)
+        dets = det(field, every)
         keep = dets == 1 if kind == "sl" else dets != 0
         self.elements = np.flatnonzero(keep).astype(np.int64)
         self.size = int(self.elements.shape[0])
@@ -61,18 +59,19 @@ class GroupTable:
         self.dets = dets[self.elements]
         self.pos = np.full(self.scheme.size, -1, dtype=np.int64)
         self.pos[self.elements] = np.arange(self.size)
-        self.mats = np.stack([self.scheme.domain_index.to_matrix(i) for i in self.elements])
-        inv_mats = np.stack([inv_matrix(field, m) for m in self.mats])
-        self.inv = np.array(
-            [self.pos[self.scheme.domain_index.to_index(m)] for m in inv_mats], dtype=np.int64
-        )
-        self.identity = int(self.pos[self.scheme.domain_index.to_index(np.eye(n, dtype=np.uint8))])
+        self.mats = every[self.elements]
         self._mul: np.ndarray | None = None
         self._xyinv: np.ndarray | None = None
         self._classes: np.ndarray | None = None
         self._vec_action: dict = {}
         self._dictator_systems: DictatorSystems | None = None
         self._lk_cache: dict = {}  # block subgroup ordinals L_k, keyed by ("Lk", k)
+        self._vectors = IndexMap(field, n, 1).digits_table()  # F_q^n, one vector per row, in index order
+        self._units = field.q ** np.arange(n, dtype=np.int64)  # encodings of e_0, ..., e_{n-1}
+        # column k of g^-1 is the preimage of e_k under g; each action row is a permutation
+        preimages = np.argsort(self.vector_action(), axis=1)
+        self.inv = self.ordinals_of(np.swapaxes(self._vectors[preimages[:, self._units]], 1, 2))
+        self.identity = int(self.ordinals_of(np.eye(n, dtype=np.uint8)))
 
     @property
     def q(self) -> int:
@@ -81,28 +80,36 @@ class GroupTable:
     def __repr__(self) -> str:
         return f"GroupTable({self.kind}_{self.n}(F_{self.q}), size={self.size})"
 
+    # -- ordinals ---------------------------------------------------------------
+
+    def ordinals_of(self, mats) -> np.ndarray:
+        """Ordinals of a (..., n, n) stack of matrices, -1 where a matrix is not in G."""
+        mats = np.asarray(mats, dtype=np.int64)
+        if mats.shape[-2:] != (self.n, self.n):
+            raise ToolkitError(f"expected ({self.n}, {self.n}) matrices, got shape {mats.shape}")
+        return self.pos[mats.reshape(mats.shape[:-2] + (self.n * self.n,)) @ self.scheme.domain_index.powers]
+
+    def check_ordinals(self, ordinals, what: str = "group set") -> np.ndarray:
+        """The ordinals as int64, after checking that each one lies in [0, |G|)."""
+        ordinals = np.asarray(ordinals, dtype=np.int64)
+        if ordinals.size and (ordinals.min() < 0 or ordinals.max() >= self.size):
+            raise ToolkitError(f"{what}: ordinals must lie in [0, {self.size})")
+        return ordinals
+
     # -- multiplication -------------------------------------------------------
 
-    def _mul_row(self, i: int) -> np.ndarray:
-        """Ordinals of mats[i] @ mats[j] for all j."""
-        f = self.field
-        n = self.n
-        a = self.mats[i]
-        out = np.zeros((self.size, n, n), dtype=np.uint8)
-        for r in range(n):
-            for k in range(n):
-                out[:, r, :] = f.add_table[out[:, r, :], f.mul_table[a[r, k], self.mats[:, k, :]]]
-        flat = out.reshape(self.size, n * n).astype(np.int64)
-        idx = flat @ self.scheme.domain_index.powers
-        return self.pos[idx]
-
     def mul_table(self) -> np.ndarray:
+        """Ordinals of g h in row g; column k of g h is g applied to column k of h."""
         if self._mul is None:
             if self.size > _MUL_TABLE_CAP:
                 raise SizeCapError(f"multiplication table refused for |G|={self.size}")
+            act = self.vector_action()
+            # a matrix's scheme index is the sum over k of q^k times that of its column k placed as column 0
+            placed = (self._vectors.astype(np.int64) @ self.scheme.domain_index.powers[:: self.n])[act]
+            cols = act[:, self._units]
             m = np.empty((self.size, self.size), dtype=np.int32)
-            for i in range(self.size):
-                m[i] = self._mul_row(i)
+            for g in range(self.size):
+                m[g] = self.pos[placed[g][cols] @ self._units]
             self._mul = m
         return self._mul
 
@@ -121,18 +128,8 @@ class GroupTable:
         """(size, q^n) encodings of g v (or g^T v) for every vector index."""
         key = "t" if transpose else "s"
         if key not in self._vec_action:
-            f = self.field
-            n = self.n
-            q = self.q
-            mats = np.transpose(self.mats, (0, 2, 1)) if transpose else self.mats
-            out = np.empty((self.size, q**n), dtype=np.int64)
-            for vi in range(q**n):
-                v = decode_vector(vi, n, q)
-                res = np.zeros((self.size, n), dtype=np.uint8)
-                for k in range(n):
-                    res = f.add_table[res, f.mul_table[mats[:, :, k], v[k]]]
-                out[:, vi] = res.astype(np.int64) @ (q ** np.arange(n, dtype=np.int64))
-            self._vec_action[key] = out
+            mats = np.swapaxes(self.mats, 1, 2) if transpose else self.mats
+            self._vec_action[key] = self._units @ mat_mul(self.field, mats, self._vectors.T).astype(np.int64)
         return self._vec_action[key]
 
     def dictator_mask(self, v_enc: int, u_enc: int, transpose: bool = False) -> np.ndarray:
@@ -178,7 +175,7 @@ class GroupTable:
 
     def indicator(self, ordinals) -> FnTable:
         v = np.zeros(self.size, dtype=np.complex128)
-        v[np.asarray(ordinals, dtype=np.int64)] = 1.0
+        v[self.check_ordinals(ordinals, "indicator")] = 1.0
         return FnTable(self, v)
 
 
@@ -241,49 +238,28 @@ def convolve_batch(f_values: np.ndarray, basis: np.ndarray, group: GroupTable) -
 # tensor-rank level filtration
 # ---------------------------------------------------------------------------
 
-def _independent_tuples(field: FieldCtx, n: int, vecs: list[int], size: int):
-    """Ordered tuples of encoded vectors with linearly independent decodes,
-    in lexicographic order."""
-    q = field.q
-    out: list[tuple[int, ...]] = []
+def _dictator_family(group: GroupTable, action: np.ndarray):
+    """Systems, masks and orders of one dictator family (one action), and
+    the (|G|, 1 + #subspaces) table of the system each element lies in.
 
-    def extend(prefix: tuple[int, ...], rows: list[np.ndarray]):
-        if len(prefix) == size:
-            out.append(prefix)
-            return
-        for enc in vecs:
-            if enc in prefix:
-                continue
-            v = decode_vector(enc, n, q)
-            stacked = np.array(rows + [v], dtype=np.uint8)
-            if rank(field, stacked) == len(rows) + 1:
-                extend(prefix + (enc,), rows + [v])
-
-    extend((), [])
-    return out
-
-
-def _dictator_family(group: GroupTable, action: np.ndarray, targets_by_order: list[list[tuple]]):
-    """Systems, masks and orders of one dictator family (one action).
-
-    Order by order, subspace by subspace (echelon basis), target tuple by
-    target tuple; systems that no element of G satisfies are dropped.
+    Order by order and subspace by subspace (echelon basis v), the
+    systems are the distinct rows of action[:, v] in lexicographic order:
+    exactly the independent target tuples that some element of G meets.
     """
-    q = group.q
     systems: list[tuple] = [()]
-    masks = [np.ones(group.size, dtype=bool)]
     orders = [0]
-    for a, targets in enumerate(targets_by_order, 1):
+    system_of = [np.zeros(group.size, dtype=np.int64)]
+    for a in range(1, group.n + 1):
         for sub in enumerate_subspaces(group.field, group.n, a):
-            v_encs = [encode_vector(row, q) for row in sub.basis]
-            acts = action[:, v_encs]
-            for us in targets:
-                mask = np.all(acts == np.array(us)[None, :], axis=1)
-                if mask.any():
-                    systems.append(tuple(zip(v_encs, us)))
-                    masks.append(mask)
-                    orders.append(a)
-    return systems, np.array(masks, dtype=np.uint8), np.array(orders, dtype=np.int64)
+            v_encs = [encode_vector(row, group.q) for row in sub.basis]
+            targets, which = np.unique(action[:, v_encs], axis=0, return_inverse=True)
+            system_of.append(len(systems) + which.reshape(-1))
+            systems.extend(tuple(zip(v_encs, us)) for us in targets.tolist())
+            orders.extend([a] * len(targets))
+    system_of = np.stack(system_of, axis=1)
+    masks = np.zeros((len(systems), group.size), dtype=np.uint8)
+    masks[system_of, np.arange(group.size)[:, None]] = 1
+    return systems, masks, np.array(orders, dtype=np.int64), system_of
 
 
 class DictatorSystems:
@@ -310,12 +286,8 @@ class DictatorSystems:
     """
 
     def __init__(self, group: GroupTable):
-        nonzero = list(range(1, group.q**group.n))
-        targets = [_independent_tuples(group.field, group.n, nonzero, a) for a in range(1, group.n + 1)]
-        self.row_systems, self.row_masks, self.row_orders = _dictator_family(group, group.vector_action(False), targets)
-        self.func_systems, self.func_masks, self.func_orders = _dictator_family(group, group.vector_action(True), targets)
-        rows_of = np.nonzero(self.row_masks.T)[1].reshape(group.size, -1)
-        funcs_of = np.nonzero(self.func_masks.T)[1].reshape(group.size, -1)
+        self.row_systems, self.row_masks, self.row_orders, rows_of = _dictator_family(group, group.vector_action(False))
+        self.func_systems, self.func_masks, self.func_orders, funcs_of = _dictator_family(group, group.vector_action(True))
         width = len(self.func_systems)
         cells, sizes = np.unique(rows_of[:, :, None] * width + funcs_of[:, None, :], return_counts=True)
         orders = self.row_orders[cells // width] + self.func_orders[cells % width]
@@ -670,11 +642,4 @@ def get_isotypic(group: GroupTable, trials: int = 3, seed: int = 0) -> IsotypicR
     return _ISOTYPIC_CACHE[key]
 
 
-def random_group_table(group: GroupTable, rng: np.random.Generator, kind: str = "real", density: float = 0.5) -> FnTable:
-    if kind == "boolean":
-        vals = (rng.random(group.size) < density).astype(np.complex128)
-    elif kind == "real":
-        vals = rng.standard_normal(group.size).astype(np.complex128)
-    else:
-        vals = rng.standard_normal(group.size) + 1j * rng.standard_normal(group.size)
-    return FnTable(group, vals)
+random_group_table = random_table  # seeded random functions on G draw as on a scheme

@@ -204,3 +204,14 @@ def test_symmetric_set_contained_in_triple_product():
         ainv = set_algebra(a, None, "inverse")
         triple = set_algebra(set_algebra(a, ainv, "product"), a, "product")
         assert triple.contains(a)
+
+
+def test_out_of_range_ordinals_are_rejected():
+    g = get_group("sl", 2, 3)
+    for bad in ([-1, 3], [24], [0, -24]):
+        with pytest.raises(ToolkitError, match="ordinals must lie in"):
+            GroupSet(g, bad)
+        with pytest.raises(ToolkitError, match="ordinals must lie in"):
+            g.indicator(bad)
+    assert GroupSet(g, []).size == 0  # empty sets stay valid; the mixing functions reject them
+    assert GroupSet(g, [23, 0, 23]).mask().nonzero()[0].tolist() == [0, 23]

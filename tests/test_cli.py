@@ -99,6 +99,22 @@ def test_cli_levels_and_isotypic(tmp_path):
     ["verify", "--threads", "2"],
     ["levels", "--cache-dir", "cache"],
     ["opnorm", "--set", "a.txt", "--method", "power"],
+    ["verify", "--q", "3"],
+    ["verify", "--n", "3"],
+    ["verify", "--group", "gl"],
+    ["verify", "--max-domain", "64"],
+    ["field-info", "--n", "3"],
+    ["field-info", "--max-domain", "64"],
+    ["field-info", "--seed", "1"],
+    ["fourier", "--input", "f.csv", "--seed", "1"],
+    ["fourier", "--input", "f.csv", "--zeta", "0.1"],
+    ["fourier", "--input", "f.csv", "--c", "0.1"],
+    ["levels", "--seed", "1"],
+    ["levels", "--zeta", "0.1"],
+    ["isotypic", "--c", "0.1"],
+    ["opnorm", "--set", "a.txt", "--zeta", "0.1"],
+    ["mixing", "--set", "a.txt", "--set2", "b.txt", "--seed", "1"],
+    ["bogolyubov", "--set", "a.txt", "--c", "0.1"],
 ])
 def test_cli_rejects_removed_options(argv):
     with pytest.raises(SystemExit) as exc:

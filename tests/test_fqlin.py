@@ -7,6 +7,7 @@ from qharm.fqlin import (
     QuotientFrame,
     batched_rank,
     canonicalize,
+    complete_basis,
     det,
     encode_vector,
     decode_vector,
@@ -154,6 +155,18 @@ def test_quotient_frame_unique_decomposition():
                         assert np.array_equal(rec, v)
                         seen.add(c.tobytes())
                     assert len(seen) == q**n
+
+
+def test_complete_basis_keeps_rows_and_completes_the_empty_set_by_the_standard_basis():
+    for q in (2, 3, 4, 5):
+        ctx = get_field(q)
+        for n in (1, 2, 3, 4):
+            assert np.array_equal(complete_basis(ctx, [], n), np.eye(n, dtype=np.uint8))
+    ctx = get_field(3)
+    for sub in enumerate_subspaces(ctx, 3, 2):
+        basis = complete_basis(ctx, sub.basis, 3)
+        assert np.array_equal(basis[:2], sub.basis) and rank(ctx, basis) == 3
+        assert np.array_equal(basis, QuotientFrame(ctx, sub).full_basis)
 
 
 def test_index_map_round_trip_and_examples():

@@ -2,6 +2,7 @@
 and the isotypic eigen-refinement."""
 
 import numpy as np
+import pytest
 
 from qharm.errors import ToolkitError
 from qharm.fqlin import span_of
@@ -318,3 +319,15 @@ def test_level_spaces_spanned_by_juntas():
         coeffs = eq @ qrows.conj().T
         recon = coeffs @ qrows
         assert np.max(np.abs(recon - eq)) < 1e-8
+
+
+def test_random_group_table_draws_like_scheme_tables_and_rejects_unknown_kinds():
+    from qharm.scheme import random_table
+
+    g = get_group("sl", 2, 3)
+    for kind in ("boolean", "real", "complex"):
+        got = random_group_table(g, np.random.default_rng(7), kind)
+        want = random_table(g, np.random.default_rng(7), kind)
+        assert got.domain is g and np.array_equal(got.values, want.values)
+    with pytest.raises(ToolkitError, match="unknown random table kind"):
+        random_group_table(g, np.random.default_rng(7), "bool")

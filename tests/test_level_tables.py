@@ -19,12 +19,33 @@ import pytest
 from qharm.fqlin import decode_vector, rank
 from qharm.groups import (
     _GramSchmidtRows,
-    _independent_tuples,
     build_level_basis,
     get_group,
     get_isotypic,
     multiplicative_characters,
 )
+
+
+def _independent_tuples(field, n, vecs, size):
+    """Ordered tuples of encoded vectors with linearly independent decodes,
+    in lexicographic order."""
+    q = field.q
+    out = []
+
+    def extend(prefix, rows):
+        if len(prefix) == size:
+            out.append(prefix)
+            return
+        for enc in vecs:
+            if enc in prefix:
+                continue
+            v = decode_vector(enc, n, q)
+            stacked = np.array(rows + [v], dtype=np.uint8)
+            if rank(field, stacked) == len(rows) + 1:
+                extend(prefix + (enc,), rows + [v])
+
+    extend((), [])
+    return out
 
 
 def _monic_vectors(field, n):
