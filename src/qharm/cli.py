@@ -259,9 +259,9 @@ def cmd_levels(args) -> int:
     levels = build_level_basis(group, dmax)
     rows = [{"d": d, "dim_le_d": levels.dims[d]} for d in range(dmax + 1)]
     if args.include_dual:
-        dual = build_level_basis(group, dmax, include_dual=True)
-        for d in range(dmax + 1):
-            rows[d]["dim_le_d_with_dual"] = dual.dims[d]
+        # the span with transpose-action dictators is the row span (see build_level_basis)
+        for row in rows:
+            row["dim_le_d_with_dual"] = row["dim_le_d"]
     outdir = _outdir(args)
     path = os.path.join(outdir, "level_dims.csv")
     write_report_csv(path, rows)
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, group=True)
     sp.add_argument("--dmax", type=int, default=None)
     sp.add_argument("--include-dual", action="store_true",
-                    help="also build the span with transpose-action dictators")
+                    help="also report the span with transpose-action dictators (equal to the row span)")
     sp.set_defaults(fn=cmd_levels)
 
     sp = sub.add_parser("isotypic", help="isotypic refinement and m_d")

@@ -115,6 +115,8 @@ def _audit_rows(f: FnTable, dmax: int, order_values, epsilon_rule, kind: str) ->
     """order_values(d) yields (coset reps, value per rep) for each pair of
     restriction_pairs(d), in that order."""
     ctx = _scheme_of(f)
+    if dmax < 0:
+        raise ToolkitError(f"audit order dmax={dmax} must be >= 0")
     rows = []
     for d in range(dmax + 1):
         best = -1.0
@@ -313,23 +315,24 @@ def set_global_audit(
 
     Umvirates mix row and functional dictators (the concatenated
     standard + dual action).  Pass threshold is r^d with the configured
-    r (default q^{zeta n / 2}).  The witness of each order is its
-    row-major first maximal cell, and it is also the order's violation
-    when the maximum exceeds the threshold.
+    r (default q^{zeta n / 2}); |A & U| is one np.bincount of the cell
+    index over A.  The witness of each order is its row-major first
+    maximal cell, and also its violation above the threshold.
     """
     ordinals = _set_ordinals(group, ordinals, "set audit")
-    tables = group.dictator_systems()
     rmax = 2 * group.n if rmax is None else rmax
+    if rmax < 0:
+        raise ToolkitError(f"set audit order rmax={rmax} must be >= 0")
+    tables = group.dictator_systems()
     r = float(group.q) ** (zeta * group.n / 2) if r is None else r
     mu = ordinals.size / group.size
-    rm, fm = (m[:, ordinals].astype(np.float64) for m in (tables.row_masks, tables.func_masks))
-    counts = (rm @ fm.T).ravel()
+    counts = np.bincount(tables.cell_of[ordinals].ravel(), minlength=tables.cell_orders.size)
 
     rows = []
     violations = []
     for d in range(min(rmax, 2 * group.n) + 1):
         cells = tables.cells[d]
-        ratios = (counts[cells] / tables.cell_sizes[d]) / mu
+        ratios = (counts[tables.cell_orders == d] / tables.cell_sizes[d]) / mu
         k = int(np.argmax(ratios))
         best = float(ratios[k])
         thr = float(r**d)

@@ -21,7 +21,8 @@ shorter products or vanish on G, and for a fixed subspace every basis
 gives the same set of masks, so one basis per subspace spans the same
 levels.  The systems of a subspace with basis v are the distinct rows
 of the action's columns v, in lexicographic order: the target tuples
-that some element of G meets.
+that some element of G meets.  The table stores membership once: per
+element, the system it lies in on each subspace.
 """
 
 from __future__ import annotations
@@ -239,8 +240,8 @@ def convolve_batch(f_values: np.ndarray, basis: np.ndarray, group: GroupTable) -
 # ---------------------------------------------------------------------------
 
 def _dictator_family(group: GroupTable, action: np.ndarray):
-    """Systems, masks and orders of one dictator family (one action), and
-    the (|G|, 1 + #subspaces) table of the system each element lies in.
+    """Systems and orders of one dictator family (one action), and the
+    (|G|, 1 + #subspaces) index of the system each element lies in.
 
     Order by order and subspace by subspace (echelon basis v), the
     systems are the distinct rows of action[:, v] in lexicographic order:
@@ -256,43 +257,40 @@ def _dictator_family(group: GroupTable, action: np.ndarray):
             system_of.append(len(systems) + which.reshape(-1))
             systems.extend(tuple(zip(v_encs, us)) for us in targets.tolist())
             orders.extend([a] * len(targets))
-    system_of = np.stack(system_of, axis=1)
-    masks = np.zeros((len(systems), group.size), dtype=np.uint8)
-    masks[system_of, np.arange(group.size)[:, None]] = 1
-    return systems, masks, np.array(orders, dtype=np.int64), system_of
+    return systems, np.array(orders, dtype=np.int64), np.stack(system_of, axis=1)
 
 
 class DictatorSystems:
-    """Every independent dictator system of order <= n on G.
+    """Every independent dictator system of order <= n on G, held as one
+    per-element index.
 
     A row system ((v_1, u_1), ..., (v_a, u_a)) is the umvirate
     {g : g v_i = u_i} for an echelon basis v of an a-dimensional
     subspace and independent targets u; a functional system is the same
-    with g^T in place of g.  Row k of `row_masks` (uint8, one column per
-    ordinal) is the indicator of `row_systems[k]`, of order
-    `row_orders[k]`; index 0 of each family is the empty system (all of G).
+    with g^T in place of g.  System k has order `row_orders[k]`
+    (`func_orders[k]`), and index 0 is the empty system (all of G).  Each
+    g lies in exactly one system per subspace, so row_of[g, s] names g's
+    row system on subspace s, and system k is {g : row_of[g, s] == k}.
 
-    The mixed umvirates of the set audit are the cells (i, j) of the
-    row-by-functional grid, U = row system i & functional system j, of
-    order row_orders[i] + func_orders[j].  `cells[d]` holds, ascending,
-    the row-major flat indices i * len(func_systems) + j of the order-d
-    cells with U & G nonempty, and `cell_sizes[d]` the sizes |U & G|.
-    Each g lies in exactly one system per subspace in each family (the
-    one with targets g v), so the cells containing g are the products of
-    its row and functional systems, |G| (#subspaces)^2 pairs in all.  A
-    set audit counts |A & U| with a float64 product of the masks over
-    A's columns: every count is an integer <= |G| < 2^53, so float64
-    holds it exactly and the ratios divide bit for bit as integers would.
+    The set audit's mixed umvirates are the cells U = row system i &
+    functional system j, flat index i * len(func_systems) + j, of order
+    row_orders[i] + func_orders[j].  cell_of[g] holds the positions of
+    g's (#subspaces)^2 cells in the sorted list of nonempty cells, of
+    orders `cell_orders`; `cells[d]` and `cell_sizes[d]` are the order-d
+    cells, ascending, and their sizes |U & G|, the counts of cell_of over
+    G.  A set audit counts |A & U| as np.bincount(cell_of[A]).
     """
 
     def __init__(self, group: GroupTable):
-        self.row_systems, self.row_masks, self.row_orders, rows_of = _dictator_family(group, group.vector_action(False))
-        self.func_systems, self.func_masks, self.func_orders, funcs_of = _dictator_family(group, group.vector_action(True))
+        self.row_systems, self.row_orders, self.row_of = _dictator_family(group, group.vector_action(False))
+        self.func_systems, self.func_orders, func_of = _dictator_family(group, group.vector_action(True))
         width = len(self.func_systems)
-        cells, sizes = np.unique(rows_of[:, :, None] * width + funcs_of[:, None, :], return_counts=True)
-        orders = self.row_orders[cells // width] + self.func_orders[cells % width]
-        self.cells = [cells[orders == d] for d in range(2 * group.n + 1)]
-        self.cell_sizes = [sizes[orders == d] for d in range(2 * group.n + 1)]
+        cells, cell_of, sizes = np.unique(self.row_of[:, :, None] * width + func_of[:, None, :],
+                                          return_inverse=True, return_counts=True)
+        self.cell_of = cell_of.reshape(group.size, -1)
+        self.cell_orders = self.row_orders[cells // width] + self.func_orders[cells % width]
+        self.cells = [cells[self.cell_orders == d] for d in range(2 * group.n + 1)]
+        self.cell_sizes = [sizes[self.cell_orders == d] for d in range(2 * group.n + 1)]
 
 
 class _GramSchmidtRows:
@@ -343,7 +341,6 @@ class LevelBasisSet:
 
     group: GroupTable
     mode: str  # "strict" or "twisted"
-    include_dual: bool
     dims: list[int]  # dims[d] = dim L^2(G)_{<=d}
     basis: np.ndarray  # (dims[-1], |G|), prefix-nested across levels
 
@@ -369,30 +366,26 @@ def multiplicative_characters(group: GroupTable) -> np.ndarray:
     return np.exp(2j * np.pi * j[:, None] * dlog[None, :] / (q - 1))
 
 
-def build_level_basis(
-    group: GroupTable,
-    dmax: int,
-    mode: str = "strict",
-    include_dual: bool = False,
-) -> LevelBasisSet:
-    """Gram-Schmidt over the order-d dictator masks, d = 0..dmax, in table
-    order (functional masks of order d >= 1 follow the row masks with
-    include_dual), each times every determinant character in twisted mode."""
-    if dmax > group.n:
-        raise ToolkitError(f"dmax={dmax} exceeds n={group.n}")
+def build_level_basis(group: GroupTable, dmax: int, mode: str = "strict") -> LevelBasisSet:
+    """Gram-Schmidt over the order-d row dictator systems, d = 0..dmax, in
+    table order, each times every determinant character in twisted mode.
+    Functional systems span the same levels: tau(g) = g^-T maps them to row
+    systems, and a level's central idempotent Psi is a GL_n class function
+    equal to its complex conjugate, so Psi(tau g) = conj Psi(g^T) = Psi(g)."""
+    if not 0 <= dmax <= group.n:
+        raise ToolkitError(f"dmax={dmax} must lie in [0, n={group.n}]")
     systems = group.dictator_systems()
     chars = multiplicative_characters(group) if mode == "twisted" else np.ones((1, group.size))
+    column_orders = systems.row_orders[systems.row_of[0]]
     rows = _GramSchmidtRows(group.size)
     dims = []
     for d in range(dmax + 1):
-        gens = [systems.row_masks[systems.row_orders == d]]
-        if include_dual and d >= 1:
-            gens.append(systems.func_masks[systems.func_orders == d])
-        for row in np.concatenate(gens):
-            for chi in chars:
-                rows.extend(row * chi)
+        for column in systems.row_of.T[column_orders == d]:
+            for k in np.unique(column):
+                for chi in chars:
+                    rows.extend((column == k) * chi)
         dims.append(len(rows))
-    return LevelBasisSet(group, mode, include_dual, dims, rows.basis())
+    return LevelBasisSet(group, mode, dims, rows.basis())
 
 
 _LEVEL_CACHE: dict[tuple, LevelBasisSet] = {}

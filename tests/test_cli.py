@@ -1,6 +1,7 @@
 """CLI round trips: file formats, subcommand artifacts, manifests, and the
 exit-status contract."""
 
+import csv
 import json
 import os
 
@@ -126,8 +127,22 @@ def test_cli_levels_include_dual(tmp_path):
     out = tmp_path / "out"
     rc = main(["levels", "--q", "3", "--n", "2", "--group", "sl", "--include-dual", "-o", str(out)])
     assert rc == 0
-    header = (out / "level_dims.csv").read_text().splitlines()[0]
-    assert "dim_le_d_with_dual" in header
+    with open(out / "level_dims.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(row["dim_le_d_with_dual"] == row["dim_le_d"] for row in rows)
+
+
+@pytest.mark.parametrize("cmd", ["levels", "set-audit"])
+def test_cli_rejects_negative_order(tmp_path, cmd):
+    setfile = tmp_path / "a.txt"
+    write_set_file(str(setfile), get_group("sl", 2, 3), [0, 1])
+    out = tmp_path / "out"
+    argv = [cmd, "--q", "3", "--n", "2", "--group", "sl", "--dmax", "-1", "-o", str(out)]
+    if cmd == "set-audit":
+        argv += ["--set", str(setfile)]
+    assert main(argv) == 2
+    assert not (out / "level_dims.csv").exists() and not (out / "set_audit.csv").exists()
 
 
 def test_cli_mixing_and_opnorm(tmp_path):

@@ -46,6 +46,13 @@ def test_global_audit_order_zero_row_is_norm():
     assert abs(rep.value_at(0) - f.norm2sq()) < 1e-12
 
 
+@pytest.mark.parametrize("audit", [global_audit, influence_audit, lambda f, d: lp_global_audit(f, d, 2.0)])
+def test_scheme_audits_reject_negative_order(audit):
+    f = random_table(get_scheme(2, 2, 2), RNG, "complex")
+    with pytest.raises(ToolkitError, match="must be >= 0"):
+        audit(f, -1)
+
+
 def test_global_audit_umvirate_indicator():
     # indicator of {A : A v = w} has a 1-restriction of full mass
     ctx = get_scheme(2, 2, 2)

@@ -146,13 +146,15 @@ def _dictator_family_ref(group, action):
 
 
 def _cells_ref(group, row_masks, func_masks, row_orders, func_orders):
-    """Nonempty cells and their sizes per order, from the masks' incidences."""
+    """The flat cells of each element, then the nonempty cells and their
+    sizes per order, from the masks' incidences."""
     rows_of = np.nonzero(row_masks.T)[1].reshape(group.size, -1)
     funcs_of = np.nonzero(func_masks.T)[1].reshape(group.size, -1)
     width = func_masks.shape[0]
-    cells, sizes = np.unique(rows_of[:, :, None] * width + funcs_of[:, None, :], return_counts=True)
+    flat = (rows_of[:, :, None] * width + funcs_of[:, None, :]).reshape(group.size, -1)
+    cells, sizes = np.unique(flat, return_counts=True)
     orders = row_orders[cells // width] + func_orders[cells % width]
-    return ([cells[orders == d] for d in range(2 * group.n + 1)],
+    return (flat, [cells[orders == d] for d in range(2 * group.n + 1)],
             [sizes[orders == d] for d in range(2 * group.n + 1)])
 
 
@@ -242,13 +244,22 @@ def test_dictator_systems_match_target_loop(key):
     fs, fm, fo = _dictator_family_ref(g, g.vector_action(True))
     assert systems.row_systems == rs and systems.func_systems == fs
     assert all(type(x) is int for s in systems.row_systems + systems.func_systems for pair in s for x in pair)
-    for got, want in ((systems.row_masks, rm), (systems.func_masks, fm),
-                      (systems.row_orders, ro), (systems.func_orders, fo)):
-        _assert_identical(got, want)
-    cells, sizes = _cells_ref(g, rm, fm, ro, fo)
+    _assert_identical(systems.row_orders, ro)
+    _assert_identical(systems.func_orders, fo)
+    # each reference mask is one system's comparison against its subspace's index column
+    seen = []
+    for column in systems.row_of.T:
+        for k in np.unique(column):
+            _assert_identical((column == k).astype(np.uint8), rm[k])
+            seen.append(k)
+    assert seen == list(range(len(rs)))
+    flat, cells, sizes = _cells_ref(g, rm, fm, ro, fo)
+    every_cell = np.sort(np.concatenate(systems.cells))
+    _assert_identical(every_cell[systems.cell_of], flat)
     assert len(systems.cells) == len(systems.cell_sizes) == 2 * g.n + 1
     for d in range(2 * g.n + 1):
         _assert_identical(systems.cells[d], cells[d])
+        _assert_identical(every_cell[systems.cell_orders == d], cells[d])
         _assert_identical(systems.cell_sizes[d], sizes[d])
 
 

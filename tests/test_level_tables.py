@@ -8,7 +8,9 @@ lower orders for each d.  The table takes one echelon basis per
 subspace.  For an s-dimensional subspace S the masks {g : g|_S = phi}
 over all injective phi are the same set whichever basis of S is used,
 so the spans, hence the dimensions and the cumulative projectors, must
-agree; the orthonormal bases themselves differ.
+agree; the orthonormal bases themselves differ.  The reference stream
+with the functional (transpose-action) masks as well must span the
+same levels as the row-only table build.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qharm.errors import ToolkitError
 from qharm.fqlin import decode_vector, rank
 from qharm.groups import (
     _GramSchmidtRows,
@@ -105,13 +108,17 @@ def _reference_levels(group, dmax, mode="strict", include_dual=False):
         ("sl", 2, 5, "strict", False),
         ("sl", 3, 2, "strict", False),
         ("sl", 2, 3, "strict", True),
+        ("sl", 2, 5, "strict", True),
+        ("sl", 3, 2, "strict", True),
+        ("gl", 2, 3, "strict", True),
         ("gl", 2, 3, "twisted", False),
+        ("gl", 2, 3, "twisted", True),
         ("gl", 2, 4, "twisted", False),
     ],
 )
 def test_levels_match_generator_stream_reference(kind, n, q, mode, include_dual):
     g = get_group(kind, n, q)
-    levels = build_level_basis(g, n, mode=mode, include_dual=include_dual)
+    levels = build_level_basis(g, n, mode=mode)
     ref_dims, ref_basis = _reference_levels(g, n, mode, include_dual)
     assert levels.dims == ref_dims
     for d in range(n + 1):
@@ -128,7 +135,16 @@ def test_level_generators_are_one_basis_per_subspace():
     systems = g.dictator_systems()
     assert len(systems.row_systems) == 512
     assert len(_level_generator_masks(g, 3)) == 5636
-    assert len({m.tobytes() for m in systems.row_masks}) == len(systems.row_masks)
+    masks = np.zeros((len(systems.row_systems), g.size), dtype=bool)
+    masks[systems.row_of, np.arange(g.size)[:, None]] = True
+    assert len({m.tobytes() for m in masks}) == len(masks)
+
+
+def test_level_build_rejects_orders_outside_0_to_n():
+    g = get_group("sl", 2, 3)
+    for dmax in (-1, 3):
+        with pytest.raises(ToolkitError, match="must lie in"):
+            build_level_basis(g, dmax)
 
 
 RECORDED_ISOTYPIC = {

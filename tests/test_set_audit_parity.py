@@ -1,10 +1,12 @@
-"""`set_global_audit` against a reference copy of its dense int64 form.
+"""`set_global_audit` against a dense int64 reference.
 
-The reference recomputes every row x functional intersection size with
-int64 matrix products on each call and re-sorts the violating cells to
-pick the violation witness.  The audit under test reads the intersection
-sizes from the group's cached cell table and takes its counts from one
-float64 product; every report row and every violation must be equal.
+The reference builds the indicator of every row and functional system
+from the vector action, recomputes every row x functional intersection
+size with int64 matrix products on each call and re-sorts the violating
+cells to pick the violation witness.  The audit under test counts
+|A & U| with one np.bincount over the group's cached cell index; every
+report row and every violation must be equal.  On GL_2(F_7), too big
+for the dense reference in a quick test, each witness is recounted.
 """
 
 import numpy as np
@@ -25,6 +27,12 @@ from qharm.globality import (
 from qharm.groups import get_group
 
 
+def _system_masks(group, systems, transpose):
+    """uint8 indicator rows of dictator systems, read off the vector action."""
+    act = group.vector_action(transpose)
+    return np.array([np.all(act[:, [v for v, _ in s]] == [u for _, u in s], axis=1) for s in systems], dtype=np.uint8)
+
+
 def reference_set_global_audit(group, ordinals, rmax=None, r=None, zeta=DEFAULT_ZETA):
     """The dense int64 set audit, kept as the oracle of the cell-table one."""
     ordinals = np.asarray(ordinals, dtype=np.int64)
@@ -37,7 +45,7 @@ def reference_set_global_audit(group, ordinals, rmax=None, r=None, zeta=DEFAULT_
 
     amask = np.zeros(group.size, dtype=np.uint8)
     amask[ordinals] = 1
-    rm, fm = tables.row_masks, tables.func_masks
+    rm, fm = _system_masks(group, tables.row_systems, False), _system_masks(group, tables.func_systems, True)
     u_counts = rm.astype(np.int64) @ fm.T.astype(np.int64)
     a_counts = (rm * amask[None, :]).astype(np.int64) @ fm.T.astype(np.int64)
     orders = tables.row_orders[:, None] + tables.func_orders[None, :]
@@ -127,6 +135,8 @@ def test_set_audit_rejects_bad_ordinals():
             density_bump_search(g, bad)
     with pytest.raises(ToolkitError, match="nonempty"):
         set_global_audit(g, [])
+    with pytest.raises(ToolkitError, match="must be >= 0"):
+        set_global_audit(g, [0, 1], rmax=-1)
 
 
 def test_bump_search_ignores_duplicate_ordinals():
@@ -136,3 +146,34 @@ def test_bump_search_ignores_duplicate_ordinals():
     twice = density_bump_search(g, np.concatenate([a, a[:5]]))
     assert [vars(t) for t in twice.trace] == [vars(t) for t in once.trace]
     assert twice.trace[0].density_before == a.size / g.size
+
+
+def _dictator_ratio(g, a):
+    """Largest (|A & U| / |U|) / mu(A) over single dictators U = {x v = w}
+    and {x^T v = w}, each counted by np.bincount over one action column."""
+    best = 0.0
+    for transpose in (False, True):
+        act = g.vector_action(transpose)
+        for v in range(1, act.shape[1]):
+            total = np.bincount(act[:, v], minlength=act.shape[1])
+            inside = np.bincount(act[a, v], minlength=act.shape[1])
+            hit = total > 0
+            best = max(best, float(np.max(inside[hit] / total[hit])))
+    return best / (a.size / g.size)
+
+
+def test_set_audit_witnesses_recount_on_gl2_f7():
+    g = get_group("gl", 2, 7)
+    a = np.sort(np.random.default_rng(7).choice(g.size, size=g.size // 2, replace=False))
+    in_a = np.zeros(g.size, dtype=bool)
+    in_a[a] = True
+    mu = a.size / g.size
+    # r < 1 makes every order >= 1 a violation that carries its witness umvirate
+    res = set_global_audit(g, a, r=0.5)
+    witnesses = [Umvirate(g.field, 2)] + [v["umvirate"] for v in res.violations]
+    assert [row.order for row in res.report.rows] == list(range(5))
+    for row, u in zip(res.report.rows, witnesses, strict=True):
+        assert u.describe() == row.witness
+        mask = u.members_mask(g)
+        assert row.value == (np.count_nonzero(mask & in_a) / np.count_nonzero(mask)) / mu
+    assert res.report.value_at(1) == _dictator_ratio(g, a)
