@@ -276,7 +276,7 @@ def cmd_isotypic(args) -> int:
     from .groups import glt_growth_report
 
     group = _group_from_args(args)
-    rep = isotypic_refine(group, trials=args.trials, seed=args.seed)
+    rep = isotypic_refine(group)
     outdir = _outdir(args)
     payload = {
         "group_size": rep.group_size,
@@ -290,8 +290,7 @@ def cmd_isotypic(args) -> int:
     write_json(path, payload)
     print(f"|G| = {rep.group_size}, classes = {rep.class_count}, "
           f"dims = {rep.component_dims}, m_d = {rep.m_d}")
-    write_manifest(outdir, "isotypic", {"group": args.group, "n": args.n, "q": args.q,
-                                        "trials": args.trials, "seed": args.seed}, [path])
+    write_manifest(outdir, "isotypic", {"group": args.group, "n": args.n, "q": args.q}, [path])
     return 0
 
 
@@ -512,8 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("isotypic", help="isotypic refinement and m_d")
     common(sp, group=True)
-    sp.add_argument("--trials", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_isotypic)
 
     sp = sub.add_parser("opnorm", help="convolution operator norms on levels")

@@ -9,10 +9,11 @@ and `batched_rank`, which eliminates a whole (B, r, c) stack at once
 with one Python step per column and table gathers across the batch.
 `mat_mul` broadcasts over leading axes in the same way, so per-index
 tables over a domain (ranks, spectral masks, restriction embeddings)
-are built without a Python loop per index.  `det` is the exception to
-elimination: a Leibniz expansion, n! signed products of table gathers,
-which broadcasts like `mat_mul` and serves a single matrix and all of
-L(F_q^n) alike.
+are built without a Python loop per index.  `inv_matrix` broadcasts
+too: Gauss-Jordan on a whole (..., n, n) stack, one Python step per
+column.  `det` is the exception to elimination: a Leibniz expansion,
+n! signed products of table gathers, which broadcasts like `mat_mul`
+and serves a single matrix and all of L(F_q^n) alike.
 
 Canonical conventions, fixed once so that enumerations and audits are
 bit-reproducible:
@@ -28,7 +29,8 @@ bit-reproducible:
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import prod
 
 import numpy as np
 
@@ -154,12 +156,32 @@ def det(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
 
 
 def inv_matrix(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
-    r, pivots = rref(ctx, aug)
-    if pivots[: n] != list(range(n)):
-        raise ToolkitError("matrix is singular")
-    return r[:, n:]
+    """Inverse over F_q of every matrix in a (..., n, n) stack.
+
+    Gauss-Jordan on [A | I] for the whole stack, one Python step per
+    column: each matrix swaps its first row with a nonzero entry in the
+    column (at or below the diagonal) into the pivot row, scales it to a
+    unit pivot and clears the column in every other row.  Leading axes
+    are kept; a singular member raises ToolkitError.
+    """
+    a = np.asarray(a, dtype=np.uint8)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ToolkitError("inverse of a non-square matrix")
+    n = a.shape[-1]
+    aug = np.zeros((prod(a.shape[:-2]), n, 2 * n), dtype=np.uint8)
+    aug[:, :, :n] = a.reshape(aug.shape[0], n, n)
+    aug[:, :, n:] = np.eye(n, dtype=np.uint8)
+    lane = np.arange(aug.shape[0])
+    for col in range(n):
+        found = col + (aug[:, col:, col] != 0).argmax(axis=1)
+        pivot = aug[lane, found]
+        if not pivot[:, col].all():
+            raise ToolkitError("matrix is singular")
+        aug[lane, found] = aug[:, col]
+        pivot = ctx.mul_table[pivot, ctx.inv_table[pivot[:, col, None]]]
+        aug = ctx.add_table[aug, ctx.mul_table[ctx.neg_table[aug[:, :, col, None]], pivot[:, None, :]]]
+        aug[:, col] = pivot
+    return aug[:, :, n:].reshape(a.shape)
 
 
 def kernel_basis(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
@@ -278,7 +300,6 @@ def enumerate_subspaces(
         raise SizeCapError(f"subspace enumeration would produce {count} > cap {cap}")
     if dim == 0:
         return [zero_space(ctx, n)]
-    q = ctx.q
     out: list[Subspace] = []
     for pivots in combinations(range(n), dim):
         free_pos = [
@@ -290,12 +311,10 @@ def enumerate_subspaces(
         base = np.zeros((dim, n), dtype=np.uint8)
         for r, pc in enumerate(pivots):
             base[r, pc] = 1
-        for fill in range(q ** len(free_pos)):
+        for entries in product(range(ctx.q), repeat=len(free_pos)):
             m = base.copy()
-            x = fill
-            for (r, c) in free_pos:
-                m[r, c] = x % q
-                x //= q
+            for (r, c), x in zip(free_pos, entries):
+                m[r, c] = x
             out.append(Subspace(ctx, n, m))
     out.sort(key=lambda s: s.key)
     assert len(out) == count

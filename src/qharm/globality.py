@@ -27,6 +27,7 @@ import numpy as np
 from .calculus import laplacian_mask
 from .errors import ToolkitError
 from .fqlin import (
+    IndexMap,
     Subspace,
     complete_basis,
     decode_vector,
@@ -35,6 +36,7 @@ from .fqlin import (
     inv_matrix,
     mat_mul,
     rank,
+    rref,
 )
 from .gf import FieldCtx
 from .groups import GroupTable, get_group
@@ -249,8 +251,6 @@ class Umvirate:
             [np.concatenate([np.asarray(v, dtype=np.uint8), np.asarray(w, dtype=np.uint8)]) for v, w in pairs],
             dtype=np.uint8,
         )
-        from .fqlin import rref
-
         r, pivots = rref(field, stack, n_pivot_cols=n)
         out = []
         empty = False
@@ -488,72 +488,39 @@ def umvirate_normal_form(group: GroupTable, u: Umvirate) -> UmvirateNormalForm:
     return UmvirateNormalForm(d_mat, c_mat, fixed_rows, fixed_cols, a, b, h, is_good)
 
 
-def _piece_to_good_umvirate(group: GroupTable, d_mat, c_mat, kk, big_k, big_b, big_c):
-    """Map the fully-fixed piece {[[K, B'],[C', X]]} (in D g C coordinates,
-    K invertible kk x kk) back to a coset g0 L_kk h0 in the group.
-
-    Returns None when the piece misses the group (only possible for
-    kk = n, the singleton case)."""
-    field = group.field
-    n = group.n
-    k_inv = inv_matrix(field, big_k)
-    lft = np.eye(n, dtype=np.uint8)
-    lft[:kk, :kk] = k_inv
-    if kk < n:
-        lft[kk:, :kk] = field.neg_table[mat_mul(field, big_c, k_inv)]
-    rgt = np.eye(n, dtype=np.uint8)
-    if kk < n:
-        rgt[:kk, kk:] = field.neg_table[mat_mul(field, k_inv, big_b)]
-    # piece = D^{-1} lft^{-1} {diag(I, Y)} rgt^{-1} C^{-1}
-    left = mat_mul(field, inv_matrix(field, d_mat), inv_matrix(field, lft))
-    right = mat_mul(field, inv_matrix(field, rgt), inv_matrix(field, c_mat))
-    delta = field.mul(field.inv(det(field, left)), field.inv(det(field, right)))
-    if kk == n:
-        if delta != 1:
-            return None
-        y0 = np.zeros((0, 0), dtype=np.uint8)
-    else:
-        y0 = np.eye(n - kk, dtype=np.uint8)
-        y0[0, 0] = delta
-    g0 = np.eye(n, dtype=np.uint8)
-    g0[kk:, kk:] = y0
-    g0 = mat_mul(field, left, g0)
-    # left/right need not lie in SL individually; conjugate L_kk by a
-    # block-diagonal determinant fix so both coset factors do.
-    c_fix = np.eye(n, dtype=np.uint8)
-    c_fix[0, 0] = det(field, right)
-    g0 = mat_mul(field, g0, c_fix)
-    h0 = mat_mul(field, inv_matrix(field, c_fix), right)
-    g_ord, h_ord = group.ordinals_of(np.stack([g0, h0]))
-    if g_ord < 0 or h_ord < 0:
-        raise ToolkitError("normal-form factors left the group")  # pragma: no cover
-    return GoodUmvirate(group, kk, int(g_ord), int(h_ord))
-
-
-def _greedy_full_rank_cols(field: FieldCtx, m: np.ndarray, need: int) -> list[int]:
-    cols: list[int] = []
-    for j in range(m.shape[1]):
-        trial = cols + [j]
-        if rank(field, m[:, trial]) == len(trial):
-            cols.append(j)
-            if len(cols) == need:
-                return cols
-    raise ToolkitError("umvirate contains no invertible matrices")
+def _require_det_one(group: GroupTable, what: str) -> None:
+    """Good umvirates are cosets of L_k = SL_{n-k}, so they cover only
+    groups inside SL_n (GL_n(F_2) is SL_n(F_2))."""
+    if np.any(group.dets != 1):
+        raise ToolkitError(f"{what} needs a group inside SL_n: good umvirates are cosets of "
+                           f"L_k = SL_(n-k), and {group!r} has elements of determinant != 1")
 
 
 def good_umvirate_partition(group: GroupTable, u: Umvirate) -> list[GoodUmvirate]:
     """Partition U & G into disjoint good k*-umvirates, k* = order - rank(M).
 
-    The common umvirate order of the pieces is 2 k* <= 2 * order(U).
+    The common umvirate order of the pieces is 2 k* <= 2 * order(U), and
+    G must lie inside SL_n.  In D g C coordinates a piece fixes the
+    leading kk x kk block K (invertible), B' and C', and leaves X free.
+    All pieces come from one batched pass over the identity
+
+        [[K, B'], [C', X]] = [[K, 0], [C', I]] diag(I, Y) [[I, K^-1 B'], [0, I]],
+
+    Y = X - C' K^-1 B'.  With left = D^-1 [[K, 0], [C', I]] and
+    right = [[I, K^-1 B'], [0, I]] C^-1, the piece is g0 L_kk h0 for
+    g0 = left diag(I, delta, 1, ...) c_fix and h0 = c_fix^-1 right, where
+    delta = (det left det right)^-1 and c_fix = diag(det right, 1, ...)
+    put both factors in SL.  K^-1 is the only per-piece inverse.
     """
+    _require_det_one(group, "umvirate partition")
     field = group.field
     n = group.n
     nf = umvirate_normal_form(group, u)
     a, b, h = nf.a, nf.b, nf.h
     if a + b == 0:
         return [GoodUmvirate(group, 0, group.identity, group.identity)]
-    d_mat, c_mat = nf.d_mat.copy(), nf.c_mat.copy()
-    fixed_rows, fixed_cols = nf.fixed_rows.copy(), nf.fixed_cols.copy()
+    d_mat, c_mat = nf.d_mat, nf.c_mat
+    fixed_rows, fixed_cols = nf.fixed_rows, nf.fixed_cols
 
     if a and b:
         e, f, h2 = _rank_factor(field, fixed_rows[:, :a].copy())
@@ -571,58 +538,52 @@ def good_umvirate_partition(group: GroupTable, u: Umvirate) -> list[GoodUmvirate
     if kk > n:
         return []
 
-    # P2: lower fixed rows on the free columns; N2: right fixed columns on free rows
-    p2 = fixed_rows[h:b, a:]
-    n2 = fixed_cols[b:, h:a]
-    if p2.shape[0] and rank(field, p2) < p2.shape[0]:
+    # P2: lower fixed rows on the free columns; N2: right fixed columns on the
+    # free rows.  U & G is empty unless both have full rank; their leftmost
+    # independent columns (rows) are the rref pivots.
+    col_sel = rref(field, fixed_rows[h:b, a:])[1]
+    row_sel = rref(field, fixed_cols[b:, h:a].T)[1]
+    if len(col_sel) < b - h or len(row_sel) < a - h:
         return []
-    if n2.shape[1] and rank(field, n2.T.copy()) < n2.shape[1]:
-        return []
-    col_sel = _greedy_full_rank_cols(field, p2, b - h) if b - h else []
-    row_sel = _greedy_full_rank_cols(field, n2.T.copy(), a - h) if a - h else []
-
     # permute selected free columns/rows next to the fixed block
     col_perm = list(range(a)) + [a + j for j in col_sel] + [a + j for j in range(n - a) if j not in col_sel]
     row_perm = list(range(b)) + [b + i for i in row_sel] + [b + i for i in range(n - b) if i not in row_sel]
-    pc = np.zeros((n, n), dtype=np.uint8)
-    for newpos, old in enumerate(col_perm):
-        pc[old, newpos] = 1
-    pr = np.zeros((n, n), dtype=np.uint8)
-    for newpos, old in enumerate(row_perm):
-        pr[newpos, old] = 1
-    c_mat = mat_mul(field, c_mat, pc)
-    d_mat = mat_mul(field, pr, d_mat)
-    fixed_rows = mat_mul(field, fixed_rows, pc)
-    fixed_cols = mat_mul(field, pr, fixed_cols)
+    c_mat, fixed_rows = c_mat[:, col_perm], fixed_rows[:, col_perm]
+    d_mat, fixed_cols = d_mat[row_perm], fixed_cols[row_perm]
 
-    q = group.q
-    n_col_free = (n - b) * (b - h)  # full columns a..a+(b-h) on rows b..n
-    n_row_free = (a - h) * (n - kk)  # full rows b..b+(a-h) on cols kk..n
-    pieces = []
-    for fill in range(q ** (n_col_free + n_row_free)):
-        x = fill
-        col_block = np.zeros((n - b, b - h), dtype=np.uint8)
-        for pos in range(n_col_free):
-            col_block[pos // (b - h), pos % (b - h)] = x % q
-            x //= q
-        row_block = np.zeros((a - h, n - kk), dtype=np.uint8)
-        for pos in range(n_row_free):
-            row_block[pos // (n - kk), pos % (n - kk)] = x % q
-            x //= q
-        # assemble the fully fixed leading data
-        full = np.zeros((n, n), dtype=np.uint8)
-        full[:b, :] = fixed_rows
-        full[:, :a] = fixed_cols
-        full[b:, a: a + (b - h)] = col_block
-        full[b: b + (a - h), a + (b - h):] = row_block
-        big_k = full[:kk, :kk].copy()
-        big_b = full[:kk, kk:].copy()
-        big_c = full[kk:, :kk].copy()
-        assert det(field, big_k) != 0
-        piece = _piece_to_good_umvirate(group, d_mat, c_mat, kk, big_k, big_b, big_c)
-        if piece is not None:
-            pieces.append(piece)
-    return pieces
+    # one fill of the free entries per piece, digit 0 first: full columns
+    # a..kk on rows b..n, then full rows b..b+(a-h) on columns kk..n
+    n_col_free = (n - b) * (b - h)
+    digits = IndexMap(field, 1, n_col_free + (a - h) * (n - kk)).digits_table()
+    n_fills = len(digits)
+    full = np.zeros((n_fills, n, n), dtype=np.uint8)
+    full[:, :b] = fixed_rows
+    full[:, :, :a] = fixed_cols
+    full[:, b:, a:kk] = digits[:, :n_col_free].reshape(n_fills, n - b, b - h)
+    full[:, b: b + a - h, kk:] = digits[:, n_col_free:].reshape(n_fills, a - h, n - kk)
+
+    lft_inv = full.copy()  # [[K, 0], [C', I]]
+    lft_inv[:, :kk, kk:] = 0
+    lft_inv[:, kk:, kk:] = np.eye(n - kk, dtype=np.uint8)
+    rgt_inv = np.tile(np.eye(n, dtype=np.uint8), (n_fills, 1, 1))  # [[I, K^-1 B'], [0, I]]
+    rgt_inv[:, :kk, kk:] = mat_mul(field, inv_matrix(field, full[:, :kk, :kk]), full[:, :kk, kk:])
+    d_inv, c_inv = inv_matrix(field, np.stack([d_mat, c_mat]))
+    left = mat_mul(field, d_inv, lft_inv)
+    right = mat_mul(field, rgt_inv, c_inv)
+    det_left, det_right = det(field, np.stack([left, right]))
+    delta = field.mul_table[field.inv_table[det_left], field.inv_table[det_right]]
+    if kk < n:
+        left[:, :, kk] = field.mul_table[left[:, :, kk], delta[:, None]]
+        keep = slice(None)
+    else:
+        keep = delta == 1  # a singleton piece lies in G only when det = 1
+    # right-multiplying by c_fix scales column 0; left-multiplying by c_fix^-1 scales row 0
+    left[:, :, 0] = field.mul_table[left[:, :, 0], det_right[:, None]]
+    right[:, 0] = field.mul_table[right[:, 0], field.inv_table[det_right][:, None]]
+    ords = group.ordinals_of(np.stack([left[keep], right[keep]]))
+    if (ords < 0).any():
+        raise ToolkitError("normal-form factors left the group")  # pragma: no cover
+    return [GoodUmvirate(group, kk, int(g), int(h)) for g, h in zip(*ords)]
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +628,7 @@ def density_bump_search(
     into the densest piece.  Density never decreases by construction;
     the trace certifies each step's gain against the proof's r^s bound.
     """
+    _require_det_one(group, "bump search")
     ordinals = _set_ordinals(group, ordinals, "bump search")
     r = float(group.q) ** (zeta * group.n / 2) if r is None else r
 

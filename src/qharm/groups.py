@@ -133,9 +133,6 @@ class GroupTable:
             self._vec_action[key] = self._units @ mat_mul(self.field, mats, self._vectors.T).astype(np.int64)
         return self._vec_action[key]
 
-    def dictator_mask(self, v_enc: int, u_enc: int, transpose: bool = False) -> np.ndarray:
-        return self.vector_action(transpose)[:, v_enc] == u_enc
-
     def dictator_systems(self) -> DictatorSystems:
         """The shared table of independent dictator systems, built on first use."""
         if self._dictator_systems is None:
@@ -509,6 +506,9 @@ class IsotypicReport:
         return int(sum(dim * dim for v in self.component_dims.values() for dim in v))
 
 
+_ISOTYPIC_DRAWS = 3  # random class-function convolutions per level
+
+
 def _cluster_eigvals(vals: np.ndarray, tol: float = 1e-6) -> list[list[int]]:
     clusters: list[tuple[complex, list[int]]] = []
     for i, lam in enumerate(vals):
@@ -523,23 +523,19 @@ def _cluster_eigvals(vals: np.ndarray, tol: float = 1e-6) -> list[list[int]]:
     return [members for _, members in clusters]
 
 
-def isotypic_blocks(
-    group: GroupTable,
-    levels: LevelBasisSet | None = None,
-    trials: int = 3,
-    seed: int = 0,
-) -> dict[int, list[np.ndarray]]:
+def isotypic_blocks(group: GroupTable, levels: LevelBasisSet | None = None) -> dict[int, list[np.ndarray]]:
     """Orthonormal bases of the isotypic components inside each level.
 
     Convolution by a class function acts as a scalar on each isotypic
     bimodule, so clustered eigenspaces of a random class-function
     convolution are unions of components; intersecting the clusterings
-    across independent draws removes accidental collisions.
+    across `_ISOTYPIC_DRAWS` draws from default_rng(0) removes accidental
+    collisions.
     """
     levels = levels or get_levels(group)
     labels = group.conjugacy_classes()
     n_classes = group.class_count()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     kern = group.xyinv_table()
 
     out: dict[int, list[np.ndarray]] = {}
@@ -549,7 +545,7 @@ def isotypic_blocks(
             out[d] = []
             continue
         blocks = [eq]
-        for _ in range(trials):
+        for _ in range(_ISOTYPIC_DRAWS):
             cvals = rng.standard_normal(n_classes)[labels].astype(np.complex128)
             ckern = cvals[kern]
             new_blocks = []
@@ -570,14 +566,9 @@ def isotypic_blocks(
     return out
 
 
-def isotypic_refine(
-    group: GroupTable,
-    levels: LevelBasisSet | None = None,
-    trials: int = 3,
-    seed: int = 0,
-) -> IsotypicReport:
+def isotypic_refine(group: GroupTable, levels: LevelBasisSet | None = None) -> IsotypicReport:
     """Infer irreducible dimensions per level from the eigen-refinement."""
-    blocks = isotypic_blocks(group, levels, trials, seed)
+    blocks = isotypic_blocks(group, levels)
     n_classes = group.class_count()
     component_dims: dict[int, list[int]] = {}
     m_d: dict[int, int] = {}
@@ -588,7 +579,7 @@ def isotypic_refine(
             root = np.sqrt(k)
             if abs(root - round(root)) > 1e-6:
                 raise RefinementError(
-                    f"block of dimension {k} at level {d} is not a perfect square; raise trials"
+                    f"block of dimension {k} at level {d} is not a perfect square"
                 )
             dims.append(int(round(root)))
         component_dims[d] = sorted(dims)
@@ -628,10 +619,10 @@ def glt_growth_report(group: GroupTable, report: IsotypicReport) -> dict:
 _ISOTYPIC_CACHE: dict[tuple, IsotypicReport] = {}
 
 
-def get_isotypic(group: GroupTable, trials: int = 3, seed: int = 0) -> IsotypicReport:
-    key = (group.kind, group.n, group.q, trials, seed)
+def get_isotypic(group: GroupTable) -> IsotypicReport:
+    key = (group.kind, group.n, group.q)
     if key not in _ISOTYPIC_CACHE:
-        _ISOTYPIC_CACHE[key] = isotypic_refine(group, trials=trials, seed=seed)
+        _ISOTYPIC_CACHE[key] = isotypic_refine(group)
     return _ISOTYPIC_CACHE[key]
 
 

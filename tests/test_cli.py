@@ -94,6 +94,8 @@ def test_cli_levels_and_isotypic(tmp_path):
     assert rc == 0
     data = json.loads((out / "isotypic.json").read_text())
     assert data["sum_of_squares"] == 6
+    manifest = json.loads((out / "isotypic_manifest.json").read_text())
+    assert manifest["config"] == {"group": "sl", "n": 2, "q": 2}
 
 
 @pytest.mark.parametrize("argv", [
@@ -116,6 +118,8 @@ def test_cli_levels_and_isotypic(tmp_path):
     ["opnorm", "--set", "a.txt", "--zeta", "0.1"],
     ["mixing", "--set", "a.txt", "--set2", "b.txt", "--seed", "1"],
     ["bogolyubov", "--set", "a.txt", "--c", "0.1"],
+    ["isotypic", "--trials", "5"],
+    ["isotypic", "--seed", "1"],
 ])
 def test_cli_rejects_removed_options(argv):
     with pytest.raises(SystemExit) as exc:
@@ -174,6 +178,18 @@ def test_cli_bogolyubov_on_coset(tmp_path):
     data = json.loads((out / "bogolyubov.json").read_text())
     assert data["contained_density"] == 6 / 168
     assert data["contained_k"] == 1
+
+
+def test_cli_bogolyubov_rejects_gl_beyond_f2(tmp_path, capsys):
+    # good umvirates are cosets of SL_{n-k}: they cannot partition GL_2(F_3) umvirates
+    g = get_group("gl", 2, 3)
+    setfile = tmp_path / "a.txt"
+    write_set_file(str(setfile), g, np.random.default_rng(4).choice(g.size, size=12, replace=False))
+    out = tmp_path / "out"
+    rc = main(["bogolyubov", "--q", "3", "--n", "2", "--group", "gl", "--set", str(setfile), "-o", str(out)])
+    assert rc == 2
+    assert "inside SL_n" in capsys.readouterr().err
+    assert not (out / "bogolyubov.json").exists()
 
 
 def test_cli_approx_group(tmp_path):

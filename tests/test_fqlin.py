@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qharm.errors import SizeCapError
+from qharm.errors import SizeCapError, ToolkitError
 from qharm.fqlin import (
     IndexMap,
     QuotientFrame,
@@ -92,6 +92,57 @@ def test_det_multiplicative_and_inverse():
             if det(ctx, a):
                 ainv = inv_matrix(ctx, a)
                 assert np.array_equal(mat_mul(ctx, a, ainv), np.eye(3, dtype=np.uint8))
+
+
+def inv_by_rref(ctx, a):
+    """The scalar reference inverse: rref of [A | I]."""
+    n = a.shape[0]
+    r, pivots = rref(ctx, np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1))
+    if pivots[:n] != list(range(n)):
+        raise ToolkitError("matrix is singular")
+    return r[:, n:]
+
+
+def _invertible_stack(ctx, rng, shape, n):
+    mats = rng.integers(0, ctx.q, size=(4 * np.prod(shape, dtype=int) + 64, n, n)).astype(np.uint8)
+    mats = mats[det(ctx, mats) != 0][: np.prod(shape, dtype=int)]
+    assert len(mats) == np.prod(shape, dtype=int)
+    return mats.reshape(shape + (n, n))
+
+
+@pytest.mark.parametrize("q", [4, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inv_matrix_stack_matches_rref_reference(q, n):
+    ctx = get_field(q)
+    rng = np.random.default_rng(10 * q + n)
+    stack = _invertible_stack(ctx, rng, (3, 5), n)
+    inv = inv_matrix(ctx, stack)
+    assert inv.shape == stack.shape and inv.dtype == np.uint8
+    eye = np.broadcast_to(np.eye(n, dtype=np.uint8), stack.shape)
+    assert np.array_equal(mat_mul(ctx, stack, inv), eye)
+    assert np.array_equal(mat_mul(ctx, inv, stack), eye)
+    for idx in np.ndindex(3, 5):
+        single = inv_matrix(ctx, stack[idx])
+        assert single.shape == (n, n)
+        assert np.array_equal(single, inv_by_rref(ctx, stack[idx]))
+        assert np.array_equal(inv[idx], single)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_inv_matrix_stack_with_one_singular_member_raises(q):
+    ctx = get_field(q)
+    rng = np.random.default_rng(q)
+    stack = _invertible_stack(ctx, rng, (6,), 3)
+    for member in range(6):
+        bad = stack.copy()
+        bad[member, 2] = ctx.add_table[bad[member, 0], ctx.mul_table[bad[member, 1], 2]]  # row 2 = row 0 + c row 1, c = element 2
+        assert det(ctx, bad[member]) == 0
+        with pytest.raises(ToolkitError, match="singular"):
+            inv_matrix(ctx, bad)
+        with pytest.raises(ToolkitError, match="singular"):
+            inv_by_rref(ctx, bad[member])
+    with pytest.raises(ToolkitError):
+        inv_matrix(ctx, np.zeros((2, 3), dtype=np.uint8))
 
 
 def test_kernel_annihilates():

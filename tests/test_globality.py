@@ -389,6 +389,28 @@ def test_partition_of_good_umvirate_is_singleton():
     assert set(parts[0].members().tolist()) == set(np.flatnonzero(u.members_mask(g)).tolist())
 
 
+def test_partition_and_bump_search_reject_gl_beyond_f2():
+    # on GL_2(F_3) the determinant fix lands in SL, so pieces would miss U & G
+    g = get_group("gl", 2, 3)
+    u = Umvirate(g.field, 2, [(np.array([1, 0], np.uint8), np.array([2, 0], np.uint8))])
+    assert u.members_mask(g).any()
+    with pytest.raises(ToolkitError, match="inside SL_n"):
+        good_umvirate_partition(g, u)
+    with pytest.raises(ToolkitError, match="inside SL_n"):
+        density_bump_search(g, np.arange(5))
+
+
+def test_partition_covers_gl3_f2():
+    # GL_3(F_2) equals SL_3(F_2), so its partitions stay exact
+    g = get_group("gl", 3, 2)
+    e1 = np.array([1, 0, 0], np.uint8)
+    e2 = np.array([0, 1, 0], np.uint8)
+    u = Umvirate(g.field, 3, [(e1, e2)], [(e2, e1)])
+    parts = good_umvirate_partition(g, u)
+    union = np.concatenate([p.members() for p in parts])
+    assert sorted(union.tolist()) == np.flatnonzero(u.members_mask(g)).tolist()
+
+
 # ---------------------------------------------------------------------------
 # density bump search
 # ---------------------------------------------------------------------------

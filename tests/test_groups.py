@@ -149,7 +149,7 @@ def test_level_projection_examples():
     for d in (1, 2):
         assert level_project_eq(c, d).norm2sq() < 1e-16
     # a dictator indicator lies in level <= 1
-    mask = g.dictator_mask(1, 1)
+    mask = g.vector_action(False)[:, 1] == 1
     f = g.table(mask.astype(float))
     assert np.max(np.abs(level_project(f, 1).values - f.values)) < 1e-9
     # Parseval across the filtration
@@ -200,7 +200,7 @@ def test_junta_stabilizer_equivalence_exhaustive():
     from qharm.fqlin import zero_space
 
     assert junta_test(g.constant(2.0), zero_space(g.field, 2))
-    assert junta_test(g.table(g.dictator_mask(1, 2).astype(float)), u)
+    assert junta_test(g.table((g.vector_action(False)[:, 1] == 2).astype(float)), u)
 
 
 def test_junta_project_idempotent_and_contractive():
