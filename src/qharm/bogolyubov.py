@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ToolkitError
 from .fqlin import det, enumerate_subspaces, rank
 from .globality import (
+    DEFAULT_ZETA,
     BumpResult,
     GoodUmvirate,
     block_subgroup_members,
@@ -59,32 +60,24 @@ def full_set(group: GroupTable) -> GroupSet:
     return GroupSet(group, np.arange(group.size))
 
 
-def set_algebra(a: GroupSet, b: GroupSet | None, op: str, k: int | None = None) -> GroupSet:
-    """Exact product set {xy}, inverse set, or iterated power A^k."""
+def product_set(a: GroupSet, b: GroupSet) -> GroupSet:
+    """The exact product set {xy : x in A, y in B}."""
     group = a.group
-    if op == "product":
-        if b is None or b.group is not group:
-            raise ToolkitError("product requires two sets on the same group")
-        m = group.mul_table()
-        prod = np.unique(m[np.ix_(a.ordinals, b.ordinals)])
-        return GroupSet(group, prod)
-    if op == "inverse":
-        return GroupSet(group, group.inv[a.ordinals])
-    if op == "power":
-        if not k or k < 1:
-            raise ToolkitError("power needs k >= 1")
-        out = a
-        for _ in range(k - 1):
-            out = set_algebra(out, a, "product")
-        return out
-    raise ToolkitError(f"unknown set operation {op!r}")
+    if b.group is not group:
+        raise ToolkitError("product requires two sets on the same group")
+    return GroupSet(group, np.unique(group.mul_table()[np.ix_(a.ordinals, b.ordinals)]))
+
+
+def inverse_set(a: GroupSet) -> GroupSet:
+    """The inverse set {x^-1 : x in A}."""
+    return GroupSet(a.group, a.group.inv[a.ordinals])
 
 
 def quadruple_product(a: GroupSet) -> GroupSet:
     """A A^{-1} A A^{-1}."""
-    ainv = set_algebra(a, None, "inverse")
-    aai = set_algebra(a, ainv, "product")
-    return set_algebra(aai, aai, "product")
+    ainv = inverse_set(a)
+    aai = product_set(a, ainv)
+    return product_set(aai, aai)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +180,7 @@ class DensityBogolyubovResult:
     containment_verified: bool
 
 
-def density_bogolyubov(a: GroupSet, zeta: float = 0.01) -> DensityBogolyubovResult:
+def density_bogolyubov(a: GroupSet, zeta: float = DEFAULT_ZETA) -> DensityBogolyubovResult:
     """Find a good groumvirate in which A A^{-1} is 0.99-dense.
 
     Runs the density-bump search to locate U_k^{g,h}, forms
@@ -199,15 +192,15 @@ def density_bogolyubov(a: GroupSet, zeta: float = 0.01) -> DensityBogolyubovResu
     group = a.group
     bump = density_bump_search(group, a.ordinals, zeta=zeta)
     uprime = GoodUmvirate(group, bump.k, bump.g, int(group.inv[bump.g]))
-    ainv = set_algebra(a, None, "inverse")
-    aai = set_algebra(a, ainv, "product")
+    ainv = inverse_set(a)
+    aai = product_set(a, ainv)
     aai_mask = aai.mask()
     members = uprime.members()
     density = float(np.mean(aai_mask[members]))
     reached = density >= 0.99
     verified = False
     if reached:
-        s = set_algebra(aai, aai, "product")
+        s = product_set(aai, aai)
         smask = s.mask()
         verified = bool(np.all(smask[members]))
         m = group.mul_table()
@@ -261,10 +254,10 @@ def easy_set_cover(a: GroupSet) -> CoverResult:
     element of A in each left U-coset meeting A, and asserts
     A <= X U <= A^5 exactly."""
     group = a.group
-    ainv = set_algebra(a, None, "inverse")
+    ainv = inverse_set(a)
     if not np.array_equal(ainv.ordinals, a.ordinals):
         raise ToolkitError("easy-set cover requires a symmetric set (A = A^{-1})")
-    a2 = set_algebra(a, a, "product")
+    a2 = product_set(a, a)
     k_ratio = a2.size / a.size
     found = bogolyubov_search(a)
     u = found.contained
@@ -281,7 +274,7 @@ def easy_set_cover(a: GroupSet) -> CoverResult:
     jmask = np.zeros(group.size, dtype=bool)
     jmask[j_members] = True
     covers = bool(np.all(jmask[a.ordinals]))
-    a5 = set_algebra(a, set_algebra(a2, a2, "product"), "product")
+    a5 = product_set(a, product_set(a2, a2))
     a5mask = a5.mask()
     inside = bool(np.all(a5mask[j_members]))
     if not (covers and inside):
@@ -301,9 +294,9 @@ def easy_set_cover(a: GroupSet) -> CoverResult:
 def pigeonhole_check(a: GroupSet) -> dict:
     """mu(A) > 1/2 forces A A^{-1} = G (and so the quadruple product too)."""
     group = a.group
-    ainv = set_algebra(a, None, "inverse")
-    aai = set_algebra(a, ainv, "product")
-    quad = set_algebra(aai, aai, "product")
+    ainv = inverse_set(a)
+    aai = product_set(a, ainv)
+    quad = product_set(aai, aai)
     out = {
         "mu": a.mu,
         "aainv_is_group": aai.size == group.size,

@@ -308,32 +308,16 @@ def _avg_for_direction(f: FnTable, u: Subspace, side: str) -> FnTable:
     raise ToolkitError(f"unknown side {side!r}")
 
 
-def infer_side(ctx: SchemeCtx, u: Subspace) -> str:
-    """'v' for a line in V, 'w' for a hyperplane in W; error if ambiguous."""
-    v_ok = u.ambient == ctx.n and u.dim == 1
-    w_ok = u.ambient == ctx.m and u.dim == ctx.m - 1
-    if v_ok and w_ok:
-        raise ToolkitError("ambiguous direction subspace; pass side='v' or side='w'")
-    if v_ok:
-        return "v"
-    if w_ok:
-        return "w"
-    raise ToolkitError("U must be a line in V or a hyperplane in W")
-
-
-def comb_laplacian(f: FnTable, u: Subspace, side: str | None = None) -> FnTable:
+def comb_laplacian(f: FnTable, u: Subspace, side: str) -> FnTable:
     """Combinatorial Laplacian f - E_U(f)."""
-    ctx = _scheme_of(f)
-    side = side or infer_side(ctx, u)
     return f - _avg_for_direction(f, u, side)
 
 
-def t_operator(f: FnTable, i: int, u: Subspace, side: str | None = None) -> FnTable:
+def t_operator(f: FnTable, i: int, u: Subspace, side: str) -> FnTable:
     """f - (q^i + q^{i-1}) E_U f + q^{2i-1} E_U^2 f."""
     if i < 1:
         raise ToolkitError("t_operator needs order i >= 1")
     ctx = _scheme_of(f)
-    side = side or infer_side(ctx, u)
     q = float(ctx.q)
     e1 = _avg_for_direction(f, u, side)
     e2 = _avg_for_direction(e1, u, side)
@@ -341,10 +325,9 @@ def t_operator(f: FnTable, i: int, u: Subspace, side: str | None = None) -> FnTa
     return FnTable(ctx, vals)
 
 
-def spectral_laplacian_line(f: FnTable, u: Subspace, side: str | None = None) -> FnTable:
+def spectral_laplacian_line(f: FnTable, u: Subspace, side: str) -> FnTable:
     """The order-1 spectral Laplacian for a line in V or hyperplane in W."""
     ctx = _scheme_of(f)
-    side = side or infer_side(ctx, u)
     if side == "v":
         return laplacian(f, u, full_space(ctx.field, ctx.m))
     return laplacian(f, zero_space(ctx.field, ctx.n), u)

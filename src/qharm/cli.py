@@ -24,7 +24,7 @@ from .bogolyubov import (
 )
 from .errors import InputFormatError, ToolkitError
 from .gf import SUPPORTED_Q, get_field
-from .globality import global_audit, influence_audit, set_global_audit
+from .globality import DEFAULT_ZETA, global_audit, influence_audit, set_global_audit
 from .groups import (
     build_level_basis,
     convolve,
@@ -205,7 +205,8 @@ def cmd_project_degree(args) -> int:
     path = os.path.join(outdir, f"degree_{args.mode}_{args.d}.csv")
     write_function_csv(path, out.values)
     print(f"degree-{args.d} {args.mode} part -> {path}")
-    write_manifest(outdir, "project-degree", {"q": args.q, "n": args.n, "m": args.m, "d": args.d}, [path])
+    write_manifest(outdir, "project-degree", {"q": args.q, "n": args.n, "m": args.m, "d": args.d,
+                                              "mode": args.mode}, [path])
     return 0
 
 
@@ -249,7 +250,7 @@ def cmd_influence_audit(args) -> int:
     for row in rep.rows:
         print(f"order {row.order}: max influence {row.value:.6g} witness {row.witness}")
     write_manifest(outdir, "influence-audit", {"q": args.q, "n": args.n, "m": args.m,
-                                               "dmax": args.dmax}, [path])
+                                               "dmax": args.dmax, "zeta": args.zeta}, [path])
     return 0 if rep.passed else 1
 
 
@@ -258,17 +259,13 @@ def cmd_levels(args) -> int:
     dmax = args.dmax if args.dmax is not None else group.n
     levels = build_level_basis(group, dmax)
     rows = [{"d": d, "dim_le_d": levels.dims[d]} for d in range(dmax + 1)]
-    if args.include_dual:
-        # the span with transpose-action dictators is the row span (see build_level_basis)
-        for row in rows:
-            row["dim_le_d_with_dual"] = row["dim_le_d"]
     outdir = _outdir(args)
     path = os.path.join(outdir, "level_dims.csv")
     write_report_csv(path, rows)
     for r in rows:
         print(r)
     write_manifest(outdir, "levels", {"group": args.group, "n": args.n, "q": args.q,
-                                      "dmax": dmax, "include_dual": args.include_dual}, [path])
+                                      "dmax": dmax}, [path])
     return 0
 
 
@@ -362,8 +359,8 @@ def cmd_product_mixing(args) -> int:
 def cmd_bogolyubov(args) -> int:
     group = _group_from_args(args)
     a = _indicator_from_args(args, group)
+    dres = density_bogolyubov(a, zeta=args.zeta)  # refuses groups outside SL_n, so it runs first
     res = bogolyubov_search(a)
-    dres = density_bogolyubov(a, zeta=args.zeta)
     outdir = _outdir(args)
     payload = {
         "mu_A": a.mu,
@@ -461,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         if group:
             sp.add_argument("--group", choices=["sl", "gl"], default="sl")
         if zeta:
-            sp.add_argument("--zeta", type=float, default=0.01)
+            sp.add_argument("--zeta", type=float, default=DEFAULT_ZETA)
         sp.add_argument("--output", "-o", default="out")
         sp.add_argument("--max-domain", type=int, default=DEFAULT_MAX_DOMAIN)
 
@@ -505,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("levels", help="tensor-rank level dimensions")
     common(sp, group=True)
     sp.add_argument("--dmax", type=int, default=None)
-    sp.add_argument("--include-dual", action="store_true",
-                    help="also report the span with transpose-action dictators (equal to the row span)")
     sp.set_defaults(fn=cmd_levels)
 
     sp = sub.add_parser("isotypic", help="isotypic refinement and m_d")

@@ -21,7 +21,10 @@ bit-reproducible:
   * subspaces are stored as reduced row-echelon bases with strictly
     increasing pivot columns, one basis vector per row;
   * bases are completed by the least-index vectors (vector index =
-    sum of v_i * q^i), in quotient lifts and umvirate normal forms alike;
+    sum of v_i * q^i), in quotient lifts and umvirate normal forms alike.
+    In closed form the completion is the unit vectors e_k, k ascending,
+    for which column n-1-k is not a pivot of rref(rows[:, ::-1]);
+    `complete_basis` gives the argument;
   * matrix <-> integer index maps are row-major base q, entry (i, j) of
     an r x c matrix contributing digit i*c + j.
 """
@@ -284,9 +287,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(
-    ctx: FieldCtx, n: int, dim: int, cap: int = DEFAULT_MAX_SUBSPACES
-) -> list[Subspace]:
+def enumerate_subspaces(ctx: FieldCtx, n: int, dim: int) -> list[Subspace]:
     """Every dim-dimensional subspace of F_q^n exactly once, canonical order.
 
     Generation walks RREF shapes directly (pivot columns, then free
@@ -296,8 +297,8 @@ def enumerate_subspaces(
     if dim < 0 or dim > n:
         raise ToolkitError(f"dim={dim} out of range for n={n}")
     count = gaussian_binomial(n, dim, ctx.q)
-    if count > cap:
-        raise SizeCapError(f"subspace enumeration would produce {count} > cap {cap}")
+    if count > DEFAULT_MAX_SUBSPACES:
+        raise SizeCapError(f"subspace enumeration would produce {count} > cap {DEFAULT_MAX_SUBSPACES}")
     if dim == 0:
         return [zero_space(ctx, n)]
     out: list[Subspace] = []
@@ -327,15 +328,22 @@ def enumerate_subspaces(
 
 def complete_basis(ctx: FieldCtx, rows, n: int) -> np.ndarray:
     """(n, n) basis of F_q^n: the independent `rows` first, then the
-    least-index vectors that complete them, in index order."""
-    basis = [np.asarray(row, dtype=np.uint8) for row in rows]
-    idx = 1
-    while len(basis) < n:
-        v = decode_vector(idx, n, ctx.q)
-        if rank(ctx, np.array(basis + [v], dtype=np.uint8)) == len(basis) + 1:
-            basis.append(v)
-        idx += 1
-    return np.array(basis, dtype=np.uint8).reshape(n, n)
+    least-index vectors that complete them, in index order.
+
+    Only unit vectors are ever taken.  The candidates of index below q^k
+    are the vectors on e_0..e_{k-1}, and e_j (index q^j) is either taken
+    or already in the span when it is reached, so every candidate
+    between q^j and q^(j+1) is in the span by then.  Hence e_k is taken
+    exactly when it is not in span(rows, e_0, ..., e_{k-1}).  Modulo
+    e_0..e_{k-1} only coordinates k..n-1 count; they are the leading
+    n-k columns of rows[:, ::-1], with e_k the last of them, so e_k is
+    in that span exactly when column n-1-k is a pivot of the rref of
+    the reversed rows.
+    """
+    rows = np.asarray(rows, dtype=np.uint8).reshape(-1, n)
+    pivots = rref(ctx, rows[:, ::-1])[1]
+    units = [k for k in range(n) if n - 1 - k not in pivots]
+    return np.concatenate([rows, np.eye(n, dtype=np.uint8)[units]]).reshape(n, n)
 
 
 class QuotientFrame:
@@ -380,15 +388,15 @@ class IndexMap:
     least significant.  Index addition is field addition per digit.
     """
 
-    def __init__(self, ctx: FieldCtx, rows: int, cols: int, cap: int = DEFAULT_MAX_DOMAIN):
+    def __init__(self, ctx: FieldCtx, rows: int, cols: int):
         self.ctx = ctx
         self.q = ctx.q
         self.rows = rows
         self.cols = cols
         self.k = rows * cols
         n_total = ctx.q**self.k
-        if n_total > cap:
-            raise SizeCapError(f"domain size {n_total} exceeds cap {cap}")
+        if n_total > DEFAULT_MAX_DOMAIN:
+            raise SizeCapError(f"domain size {n_total} exceeds cap {DEFAULT_MAX_DOMAIN}")
         self.size = n_total
         self.powers = np.array([self.q**i for i in range(self.k)], dtype=np.int64)
         self._digits: np.ndarray | None = None
@@ -429,10 +437,3 @@ class IndexMap:
         stack = self.digits_table().reshape(self.size, self.rows, self.cols)
         return batched_rank(self.ctx, stack).astype(np.int8)
 
-
-def canonicalize(ctx: FieldCtx, a: np.ndarray):
-    """(rref, rank, kernel, image) of a matrix; kernel/image are Subspaces."""
-    r, pivots = rref(ctx, a)
-    ker = Subspace(ctx, a.shape[1], kernel_basis(ctx, a))
-    img = Subspace(ctx, a.shape[0], a.T.copy())
-    return r, len(pivots), ker, img

@@ -239,19 +239,6 @@ class FieldCtx:
         return f"FieldCtx(q={self.q})"
 
 
-def field_arith(ctx: FieldCtx, op: str, x: int, y: int | None = None) -> int:
-    """Single dispatch surface over the four basic field operations."""
-    if op == "add":
-        return ctx.add(x, y)
-    if op == "mul":
-        return ctx.mul(x, y)
-    if op == "neg":
-        return ctx.neg(x)
-    if op == "inv":
-        return ctx.inv(x)
-    raise FieldError(f"unknown field operation {op!r}")
-
-
 _FIELD_CACHE: dict[int, FieldCtx] = {}
 
 

@@ -3,7 +3,7 @@
 Audits are exhaustive: every restriction site (scheme audits) or
 constraint system (set audits on a group) at each order is enumerated,
 the exact maximum is reported with a lexicographically-least witness,
-and pass/fail is judged against a configurable threshold rule.
+and pass/fail is judged against a threshold set by zeta.
 
 Set audits enumerate mixed umvirate systems built from both group
 actions: row constraints g v = w and functional constraints g^T phi =
@@ -20,7 +20,7 @@ inside good umvirates until it becomes global relative to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,27 +98,18 @@ def _scheme_of(f: FnTable) -> SchemeCtx:
     return f.domain
 
 
-def default_epsilon_rule(f: FnTable, zeta: float = DEFAULT_ZETA):
-    """The q^{zeta d n} ||f||_2^2 threshold with the configured zeta."""
-    ctx = _scheme_of(f)
-    base = f.norm2sq()
-
-    def rule(d: int) -> float:
-        return float(ctx.q) ** (zeta * d * ctx.n) * base
-
-    return rule
-
-
 def _site_witness(pair_idx: int, vp: Subspace, wp: Subspace, rep: int) -> str:
     return f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={rep}"
 
 
-def _audit_rows(f: FnTable, dmax: int, order_values, epsilon_rule, kind: str) -> GlobalnessReport:
+def _audit_rows(f: FnTable, dmax: int, order_values, zeta: float | None, kind: str) -> GlobalnessReport:
     """order_values(d) yields (coset reps, value per rep) for each pair of
-    restriction_pairs(d), in that order."""
+    restriction_pairs(d), in that order.  The order-d threshold is
+    q^{zeta d n} ||f||_2^2, or inf when zeta is None."""
     ctx = _scheme_of(f)
     if dmax < 0:
         raise ToolkitError(f"audit order dmax={dmax} must be >= 0")
+    base = f.norm2sq()
     rows = []
     for d in range(dmax + 1):
         best = -1.0
@@ -129,8 +120,8 @@ def _audit_rows(f: FnTable, dmax: int, order_values, epsilon_rule, kind: str) ->
             if vals[j] > best + 1e-15:
                 best = float(vals[j])
                 witness = _site_witness(pair_idx, vp, wp, int(reps[j]))
-        thr = epsilon_rule(d)
-        rows.append(ReportRow(d, best, witness, float(thr), bool(best <= thr + 1e-12)))
+        thr = float("inf") if zeta is None else float(ctx.q) ** (zeta * d * ctx.n) * base
+        rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))
     return GlobalnessReport(kind, rows)
 
 
@@ -145,13 +136,12 @@ def _coset_means(ctx: SchemeCtx, values: np.ndarray):
     return order_values
 
 
-def global_audit(f: FnTable, dmax: int, epsilon_rule=None, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
+def global_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
     """Exact max of ||f_{(V',W')->T}||_2^2 over all d-restrictions, d <= dmax."""
     ctx = _scheme_of(f)
     if dmax > ctx.n + ctx.m:
         raise ToolkitError(f"dmax={dmax} too large for {ctx!r}")
-    epsilon_rule = epsilon_rule or default_epsilon_rule(f, zeta)
-    return _audit_rows(f, dmax, _coset_means(ctx, np.abs(f.values) ** 2), epsilon_rule, "restriction-norm2")
+    return _audit_rows(f, dmax, _coset_means(ctx, np.abs(f.values) ** 2), zeta, "restriction-norm2")
 
 
 # complex entries per batched inverse transform in influence_audit; bounds
@@ -159,7 +149,7 @@ def global_audit(f: FnTable, dmax: int, epsilon_rule=None, zeta: float = DEFAULT
 _LAPLACIAN_BATCH_ELEMENTS = 2**20
 
 
-def influence_audit(f: FnTable, dmax: int, epsilon_rule=None, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
+def influence_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
     """Exact max generalized influence over sites of each order <= dmax.
 
     f is transformed once.  For each order the cached Laplacian masks of
@@ -171,7 +161,6 @@ def influence_audit(f: FnTable, dmax: int, epsilon_rule=None, zeta: float = DEFA
     report.max_upto(d) for that.
     """
     ctx = _scheme_of(f)
-    epsilon_rule = epsilon_rule or default_epsilon_rule(f, zeta)
     spectrum = ctx.fourier_forward(f.values)
     per_batch = max(1, _LAPLACIAN_BATCH_ELEMENTS // ctx.size)
 
@@ -185,10 +174,10 @@ def influence_audit(f: FnTable, dmax: int, epsilon_rule=None, zeta: float = DEFA
                 reps, members = ctx.site_cosets(vp, wp)
                 yield reps, np.mean(np.abs(lap[members]) ** 2, axis=1)
 
-    return _audit_rows(f, dmax, order_values, epsilon_rule, "influence")
+    return _audit_rows(f, dmax, order_values, zeta, "influence")
 
 
-def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int, power: float = 2.0) -> float:
+def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int) -> float:
     """Max restriction mass over order-`order` sites refining the direction U.
 
     Restrictions compose, so the r-restrictions of f_{U->T} over every T
@@ -199,7 +188,7 @@ def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int, pow
     exists; the max is then taken over their coset means.
     """
     ctx = _scheme_of(f)
-    ab = np.abs(f.values) ** power
+    ab = np.abs(f.values) ** 2
     best = -1.0
     for vp, wp in ctx.refining_pairs(u, side, order):
         _, members = ctx.site_cosets(vp, wp)
@@ -207,19 +196,19 @@ def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int, pow
     return best
 
 
-def lp_global_audit(f: FnTable, rmax: int, ellp: float, epsilon_rule=None) -> GlobalnessReport:
-    """Exact max of ||f_{(V',W')->T}||_{ell'} over r-restrictions."""
+def lp_global_audit(f: FnTable, rmax: int, ellp: float) -> GlobalnessReport:
+    """Exact max of ||f_{(V',W')->T}||_{ell'} over r-restrictions; the
+    report carries no threshold (every row passes)."""
     ctx = _scheme_of(f)
     if ellp < 1:
         raise ToolkitError("ell' must be >= 1")
-    epsilon_rule = epsilon_rule or (lambda d: float("inf"))
     means = _coset_means(ctx, np.abs(f.values) ** ellp)
 
     def order_values(d):
         for reps, vals in means(d):
             yield reps, vals ** (1.0 / ellp)
 
-    return _audit_rows(f, rmax, order_values, epsilon_rule, f"restriction-L{ellp}")
+    return _audit_rows(f, rmax, order_values, None, f"restriction-L{ellp}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +387,6 @@ class GoodUmvirate:
 
     def density(self) -> float:
         return len(block_subgroup_members(self.group, self.k)) / self.group.size
-
-    def is_groumvirate(self) -> bool:
-        return self.group.mul(self.g, self.h) == self.group.identity
 
     def describe(self) -> str:
         return f"U_{self.k}^(g={self.g},h={self.h})"
@@ -619,7 +605,6 @@ def density_bump_search(
     ordinals: np.ndarray,
     r: float | None = None,
     zeta: float = DEFAULT_ZETA,
-    max_bumps: int = 16,
 ) -> BumpResult:
     """Restrict A inside good umvirates until it is r-global relative to one.
 
@@ -627,6 +612,8 @@ def density_bump_search(
     violating umvirate, partitions it into good umvirates, and recurses
     into the densest piece.  Density never decreases by construction;
     the trace certifies each step's gain against the proof's r^s bound.
+    A step lowers n by the piece's k >= 1 and the search stops below
+    n = 2, so it ends within n steps.
     """
     _require_det_one(group, "bump search")
     ordinals = _set_ordinals(group, ordinals, "bump search")
@@ -641,7 +628,7 @@ def density_bump_search(
     trace: list[BumpTrace] = []
     reason = "exhausted"
 
-    for _ in range(max_bumps):
+    for _ in range(group.n):
         if cur_group.n < 2:
             reason = "trivial_group"
             break

@@ -43,7 +43,7 @@ _MUL_TABLE_CAP = 6000
 class GroupTable:
     """Enumerated SL or GL with index maps, inverses, and class labels."""
 
-    def __init__(self, kind: str, n: int, field: FieldCtx, cap: int = DEFAULT_GROUP_CAP):
+    def __init__(self, kind: str, n: int, field: FieldCtx):
         if kind not in ("sl", "gl"):
             raise ToolkitError(f"unknown group kind {kind!r}")
         self.kind = kind
@@ -55,8 +55,8 @@ class GroupTable:
         keep = dets == 1 if kind == "sl" else dets != 0
         self.elements = np.flatnonzero(keep).astype(np.int64)
         self.size = int(self.elements.shape[0])
-        if self.size > cap:
-            raise SizeCapError(f"group has {self.size} elements > cap {cap}")
+        if self.size > DEFAULT_GROUP_CAP:
+            raise SizeCapError(f"group has {self.size} elements > cap {DEFAULT_GROUP_CAP}")
         self.dets = dets[self.elements]
         self.pos = np.full(self.scheme.size, -1, dtype=np.int64)
         self.pos[self.elements] = np.arange(self.size)
@@ -180,10 +180,10 @@ class GroupTable:
 _GROUP_CACHE: dict[tuple, GroupTable] = {}
 
 
-def get_group(kind: str, n: int, q: int, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
+def get_group(kind: str, n: int, q: int) -> GroupTable:
     key = (kind, n, q)
     if key not in _GROUP_CACHE:
-        _GROUP_CACHE[key] = GroupTable(kind, n, get_field(q), cap=cap)
+        _GROUP_CACHE[key] = GroupTable(kind, n, get_field(q))
     return _GROUP_CACHE[key]
 
 
@@ -197,21 +197,16 @@ def _group_of(f: FnTable) -> GroupTable:
 # transfer maps and convolution
 # ---------------------------------------------------------------------------
 
-def transfer(f: FnTable, direction: str, group: GroupTable | None = None) -> FnTable:
-    """j extends by zero from G to L(V,V); i restricts back (needs the group)."""
-    if direction == "j":
-        g = _group_of(f)
-        vals = np.zeros(g.scheme.size, dtype=np.complex128)
-        vals[g.elements] = f.values
-        return FnTable(g.scheme, vals)
-    if direction == "i":
-        if group is None:
-            raise ToolkitError("i-transfer needs an explicit target group")
-        return transfer_to_group(f, group)
-    raise ToolkitError(f"unknown transfer direction {direction!r}")
+def transfer(f: FnTable) -> FnTable:
+    """The j transfer: extends f by zero from G to L(V,V)."""
+    g = _group_of(f)
+    vals = np.zeros(g.scheme.size, dtype=np.complex128)
+    vals[g.elements] = f.values
+    return FnTable(g.scheme, vals)
 
 
 def transfer_to_group(f: FnTable, group: GroupTable) -> FnTable:
+    """The i transfer: restricts a function on L(V,V) to G."""
     if f.domain is not group.scheme:
         raise ToolkitError("scheme/group mismatch in i-transfer")
     return FnTable(group, f.values[group.elements])
@@ -307,8 +302,8 @@ class _GramSchmidtRows:
     def __len__(self) -> int:
         return self.count
 
-    def extend(self, gen: np.ndarray, tol: float = 1e-8) -> bool:
-        """Append the normalized residual of gen if it exceeds tol."""
+    def extend(self, gen: np.ndarray) -> bool:
+        """Append the normalized residual of gen if its norm exceeds 1e-8."""
         r = gen.astype(np.complex128)
         if self.count:
             b = self._rows[: self.count]
@@ -317,7 +312,7 @@ class _GramSchmidtRows:
                 coeffs = b_conj @ r / self.size
                 r = r - coeffs @ b
         norm = np.sqrt(np.mean(np.abs(r) ** 2).real)
-        if norm <= tol:
+        if norm <= 1e-8:
             return False
         if self.count == len(self._rows):
             pad = np.empty((min(self.count, self.size - self.count), self.size), dtype=np.complex128)
@@ -388,11 +383,10 @@ def build_level_basis(group: GroupTable, dmax: int, mode: str = "strict") -> Lev
 _LEVEL_CACHE: dict[tuple, LevelBasisSet] = {}
 
 
-def get_levels(group: GroupTable, dmax: int | None = None, mode: str = "strict") -> LevelBasisSet:
-    dmax = group.n if dmax is None else dmax
-    key = (group.kind, group.n, group.q, dmax, mode)
+def get_levels(group: GroupTable, mode: str = "strict") -> LevelBasisSet:
+    key = (group.kind, group.n, group.q, mode)
     if key not in _LEVEL_CACHE:
-        _LEVEL_CACHE[key] = build_level_basis(group, dmax, mode)
+        _LEVEL_CACHE[key] = build_level_basis(group, group.n, mode)
     return _LEVEL_CACHE[key]
 
 
@@ -405,19 +399,14 @@ def level_project(f: FnTable, d: int, strictness: str = "strict") -> FnTable:
     return FnTable(group, coeffs @ b)
 
 
-def level_project_eq(f: FnTable, d: int, strictness: str = "strict") -> FnTable:
+def level_project_eq(f: FnTable, d: int) -> FnTable:
+    """Orthogonal projection f_{=d} onto the strict level d."""
     group = _group_of(f)
-    levels = get_levels(group, mode=strictness if group.kind == "gl" else "strict")
-    b = levels.eq_basis(d)
+    b = get_levels(group).eq_basis(d)
     if b.shape[0] == 0:
         return FnTable(group, np.zeros(group.size, dtype=np.complex128))
     coeffs = b.conj() @ f.values / group.size
     return FnTable(group, coeffs @ b)
-
-
-def level_decompose(f: FnTable, strictness: str = "strict") -> list[FnTable]:
-    group = _group_of(f)
-    return [level_project_eq(f, d, strictness) for d in range(group.n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +423,13 @@ def pointwise_stabilizer(group: GroupTable, u: Subspace) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def junta_test(f: FnTable, u: Subspace, tol: float = 1e-9) -> bool:
+def junta_test(f: FnTable, u: Subspace) -> bool:
     """True iff f is invariant under right multiplication by the stabilizer."""
     group = _group_of(f)
     h = pointwise_stabilizer(group, u)
     m = group.mul_table()
     for ho in h:
-        if np.max(np.abs(f.values[m[:, ho]] - f.values)) > tol:
+        if np.max(np.abs(f.values[m[:, ho]] - f.values)) > 1e-9:
             return False
     return True
 
@@ -460,7 +449,7 @@ def junta_project(f: FnTable, u: Subspace) -> FnTable:
 # level lower bounds (abelian degree vs tensor-rank level)
 # ---------------------------------------------------------------------------
 
-def level_lower_check(f: FnTable, d: int, tol: float = 1e-9) -> dict:
+def level_lower_check(f: FnTable, d: int) -> dict:
     """Ratios ||j(f)^{<=d}|| / ||f|| and ||T_d f|| / ||f|| for f in level d.
 
     Asserts both are >= |G| / q^{n^2} (and hence >= 1/(4q)).
@@ -470,14 +459,14 @@ def level_lower_check(f: FnTable, d: int, tol: float = 1e-9) -> dict:
     norm = np.sqrt(fd.norm2sq())
     if norm < 1e-9:
         raise ToolkitError("projection to the level is negligible")
-    jf = transfer(fd, "j")
+    jf = transfer(fd)
     jcum = degree_project(jf, d, "cumulative")
     ratio_j = np.sqrt(jcum.norm2sq()) / norm
     td = transfer_to_group(jcum, group)
     ratio_t = np.sqrt(td.norm2sq()) / norm
     bound = group.size / float(group.q) ** (group.n**2)
     weak = 1.0 / (4 * group.q)
-    ok = ratio_j >= bound - tol and ratio_t >= bound - tol
+    ok = ratio_j >= bound - 1e-9 and ratio_t >= bound - 1e-9
     assert bound >= weak - 1e-12
     return {
         "ratio_j": float(ratio_j),
@@ -509,12 +498,13 @@ class IsotypicReport:
 _ISOTYPIC_DRAWS = 3  # random class-function convolutions per level
 
 
-def _cluster_eigvals(vals: np.ndarray, tol: float = 1e-6) -> list[list[int]]:
+def _cluster_eigvals(vals: np.ndarray) -> list[list[int]]:
+    """Eigenvalue indices grouped by first-come representatives within 1e-6."""
     clusters: list[tuple[complex, list[int]]] = []
     for i, lam in enumerate(vals):
         placed = False
         for rep, members in clusters:
-            if abs(lam - rep) <= tol:
+            if abs(lam - rep) <= 1e-6:
                 members.append(i)
                 placed = True
                 break
@@ -523,7 +513,7 @@ def _cluster_eigvals(vals: np.ndarray, tol: float = 1e-6) -> list[list[int]]:
     return [members for _, members in clusters]
 
 
-def isotypic_blocks(group: GroupTable, levels: LevelBasisSet | None = None) -> dict[int, list[np.ndarray]]:
+def isotypic_blocks(group: GroupTable) -> dict[int, list[np.ndarray]]:
     """Orthonormal bases of the isotypic components inside each level.
 
     Convolution by a class function acts as a scalar on each isotypic
@@ -532,7 +522,7 @@ def isotypic_blocks(group: GroupTable, levels: LevelBasisSet | None = None) -> d
     across `_ISOTYPIC_DRAWS` draws from default_rng(0) removes accidental
     collisions.
     """
-    levels = levels or get_levels(group)
+    levels = get_levels(group)
     labels = group.conjugacy_classes()
     n_classes = group.class_count()
     rng = np.random.default_rng(0)
@@ -566,9 +556,9 @@ def isotypic_blocks(group: GroupTable, levels: LevelBasisSet | None = None) -> d
     return out
 
 
-def isotypic_refine(group: GroupTable, levels: LevelBasisSet | None = None) -> IsotypicReport:
+def isotypic_refine(group: GroupTable) -> IsotypicReport:
     """Infer irreducible dimensions per level from the eigen-refinement."""
-    blocks = isotypic_blocks(group, levels)
+    blocks = isotypic_blocks(group)
     n_classes = group.class_count()
     component_dims: dict[int, list[int]] = {}
     m_d: dict[int, int] = {}

@@ -43,12 +43,12 @@ _NAIVE_CAP = 2048  # full character matrix only below this domain size
 class SchemeCtx:
     """Enumerated domain L(V, W) with its dual index and transform kernels."""
 
-    def __init__(self, field: FieldCtx, n: int, m: int, cap: int = 2**24):
+    def __init__(self, field: FieldCtx, n: int, m: int):
         self.field = field
         self.n = n
         self.m = m
-        self.domain_index = IndexMap(field, m, n, cap=cap)
-        self.dual_index = IndexMap(field, n, m, cap=cap)
+        self.domain_index = IndexMap(field, m, n)
+        self.dual_index = IndexMap(field, n, m)
         self.size = self.domain_index.size
         k = n * m
         self.k = k
@@ -423,26 +423,16 @@ def dualize(f: FnTable) -> FnTable:
     dual = get_scheme(ctx.q, ctx.m, ctx.n)
     key = ("dual_perm",)
     if key not in ctx._embeddings:
-        perm = np.empty(dual.size, dtype=np.int64)
-        for idx in range(dual.size):
-            b = dual.domain_index.to_matrix(idx)  # (n, m)
-            perm[idx] = ctx.domain_index.to_index(b.T.copy())
-        ctx._embeddings[key] = perm
+        # entry idx is the index in ctx of B^T, B the (n, m) matrix of dual index idx
+        b = dual.domain_index.digits_table().reshape(dual.size, ctx.n, ctx.m)
+        ctx._embeddings[key] = b.transpose(0, 2, 1).reshape(dual.size, ctx.k).astype(np.int64) @ ctx.domain_index.powers
     perm = ctx._embeddings[key]
     return FnTable(dual, f.values[perm])
 
 
-def scheme_convolve(f: FnTable, g: FnTable) -> FnTable:
-    """Abelian convolution (f*g)(A) = E_B f(A-B) g(B); transforms multiply."""
-    ctx = _scheme_of(f)
-    if g.domain is not ctx:
-        raise ToolkitError("convolution requires a common domain")
-    return FnTable(ctx, ctx.fourier_inverse(ctx.fourier_forward(f.values) * ctx.fourier_forward(g.values)))
-
-
-def random_table(ctx: SchemeCtx, rng: np.random.Generator, kind: str = "real", density: float = 0.5) -> FnTable:
+def random_table(ctx: SchemeCtx, rng: np.random.Generator, kind: str = "real") -> FnTable:
     if kind == "boolean":
-        vals = (rng.random(ctx.size) < density).astype(np.complex128)
+        vals = (rng.random(ctx.size) < 0.5).astype(np.complex128)
     elif kind == "real":
         vals = rng.standard_normal(ctx.size).astype(np.complex128)
     elif kind == "complex":

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogolyubov import GroupSet, set_algebra
-from .calculus import avg_dual, avg_vector, derivative, direction_subspaces
+from .bogolyubov import GroupSet, product_set
+from .calculus import avg_dual, avg_vector, direction_subspaces
 from .errors import ToolkitError
-from .fqlin import zero_space
 from .globality import (
     GlobalnessReport,
     global_audit,
@@ -38,7 +37,7 @@ from .groups import (
     level_project_eq,
     transfer,
 )
-from .scheme import FnTable, SchemeCtx, degree_decompose, degree_project, get_scheme, restrict
+from .scheme import FnTable, SchemeCtx, degree_decompose, degree_project, get_scheme
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +198,7 @@ def product_mixing(a: GroupSet, b: GroupSet, c: GroupSet) -> MixingReport:
         per_level.append(float(term))
         total += term
     resid = abs(triple - (means + total))
-    ab = set_algebra(a, b, "product")
-    abc = set_algebra(ab, c, "product")
+    abc = product_set(product_set(a, b), c)
     bound = float(group.q) ** (-group.n / 5) * means
     return MixingReport(
         dev,
@@ -461,7 +459,7 @@ class GroupInstanceChecks:
         self.group: GroupTable = f.domain
         self.q = self.group.q
         self.dmax = min(dmax, self.group.n)
-        self.jf = transfer(f, "j")
+        self.jf = transfer(f)
         self.is_boolean = bool(
             np.all(np.abs(f.values.imag) < 1e-12)
             and np.all(np.abs(f.values.real * (f.values.real - 1)) < 1e-9)
@@ -505,21 +503,22 @@ class GroupInstanceChecks:
         return _row(self.name, f"flexible-level-weight(d={d})", g.norm2sq(), rhs, t=t)
 
 
-def bonami_isotypic_rows(group: GroupTable, rng: np.random.Generator, ells=(4, 8), per_block: int = 1):
-    """Bonami bound q^{1212 d^2 ell^2} for functions inside one isotypic
-    component of tensor rank d, with epsilon audited exactly."""
+def bonami_isotypic_rows(group: GroupTable, rng: np.random.Generator):
+    """Bonami bound q^{1212 d^2 ell^2}, ell = 4 and 8, for two random
+    functions inside each isotypic component of tensor rank d, with
+    epsilon audited exactly."""
     blocks = isotypic_blocks(group)
     rows = []
     for d, blist in blocks.items():
         if d < 1:
             continue
         for bi, qb in enumerate(blist):
-            for rep in range(per_block):
+            for rep in range(2):
                 coeff = rng.standard_normal(qb.shape[0]) + 1j * rng.standard_normal(qb.shape[0])
                 f = FnTable(group, coeff @ qb)
-                jf = transfer(f, "j")
+                jf = transfer(f)
                 eps = global_audit(jf, d).value_at(d)
-                for ell in ells:
+                for ell in (4, 8):
                     lhs = f.lp_power(ell)
                     rhs = _qpow(group.q, 1212 * d * d * ell * ell) * f.norm2sq() * eps ** (ell / 2 - 1)
                     rows.append(
@@ -532,9 +531,9 @@ def bonami_isotypic_rows(group: GroupTable, rng: np.random.Generator, ells=(4, 8
 # corpora
 # ---------------------------------------------------------------------------
 
-def scheme_corpus(ctx: SchemeCtx, rng: np.random.Generator, n_boolean: int, n_degree: int, degree: int = 2):
+def scheme_corpus(ctx: SchemeCtx, rng: np.random.Generator, n_boolean: int, n_degree: int):
     """Named instances: Boolean at a density grid, umvirate-concentrated
-    adversarial sets, and random degree-projected functions."""
+    adversarial sets, and random functions projected to degree <= 2."""
     out = []
     densities = [0.5, 0.25, 0.125]
     for i in range(n_boolean):
@@ -548,7 +547,7 @@ def scheme_corpus(ctx: SchemeCtx, rng: np.random.Generator, n_boolean: int, n_de
         if not vals.any():
             vals[int(rng.integers(ctx.size))] = 1.0
         out.append((f"{ctx!r}:bool{i}(p={dens})", FnTable(ctx, vals.astype(np.complex128)), "boolean"))
-    dmax = min(degree, ctx.n, ctx.m)
+    dmax = min(2, ctx.n, ctx.m)
     for i in range(n_degree):
         f = FnTable(ctx, rng.standard_normal(ctx.size).astype(np.complex128))
         g = degree_project(f, dmax, "cumulative")
@@ -579,19 +578,12 @@ def group_set_corpus(group: GroupTable, rng: np.random.Generator, n_sets: int):
 # suite drivers
 # ---------------------------------------------------------------------------
 
-def equivalence_suite(domain_plan=None, seed: int = 0) -> list[dict]:
-    """Criterion family: influence/globalness equivalences on the scheme.
-
-    domain_plan: list of (q, n, m, n_boolean, n_degree, dmax, rmax).
-    """
-    domain_plan = domain_plan or [
-        (2, 2, 2, 120, 120, 2, 3),
-        (3, 2, 2, 50, 50, 2, 3),
-        (2, 3, 3, 30, 30, 3, 3),
-    ]
-    rng = np.random.default_rng(seed)
+def equivalence_suite() -> list[dict]:
+    """Criterion family: influence/globalness equivalences on the scheme."""
+    rng = np.random.default_rng(0)
     rows = []
-    for q, n, m, nb, nd, dmax, rmax in domain_plan:
+    # (q, n, m, n_boolean, n_degree, dmax, rmax)
+    for q, n, m, nb, nd, dmax, rmax in [(2, 2, 2, 120, 120, 2, 3), (3, 2, 2, 50, 50, 2, 3), (2, 3, 3, 30, 30, 3, 3)]:
         ctx = get_scheme(q, n, m)
         for name, f, kind in scheme_corpus(ctx, rng, nb, nd):
             checks = SchemeInstanceChecks(name, f, dmax, rmax)
@@ -607,24 +599,19 @@ def equivalence_suite(domain_plan=None, seed: int = 0) -> list[dict]:
     return [r for r in rows if r is not None]
 
 
-def scheme_inequality_suite(domain_plan=None, ells=(4, 8), seed: int = 1) -> list[dict]:
+def scheme_inequality_suite() -> list[dict]:
     """Criterion family: hypercontractivity and level inequalities on the scheme."""
-    domain_plan = domain_plan or [
-        (2, 2, 2, 80, 25),
-        (3, 2, 2, 55, 15),
-        (2, 3, 3, 35, 12),
-        (5, 2, 2, 25, 8),
-    ]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     rows = []
-    for q, n, m, nb, nd in domain_plan:
+    # (q, n, m, n_boolean, n_degree)
+    for q, n, m, nb, nd in [(2, 2, 2, 80, 25), (3, 2, 2, 55, 15), (2, 3, 3, 35, 12), (5, 2, 2, 25, 8)]:
         ctx = get_scheme(q, n, m)
         for name, f, kind in scheme_corpus(ctx, rng, nb, nd):
             checks = SchemeInstanceChecks(name, f, min(2, n, m), min(2, n, m))
             for d in range(1, checks.dmax + 1):
                 rows.append(checks.check_four_norm(d))
                 rows.append(checks.check_level_weight_flexible(d))
-                for ell in ells:
+                for ell in (4, 8):
                     rows.append(checks.check_ell_norm(d, ell))
                     rows.append(checks.check_level_weight(d, ell))
                     rows.append(checks.check_level_weight_from_pure_audit(d, ell))
@@ -633,22 +620,21 @@ def scheme_inequality_suite(domain_plan=None, ells=(4, 8), seed: int = 1) -> lis
     return [r for r in rows if r is not None]
 
 
-def group_inequality_suite(groups=None, ells=(4, 8), n_sets: int = 40, seed: int = 2) -> list[dict]:
+def group_inequality_suite() -> list[dict]:
     """Criterion family: tensor-rank level inequalities on SL/GL."""
-    groups = groups or [("sl", 2, 3), ("sl", 2, 5), ("sl", 3, 2)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2)
     rows = []
-    for kind, n, q in groups:
+    for kind, n, q in [("sl", 2, 3), ("sl", 2, 5), ("sl", 3, 2)]:
         group = get_group(kind, n, q)
-        for name, ordinals in group_set_corpus(group, rng, n_sets):
+        for name, ordinals in group_set_corpus(group, rng, 40):
             f = group.indicator(ordinals)
             checks = GroupInstanceChecks(name, f, 2)
             for d in range(1, checks.dmax + 1):
                 rows.append(checks.check_flexible_level_weight(d))
-                for ell in ells:
+                for ell in (4, 8):
                     rows.append(checks.check_strict_level_weight(d, ell))
                     rows.append(checks.check_tensor_level_weight(d, ell))
-        rows.extend(bonami_isotypic_rows(group, rng, ells, per_block=2))
+        rows.extend(bonami_isotypic_rows(group, rng))
     return [r for r in rows if r is not None]
 
 

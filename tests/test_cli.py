@@ -1,7 +1,6 @@
 """CLI round trips: file formats, subcommand artifacts, manifests, and the
 exit-status contract."""
 
-import csv
 import json
 import os
 
@@ -90,6 +89,8 @@ def test_cli_levels_and_isotypic(tmp_path):
     assert rc == 0
     rows = (out / "level_dims.csv").read_text().strip().splitlines()
     assert rows[-1].endswith("6")  # dims saturate at |SL_2(F_2)| = 6
+    manifest = json.loads((out / "levels_manifest.json").read_text())
+    assert manifest["config"] == {"group": "sl", "n": 2, "q": 2, "dmax": 2}
     rc = main(["isotypic", "--q", "2", "--n", "2", "--group", "sl", "-o", str(out)])
     assert rc == 0
     data = json.loads((out / "isotypic.json").read_text())
@@ -120,6 +121,7 @@ def test_cli_levels_and_isotypic(tmp_path):
     ["bogolyubov", "--set", "a.txt", "--c", "0.1"],
     ["isotypic", "--trials", "5"],
     ["isotypic", "--seed", "1"],
+    ["levels", "--include-dual"],
 ])
 def test_cli_rejects_removed_options(argv):
     with pytest.raises(SystemExit) as exc:
@@ -127,14 +129,19 @@ def test_cli_rejects_removed_options(argv):
     assert exc.value.code == 2
 
 
-def test_cli_levels_include_dual(tmp_path):
-    out = tmp_path / "out"
-    rc = main(["levels", "--q", "3", "--n", "2", "--group", "sl", "--include-dual", "-o", str(out)])
-    assert rc == 0
-    with open(out / "level_dims.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3
-    assert all(row["dim_le_d_with_dual"] == row["dim_le_d"] for row in rows)
+def test_cli_manifests_record_mode_and_zeta(tmp_path):
+    f = tmp_path / "f.csv"
+    write_function_csv(str(f), np.arange(16.0))
+    scheme = ["--q", "2", "--n", "2", "--m", "2", "--input", str(f)]
+    manifests = []
+    for mode in ("pure", "cumulative"):
+        out = tmp_path / mode
+        assert main(["project-degree", *scheme, "--d", "1", "--mode", mode, "-o", str(out)]) == 0
+        manifests.append((out / "project-degree_manifest.json").read_bytes())
+    assert manifests[0] != manifests[1]
+    out = tmp_path / "audit"
+    main(["influence-audit", *scheme, "--zeta", "0.5", "-o", str(out)])
+    assert json.loads((out / "influence-audit_manifest.json").read_text())["config"]["zeta"] == 0.5
 
 
 @pytest.mark.parametrize("cmd", ["levels", "set-audit"])
@@ -180,8 +187,13 @@ def test_cli_bogolyubov_on_coset(tmp_path):
     assert data["contained_k"] == 1
 
 
-def test_cli_bogolyubov_rejects_gl_beyond_f2(tmp_path, capsys):
-    # good umvirates are cosets of SL_{n-k}: they cannot partition GL_2(F_3) umvirates
+def test_cli_bogolyubov_rejects_gl_beyond_f2(tmp_path, capsys, monkeypatch):
+    # good umvirates are cosets of SL_{n-k}: they cannot partition GL_2(F_3) umvirates,
+    # and the command refuses the group before it runs the containment search
+    def search(a):
+        raise RuntimeError("the containment search ran")
+
+    monkeypatch.setattr("qharm.cli.bogolyubov_search", search)
     g = get_group("gl", 2, 3)
     setfile = tmp_path / "a.txt"
     write_set_file(str(setfile), g, np.random.default_rng(4).choice(g.size, size=12, replace=False))

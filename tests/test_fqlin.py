@@ -5,8 +5,8 @@ from qharm.errors import SizeCapError, ToolkitError
 from qharm.fqlin import (
     IndexMap,
     QuotientFrame,
+    Subspace,
     batched_rank,
-    canonicalize,
     complete_basis,
     det,
     encode_vector,
@@ -43,11 +43,17 @@ def brute_force_rank(ctx, a):
     return d
 
 
+def canonicalize(ctx, a):
+    """(rref, rank, kernel, image) of a matrix; kernel and image are Subspaces."""
+    r, pivots = rref(ctx, a)
+    return r, len(pivots), Subspace(ctx, a.shape[1], kernel_basis(ctx, a)), Subspace(ctx, a.shape[0], a.T.copy())
+
+
 def test_canonicalize_identity_and_zero():
     ctx = get_field(3)
     ident = np.eye(3, dtype=np.uint8)
     r, rk, ker, img = canonicalize(ctx, ident)
-    assert rk == 3 and ker.dim == 0 and img.dim == 3
+    assert np.array_equal(r, ident) and rk == 3 and ker.dim == 0 and img.dim == 3
     z = np.zeros((3, 3), dtype=np.uint8)
     r, rk, ker, img = canonicalize(ctx, z)
     assert rk == 0 and ker.dim == 3 and img.dim == 0
@@ -58,7 +64,7 @@ def test_canonicalize_rank_one_over_f2():
     a = np.array([[1, 1], [1, 1]], dtype=np.uint8)
     r, rk, ker, img = canonicalize(ctx, a)
     assert rk == 1
-    assert ker == span_of(ctx, [1, 1])
+    assert ker == span_of(ctx, [1, 1]) and img == span_of(ctx, [1, 1])
 
 
 def test_rank_matches_brute_force_random():
@@ -182,8 +188,11 @@ def test_subspace_canonical_equality():
 
 
 def test_enumeration_cap():
+    # both raise on the count alone, before enumerating anything
     with pytest.raises(SizeCapError):
-        enumerate_subspaces(get_field(5), 4, 2, cap=10)
+        enumerate_subspaces(get_field(3), 8, 4)
+    with pytest.raises(SizeCapError):
+        IndexMap(get_field(2), 5, 5)
 
 
 def test_quotient_frame_unique_decomposition():
@@ -218,6 +227,33 @@ def test_complete_basis_keeps_rows_and_completes_the_empty_set_by_the_standard_b
         basis = complete_basis(ctx, sub.basis, 3)
         assert np.array_equal(basis[:2], sub.basis) and rank(ctx, basis) == 3
         assert np.array_equal(basis, QuotientFrame(ctx, sub).full_basis)
+
+
+def least_index_completion(ctx, rows, n):
+    """The reference: test the vectors of index 1, 2, ... one at a time."""
+    basis = [np.asarray(row, dtype=np.uint8) for row in rows]
+    idx = 1
+    while len(basis) < n:
+        v = decode_vector(idx, n, ctx.q)
+        if rank(ctx, np.array(basis + [v], dtype=np.uint8)) == len(basis) + 1:
+            basis.append(v)
+        idx += 1
+    return np.array(basis, dtype=np.uint8).reshape(n, n)
+
+
+def test_complete_basis_matches_the_candidate_loop_on_random_rows():
+    rng = np.random.default_rng(5)
+    for q in (2, 3, 4, 5, 7):
+        ctx = get_field(q)
+        for n in (1, 2, 3, 4):
+            for k in range(n + 1):
+                for _ in range(12):
+                    rows = rng.integers(0, q, size=(k, n)).astype(np.uint8)
+                    if rank(ctx, rows) < k:
+                        continue
+                    got = complete_basis(ctx, rows, n)
+                    assert got.dtype == np.uint8
+                    assert np.array_equal(got, least_index_completion(ctx, rows, n))
 
 
 def test_index_map_round_trip_and_examples():

@@ -14,13 +14,13 @@ from qharm.groups import (
     get_levels,
     junta_project,
     junta_test,
-    level_decompose,
     level_lower_check,
     level_project,
     level_project_eq,
     pointwise_stabilizer,
     random_group_table,
     transfer,
+    transfer_to_group,
 )
 
 RNG = np.random.default_rng(404)
@@ -60,14 +60,14 @@ def test_closure_spot_check():
 def test_transfer_round_trip_and_norm():
     g = get_group("sl", 2, 2)
     f = random_group_table(g, RNG, "complex")
-    jf = transfer(f, "j")
+    jf = transfer(f)
     assert abs(jf.mean() - f.mean() * g.size / jf.domain.size) < 1e-12
-    back = transfer(jf, "i", g)
+    back = transfer_to_group(jf, g)
     assert np.max(np.abs(back.values - f.values)) < 1e-12
     ones = g.constant(1.0)
-    assert abs(transfer(ones, "j").mean() - 6 / 16) < 1e-12
+    assert abs(transfer(ones).mean() - 6 / 16) < 1e-12
     # norm transfer: ||j(f)||^2 = (|G|/q^{n^2}) ||f||^2
-    assert abs(transfer(f, "j").norm2sq() - f.norm2sq() * g.size / 16) < 1e-12
+    assert abs(transfer(f).norm2sq() - f.norm2sq() * g.size / 16) < 1e-12
 
 
 def test_convolution_identities_and_oracle():
@@ -154,7 +154,7 @@ def test_level_projection_examples():
     assert np.max(np.abs(level_project(f, 1).values - f.values)) < 1e-9
     # Parseval across the filtration
     f = random_group_table(g, RNG, "complex")
-    parts = level_decompose(f)
+    parts = [level_project_eq(f, d) for d in range(g.n + 1)]
     assert abs(sum(p.norm2sq() for p in parts) - f.norm2sq()) < 1e-9
     total = np.sum([p.values for p in parts], axis=0)
     assert np.max(np.abs(total - f.values)) < 1e-9
@@ -164,8 +164,8 @@ def test_convolution_preserves_levels():
     g = get_group("sl", 2, 3)
     f = random_group_table(g, RNG, "complex")
     h = random_group_table(g, RNG, "complex")
-    fparts = level_decompose(f)
-    hparts = level_decompose(h)
+    fparts = [level_project_eq(f, d) for d in range(g.n + 1)]
+    hparts = [level_project_eq(h, d) for d in range(g.n + 1)]
     for d, fd in enumerate(fparts):
         conv = convolve(fd, h)
         for dp in range(g.n + 1):

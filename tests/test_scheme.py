@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from qharm.fqlin import span_of, zero_space, full_space
 from qharm.gf import get_field
 from qharm.scheme import (
+    FnTable,
     degree_decompose,
     degree_project,
     dualize,
@@ -11,7 +13,6 @@ from qharm.scheme import (
     get_scheme,
     random_table,
     restrict,
-    scheme_convolve,
 )
 
 RNG = np.random.default_rng(2024)
@@ -219,21 +220,20 @@ def test_site_cosets_partition():
 
 
 def test_convolution_diagonalizes():
+    # the transform of the abelian convolution (f*g)(A) = E_B f(A-B) g(B),
+    # by a double loop, is the product of the transforms
     ctx = get_scheme(2, 2, 2)
     f = random_table(ctx, RNG, "complex")
     g = random_table(ctx, RNG, "complex")
-    conv = scheme_convolve(f, g)
-    lhs = ctx.fourier_forward(conv.values)
-    rhs = ctx.fourier_forward(f.values) * ctx.fourier_forward(g.values)
-    assert np.max(np.abs(lhs - rhs)) < 1e-9
-    # brute-force convolution oracle on a small domain
     brute = np.zeros(ctx.size, dtype=np.complex128)
     for a in range(ctx.size):
         for b in range(ctx.size):
             amb = ctx.domain_index.add_indices(a, ctx.domain_index.neg_index(b))
             brute[a] += f.values[amb] * g.values[b]
     brute /= ctx.size
-    assert np.max(np.abs(conv.values - brute)) < 1e-9
+    lhs = ctx.fourier_forward(brute)
+    rhs = ctx.fourier_forward(f.values) * ctx.fourier_forward(g.values)
+    assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_dualize_involution_and_norm():
@@ -244,3 +244,13 @@ def test_dualize_involution_and_norm():
     dd = dualize(d)
     assert np.max(np.abs(dd.values - f.values)) < 1e-12
     assert abs(d.norm2sq() - f.norm2sq()) < 1e-12
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 2, 3), (3, 2, 2), (2, 3, 3), (4, 2, 2), (2, 1, 4), (3, 3, 3)])
+def test_dualize_matches_the_per_element_transpose(q, n, m):
+    ctx = get_scheme(q, n, m)
+    dual = get_scheme(q, m, n)
+    perm = np.array([ctx.domain_index.to_index(dual.domain_index.to_matrix(idx).T.copy())
+                     for idx in range(dual.size)])
+    f = FnTable(ctx, np.arange(ctx.size, dtype=np.complex128))
+    assert np.array_equal(dualize(f).values, f.values[perm])

@@ -127,9 +127,9 @@ def test_product_mixing_cases():
     # C disjoint from AB makes the triple correlation vanish
     a = GroupSet(g, [3])
     b = GroupSet(g, [5])
-    from qharm.bogolyubov import set_algebra
+    from qharm.bogolyubov import product_set
 
-    ab = set_algebra(a, b, "product")
+    ab = product_set(a, b)
     rest = np.setdiff1d(np.arange(g.size), ab.ordinals)
     c = GroupSet(g, rest[:4])
     rep2 = product_mixing(a, b, c)
@@ -197,7 +197,7 @@ def test_group_checks_small_instance():
 
 def test_bonami_isotypic_small_group():
     g = get_group("sl", 2, 2)
-    rows = bonami_isotypic_rows(g, RNG, ells=(4,))
+    rows = bonami_isotypic_rows(g, RNG)
     assert rows and not violations(rows)
 
 
