@@ -298,7 +298,8 @@ def _avg_vector_spectral(f: FnTable, v: np.ndarray) -> np.ndarray:
     return ctx.fourier_inverse(ctx.fourier_forward(f.values) * vector_avg_factors(ctx, v))
 
 
-def _avg_for_direction(f: FnTable, u: Subspace, side: str) -> FnTable:
+def avg_for_direction(f: FnTable, u: Subspace, side: str) -> FnTable:
+    """E_U f for a line U in V (side 'v') or a hyperplane U in W (side 'w')."""
     if side == "v":
         if u.dim != 1:
             raise ToolkitError("side 'v' needs a 1-dimensional subspace of V")
@@ -310,7 +311,7 @@ def _avg_for_direction(f: FnTable, u: Subspace, side: str) -> FnTable:
 
 def comb_laplacian(f: FnTable, u: Subspace, side: str) -> FnTable:
     """Combinatorial Laplacian f - E_U(f)."""
-    return f - _avg_for_direction(f, u, side)
+    return f - avg_for_direction(f, u, side)
 
 
 def t_operator(f: FnTable, i: int, u: Subspace, side: str) -> FnTable:
@@ -319,8 +320,8 @@ def t_operator(f: FnTable, i: int, u: Subspace, side: str) -> FnTable:
         raise ToolkitError("t_operator needs order i >= 1")
     ctx = _scheme_of(f)
     q = float(ctx.q)
-    e1 = _avg_for_direction(f, u, side)
-    e2 = _avg_for_direction(e1, u, side)
+    e1 = avg_for_direction(f, u, side)
+    e2 = avg_for_direction(e1, u, side)
     vals = f.values - (q**i + q ** (i - 1)) * e1.values + q ** (2 * i - 1) * e2.values
     return FnTable(ctx, vals)
 

@@ -105,7 +105,9 @@ def _site_witness(pair_idx: int, vp: Subspace, wp: Subspace, rep: int) -> str:
 def _audit_rows(f: FnTable, dmax: int, order_values, zeta: float | None, kind: str) -> GlobalnessReport:
     """order_values(d) yields (coset reps, value per rep) for each pair of
     restriction_pairs(d), in that order.  The order-d threshold is
-    q^{zeta d n} ||f||_2^2, or inf when zeta is None."""
+    q^{zeta d n} ||f||_2^2, or inf when zeta is None.  A row uses its own
+    order's sites alone, so the first d + 1 rows of an audit to any order
+    D >= d equal the rows of the audit to order d exactly."""
     ctx = _scheme_of(f)
     if dmax < 0:
         raise ToolkitError(f"audit order dmax={dmax} must be >= 0")
@@ -144,35 +146,38 @@ def global_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> Globalnes
     return _audit_rows(f, dmax, _coset_means(ctx, np.abs(f.values) ** 2), zeta, "restriction-norm2")
 
 
-# complex entries per batched inverse transform in influence_audit; bounds
+# complex entries per batched inverse transform of site_laplacians; bounds
 # its peak memory at about 16 MB a batch whatever the domain size
 _LAPLACIAN_BATCH_ELEMENTS = 2**20
+
+
+def site_laplacians(ctx: SchemeCtx, spectrum: np.ndarray, order: int):
+    """Yield ((V', W'), L_{V',W'} f) for each pair of restriction_pairs(order),
+    in that order, given the spectrum of f: the cached masks are stacked and
+    inverted in batches of at most _LAPLACIAN_BATCH_ELEMENTS entries."""
+    per_batch = max(1, _LAPLACIAN_BATCH_ELEMENTS // ctx.size)
+    pairs = ctx.restriction_pairs(order)
+    for lo in range(0, len(pairs), per_batch):
+        batch = pairs[lo: lo + per_batch]
+        masks = np.stack([laplacian_mask(ctx, vp, wp) for vp, wp in batch])
+        yield from zip(batch, ctx.fourier_inverse(spectrum * masks))
 
 
 def influence_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
     """Exact max generalized influence over sites of each order <= dmax.
 
-    f is transformed once.  For each order the cached Laplacian masks of
-    its sites are stacked and all their Laplacians come from batched
-    inverse transforms of at most _LAPLACIAN_BATCH_ELEMENTS entries; the
-    values equal calculus.influence_per_rep at every site bit for bit.
-
+    f is transformed once and its Laplacians come from site_laplacians;
+    the values equal calculus.influence_per_rep at every site bit for bit.
     The (d, eps)-small-influences reading aggregates orders <= d; use
     report.max_upto(d) for that.
     """
     ctx = _scheme_of(f)
     spectrum = ctx.fourier_forward(f.values)
-    per_batch = max(1, _LAPLACIAN_BATCH_ELEMENTS // ctx.size)
 
     def order_values(d):
-        pairs = ctx.restriction_pairs(d)
-        for lo in range(0, len(pairs), per_batch):
-            batch = pairs[lo: lo + per_batch]
-            masks = np.stack([laplacian_mask(ctx, vp, wp) for vp, wp in batch])
-            laps = ctx.fourier_inverse(spectrum * masks)
-            for (vp, wp), lap in zip(batch, laps):
-                reps, members = ctx.site_cosets(vp, wp)
-                yield reps, np.mean(np.abs(lap[members]) ** 2, axis=1)
+        for (vp, wp), lap in site_laplacians(ctx, spectrum, d):
+            reps, members = ctx.site_cosets(vp, wp)
+            yield reps, np.mean(np.abs(lap[members]) ** 2, axis=1)
 
     return _audit_rows(f, dmax, order_values, zeta, "influence")
 
@@ -594,30 +599,26 @@ class BumpResult:
     restricted_group: GroupTable
     restricted_ordinals: np.ndarray
     trace: list[BumpTrace]
-    reason: str  # "global" | "trivial_group" | "exhausted"
+    reason: str  # "global" | "trivial_group"
 
     def umvirate(self, group: GroupTable) -> GoodUmvirate:
         return GoodUmvirate(group, self.k, self.g, self.h)
 
 
-def density_bump_search(
-    group: GroupTable,
-    ordinals: np.ndarray,
-    r: float | None = None,
-    zeta: float = DEFAULT_ZETA,
-) -> BumpResult:
-    """Restrict A inside good umvirates until it is r-global relative to one.
+def density_bump_search(group: GroupTable, ordinals: np.ndarray, zeta: float = DEFAULT_ZETA) -> BumpResult:
+    """Restrict A inside good umvirates until it is r-global relative to one,
+    r = q^{zeta n / 2} for the n of the given group.
 
     Each step audits the current restriction, picks the largest-ratio
     violating umvirate, partitions it into good umvirates, and recurses
     into the densest piece.  Density never decreases by construction;
     the trace certifies each step's gain against the proof's r^s bound.
     A step lowers n by the piece's k >= 1 and the search stops below
-    n = 2, so it ends within n steps.
+    n = 2, so the loop always ends at a break within n steps.
     """
     _require_det_one(group, "bump search")
     ordinals = _set_ordinals(group, ordinals, "bump search")
-    r = float(group.q) ** (zeta * group.n / 2) if r is None else r
+    r = float(group.q) ** (zeta * group.n / 2)
 
     field = group.field
     cur_group = group
@@ -626,7 +627,6 @@ def density_bump_search(
     h_acc = np.eye(group.n, dtype=np.uint8)
     k_acc = 0
     trace: list[BumpTrace] = []
-    reason = "exhausted"
 
     for _ in range(group.n):
         if cur_group.n < 2:

@@ -291,8 +291,11 @@ class SchemeCtx:
         return FnTable(self, np.full(self.size, c, dtype=np.complex128))
 
     def indicator(self, indices) -> "FnTable":
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and (indices.min() < 0 or indices.max() >= self.size):
+            raise ToolkitError(f"indicator: indices must lie in [0, {self.size})")
         v = np.zeros(self.size, dtype=np.complex128)
-        v[np.asarray(indices, dtype=np.int64)] = 1.0
+        v[indices] = 1.0
         return FnTable(self, v)
 
     def char_fn(self, x_index: int) -> "FnTable":

@@ -4,8 +4,10 @@ experiments, and the inequality falsification batteries.
 Every inequality check computes its pseudorandomness parameter epsilon
 from an exact audit of the instance at hand: nothing is assumed, so
 each check is a statement-level test of the inequality rather than a
-vacuous constant comparison.  Violations are findings, returned in the
-rows, never exceptions.
+vacuous constant comparison.  An instance builds each derived function
+and audit once and reuses it in every check; audits run to the top
+order, since an audit's row at order d does not depend on how far it
+goes.  Violations are findings, returned in the rows, never exceptions.
 """
 
 from __future__ import annotations
@@ -15,15 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogolyubov import GroupSet, product_set
-from .calculus import avg_dual, avg_vector, direction_subspaces
+from .calculus import avg_for_direction, direction_subspaces
 from .errors import ToolkitError
 from .globality import (
     GlobalnessReport,
+    GoodUmvirate,
     global_audit,
     influence_audit,
     lp_global_audit,
     max_refining_restriction,
     set_global_audit,
+    site_laplacians,
 )
 from .groups import (
     GroupTable,
@@ -273,71 +277,85 @@ def _qpow(q: float, e: float) -> float:
     return float(q) ** e
 
 
-class SchemeInstanceChecks:
-    """All scheme-side inequality checks for one function, sharing audits."""
+class _InstanceChecks:
+    """A function under test and one memo, _once, that builds each derived
+    function and audit report once; audits run to the top order, self.top."""
 
-    def __init__(self, name: str, f: FnTable, dmax: int, rmax: int):
+    def __init__(self, name: str, f: FnTable):
         self.name = name
         self.f = f
-        self.ctx: SchemeCtx = f.domain
-        self.q = self.ctx.q
-        self.nv = self.ctx.n
-        self.dmax = min(dmax, self.ctx.n, self.ctx.m)
-        self.rmax = min(rmax, self.ctx.n + self.ctx.m)
-        self.audit = global_audit(f, max(self.dmax, self.rmax))
-        self.parts = degree_decompose(f)
+        self.q = f.domain.q
         self.is_boolean = bool(
             np.all(np.abs(f.values.imag) < 1e-12)
             and np.all(np.abs(f.values.real * (f.values.real - 1)) < 1e-9)
         )
-        self._cum: dict[int, FnTable] = {}
-        self._cum_inf: dict[int, GlobalnessReport] = {}
-        self._pure_inf: dict[int, GlobalnessReport] = {}
-        self._cum_glob: dict[tuple, GlobalnessReport] = {}
+        self._memo: dict = {}
+
+    def _once(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def _global(self, key, g: FnTable) -> GlobalnessReport:
+        return self._once(("global", key), lambda: global_audit(g, self.top))
+
+    def _lp_global(self, key, g: FnTable, ellp: float) -> GlobalnessReport:
+        return self._once(("lp", key, ellp), lambda: lp_global_audit(g, self.top, ellp))
+
+
+class SchemeInstanceChecks(_InstanceChecks):
+    """All scheme-side inequality checks for one function.  Audited
+    functions are named "f", ("cum", d) for f^{<=d} and ("pure", d) for f^{=d}."""
+
+    def __init__(self, name: str, f: FnTable, dmax: int, rmax: int):
+        super().__init__(name, f)
+        self.ctx: SchemeCtx = f.domain
+        self.dmax = min(dmax, self.ctx.n, self.ctx.m)
+        self.rmax = min(rmax, self.ctx.n + self.ctx.m)
+        self.top = max(self.dmax, self.rmax)
+        self.parts = degree_decompose(f)
 
     def cum(self, d: int) -> FnTable:
-        if d not in self._cum:
-            self._cum[d] = degree_project(self.f, d, "cumulative")
-        return self._cum[d]
+        return self._once(("cum", d), lambda: degree_project(self.f, d, "cumulative"))
 
-    def cum_influences(self, d: int) -> GlobalnessReport:
-        if d not in self._cum_inf:
-            self._cum_inf[d] = influence_audit(self.cum(d), d)
-        return self._cum_inf[d]
+    def _influences(self, key, g: FnTable) -> GlobalnessReport:
+        """Influence audit of g, named ("cum", d) or ("pure", d), to order d."""
+        return self._once(("influence", key), lambda: influence_audit(g, key[1]))
 
-    def pure_influences(self, d: int) -> GlobalnessReport:
-        if d not in self._pure_inf:
-            self._pure_inf[d] = influence_audit(self.parts[d], d)
-        return self._pure_inf[d]
+    def _averages(self):
+        """(U, side, E_U f) for every direction U."""
+        return self._once("averages", lambda: [
+            (u, side, avg_for_direction(self.f, u, side)) for u, side in direction_subspaces(self.ctx)
+        ])
 
-    def cum_global(self, d: int, rmax: int) -> GlobalnessReport:
-        key = (d, rmax)
-        if key not in self._cum_glob:
-            self._cum_glob[key] = global_audit(self.cum(d), rmax)
-        return self._cum_glob[key]
+    def _line_laplacians(self, d: int):
+        """(U, side, L_U f^{=d}) for every direction U, from the order-1 sites:
+        lines V' with W' = W, and hyperplanes W' with V' = 0."""
+        return self._once(("laplacians", d), lambda: [
+            (vp, "v", FnTable(self.ctx, lap)) if vp.dim == 1 else (wp, "w", FnTable(self.ctx, lap))
+            for (vp, wp), lap in site_laplacians(self.ctx, self.ctx.fourier_forward(self.parts[d].values), 1)
+        ])
 
     # -- criterion-3 family: influence/globalness equivalences ---------------
 
     def check_globalness_implies_small_influences(self, d: int):
         """(d,eps)-global f  =>  f^{=d} has (d, q^{10 d^2} eps)-small influences."""
-        eps = self.audit.value_at(d)
-        inf = self.pure_influences(d).max_upto(d)
+        eps = self._global("f", self.f).value_at(d)
+        inf = self._influences(("pure", d), self.parts[d]).max_upto(d)
         return _row(self.name, f"global->influences(d={d})", inf, _qpow(self.q, 10 * d * d) * eps)
 
     def check_small_influences_imply_globalness(self, d: int, r: int):
         """degree-d with (d,eps)-small influences  =>  (r, q^{10 d r} eps)-global."""
-        eps = self.cum_influences(d).max_upto(d)
-        val = self.cum_global(d, min(self.rmax, 3)).value_at(r)
+        eps = self._influences(("cum", d), self.cum(d)).max_upto(d)
+        val = self._global(("cum", d), self.cum(d)).value_at(r)
         return _row(self.name, f"influences->global(d={d},r={r})", val, _qpow(self.q, 10 * d * r) * eps)
 
     def check_averaging_preserves_globalness(self, r: int):
         """E_U(f)_{U->T} stays (r, 2 eps)-global; the r-restrictions over all
         T are the order-(r+1) restrictions of E_U(f) refining U."""
-        eps = self.audit.value_at(r)
-        ctx = self.ctx
+        eps = self._global("f", self.f).value_at(r)
         worst = -1.0
-        for u, side in direction_subspaces(ctx):
-            ef = avg_vector(self.f, u.basis[0]) if side == "v" else avg_dual(self.f, u)
+        for u, side, ef in self._averages():
             worst = max(worst, max_refining_restriction(ef, u, side, r + 1))
         return _row(self.name, f"avg-restriction-global(r={r})", worst, 2 * eps)
 
@@ -350,14 +368,10 @@ class SchemeInstanceChecks:
         fd = self.parts[d]
         if fd.norm2sq() < 1e-18:
             return None
-        from .calculus import spectral_laplacian_line
-
-        ctx = self.ctx
         eps1 = 0.0
-        for u, side in direction_subspaces(ctx):
-            lap = spectral_laplacian_line(fd, u, side)
+        for u, side, lap in self._line_laplacians(d):
             eps1 = max(eps1, max_refining_restriction(lap, u, side, r))
-        rep = global_audit(fd, r)
+        rep = self._global(("pure", d), fd)
         eps2 = rep.value_at(r - 1)
         val = rep.value_at(r)
         rhs = 2 * eps1 + 4 * _qpow(self.q, 2 * d) * eps2
@@ -368,7 +382,7 @@ class SchemeInstanceChecks:
         if 2 * d > self.ctx.n + self.ctx.m:
             return None
         g = self.cum(d)
-        eps = global_audit(g, d).value_at(d)
+        eps = self._global(("cum", d), g).value_at(d)
         g2 = FnTable(self.ctx, g.values * g.values)
         val = global_audit(g2, 2 * d).value_at(2 * d)
         return _row(self.name, f"square-global(d={d})", val, _qpow(self.q, 144 * d * d) * eps**2)
@@ -378,7 +392,7 @@ class SchemeInstanceChecks:
     def check_four_norm(self, d: int):
         """degree <= d with (d,eps)-small influences: ||f||_4^4 <= q^{103 d^2} eps ||f||_2^2."""
         g = self.cum(d)
-        eps = self.cum_influences(d).max_upto(d)
+        eps = self._influences(("cum", d), g).max_upto(d)
         return _row(
             self.name,
             f"four-norm(d={d})",
@@ -389,7 +403,7 @@ class SchemeInstanceChecks:
     def check_ell_norm(self, d: int, ell: int):
         """degree d, (d,eps)-global: ||f||_ell^ell <= q^{200 d^2 ell^2} ||f||_2^2 eps^{ell/2-1}."""
         g = self.cum(d)
-        eps = global_audit(g, d).value_at(d)
+        eps = self._global(("cum", d), g).value_at(d)
         rhs = _qpow(self.q, 200 * d * d * ell * ell) * g.norm2sq() * eps ** (ell / 2 - 1)
         return _row(self.name, f"ell-norm(d={d},ell={ell})", g.lp_power(ell), rhs)
 
@@ -397,14 +411,14 @@ class SchemeInstanceChecks:
         """Boolean (d,eps)-global: ||f^{=d}||_2^2 <= q^{460 d^2 ell} E[f] eps^{1-2/ell}."""
         if not self.is_boolean:
             return None
-        eps = self.audit.value_at(d)
+        eps = self._global("f", self.f).value_at(d)
         rhs = _qpow(self.q, 460 * d * d * ell) * self.f.mean().real * eps ** (1 - 2 / ell)
         return _row(self.name, f"level-weight(d={d},ell={ell})", self.parts[d].norm2sq(), rhs)
 
     def check_level_weight_from_pure_audit(self, d: int, ell: int):
         """f^{=d} (d,eps)-global: ||f^{=d}||_2^2 <= q^{300 d^2 ell} eps^{(ell-2)/(2ell-2)} ||f||_{l'}^{l'}."""
         fd = self.parts[d]
-        eps = global_audit(fd, d).value_at(d)
+        eps = self._global(("pure", d), fd).value_at(d)
         ellp = ell / (ell - 1)
         rhs = (
             _qpow(self.q, 300 * d * d * ell)
@@ -417,7 +431,7 @@ class SchemeInstanceChecks:
         """Boolean (d,eps)-global with eps >= q^{-t^2}: ||f^{=d}||^2 <= q^{922 d t} eps E[f]."""
         if not self.is_boolean:
             return None
-        eps = self.audit.value_at(d)
+        eps = self._global("f", self.f).value_at(d)
         if eps <= 0:
             return None
         t = float(np.sqrt(max(np.log(1 / eps) / np.log(self.q), 0.0)))
@@ -431,7 +445,7 @@ class SchemeInstanceChecks:
         base = fd.norm2sq()
         if base < 1e-14:
             return None
-        beta = self.pure_influences(d).max_upto(d) / base
+        beta = self._influences(("pure", d), self.parts[d]).max_upto(d) / base
         assert beta >= 1 - 1e-9
         ellp = ell / (ell - 1)
         rhs = _qpow(self.q, 420 * d * d * ell) * beta ** (1 - 2 / ell) * self.f.lp_norm(ellp) ** 2
@@ -440,8 +454,8 @@ class SchemeInstanceChecks:
     def check_lp_global_influences(self, d: int, ell: int):
         """(d,eps,L^{l'})-global: f^{=d} has (d, q^{500 d^2 ell} eps^2)-small influences."""
         ellp = ell / (ell - 1)
-        eps = lp_global_audit(self.f, d, ellp).value_at(d)
-        inf = self.pure_influences(d).max_upto(d)
+        eps = self._lp_global("f", self.f, ellp).value_at(d)
+        inf = self._influences(("pure", d), self.parts[d]).max_upto(d)
         return _row(
             self.name,
             f"lp-global-influences(d={d},ell={ell})",
@@ -450,57 +464,52 @@ class SchemeInstanceChecks:
         )
 
 
-class GroupInstanceChecks:
+class GroupInstanceChecks(_InstanceChecks):
     """Tensor-rank level inequality checks for one function on SL/GL."""
 
     def __init__(self, name: str, f: FnTable, dmax: int):
-        self.name = name
-        self.f = f
+        super().__init__(name, f)
         self.group: GroupTable = f.domain
-        self.q = self.group.q
         self.dmax = min(dmax, self.group.n)
+        self.top = self.dmax
         self.jf = transfer(f)
-        self.is_boolean = bool(
-            np.all(np.abs(f.values.imag) < 1e-12)
-            and np.all(np.abs(f.values.real * (f.values.real - 1)) < 1e-9)
-        )
+
+    def _level(self, d: int, strictness: str = "strict") -> FnTable:
+        return self._once(("level", d, strictness), lambda: level_project(self.f, d, strictness))
 
     def check_strict_level_weight(self, d: int, ell: int):
         """(d,eps,L^{l'})-global on G: strict-level weight bounded by
         q^{461 d^2 ell} ||f||_{l'}^{l'} eps^{(ell-2)/(ell-1)}."""
         ellp = ell / (ell - 1)
-        eps = lp_global_audit(self.jf, d, ellp).value_at(d)
-        g = level_project(self.f, d)
+        eps = self._lp_global("jf", self.jf, ellp).value_at(d)
         rhs = (
             _qpow(self.q, 461 * d * d * ell)
             * self.f.lp_power(ellp)
             * eps ** ((ell - 2) / (ell - 1))
         )
-        return _row(self.name, f"strict-level-weight(d={d},ell={ell})", g.norm2sq(), rhs)
+        return _row(self.name, f"strict-level-weight(d={d},ell={ell})", self._level(d).norm2sq(), rhs)
 
     def check_tensor_level_weight(self, d: int, ell: int):
         """Tensor-rank version with the q-1 character factor folded into 462."""
         ellp = ell / (ell - 1)
-        eps = lp_global_audit(self.jf, d, ellp).value_at(d)
-        g = level_project(self.f, d, "twisted")
+        eps = self._lp_global("jf", self.jf, ellp).value_at(d)
         rhs = (
             _qpow(self.q, 462 * d * d * ell)
             * self.f.lp_power(ellp)
             * eps ** ((ell - 2) / (ell - 1))
         )
-        return _row(self.name, f"tensor-level-weight(d={d},ell={ell})", g.norm2sq(), rhs)
+        return _row(self.name, f"tensor-level-weight(d={d},ell={ell})", self._level(d, "twisted").norm2sq(), rhs)
 
     def check_flexible_level_weight(self, d: int):
         """Boolean global: ||f_{<=d}||^2 <= q^{926 d t} E[f] eps, eps >= q^{-t^2}."""
         if not self.is_boolean:
             return None
-        eps = global_audit(self.jf, d).value_at(d)
+        eps = self._global("jf", self.jf).value_at(d)
         if eps <= 0:
             return None
         t = float(np.sqrt(max(np.log(1 / eps) / np.log(self.q), 0.0)))
-        g = level_project(self.f, d)
         rhs = _qpow(self.q, 926 * d * t) * self.f.mean().real * eps
-        return _row(self.name, f"flexible-level-weight(d={d})", g.norm2sq(), rhs, t=t)
+        return _row(self.name, f"flexible-level-weight(d={d})", self._level(d).norm2sq(), rhs, t=t)
 
 
 def bonami_isotypic_rows(group: GroupTable, rng: np.random.Generator):
@@ -557,8 +566,6 @@ def scheme_corpus(ctx: SchemeCtx, rng: np.random.Generator, n_boolean: int, n_de
 
 def group_set_corpus(group: GroupTable, rng: np.random.Generator, n_sets: int):
     """Boolean sets on a group: density grid plus umvirate-concentrated ones."""
-    from .globality import GoodUmvirate
-
     out = []
     densities = [0.5, 0.25, 0.125]
     for i in range(n_sets):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bogolyubov import (
     GroupSet,
+    bogolyubov_search,
     easy_set_cover,
     groumvirate_enumerate,
     groumvirate_orbit_count,
@@ -23,17 +24,21 @@ from .bogolyubov import (
 )
 from .calculus import (
     RestrictionSite,
-    avg_dual,
+    _avg_quotient_direct,
+    _avg_vector_spectral,
+    _bv_cached,
+    annihilator_functional,
+    avg_for_direction,
     avg_quotient,
-    avg_vector,
+    conditional_distribution_check,
     derivative,
     direction_subspaces,
     spectral_laplacian_line,
     t_operator,
 )
 from .errors import ToolkitError
-from .fqlin import full_space, span_of
-from .globality import cell_umvirate, good_umvirate_partition
+from .fqlin import encode_vector, enumerate_subspaces, full_space, mat_vec, span_of
+from .globality import GoodUmvirate, cell_umvirate, good_umvirate_partition
 from .groups import (
     get_group,
     get_isotypic,
@@ -48,6 +53,7 @@ from .scheme import (
     FnTable,
     degree_decompose,
     degree_project,
+    dualize,
     get_scheme,
     random_table,
     restrict,
@@ -188,22 +194,16 @@ def criterion_operator_identities() -> CheckResult:
 
             # averaging operators: measure the realization gaps explicitly
             u, side = dirs[int(rng.integers(len(dirs)))]
-            from .calculus import _avg_quotient_direct, _bv_cached
-            from .scheme import dualize
-
             eq = avg_quotient(f, vp)
             track("avg-quotient-forms", np.max(np.abs(eq.values - _avg_quotient_direct(f, vp))))
+            ev = avg_for_direction(f, u, side)
             if side == "v":
                 v = u.basis[0]
-                ev = avg_vector(f, v)
                 track("avg-vector-bv", np.max(np.abs(ev.values - _bv_cached(ctx, v).average(f.values))))
                 planes = [s for s in ctx.subspaces("v", n - 1) if not s.contains_vector(ctx.field, v)]
                 acc = np.mean([_avg_quotient_direct(f, s) for s in planes], axis=0)
                 track("avg-vector-hyperplane", np.max(np.abs(ev.values - acc)))
             else:
-                ev = avg_dual(f, u)
-                from .calculus import annihilator_functional, _avg_vector_spectral
-
                 fd = dualize(f)
                 comp = dualize(
                     FnTable(fd.domain, _avg_vector_spectral(fd, annihilator_functional(ctx, u)))
@@ -212,10 +212,9 @@ def criterion_operator_identities() -> CheckResult:
 
             # pure-degree Laplacian formula and the almost-pure operator
             i0 = max(1, min(int(rng.integers(1, min(n, m) + 1)), min(n, m)))
-            e_op = (lambda g: avg_vector(g, u.basis[0])) if side == "v" else (lambda g: avg_dual(g, u))
             for i in {i0, min(n, m)}:
                 lhs = spectral_laplacian_line(parts[i], u, side)
-                rhs = parts[i].values - float(q) ** i * e_op(parts[i]).values
+                rhs = parts[i].values - float(q) ** i * avg_for_direction(parts[i], u, side).values
                 track("pure-laplacian", np.max(np.abs(lhs.values - rhs)))
                 tf = t_operator(f, i, u, side)
                 for dd in (i, i - 1):
@@ -231,8 +230,6 @@ def criterion_operator_identities() -> CheckResult:
             v1 = span_of(field, np.eye(n, dtype=np.uint8)[:2])
             w1 = span_of(field, np.eye(m, dtype=np.uint8)[m - 1])
             sub1, emb1 = ctx.restriction_embedding(v2, w2)
-            from qharm.fqlin import mat_vec
-
             frame2 = ctx.quotient_frame(v2)
             v1q = span_of(field, [mat_vec(field, frame2.quotient_map, r) for r in v1.basis])
             w2piv = [int(np.argmax(r != 0)) for r in w2.basis]
@@ -253,8 +250,6 @@ def criterion_operator_identities() -> CheckResult:
                 track("derivative-composition", np.max(np.abs(lhs.values - rhs.values[align])))
 
     # the exhaustive joint-law distribution check at n = m = 2
-    from .calculus import conditional_distribution_check
-
     dist_ok = True
     for q in (2, 3):
         ctx = get_scheme(q, 2, 2)
@@ -323,8 +318,6 @@ def criterion_junta_level() -> CheckResult:
     # exhaustive junta <-> stabilizer-invariance equivalence on SL_2(F_3)
     g = get_group("sl", 2, 3)
     act = g.vector_action(False)
-    from qharm.fqlin import encode_vector
-
     for u in [span_of(g.field, [1, 0]), span_of(g.field, [1, 2]), span_of(g.field, [0, 1])]:
         sig = act[:, encode_vector(u.basis[0], 3)]
         for _ in range(10):
@@ -345,8 +338,6 @@ def criterion_junta_level() -> CheckResult:
         group = get_group(kind, n, q)
         bound = group.size / float(q) ** (n * n)
         # junta level lower bound on random juntas
-        from qharm.fqlin import enumerate_subspaces
-
         for d in (1, 2):
             for u in enumerate_subspaces(group.field, n, d)[:3]:
                 for _ in range(5):
@@ -444,9 +435,6 @@ def criterion_bogolyubov() -> CheckResult:
     t0 = time.time()
     rng = np.random.default_rng(47)
     issues = []
-
-    from .bogolyubov import bogolyubov_search
-    from .globality import GoodUmvirate
 
     g3 = get_group("sl", 3, 2)
     # structural case: a good-umvirate coset recovers its groumvirate

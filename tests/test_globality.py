@@ -163,6 +163,36 @@ def test_batched_influence_audit_matches_per_site_oracle(monkeypatch, small_batc
             assert got == per_site_influence_audit(f, dmax)
 
 
+@pytest.mark.parametrize("q, n, m", [(2, 2, 2), (3, 2, 2), (2, 3, 3)])
+def test_audit_rows_do_not_depend_on_dmax(q, n, m):
+    # the instance checks audit once to their top order and read lower orders
+    ctx = get_scheme(q, n, m)
+    top = n + m
+    for kind in ("boolean", "complex"):
+        f = random_table(ctx, RNG, kind)
+        for audit in (global_audit, influence_audit, lambda g, d: lp_global_audit(g, d, 4.0 / 3.0)):
+            rows = audit(f, top).rows
+            for d in range(top):
+                assert audit(f, d).rows == rows[: d + 1]
+
+
+@pytest.mark.parametrize("small_batches", [False, True])
+def test_site_laplacians_equal_the_single_site_laplacian(monkeypatch, small_batches):
+    import qharm.globality as globality
+    from qharm.calculus import laplacian
+
+    for (q, n, m) in [(2, 2, 2), (3, 2, 2), (2, 3, 3)]:
+        ctx = get_scheme(q, n, m)
+        if small_batches:
+            monkeypatch.setattr(globality, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
+        f = random_table(ctx, RNG, "complex")
+        for order in (1, 2):
+            got = list(globality.site_laplacians(ctx, ctx.fourier_forward(f.values), order))
+            assert [pair for pair, _ in got] == ctx.restriction_pairs(order)
+            for (vp, wp), lap in got:
+                assert np.array_equal(lap, laplacian(f, vp, wp).values)
+
+
 def test_refining_pairs_match_contains_filter():
     from qharm.calculus import direction_subspaces
 
@@ -446,6 +476,7 @@ def test_bump_search_trace_verified_by_counting():
     noise = RNG.choice(g.size, size=6, replace=False)
     a = np.unique(np.concatenate([gu.members(), noise]))
     res = density_bump_search(g, a)
+    assert res.reason in ("global", "trivial_group")
     mu0 = a.size / g.size
     assert res.trace[0].density_before == pytest.approx(mu0)
     for t in res.trace:

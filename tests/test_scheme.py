@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qharm.errors import ToolkitError
 from qharm.fqlin import span_of, zero_space, full_space
 from qharm.gf import get_field
 from qharm.scheme import (
@@ -57,6 +58,15 @@ def test_point_indicator_flat_spectrum():
     ctx = get_scheme(3, 1, 2)
     s = fourier_forward(ctx.indicator([0]))
     assert np.max(np.abs(s.coefficients - 1 / ctx.size)) < 1e-12
+
+
+def test_indicator_rejects_indices_outside_the_domain():
+    ctx = get_scheme(2, 2, 2)
+    for bad in ([-1], [16], [3, 16]):
+        with pytest.raises(ToolkitError, match=r"\[0, 16\)"):
+            ctx.indicator(bad)
+    assert ctx.indicator([]).norm2sq() == 0.0
+    assert np.flatnonzero(ctx.indicator([0, 15]).values).tolist() == [0, 15]
 
 
 def test_fast_transform_matches_naive():

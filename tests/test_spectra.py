@@ -4,6 +4,7 @@ product-free witnesses, and spot checks of the inequality batteries."""
 import numpy as np
 import pytest
 
+import qharm.spectra as spectra
 from qharm.bogolyubov import GroupSet, full_set
 from qharm.groups import (
     convolve,
@@ -193,6 +194,23 @@ def test_group_checks_small_instance():
         assert checks.check_tensor_level_weight(d, 4)["holds"]
         r = checks.check_flexible_level_weight(d)
         assert r is None or r["holds"]
+
+
+def test_instance_memo_matches_rebuilding_every_quantity(monkeypatch):
+    """Criterion 3 and 4 rows with the per-instance memo equal the rows
+    with every derived function and audit rebuilt at each use."""
+    scheme_corpus, group_set_corpus = spectra.scheme_corpus, spectra.group_set_corpus
+    # four Boolean instances (one umvirate-adversarial) and two degree ones per domain
+    monkeypatch.setattr(spectra, "scheme_corpus", lambda ctx, rng, nb, nd: scheme_corpus(ctx, rng, 4, 2))
+    monkeypatch.setattr(spectra, "group_set_corpus", lambda g, rng, n: group_set_corpus(g, rng, 6))
+
+    def rows():
+        return spectra.equivalence_suite(), spectra.scheme_inequality_suite(), spectra.group_inequality_suite()
+
+    memo = rows()
+    monkeypatch.setattr(spectra._InstanceChecks, "_once", lambda self, key, build: build())
+    assert rows() == memo
+    assert all(memo)
 
 
 def test_bonami_isotypic_small_group():
