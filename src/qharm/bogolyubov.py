@@ -9,7 +9,6 @@ search, and easy-set covers for approximate subgroups.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .globality import (
 from .groups import GroupTable
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupSet:
     """A subset of an enumerated group, held as sorted unique ordinals."""
 
@@ -48,16 +47,6 @@ class GroupSet:
         m = np.zeros(self.group.size, dtype=bool)
         m[self.ordinals] = True
         return m
-
-    def contains(self, other: "GroupSet") -> bool:
-        return bool(np.all(np.isin(other.ordinals, self.ordinals)))
-
-    def __eq__(self, other) -> bool:
-        return self.group is other.group and np.array_equal(self.ordinals, other.ordinals)
-
-
-def full_set(group: GroupTable) -> GroupSet:
-    return GroupSet(group, np.arange(group.size))
 
 
 def product_set(a: GroupSet, b: GroupSet) -> GroupSet:
@@ -91,8 +80,7 @@ def groumvirate_enumerate(group: GroupTable, k: int) -> list[GoodUmvirate]:
     field = group.field
     if k == 0:
         return [GoodUmvirate(group, 0, group.identity, group.identity)]
-    if n - k <= 1:
-        warnings.warn(f"L_{k} is trivial for n={n} (SL_{n-k})", stacklevel=2)
+    if n - k <= 1:  # L_k = SL_{n-k} is trivial
         return [GoodUmvirate(group, k, group.identity, group.identity)]
     out = []
     for fsub in enumerate_subspaces(field, n, k):
@@ -152,10 +140,7 @@ def bogolyubov_search(a: GroupSet) -> BogolyubovResult:
     smask = s.mask()
     best = None
     for k in range(group.n + 1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            candidates = groumvirate_enumerate(group, k)
-        for gu in candidates:
+        for gu in groumvirate_enumerate(group, k):
             if np.all(smask[gu.members()]):
                 best = gu
                 break

@@ -1,4 +1,4 @@
-"""Laplacians, derivatives, averaging operators, and influences on L(V, W).
+"""Laplacians, derivatives and averaging operators on L(V, W).
 
 Every operator that has both a spectral and a combinatorial definition
 computes both realizations and cross-asserts them within tolerance
@@ -14,7 +14,8 @@ Spectral conventions (X ranges over the dual index L(W, V)):
     avg_dual    E_{W'}    damps X with Ker(X) + W' = W by q^{-rank(X)}
 
 The derivative D_{V1,W1,T} is the (V1, W1) -> T restriction of the
-Laplacian, and the influence at a site is its squared 2-norm.
+Laplacian, and the influence at a site is its squared 2-norm (audited
+by globality.influence_audit).
 """
 
 from __future__ import annotations
@@ -147,20 +148,6 @@ def derivative(f: FnTable, site: RestrictionSite) -> FnTable:
     return restrict(lap, site.v1, site.w1, site.t_index)
 
 
-def influence(f: FnTable, site: RestrictionSite) -> float:
-    """Generalized influence: squared 2-norm of the derivative at the site."""
-    return derivative(f, site).norm2sq()
-
-
-def influence_per_rep(f: FnTable, v1: Subspace, w1: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """(coset reps, influence at each rep) for all distinct T at a site."""
-    ctx = _scheme_of(f)
-    lap = laplacian(f, v1, w1)
-    reps, members = ctx.site_cosets(v1, w1)
-    vals = np.mean(np.abs(lap.values[members]) ** 2, axis=1)
-    return reps, vals
-
-
 def _avg_quotient_direct(f: FnTable, vp: Subspace) -> np.ndarray:
     ctx = _scheme_of(f)
     wfull = full_space(ctx.field, ctx.m)
@@ -244,7 +231,7 @@ def avg_vector(f: FnTable, v: np.ndarray) -> FnTable:
     v = np.asarray(v, dtype=np.uint8).reshape(-1)
     if not np.any(v):
         raise ToolkitError("E_v requires a nonzero vector")
-    spectral = ctx.fourier_inverse(ctx.fourier_forward(f.values) * vector_avg_factors(ctx, v))
+    spectral = _avg_vector_spectral(f, v)
     bv = _bv_cached(ctx, v)
     via_bv = bv.average(f.values)
     err = float(np.max(np.abs(spectral - via_bv)))
@@ -307,11 +294,6 @@ def avg_for_direction(f: FnTable, u: Subspace, side: str) -> FnTable:
     if side == "w":
         return avg_dual(f, u)
     raise ToolkitError(f"unknown side {side!r}")
-
-
-def comb_laplacian(f: FnTable, u: Subspace, side: str) -> FnTable:
-    """Combinatorial Laplacian f - E_U(f)."""
-    return f - avg_for_direction(f, u, side)
 
 
 def t_operator(f: FnTable, i: int, u: Subspace, side: str) -> FnTable:

@@ -358,15 +358,11 @@ class QuotientFrame:
     def __init__(self, ctx: FieldCtx, subspace: Subspace):
         n = subspace.ambient
         k = subspace.dim
-        self.ctx = ctx
         self.subspace = subspace
         self.full_basis = complete_basis(ctx, subspace.basis, n)
         # coords c of v satisfy v = sum c_i * basis_row_i, i.e. c = (B^T)^{-1} v.
         self.coord_matrix = inv_matrix(ctx, self.full_basis.T.copy())
         self.quotient_map = self.coord_matrix[k:, :].copy()
-
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        return mat_vec(self.ctx, self.coord_matrix, v)
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,6 @@ class FieldCtx:
     def add(self, x: int, y: int) -> int:
         return int(self.add_table[x, y])
 
-    def sub(self, x: int, y: int) -> int:
-        return int(self.add_table[x, self.neg_table[y]])
-
     def mul(self, x: int, y: int) -> int:
         return int(self.mul_table[x, y])
 
@@ -194,17 +191,6 @@ class FieldCtx:
         if self.q == 2:
             return 1
         return int(self.exp_table[(int(self.log_table[x]) * k) % (self.q - 1)])
-
-    def trace(self, x: int) -> int:
-        """Absolute trace Tr(x) = sum of x^(p^i), an element of F_p."""
-        return int(self.trace_table[x])
-
-    def char(self, x: int) -> complex:
-        """Additive character phi(x) = exp(2*pi*i*Tr(x)/p), a p-th root of unity."""
-        return complex(self.char_table[x])
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def _build_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.q

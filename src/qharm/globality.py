@@ -167,7 +167,8 @@ def influence_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> Global
     """Exact max generalized influence over sites of each order <= dmax.
 
     f is transformed once and its Laplacians come from site_laplacians;
-    the values equal calculus.influence_per_rep at every site bit for bit.
+    the values equal the per-site reference `influence_per_rep` in
+    tests/oracles.py at every site bit for bit.
     The (d, eps)-small-influences reading aggregates orders <= d; use
     report.max_upto(d) for that.
     """
@@ -384,12 +385,6 @@ class GoodUmvirate:
         lk = block_subgroup_members(self.group, self.k)
         return np.sort(m[self.g, m[lk, self.h]])
 
-    def contains(self, ordinal: int) -> bool:
-        m = self.group.mul_table()
-        x = m[m[self.group.inv[self.g], ordinal], self.group.inv[self.h]]
-        lk = block_subgroup_members(self.group, self.k)
-        return bool(np.isin(x, lk))
-
     def density(self) -> float:
         return len(block_subgroup_members(self.group, self.k)) / self.group.size
 
@@ -600,9 +595,6 @@ class BumpResult:
     restricted_ordinals: np.ndarray
     trace: list[BumpTrace]
     reason: str  # "global" | "trivial_group"
-
-    def umvirate(self, group: GroupTable) -> GoodUmvirate:
-        return GoodUmvirate(group, self.k, self.g, self.h)
 
 
 def density_bump_search(group: GroupTable, ordinals: np.ndarray, zeta: float = DEFAULT_ZETA) -> BumpResult:

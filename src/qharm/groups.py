@@ -114,9 +114,6 @@ class GroupTable:
             self._mul = m
         return self._mul
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self.mul_table()[i, j])
-
     def xyinv_table(self) -> np.ndarray:
         """Table of x y^{-1} ordinals, the kernel of group convolution."""
         if self._xyinv is None:
@@ -167,9 +164,6 @@ class GroupTable:
         if v.shape[0] != self.size:
             raise ToolkitError(f"expected {self.size} values, got {v.shape[0]}")
         return FnTable(self, v)
-
-    def constant(self, c: complex = 1.0) -> FnTable:
-        return FnTable(self, np.full(self.size, c, dtype=np.complex128))
 
     def indicator(self, ordinals) -> FnTable:
         v = np.zeros(self.size, dtype=np.complex128)
@@ -390,11 +384,17 @@ def get_levels(group: GroupTable, mode: str = "strict") -> LevelBasisSet:
     return _LEVEL_CACHE[key]
 
 
+def level_mode(group: GroupTable, strictness: str) -> str:
+    """The levels a projection of the given strictness reads: the twisted
+    levels only on GL; on SL, whose determinant characters are trivial,
+    both strictnesses read the strict levels."""
+    return strictness if group.kind == "gl" else "strict"
+
+
 def level_project(f: FnTable, d: int, strictness: str = "strict") -> FnTable:
     """Orthogonal projection f_{<=d}; f_{=d} via level_project_eq."""
     group = _group_of(f)
-    levels = get_levels(group, mode=strictness if group.kind == "gl" else "strict")
-    b = levels.cum_basis(d)
+    b = get_levels(group, mode=level_mode(group, strictness)).cum_basis(d)
     coeffs = b.conj() @ f.values / group.size
     return FnTable(group, coeffs @ b)
 

@@ -18,8 +18,10 @@ flattened table (Good's interaction algorithm): each step views the
 table as (batch, q, rest), contracts the leading digit with the kernel
 and moves it to the back, so after k = nm steps the digits are back in
 order and one transpose applies the permutation.  That is the only
-fast path; a naive character-matrix path is kept for cross-checks on
-small domains.
+fast path; the naive character matrix is kept for cross-checks on
+small domains.  The slow references the tests compare these paths with
+(the scalar character value, the naive inverse transform, the per-index
+character restriction) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -141,19 +143,6 @@ class SchemeCtx:
 
     # -- characters and transforms -------------------------------------------
 
-    def char_value(self, X: np.ndarray, A: np.ndarray) -> complex:
-        """u_X(A) = phi(tr(X A)); X is (n, m), A is (m, n)."""
-        X = np.asarray(X, dtype=np.uint8)
-        A = np.asarray(A, dtype=np.uint8)
-        if X.shape != (self.n, self.m) or A.shape != (self.m, self.n):
-            raise ToolkitError(f"shape mismatch: X{X.shape} A{A.shape} on {self!r}")
-        f = self.field
-        acc = 0
-        for i in range(self.n):
-            for j in range(self.m):
-                acc = f.add(acc, f.mul(int(X[i, j]), int(A[j, i])))
-        return f.char(acc)
-
     def _transform(self, values: np.ndarray, kernel: np.ndarray, perm: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.complex128)
         if self.k == 0:
@@ -179,29 +168,29 @@ class SchemeCtx:
     def fourier_inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return self._transform(coeffs, self._kernel_inv, self._perm_inv)
 
+    def char_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of the character matrix: u_X(A) for the dual
+        indices X in [lo, hi) and every domain index A."""
+        dx = self.dual_index.digits_table()[lo:hi]
+        da = self.domain_index.digits_table()
+        f = self.field
+        acc = np.zeros((dx.shape[0], self.size), dtype=np.uint8)
+        for p_a in range(self.k):
+            p_x = int(self._pair[p_a])
+            acc = f.add_table[acc, f.mul_table[dx[:, p_x][:, None], da[:, p_a][None, :]]]
+        return f.char_table[acc]
+
     def char_matrix(self) -> np.ndarray:
         """Full (N_dual, N) character matrix, for naive-path cross-checks."""
         if self._char_matrix is None:
             if self.size > _NAIVE_CAP:
                 raise SizeCapError(f"naive character matrix refused for N={self.size}")
-            dx = self.dual_index.digits_table()
-            da = self.domain_index.digits_table()
-            f = self.field
-            acc = np.zeros((self.size, self.size), dtype=np.uint8)
-            for p_a in range(self.k):
-                p_x = int(self._pair[p_a])
-                term = f.mul_table[dx[:, p_x][:, None], da[:, p_a][None, :]]
-                acc = f.add_table[acc, term]
-            self._char_matrix = f.char_table[acc]
+            self._char_matrix = self.char_rows(0, self.size)
         return self._char_matrix
 
     def fourier_forward_naive(self, values: np.ndarray) -> np.ndarray:
         c = self.char_matrix()
         return np.asarray(values, dtype=np.complex128) @ c.conj().T / self.size
-
-    def fourier_inverse_naive(self, coeffs: np.ndarray) -> np.ndarray:
-        c = self.char_matrix()
-        return np.asarray(coeffs, dtype=np.complex128) @ c
 
     # -- restrictions ---------------------------------------------------------
 
@@ -234,19 +223,9 @@ class SchemeCtx:
         idx = self.domain_index.add_indices(emb, t_index)
         return np.asarray(values)[..., idx]
 
-    def char_restriction_dual_index(self, vp: Subspace, wp: Subspace, x_index: int) -> int:
-        """Dual index of Y = X(W', V/V') in the restricted scheme."""
-        sub, _ = self.restriction_embedding(vp, wp)
-        frame = self.quotient_frame(vp)
-        x = self.dual_index.to_matrix(x_index)
-        y = mat_mul(self.field, mat_mul(self.field, frame.quotient_map, x), wp.basis.T.copy())
-        return sub.dual_index.to_index(y)
-
     def char_restriction_table(self, vp: Subspace, wp: Subspace) -> np.ndarray:
-        """Dual index of Y = Q X Cw^T in the restricted scheme, for every X.
-
-        Entry x equals char_restriction_dual_index(vp, wp, x); cached.
-        """
+        """Dual index of Y = Q X Cw^T in the restricted scheme, for every X,
+        with Q the quotient map of V' and Cw the basis of W'; cached."""
         key = ("char_restriction", vp.key, wp.key)
         if key not in self._embeddings:
             sub, _ = self.restriction_embedding(vp, wp)
@@ -287,17 +266,6 @@ class SchemeCtx:
             raise ToolkitError(f"expected {self.size} values, got {v.shape[0]}")
         return FnTable(self, v)
 
-    def constant(self, c: complex = 1.0) -> "FnTable":
-        return FnTable(self, np.full(self.size, c, dtype=np.complex128))
-
-    def indicator(self, indices) -> "FnTable":
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.size):
-            raise ToolkitError(f"indicator: indices must lie in [0, {self.size})")
-        v = np.zeros(self.size, dtype=np.complex128)
-        v[indices] = 1.0
-        return FnTable(self, v)
-
     def char_fn(self, x_index: int) -> "FnTable":
         """u_X as a function table."""
         coeffs = np.zeros(self.size, dtype=np.complex128)
@@ -334,19 +302,6 @@ class FnTable:
         """E|f|^p (the p-th power of the p-norm)."""
         return float(np.mean(np.abs(self.values) ** p))
 
-    def __add__(self, other):
-        return FnTable(self.domain, self.values + other.values)
-
-    def __sub__(self, other):
-        return FnTable(self.domain, self.values - other.values)
-
-    def __mul__(self, c):
-        if isinstance(c, FnTable):
-            return FnTable(self.domain, self.values * c.values)
-        return FnTable(self.domain, self.values * c)
-
-    __rmul__ = __mul__
-
 
 class SpectrumTable:
     """Fourier coefficients over the dual index of a scheme."""
@@ -356,9 +311,6 @@ class SpectrumTable:
     def __init__(self, ctx: SchemeCtx, coefficients: np.ndarray):
         self.ctx = ctx
         self.coefficients = np.asarray(coefficients, dtype=np.complex128)
-
-    def norm2sq(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +336,6 @@ def _scheme_of(f: FnTable) -> SchemeCtx:
 def fourier_forward(f: FnTable) -> SpectrumTable:
     ctx = _scheme_of(f)
     return SpectrumTable(ctx, ctx.fourier_forward(f.values))
-
-
-def fourier_inverse(s: SpectrumTable) -> FnTable:
-    return FnTable(s.ctx, s.ctx.fourier_inverse(s.coefficients))
 
 
 def degree_project(f: FnTable, d: int, mode: str = "pure") -> FnTable:

@@ -37,6 +37,7 @@ from .groups import (
     get_isotypic,
     get_levels,
     isotypic_blocks,
+    level_mode,
     level_project,
     level_project_eq,
     transfer,
@@ -475,7 +476,10 @@ class GroupInstanceChecks(_InstanceChecks):
         self.jf = transfer(f)
 
     def _level(self, d: int, strictness: str = "strict") -> FnTable:
-        return self._once(("level", d, strictness), lambda: level_project(self.f, d, strictness))
+        """f_{<=d}, keyed by the levels it reads, so that on SL the strict
+        and tensor-rank checks share one projection."""
+        mode = level_mode(self.group, strictness)
+        return self._once(("level", d, mode), lambda: level_project(self.f, d, mode))
 
     def check_strict_level_weight(self, d: int, ell: int):
         """(d,eps,L^{l'})-global on G: strict-level weight bounded by

@@ -105,17 +105,9 @@ def criterion_character_fourier() -> CheckResult:
     for (q, n, m) in domains:
         ctx = get_scheme(q, n, m)
         # orthonormality: <u_X, u_Y> = E[u_{X-Y}], so check all character sums
-        dx = ctx.dual_index.digits_table()
-        da = ctx.domain_index.digits_table()
-        field = ctx.field
         chunk = max(1, 2**18 // max(ctx.size, 1))
         for lo in range(0, ctx.size, chunk):
-            hi = min(lo + chunk, ctx.size)
-            acc = np.zeros((hi - lo, ctx.size), dtype=np.uint8)
-            for p_a in range(ctx.k):
-                p_x = int(ctx._pair[p_a])
-                acc = field.add_table[acc, field.mul_table[dx[lo:hi, p_x][:, None], da[:, p_a][None, :]]]
-            sums = field.char_table[acc].mean(axis=1)
+            sums = ctx.char_rows(lo, min(lo + chunk, ctx.size)).mean(axis=1)
             if lo == 0:
                 worst = max(worst, abs(sums[0] - 1.0))
                 sums = sums[1:]

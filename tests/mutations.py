@@ -1,0 +1,263 @@
+"""Single-line mutations of the fast paths, each of which a test must kill.
+
+    python tests/mutations.py
+
+A mutation names a file, one exact source line of it (the anchor,
+compared with its indentation stripped), the line that replaces it, and
+the tests that must fail once it is in.  The script copies src/ and
+tests/ to a temporary directory, checks that the listed tests pass on
+the unmutated copy, then applies each mutation alone and runs its tests
+there.  A mutant is killed when pytest reports a failing test (exit
+status 1).  The script exits with status 1 if any anchor is missing or
+repeated, or any mutant survives or errors.
+
+pytest does not collect this file; tests/test_mutation_anchors.py
+checks in tier-1 that every anchor still occurs exactly once, so the
+list cannot rot silently.  The first nine mutations are the ones the
+fast paths were first checked against by hand; the rest break, one at
+a time, a fast path that a reference in tests/oracles.py checks.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutation(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    anchor: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+GT = "tests/test_group_tables.py::"
+BT = "tests/test_batched_tables.py::"
+SCH = "tests/test_scheme.py::"
+GLO = "tests/test_globality.py::"
+
+MUTATIONS = [
+    Mutation("Leibniz sign", "src/qharm/fqlin.py",
+             "if sum(i > j for i, j in combinations(perm, 2)) % 2:",
+             "if not sum(i > j for i, j in combinations(perm, 2)) % 2:",
+             (GT + "test_det_matches_elimination_on_every_matrix[3-2]",)),
+    Mutation("swapped product columns", "src/qharm/groups.py",
+             "m[g] = self.pos[placed[g][cols] @ self._units]",
+             "m[g] = self.pos[placed[g][cols[:, ::-1]] @ self._units]",
+             (GT + "test_mul_table_matches_row_loop[sl-2-3]",)),
+    Mutation("inverse taken as the action itself", "src/qharm/groups.py",
+             "preimages = np.argsort(self.vector_action(), axis=1)",
+             "preimages = self.vector_action()",
+             (GT + "test_element_tables_match_per_element_loops[sl-2-3]",)),
+    Mutation("reversed system index", "src/qharm/groups.py",
+             "system_of.append(len(systems) + which.reshape(-1))",
+             "system_of.append(len(systems) + which.reshape(-1)[::-1])",
+             (GT + "test_dictator_systems_match_target_loop[sl-2-3]",)),
+    Mutation("transposed ordinal lookup", "src/qharm/groups.py",
+             "return self.pos[mats.reshape(mats.shape[:-2] + (self.n * self.n,)) @ self.scheme.domain_index.powers]",
+             "return self.pos[np.swapaxes(mats, -1, -2).reshape(mats.shape[:-2] + (self.n * self.n,))"
+             " @ self.scheme.domain_index.powers]",
+             (GT + "test_ordinals_of_maps_stacks_and_marks_non_members",)),
+    Mutation("wrong L_k block", "src/qharm/globality.py",
+             "out[:, k:, k:] = blocks",
+             "out[:, : n - k, : n - k] = blocks",
+             (GT + "test_block_subgroups_match_member_loop[sl-3-2]",)),
+    Mutation("off-by-one range check", "src/qharm/groups.py",
+             "if ordinals.size and (ordinals.min() < 0 or ordinals.max() >= self.size):",
+             "if ordinals.size and (ordinals.min() < 0 or ordinals.max() > self.size):",
+             ("tests/test_bogolyubov.py::test_out_of_range_ordinals_are_rejected",)),
+    Mutation("kernel @ t operand order", "src/qharm/scheme.py",
+             "t = (t.reshape(b, q, size // q).transpose(0, 2, 1) @ kernel_t).reshape(b, size)",
+             "t = (kernel @ t.reshape(b, q, size // q)).transpose(0, 2, 1).reshape(b, size)",
+             (SCH + "test_transform_bit_identical_to_moveaxis_reference",)),
+    Mutation("four-norm influence memo keyed pure", "src/qharm/spectra.py",
+             'eps = self._influences(("cum", d), g).max_upto(d)',
+             'eps = self._influences(("pure", d), g).max_upto(d)',
+             ("tests/test_spectra.py::test_instance_memo_matches_rebuilding_every_quantity",)),
+    # -- one per reference in tests/oracles.py ---------------------------------
+    Mutation("character rows pair X[i, j] with A[i, j]", "src/qharm/scheme.py",
+             "acc = f.add_table[acc, f.mul_table[dx[:, p_x][:, None], da[:, p_a][None, :]]]",
+             "acc = f.add_table[acc, f.mul_table[dx[:, p_a][:, None], da[:, p_a][None, :]]]",
+             (SCH + "test_char_value_examples",)),
+    Mutation("inverse kernel conjugated", "src/qharm/scheme.py",
+             "self._kernel_inv = chars",
+             "self._kernel_inv = np.conj(chars)",
+             (SCH + "test_fast_transform_matches_naive",)),
+    Mutation("character restriction with W' basis reversed", "src/qharm/scheme.py",
+             "ys = mat_mul(self.field, qx, wp.basis.T)",
+             "ys = mat_mul(self.field, qx, wp.basis.T[:, ::-1])",
+             (BT + "test_char_restriction_table_matches_scalar_map[domain0]",)),
+    Mutation("dualize without the transpose", "src/qharm/scheme.py",
+             "ctx._embeddings[key] = b.transpose(0, 2, 1).reshape(dual.size, ctx.k).astype(np.int64)"
+             " @ ctx.domain_index.powers",
+             "ctx._embeddings[key] = b.reshape(dual.size, ctx.k).astype(np.int64) @ ctx.domain_index.powers",
+             (SCH + "test_dualize_matches_the_per_element_transpose[2-2-3]",)),
+    Mutation("rank table of the reshaped digits", "src/qharm/fqlin.py",
+             "stack = self.digits_table().reshape(self.size, self.rows, self.cols)",
+             "stack = self.digits_table().reshape(self.size, self.cols, self.rows)",
+             (BT + "test_rank_tables_match_scalar_loop[domain3]",)),
+    Mutation("Laplacian mask ignores W1", "src/qharm/calculus.py",
+             "preimage_in_w1 = _stacked_rank(ctx, qx, w1_perp) == batched_rank(ctx.field, qx)",
+             "preimage_in_w1 = _stacked_rank(ctx, qx, w1_perp) >= batched_rank(ctx.field, qx)",
+             (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
+    Mutation("quotient mask keeps every X", "src/qharm/calculus.py",
+             "ctx._masks[key] = _stacked_rank(ctx, xs_t, vp.basis) == vp.dim",
+             "ctx._masks[key] = _stacked_rank(ctx, xs_t, vp.basis) >= vp.dim",
+             (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
+    Mutation("E_v damps v in Im(X)", "src/qharm/calculus.py",
+             "ctx._masks[key] = _damping(ctx, _stacked_rank(ctx, xs_t, v_row) != ctx.rank_table_dual())",
+             "ctx._masks[key] = _damping(ctx, _stacked_rank(ctx, xs_t, v_row) == ctx.rank_table_dual())",
+             (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
+    Mutation("E_W' spanning test against dim W'", "src/qharm/calculus.py",
+             "full = ctx.rank_table_dual() + wp_perp.shape[0]",
+             "full = ctx.rank_table_dual() + wp.dim",
+             (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
+    Mutation("restriction embedding read in reversed digits", "src/qharm/scheme.py",
+             "emb = embedded.reshape(sub.size, self.k).astype(np.int64) @ self.domain_index.powers",
+             "emb = embedded.reshape(sub.size, self.k).astype(np.int64) @ self.domain_index.powers[::-1]",
+             (BT + "test_embeddings_and_cosets_match_scalar_loop[domain1]",)),
+    Mutation("coset members in embedding order", "src/qharm/scheme.py",
+             "members = self.domain_index.add_indices(reps[:, None], np.sort(emb)[None, :])",
+             "members = self.domain_index.add_indices(reps[:, None], emb[None, :])",
+             (BT + "test_embeddings_and_cosets_match_scalar_loop[domain1]",)),
+    Mutation("restriction mass as a coset max", "src/qharm/globality.py",
+             "yield reps, np.mean(values[members], axis=1)",
+             "yield reps, np.max(values[members], axis=1)",
+             (GLO + "test_global_audit_matches_brute_force",)),
+    Mutation("influence as the squared mean modulus", "src/qharm/globality.py",
+             "yield reps, np.mean(np.abs(lap[members]) ** 2, axis=1)",
+             "yield reps, np.mean(np.abs(lap[members]), axis=1) ** 2",
+             (GLO + "test_batched_influence_audit_matches_per_site_oracle[False]",)),
+    Mutation("site Laplacians paired with reversed masks", "src/qharm/globality.py",
+             "yield from zip(batch, ctx.fourier_inverse(spectrum * masks))",
+             "yield from zip(batch, ctx.fourier_inverse(spectrum * masks[::-1]))",
+             (GLO + "test_audit_witness_is_attained",)),
+    Mutation("set audit ratio without 1/mu", "src/qharm/globality.py",
+             "ratios = (counts[tables.cell_orders == d] / tables.cell_sizes[d]) / mu",
+             "ratios = counts[tables.cell_orders == d] / tables.cell_sizes[d]",
+             ("tests/test_set_audit_parity.py::test_set_audit_equals_dense_reference[sl-2-3]",)),
+    Mutation("set audit drops the first member", "src/qharm/globality.py",
+             "counts = np.bincount(tables.cell_of[ordinals].ravel(), minlength=tables.cell_orders.size)",
+             "counts = np.bincount(tables.cell_of[ordinals[1:]].ravel(), minlength=tables.cell_orders.size)",
+             (GLO + "test_set_audit_matches_counting_oracle",)),
+    Mutation("set audit takes the least ratio", "src/qharm/globality.py",
+             "k = int(np.argmax(ratios))",
+             "k = int(np.argmin(ratios))",
+             ("tests/test_set_audit_parity.py::test_set_audit_witnesses_recount_on_gl2_f7",)),
+    Mutation("partition determinant fix ignores the right factor", "src/qharm/globality.py",
+             "delta = field.mul_table[field.inv_table[det_left], field.inv_table[det_right]]",
+             "delta = field.inv_table[det_left]",
+             ("tests/test_partition_parity.py::test_batched_partition_matches_scalar_reference[sl2_f3_all_cells]",)),
+    Mutation("block restriction with g and h swapped", "src/qharm/globality.py",
+             "prods = mat_mul(group.field, mat_mul(group.field, g, _block_embedding(group.n, k, group.q)), h)",
+             "prods = mat_mul(group.field, mat_mul(group.field, h, _block_embedding(group.n, k, group.q)), g)",
+             (GT + "test_block_restriction_matches_member_loop[sl-2-3]",)),
+    Mutation("vector actions swapped", "src/qharm/groups.py",
+             "mats = np.swapaxes(self.mats, 1, 2) if transpose else self.mats",
+             "mats = self.mats if transpose else np.swapaxes(self.mats, 1, 2)",
+             (GT + "test_element_tables_match_per_element_loops[sl-2-3]",)),
+    Mutation("cells filed one order up", "src/qharm/groups.py",
+             "self.cells = [cells[self.cell_orders == d] for d in range(2 * group.n + 1)]",
+             "self.cells = [cells[self.cell_orders == d] for d in range(1, 2 * group.n + 2)]",
+             (GT + "test_dictator_systems_match_target_loop[sl-2-3]",)),
+    Mutation("twisted levels without determinant characters", "src/qharm/groups.py",
+             'chars = multiplicative_characters(group) if mode == "twisted" else np.ones((1, group.size))',
+             "chars = np.ones((1, group.size))",
+             ("tests/test_level_tables.py::test_levels_match_generator_stream_reference[gl-2-3-twisted-False]",)),
+    Mutation("convolution through the transposed kernel", "src/qharm/groups.py",
+             "return FnTable(gt, f.values[kern] @ g.values / gt.size)",
+             "return FnTable(gt, f.values[kern].T @ g.values / gt.size)",
+             ("tests/test_groups.py::test_convolution_identities_and_oracle",)),
+    Mutation("product set BA", "src/qharm/bogolyubov.py",
+             "return GroupSet(group, np.unique(group.mul_table()[np.ix_(a.ordinals, b.ordinals)]))",
+             "return GroupSet(group, np.unique(group.mul_table()[np.ix_(b.ordinals, a.ordinals)]))",
+             ("tests/test_bogolyubov.py::test_product_set_matches_double_loop",)),
+    Mutation("inverse without the pivot row swap", "src/qharm/fqlin.py",
+             "aug[lane, found] = aug[:, col]",
+             "pass",
+             ("tests/test_fqlin.py::test_inv_matrix_stack_matches_rref_reference[3-4]",)),
+    Mutation("basis completion by unreversed pivots", "src/qharm/fqlin.py",
+             "units = [k for k in range(n) if n - 1 - k not in pivots]",
+             "units = [k for k in range(n) if k not in pivots]",
+             ("tests/test_fqlin.py::test_complete_basis_matches_the_candidate_loop_on_random_rows",)),
+    Mutation("rref skips the current row as pivot", "src/qharm/fqlin.py",
+             "for row in range(pr, rows):",
+             "for row in range(pr + 1, rows):",
+             ("tests/test_fqlin.py::test_rank_matches_brute_force_random",)),
+    Mutation("tensor-rank projection reads strict levels on GL", "src/qharm/groups.py",
+             'return strictness if group.kind == "gl" else "strict"',
+             'return "strict"',
+             ("tests/test_spectra.py::test_tensor_level_checks_read_twisted_levels_only_on_gl",)),
+]
+
+
+def anchor_lines(text: str, anchor: str) -> list[int]:
+    """Indices of the lines of text that equal anchor once indentation is stripped."""
+    return [i for i, line in enumerate(text.split("\n")) if line.strip() == anchor]
+
+
+def mutate(text: str, mutation: Mutation) -> str:
+    lines = text.split("\n")
+    (i,) = anchor_lines(text, mutation.anchor)
+    indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+    lines[i] = indent + mutation.replacement
+    return "\n".join(lines)
+
+
+def run_tests(copy: str, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                          cwd=copy, env=env, capture_output=True, text=True)
+
+
+def main() -> int:
+    bad_anchors = []
+    for m in MUTATIONS:
+        with open(os.path.join(ROOT, m.path)) as fh:
+            found = len(anchor_lines(fh.read(), m.anchor))
+        if found != 1:
+            bad_anchors.append(f"{m.name}: anchor found {found} times in {m.path}")
+    if bad_anchors:
+        print("\n".join(bad_anchors))
+        return 1
+
+    with tempfile.TemporaryDirectory(prefix="qharm-mutations-") as copy:
+        for part in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, part), os.path.join(copy, part),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        every_test = sorted({t for m in MUTATIONS for t in m.tests})
+        base = run_tests(copy, every_test)
+        if base.returncode != 0:
+            print("the listed tests do not pass on the unmutated copy:\n" + base.stdout[-3000:])
+            return 1
+
+        survivors = []
+        for m in MUTATIONS:
+            path = os.path.join(copy, m.path)
+            with open(path) as fh:
+                original = fh.read()
+            with open(path, "w") as fh:
+                fh.write(mutate(original, m))
+            try:
+                res = run_tests(copy, m.tests)
+            finally:
+                with open(path, "w") as fh:
+                    fh.write(original)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(res.returncode, f"ERROR (pytest exit {res.returncode})")
+            print(f"{verdict:9} {m.name}")
+            if res.returncode != 1:
+                survivors.append(m.name)
+                print(res.stdout[-2000:])
+    print(f"{len(MUTATIONS) - len(survivors)} of {len(MUTATIONS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,12 +4,12 @@ search, the 0.99-density step, and easy-set covers."""
 import numpy as np
 import pytest
 
+from oracles import brute_product
 from qharm.bogolyubov import (
     GroupSet,
     bogolyubov_search,
     density_bogolyubov,
     easy_set_cover,
-    full_set,
     groumvirate_enumerate,
     groumvirate_orbit_count,
     pigeonhole_check,
@@ -28,11 +28,11 @@ def test_set_algebra_identities():
     g = get_group("sl", 2, 3)
     a = GroupSet(g, RNG.choice(g.size, size=7, replace=False))
     e = GroupSet(g, [g.identity])
-    assert product_set(a, e) == a
+    assert np.array_equal(product_set(a, e).ordinals, a.ordinals)
     # a subgroup is closed under product and inverse
     lk = GroupSet(get_group("sl", 3, 2), block_subgroup_members(get_group("sl", 3, 2), 1))
-    assert product_set(lk, lk) == lk
-    assert inverse_set(lk) == lk
+    assert np.array_equal(product_set(lk, lk).ordinals, lk.ordinals)
+    assert np.array_equal(inverse_set(lk).ordinals, lk.ordinals)
 
 
 def test_product_set_matches_double_loop():
@@ -40,12 +40,7 @@ def test_product_set_matches_double_loop():
     a = GroupSet(g, RNG.choice(g.size, size=5, replace=False))
     b = GroupSet(g, RNG.choice(g.size, size=6, replace=False))
     prod = product_set(a, b)
-    m = g.mul_table()
-    brute = set()
-    for x in a.ordinals:
-        for y in b.ordinals:
-            brute.add(int(m[x, y]))
-    assert set(prod.ordinals.tolist()) == brute
+    assert set(prod.ordinals.tolist()) == brute_product(g, a.ordinals, b.ordinals)
 
 
 def test_quadruple_product():
@@ -53,7 +48,7 @@ def test_quadruple_product():
     a = GroupSet(g, RNG.choice(g.size, size=4, replace=False))
     quad = quadruple_product(a)
     step = product_set(a, inverse_set(a))
-    assert quad == product_set(step, step)
+    assert np.array_equal(quad.ordinals, product_set(step, step).ordinals)
 
 
 def test_groumvirate_enumeration_counts():
@@ -70,7 +65,7 @@ def test_groumvirate_enumeration_counts():
     for gu in conj:
         mem = gu.members()
         assert len(mem) == 6
-        assert g.mul(gu.g, gu.h) == g.identity
+        assert m[gu.g, gu.h] == g.identity
         prods = m[np.ix_(mem, mem)]
         assert set(np.unique(prods).tolist()) == set(mem.tolist())
         assert np.all(np.isin(g.inv[mem], mem))
@@ -80,7 +75,7 @@ def test_groumvirate_enumeration_counts():
 
 def test_bogolyubov_search_full_group():
     g = get_group("sl", 3, 2)
-    res = bogolyubov_search(full_set(g))
+    res = bogolyubov_search(GroupSet(g, np.arange(g.size)))
     assert res.contained.k == 0
     assert res.density == 1.0
 
@@ -161,7 +156,7 @@ def test_easy_set_cover_subgroup():
 
 def test_easy_set_cover_full_group():
     g = get_group("sl", 3, 2)
-    res = easy_set_cover(full_set(g))
+    res = easy_set_cover(GroupSet(g, np.arange(g.size)))
     assert res.k_ratio == 1.0
     assert res.coset_count == 1
 
@@ -176,7 +171,7 @@ def test_easy_set_cover_three_cosets():
     a |= {int(g.inv[x]) for x in a}
     aset = GroupSet(g, np.array(sorted(a)))
     # symmetrize fully
-    assert inverse_set(aset) == aset
+    assert np.array_equal(inverse_set(aset).ordinals, aset.ordinals)
     res = easy_set_cover(aset)
     assert res.covers and res.inside_a5
     assert res.coset_count <= 9
@@ -199,7 +194,7 @@ def test_symmetric_set_contained_in_triple_product():
         sym = np.unique(np.concatenate([ords, g.inv[ords]]))
         a = GroupSet(g, sym)
         triple = product_set(product_set(a, inverse_set(a)), a)
-        assert triple.contains(a)
+        assert np.all(np.isin(a.ordinals, triple.ordinals))
 
 
 def test_out_of_range_ordinals_are_rejected():

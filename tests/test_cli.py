@@ -172,6 +172,20 @@ def test_cli_mixing_and_opnorm(tmp_path):
     assert rc == 0
 
 
+def test_cli_convolve_refuses_groups_above_the_multiplication_table_cap(tmp_path, capsys):
+    # GL_2(F_11) (|G| = 13,200) builds, but convolution reads the multiplication
+    # table, which is refused above 6,000 elements
+    g = get_group("gl", 2, 11)
+    setfile = tmp_path / "a.txt"
+    write_set_file(str(setfile), g, [0, 1, 2])
+    out = tmp_path / "out"
+    rc = main(["convolve", "--q", "11", "--n", "2", "--group", "gl", "--set", str(setfile),
+               "--set2", str(setfile), "-o", str(out)])
+    assert rc == 2
+    assert "multiplication table refused for |G|=13200" in capsys.readouterr().err
+    assert not (out / "convolution.csv").exists()
+
+
 def test_cli_bogolyubov_on_coset(tmp_path):
     g = get_group("sl", 3, 2)
     from qharm.globality import GoodUmvirate

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import brute_force_rank, inv_by_rref, least_index_completion
 from qharm.errors import SizeCapError, ToolkitError
 from qharm.fqlin import (
     IndexMap,
@@ -16,31 +17,12 @@ from qharm.fqlin import (
     inv_matrix,
     kernel_basis,
     mat_mul,
+    mat_vec,
     rank,
     rref,
     span_of,
 )
 from qharm.gf import get_field
-
-
-def brute_force_rank(ctx, a):
-    # dimension of the row span, counted by enumerating all row combinations
-    rows = a.shape[0]
-    q = ctx.q
-    seen = set()
-    for coeffs in range(q**rows):
-        v = np.zeros(a.shape[1], dtype=np.uint8)
-        x = coeffs
-        for r in range(rows):
-            c = x % q
-            x //= q
-            v = ctx.add_table[v, ctx.mul_table[a[r], c]]
-        seen.add(v.tobytes())
-    span_size = len(seen)
-    d = 0
-    while q**d < span_size:
-        d += 1
-    return d
 
 
 def canonicalize(ctx, a):
@@ -98,15 +80,6 @@ def test_det_multiplicative_and_inverse():
             if det(ctx, a):
                 ainv = inv_matrix(ctx, a)
                 assert np.array_equal(mat_mul(ctx, a, ainv), np.eye(3, dtype=np.uint8))
-
-
-def inv_by_rref(ctx, a):
-    """The scalar reference inverse: rref of [A | I]."""
-    n = a.shape[0]
-    r, pivots = rref(ctx, np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1))
-    if pivots[:n] != list(range(n)):
-        raise ToolkitError("matrix is singular")
-    return r[:, n:]
 
 
 def _invertible_stack(ctx, rng, shape, n):
@@ -207,7 +180,7 @@ def test_quotient_frame_unique_decomposition():
                     seen = set()
                     for idx in range(q**n):
                         v = decode_vector(idx, n, q)
-                        c = frame.coords(v)
+                        c = mat_vec(ctx, frame.coord_matrix, v)
                         # reconstruct
                         rec = np.zeros(n, dtype=np.uint8)
                         for coeff, row in zip(c, frame.full_basis):
@@ -227,18 +200,6 @@ def test_complete_basis_keeps_rows_and_completes_the_empty_set_by_the_standard_b
         basis = complete_basis(ctx, sub.basis, 3)
         assert np.array_equal(basis[:2], sub.basis) and rank(ctx, basis) == 3
         assert np.array_equal(basis, QuotientFrame(ctx, sub).full_basis)
-
-
-def least_index_completion(ctx, rows, n):
-    """The reference: test the vectors of index 1, 2, ... one at a time."""
-    basis = [np.asarray(row, dtype=np.uint8) for row in rows]
-    idx = 1
-    while len(basis) < n:
-        v = decode_vector(idx, n, ctx.q)
-        if rank(ctx, np.array(basis + [v], dtype=np.uint8)) == len(basis) + 1:
-            basis.append(v)
-        idx += 1
-    return np.array(basis, dtype=np.uint8).reshape(n, n)
 
 
 def test_complete_basis_matches_the_candidate_loop_on_random_rows():

@@ -15,7 +15,7 @@ def test_f4_multiplication_by_hand():
 def test_multiplicative_identity_all_fields():
     for q in SUPPORTED_Q:
         f = get_field(q)
-        for x in f.elements():
+        for x in range(f.q):
             assert f.mul(1, x) == x
 
 
@@ -39,7 +39,7 @@ def test_field_axioms_exhaustive_small():
     # commutativity, associativity, distributivity for q <= 16
     for q in (4, 8, 9, 16):
         f = get_field(q)
-        els = list(f.elements())
+        els = list(range(f.q))
         for a in els:
             for b in els:
                 assert f.add(a, b) == f.add(b, a)
@@ -52,30 +52,30 @@ def test_field_axioms_exhaustive_small():
 def test_trace_prime_field_is_identity():
     for q in (2, 3, 5, 7, 11, 13):
         f = get_field(q)
-        for x in f.elements():
-            assert f.trace(x) == x
+        for x in range(f.q):
+            assert f.trace_table[x] == x
 
 
 def test_trace_f4_values():
     f4 = get_field(4)
-    assert f4.trace(1) == 0  # 1 + 1 = 0 in characteristic 2
-    assert f4.trace(2) == 1  # omega + omega^2 = omega + omega + 1 = 1
+    assert f4.trace_table[1] == 0  # 1 + 1 = 0 in characteristic 2
+    assert f4.trace_table[2] == 1  # omega + omega^2 = omega + omega + 1 = 1
 
 
 def test_trace_additive_and_frobenius_invariant():
     for q in SUPPORTED_Q:
         f = get_field(q)
-        for x in f.elements():
-            assert f.trace(f.pow(x, f.p)) == f.trace(x)
-            for y in f.elements():
-                assert f.trace(f.add(x, y)) == (f.trace(x) + f.trace(y)) % f.p
+        for x in range(f.q):
+            assert f.trace_table[f.pow(x, f.p)] == f.trace_table[x]
+            for y in range(f.q):
+                assert f.trace_table[f.add(x, y)] == (int(f.trace_table[x]) + int(f.trace_table[y])) % f.p
 
 
 def test_character_values():
-    assert abs(get_field(2).char(1) + 1.0) < 1e-12
+    assert abs(get_field(2).char_table[1] + 1.0) < 1e-12
     for q in SUPPORTED_Q:
-        assert abs(get_field(q).char(0) - 1.0) < 1e-12
-    w = get_field(3).char(1)
+        assert abs(get_field(q).char_table[0] - 1.0) < 1e-12
+    w = get_field(3).char_table[1]
     assert abs(w - cmath.exp(2j * cmath.pi / 3)) < 1e-12
     assert abs(w - complex(-0.5, 0.8660254037844386)) < 1e-9
 
@@ -83,16 +83,16 @@ def test_character_values():
 def test_character_homomorphism_exhaustive():
     for q in SUPPORTED_Q:
         f = get_field(q)
-        for x in f.elements():
-            for y in f.elements():
-                assert abs(f.char(f.add(x, y)) - f.char(x) * f.char(y)) < 1e-12
+        for x in range(f.q):
+            for y in range(f.q):
+                assert abs(f.char_table[f.add(x, y)] - f.char_table[x] * f.char_table[y]) < 1e-12
 
 
 def test_character_sums_vanish():
     for q in SUPPORTED_Q:
         f = get_field(q)
-        for c in f.elements():
-            s = sum(f.char(f.mul(c, x)) for x in f.elements())
+        for c in range(f.q):
+            s = sum(f.char_table[f.mul(c, x)] for x in range(f.q))
             if c == 0:
                 assert abs(s - q) < 1e-9
             else:

@@ -7,9 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from oracles import brute_force_global_audit, brute_force_set_ratios, influence, per_site_influence_audit
+from qharm.calculus import RestrictionSite
 from qharm.errors import ToolkitError
-from qharm.fqlin import decode_vector, encode_vector, span_of
-from qharm.gf import get_field
 from qharm.globality import (
     GoodUmvirate,
     Umvirate,
@@ -34,7 +34,7 @@ RNG = np.random.default_rng(31337)
 
 def test_global_audit_constant():
     ctx = get_scheme(2, 2, 2)
-    rep = global_audit(ctx.constant(1.0), 2)
+    rep = global_audit(ctx.table(np.ones(ctx.size)), 2)
     for row in rep.rows:
         assert abs(row.value - 1.0) < 1e-12
 
@@ -65,24 +65,10 @@ def test_global_audit_umvirate_indicator():
 
         if np.array_equal(mat_vec(ctx.field, a, v), w):
             idx.append(i)
-    f = ctx.indicator(idx)
+    f = ctx.table(np.isin(np.arange(ctx.size), idx))
     assert abs(f.mean() - 1 / ctx.q**ctx.m) < 1e-12
     rep = global_audit(f, 1)
     assert abs(rep.value_at(1) - 1.0) < 1e-9
-
-
-def brute_force_global_audit(f, dmax):
-    """Independent oracle: enumerate every (V', W', all T) via restrict()."""
-    ctx = f.domain
-    out = {}
-    for d in range(dmax + 1):
-        best = -1.0
-        for vp, wp in ctx.restriction_pairs(d):
-            for t in range(ctx.size):
-                r = restrict(f, vp, wp, t)
-                best = max(best, r.norm2sq())
-        out[d] = best
-    return out
 
 
 def test_global_audit_matches_brute_force():
@@ -98,13 +84,16 @@ def test_global_audit_matches_brute_force():
 def test_audit_witness_is_attained():
     ctx = get_scheme(3, 2, 2)
     f = random_table(ctx, RNG, "boolean")
-    rep = global_audit(f, 2)
-    for row in rep.rows:
-        # recompute at the named site and compare
-        pair_idx = int(row.witness.split("#")[1].split("(")[0])
-        t = int(row.witness.split("T=")[1])
-        vp, wp = ctx.restriction_pairs(row.order)[pair_idx]
-        assert abs(restrict(f, vp, wp, t).norm2sq() - row.value) < 1e-12
+    for rep, at_site in [
+        (global_audit(f, 2), lambda vp, wp, t: restrict(f, vp, wp, t).norm2sq()),
+        (influence_audit(f, 2), lambda vp, wp, t: influence(f, RestrictionSite(vp, wp, t))),
+    ]:
+        for row in rep.rows:
+            # recompute at the named site and compare
+            pair_idx = int(row.witness.split("#")[1].split("(")[0])
+            t = int(row.witness.split("T=")[1])
+            vp, wp = ctx.restriction_pairs(row.order)[pair_idx]
+            assert abs(at_site(vp, wp, t) - row.value) < 1e-12
 
 
 def test_restriction_monotonicity():
@@ -119,7 +108,7 @@ def test_restriction_monotonicity():
 
 def test_influence_audit_cases():
     ctx = get_scheme(2, 2, 2)
-    c = ctx.constant(2.0)
+    c = ctx.table(np.full(ctx.size, 2.0))
     rep = influence_audit(c, 2)
     assert abs(rep.value_at(0) - c.norm2sq()) < 1e-12
     for d in (1, 2):
@@ -127,24 +116,6 @@ def test_influence_audit_cases():
     f = random_table(ctx, RNG, "complex")
     rep2 = influence_audit(f, 1)
     assert abs(rep2.value_at(0) - f.norm2sq()) < 1e-12
-
-
-def per_site_influence_audit(f, dmax):
-    """Oracle: (order, max, witness) rows from influence_per_rep at each site."""
-    from qharm.calculus import influence_per_rep
-
-    ctx = f.domain
-    rows = []
-    for d in range(dmax + 1):
-        best, witness = -1.0, ""
-        for pair_idx, (vp, wp) in enumerate(ctx.restriction_pairs(d)):
-            reps, vals = influence_per_rep(f, vp, wp)
-            j = int(np.argmax(vals))
-            if vals[j] > best + 1e-15:
-                best = float(vals[j])
-                witness = f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={int(reps[j])}"
-        rows.append((d, best, witness))
-    return rows
 
 
 @pytest.mark.parametrize("small_batches", [False, True])
@@ -242,36 +213,6 @@ def test_set_audit_own_umvirate_ratio():
     assert res.report.value_at(1) >= expected - 1e-9
 
 
-def brute_force_set_ratios(g, ordinals):
-    """Counting oracle over all 1- and 2-umvirates, including scaled and
-    redundant presentations: every single dictator, and every pair of
-    them whose constraint vectors are independent within a family."""
-    q, n = g.q, g.n
-    amask = np.zeros(g.size, dtype=bool)
-    amask[ordinals] = True
-    mu = len(ordinals) / g.size
-    # line[v]: the least encoding on the projective line of v
-    line = [min(encode_vector(g.field.mul_table[c, decode_vector(v, n, q)], q) for c in range(1, q)) for v in range(q**n)]
-    masks, kinds, lines = [], [], []
-    for kind, act in enumerate((g.vector_action(False), g.vector_action(True))):
-        for v in range(1, q**n):
-            for w in range(1, q**n):
-                m = act[:, v] == w
-                if m.any():
-                    masks.append(m)
-                    kinds.append(kind)
-                    lines.append(line[v])
-    masks, kinds, lines = np.array(masks), np.array(kinds), np.array(lines)
-    best = {0: 1.0, 1: float(np.max((masks & amask).sum(1) / masks.sum(1) / mu)), 2: -1.0}
-    for i in range(len(masks)):
-        m = masks[i] & masks[i + 1:]
-        sizes = m.sum(1)
-        keep = ((kinds[i + 1:] != kinds[i]) | (lines[i + 1:] != lines[i])) & (sizes > 0)
-        if keep.any():
-            best[2] = max(best[2], float(np.max((m & amask)[keep].sum(1) / sizes[keep] / mu)))
-    return best
-
-
 def _witness_umvirate(g, text):
     """The Umvirate that `Umvirate.describe` printed as text."""
     rows, funcs = re.fullmatch(r"rows\[(.*)\]funcs\[(.*)\]", text).groups()
@@ -364,8 +305,11 @@ def test_good_umvirate_members_match_blockform():
         gu = GoodUmvirate(g, k, int(RNG.integers(0, g.size)), int(RNG.integers(0, g.size)))
         mem = gu.members()
         assert len(mem) == len(block_subgroup_members(g, k))
+        # each member lies in g L_k h: g^-1 x h^-1 is in L_k
+        m = g.mul_table()
+        lk = block_subgroup_members(g, k)
         for x in mem[:4]:
-            assert gu.contains(int(x))
+            assert np.isin(m[m[g.inv[gu.g], x], g.inv[gu.h]], lk)
 
 
 def test_partition_trivial_cases():
@@ -466,7 +410,7 @@ def test_bump_search_umvirate_coset_lands_exactly():
         # final restricted set is everything
         assert res.restricted_ordinals.size == res.restricted_group.size
         # the found umvirate contains A
-        found = res.umvirate(g)
+        found = GoodUmvirate(g, res.k, res.g, res.h)
         assert set(a.tolist()) <= set(found.members().tolist())
 
 

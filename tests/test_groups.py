@@ -4,6 +4,7 @@ and the isotypic eigen-refinement."""
 import numpy as np
 import pytest
 
+from oracles import brute_convolution
 from qharm.errors import ToolkitError
 from qharm.fqlin import span_of
 from qharm.groups import (
@@ -64,7 +65,7 @@ def test_transfer_round_trip_and_norm():
     assert abs(jf.mean() - f.mean() * g.size / jf.domain.size) < 1e-12
     back = transfer_to_group(jf, g)
     assert np.max(np.abs(back.values - f.values)) < 1e-12
-    ones = g.constant(1.0)
+    ones = g.table(np.ones(g.size))
     assert abs(transfer(ones).mean() - 6 / 16) < 1e-12
     # norm transfer: ||j(f)||^2 = (|G|/q^{n^2}) ||f||^2
     assert abs(transfer(f).norm2sq() - f.norm2sq() * g.size / 16) < 1e-12
@@ -72,7 +73,7 @@ def test_transfer_round_trip_and_norm():
 
 def test_convolution_identities_and_oracle():
     g = get_group("sl", 2, 3)
-    ones = g.constant(1.0)
+    ones = g.table(np.ones(g.size))
     c = convolve(ones, ones)
     assert np.max(np.abs(c.values - 1.0)) < 1e-12
     point = g.table(np.eye(1, g.size, g.identity)[0] * g.size)
@@ -84,14 +85,7 @@ def test_convolution_identities_and_oracle():
     fa = g.indicator(np.unique(a))
     fb = g.indicator(np.unique(b))
     conv = convolve(fa, fb)
-    m = g.mul_table()
-    brute = np.zeros(g.size)
-    for y in range(g.size):
-        if fb.values[y].real > 0.5:
-            for z in range(g.size):
-                if fa.values[z].real > 0.5:
-                    brute[m[z, y]] += 1
-    brute /= g.size
+    brute = brute_convolution(g, np.unique(a), np.unique(b))
     assert np.max(np.abs(conv.values - brute)) < 1e-12
     # associativity and mean product
     fc = random_group_table(g, RNG, "complex")
@@ -144,7 +138,7 @@ def test_level_dims_match_naive_generator_stream():
 
 def test_level_projection_examples():
     g = get_group("sl", 2, 3)
-    c = g.constant(3.0)
+    c = g.table(np.full(g.size, 3.0))
     assert np.max(np.abs(level_project_eq(c, 0).values - c.values)) < 1e-9
     for d in (1, 2):
         assert level_project_eq(c, d).norm2sq() < 1e-16
@@ -199,7 +193,7 @@ def test_junta_stabilizer_equivalence_exhaustive():
     # constants are 0-juntas; dictators are 1-juntas
     from qharm.fqlin import zero_space
 
-    assert junta_test(g.constant(2.0), zero_space(g.field, 2))
+    assert junta_test(g.table(np.full(g.size, 2.0)), zero_space(g.field, 2))
     assert junta_test(g.table((g.vector_action(False)[:, 1] == 2).astype(float)), u)
 
 
@@ -231,7 +225,7 @@ def test_level_lower_check_random():
 
 def test_level_lower_check_constant():
     g = get_group("sl", 2, 3)
-    res = level_lower_check(g.constant(1.0), 0)
+    res = level_lower_check(g.table(np.ones(g.size)), 0)
     # j(1_G)^{=0} has scheme norm^2 (|G|/N)^2; the ratio is exactly |G|/N
     assert abs(res["ratio_j"] - 24 / 81) < 1e-9
     assert res["ok"]

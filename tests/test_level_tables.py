@@ -1,10 +1,10 @@
 """Level bases from the shared dictator-system table against the
 generator stream they replaced.
 
-The reference below enumerates, for each order s, every sorted tuple of
-independent monic input vectors (so every basis of each subspace, up to
-scaling) with every independent ordered target tuple, and re-walks all
-lower orders for each d.  The table takes one echelon basis per
+The reference (tests/oracles.py) enumerates, for each order s, every
+sorted tuple of independent monic input vectors (so every basis of each
+subspace, up to scaling) with every independent ordered target tuple,
+and re-walks all lower orders for each d.  The table takes one echelon basis per
 subspace.  For an s-dimensional subspace S the masks {g : g|_S = phi}
 over all injective phi are the same set whichever basis of S is used,
 so the spans, hence the dimensions and the cumulative projectors, must
@@ -13,92 +13,12 @@ with the functional (transpose-action) masks as well must span the
 same levels as the row-only table build.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
+from oracles import level_generator_masks, reference_levels
 from qharm.errors import ToolkitError
-from qharm.fqlin import decode_vector, rank
-from qharm.groups import (
-    _GramSchmidtRows,
-    build_level_basis,
-    get_group,
-    get_isotypic,
-    multiplicative_characters,
-)
-
-
-def _independent_tuples(field, n, vecs, size):
-    """Ordered tuples of encoded vectors with linearly independent decodes,
-    in lexicographic order."""
-    q = field.q
-    out = []
-
-    def extend(prefix, rows):
-        if len(prefix) == size:
-            out.append(prefix)
-            return
-        for enc in vecs:
-            if enc in prefix:
-                continue
-            v = decode_vector(enc, n, q)
-            stacked = np.array(rows + [v], dtype=np.uint8)
-            if rank(field, stacked) == len(rows) + 1:
-                extend(prefix + (enc,), rows + [v])
-
-    extend((), [])
-    return out
-
-
-def _monic_vectors(field, n):
-    """Encodings of one representative per projective class (first nonzero = 1)."""
-    out = []
-    for vi in range(1, field.q**n):
-        v = decode_vector(vi, n, field.q)
-        if v[np.flatnonzero(v)[0]] == 1:
-            out.append(vi)
-    return out
-
-
-def _level_generator_masks(group, d, include_dual=False):
-    """Indicator rows of all canonical <= d-umvirate products."""
-    field, n, q = group.field, group.n, group.q
-    monic = _monic_vectors(field, n)
-    nonzero = list(range(1, q**n))
-    rows = [np.ones(group.size, dtype=bool)]
-    families = [group.vector_action(False)]
-    if include_dual:
-        families.append(group.vector_action(True))
-    for s in range(1, d + 1):
-        v_sets = [
-            vs for vs in itertools.combinations(monic, s)
-            if rank(field, np.array([decode_vector(v, n, q) for v in vs], dtype=np.uint8)) == s
-        ]
-        u_tuples = _independent_tuples(field, n, nonzero, s)
-        for act in families:
-            for vs in v_sets:
-                sub_act = act[:, list(vs)]
-                for us in u_tuples:
-                    mask = np.all(sub_act == np.array(us)[None, :], axis=1)
-                    if mask.any():
-                        rows.append(mask)
-    return np.array(rows, dtype=np.float64)
-
-
-def _reference_levels(group, dmax, mode="strict", include_dual=False):
-    chars = multiplicative_characters(group) if mode == "twisted" else np.ones((1, group.size))
-    rows = _GramSchmidtRows(group.size)
-    dims = []
-    prev_gens = 0
-    for d in range(dmax + 1):
-        gens = _level_generator_masks(group, d, include_dual)
-        for row in gens[prev_gens:]:
-            for chi in chars:
-                rows.extend(row * chi)
-        prev_gens = gens.shape[0]
-        dims.append(len(rows))
-    return dims, rows.basis()
+from qharm.groups import build_level_basis, get_group, get_isotypic
 
 
 @pytest.mark.parametrize(
@@ -119,7 +39,7 @@ def _reference_levels(group, dmax, mode="strict", include_dual=False):
 def test_levels_match_generator_stream_reference(kind, n, q, mode, include_dual):
     g = get_group(kind, n, q)
     levels = build_level_basis(g, n, mode=mode)
-    ref_dims, ref_basis = _reference_levels(g, n, mode, include_dual)
+    ref_dims, ref_basis = reference_levels(g, n, mode, include_dual)
     assert levels.dims == ref_dims
     for d in range(n + 1):
         b = levels.cum_basis(d)
@@ -134,7 +54,7 @@ def test_level_generators_are_one_basis_per_subspace():
     g = get_group("sl", 3, 2)
     systems = g.dictator_systems()
     assert len(systems.row_systems) == 512
-    assert len(_level_generator_masks(g, 3)) == 5636
+    assert len(level_generator_masks(g, 3)) == 5636
     masks = np.zeros((len(systems.row_systems), g.size), dtype=bool)
     masks[systems.row_of, np.arange(g.size)[:, None]] = True
     assert len({m.tobytes() for m in masks}) == len(masks)

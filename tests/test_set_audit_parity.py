@@ -1,88 +1,22 @@
 """`set_global_audit` against a dense int64 reference.
 
-The reference builds the indicator of every row and functional system
-from the vector action, recomputes every row x functional intersection
-size with int64 matrix products on each call and re-sorts the violating
-cells to pick the violation witness.  The audit under test counts
-|A & U| with one np.bincount over the group's cached cell index; every
-report row and every violation must be equal.  On GL_2(F_7), too big
-for the dense reference in a quick test, each witness is recounted.
+The reference (tests/oracles.py) builds the indicator of every row and
+functional system from the vector action, recomputes every row x
+functional intersection size with int64 matrix products on each call
+and re-sorts the violating cells to pick the violation witness.  The
+audit under test counts |A & U| with one np.bincount over the group's
+cached cell index; every report row and every violation must be equal.
+On GL_2(F_7), too big for the dense reference in a quick test, each
+witness is recounted.
 """
 
 import numpy as np
 import pytest
 
+from oracles import dictator_ratio, reference_set_global_audit
 from qharm.errors import ToolkitError
-from qharm.fqlin import decode_vector
-from qharm.globality import (
-    DEFAULT_ZETA,
-    GlobalnessReport,
-    GoodUmvirate,
-    ReportRow,
-    SetAuditResult,
-    Umvirate,
-    density_bump_search,
-    set_global_audit,
-)
+from qharm.globality import GoodUmvirate, Umvirate, density_bump_search, set_global_audit
 from qharm.groups import get_group
-
-
-def _system_masks(group, systems, transpose):
-    """uint8 indicator rows of dictator systems, read off the vector action."""
-    act = group.vector_action(transpose)
-    return np.array([np.all(act[:, [v for v, _ in s]] == [u for _, u in s], axis=1) for s in systems], dtype=np.uint8)
-
-
-def reference_set_global_audit(group, ordinals, rmax=None, r=None, zeta=DEFAULT_ZETA):
-    """The dense int64 set audit, kept as the oracle of the cell-table one."""
-    ordinals = np.asarray(ordinals, dtype=np.int64)
-    if ordinals.size == 0:
-        raise ToolkitError("set audit requires a nonempty set")
-    tables = group.dictator_systems()
-    rmax = 2 * group.n if rmax is None else rmax
-    r = float(group.q) ** (zeta * group.n / 2) if r is None else r
-    mu = ordinals.size / group.size
-
-    amask = np.zeros(group.size, dtype=np.uint8)
-    amask[ordinals] = 1
-    rm, fm = _system_masks(group, tables.row_systems, False), _system_masks(group, tables.func_systems, True)
-    u_counts = rm.astype(np.int64) @ fm.T.astype(np.int64)
-    a_counts = (rm * amask[None, :]).astype(np.int64) @ fm.T.astype(np.int64)
-    orders = tables.row_orders[:, None] + tables.func_orders[None, :]
-
-    rows = []
-    violations = []
-    for d in range(rmax + 1):
-        sel = (orders == d) & (u_counts > 0)
-        if not sel.any():
-            if d == 0:
-                rows.append(ReportRow(0, 1.0, "G", r**0, True))
-            continue
-        ratios = np.zeros_like(u_counts, dtype=np.float64)
-        ratios[sel] = (a_counts[sel] / u_counts[sel]) / mu
-        flat = int(np.argmax(np.where(sel, ratios, -1.0)))
-        i, j = divmod(flat, ratios.shape[1])
-        best = float(ratios[i, j])
-        thr = r**d
-        u = Umvirate(
-            group.field,
-            group.n,
-            [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.row_systems[i]],
-            [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.func_systems[j]],
-        )
-        rows.append(ReportRow(d, best, u.describe(), float(thr), bool(best <= thr + 1e-12)))
-        if best > thr + 1e-12:
-            vi, vj = np.nonzero(sel & (ratios > thr + 1e-12))
-            order_pairs = sorted(zip(vi, vj), key=lambda p: -ratios[p[0], p[1]])
-            bi, bj = order_pairs[0]
-            uv = Umvirate(
-                group.field,
-                group.n,
-                [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.row_systems[bi]],
-                [(decode_vector(v, group.n, group.q), decode_vector(w, group.n, group.q)) for v, w in tables.func_systems[bj]],
-            )
-            violations.append({"order": d, "ratio": float(ratios[bi, bj]), "umvirate": uv})
-    return SetAuditResult(GlobalnessReport("set-umvirate-density", rows), violations)
 
 
 def _sets(g, rng):
@@ -148,20 +82,6 @@ def test_bump_search_ignores_duplicate_ordinals():
     assert twice.trace[0].density_before == a.size / g.size
 
 
-def _dictator_ratio(g, a):
-    """Largest (|A & U| / |U|) / mu(A) over single dictators U = {x v = w}
-    and {x^T v = w}, each counted by np.bincount over one action column."""
-    best = 0.0
-    for transpose in (False, True):
-        act = g.vector_action(transpose)
-        for v in range(1, act.shape[1]):
-            total = np.bincount(act[:, v], minlength=act.shape[1])
-            inside = np.bincount(act[a, v], minlength=act.shape[1])
-            hit = total > 0
-            best = max(best, float(np.max(inside[hit] / total[hit])))
-    return best / (a.size / g.size)
-
-
 def test_set_audit_witnesses_recount_on_gl2_f7():
     g = get_group("gl", 2, 7)
     a = np.sort(np.random.default_rng(7).choice(g.size, size=g.size // 2, replace=False))
@@ -176,4 +96,4 @@ def test_set_audit_witnesses_recount_on_gl2_f7():
         assert u.describe() == row.witness
         mask = u.members_mask(g)
         assert row.value == (np.count_nonzero(mask & in_a) / np.count_nonzero(mask)) / mu
-    assert res.report.value_at(1) == _dictator_ratio(g, a)
+    assert res.report.value_at(1) == dictator_ratio(g, a)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import qharm.spectra as spectra
-from qharm.bogolyubov import GroupSet, full_set
+from oracles import brute_convolution
+from qharm.bogolyubov import GroupSet
 from qharm.groups import (
     convolve,
     get_group,
@@ -33,7 +34,7 @@ RNG = np.random.default_rng(777)
 
 def test_operator_norm_constant_function():
     g = get_group("sl", 2, 3)
-    ones = g.constant(1.0)
+    ones = g.table(np.ones(g.size))
     for d in (1, 2):
         assert conv_operator_norm(ones, d) < 1e-10
 
@@ -88,7 +89,7 @@ def test_operator_agrees_with_pure_part():
 
 def test_mixing_full_group_and_absorbing():
     g = get_group("sl", 2, 3)
-    full = full_set(g)
+    full = GroupSet(g, np.arange(g.size))
     rep = mixing_experiment(full, full)
     assert rep.deviation < 1e-12
     a = GroupSet(g, RNG.choice(g.size, size=9, replace=False))
@@ -106,12 +107,7 @@ def test_mixing_decomposition_and_oracle():
         # double-loop convolution oracle
         f = g.indicator(a.ordinals)
         h = g.indicator(b.ordinals)
-        m = g.mul_table()
-        brute = np.zeros(g.size)
-        for z in a.ordinals:
-            for y in b.ordinals:
-                brute[m[z, y]] += 1
-        brute /= g.size
+        brute = brute_convolution(g, a.ordinals, b.ordinals)
         conv = convolve(f, h)
         assert np.max(np.abs(conv.values - brute)) < 1e-12
         dev = np.sqrt(np.mean(np.abs(brute - a.mu * b.mu) ** 2))
@@ -120,7 +116,7 @@ def test_mixing_decomposition_and_oracle():
 
 def test_product_mixing_cases():
     g = get_group("sl", 2, 3)
-    full = full_set(g)
+    full = GroupSet(g, np.arange(g.size))
     rep = product_mixing(full, full, full)
     assert rep.triple == pytest.approx(1.0)
     assert rep.triple_deviation < 1e-12
@@ -140,7 +136,7 @@ def test_product_mixing_cases():
 
 def test_product_free_witness():
     g = get_group("sl", 2, 3)
-    assert not product_free_witness(full_set(g)).product_free
+    assert not product_free_witness(GroupSet(g, np.arange(g.size))).product_free
     # any non-identity element gives a product-free singleton
     x = 7
     assert x != g.identity
@@ -170,11 +166,11 @@ def test_product_free_structured_coset():
 
 def test_scheme_checks_trivial_instances():
     ctx = get_scheme(2, 2, 2)
-    ones = ctx.constant(1.0)
+    ones = ctx.table(np.ones(ctx.size))
     checks = SchemeInstanceChecks("const", ones, 2, 2)
     r = checks.check_four_norm(1)
     assert r["holds"]
-    point = ctx.indicator([0])
+    point = ctx.table(np.eye(1, ctx.size)[0])
     checks2 = SchemeInstanceChecks("point", point, 2, 2)
     for d in (1, 2):
         for fn in (
@@ -211,6 +207,25 @@ def test_instance_memo_matches_rebuilding_every_quantity(monkeypatch):
     monkeypatch.setattr(spectra._InstanceChecks, "_once", lambda self, key, build: build())
     assert rows() == memo
     assert all(memo)
+
+
+def test_tensor_level_checks_read_twisted_levels_only_on_gl(monkeypatch):
+    """On SL the strict and tensor-rank level checks share one projection;
+    on GL the tensor check projects onto the twisted levels."""
+    built = []
+    real = spectra.level_project
+    monkeypatch.setattr(spectra, "level_project", lambda f, d, mode: built.append(mode) or real(f, d, mode))
+    for key, modes in [(("sl", 2, 3), ["strict"]), (("gl", 2, 3), ["strict", "twisted"])]:
+        g = get_group(*key)
+        f = g.indicator(np.arange(0, g.size, 3))
+        checks = GroupInstanceChecks("inst", f, 1)
+        checks.check_strict_level_weight(1, 4)
+        tensor = checks.check_tensor_level_weight(1, 4)
+        assert built == modes
+        built.clear()
+        twisted = real(f, 1, "twisted")
+        assert tensor["lhs"] == twisted.norm2sq()
+        assert np.array_equal(twisted.values, real(f, 1).values) == (g.kind == "sl")
 
 
 def test_bonami_isotypic_small_group():
