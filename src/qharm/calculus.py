@@ -86,16 +86,26 @@ def _damping(ctx: SchemeCtx, keep: np.ndarray) -> np.ndarray:
     return np.where(keep, scale[ranks], 0.0)
 
 
+def _v1_eliminations(ctx: SchemeCtx, v1: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """(Im(X) >= V1, rank(Q X)) over dual indices, cached per V1: the two
+    eliminations of laplacian_mask that do not depend on W1."""
+    key = ("lap_v1", v1.key)
+    if key not in ctx._masks:
+        xs = ctx.dual_matrices()
+        qx = mat_mul(ctx.field, ctx.quotient_frame(v1).quotient_map, xs)
+        contains_v1 = _stacked_rank(ctx, xs.transpose(0, 2, 1), v1.basis) == ctx.rank_table_dual()
+        ctx._masks[key] = (contains_v1, batched_rank(ctx.field, qx))
+    return ctx._masks[key]
+
+
 def laplacian_mask(ctx: SchemeCtx, v1: Subspace, w1: Subspace) -> np.ndarray:
     """Boolean mask over dual indices: Im(X) >= V1 and X^{-1}(V1) <= W1."""
     key = ("lap", v1.key, w1.key)
     if key not in ctx._masks:
-        xs = ctx.dual_matrices()
-        ranks = ctx.rank_table_dual()
-        qx = mat_mul(ctx.field, ctx.quotient_frame(v1).quotient_map, xs)
+        contains_v1, qx_rank = _v1_eliminations(ctx, v1)
+        qx = mat_mul(ctx.field, ctx.quotient_frame(v1).quotient_map, ctx.dual_matrices())
         w1_perp = kernel_basis(ctx.field, w1.basis)
-        contains_v1 = _stacked_rank(ctx, xs.transpose(0, 2, 1), v1.basis) == ranks
-        preimage_in_w1 = _stacked_rank(ctx, qx, w1_perp) == batched_rank(ctx.field, qx)
+        preimage_in_w1 = _stacked_rank(ctx, qx, w1_perp) == qx_rank
         ctx._masks[key] = contains_v1 & preimage_in_w1
     return ctx._masks[key]
 
@@ -151,11 +161,9 @@ def derivative(f: FnTable, site: RestrictionSite) -> FnTable:
 def _avg_quotient_direct(f: FnTable, vp: Subspace) -> np.ndarray:
     ctx = _scheme_of(f)
     wfull = full_space(ctx.field, ctx.m)
-    reps, members = ctx.site_cosets(vp, wfull)
+    _, members = ctx.site_cosets(vp, wfull)
     out = np.empty_like(f.values)
-    means = np.mean(f.values[members], axis=1)
-    for t in range(len(reps)):
-        out[members[t]] = means[t]
+    out[members] = np.mean(f.values[members], axis=1)[:, None]
     return out
 
 

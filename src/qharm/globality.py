@@ -102,40 +102,54 @@ def _site_witness(pair_idx: int, vp: Subspace, wp: Subspace, rep: int) -> str:
     return f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={rep}"
 
 
-def _audit_rows(f: FnTable, dmax: int, order_values, zeta: float | None, kind: str) -> GlobalnessReport:
-    """order_values(d) yields (coset reps, value per rep) for each pair of
-    restriction_pairs(d), in that order.  The order-d threshold is
-    q^{zeta d n} ||f||_2^2, or inf when zeta is None.  A row uses its own
-    order's sites alone, so the first d + 1 rows of an audit to any order
-    D >= d equal the rows of the audit to order d exactly."""
+def _audit_rows(f: FnTable, dmax: int, order_chunks, zeta: float | None, kind: str) -> GlobalnessReport:
+    """order_chunks(d) yields (positions, members, values) for the sites of
+    restriction_pairs(d): one row per site at positions (S,), its coset
+    members (S, R, M) as in SiteStack and the value at each coset (S, R);
+    together the chunks cover every site once.  A site's max is taken at
+    its first argmax, and the row's value is the first site max, in
+    restriction_pairs order, that beats every earlier one by more than
+    1e-15, so the witness is the site a scan one site at a time picks.
+    The order-d threshold is q^{zeta d n} ||f||_2^2, or inf when zeta is
+    None.  A row uses its own order's sites alone, so the first d + 1 rows
+    of an audit to any order D >= d equal the rows of the audit to order d
+    exactly."""
     ctx = _scheme_of(f)
     if dmax < 0:
         raise ToolkitError(f"audit order dmax={dmax} must be >= 0")
     base = f.norm2sq()
     rows = []
     for d in range(dmax + 1):
-        best = -1.0
-        witness = ""
         pairs = ctx.restriction_pairs(d)
-        for pair_idx, ((vp, wp), (reps, vals)) in enumerate(zip(pairs, order_values(d), strict=True)):
-            j = int(np.argmax(vals))
-            if vals[j] > best + 1e-15:
-                best = float(vals[j])
-                witness = _site_witness(pair_idx, vp, wp, int(reps[j]))
+        maxima = np.empty(len(pairs))
+        reps = np.empty(len(pairs), dtype=np.int64)
+        for positions, members, values in order_chunks(d):
+            sites = np.arange(len(positions))
+            j = np.argmax(values, axis=1)
+            maxima[positions] = values[sites, j]
+            reps[positions] = members[sites, j, 0]
+        best = -1.0
+        at = None
+        for pair_idx, value in enumerate(maxima.tolist()):
+            if value > best + 1e-15:
+                best = value
+                at = pair_idx
+        witness = "" if at is None else _site_witness(at, *pairs[at], int(reps[at]))
         thr = float("inf") if zeta is None else float(ctx.q) ** (zeta * d * ctx.n) * base
         rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))
     return GlobalnessReport(kind, rows)
 
 
-def _coset_means(ctx: SchemeCtx, values: np.ndarray):
-    """order_values for an audit of the coset means of `values`."""
+def _coset_means(ctx: SchemeCtx, values: np.ndarray, exponent: float = 1.0):
+    """order_chunks for an audit of the coset means of `values`, each raised
+    to `exponent`: one mean per stack of site_stacks(d)."""
 
-    def order_values(d):
-        for vp, wp in ctx.restriction_pairs(d):
-            reps, members = ctx.site_cosets(vp, wp)
-            yield reps, np.mean(values[members], axis=1)
+    def order_chunks(d):
+        for stack in ctx.site_stacks(d):
+            means = np.mean(values[stack.members], axis=-1)
+            yield stack.positions, stack.members, means**exponent
 
-    return order_values
+    return order_chunks
 
 
 def global_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
@@ -146,41 +160,56 @@ def global_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> Globalnes
     return _audit_rows(f, dmax, _coset_means(ctx, np.abs(f.values) ** 2), zeta, "restriction-norm2")
 
 
-# complex entries per batched inverse transform of site_laplacians; bounds
+# complex entries per batched inverse transform of _laplacian_batches; bounds
 # its peak memory at about 16 MB a batch whatever the domain size
 _LAPLACIAN_BATCH_ELEMENTS = 2**20
 
 
-def site_laplacians(ctx: SchemeCtx, spectrum: np.ndarray, order: int):
-    """Yield ((V', W'), L_{V',W'} f) for each pair of restriction_pairs(order),
-    in that order, given the spectrum of f: the cached masks are stacked and
-    inverted in batches of at most _LAPLACIAN_BATCH_ELEMENTS entries."""
+def _laplacian_batches(ctx: SchemeCtx, spectrum: np.ndarray, order: int):
+    """Yield (lo, laps) with laps[i] = L_{V',W'} f for the pair lo + i of
+    restriction_pairs(order), given the spectrum of f: the cached masks are
+    stacked and inverted in batches of at most _LAPLACIAN_BATCH_ELEMENTS
+    entries."""
     per_batch = max(1, _LAPLACIAN_BATCH_ELEMENTS // ctx.size)
     pairs = ctx.restriction_pairs(order)
     for lo in range(0, len(pairs), per_batch):
-        batch = pairs[lo: lo + per_batch]
-        masks = np.stack([laplacian_mask(ctx, vp, wp) for vp, wp in batch])
-        yield from zip(batch, ctx.fourier_inverse(spectrum * masks))
+        masks = np.stack([laplacian_mask(ctx, vp, wp) for vp, wp in pairs[lo: lo + per_batch]])
+        yield lo, ctx.fourier_inverse(spectrum * masks)
+
+
+def site_laplacians(ctx: SchemeCtx, spectrum: np.ndarray, order: int):
+    """Yield ((V', W'), L_{V',W'} f) for each pair of restriction_pairs(order),
+    in that order, given the spectrum of f."""
+    pairs = ctx.restriction_pairs(order)
+    for lo, laps in _laplacian_batches(ctx, spectrum, order):
+        yield from zip(pairs[lo: lo + len(laps)], laps)
 
 
 def influence_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
     """Exact max generalized influence over sites of each order <= dmax.
 
-    f is transformed once and its Laplacians come from site_laplacians;
-    the values equal the per-site reference `influence_per_rep` in
-    tests/oracles.py at every site bit for bit.
+    f is transformed once and its Laplacians come in batches from
+    _laplacian_batches; within a batch, the sites of each stack of
+    site_stacks(d) are gathered and averaged at once.  The values equal the
+    per-site reference `influence_per_rep` in tests/oracles.py at every
+    site bit for bit.
     The (d, eps)-small-influences reading aggregates orders <= d; use
     report.max_upto(d) for that.
     """
     ctx = _scheme_of(f)
     spectrum = ctx.fourier_forward(f.values)
 
-    def order_values(d):
-        for (vp, wp), lap in site_laplacians(ctx, spectrum, d):
-            reps, members = ctx.site_cosets(vp, wp)
-            yield reps, np.mean(np.abs(lap[members]) ** 2, axis=1)
+    def order_chunks(d):
+        stacks = ctx.site_stacks(d)
+        for lo, laps in _laplacian_batches(ctx, spectrum, d):
+            for stack in stacks:
+                first, stop = np.searchsorted(stack.positions, (lo, lo + len(laps)))
+                if first < stop:
+                    positions, members = stack.positions[first:stop], stack.members[first:stop]
+                    influences = np.mean(np.abs(laps[(positions - lo)[:, None, None], members]) ** 2, axis=-1)
+                    yield positions, members, influences
 
-    return _audit_rows(f, dmax, order_values, zeta, "influence")
+    return _audit_rows(f, dmax, order_chunks, zeta, "influence")
 
 
 def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int) -> float:
@@ -188,17 +217,18 @@ def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int) -> 
 
     Restrictions compose, so the r-restrictions of f_{U->T} over every T
     are exactly the (r+1)-restrictions of f at sites with V' >= U (side
-    'v') or W' <= U (side 'w').  Those sites come from the context's
-    cached refinement lists (SchemeCtx.refining_pairs), so a call does
-    no subspace containment tests once the list for (U, side, order)
-    exists; the max is then taken over their coset means.
+    'v') or W' <= U (side 'w').  Those sites are cached rows of the
+    order's site stacks (SchemeCtx.refining_rows), so a call does no
+    subspace containment tests once the rows for (U, side, order) exist;
+    the max is taken over one coset mean per stack.  Returns -1.0 when no
+    site refines U.
     """
     ctx = _scheme_of(f)
     ab = np.abs(f.values) ** 2
     best = -1.0
-    for vp, wp in ctx.refining_pairs(u, side, order):
-        _, members = ctx.site_cosets(vp, wp)
-        best = max(best, float(np.max(np.mean(ab[members], axis=1))))
+    for stack, rows in zip(ctx.site_stacks(order), ctx.refining_rows(u, side, order)):
+        if rows.size:
+            best = max(best, float(np.max(np.mean(ab[stack.members[rows]], axis=-1))))
     return best
 
 
@@ -208,13 +238,8 @@ def lp_global_audit(f: FnTable, rmax: int, ellp: float) -> GlobalnessReport:
     ctx = _scheme_of(f)
     if ellp < 1:
         raise ToolkitError("ell' must be >= 1")
-    means = _coset_means(ctx, np.abs(f.values) ** ellp)
-
-    def order_values(d):
-        for reps, vals in means(d):
-            yield reps, vals ** (1.0 / ellp)
-
-    return _audit_rows(f, rmax, order_values, None, f"restriction-L{ellp}")
+    means = _coset_means(ctx, np.abs(f.values) ** ellp, 1.0 / ellp)
+    return _audit_rows(f, rmax, means, None, f"restriction-L{ellp}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ character restriction) live in tests/oracles.py.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import SizeCapError, ToolkitError
@@ -40,6 +42,17 @@ from .fqlin import (
 from .gf import FieldCtx, get_field
 
 _NAIVE_CAP = 2048  # full character matrix only below this domain size
+
+
+class SiteStack(NamedTuple):
+    """Restriction sites of one order whose coset partitions have one shape.
+
+    members[s] is the site_cosets members table of the site at
+    positions[s], so members[s, :, 0] are its coset reps.
+    """
+
+    positions: np.ndarray  # (S,) positions in restriction_pairs(order), ascending
+    members: np.ndarray  # (S, R, M), C-contiguous
 
 
 class SchemeCtx:
@@ -82,6 +95,7 @@ class SchemeCtx:
         self._pairs: dict = {}
         self._masks: dict = {}
         self._refining: dict = {}
+        self._stacks: dict = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -124,21 +138,42 @@ class SchemeCtx:
             self._pairs[order] = pairs
         return self._pairs[order]
 
-    def refining_pairs(self, u: Subspace, side: str, order: int) -> list[tuple[Subspace, Subspace]]:
-        """The order-`order` restriction pairs refining the direction U, cached.
+    def site_stacks(self, order: int) -> list[SiteStack]:
+        """The sites of restriction_pairs(order) grouped by the shape of their
+        site_cosets members, one SiteStack per shape in order of first
+        appearance, cached; each stack keeps restriction_pairs order.
 
-        Side 'v' keeps the pairs with V' >= U, side 'w' those with W' <= U;
-        the order of restriction_pairs is kept.
+        Members are stacked along a new leading axis, so a gather
+        values[stack.members] is C-contiguous and its mean over the last
+        axis is, row for row, the mean of values[members] of one site.
+        """
+        if order not in self._stacks:
+            by_shape: dict = {}
+            for i, (vp, wp) in enumerate(self.restriction_pairs(order)):
+                members = self.site_cosets(vp, wp)[1]
+                by_shape.setdefault(members.shape, []).append((i, members))
+            self._stacks[order] = [
+                SiteStack(np.array([i for i, _ in sites], dtype=np.int64), np.stack([m for _, m in sites]))
+                for sites in by_shape.values()
+            ]
+        return self._stacks[order]
+
+    def refining_rows(self, u: Subspace, side: str, order: int) -> list[np.ndarray]:
+        """For each stack of site_stacks(order), the rows of its sites that
+        refine the direction U, cached.
+
+        Side 'v' keeps the sites with V' >= U, side 'w' those with W' <= U.
         """
         key = (u.key, side, order)
         if key not in self._refining:
+            pairs = self.restriction_pairs(order)
             if side == "v":
-                keep = [(vp, wp) for vp, wp in self.restriction_pairs(order) if vp.contains(self.field, u)]
+                keep = np.array([vp.contains(self.field, u) for vp, _ in pairs], dtype=bool)
             elif side == "w":
-                keep = [(vp, wp) for vp, wp in self.restriction_pairs(order) if u.contains(self.field, wp)]
+                keep = np.array([u.contains(self.field, wp) for _, wp in pairs], dtype=bool)
             else:
                 raise ToolkitError(f"unknown side {side!r}")
-            self._refining[key] = keep
+            self._refining[key] = [np.flatnonzero(keep[s.positions]) for s in self.site_stacks(order)]
         return self._refining[key]
 
     # -- characters and transforms -------------------------------------------
@@ -237,7 +272,9 @@ class SchemeCtx:
     def site_cosets(self, vp: Subspace, wp: Subspace):
         """(reps, members) for the coset partition of L(V,W) by the embedded
         copy of L(V/V', W'); reps are least-index, ascending; members is
-        (n_reps, subgroup_size) of domain indices.
+        (n_reps, subgroup_size) of domain indices.  Row t adds each embedded
+        index, in ascending order, to reps[t]; the least is the zero map, so
+        members[:, 0] == reps.
 
         The embedded copy E is an F_q-subspace of the digit vectors.  Take
         an echelon basis of E with its pivots on the most significant

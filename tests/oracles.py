@@ -23,12 +23,17 @@ SchemeCtx.char_rows, char_matrix      char_value                     test_scheme
 SchemeCtx.char_restriction_table      char_restriction_dual_index    test_batched_tables::test_char_restriction_table_matches_scalar_map
 SchemeCtx.restriction_embedding       restriction_embedding_ref      test_batched_tables::test_embeddings_and_cosets_match_scalar_loop
 SchemeCtx.site_cosets                 site_cosets_ref                test_batched_tables::test_embeddings_and_cosets_match_scalar_loop
+SchemeCtx.site_stacks                 site_cosets, one site a row    test_batched_tables::test_embeddings_and_cosets_match_scalar_loop
 scheme.dualize                        dualize_perm_ref               test_scheme::test_dualize_matches_the_per_element_transpose
 calculus.laplacian_mask               laplacian_masks_ref            test_batched_tables::test_spectral_masks_match_scalar_loop
 calculus.quotient_mask                quotient_mask_ref              test_batched_tables::test_spectral_masks_match_scalar_loop
 calculus.vector_avg_factors           vector_avg_factors_ref         test_batched_tables::test_spectral_masks_match_scalar_loop
 calculus.dual_avg_factors             dual_avg_factors_ref           test_batched_tables::test_spectral_masks_match_scalar_loop
+calculus._v1_eliminations (per V1)    laplacian_masks_ref            test_batched_tables::test_spectral_masks_match_scalar_loop
 globality.global_audit                brute_force_global_audit       test_globality::test_global_audit_matches_brute_force
+  (stacked coset means)               per_site_global_audit          test_globality::test_stacked_audits_match_per_site_oracles
+globality.lp_global_audit             per_site_lp_global_audit       test_globality::test_stacked_audits_match_per_site_oracles
+globality.max_refining_restriction    max_refining_restriction_ref   test_globality::test_stacked_audits_match_per_site_oracles
 globality.influence_audit             per_site_influence_audit       test_globality::test_batched_influence_audit_matches_per_site_oracle
   (site_laplacians)                   influence (the witness site)   test_globality::test_audit_witness_is_attained
 globality.set_global_audit            reference_set_global_audit     test_set_audit_parity::test_set_audit_equals_dense_reference
@@ -334,6 +339,55 @@ def influence(f, site):
     return derivative(f, site).norm2sq()
 
 
+def per_site_audit_rows(f, dmax, order_values, zeta, kind):
+    """A scheme audit report scanned one site at a time.
+
+    order_values(d) yields (coset reps, value per rep) for each pair of
+    restriction_pairs(d), in that order; the row keeps the first site max
+    that beats every earlier one by more than 1e-15.
+    """
+    ctx = f.domain
+    base = f.norm2sq()
+    rows = []
+    for d in range(dmax + 1):
+        best = -1.0
+        witness = ""
+        pairs = ctx.restriction_pairs(d)
+        for pair_idx, ((vp, wp), (reps, vals)) in enumerate(zip(pairs, order_values(d), strict=True)):
+            j = int(np.argmax(vals))
+            if vals[j] > best + 1e-15:
+                best = float(vals[j])
+                witness = f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={int(reps[j])}"
+        thr = float("inf") if zeta is None else float(ctx.q) ** (zeta * d * ctx.n) * base
+        rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))
+    return GlobalnessReport(kind, rows)
+
+
+def coset_means(ctx, values):
+    """order_values of the coset means of `values`, one np.mean per site."""
+
+    def order_values(d):
+        for vp, wp in ctx.restriction_pairs(d):
+            reps, members = ctx.site_cosets(vp, wp)
+            yield reps, np.mean(values[members], axis=1)
+
+    return order_values
+
+
+def per_site_global_audit(f, dmax, zeta=DEFAULT_ZETA):
+    return per_site_audit_rows(f, dmax, coset_means(f.domain, np.abs(f.values) ** 2), zeta, "restriction-norm2")
+
+
+def per_site_lp_global_audit(f, rmax, ellp):
+    means = coset_means(f.domain, np.abs(f.values) ** ellp)
+
+    def order_values(d):
+        for reps, vals in means(d):
+            yield reps, vals ** (1.0 / ellp)
+
+    return per_site_audit_rows(f, rmax, order_values, None, f"restriction-L{ellp}")
+
+
 def influence_per_rep(f, v1, w1):
     """(coset reps, influence at each rep) for all distinct T at a site."""
     ctx = f.domain
@@ -342,20 +396,28 @@ def influence_per_rep(f, v1, w1):
     return reps, np.mean(np.abs(lap.values[members]) ** 2, axis=1)
 
 
-def per_site_influence_audit(f, dmax):
-    """(order, max, witness) rows from influence_per_rep at each site."""
+def per_site_influence_audit(f, dmax, zeta=DEFAULT_ZETA):
+    """The influence audit from influence_per_rep at each site."""
     ctx = f.domain
-    rows = []
-    for d in range(dmax + 1):
-        best, witness = -1.0, ""
-        for pair_idx, (vp, wp) in enumerate(ctx.restriction_pairs(d)):
-            reps, vals = influence_per_rep(f, vp, wp)
-            j = int(np.argmax(vals))
-            if vals[j] > best + 1e-15:
-                best = float(vals[j])
-                witness = f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={int(reps[j])}"
-        rows.append((d, best, witness))
-    return rows
+
+    def order_values(d):
+        for vp, wp in ctx.restriction_pairs(d):
+            yield influence_per_rep(f, vp, wp)
+
+    return per_site_audit_rows(f, dmax, order_values, zeta, "influence")
+
+
+def max_refining_restriction_ref(f, u, side, order):
+    """Max restriction mass over the order-`order` sites with V' >= U (side
+    'v') or W' <= U (side 'w'), one site at a time; -1.0 when none refines U."""
+    ctx = f.domain
+    ab = np.abs(f.values) ** 2
+    best = -1.0
+    for vp, wp in ctx.restriction_pairs(order):
+        if vp.contains(ctx.field, u) if side == "v" else u.contains(ctx.field, wp):
+            _, members = ctx.site_cosets(vp, wp)
+            best = max(best, float(np.max(np.mean(ab[members], axis=1))))
+    return best
 
 
 # ---------------------------------------------------------------------------

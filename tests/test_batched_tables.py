@@ -2,7 +2,8 @@
 
 Rank tables, the four spectral masks, site cosets, restriction
 embeddings and the character-restriction table are built by batched
-elimination over every index at once.  Each reference (tests/oracles.py)
+elimination over every index at once; the site stacks regroup the site
+cosets of each order.  Each reference (tests/oracles.py)
 walks the indices one at a time with the scalar `rref`; the batched
 tables must equal them exactly.
 """
@@ -82,6 +83,15 @@ def test_embeddings_and_cosets_match_scalar_loop(domain):
         assert reps.dtype == members.dtype == np.int64
         assert np.array_equal(reps, ref_reps)
         assert np.array_equal(members, ref_members)
+        assert np.array_equal(members[:, 0], reps)
+    for order in range(ctx.n + ctx.m + 1):
+        pairs = ctx.restriction_pairs(order)
+        stacks = ctx.site_stacks(order)
+        assert sorted(p for s in stacks for p in s.positions) == list(range(len(pairs)))
+        for s in stacks:
+            assert s.members.flags.c_contiguous
+            for pos, members in zip(s.positions, s.members):
+                assert np.array_equal(members, ctx.site_cosets(*pairs[pos])[1])
 
 
 @pytest.mark.parametrize("domain", [(2, 2, 2), (4, 2, 2), (2, 3, 2)])

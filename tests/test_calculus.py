@@ -12,12 +12,14 @@ from qharm.calculus import (
     avg_for_direction,
     avg_quotient,
     avg_vector,
+    conditional_distribution_check,
     derivative,
     direction_subspaces,
     laplacian,
     spectral_laplacian_line,
     t_operator,
 )
+from qharm.errors import ToolkitError
 from qharm.fqlin import full_space, span_of, zero_space
 from qharm.gf import get_field
 from qharm.scheme import (
@@ -310,59 +312,12 @@ def test_t_operator_kills_constants():
     assert out.norm2sq() < 1e-18
 
 
-def _conditional_distribution_check(q, vp_rows, wp_rows, v):
-    """Exhaustive joint-law enumeration for the conditional distribution of
-    A + w(x)phi given (V'', W'')."""
-    ctx = get_scheme(q, 2, 2)
-    field = ctx.field
-    vp = span_of(field, vp_rows) if len(vp_rows) else zero_space(field, 2)
-    wp = span_of(field, wp_rows) if len(wp_rows) else zero_space(field, 2)
-    assert vp.contains_vector(field, v)
-    _, emb = ctx.restriction_embedding(vp, wp)
-    bv = BvDistribution(ctx, v)
-
-    buckets = {}
-    for a_idx in emb:
-        for (w, phi), b_idx in zip(bv.pairs, bv.indices):
-            m_idx = int(ctx.domain_index.add_indices(int(a_idx), int(b_idx)))
-            # V'' = ker(phi|_{V'}): vectors of V' annihilated by phi
-            ann = []
-            for row in vp.vectors(field):
-                acc = 0
-                for a, b in zip(phi, row):
-                    acc = field.add(acc, field.mul(int(a), int(b)))
-                if acc == 0:
-                    ann.append(row)
-            vpp = span_of(field, ann) if ann else zero_space(field, 2)
-            # W'' = W' + span(w)
-            wpp = span_of(field, list(wp.basis) + [w]) if (wp.dim or np.any(w)) else zero_space(field, 2)
-            key = (vpp.key, wpp.key, wpp == wp)
-            buckets.setdefault(key, {"vpp": vpp, "wpp": wpp, "same": wpp == wp, "counts": {}})
-            buckets[key]["counts"][m_idx] = buckets[key]["counts"].get(m_idx, 0) + 1
-
-    for info in buckets.values():
-        vpp, wpp, same = info["vpp"], info["wpp"], info["same"]
-        counts = info["counts"]
-        _, emb_pp = ctx.restriction_embedding(vpp, wpp)
-        if same:
-            expected = set(map(int, emb_pp))
-        else:
-            expected = set()
-            for e in map(int, emb_pp):
-                mat = ctx.domain_index.to_matrix(e)
-                from qharm.fqlin import mat_vec
-
-                img_v = mat_vec(field, mat, v)
-                if not wp.contains_vector(field, img_v):
-                    expected.add(e)
-        assert set(counts) == expected, "conditional support mismatch"
-        mults = set(counts.values())
-        assert len(mults) == 1, "conditional law is not uniform"
-
-
 def test_conditional_distribution_exhaustive():
     for q in (2, 3):
+        ctx = get_scheme(q, 2, 2)
         v = np.array([1, 0], dtype=np.uint8)
-        _conditional_distribution_check(q, [[1, 0], [0, 1]], [[1, 0]], v)
-        _conditional_distribution_check(q, [[1, 0]], [[1, 0], [0, 1]], v)
-        _conditional_distribution_check(q, [[1, 0]], [[0, 1]], v)
+        for vp_rows, wp_rows in [([[1, 0], [0, 1]], [[1, 0]]), ([[1, 0]], [[1, 0], [0, 1]]), ([[1, 0]], [[0, 1]])]:
+            vp, wp = span_of(ctx.field, vp_rows), span_of(ctx.field, wp_rows)
+            assert conditional_distribution_check(ctx, vp, wp, v)
+        with pytest.raises(ToolkitError, match="must lie in V'"):
+            conditional_distribution_check(ctx, span_of(ctx.field, [[0, 1]]), wp, v)

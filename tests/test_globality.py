@@ -7,8 +7,16 @@ import re
 import numpy as np
 import pytest
 
-from oracles import brute_force_global_audit, brute_force_set_ratios, influence, per_site_influence_audit
-from qharm.calculus import RestrictionSite
+from oracles import (
+    brute_force_global_audit,
+    brute_force_set_ratios,
+    influence,
+    max_refining_restriction_ref,
+    per_site_global_audit,
+    per_site_influence_audit,
+    per_site_lp_global_audit,
+)
+from qharm.calculus import RestrictionSite, direction_subspaces
 from qharm.errors import ToolkitError
 from qharm.globality import (
     GoodUmvirate,
@@ -19,6 +27,7 @@ from qharm.globality import (
     good_umvirate_partition,
     influence_audit,
     lp_global_audit,
+    max_refining_restriction,
     set_global_audit,
     umvirate_normal_form,
 )
@@ -118,20 +127,35 @@ def test_influence_audit_cases():
     assert abs(rep2.value_at(0) - f.norm2sq()) < 1e-12
 
 
+PARITY_DOMAINS = [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 3, 3), (2, 2, 4)]
+
+
 @pytest.mark.parametrize("small_batches", [False, True])
 def test_batched_influence_audit_matches_per_site_oracle(monkeypatch, small_batches):
     import qharm.globality as globality
 
-    for (q, n, m), dmax in [((2, 2, 2), 4), ((3, 2, 2), 4), ((2, 3, 3), 2)]:
+    for q, n, m in PARITY_DOMAINS:
         ctx = get_scheme(q, n, m)
         if small_batches:
             # two sites per batched inverse, so every order of size > 2 spans several batches
             monkeypatch.setattr(globality, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
-        for kind in ("real", "boolean"):
+        for kind in ("real", "boolean", "complex"):
             f = random_table(ctx, RNG, kind)
-            rep = influence_audit(f, dmax)
-            got = [(r.order, r.value, r.witness) for r in rep.rows]
-            assert got == per_site_influence_audit(f, dmax)
+            assert influence_audit(f, n + m).rows == per_site_influence_audit(f, n + m).rows
+
+
+@pytest.mark.parametrize("q, n, m", PARITY_DOMAINS)
+def test_stacked_audits_match_per_site_oracles(q, n, m):
+    ctx = get_scheme(q, n, m)
+    top = n + m
+    for kind in ("real", "boolean", "complex"):
+        f = random_table(ctx, RNG, kind)
+        assert global_audit(f, top).rows == per_site_global_audit(f, top).rows
+        for ellp in (4.0 / 3.0, 2.0):
+            assert lp_global_audit(f, top, ellp).rows == per_site_lp_global_audit(f, top, ellp).rows
+        for u, side in direction_subspaces(ctx):
+            for order in range(top + 1):
+                assert max_refining_restriction(f, u, side, order) == max_refining_restriction_ref(f, u, side, order)
 
 
 @pytest.mark.parametrize("q, n, m", [(2, 2, 2), (3, 2, 2), (2, 3, 3)])
@@ -165,19 +189,21 @@ def test_site_laplacians_equal_the_single_site_laplacian(monkeypatch, small_batc
 
 
 def test_refining_pairs_match_contains_filter():
-    from qharm.calculus import direction_subspaces
-
     for (q, n, m) in [(2, 2, 2), (3, 2, 2), (2, 2, 3), (2, 3, 3)]:
         ctx = get_scheme(q, n, m)
         for u, side in direction_subspaces(ctx):
             for order in range(n + m + 1):
+                pairs = ctx.restriction_pairs(order)
                 if side == "v":
-                    expect = [(vp, wp) for vp, wp in ctx.restriction_pairs(order) if vp.contains(ctx.field, u)]
+                    expect = [i for i, (vp, wp) in enumerate(pairs) if vp.contains(ctx.field, u)]
                 else:
-                    expect = [(vp, wp) for vp, wp in ctx.restriction_pairs(order) if u.contains(ctx.field, wp)]
-                assert ctx.refining_pairs(u, side, order) == expect
+                    expect = [i for i, (vp, wp) in enumerate(pairs) if u.contains(ctx.field, wp)]
+                stacks = ctx.site_stacks(order)
+                rows = ctx.refining_rows(u, side, order)
+                assert len(rows) == len(stacks)
+                assert sorted(p for s, r in zip(stacks, rows) for p in s.positions[r]) == expect
     with pytest.raises(ToolkitError):
-        ctx.refining_pairs(u, "x", 1)
+        ctx.refining_rows(u, "x", 1)
 
 
 def test_lp_audit_consistency_with_l2():
