@@ -50,11 +50,13 @@ class GroupSet:
 
 
 def product_set(a: GroupSet, b: GroupSet) -> GroupSet:
-    """The exact product set {xy : x in A, y in B}."""
+    """The exact product set {xy : x in A, y in B}, marked in a membership mask."""
     group = a.group
     if b.group is not group:
         raise ToolkitError("product requires two sets on the same group")
-    return GroupSet(group, np.unique(group.mul_table()[np.ix_(a.ordinals, b.ordinals)]))
+    hit = np.zeros(group.size, dtype=bool)
+    hit[group.mul_table()[np.ix_(a.ordinals, b.ordinals)]] = True
+    return GroupSet(group, np.flatnonzero(hit))
 
 
 def inverse_set(a: GroupSet) -> GroupSet:

@@ -231,6 +231,16 @@ def _bv_cached(ctx: SchemeCtx, v: np.ndarray) -> BvDistribution:
     return ctx._masks[key]
 
 
+def _planes_avoiding(ctx: SchemeCtx, v: np.ndarray) -> list[Subspace]:
+    """The hyperplanes V' of V that do not contain v, in `ctx.subspaces` order."""
+    key = ("planes_avoiding", encode_vector(v, ctx.q))
+    if key not in ctx._masks:
+        planes = [s for s in ctx.subspaces("v", ctx.n - 1) if not s.contains_vector(ctx.field, v)]
+        assert len(planes) == ctx.q ** (ctx.n - 1)
+        ctx._masks[key] = planes
+    return ctx._masks[key]
+
+
 def avg_vector(f: FnTable, v: np.ndarray) -> FnTable:
     """E_v: all three realizations (hyperplane average of e_{V/V'}, the
     spectral form, and the rank-one resampling distribution B_v) are
@@ -245,12 +255,7 @@ def avg_vector(f: FnTable, v: np.ndarray) -> FnTable:
     err = float(np.max(np.abs(spectral - via_bv)))
     if err > 1e-8:
         raise ConsistencyError(f"E_v spectral vs B_v forms disagree by {err}")
-    planes = [
-        s
-        for s in ctx.subspaces("v", ctx.n - 1)
-        if not s.contains_vector(ctx.field, v)
-    ]
-    assert len(planes) == ctx.q ** (ctx.n - 1)
+    planes = _planes_avoiding(ctx, v)
     acc = np.zeros_like(f.values)
     for vp in planes:
         acc += _avg_quotient_direct(f, vp)

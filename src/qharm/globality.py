@@ -307,13 +307,18 @@ class SetAuditResult:
 
 
 def cell_umvirate(group: GroupTable, cell: int) -> Umvirate:
-    """The mixed umvirate at a flat cell index of `group.dictator_systems()`."""
+    """The mixed umvirate at a flat cell index of `group.dictator_systems()`,
+    built once per cell and kept in the table's `umvirates`.  Every caller
+    gets the same object, so none may mutate it."""
     tables = group.dictator_systems()
     i, j = divmod(int(cell), len(tables.func_systems))
-    n, q = group.n, group.q
-    row, func = ([(decode_vector(v, n, q), decode_vector(w, n, q)) for v, w in s] for s in
-                 (tables.row_systems[i], tables.func_systems[j]))
-    return Umvirate(group.field, n, row, func)
+    key = int(cell)
+    if key not in tables.umvirates:
+        n, q = group.n, group.q
+        row, func = ([(decode_vector(v, n, q), decode_vector(w, n, q)) for v, w in s] for s in
+                     (tables.row_systems[i], tables.func_systems[j]))
+        tables.umvirates[key] = Umvirate(group.field, n, row, func)
+    return tables.umvirates[key]
 
 
 def _set_ordinals(group: GroupTable, ordinals, what: str) -> np.ndarray:

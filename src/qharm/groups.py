@@ -27,7 +27,9 @@ element, the system it lies in on each subspace.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from .errors import RefinementError, SizeCapError, ToolkitError
 from .fqlin import IndexMap, Subspace, det, encode_vector, enumerate_subspaces, mat_mul
 from .gf import FieldCtx, get_field
 from .scheme import FnTable, degree_project, get_scheme, random_table
+
+if TYPE_CHECKING:
+    from .globality import Umvirate
 
 DEFAULT_GROUP_CAP = 10**5
 _MUL_TABLE_CAP = 6000
@@ -206,19 +211,26 @@ def transfer_to_group(f: FnTable, group: GroupTable) -> FnTable:
     return FnTable(group, f.values[group.elements])
 
 
+def convolver(f: FnTable) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from the values of g (or a (|G|, k) stack of them, one per
+    column) to those of f * g.  f's kernel K[x, y] = f(x y^{-1}) is gathered
+    once, and each call is K @ g / |G|: (f*g)(x) = E_y f(x y^{-1}) g(y)."""
+    group = _group_of(f)
+    kern = f.values[group.xyinv_table()]
+    return lambda values: kern @ values / group.size
+
+
 def convolve(f: FnTable, g: FnTable) -> FnTable:
     """(f*g)(x) = E_y f(x y^{-1}) g(y)."""
     gt = _group_of(f)
     if g.domain is not gt:
         raise ToolkitError("convolution requires a common group")
-    kern = gt.xyinv_table()
-    return FnTable(gt, f.values[kern] @ g.values / gt.size)
+    return FnTable(gt, convolver(f)(g.values))
 
 
 def convolve_batch(f_values: np.ndarray, basis: np.ndarray, group: GroupTable) -> np.ndarray:
     """f * b for every row b of basis; returns (n_rows, |G|)."""
-    kern = group.xyinv_table()
-    return (f_values[kern] @ basis.T / group.size).T
+    return convolver(FnTable(group, f_values))(basis.T).T
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +276,26 @@ class DictatorSystems:
     g's (#subspaces)^2 cells in the sorted list of nonempty cells, of
     orders `cell_orders`; `cells[d]` and `cell_sizes[d]` are the order-d
     cells, ascending, and their sizes |U & G|, the counts of cell_of over
-    G.  A set audit counts |A & U| as np.bincount(cell_of[A]).
+    G.  A set audit counts |A & U| as np.bincount(cell_of[A]).  The flat
+    cell keys are sorted as int32 while they fit, which halves the
+    np.unique over them; the cells come out as int64 either way.
+    `umvirates` holds the mixed umvirate of each flat cell that
+    `globality.cell_umvirate` has built, keyed by flat index.
     """
 
     def __init__(self, group: GroupTable):
         self.row_systems, self.row_orders, self.row_of = _dictator_family(group, group.vector_action(False))
         self.func_systems, self.func_orders, func_of = _dictator_family(group, group.vector_action(True))
         width = len(self.func_systems)
-        cells, cell_of, sizes = np.unique(self.row_of[:, :, None] * width + func_of[:, None, :],
-                                          return_inverse=True, return_counts=True)
+        key_type = np.int32 if len(self.row_systems) * width < 2**31 else np.int64
+        keys = self.row_of.astype(key_type)[:, :, None] * width + func_of.astype(key_type)[:, None, :]
+        cells, cell_of, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+        cells = cells.astype(np.int64)
         self.cell_of = cell_of.reshape(group.size, -1)
         self.cell_orders = self.row_orders[cells // width] + self.func_orders[cells % width]
         self.cells = [cells[self.cell_orders == d] for d in range(2 * group.n + 1)]
         self.cell_sizes = [sizes[self.cell_orders == d] for d in range(2 * group.n + 1)]
+        self.umvirates: dict[int, Umvirate] = {}
 
 
 class _GramSchmidtRows:
@@ -526,7 +545,6 @@ def isotypic_blocks(group: GroupTable) -> dict[int, list[np.ndarray]]:
     labels = group.conjugacy_classes()
     n_classes = group.class_count()
     rng = np.random.default_rng(0)
-    kern = group.xyinv_table()
 
     out: dict[int, list[np.ndarray]] = {}
     for d in range(levels.dmax() + 1):
@@ -537,13 +555,13 @@ def isotypic_blocks(group: GroupTable) -> dict[int, list[np.ndarray]]:
         blocks = [eq]
         for _ in range(_ISOTYPIC_DRAWS):
             cvals = rng.standard_normal(n_classes)[labels].astype(np.complex128)
-            ckern = cvals[kern]
+            conv_c = convolver(FnTable(group, cvals))
             new_blocks = []
             for qb in blocks:
                 if qb.shape[0] == 1:
                     new_blocks.append(qb)
                     continue
-                conv = (ckern @ qb.T / group.size).T  # rows: c * q_i
+                conv = conv_c(qb.T).T  # rows: c * q_i
                 mat = qb.conj() @ conv.T / group.size  # mat[i,j] = <c*q_j, q_i>
                 vals, vecs = np.linalg.eig(mat)
                 for members in _cluster_eigvals(vals):

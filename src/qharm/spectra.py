@@ -33,6 +33,7 @@ from .groups import (
     GroupTable,
     convolve,
     convolve_batch,
+    convolver,
     get_group,
     get_isotypic,
     get_levels,
@@ -62,7 +63,10 @@ def conv_operator_matrix(f: FnTable, d: int) -> np.ndarray:
 
 def conv_operator_norm(f: FnTable, d: int) -> float:
     """||T_f|| restricted to V_{=d}: the largest singular value of its matrix."""
-    m = conv_operator_matrix(f, d)
+    return _spectral_norm(conv_operator_matrix(f, d))
+
+
+def _spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
@@ -82,13 +86,17 @@ class OperatorNormRow:
 
 def sarnak_xue_check(f: FnTable, d: int, c_report: float = 0.05) -> OperatorNormRow:
     """Trace identity tr(T* T) = ||f_{=d}||_2^2 (two computations) and the
-    spectral bound ||T_f||_{V_=d} <= ||f_{=d}||_2 / sqrt(m_d)."""
+    spectral bound ||T_f||_{V_=d} <= ||f_{=d}||_2 / sqrt(m_d).
+
+    One matrix, that of T_f on V_{=d}, gives both the norm and the trace
+    side: V_{=d} is a two-sided ideal of the group algebra, so f - f_{=d}
+    convolves V_{=d} to zero and T_f = T_{f_{=d}} there.  The trace side is
+    its Frobenius^2, tr(T* T); the direct side is ||f_{=d}||_2^2."""
     group: GroupTable = f.domain
-    fd = level_project_eq(f, d)
-    m = conv_operator_matrix(fd, d)
-    trace_matrix = float(np.sum(np.abs(m) ** 2))  # Frobenius^2 = tr(T*T) on V_=d
-    trace_direct = fd.norm2sq()
-    norm = conv_operator_norm(f, d)
+    m = conv_operator_matrix(f, d)
+    norm = _spectral_norm(m)
+    trace_matrix = float(np.sum(np.abs(m) ** 2))
+    trace_direct = level_project_eq(f, d).norm2sq()
     iso = get_isotypic(group)
     m_d = iso.m_d.get(d, 0)
     sx_bound = float(np.sqrt(trace_direct / m_d)) if m_d else float("inf")
@@ -163,13 +171,14 @@ def mixing_experiment(a: GroupSet, b: GroupSet) -> MixingReport:
     group = a.group
     f = group.indicator(a.ordinals)
     g = group.indicator(b.ordinals)
-    conv = convolve(f, g)
+    f_star = convolver(f)
+    conv = f_star(g.values)
     mean_term = f.mean().real * g.mean().real
-    dev = float(np.sqrt(np.mean(np.abs(conv.values - mean_term) ** 2)))
+    dev = float(np.sqrt(np.mean(np.abs(conv - mean_term) ** 2)))
     per_level = []
     for d in range(1, group.n + 1):
         gd = level_project_eq(g, d)
-        per_level.append(float(np.sqrt(convolve(f, gd).norm2sq())))
+        per_level.append(float(np.sqrt(FnTable(group, f_star(gd.values)).norm2sq())))
     resid = abs(dev**2 - sum(x**2 for x in per_level))
     bound = float(group.q) ** (-group.n / 4) * mean_term
     return MixingReport(
@@ -190,8 +199,8 @@ def product_mixing(a: GroupSet, b: GroupSet, c: GroupSet) -> MixingReport:
     f = group.indicator(a.ordinals)
     g = group.indicator(b.ordinals)
     h = group.indicator(c.ordinals)
-    conv = convolve(f, g)
-    triple = float(conv.inner(h).real)
+    f_star = convolver(f)
+    triple = float(FnTable(group, f_star(g.values)).inner(h).real)
     means = f.mean().real * g.mean().real * h.mean().real
     dev = abs(triple - means)
     per_level = []
@@ -199,7 +208,7 @@ def product_mixing(a: GroupSet, b: GroupSet, c: GroupSet) -> MixingReport:
     for d in range(1, group.n + 1):
         gd = level_project_eq(g, d)
         hd = level_project_eq(h, d)
-        term = convolve(f, gd).inner(hd).real
+        term = FnTable(group, f_star(gd.values)).inner(hd).real
         per_level.append(float(term))
         total += term
     resid = abs(triple - (means + total))

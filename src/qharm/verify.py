@@ -27,6 +27,7 @@ from .calculus import (
     _avg_quotient_direct,
     _avg_vector_spectral,
     _bv_cached,
+    _planes_avoiding,
     annihilator_functional,
     avg_for_direction,
     avg_quotient,
@@ -192,8 +193,7 @@ def criterion_operator_identities() -> CheckResult:
             if side == "v":
                 v = u.basis[0]
                 track("avg-vector-bv", np.max(np.abs(ev.values - _bv_cached(ctx, v).average(f.values))))
-                planes = [s for s in ctx.subspaces("v", n - 1) if not s.contains_vector(ctx.field, v)]
-                acc = np.mean([_avg_quotient_direct(f, s) for s in planes], axis=0)
+                acc = np.mean([_avg_quotient_direct(f, s) for s in _planes_avoiding(ctx, v)], axis=0)
                 track("avg-vector-hyperplane", np.max(np.abs(ev.values - acc)))
             else:
                 fd = dualize(f)

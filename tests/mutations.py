@@ -184,13 +184,25 @@ MUTATIONS = [
              "chars = np.ones((1, group.size))",
              ("tests/test_level_tables.py::test_levels_match_generator_stream_reference[gl-2-3-twisted-False]",)),
     Mutation("convolution through the transposed kernel", "src/qharm/groups.py",
-             "return FnTable(gt, f.values[kern] @ g.values / gt.size)",
-             "return FnTable(gt, f.values[kern].T @ g.values / gt.size)",
+             "return lambda values: kern @ values / group.size",
+             "return lambda values: kern.T @ values / group.size",
              ("tests/test_groups.py::test_convolution_identities_and_oracle",)),
     Mutation("product set BA", "src/qharm/bogolyubov.py",
-             "return GroupSet(group, np.unique(group.mul_table()[np.ix_(a.ordinals, b.ordinals)]))",
-             "return GroupSet(group, np.unique(group.mul_table()[np.ix_(b.ordinals, a.ordinals)]))",
+             "hit[group.mul_table()[np.ix_(a.ordinals, b.ordinals)]] = True",
+             "hit[group.mul_table()[np.ix_(b.ordinals, a.ordinals)]] = True",
              ("tests/test_bogolyubov.py::test_product_set_matches_double_loop",)),
+    Mutation("witness memo keyed by order instead of cell", "src/qharm/globality.py",
+             "key = int(cell)",
+             "key = int(tables.row_orders[i] + tables.func_orders[j])",
+             ("tests/test_set_audit_parity.py::test_back_to_back_audits_keep_their_own_witnesses[sl-2-3]",)),
+    Mutation("Sarnak-Xue matrix taken on level d - 1", "src/qharm/spectra.py",
+             "m = conv_operator_matrix(f, d)",
+             "m = conv_operator_matrix(f, d - 1)",
+             ("tests/test_spectra.py::test_sarnak_xue_matches_two_matrix_reference[sl-2-3]",)),
+    Mutation("mixing level term convolves g, not g_{=d}", "src/qharm/spectra.py",
+             "per_level.append(float(np.sqrt(FnTable(group, f_star(gd.values)).norm2sq())))",
+             "per_level.append(float(np.sqrt(FnTable(group, f_star(g.values)).norm2sq())))",
+             ("tests/test_spectra.py::test_mixing_terms_match_one_convolution_per_term[sl-2-3]",)),
     Mutation("inverse without the pivot row swap", "src/qharm/fqlin.py",
              "aug[lane, found] = aug[:, col]",
              "pass",

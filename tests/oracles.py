@@ -37,6 +37,7 @@ globality.max_refining_restriction    max_refining_restriction_ref   test_global
 globality.influence_audit             per_site_influence_audit       test_globality::test_batched_influence_audit_matches_per_site_oracle
   (site_laplacians)                   influence (the witness site)   test_globality::test_audit_witness_is_attained
 globality.set_global_audit            reference_set_global_audit     test_set_audit_parity::test_set_audit_equals_dense_reference
+  (witnesses memoized per cell)       reference_set_global_audit     test_set_audit_parity::test_back_to_back_audits_keep_their_own_witnesses
                                       brute_force_set_ratios         test_globality::test_set_audit_matches_counting_oracle
                                       dictator_ratio                 test_set_audit_parity::test_set_audit_witnesses_recount_on_gl2_f7
 globality.good_umvirate_partition     reference_partition            test_partition_parity::test_batched_partition_matches_scalar_reference
@@ -48,7 +49,9 @@ GroupTable.mul_table                  mul_row_ref                    test_group_
 groups.DictatorSystems                dictator_family_ref, cells_ref test_group_tables::test_dictator_systems_match_target_loop
 groups.build_level_basis              reference_levels               test_level_tables::test_levels_match_generator_stream_reference
 groups.convolve                       brute_convolution              test_groups::test_convolution_identities_and_oracle
-bogolyubov.product_set                brute_product                  test_bogolyubov::test_product_set_matches_double_loop
+  (one gather per mixing run)         mixing_terms_ref               test_spectra::test_mixing_terms_match_one_convolution_per_term
+spectra.sarnak_xue_check (one matrix) sarnak_xue_ref (two matrices)  test_spectra::test_sarnak_xue_matches_two_matrix_reference
+bogolyubov.product_set (mask)         brute_product                  test_bogolyubov::test_product_set_matches_double_loop
 
 `python tests/mutations.py` breaks one fast path at a time and checks
 that its comparing test fails.
@@ -71,8 +74,9 @@ from qharm.globality import (
     _rank_factor,
     umvirate_normal_form,
 )
-from qharm.groups import _GramSchmidtRows, get_group, multiplicative_characters
+from qharm.groups import _GramSchmidtRows, convolve, get_group, get_isotypic, level_project_eq, multiplicative_characters
 from qharm.scheme import get_scheme, restrict
+from qharm.spectra import OperatorNormRow, conv_operator_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +544,42 @@ def brute_product(group, a, b):
     """The product set {x y : x in A, y in B} by a double loop, as a Python set."""
     m = group.mul_table()
     return {int(m[x, y]) for x in a for y in b}
+
+
+# ---------------------------------------------------------------------------
+# convolution operators and mixing
+# ---------------------------------------------------------------------------
+
+def sarnak_xue_ref(f, d, c_report=0.05):
+    """The Sarnak-Xue row from two operator matrices: the trace side from
+    the matrix of T_{f_{=d}} on V_{=d}, the norm from that of T_f."""
+    group = f.domain
+    fd = level_project_eq(f, d)
+    trace_matrix = float(np.sum(np.abs(conv_operator_matrix(fd, d)) ** 2))
+    trace_direct = fd.norm2sq()
+    m = conv_operator_matrix(f, d)
+    norm = float(np.linalg.norm(m, 2)) if m.size else 0.0
+    m_d = get_isotypic(group).m_d.get(d, 0)
+    sx_bound = float(np.sqrt(trace_direct / m_d)) if m_d else float("inf")
+    mean = abs(f.mean())
+    target = float(group.q) ** (-c_report * d * group.n) * mean
+    if norm > 1e-14 and mean > 1e-14 and d >= 1:
+        emp_c = float(-np.log(norm / mean) / (np.log(group.q) * d * group.n))
+    else:
+        emp_c = float("inf")
+    return OperatorNormRow(d, norm, trace_matrix, trace_direct, sx_bound, m_d,
+                           bool(norm <= sx_bound + 1e-9), c_report, target, emp_c)
+
+
+def mixing_terms_ref(group, a, b, c):
+    """(||f*g_{=d}||_2, <f*g_{=d}, h_{=d}>) for d = 1..n, with f, g, h the
+    indicators of A, B, C and one `convolve` call, so one kernel gather, per term."""
+    f, g, h = (group.indicator(s) for s in (a, b, c))
+    out = []
+    for d in range(1, group.n + 1):
+        conv = convolve(f, level_project_eq(g, d))
+        out.append((float(np.sqrt(conv.norm2sq())), float(conv.inner(level_project_eq(h, d)).real)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -244,3 +244,34 @@ def test_cli_determinism(tmp_path):
     for out in (out1, out2):
         assert main(["set-audit", "--q", "3", "--n", "2", "--set", str(setfile), "-o", str(out)]) == 0
     assert (out1 / "set_audit.csv").read_bytes() == (out2 / "set_audit.csv").read_bytes()
+
+
+# SHA-256 of every file that bogolyubov, approx-group and set-audit write for
+# the set below, recorded before the product sets became masks and the set
+# audit's witnesses a per-cell memo.  The outputs are count ratios and
+# umvirate descriptions, not floating-point sums, so they must not move by
+# a byte.
+GROUP_OUTPUT_DIGESTS = {
+    "approx-group_manifest.json": "b7c4ee5a973112c21f4bcb02514dc9e909d6e12912b0ed0ee3a255d06a2e9a8b",
+    "approx_group.json": "0be53ff2af5ee0e2553965b239fb076d6c724c247866eba015d394905bb9bceb",
+    "bogolyubov.json": "7c880b85775e85a39a8588dbc5096f3e480d15dc702aae9edb237a22fa105a11",
+    "bogolyubov_manifest.json": "e35b129b2359168d2cb8369d87c45a6ccca95e194834dfaf05c1f4e96faa578a",
+    "set-audit_manifest.json": "38835d2bf339669213060c8fd7e842ec0d6e635a2aeb413ae89dcdffc08d2573",
+    "set_audit.csv": "a015126ba2e8b0f6a6eaf2eb8897e297a3464b1bf2861b6fdfa3bf49c45c2740",
+}
+
+
+def test_cli_group_outputs_are_byte_identical_to_recorded_digests(tmp_path, monkeypatch):
+    import hashlib
+
+    from qharm.globality import block_subgroup_members
+
+    g = get_group("sl", 3, 2)
+    base = np.concatenate([block_subgroup_members(g, 1), np.random.default_rng(0).choice(g.size, size=1)])
+    monkeypatch.chdir(tmp_path)  # relative paths keep the manifests free of tmp_path
+    write_set_file("a.txt", g, np.union1d(base, g.inv[base]))
+    for cmd in ("bogolyubov", "approx-group", "set-audit"):
+        assert main([cmd, "--q", "2", "--n", "3", "--set", "a.txt", "-o", "out"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(tmp_path / "out"))}
+    assert digests == GROUP_OUTPUT_DIGESTS

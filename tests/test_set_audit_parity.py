@@ -56,6 +56,20 @@ def test_set_audit_equals_dense_reference(kind, n, q):
     assert len(res.report.rows) == 2 * n + 1
 
 
+@pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 3, 2)])
+def test_back_to_back_audits_keep_their_own_witnesses(kind, n, q):
+    # witnesses are memoized per cell on the group's table: a second audit of
+    # another set on the same group must not read the first one's witnesses
+    g = get_group(kind, n, q)
+    rng = np.random.default_rng(77 + n)
+    first, second = (GoodUmvirate(g, 1, int(rng.integers(g.size)), int(rng.integers(g.size))).members()
+                     for _ in range(2))
+    results = [set_global_audit(g, a, r=0.5) for a in (first, second)]
+    for a, res in zip((first, second), results):
+        _assert_same(res, reference_set_global_audit(g, a, r=0.5))
+    assert [row.witness for row in results[0].report.rows] != [row.witness for row in results[1].report.rows]
+
+
 def test_set_audit_rejects_bad_ordinals():
     g = get_group("sl", 2, 3)
     # duplicates do not count twice towards mu(A)

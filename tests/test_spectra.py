@@ -1,11 +1,13 @@
 """Operator norms on levels, the trace identity, mixing decompositions,
 product-free witnesses, and spot checks of the inequality batteries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qharm.spectra as spectra
-from oracles import brute_convolution
+from oracles import brute_convolution, mixing_terms_ref, sarnak_xue_ref
 from qharm.bogolyubov import GroupSet
 from qharm.groups import (
     convolve,
@@ -56,6 +58,21 @@ def test_trace_identity_and_sx_bound():
                 row = sarnak_xue_check(f, d)
                 assert abs(row.trace_matrix - row.trace_direct) < 1e-8
                 assert row.sx_holds
+
+
+@pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 2, 5), ("sl", 3, 2), ("gl", 2, 3)])
+def test_sarnak_xue_matches_two_matrix_reference(kind, n, q):
+    # one matrix serves both sides: every field is the two-matrix reference's,
+    # except that the trace side is now T_f's Frobenius^2, not T_{f_=d}'s
+    g = get_group(kind, n, q)
+    rng = np.random.default_rng(100 * n + q)
+    fs = [random_group_table(g, rng, "real"), random_group_table(g, rng, "complex"),
+          g.indicator(rng.choice(g.size, size=g.size // 3, replace=False))]
+    for f in fs:
+        for d in range(n + 1):
+            got, want = sarnak_xue_check(f, d), sarnak_xue_ref(f, d)
+            assert abs(got.trace_matrix - want.trace_matrix) <= 1e-14 * abs(want.trace_matrix)
+            assert dataclasses.replace(got, trace_matrix=want.trace_matrix) == want
 
 
 def test_trace_identity_point_mass():
@@ -112,6 +129,26 @@ def test_mixing_decomposition_and_oracle():
         assert np.max(np.abs(conv.values - brute)) < 1e-12
         dev = np.sqrt(np.mean(np.abs(brute - a.mu * b.mu) ** 2))
         assert rep.deviation == pytest.approx(float(dev), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 3, 2)])
+def test_mixing_terms_match_one_convolution_per_term(kind, n, q):
+    # both experiments gather f's kernel once; each level term must still be
+    # the one that a separate convolution of f with g_{=d} gives, bit for bit
+    g = get_group(kind, n, q)
+    rng = np.random.default_rng(31 + n)
+    for _ in range(3):
+        a, b, c = (np.sort(rng.choice(g.size, size=int(rng.integers(3, g.size // 2)), replace=False))
+                   for _ in range(3))
+        want = mixing_terms_ref(g, a, b, c)
+        mix = mixing_experiment(GroupSet(g, a), GroupSet(g, b))
+        triple = product_mixing(GroupSet(g, a), GroupSet(g, b), GroupSet(g, c))
+        assert mix.per_level == [norm for norm, _ in want]
+        assert triple.per_level == [term for _, term in want]
+        fa, fb = g.indicator(a), g.indicator(b)
+        conv = convolve(fa, fb)
+        assert mix.deviation == float(np.sqrt(np.mean(np.abs(conv.values - fa.mean().real * fb.mean().real) ** 2)))
+        assert triple.triple == float(conv.inner(g.indicator(c)).real)
 
 
 def test_product_mixing_cases():
