@@ -9,9 +9,11 @@ check or assertion failed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -40,12 +42,58 @@ from .fqlin import DEFAULT_MAX_DOMAIN
 # input/output formats
 # ---------------------------------------------------------------------------
 
+_FUNCTION_HEADER = "index,re,im"
+_ROW_BLOCK = 1 << 11  # rows per write: the text streams out a block at a time
+
+
 def read_function_csv(path: str, size: int) -> np.ndarray:
+    """Values of a function on `size` indices from an `index,re,im` CSV.
+
+    numpy's parser reads the file in one streamed pass.  It refuses every
+    row the per-line reader refuses and more (2- and 4-column rows, `1_0`
+    or `1.0` as an index); those files, and files with an index out of
+    range or repeated, go to the per-line reader, which alone decides
+    their values and error messages.  Non-ASCII text and the separators
+    \\x1c-\\x1f go there too: numpy strips them around a field as
+    whitespace, or reads some non-ASCII letters as digits, where Python's
+    int() and float() refuse them.
+    """
+    try:
+        with open(path, encoding="ascii") as fh:
+            if fh.readline().strip().replace(" ", "") != _FUNCTION_HEADER:
+                fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(itertools.chain.from_iterable(_line_blocks(fh)),
+                                  dtype=[("index", np.int64), ("re", np.float64), ("im", np.float64)],
+                                  delimiter=",", comments=None, ndmin=1)
+    except ValueError:  # UnicodeDecodeError included
+        return _read_function_lines(path, size)
+    idx = rows["index"]
+    if idx.size and (idx.min() < 0 or idx.max() >= size or np.bincount(idx).max() > 1):
+        return _read_function_lines(path, size)
+    values = np.zeros(size, dtype=np.complex128)
+    values.real[idx] = rows["re"]
+    values.imag[idx] = rows["im"]
+    return values
+
+
+def _line_blocks(fh):
+    """fh's lines in lists of about 64 KB; ValueError on a separator \\x1c-\\x1f."""
+    while lines := fh.readlines(1 << 16):
+        block = "".join(lines)
+        if any(sep in block for sep in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("ASCII separator in a function CSV")
+        yield lines
+
+
+def _read_function_lines(path: str, size: int) -> np.ndarray:
+    """The per-line reader: later rows win, errors name `path:line`."""
     values = np.zeros(size, dtype=np.complex128)
     with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
+        for ln, line in _numbered_lines(path, fh):
             line = line.strip()
-            if not line or (ln == 1 and line.replace(" ", "") == "index,re,im"):
+            if not line or (ln == 1 and line.replace(" ", "") == _FUNCTION_HEADER):
                 continue
             parts = line.split(",")
             try:
@@ -60,11 +108,23 @@ def read_function_csv(path: str, size: int) -> np.ndarray:
     return values
 
 
+def _numbered_lines(path: str, fh):
+    """enumerate(fh, 1), with undecodable text reported as an InputFormatError."""
+    try:
+        yield from enumerate(fh, 1)
+    except UnicodeDecodeError as e:
+        raise InputFormatError(f"{path}: not {e.encoding} text ({e.reason})") from e
+
+
 def write_function_csv(path: str, values: np.ndarray) -> None:
+    """`index,re,im` rows, each part written as Python's shortest round-trip repr."""
     with open(path, "w") as fh:
-        fh.write("index,re,im\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
+        fh.write(_FUNCTION_HEADER + "\n")
+        for start in range(0, len(values), _ROW_BLOCK):
+            block = values[start : start + _ROW_BLOCK]
+            re = block.real.astype(np.float64).tolist()
+            im = block.imag.astype(np.float64).tolist()
+            fh.write("".join([f"{i},{r!r},{m!r}\n" for i, r, m in zip(range(start, start + len(re)), re, im)]))
 
 
 def read_set_file(path: str, group) -> np.ndarray:
@@ -73,7 +133,7 @@ def read_set_file(path: str, group) -> np.ndarray:
     q = group.q
     ordinals = []
     with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
+        for ln, line in _numbered_lines(path, fh):
             line = line.strip()
             if not line:
                 continue

@@ -42,6 +42,7 @@ GT = "tests/test_group_tables.py::"
 BT = "tests/test_batched_tables.py::"
 SCH = "tests/test_scheme.py::"
 GLO = "tests/test_globality.py::"
+CLI = "tests/test_cli.py::"
 
 MUTATIONS = [
     Mutation("Leibniz sign", "src/qharm/fqlin.py",
@@ -219,6 +220,26 @@ MUTATIONS = [
              'return strictness if group.kind == "gl" else "strict"',
              'return "strict"',
              ("tests/test_spectra.py::test_tensor_level_checks_read_twisted_levels_only_on_gl",)),
+    Mutation("function CSV imaginary part read from the re column", "src/qharm/cli.py",
+             'values.imag[idx] = rows["im"]',
+             'values.imag[idx] = rows["re"]',
+             (CLI + "test_function_csv_reader_matches_per_line_reference[plain]",)),
+    Mutation("function CSV line 1 skipped whether or not it is the header", "src/qharm/cli.py",
+             'if fh.readline().strip().replace(" ", "") != _FUNCTION_HEADER:',
+             "if not fh.readline():",
+             (CLI + "test_function_csv_reader_matches_per_line_reference[plain]",)),
+    Mutation("function CSV read by numpy despite a separator", "src/qharm/cli.py",
+             r'if any(sep in block for sep in "\x1c\x1d\x1e\x1f"):',
+             "if False:",
+             (CLI + "test_function_csv_reader_matches_per_line_reference[separator beside a value]",)),
+    Mutation("function CSV read by numpy despite non-ASCII text", "src/qharm/cli.py",
+             'with open(path, encoding="ascii") as fh:',
+             "with open(path) as fh:",
+             (CLI + "test_function_csv_reader_matches_per_line_reference[non-ASCII letter beside an index]",)),
+    Mutation("function CSV row indices restart in each written block", "src/qharm/cli.py",
+             'fh.write("".join([f"{i},{r!r},{m!r}\\n" for i, r, m in zip(range(start, start + len(re)), re, im)]))',
+             'fh.write("".join([f"{i},{r!r},{m!r}\\n" for i, r, m in zip(range(len(re)), re, im)]))',
+             (CLI + "test_function_csv_writer_is_byte_identical_to_reference[float64]",)),
 ]
 
 

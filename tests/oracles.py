@@ -52,6 +52,9 @@ groups.convolve                       brute_convolution              test_groups
   (one gather per mixing run)         mixing_terms_ref               test_spectra::test_mixing_terms_match_one_convolution_per_term
 spectra.sarnak_xue_check (one matrix) sarnak_xue_ref (two matrices)  test_spectra::test_sarnak_xue_matches_two_matrix_reference
 bogolyubov.product_set (mask)         brute_product                  test_bogolyubov::test_product_set_matches_double_loop
+cli.read_function_csv (numpy parser)  read_function_csv_ref          test_cli::test_function_csv_reader_matches_per_line_reference
+                                      read_function_csv_ref          test_cli::test_function_csv_reader_matches_reference_on_random_text
+cli.write_function_csv (row blocks)   write_function_csv_ref         test_cli::test_function_csv_writer_is_byte_identical_to_reference
 
 `python tests/mutations.py` breaks one fast path at a time and checks
 that its comparing test fails.
@@ -62,7 +65,7 @@ import itertools
 import numpy as np
 
 from qharm.calculus import derivative, laplacian
-from qharm.errors import ToolkitError
+from qharm.errors import InputFormatError, ToolkitError
 from qharm.fqlin import decode_vector, det, encode_vector, enumerate_subspaces, kernel_basis, mat_mul, rank, rref
 from qharm.gf import get_field
 from qharm.globality import (
@@ -865,3 +868,37 @@ def reference_partition(group, u):
         if piece is not None:
             pieces.append(piece)
     return pieces
+
+
+# ---------------------------------------------------------------------------
+# CLI file formats
+# ---------------------------------------------------------------------------
+
+def read_function_csv_ref(path, size):
+    """One line at a time: header on line 1 only, blank lines skipped, `im`
+    optional, the later row wins for a repeated index."""
+    values = np.zeros(size, dtype=np.complex128)
+    with open(path) as fh:
+        for ln, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or (ln == 1 and line.replace(" ", "") == "index,re,im"):
+                continue
+            parts = line.split(",")
+            try:
+                idx = int(parts[0])
+                re = float(parts[1])
+                im = float(parts[2]) if len(parts) > 2 else 0.0
+            except (ValueError, IndexError) as e:
+                raise InputFormatError(f"{path}:{ln}: malformed function row {line!r}") from e
+            if not 0 <= idx < size:
+                raise InputFormatError(f"{path}:{ln}: index {idx} out of range [0, {size})")
+            values[idx] = complex(re, im)
+    return values
+
+
+def write_function_csv_ref(path, values):
+    """One numpy scalar at a time, each part through float() and repr."""
+    with open(path, "w") as fh:
+        fh.write("index,re,im\n")
+        for i, v in enumerate(values):
+            fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")

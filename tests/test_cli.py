@@ -3,11 +3,13 @@ exit-status contract."""
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from qharm.cli import main, read_function_csv, read_set_file, write_function_csv, write_set_file
+from oracles import read_function_csv_ref, write_function_csv_ref
+from qharm.cli import _ROW_BLOCK, main, read_function_csv, read_set_file, write_function_csv, write_set_file
 from qharm.errors import InputFormatError
 from qharm.groups import get_group
 
@@ -25,6 +27,98 @@ def test_function_csv_malformed_line_reports_number(tmp_path):
     path.write_text("0,1,0\nnot,a,row\n")
     with pytest.raises(InputFormatError, match=":2"):
         read_function_csv(str(path), 4)
+
+
+def _read_both(path, size):
+    """(values or error message) from read_function_csv and from the per-line reference."""
+    out = []
+    for reader in (read_function_csv, read_function_csv_ref):
+        try:
+            out.append(reader(str(path), size).tobytes())
+        except InputFormatError as e:
+            out.append(str(e))
+    return out
+
+
+READER_CASES = {
+    "plain": "0,1,2\n1,3.5,-4\n15,1e-5,1e16\n",
+    "header with spaces": " index , re , im \n0,1,2\n3,-1.5,0.25\n",
+    "header on line 2": "0,1,2\nindex,re,im\n",
+    "blank and whitespace-only lines": "\n0,1,2\n   \n\t\n3,4,5\n\n",
+    "CRLF line endings": "index,re,im\r\n0,1,2\r\n1,3,4\r\n",
+    "CR line endings": "0,1,2\r1,3,4\r",
+    "2-column rows": "index,re,im\n0,1\n1,2,3\n",
+    "4-column rows": "0,1,2,3\n",
+    "repeated index": "0,1,2\n1,5,5\n0,3,4\n",
+    "1_0 as an index": "1_0,1,2\n",
+    "1.0 as an index": "0,1,2\n1.0,1,2\n",
+    "non-ASCII digit as an index": "\u0663,1,2\n",
+    "non-ASCII letter beside an index": "1\u01fe,1,2\n",  # numpy reads 472
+    "separator beside a value": "0,1\x1c,2\n",
+    "nan, -inf, -0.0": "0,nan,-inf\n1,-0.0,inf\n2,-nan,NaN\n",
+    "negative index": "0,1,2\n-1,1,2\n",
+    "too-large index": "512,1,2\n",
+    "empty file": "",
+    "header-only file": "index,re,im\n",
+}
+
+
+@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
+def test_function_csv_reader_matches_per_line_reference(tmp_path, text):
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = _read_both(path, 512)
+    assert got == want
+
+
+def test_function_csv_reader_matches_reference_on_random_text(tmp_path):
+    """Rows built from number-like pieces, so both readers' paths and most
+    error messages occur."""
+    rng = np.random.default_rng(5)
+    pieces = ["0", "3", "15", "16", "-1", "+2", "1_0", "2.0", "0.5", "-0.0", "1e-5", "nan", "-inf",
+              "", " ", "\t", "\x0b", "\x1c", "\xa0", "\u0663", "x"]
+    path = tmp_path / "f.csv"
+    for _ in range(300):
+        lines = []
+        for _ in range(rng.integers(0, 5)):
+            fields = ["".join(rng.choice(pieces, size=rng.integers(1, 3))) for _ in range(rng.choice([2, 3, 3, 3, 4]))]
+            lines.append(",".join(fields))
+        path.write_bytes(("\n".join(lines) + rng.choice(["", "\n", "\r\n"])).encode())
+        got, want = _read_both(path, 16)
+        assert got == want, path.read_bytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex64, np.complex128])
+def test_function_csv_writer_is_byte_identical_to_reference(tmp_path, dtype):
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5]
+    rng = np.random.default_rng(3)
+    n = 2 * _ROW_BLOCK + 5  # rows past a block boundary keep their global index
+    if np.issubdtype(dtype, np.integer):
+        values = rng.integers(-(2**62), 2**62, size=n).astype(dtype)
+    else:
+        parts = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, size=n)
+        parts[: len(specials)] = specials
+        values = np.zeros(n, dtype=dtype)
+        values.real = parts
+        if np.issubdtype(dtype, np.complexfloating):
+            values.imag = np.roll(parts, 1)
+    write_function_csv(str(tmp_path / "new.csv"), values)
+    write_function_csv_ref(str(tmp_path / "ref.csv"), values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["fourier", "--q", "2", "--n", "1", "--m", "1", "--input"], b"0,1,2\n\xff\xfe,1\n"),
+    (["bogolyubov", "--q", "2", "--n", "2", "--set"], b"1,0,0,1\n\xff\n"),
+])
+def test_cli_undecodable_input_exits_with_status_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "in.txt"
+    path.write_bytes(text)
+    assert main([*argv, str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_set_file_round_trip_and_validation(tmp_path):
