@@ -55,6 +55,36 @@ def _scheme_of(f: FnTable) -> SchemeCtx:
     return f.domain
 
 
+# elements of each stacked temporary of the batched operators and scheme
+# audits, counted across the whole stack: an inverse transform of a batch of
+# filtered spectra (complex) or a gather of coset members (float); bounds its
+# peak memory at about 16 MB whatever the domain and the stack size
+_LAPLACIAN_BATCH_ELEMENTS = 2**20
+
+
+def blocks(n_funcs: int, n_sites: int, size: int):
+    """(funcs, sites) slices that tile n_funcs functions x n_sites sites (or
+    filters) with blocks of at most max(1, _LAPLACIAN_BATCH_ELEMENTS // size)
+    pairs, so that a block of rows of `size` entries each keeps the bound;
+    one function takes that many sites a block."""
+    per = max(1, _LAPLACIAN_BATCH_ELEMENTS // size)
+    f_step = max(1, min(n_funcs, per))
+    s_step = max(1, per // f_step)
+    for f0 in range(0, n_funcs, f_step):
+        for s0 in range(0, n_sites, s_step):
+            yield slice(f0, f0 + f_step), slice(s0, s0 + s_step)
+
+
+def filtered_inverses(ctx: SchemeCtx, spectrum: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """fourier_inverse(spectrum * factor) for each spectral multiplier of
+    factors, as the rows of one (len(factors), N) array; the products are
+    inverted in blocks.  Row for row bit-identical to one inverse a factor."""
+    out = np.empty((len(factors), ctx.size), dtype=np.complex128)
+    for _, rows in blocks(1, len(factors), ctx.size):
+        out[rows] = ctx.fourier_inverse(spectrum * np.stack(factors[rows]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # spectral masks (cached per context)
 #
@@ -107,6 +137,15 @@ def laplacian_mask(ctx: SchemeCtx, v1: Subspace, w1: Subspace) -> np.ndarray:
         w1_perp = kernel_basis(ctx.field, w1.basis)
         preimage_in_w1 = _stacked_rank(ctx, qx, w1_perp) == qx_rank
         ctx._masks[key] = contains_v1 & preimage_in_w1
+    return ctx._masks[key]
+
+
+def laplacian_masks(ctx: SchemeCtx, order: int) -> np.ndarray:
+    """laplacian_mask of every pair of restriction_pairs(order), one row each,
+    cached (order must have a pair)."""
+    key = ("lap_stack", order)
+    if key not in ctx._masks:
+        ctx._masks[key] = np.stack([laplacian_mask(ctx, v1, w1) for v1, w1 in ctx.restriction_pairs(order)])
     return ctx._masks[key]
 
 
@@ -241,29 +280,56 @@ def _planes_avoiding(ctx: SchemeCtx, v: np.ndarray) -> list[Subspace]:
     return ctx._masks[key]
 
 
+def _direction_averages(f: FnTable, vs: list[np.ndarray], wps: list[Subspace]) -> np.ndarray:
+    """E_v f for each nonzero vector v of vs, then E_{W'} f for each
+    hyperplane W' of wps, as the rows of one array.
+
+    All of them come from the one spectrum of f, and the E_{W'} composites
+    from the one spectrum of dualize(f).  Each direction keeps its own
+    cross-checks: E_v against the rank-one resampling distribution B_v and
+    against the hyperplane average of e_{V/V'} (each e_{V/V'} f is built once
+    and summed in the same order for every v), E_{W'} against
+    dualize -> E_phi -> dualize.
+    """
+    ctx = _scheme_of(f)
+    if not all(np.any(v) for v in vs):
+        raise ToolkitError("E_v requires a nonzero vector")
+    phis = [annihilator_functional(ctx, wp) for wp in wps]
+    spectrum = ctx.fourier_forward(f.values)
+    out = filtered_inverses(ctx, spectrum, [vector_avg_factors(ctx, v) for v in vs]
+                            + [dual_avg_factors(ctx, wp) for wp in wps])
+    quotients: dict = {}
+    for v, spectral in zip(vs, out):
+        via_bv = _bv_cached(ctx, v).average(f.values)
+        err = float(np.max(np.abs(spectral - via_bv)))
+        if err > 1e-8:
+            raise ConsistencyError(f"E_v spectral vs B_v forms disagree by {err}")
+        planes = _planes_avoiding(ctx, v)
+        acc = np.zeros_like(f.values)
+        for vp in planes:
+            if vp.key not in quotients:
+                quotients[vp.key] = _avg_quotient_direct(f, vp)
+            acc += quotients[vp.key]
+        acc /= len(planes)
+        err2 = float(np.max(np.abs(spectral - acc)))
+        if err2 > 1e-8:
+            raise ConsistencyError(f"E_v spectral vs hyperplane forms disagree by {err2}")
+    if wps:
+        fd = dualize(f)
+        dual = fd.domain
+        factors = [vector_avg_factors(dual, phi) for phi in phis]
+        for spectral, composite in zip(out[len(vs):], filtered_inverses(dual, dual.fourier_forward(fd.values), factors)):
+            err = float(np.max(np.abs(spectral - dualize(FnTable(dual, composite)).values)))
+            if err > 1e-8:
+                raise ConsistencyError(f"E_W' realizations disagree by {err}")
+    return out
+
+
 def avg_vector(f: FnTable, v: np.ndarray) -> FnTable:
     """E_v: all three realizations (hyperplane average of e_{V/V'}, the
     spectral form, and the rank-one resampling distribution B_v) are
     computed and cross-asserted."""
-    ctx = _scheme_of(f)
-    v = np.asarray(v, dtype=np.uint8).reshape(-1)
-    if not np.any(v):
-        raise ToolkitError("E_v requires a nonzero vector")
-    spectral = _avg_vector_spectral(f, v)
-    bv = _bv_cached(ctx, v)
-    via_bv = bv.average(f.values)
-    err = float(np.max(np.abs(spectral - via_bv)))
-    if err > 1e-8:
-        raise ConsistencyError(f"E_v spectral vs B_v forms disagree by {err}")
-    planes = _planes_avoiding(ctx, v)
-    acc = np.zeros_like(f.values)
-    for vp in planes:
-        acc += _avg_quotient_direct(f, vp)
-    acc /= len(planes)
-    err2 = float(np.max(np.abs(spectral - acc)))
-    if err2 > 1e-8:
-        raise ConsistencyError(f"E_v spectral vs hyperplane forms disagree by {err2}")
-    return FnTable(ctx, spectral)
+    return FnTable(f.domain, _direction_averages(f, [np.asarray(v, dtype=np.uint8).reshape(-1)], [])[0])
 
 
 def annihilator_functional(ctx: SchemeCtx, wp: Subspace) -> np.ndarray:
@@ -282,15 +348,7 @@ def annihilator_functional(ctx: SchemeCtx, wp: Subspace) -> np.ndarray:
 def avg_dual(f: FnTable, wp: Subspace) -> FnTable:
     """E_{W'} for codim-1 W': dualize -> E_phi -> dualize, cross-checked
     against the dual spectral filter."""
-    ctx = _scheme_of(f)
-    phi = annihilator_functional(ctx, wp)
-    fd = dualize(f)
-    composite = dualize(FnTable(fd.domain, _avg_vector_spectral(fd, phi))).values
-    spectral = ctx.fourier_inverse(ctx.fourier_forward(f.values) * dual_avg_factors(ctx, wp))
-    err = float(np.max(np.abs(spectral - composite)))
-    if err > 1e-8:
-        raise ConsistencyError(f"E_W' realizations disagree by {err}")
-    return FnTable(ctx, spectral)
+    return FnTable(f.domain, _direction_averages(f, [], [wp])[0])
 
 
 def _avg_vector_spectral(f: FnTable, v: np.ndarray) -> np.ndarray:
@@ -298,15 +356,30 @@ def _avg_vector_spectral(f: FnTable, v: np.ndarray) -> np.ndarray:
     return ctx.fourier_inverse(ctx.fourier_forward(f.values) * vector_avg_factors(ctx, v))
 
 
+def avg_for_directions(f: FnTable, directions) -> list[FnTable]:
+    """E_U f for each direction (U, side) of directions: a line U in V (side
+    'v') or a hyperplane U in W (side 'w').  One spectrum of f (and one of
+    dualize(f) when a hyperplane is present) serves every direction; each
+    E_U f equals avg_for_direction(f, U, side) bit for bit."""
+    vs, wps = [], []
+    for u, side in directions:
+        if side == "v":
+            if u.dim != 1:
+                raise ToolkitError("side 'v' needs a 1-dimensional subspace of V")
+            vs.append(u.basis[0])
+        elif side == "w":
+            wps.append(u)
+        else:
+            raise ToolkitError(f"unknown side {side!r}")
+    rows = _direction_averages(f, vs, wps)
+    v_rows, w_rows = iter(rows[: len(vs)]), iter(rows[len(vs):])
+    return [FnTable(f.domain, next(v_rows if side == "v" else w_rows)) for _, side in directions]
+
+
 def avg_for_direction(f: FnTable, u: Subspace, side: str) -> FnTable:
-    """E_U f for a line U in V (side 'v') or a hyperplane U in W (side 'w')."""
-    if side == "v":
-        if u.dim != 1:
-            raise ToolkitError("side 'v' needs a 1-dimensional subspace of V")
-        return avg_vector(f, u.basis[0])
-    if side == "w":
-        return avg_dual(f, u)
-    raise ToolkitError(f"unknown side {side!r}")
+    """E_U f for a line U in V (side 'v') or a hyperplane U in W (side 'w'):
+    the stack-of-one avg_for_directions."""
+    return avg_for_directions(f, [(u, side)])[0]
 
 
 def t_operator(f: FnTable, i: int, u: Subspace, side: str) -> FnTable:

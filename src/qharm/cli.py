@@ -49,11 +49,13 @@ _ROW_BLOCK = 1 << 11  # rows per write: the text streams out a block at a time
 def read_function_csv(path: str, size: int) -> np.ndarray:
     """Values of a function on `size` indices from an `index,re,im` CSV.
 
-    numpy's parser reads the file in one streamed pass.  It refuses every
-    row the per-line reader refuses and more (2- and 4-column rows, `1_0`
-    or `1.0` as an index); those files, and files with an index out of
-    range or repeated, go to the per-line reader, which alone decides
-    their values and error messages.  Non-ASCII text and the separators
+    numpy's parser reads the file in one streamed pass, with three columns,
+    or with two (`index,re`) when that fails and the first data line has
+    exactly one comma.  It refuses every row the per-line reader refuses
+    and more (a file mixing 2- and 3-column rows, 4-column rows, `1_0` or
+    `1.0` as an index); those files, and files with an index out of range
+    or repeated, go to the per-line reader, which alone decides their
+    values and error messages.  Non-ASCII text and the separators
     \\x1c-\\x1f go there too: numpy strips them around a field as
     whitespace, or reads some non-ASCII letters as digits, where Python's
     int() and float() refuse them.
@@ -62,11 +64,18 @@ def read_function_csv(path: str, size: int) -> np.ndarray:
         with open(path, encoding="ascii") as fh:
             if fh.readline().strip().replace(" ", "") != _FUNCTION_HEADER:
                 fh.seek(0)
+            start = fh.tell()
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(itertools.chain.from_iterable(_line_blocks(fh)),
-                                  dtype=[("index", np.int64), ("re", np.float64), ("im", np.float64)],
-                                  delimiter=",", comments=None, ndmin=1)
+                try:
+                    rows = _load_rows(fh, 3)
+                except ValueError:
+                    fh.seek(start)
+                    first = next((line for line in iter(fh.readline, "") if line.strip()), "")
+                    if first.count(",") != 1:
+                        raise
+                    fh.seek(start)
+                    rows = _load_rows(fh, 2)
     except ValueError:  # UnicodeDecodeError included
         return _read_function_lines(path, size)
     idx = rows["index"]
@@ -74,8 +83,17 @@ def read_function_csv(path: str, size: int) -> np.ndarray:
         return _read_function_lines(path, size)
     values = np.zeros(size, dtype=np.complex128)
     values.real[idx] = rows["re"]
-    values.imag[idx] = rows["im"]
+    if len(rows.dtype) == 3:
+        values.imag[idx] = rows["im"]
     return values
+
+
+def _load_rows(fh, columns: int) -> np.ndarray:
+    """The rows of fh from its position on as (index, re[, im]) records, the
+    first `columns` fields of each."""
+    fields = [("index", np.int64), ("re", np.float64), ("im", np.float64)][:columns]
+    return np.loadtxt(itertools.chain.from_iterable(_line_blocks(fh)), dtype=fields,
+                      delimiter=",", comments=None, ndmin=1)
 
 
 def _line_blocks(fh):

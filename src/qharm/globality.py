@@ -3,7 +3,12 @@
 Audits are exhaustive: every restriction site (scheme audits) or
 constraint system (set audits on a group) at each order is enumerated,
 the exact maximum is reported with a lexicographically-least witness,
-and pass/fail is judged against a threshold set by zeta.
+and pass/fail is judged against a threshold set by zeta.  Scheme audits
+run on stacks of functions of one scheme (global_audits,
+laplacian_audits, refining_maxima), each block of sites of one coset
+shape gathered and averaged once for the whole stack; the one-function
+entry points are the stacks of one, and a function's rows never depend
+on the rest of its stack.
 
 Set audits enumerate mixed umvirate systems built from both group
 actions: row constraints g v = w and functional constraints g^T phi =
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import laplacian_mask
+from .calculus import blocks, laplacian_masks
 from .errors import ToolkitError
 from .fqlin import (
     IndexMap,
@@ -102,134 +107,179 @@ def _site_witness(pair_idx: int, vp: Subspace, wp: Subspace, rep: int) -> str:
     return f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={rep}"
 
 
-def _audit_rows(f: FnTable, dmax: int, order_chunks, zeta: float | None, kind: str) -> GlobalnessReport:
-    """order_chunks(d) yields (positions, members, values) for the sites of
-    restriction_pairs(d): one row per site at positions (S,), its coset
-    members (S, R, M) as in SiteStack and the value at each coset (S, R);
-    together the chunks cover every site once.  A site's max is taken at
-    its first argmax, and the row's value is the first site max, in
-    restriction_pairs order, that beats every earlier one by more than
-    1e-15, so the witness is the site a scan one site at a time picks.
-    The order-d threshold is q^{zeta d n} ||f||_2^2, or inf when zeta is
-    None.  A row uses its own order's sites alone, so the first d + 1 rows
-    of an audit to any order D >= d equal the rows of the audit to order d
-    exactly."""
-    ctx = _scheme_of(f)
+def _orders(dmax: int) -> range:
+    """Orders 0..dmax of an audit to order dmax."""
     if dmax < 0:
         raise ToolkitError(f"audit order dmax={dmax} must be >= 0")
-    base = f.norm2sq()
-    rows = []
-    for d in range(dmax + 1):
+    return range(dmax + 1)
+
+
+def _coset_mean(values: np.ndarray) -> np.ndarray:
+    """np.mean(values, axis=-1) bit for bit (the same pairwise sum, then one
+    division by the count) without np.mean's per-call overhead, which
+    dominates on the small stacks of small domains."""
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
+
+
+def _audit_rows(fs: list[FnTable], orders, order_chunks, zeta: float | None, kind: str) -> list[GlobalnessReport]:
+    """One report per function of fs, with a row for each order of orders[i]
+    for fs[i].
+
+    order_chunks(d, live) covers the sites of restriction_pairs(d) for the
+    functions fs[live], live the ascending list of the i with d in orders[i].
+    It yields (funcs, positions, values): values (K, S, R) holds, for the
+    functions fs[live[funcs]], the value at each coset of the sites at
+    positions (S,), cosets in site_cosets order; together the chunks cover
+    every (function, site) pair once.  A site's max is taken at its first
+    argmax, and the row's value is the first site
+    max, in restriction_pairs order, that beats every earlier one by more
+    than 1e-15, so the witness is the site a scan one site at a time picks.
+    The order-d threshold is q^{zeta d n} ||f||_2^2, or inf when zeta is
+    None.  A row depends on its own function and order alone, so the first
+    d + 1 rows of an audit to any order D >= d equal the rows of the audit
+    to order d exactly, whatever else the stack holds."""
+    ctx = _scheme_of(fs[0])
+    reports = [GlobalnessReport(kind, []) for _ in fs]
+    bases = [f.norm2sq() for f in fs]
+    for d in sorted(set().union(*orders)):
+        live = [i for i, o in enumerate(orders) if d in o]
         pairs = ctx.restriction_pairs(d)
-        maxima = np.empty(len(pairs))
-        reps = np.empty(len(pairs), dtype=np.int64)
-        for positions, members, values in order_chunks(d):
-            sites = np.arange(len(positions))
-            j = np.argmax(values, axis=1)
-            maxima[positions] = values[sites, j]
-            reps[positions] = members[sites, j, 0]
-        best = -1.0
-        at = None
-        for pair_idx, value in enumerate(maxima.tolist()):
-            if value > best + 1e-15:
-                best = value
-                at = pair_idx
-        witness = "" if at is None else _site_witness(at, *pairs[at], int(reps[at]))
-        thr = float("inf") if zeta is None else float(ctx.q) ** (zeta * d * ctx.n) * base
-        rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))
-    return GlobalnessReport(kind, rows)
+        maxima = np.empty((len(live), len(pairs)))
+        cosets = np.empty((len(live), len(pairs)), dtype=np.int64)
+        for funcs, positions, values in order_chunks(d, live):
+            maxima[funcs, positions] = values.max(axis=-1)
+            cosets[funcs, positions] = values.argmax(axis=-1)
+        for k, i in enumerate(live):
+            best = -1.0
+            at = None
+            for pair_idx, value in enumerate(maxima[k].tolist()):
+                if value > best + 1e-15:
+                    best = value
+                    at = pair_idx
+            witness = "" if at is None else _site_witness(at, *pairs[at], int(ctx.site_cosets(*pairs[at])[0][cosets[k, at]]))
+            thr = float("inf") if zeta is None else float(ctx.q) ** (zeta * d * ctx.n) * bases[i]
+            reports[i].rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))
+    return reports
 
 
 def _coset_means(ctx: SchemeCtx, values: np.ndarray, exponent: float = 1.0):
-    """order_chunks for an audit of the coset means of `values`, each raised
-    to `exponent`: one mean per stack of site_stacks(d)."""
+    """order_chunks for audits of the coset means of the rows of `values`
+    (K, N), each raised to `exponent`: per stack of site_stacks(d) and block
+    of blocks, one gather along axis 1 (np.take, so it is C-contiguous and
+    each mean is the one of a single site) and one np.mean."""
 
-    def order_chunks(d):
+    def order_chunks(d, live):
+        rows = values if len(live) == len(values) else values[live]
         for stack in ctx.site_stacks(d):
-            means = np.mean(values[stack.members], axis=-1)
-            yield stack.positions, stack.members, means**exponent
+            for funcs, sites in blocks(len(live), len(stack.positions), ctx.size):
+                means = _coset_mean(rows[funcs].take(stack.members[sites], axis=1))
+                yield funcs, stack.positions[sites], means**exponent
 
     return order_chunks
 
 
+def global_audits(fs: list[FnTable], orders, zeta: float = DEFAULT_ZETA) -> list[GlobalnessReport]:
+    """Restriction-mass audits of the functions of fs, all on one scheme,
+    fs[i] at the orders of orders[i], as one stack: each block of sites of
+    one coset shape is gathered and averaged once for the whole stack.  A
+    report's rows equal the rows of that function's own global_audit at the
+    same orders."""
+    ctx = _scheme_of(fs[0])
+    top = max(max(o, default=0) for o in orders)
+    if top > ctx.n + ctx.m:
+        raise ToolkitError(f"dmax={top} too large for {ctx!r}")
+    values = np.abs(np.array([f.values for f in fs])) ** 2
+    return _audit_rows(fs, orders, _coset_means(ctx, values), zeta, "restriction-norm2")
+
+
 def global_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
-    """Exact max of ||f_{(V',W')->T}||_2^2 over all d-restrictions, d <= dmax."""
-    ctx = _scheme_of(f)
-    if dmax > ctx.n + ctx.m:
-        raise ToolkitError(f"dmax={dmax} too large for {ctx!r}")
-    return _audit_rows(f, dmax, _coset_means(ctx, np.abs(f.values) ** 2), zeta, "restriction-norm2")
+    """Exact max of ||f_{(V',W')->T}||_2^2 over all d-restrictions, d <= dmax:
+    the stack-of-one global_audits."""
+    return global_audits([f], [_orders(dmax)], zeta)[0]
 
 
-# complex entries per batched inverse transform of _laplacian_batches; bounds
-# its peak memory at about 16 MB a batch whatever the domain size
-_LAPLACIAN_BATCH_ELEMENTS = 2**20
+def laplacian_batches(ctx: SchemeCtx, spectra: np.ndarray, order: int, live: list[int]):
+    """Yield (funcs, lo, laps) with laps[k, i] = L_{V',W'} g for the function
+    g whose spectrum is spectra[live[funcs]][k] and the pair lo + i of
+    restriction_pairs(order): the masked spectra are inverted in blocks of
+    (function, site) pairs."""
+    for funcs, sites in blocks(len(live), len(ctx.restriction_pairs(order)), ctx.size):
+        masks = laplacian_masks(ctx, order)[sites]
+        yield funcs, sites.start, ctx.fourier_inverse(spectra[live[funcs], None, :] * masks)
 
 
-def _laplacian_batches(ctx: SchemeCtx, spectrum: np.ndarray, order: int):
-    """Yield (lo, laps) with laps[i] = L_{V',W'} f for the pair lo + i of
-    restriction_pairs(order), given the spectrum of f: the cached masks are
-    stacked and inverted in batches of at most _LAPLACIAN_BATCH_ELEMENTS
-    entries."""
-    per_batch = max(1, _LAPLACIAN_BATCH_ELEMENTS // ctx.size)
-    pairs = ctx.restriction_pairs(order)
-    for lo in range(0, len(pairs), per_batch):
-        masks = np.stack([laplacian_mask(ctx, vp, wp) for vp, wp in pairs[lo: lo + per_batch]])
-        yield lo, ctx.fourier_inverse(spectrum * masks)
+def laplacian_audits(fs: list[FnTable], orders, laplacians, zeta: float = DEFAULT_ZETA) -> list[GlobalnessReport]:
+    """Influence audits of the functions of fs, all on one scheme, fs[i] at
+    the orders of orders[i], from the Laplacian batches that
+    laplacians(d, live) yields, in the form laplacian_batches yields them.
 
+    The squared moduli of a batch are taken at once, and the sites of each
+    stack of site_stacks(d) in the batch are gathered and averaged at once
+    for every function of the batch.  The values equal the per-site
+    reference `influence_per_rep` in tests/oracles.py at every site bit for
+    bit.
+    """
+    ctx = _scheme_of(fs[0])
 
-def site_laplacians(ctx: SchemeCtx, spectrum: np.ndarray, order: int):
-    """Yield ((V', W'), L_{V',W'} f) for each pair of restriction_pairs(order),
-    in that order, given the spectrum of f."""
-    pairs = ctx.restriction_pairs(order)
-    for lo, laps in _laplacian_batches(ctx, spectrum, order):
-        yield from zip(pairs[lo: lo + len(laps)], laps)
+    def order_chunks(d, live):
+        stacks = ctx.site_stacks(d)
+        for funcs, lo, laps in laplacians(d, live):
+            mass = (np.abs(laps) ** 2).reshape(-1)
+            n_funcs, n_sites = laps.shape[:2]
+            for stack in stacks:
+                first, stop = np.searchsorted(stack.positions, (lo, lo + n_sites))
+                if first < stop:
+                    positions, members = stack.positions[first:stop], stack.members[first:stop]
+                    rows = np.arange(n_funcs)[:, None] * n_sites + (positions - lo)
+                    influences = _coset_mean(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))
+                    yield funcs, positions, influences
+
+    return _audit_rows(fs, orders, order_chunks, zeta, "influence")
 
 
 def influence_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
-    """Exact max generalized influence over sites of each order <= dmax.
-
-    f is transformed once and its Laplacians come in batches from
-    _laplacian_batches; within a batch, the sites of each stack of
-    site_stacks(d) are gathered and averaged at once.  The values equal the
-    per-site reference `influence_per_rep` in tests/oracles.py at every
-    site bit for bit.
+    """Exact max generalized influence over sites of each order <= dmax: the
+    stack-of-one laplacian_audits, f transformed once.
     The (d, eps)-small-influences reading aggregates orders <= d; use
     report.max_upto(d) for that.
     """
     ctx = _scheme_of(f)
-    spectrum = ctx.fourier_forward(f.values)
-
-    def order_chunks(d):
-        stacks = ctx.site_stacks(d)
-        for lo, laps in _laplacian_batches(ctx, spectrum, d):
-            for stack in stacks:
-                first, stop = np.searchsorted(stack.positions, (lo, lo + len(laps)))
-                if first < stop:
-                    positions, members = stack.positions[first:stop], stack.members[first:stop]
-                    influences = np.mean(np.abs(laps[(positions - lo)[:, None, None], members]) ** 2, axis=-1)
-                    yield positions, members, influences
-
-    return _audit_rows(f, dmax, order_chunks, zeta, "influence")
+    spectra = ctx.fourier_forward(f.values[None])
+    return laplacian_audits([f], [_orders(dmax)], lambda d, live: laplacian_batches(ctx, spectra, d, live), zeta)[0]
 
 
-def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int) -> float:
-    """Max restriction mass over order-`order` sites refining the direction U.
+def refining_maxima(fs: list[FnTable], directions, order: int) -> np.ndarray:
+    """For each i, the max restriction mass of fs[i] over the order-`order`
+    sites refining the direction directions[i] = (U, side); -1.0 where no
+    site refines U.
 
     Restrictions compose, so the r-restrictions of f_{U->T} over every T
     are exactly the (r+1)-restrictions of f at sites with V' >= U (side
     'v') or W' <= U (side 'w').  Those sites are cached rows of the
     order's site stacks (SchemeCtx.refining_rows), so a call does no
-    subspace containment tests once the rows for (U, side, order) exist;
-    the max is taken over one coset mean per stack.  Returns -1.0 when no
-    site refines U.
+    subspace containment tests once the rows for (U, side, order) exist.
+    Per stack, the refining (function, site) pairs of every direction are
+    gathered in blocks and averaged at once, and each function keeps the
+    max of its own pairs (np.maximum.at).
     """
-    ctx = _scheme_of(f)
-    ab = np.abs(f.values) ** 2
-    best = -1.0
-    for stack, rows in zip(ctx.site_stacks(order), ctx.refining_rows(u, side, order)):
-        if rows.size:
-            best = max(best, float(np.max(np.mean(ab[stack.members[rows]], axis=-1))))
+    ctx = _scheme_of(fs[0])
+    mass = (np.abs(np.array([f.values for f in fs])) ** 2).reshape(-1)
+    refining = [ctx.refining_rows(u, side, order) for u, side in directions]
+    best = np.full(len(fs), -1.0)
+    for s, stack in enumerate(ctx.site_stacks(order)):
+        pairs = [(i, rows[s]) for i, rows in enumerate(refining)]
+        owner = np.concatenate([np.full(sites.size, i) for i, sites in pairs])
+        sites = np.concatenate([sites for _, sites in pairs])
+        for _, block in blocks(1, owner.size, ctx.size):
+            members = stack.members[sites[block]] + (owner[block] * ctx.size)[:, None, None]
+            np.maximum.at(best, owner[block], _coset_mean(np.take(mass, members)).max(axis=-1))
     return best
+
+
+def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int) -> float:
+    """Max restriction mass over order-`order` sites refining the direction U,
+    -1.0 when no site refines U: the stack-of-one refining_maxima."""
+    return float(refining_maxima([f], [(u, side)], order)[0])
 
 
 def lp_global_audit(f: FnTable, rmax: int, ellp: float) -> GlobalnessReport:
@@ -238,8 +288,8 @@ def lp_global_audit(f: FnTable, rmax: int, ellp: float) -> GlobalnessReport:
     ctx = _scheme_of(f)
     if ellp < 1:
         raise ToolkitError("ell' must be >= 1")
-    means = _coset_means(ctx, np.abs(f.values) ** ellp, 1.0 / ellp)
-    return _audit_rows(f, rmax, means, None, f"restriction-L{ellp}")
+    means = _coset_means(ctx, np.abs(f.values[None]) ** ellp, 1.0 / ellp)
+    return _audit_rows([f], [_orders(rmax)], means, None, f"restriction-L{ellp}")[0]
 
 
 # ---------------------------------------------------------------------------

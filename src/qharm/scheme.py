@@ -145,17 +145,26 @@ class SchemeCtx:
 
         Members are stacked along a new leading axis, so a gather
         values[stack.members] is C-contiguous and its mean over the last
-        axis is, row for row, the mean of values[members] of one site.
+        axis is, row for row, the mean of values[members] of one site.  The
+        stacks hold the only copy of the members: site_cosets hands out
+        views of their rows, and each site's coset table is built straight
+        into its row.
         """
         if order not in self._stacks:
+            pairs = self.restriction_pairs(order)
             by_shape: dict = {}
-            for i, (vp, wp) in enumerate(self.restriction_pairs(order)):
-                members = self.site_cosets(vp, wp)[1]
-                by_shape.setdefault(members.shape, []).append((i, members))
-            self._stacks[order] = [
-                SiteStack(np.array([i for i, _ in sites], dtype=np.int64), np.stack([m for _, m in sites]))
-                for sites in by_shape.values()
-            ]
+            for i, (vp, wp) in enumerate(pairs):
+                sub_size = self.q ** ((self.n - vp.dim) * wp.dim)
+                by_shape.setdefault((self.size // sub_size, sub_size), []).append(i)
+            stacks = []
+            for shape, positions in by_shape.items():
+                stack = SiteStack(np.array(positions, dtype=np.int64), np.empty((len(positions),) + shape, dtype=np.int64))
+                for members, i in zip(stack.members, positions):
+                    vp, wp = pairs[i]
+                    members[:] = self._coset_members(vp, wp)
+                    self._cosets[(vp.key, wp.key)] = (members[:, 0], members)
+                stacks.append(stack)
+            self._stacks[order] = stacks
         return self._stacks[order]
 
     def refining_rows(self, u: Subspace, side: str, order: int) -> list[np.ndarray]:
@@ -274,7 +283,17 @@ class SchemeCtx:
         copy of L(V/V', W'); reps are least-index, ascending; members is
         (n_reps, subgroup_size) of domain indices.  Row t adds each embedded
         index, in ascending order, to reps[t]; the least is the zero map, so
-        members[:, 0] == reps.
+        members[:, 0] == reps.  Both are views of the site's row of
+        site_stacks, which the first call for a site of an order builds for
+        the whole order; every later call returns the same objects.
+        """
+        key = (vp.key, wp.key)
+        if key not in self._cosets:
+            self.site_stacks(vp.dim + self.m - wp.dim)
+        return self._cosets[key]
+
+    def _coset_members(self, vp: Subspace, wp: Subspace) -> np.ndarray:
+        """The members table of site_cosets(vp, wp), built.
 
         The embedded copy E is an F_q-subspace of the digit vectors.  Take
         an echelon basis of E with its pivots on the most significant
@@ -283,17 +302,13 @@ class SchemeCtx:
         it is the least: adding a nonzero element of E makes the highest
         pivot it touches nonzero and leaves the digits above unchanged.
         """
-        key = (vp.key, wp.key)
-        if key not in self._cosets:
-            sub, emb = self.restriction_embedding(vp, wp)
-            digits = self.domain_index.digits_table()
-            # images of the sub-domain unit matrices span E; pivots on reversed digits
-            gens = digits[emb[sub.domain_index.powers]][:, ::-1]
-            pivot_digits = self.k - 1 - np.array(rref(self.field, gens)[1], dtype=np.int64)
-            reps = np.flatnonzero(~digits[:, pivot_digits].any(axis=1))
-            members = self.domain_index.add_indices(reps[:, None], np.sort(emb)[None, :])
-            self._cosets[key] = (reps, members)
-        return self._cosets[key]
+        sub, emb = self.restriction_embedding(vp, wp)
+        digits = self.domain_index.digits_table()
+        # images of the sub-domain unit matrices span E; pivots on reversed digits
+        gens = digits[emb[sub.domain_index.powers]][:, ::-1]
+        pivot_digits = self.k - 1 - np.array(rref(self.field, gens)[1], dtype=np.int64)
+        reps = np.flatnonzero(~digits[:, pivot_digits].any(axis=1))
+        return self.domain_index.add_indices(reps[:, None], np.sort(emb)[None, :])
 
     # -- constructors ---------------------------------------------------------
 

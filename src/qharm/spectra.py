@@ -7,7 +7,11 @@ each check is a statement-level test of the inequality rather than a
 vacuous constant comparison.  An instance builds each derived function
 and audit once and reuses it in every check; audits run to the top
 order, since an audit's row at order d does not depend on how far it
-goes.  Violations are findings, returned in the rows, never exceptions.
+goes.  A scheme instance works on stacks: f^{=d} and f^{<=d} come from
+one spectrum of f, f and its parts are audited as one stack, E_U f comes
+for every direction U from one spectrum, and the refining maxima of all
+directions take one reduction per (order, coset shape).  Violations are
+findings, returned in the rows, never exceptions.
 """
 
 from __future__ import annotations
@@ -17,17 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogolyubov import GroupSet, product_set
-from .calculus import avg_for_direction, direction_subspaces
+from .calculus import avg_for_directions, direction_subspaces, filtered_inverses
 from .errors import ToolkitError
 from .globality import (
     GlobalnessReport,
     GoodUmvirate,
     global_audit,
-    influence_audit,
+    global_audits,
+    laplacian_audits,
+    laplacian_batches,
     lp_global_audit,
-    max_refining_restriction,
+    refining_maxima,
     set_global_audit,
-    site_laplacians,
 )
 from .groups import (
     GroupTable,
@@ -43,7 +48,7 @@ from .groups import (
     level_project_eq,
     transfer,
 )
-from .scheme import FnTable, SchemeCtx, degree_decompose, degree_project, get_scheme
+from .scheme import FnTable, SchemeCtx, degree_project, get_scheme
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +311,25 @@ class _InstanceChecks:
             self._memo[key] = build()
         return self._memo[key]
 
-    def _global(self, key, g: FnTable) -> GlobalnessReport:
-        return self._once(("global", key), lambda: global_audit(g, self.top))
-
     def _lp_global(self, key, g: FnTable, ellp: float) -> GlobalnessReport:
         return self._once(("lp", key, ellp), lambda: lp_global_audit(g, self.top, ellp))
 
 
 class SchemeInstanceChecks(_InstanceChecks):
-    """All scheme-side inequality checks for one function.  Audited
-    functions are named "f", ("cum", d) for f^{<=d} and ("pure", d) for f^{=d}."""
+    """All scheme-side inequality checks for one function, computed as stacks.
+
+    The stacked functions are f and its parts ("pure", d) = f^{=d} and
+    ("cum", d) = f^{<=d}, d = 1..dmax, which all come from one forward
+    transform of f and one batched inverse.  The first global audit audits
+    f and every part as one stack, and the first influence audit audits
+    every part to its own degree from one forward transform of the parts;
+    the line Laplacians L_U f^{=d} are the order-1 batches of that audit.
+    E_U f comes for every direction U at once from one spectrum of f and one
+    of dualize(f) (calculus.avg_for_directions), and the refining maxima of
+    all directions take one reduction per (order, coset shape)
+    (globality.refining_maxima).  Each row equals, bit for bit, the row of
+    the per-function path that tests/oracles.py keeps as the reference.
+    """
 
     def __init__(self, name: str, f: FnTable, dmax: int, rmax: int):
         super().__init__(name, f)
@@ -323,50 +337,100 @@ class SchemeInstanceChecks(_InstanceChecks):
         self.dmax = min(dmax, self.ctx.n, self.ctx.m)
         self.rmax = min(rmax, self.ctx.n + self.ctx.m)
         self.top = max(self.dmax, self.rmax)
-        self.parts = degree_decompose(f)
+        self.directions = direction_subspaces(self.ctx)
+        degrees = range(1, self.dmax + 1)
+        self.part_names = [("pure", d) for d in degrees] + [("cum", d) for d in degrees]
+        ranks = self.ctx.rank_table_dual()
+        masks = [ranks == d for d in degrees] + [ranks <= d for d in degrees]
+        parts = filtered_inverses(self.ctx, self.ctx.fourier_forward(f.values), masks)
+        self.functions = {"f": f, **{key: FnTable(self.ctx, part) for key, part in zip(self.part_names, parts)}}
+
+    def pure(self, d: int) -> FnTable:
+        return self.functions[("pure", d)]
 
     def cum(self, d: int) -> FnTable:
-        return self._once(("cum", d), lambda: degree_project(self.f, d, "cumulative"))
+        return self.functions[("cum", d)]
 
-    def _influences(self, key, g: FnTable) -> GlobalnessReport:
-        """Influence audit of g, named ("cum", d) or ("pure", d), to order d."""
-        return self._once(("influence", key), lambda: influence_audit(g, key[1]))
+    def _global(self, key) -> GlobalnessReport:
+        """Global audit of the stacked function named key, to self.top."""
+        names = ["f"] + self.part_names
+        return self._once("global", lambda: dict(zip(names, global_audits(
+            [self.functions[k] for k in names], [range(self.top + 1)] * len(names)))))[key]
 
-    def _averages(self):
-        """(U, side, E_U f) for every direction U."""
-        return self._once("averages", lambda: [
-            (u, side, avg_for_direction(self.f, u, side)) for u, side in direction_subspaces(self.ctx)
-        ])
+    def _square_global(self, d: int) -> GlobalnessReport:
+        """Global audit of (f^{<=d})^2 at order 2d alone, for every d <= dmax
+        with 2d <= n + m as one stack."""
 
-    def _line_laplacians(self, d: int):
-        """(U, side, L_U f^{=d}) for every direction U, from the order-1 sites:
-        lines V' with W' = W, and hyperplanes W' with V' = 0."""
-        return self._once(("laplacians", d), lambda: [
-            (vp, "v", FnTable(self.ctx, lap)) if vp.dim == 1 else (wp, "w", FnTable(self.ctx, lap))
-            for (vp, wp), lap in site_laplacians(self.ctx, self.ctx.fourier_forward(self.parts[d].values), 1)
-        ])
+        def build():
+            ds = [e for e in range(1, self.dmax + 1) if 2 * e <= self.ctx.n + self.ctx.m]
+            squares = [FnTable(self.ctx, self.cum(e).values * self.cum(e).values) for e in ds]
+            return dict(zip(ds, global_audits(squares, [range(2 * e, 2 * e + 1) for e in ds])))
+
+        return self._once("square", build)[d]
+
+    def _influence_stack(self):
+        """(influence audit of each part to its own degree, by name; L_U f^{=d}
+        for the direction U of each order-1 site, by d).  The parts are
+        transformed once, and the line Laplacians are kept from the order-1
+        Laplacian batches of the pure parts' audits."""
+
+        def build():
+            ctx = self.ctx
+            names = self.part_names
+            spectra = ctx.fourier_forward(np.array([self.functions[k].values for k in names]))
+            lines = {d: np.empty((len(ctx.restriction_pairs(1)), ctx.size), dtype=np.complex128)
+                     for kind, d in names if kind == "pure"}
+
+            def laplacians(order, live):
+                for funcs, lo, laps in laplacian_batches(ctx, spectra, order, live):
+                    if order == 1:
+                        for i, lap in zip(live[funcs], laps):
+                            if names[i][0] == "pure":
+                                lines[names[i][1]][lo: lo + len(lap)] = lap
+                    yield funcs, lo, laps
+
+            reports = laplacian_audits([self.functions[k] for k in names], [range(d + 1) for _, d in names], laplacians)
+            return dict(zip(names, reports)), lines
+
+        return self._once("influence", build)
+
+    def _influences(self, key) -> GlobalnessReport:
+        """Influence audit of the part named ("cum", d) or ("pure", d), to order d."""
+        return self._influence_stack()[0][key]
+
+    def _averaged_refining_max(self, order: int) -> float:
+        """Max over the directions U of the max restriction mass of E_U f over
+        the order-`order` sites refining U."""
+        averages = self._once("averages", lambda: avg_for_directions(self.f, self.directions))
+        return float(np.max(refining_maxima(averages, self.directions, order), initial=-1.0))
+
+    def _line_refining_max(self, d: int, order: int) -> float:
+        """Max over the directions U of the max restriction mass of L_U f^{=d}
+        over the order-`order` sites refining U, and at least 0.  The order-1
+        sites are the lines V' with W' = W and the hyperplanes W' with V' = 0."""
+        lines = [FnTable(self.ctx, lap) for lap in self._influence_stack()[1][d]]
+        directions = [(vp, "v") if vp.dim == 1 else (wp, "w") for vp, wp in self.ctx.restriction_pairs(1)]
+        return float(np.max(refining_maxima(lines, directions, order), initial=0.0))
 
     # -- criterion-3 family: influence/globalness equivalences ---------------
 
     def check_globalness_implies_small_influences(self, d: int):
         """(d,eps)-global f  =>  f^{=d} has (d, q^{10 d^2} eps)-small influences."""
-        eps = self._global("f", self.f).value_at(d)
-        inf = self._influences(("pure", d), self.parts[d]).max_upto(d)
+        eps = self._global("f").value_at(d)
+        inf = self._influences(("pure", d)).max_upto(d)
         return _row(self.name, f"global->influences(d={d})", inf, _qpow(self.q, 10 * d * d) * eps)
 
     def check_small_influences_imply_globalness(self, d: int, r: int):
         """degree-d with (d,eps)-small influences  =>  (r, q^{10 d r} eps)-global."""
-        eps = self._influences(("cum", d), self.cum(d)).max_upto(d)
-        val = self._global(("cum", d), self.cum(d)).value_at(r)
-        return _row(self.name, f"influences->global(d={d},r={r})", val, _qpow(self.q, 10 * d * r) * eps)
+        influences = self._influences(("cum", d))
+        val = self._global(("cum", d)).value_at(r)
+        return _row(self.name, f"influences->global(d={d},r={r})", val, _qpow(self.q, 10 * d * r) * influences.max_upto(d))
 
     def check_averaging_preserves_globalness(self, r: int):
         """E_U(f)_{U->T} stays (r, 2 eps)-global; the r-restrictions over all
         T are the order-(r+1) restrictions of E_U(f) refining U."""
-        eps = self._global("f", self.f).value_at(r)
-        worst = -1.0
-        for u, side, ef in self._averages():
-            worst = max(worst, max_refining_restriction(ef, u, side, r + 1))
+        eps = self._global("f").value_at(r)
+        worst = self._averaged_refining_max(r + 1)
         return _row(self.name, f"avg-restriction-global(r={r})", worst, 2 * eps)
 
     def check_derivative_globalness_composite(self, d: int, r: int):
@@ -375,13 +439,11 @@ class SchemeInstanceChecks(_InstanceChecks):
 
         The (r-1)-restrictions of D_{U,T}(f) over all T are the order-r
         restrictions of the Laplacian L_U(f) refining U."""
-        fd = self.parts[d]
+        fd = self.pure(d)
         if fd.norm2sq() < 1e-18:
             return None
-        eps1 = 0.0
-        for u, side, lap in self._line_laplacians(d):
-            eps1 = max(eps1, max_refining_restriction(lap, u, side, r))
-        rep = self._global(("pure", d), fd)
+        eps1 = self._line_refining_max(d, r)
+        rep = self._global(("pure", d))
         eps2 = rep.value_at(r - 1)
         val = rep.value_at(r)
         rhs = 2 * eps1 + 4 * _qpow(self.q, 2 * d) * eps2
@@ -391,10 +453,8 @@ class SchemeInstanceChecks(_InstanceChecks):
         """(d,eps)-global of degree d  =>  square is (2d, q^{144 d^2} eps^2)-global."""
         if 2 * d > self.ctx.n + self.ctx.m:
             return None
-        g = self.cum(d)
-        eps = self._global(("cum", d), g).value_at(d)
-        g2 = FnTable(self.ctx, g.values * g.values)
-        val = global_audit(g2, 2 * d).value_at(2 * d)
+        eps = self._global(("cum", d)).value_at(d)
+        val = self._square_global(d).value_at(2 * d)
         return _row(self.name, f"square-global(d={d})", val, _qpow(self.q, 144 * d * d) * eps**2)
 
     # -- criterion-4 family: hypercontractive and level inequalities ---------
@@ -402,7 +462,7 @@ class SchemeInstanceChecks(_InstanceChecks):
     def check_four_norm(self, d: int):
         """degree <= d with (d,eps)-small influences: ||f||_4^4 <= q^{103 d^2} eps ||f||_2^2."""
         g = self.cum(d)
-        eps = self._influences(("cum", d), g).max_upto(d)
+        eps = self._influences(("cum", d)).max_upto(d)
         return _row(
             self.name,
             f"four-norm(d={d})",
@@ -413,7 +473,7 @@ class SchemeInstanceChecks(_InstanceChecks):
     def check_ell_norm(self, d: int, ell: int):
         """degree d, (d,eps)-global: ||f||_ell^ell <= q^{200 d^2 ell^2} ||f||_2^2 eps^{ell/2-1}."""
         g = self.cum(d)
-        eps = self._global(("cum", d), g).value_at(d)
+        eps = self._global(("cum", d)).value_at(d)
         rhs = _qpow(self.q, 200 * d * d * ell * ell) * g.norm2sq() * eps ** (ell / 2 - 1)
         return _row(self.name, f"ell-norm(d={d},ell={ell})", g.lp_power(ell), rhs)
 
@@ -421,14 +481,14 @@ class SchemeInstanceChecks(_InstanceChecks):
         """Boolean (d,eps)-global: ||f^{=d}||_2^2 <= q^{460 d^2 ell} E[f] eps^{1-2/ell}."""
         if not self.is_boolean:
             return None
-        eps = self._global("f", self.f).value_at(d)
+        eps = self._global("f").value_at(d)
         rhs = _qpow(self.q, 460 * d * d * ell) * self.f.mean().real * eps ** (1 - 2 / ell)
-        return _row(self.name, f"level-weight(d={d},ell={ell})", self.parts[d].norm2sq(), rhs)
+        return _row(self.name, f"level-weight(d={d},ell={ell})", self.pure(d).norm2sq(), rhs)
 
     def check_level_weight_from_pure_audit(self, d: int, ell: int):
         """f^{=d} (d,eps)-global: ||f^{=d}||_2^2 <= q^{300 d^2 ell} eps^{(ell-2)/(2ell-2)} ||f||_{l'}^{l'}."""
-        fd = self.parts[d]
-        eps = self._global(("pure", d), fd).value_at(d)
+        fd = self.pure(d)
+        eps = self._global(("pure", d)).value_at(d)
         ellp = ell / (ell - 1)
         rhs = (
             _qpow(self.q, 300 * d * d * ell)
@@ -441,21 +501,21 @@ class SchemeInstanceChecks(_InstanceChecks):
         """Boolean (d,eps)-global with eps >= q^{-t^2}: ||f^{=d}||^2 <= q^{922 d t} eps E[f]."""
         if not self.is_boolean:
             return None
-        eps = self._global("f", self.f).value_at(d)
+        eps = self._global("f").value_at(d)
         if eps <= 0:
             return None
         t = float(np.sqrt(max(np.log(1 / eps) / np.log(self.q), 0.0)))
         rhs = _qpow(self.q, 922 * d * t) * eps * self.f.mean().real
-        return _row(self.name, f"level-weight-flex(d={d})", self.parts[d].norm2sq(), rhs, t=t)
+        return _row(self.name, f"level-weight-flex(d={d})", self.pure(d).norm2sq(), rhs, t=t)
 
     def check_influence_level_weight(self, d: int, ell: int):
         """f^{=d} with (d, beta ||f^{=d}||^2)-small influences:
         ||f^{=d}||^2 <= q^{420 d^2 ell} beta^{1-2/ell} ||f||_{l'}^2."""
-        fd = self.parts[d]
+        fd = self.pure(d)
         base = fd.norm2sq()
         if base < 1e-14:
             return None
-        beta = self._influences(("pure", d), self.parts[d]).max_upto(d) / base
+        beta = self._influences(("pure", d)).max_upto(d) / base
         assert beta >= 1 - 1e-9
         ellp = ell / (ell - 1)
         rhs = _qpow(self.q, 420 * d * d * ell) * beta ** (1 - 2 / ell) * self.f.lp_norm(ellp) ** 2
@@ -465,7 +525,7 @@ class SchemeInstanceChecks(_InstanceChecks):
         """(d,eps,L^{l'})-global: f^{=d} has (d, q^{500 d^2 ell} eps^2)-small influences."""
         ellp = ell / (ell - 1)
         eps = self._lp_global("f", self.f, ellp).value_at(d)
-        inf = self._influences(("pure", d), self.parts[d]).max_upto(d)
+        inf = self._influences(("pure", d)).max_upto(d)
         return _row(
             self.name,
             f"lp-global-influences(d={d},ell={ell})",
@@ -483,6 +543,9 @@ class GroupInstanceChecks(_InstanceChecks):
         self.dmax = min(dmax, self.group.n)
         self.top = self.dmax
         self.jf = transfer(f)
+
+    def _global(self, key, g: FnTable) -> GlobalnessReport:
+        return self._once(("global", key), lambda: global_audit(g, self.top))
 
     def _level(self, d: int, strictness: str = "strict") -> FnTable:
         """f_{<=d}, keyed by the levels it reads, so that on SL the strict

@@ -43,6 +43,7 @@ BT = "tests/test_batched_tables.py::"
 SCH = "tests/test_scheme.py::"
 GLO = "tests/test_globality.py::"
 CLI = "tests/test_cli.py::"
+SPE = "tests/test_spectra.py::"
 
 MUTATIONS = [
     Mutation("Leibniz sign", "src/qharm/fqlin.py",
@@ -79,9 +80,9 @@ MUTATIONS = [
              "t = (kernel @ t.reshape(b, q, size // q)).transpose(0, 2, 1).reshape(b, size)",
              (SCH + "test_transform_bit_identical_to_moveaxis_reference",)),
     Mutation("four-norm influence memo keyed pure", "src/qharm/spectra.py",
-             'eps = self._influences(("cum", d), g).max_upto(d)',
-             'eps = self._influences(("pure", d), g).max_upto(d)',
-             ("tests/test_spectra.py::test_instance_memo_matches_rebuilding_every_quantity",)),
+             'eps = self._influences(("cum", d)).max_upto(d)',
+             'eps = self._influences(("pure", d)).max_upto(d)',
+             ("tests/test_spectra.py::test_four_norm_row_reads_the_cumulative_influence_audit",)),
     # -- one per reference in tests/oracles.py ---------------------------------
     Mutation("character rows pair X[i, j] with A[i, j]", "src/qharm/scheme.py",
              "acc = f.add_table[acc, f.mul_table[dx[:, p_x][:, None], da[:, p_a][None, :]]]",
@@ -125,25 +126,53 @@ MUTATIONS = [
              "emb = embedded.reshape(sub.size, self.k).astype(np.int64) @ self.domain_index.powers[::-1]",
              (BT + "test_embeddings_and_cosets_match_scalar_loop[domain1]",)),
     Mutation("coset members in embedding order", "src/qharm/scheme.py",
-             "members = self.domain_index.add_indices(reps[:, None], np.sort(emb)[None, :])",
-             "members = self.domain_index.add_indices(reps[:, None], emb[None, :])",
+             "return self.domain_index.add_indices(reps[:, None], np.sort(emb)[None, :])",
+             "return self.domain_index.add_indices(reps[:, None], emb[None, :])",
              (BT + "test_embeddings_and_cosets_match_scalar_loop[domain1]",)),
     Mutation("restriction mass as a coset max", "src/qharm/globality.py",
-             "means = np.mean(values[stack.members], axis=-1)",
-             "means = np.max(values[stack.members], axis=-1)",
+             "means = _coset_mean(rows[funcs].take(stack.members[sites], axis=1))",
+             "means = rows[funcs].take(stack.members[sites], axis=1).max(axis=-1)",
              (GLO + "test_global_audit_matches_brute_force",)),
     Mutation("influence as the squared mean modulus", "src/qharm/globality.py",
-             "influences = np.mean(np.abs(laps[(positions - lo)[:, None, None], members]) ** 2, axis=-1)",
-             "influences = np.mean(np.abs(laps[(positions - lo)[:, None, None], members]), axis=-1) ** 2",
+             "influences = _coset_mean(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))",
+             "influences = _coset_mean(np.sqrt(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))) ** 2",
              (GLO + "test_batched_influence_audit_matches_per_site_oracle[False]",)),
     Mutation("site Laplacians paired with reversed masks", "src/qharm/globality.py",
-             "yield lo, ctx.fourier_inverse(spectrum * masks)",
-             "yield lo, ctx.fourier_inverse(spectrum * masks[::-1])",
+             "yield funcs, sites.start, ctx.fourier_inverse(spectra[live[funcs], None, :] * masks)",
+             "yield funcs, sites.start, ctx.fourier_inverse(spectra[live[funcs], None, :] * masks[::-1])",
              (GLO + "test_audit_witness_is_attained",)),
     Mutation("refining rows ignored: max over every site of the order", "src/qharm/globality.py",
-             "best = max(best, float(np.max(np.mean(ab[stack.members[rows]], axis=-1))))",
-             "best = max(best, float(np.max(np.mean(ab[stack.members], axis=-1))))",
+             "refining = [ctx.refining_rows(u, side, order) for u, side in directions]",
+             "refining = [[np.arange(len(s.positions)) for s in ctx.site_stacks(order)] for _ in directions]",
              (GLO + "test_stacked_audits_match_per_site_oracles[2-2-2]",)),
+    Mutation("stacked audit rows filed under the previous function", "src/qharm/globality.py",
+             "reports[i].rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))",
+             "reports[i - 1].rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))",
+             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
+    Mutation("refining maxima scattered to the next function", "src/qharm/globality.py",
+             "np.maximum.at(best, owner[block], _coset_mean(np.take(mass, members)).max(axis=-1))",
+             "np.maximum.at(best, (owner[block] + 1) % best.size, _coset_mean(np.take(mass, members)).max(axis=-1))",
+             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
+    Mutation("last direction's refining rows dropped", "src/qharm/globality.py",
+             "pairs = [(i, rows[s]) for i, rows in enumerate(refining)]",
+             "pairs = [(i, rows[s]) for i, rows in enumerate(refining)][:-1]",
+             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
+    Mutation("stacked coset gather written as values[:, members]", "src/qharm/globality.py",
+             "means = _coset_mean(rows[funcs].take(stack.members[sites], axis=1))",
+             "means = _coset_mean(rows[funcs][:, stack.members[sites]])",
+             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-3-3]",)),
+    Mutation("line Laplacians kept from the cumulative parts", "src/qharm/spectra.py",
+             'if names[i][0] == "pure":',
+             'if names[i][0] == "cum":',
+             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
+    Mutation("E_v hyperplane average reuses the first plane", "src/qharm/calculus.py",
+             "quotients[vp.key] = _avg_quotient_direct(f, vp)",
+             "quotients[vp.key] = _avg_quotient_direct(f, planes[0])",
+             ("tests/test_calculus.py::test_avg_vector_three_forms_agree_on_random",)),
+    Mutation("2-column function CSVs read with a zero re column", "src/qharm/cli.py",
+             "rows = _load_rows(fh, 2)",
+             "rows = _load_rows(fh, 2)[:0]",
+             (CLI + "test_function_csv_reader_matches_per_line_reference[2-column file]",)),
     Mutation("audit witness taken at the last tied site", "src/qharm/globality.py",
              "if value > best + 1e-15:",
              "if value >= best:",

@@ -35,7 +35,13 @@ globality.global_audit                brute_force_global_audit       test_global
 globality.lp_global_audit             per_site_lp_global_audit       test_globality::test_stacked_audits_match_per_site_oracles
 globality.max_refining_restriction    max_refining_restriction_ref   test_globality::test_stacked_audits_match_per_site_oracles
 globality.influence_audit             per_site_influence_audit       test_globality::test_batched_influence_audit_matches_per_site_oracle
-  (site_laplacians)                   influence (the witness site)   test_globality::test_audit_witness_is_attained
+  (laplacian_batches)                 influence (the witness site)   test_globality::test_audit_witness_is_attained
+globality.global_audits (stacked)     per_function_global_audit      test_spectra::test_stacked_instance_checks_match_per_function_reference
+globality.lp_global_audit             per_function_lp_global_audit   test_spectra::test_stacked_instance_checks_match_per_function_reference
+globality.laplacian_audits (stacked)  per_function_influence_audit   test_spectra::test_stacked_instance_checks_match_per_function_reference
+globality.refining_maxima (stacked)   per_function_refining_max      test_spectra::test_stacked_instance_checks_match_per_function_reference
+calculus.avg_for_directions           avg_for_direction_ref          test_spectra::test_stacked_instance_checks_match_per_function_reference
+spectra.SchemeInstanceChecks (stacks) PerFunctionSchemeChecks        test_spectra::test_stacked_instance_checks_match_per_function_reference
 globality.set_global_audit            reference_set_global_audit     test_set_audit_parity::test_set_audit_equals_dense_reference
   (witnesses memoized per cell)       reference_set_global_audit     test_set_audit_parity::test_back_to_back_audits_keep_their_own_witnesses
                                       brute_force_set_ratios         test_globality::test_set_audit_matches_counting_oracle
@@ -53,6 +59,7 @@ groups.convolve                       brute_convolution              test_groups
 spectra.sarnak_xue_check (one matrix) sarnak_xue_ref (two matrices)  test_spectra::test_sarnak_xue_matches_two_matrix_reference
 bogolyubov.product_set (mask)         brute_product                  test_bogolyubov::test_product_set_matches_double_loop
 cli.read_function_csv (numpy parser)  read_function_csv_ref          test_cli::test_function_csv_reader_matches_per_line_reference
+  (2-column files)                    read_function_csv_ref          test_cli::test_two_column_function_csv_takes_the_numpy_path
                                       read_function_csv_ref          test_cli::test_function_csv_reader_matches_reference_on_random_text
 cli.write_function_csv (row blocks)   write_function_csv_ref         test_cli::test_function_csv_writer_is_byte_identical_to_reference
 
@@ -64,7 +71,7 @@ import itertools
 
 import numpy as np
 
-from qharm.calculus import derivative, laplacian
+from qharm.calculus import derivative, direction_subspaces, dual_avg_factors, laplacian, laplacian_mask, vector_avg_factors
 from qharm.errors import InputFormatError, ToolkitError
 from qharm.fqlin import decode_vector, det, encode_vector, enumerate_subspaces, kernel_basis, mat_mul, rank, rref
 from qharm.gf import get_field
@@ -78,8 +85,8 @@ from qharm.globality import (
     umvirate_normal_form,
 )
 from qharm.groups import _GramSchmidtRows, convolve, get_group, get_isotypic, level_project_eq, multiplicative_characters
-from qharm.scheme import get_scheme, restrict
-from qharm.spectra import OperatorNormRow, conv_operator_matrix
+from qharm.scheme import FnTable, degree_decompose, degree_project, get_scheme, restrict
+from qharm.spectra import OperatorNormRow, SchemeInstanceChecks, conv_operator_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +432,151 @@ def max_refining_restriction_ref(f, u, side, order):
             _, members = ctx.site_cosets(vp, wp)
             best = max(best, float(np.max(np.mean(ab[members], axis=1))))
     return best
+
+
+# ---------------------------------------------------------------------------
+# one function and one direction at a time: the path of the scheme instance
+# checks before they were stacked
+# ---------------------------------------------------------------------------
+
+def per_function_audit_rows(f, dmax, order_chunks, zeta, kind):
+    """An audit of one function.  order_chunks(d) yields (positions, members,
+    values) per stack of site_stacks(d), values (S, R) the value at each
+    coset; the row rule is the one of per_site_audit_rows."""
+    ctx = f.domain
+    base = f.norm2sq()
+    rows = []
+    for d in range(dmax + 1):
+        pairs = ctx.restriction_pairs(d)
+        maxima = np.empty(len(pairs))
+        reps = np.empty(len(pairs), dtype=np.int64)
+        for positions, members, values in order_chunks(d):
+            sites = np.arange(len(positions))
+            j = np.argmax(values, axis=1)
+            maxima[positions] = values[sites, j]
+            reps[positions] = members[sites, j, 0]
+        best = -1.0
+        at = None
+        for pair_idx, value in enumerate(maxima.tolist()):
+            if value > best + 1e-15:
+                best = value
+                at = pair_idx
+        witness = "" if at is None else f"site#{at}(dimV'={pairs[at][0].dim},dimW'={pairs[at][1].dim})@T={int(reps[at])}"
+        thr = float("inf") if zeta is None else float(ctx.q) ** (zeta * d * ctx.n) * base
+        rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))
+    return GlobalnessReport(kind, rows)
+
+
+def per_function_coset_means(ctx, values, exponent=1.0):
+    """order_chunks of the coset means of one function's `values`, each raised
+    to `exponent`: one gather and mean per stack."""
+
+    def order_chunks(d):
+        for stack in ctx.site_stacks(d):
+            yield stack.positions, stack.members, np.mean(values[stack.members], axis=-1) ** exponent
+
+    return order_chunks
+
+
+def per_function_global_audit(f, dmax, zeta=DEFAULT_ZETA):
+    means = per_function_coset_means(f.domain, np.abs(f.values) ** 2)
+    return per_function_audit_rows(f, dmax, means, zeta, "restriction-norm2")
+
+
+def per_function_lp_global_audit(f, rmax, ellp):
+    means = per_function_coset_means(f.domain, np.abs(f.values) ** ellp, 1.0 / ellp)
+    return per_function_audit_rows(f, rmax, means, None, f"restriction-L{ellp}")
+
+
+def per_function_site_laplacians(ctx, spectrum, order):
+    """((V', W'), L_{V',W'} f) for each pair of restriction_pairs(order), from
+    one batched inverse of the spectrum of f under every mask of the order."""
+    pairs = ctx.restriction_pairs(order)
+    if not pairs:
+        return []
+    laps = ctx.fourier_inverse(spectrum * np.stack([laplacian_mask(ctx, vp, wp) for vp, wp in pairs]))
+    return list(zip(pairs, laps))
+
+
+def per_function_influence_audit(f, dmax, zeta=DEFAULT_ZETA):
+    """f transformed once; per order, its Laplacians at every site and one
+    gather and mean per stack."""
+    ctx = f.domain
+    spectrum = ctx.fourier_forward(f.values)
+
+    def order_chunks(d):
+        laps = np.array([lap for _, lap in per_function_site_laplacians(ctx, spectrum, d)])
+        for stack in ctx.site_stacks(d):
+            yield stack.positions, stack.members, np.mean(
+                np.abs(laps[stack.positions[:, None, None], stack.members]) ** 2, axis=-1)
+
+    return per_function_audit_rows(f, dmax, order_chunks, zeta, "influence")
+
+
+def per_function_refining_max(f, u, side, order):
+    """Max restriction mass of one function over the order-`order` sites
+    refining U, per stack through SchemeCtx.refining_rows; -1.0 when none does."""
+    ctx = f.domain
+    ab = np.abs(f.values) ** 2
+    best = -1.0
+    for stack, rows in zip(ctx.site_stacks(order), ctx.refining_rows(u, side, order)):
+        if rows.size:
+            best = max(best, float(np.max(np.mean(ab[stack.members[rows]], axis=-1))))
+    return best
+
+
+def avg_for_direction_ref(f, u, side):
+    """The spectral form of E_U f for one direction, from its own forward transform."""
+    ctx = f.domain
+    factors = vector_avg_factors(ctx, u.basis[0]) if side == "v" else dual_avg_factors(ctx, u)
+    return ctx.fourier_inverse(ctx.fourier_forward(f.values) * factors)
+
+
+class PerFunctionSchemeChecks(SchemeInstanceChecks):
+    """SchemeInstanceChecks with every part, audit, average and refining max
+    built for one function and one direction at a time: f^{=d} from
+    degree_decompose, f^{<=d} from degree_project, E_U f one direction a
+    call, and L_U f^{=d} from a forward transform of f^{=d}."""
+
+    def __init__(self, name, f, dmax, rmax):
+        super().__init__(name, f, dmax, rmax)
+        parts = degree_decompose(f)
+        self.functions = {"f": f}
+        for d in range(1, self.dmax + 1):
+            self.functions[("pure", d)] = parts[d]
+            self.functions[("cum", d)] = degree_project(f, d, "cumulative")
+
+    def _global(self, key):
+        return self._once(("global", key), lambda: per_function_global_audit(self.functions[key], self.top))
+
+    def _lp_global(self, key, g, ellp):
+        return self._once(("lp", key, ellp), lambda: per_function_lp_global_audit(g, self.top, ellp))
+
+    def _square_global(self, d):
+        g = self.cum(d)
+        return per_function_global_audit(FnTable(self.ctx, g.values * g.values), 2 * d)
+
+    def _influences(self, key):
+        return self._once(("influence", key), lambda: per_function_influence_audit(self.functions[key], key[1]))
+
+    def line_laplacians(self, d):
+        """(U, side, L_U f^{=d}) for the direction of each order-1 site."""
+        ctx = self.ctx
+        return [(vp, "v", lap) if vp.dim == 1 else (wp, "w", lap)
+                for (vp, wp), lap in per_function_site_laplacians(ctx, ctx.fourier_forward(self.pure(d).values), 1)]
+
+    def _averaged_refining_max(self, order):
+        worst = -1.0
+        for u, side in direction_subspaces(self.ctx):
+            ef = FnTable(self.ctx, avg_for_direction_ref(self.f, u, side))
+            worst = max(worst, per_function_refining_max(ef, u, side, order))
+        return worst
+
+    def _line_refining_max(self, d, order):
+        eps1 = 0.0
+        for u, side, lap in self.line_laplacians(d):
+            eps1 = max(eps1, per_function_refining_max(FnTable(self.ctx, lap), u, side, order))
+        return eps1
 
 
 # ---------------------------------------------------------------------------

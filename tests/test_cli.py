@@ -48,6 +48,15 @@ READER_CASES = {
     "CRLF line endings": "index,re,im\r\n0,1,2\r\n1,3,4\r\n",
     "CR line endings": "0,1,2\r1,3,4\r",
     "2-column rows": "index,re,im\n0,1\n1,2,3\n",
+    "2-column file": "0,1\n1,-2.5\n15,1e-5\n",
+    "2-column file with the header": "index,re,im\n0,1\n3,nan\n",
+    "2-column file with an index,re header": "index,re\n0,1\n",
+    "2-column file after blank lines": "\n\n0,1\n1,2\n",
+    "2-column CRLF file": "0,1\r\n1,2\r\n",
+    "2-column then 3-column rows": "0,1\n1,2,3\n",
+    "2-column repeated index": "0,1\n0,2\n",
+    "2-column too-large index": "0,1\n512,2\n",
+    "2-column row with a trailing comma": "0,1,\n",
     "4-column rows": "0,1,2,3\n",
     "repeated index": "0,1,2\n1,5,5\n0,3,4\n",
     "1_0 as an index": "1_0,1,2\n",
@@ -71,6 +80,17 @@ def test_function_csv_reader_matches_per_line_reference(tmp_path, text):
         warnings.simplefilter("error")
         got, want = _read_both(path, 512)
     assert got == want
+
+
+def test_two_column_function_csv_takes_the_numpy_path(tmp_path, monkeypatch):
+    """`index,re` files are read by numpy, not the per-line reader."""
+    import qharm.cli as cli
+
+    path = tmp_path / "f.csv"
+    path.write_text("index,re,im\n" + "".join(f"{i},{i / 4}\n" for i in range(300)))
+    monkeypatch.setattr(cli, "_read_function_lines", lambda p, size: pytest.fail("per-line reader used"))
+    values = read_function_csv(str(path), 512)
+    assert values.tobytes() == read_function_csv_ref(str(path), 512).tobytes()
 
 
 def test_function_csv_reader_matches_reference_on_random_text(tmp_path):

@@ -132,13 +132,13 @@ PARITY_DOMAINS = [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 3, 3), (2, 2, 4)]
 
 @pytest.mark.parametrize("small_batches", [False, True])
 def test_batched_influence_audit_matches_per_site_oracle(monkeypatch, small_batches):
-    import qharm.globality as globality
+    import qharm.calculus as calculus
 
     for q, n, m in PARITY_DOMAINS:
         ctx = get_scheme(q, n, m)
         if small_batches:
             # two sites per batched inverse, so every order of size > 2 spans several batches
-            monkeypatch.setattr(globality, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
+            monkeypatch.setattr(calculus, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
         for kind in ("real", "boolean", "complex"):
             f = random_table(ctx, RNG, kind)
             assert influence_audit(f, n + m).rows == per_site_influence_audit(f, n + m).rows
@@ -173,19 +173,26 @@ def test_audit_rows_do_not_depend_on_dmax(q, n, m):
 
 @pytest.mark.parametrize("small_batches", [False, True])
 def test_site_laplacians_equal_the_single_site_laplacian(monkeypatch, small_batches):
+    import qharm.calculus as calculus
     import qharm.globality as globality
     from qharm.calculus import laplacian
 
     for (q, n, m) in [(2, 2, 2), (3, 2, 2), (2, 3, 3)]:
         ctx = get_scheme(q, n, m)
         if small_batches:
-            monkeypatch.setattr(globality, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
-        f = random_table(ctx, RNG, "complex")
+            monkeypatch.setattr(calculus, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
+        fs = [random_table(ctx, RNG, "complex") for _ in range(3)]
+        spectra = ctx.fourier_forward(np.stack([f.values for f in fs]))
+        live = [0, 2]
         for order in (1, 2):
-            got = list(globality.site_laplacians(ctx, ctx.fourier_forward(f.values), order))
-            assert [pair for pair, _ in got] == ctx.restriction_pairs(order)
-            for (vp, wp), lap in got:
-                assert np.array_equal(lap, laplacian(f, vp, wp).values)
+            pairs = ctx.restriction_pairs(order)
+            seen = []
+            for funcs, lo, laps in globality.laplacian_batches(ctx, spectra, order, live):
+                for i, row in zip(live[funcs], laps):
+                    for (vp, wp), lap in zip(pairs[lo: lo + len(row)], row):
+                        seen.append((int(i), vp.key, wp.key))
+                        assert np.array_equal(lap, laplacian(fs[i], vp, wp).values)
+            assert sorted(seen) == sorted((i, vp.key, wp.key) for i in (0, 2) for vp, wp in pairs)
 
 
 def test_refining_pairs_match_contains_filter():

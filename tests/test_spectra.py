@@ -7,7 +7,20 @@ import numpy as np
 import pytest
 
 import qharm.spectra as spectra
-from oracles import brute_convolution, mixing_terms_ref, sarnak_xue_ref
+from oracles import (
+    PerFunctionSchemeChecks,
+    avg_for_direction_ref,
+    brute_convolution,
+    mixing_terms_ref,
+    per_function_global_audit,
+    per_function_influence_audit,
+    per_function_lp_global_audit,
+    per_function_refining_max,
+    per_site_influence_audit,
+    sarnak_xue_ref,
+)
+from qharm.calculus import avg_for_direction, avg_for_directions, direction_subspaces
+from qharm.globality import refining_maxima
 from qharm.bogolyubov import GroupSet
 from qharm.groups import (
     convolve,
@@ -29,7 +42,7 @@ from qharm.spectra import (
     sarnak_xue_check,
     violations,
 )
-from qharm.scheme import get_scheme
+from qharm.scheme import degree_project, get_scheme, random_table
 
 RNG = np.random.default_rng(777)
 
@@ -244,6 +257,72 @@ def test_instance_memo_matches_rebuilding_every_quantity(monkeypatch):
     monkeypatch.setattr(spectra._InstanceChecks, "_once", lambda self, key, build: build())
     assert rows() == memo
     assert all(memo)
+
+
+def _scheme_rows(checks, family):
+    """The criterion-3 (equivalence) or criterion-4 (inequality) rows of one
+    instance, in the order the suites run them."""
+    rows = []
+    for d in range(1, checks.dmax + 1):
+        if family == 3:
+            rows.append(checks.check_globalness_implies_small_influences(d))
+            rows += [checks.check_small_influences_imply_globalness(d, r) for r in range(d, min(checks.rmax, 3) + 1)]
+            rows.append(checks.check_square_globalness(d))
+            rows += [checks.check_derivative_globalness_composite(d, r) for r in range(1, min(checks.rmax, 3) + 1)]
+        else:
+            rows += [checks.check_four_norm(d), checks.check_level_weight_flexible(d)]
+            for ell in (4, 8):
+                rows += [checks.check_ell_norm(d, ell), checks.check_level_weight(d, ell),
+                         checks.check_level_weight_from_pure_audit(d, ell), checks.check_influence_level_weight(d, ell),
+                         checks.check_lp_global_influences(d, ell)]
+    if family == 3:
+        rows += [checks.check_averaging_preserves_globalness(r) for r in range(1, min(checks.rmax, 2) + 1)]
+    return rows
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 3, 3)])
+def test_stacked_instance_checks_match_per_function_reference(q, n, m):
+    """Stacked instance checks against the one-function-at-a-time path: every
+    criterion-3 and criterion-4 row, every audit report row, every E_U f and
+    every L_U f^{=d} are equal bit for bit."""
+    ctx = get_scheme(q, n, m)
+    dirs = direction_subspaces(ctx)
+    for name, f, _ in spectra.scheme_corpus(ctx, np.random.default_rng(q * n * m), 4, 2):
+        for family, dmax, rmax in ((3, min(3, n, m), 3), (4, 2, 2)):
+            got, want = SchemeInstanceChecks(name, f, dmax, rmax), PerFunctionSchemeChecks(name, f, dmax, rmax)
+            assert _scheme_rows(got, family) == _scheme_rows(want, family)
+            for key, g in got.functions.items():
+                assert g.values.tobytes() == want.functions[key].values.tobytes()
+                assert got._global(key).rows == per_function_global_audit(g, got.top).rows
+                if key != "f":
+                    assert got._influences(key).rows == per_function_influence_audit(g, key[1]).rows
+            for ellp in (4 / 3, 8 / 7):
+                assert got._lp_global("f", f, ellp).rows == per_function_lp_global_audit(f, got.top, ellp).rows
+            for d in range(1, got.dmax + 1):
+                lines = want.line_laplacians(d)
+                assert len(got._influence_stack()[1][d]) == len(lines)
+                for lap, (_, _, ref) in zip(got._influence_stack()[1][d], lines):
+                    assert lap.tobytes() == ref.tobytes()
+        averages = avg_for_directions(f, dirs)
+        for (u, side), avg in zip(dirs, averages):
+            ref = avg_for_direction_ref(f, u, side).tobytes()
+            assert avg.values.tobytes() == ref and avg_for_direction(f, u, side).values.tobytes() == ref
+        for order in range(n + m + 1):
+            want = [per_function_refining_max(avg, u, side, order) for avg, (u, side) in zip(averages, dirs)]
+            assert refining_maxima(averages, dirs, order).tolist() == want
+
+
+def test_four_norm_row_reads_the_cumulative_influence_audit():
+    # the row's epsilon is the influence audit of f^{<=d}, not of f^{=d}: with a
+    # large mean, the order-0 row of f^{<=d} is the largest and f^{=d} lacks it
+    ctx = get_scheme(3, 2, 2)
+    f = ctx.table(4.0 + random_table(ctx, np.random.default_rng(8), "real").values)
+    checks = SchemeInstanceChecks("f", f, 2, 2)
+    for d in (1, 2):
+        g = degree_project(f, d, "cumulative")
+        eps = per_site_influence_audit(g, d).max_upto(d)
+        row = checks.check_four_norm(d)
+        assert (row["lhs"], row["rhs"]) == (g.lp_power(4), float(ctx.q) ** (103 * d * d) * eps * g.norm2sq())
 
 
 def test_tensor_level_checks_read_twisted_levels_only_on_gl(monkeypatch):
