@@ -26,18 +26,18 @@ import numpy as np
 
 from .errors import ConsistencyError, ToolkitError
 from .fqlin import (
+    IndexMap,
     Subspace,
-    batched_rank,
-    decode_vector,
     encode_vector,
     full_space,
     kernel_basis,
     mat_mul,
+    mat_vec,
     rref,  # not called here; perfbench wraps and restores calculus.rref by name
     span_of,
     zero_space,
 )
-from .scheme import FnTable, SchemeCtx, dualize, restrict
+from .scheme import FnTable, SchemeCtx, dualize, get_scheme, restrict
 
 
 @dataclass(frozen=True)
@@ -88,25 +88,24 @@ def filtered_inverses(ctx: SchemeCtx, spectrum: np.ndarray, factors: list[np.nda
 # ---------------------------------------------------------------------------
 # spectral masks (cached per context)
 #
-# Each mask is a rank comparison over the stack of all dual matrices X,
-# evaluated by one batched elimination.  Im(X) is the row space of X^T,
-# Ker(X) is the annihilator of the row space of X, and W1^perp is
-# kernel_basis(W1.basis) (the identity when W1 = 0, empty when W1 = W):
+# Each mask compares ranks of linear images L X R of the dual matrices X:
+# IndexMap.linear_image tabulates the images, and their ranks are read from
+# get_scheme(q, rows, cols).rank_table_dual() of the image's shape.  Q_U is
+# the quotient map of U <= V (ker Q_U = U), B_U a column basis of U <= W:
 #
-#   Im(X) >= V1             iff rank[X^T; V1] = rank X
-#   X^{-1}(V1) <= W1        iff rank[Q X; W1^perp] = rank(Q X),
-#                           Q the quotient map of V1, since
-#                           X^{-1}(V1) = ker(Q X) and ker(Q X) <= W1
-#                           iff W1^perp <= row(Q X)
-#   Im(X) <= V'             iff rank[V'; X^T] = dim V'
-#   v not in Im(X)          iff rank[X^T; v] != rank X
-#   Ker(X) + W' = W         iff rank[X; W'^perp] = rank X + dim W'^perp
+#   Im(X) >= V1             iff dim V1 + rk(Q_V1 X) = rk X
+#   X^{-1}(V1) <= W1        iff (m - dim W1) + rk(Q_V1 X B_W1) = rk(Q_V1 X),
+#                           since X^{-1}(V1) = ker(Q_V1 X)
+#   Im(X) <= V'             iff Q_V' X = 0
+#   v not in Im(X)          iff dim span(v) + rk(Q_span(v) X) != rk X,
+#                           which no X satisfies for v = 0
+#   Ker(X) + W' = W         iff rk(X B_W') = rk X
 # ---------------------------------------------------------------------------
 
-def _stacked_rank(ctx: SchemeCtx, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rank of [xs[i]; rows] for every i, rows shared by the whole stack."""
-    shared = np.broadcast_to(rows, (xs.shape[0],) + rows.shape)
-    return batched_rank(ctx.field, np.concatenate([xs, shared], axis=1))
+def _image_ranks(index_map: IndexMap, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """rk(left M right) for the matrix M of every index of index_map."""
+    image = get_scheme(index_map.q, left.shape[0], right.shape[1])
+    return image.rank_table_dual()[index_map.linear_image(left, right, image.dual_index)]
 
 
 def _damping(ctx: SchemeCtx, keep: np.ndarray) -> np.ndarray:
@@ -116,15 +115,16 @@ def _damping(ctx: SchemeCtx, keep: np.ndarray) -> np.ndarray:
     return np.where(keep, scale[ranks], 0.0)
 
 
-def _v1_eliminations(ctx: SchemeCtx, v1: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """(Im(X) >= V1, rank(Q X)) over dual indices, cached per V1: the two
-    eliminations of laplacian_mask that do not depend on W1."""
+def _quotient_image(ctx: SchemeCtx, v1: Subspace) -> tuple[SchemeCtx, np.ndarray, np.ndarray]:
+    """(sub, qx, Im(X) >= V1) over dual indices, cached per V1: qx is the
+    index of Q X in sub.dual_index, Q the quotient map of V1."""
     key = ("lap_v1", v1.key)
     if key not in ctx._masks:
-        xs = ctx.dual_matrices()
-        qx = mat_mul(ctx.field, ctx.quotient_frame(v1).quotient_map, xs)
-        contains_v1 = _stacked_rank(ctx, xs.transpose(0, 2, 1), v1.basis) == ctx.rank_table_dual()
-        ctx._masks[key] = (contains_v1, batched_rank(ctx.field, qx))
+        sub = get_scheme(ctx.q, ctx.n - v1.dim, ctx.m)
+        qmap = ctx.quotient_frame(v1).quotient_map
+        qx = ctx.dual_index.linear_image(qmap, np.eye(ctx.m, dtype=np.uint8), sub.dual_index)
+        contains_v1 = v1.dim + sub.rank_table_dual()[qx] == ctx.rank_table_dual()
+        ctx._masks[key] = (sub, qx, contains_v1)
     return ctx._masks[key]
 
 
@@ -132,11 +132,11 @@ def laplacian_mask(ctx: SchemeCtx, v1: Subspace, w1: Subspace) -> np.ndarray:
     """Boolean mask over dual indices: Im(X) >= V1 and X^{-1}(V1) <= W1."""
     key = ("lap", v1.key, w1.key)
     if key not in ctx._masks:
-        contains_v1, qx_rank = _v1_eliminations(ctx, v1)
-        qx = mat_mul(ctx.field, ctx.quotient_frame(v1).quotient_map, ctx.dual_matrices())
-        w1_perp = kernel_basis(ctx.field, w1.basis)
-        preimage_in_w1 = _stacked_rank(ctx, qx, w1_perp) == qx_rank
-        ctx._masks[key] = contains_v1 & preimage_in_w1
+        sub, qx, contains_v1 = _quotient_image(ctx, v1)
+        # the W1 test on every Y = Q X of sub, then read at each X
+        yb_ranks = _image_ranks(sub.dual_index, np.eye(sub.n, dtype=np.uint8), w1.basis.T)
+        preimage_in_w1 = (ctx.m - w1.dim) + yb_ranks == sub.rank_table_dual()
+        ctx._masks[key] = contains_v1 & preimage_in_w1[qx]
     return ctx._masks[key]
 
 
@@ -153,8 +153,8 @@ def quotient_mask(ctx: SchemeCtx, vp: Subspace) -> np.ndarray:
     """Boolean mask over dual indices: Im(X) <= V'."""
     key = ("quot", vp.key)
     if key not in ctx._masks:
-        xs_t = ctx.dual_matrices().transpose(0, 2, 1)
-        ctx._masks[key] = _stacked_rank(ctx, xs_t, vp.basis) == vp.dim
+        _, qx, _ = _quotient_image(ctx, vp)
+        ctx._masks[key] = qx == 0
     return ctx._masks[key]
 
 
@@ -162,9 +162,8 @@ def vector_avg_factors(ctx: SchemeCtx, v: np.ndarray) -> np.ndarray:
     """Spectral multipliers of E_v: q^{-rank(X)} if v not in Im(X), else 0."""
     key = ("eav", encode_vector(v, ctx.q))
     if key not in ctx._masks:
-        xs_t = ctx.dual_matrices().transpose(0, 2, 1)
-        v_row = np.asarray(v, dtype=np.uint8).reshape(1, -1)
-        ctx._masks[key] = _damping(ctx, _stacked_rank(ctx, xs_t, v_row) != ctx.rank_table_dual())
+        _, _, contains_v = _quotient_image(ctx, span_of(ctx.field, v))
+        ctx._masks[key] = _damping(ctx, ~contains_v)
     return ctx._masks[key]
 
 
@@ -172,9 +171,8 @@ def dual_avg_factors(ctx: SchemeCtx, wp: Subspace) -> np.ndarray:
     """Spectral multipliers of E_{W'}: q^{-rank(X)} if Ker(X) + W' = W."""
     key = ("edu", wp.key)
     if key not in ctx._masks:
-        wp_perp = kernel_basis(ctx.field, wp.basis)
-        full = ctx.rank_table_dual() + wp_perp.shape[0]
-        ctx._masks[key] = _damping(ctx, _stacked_rank(ctx, ctx.dual_matrices(), wp_perp) == full)
+        xb_ranks = _image_ranks(ctx.dual_index, np.eye(ctx.n, dtype=np.uint8), wp.basis.T)
+        ctx._masks[key] = _damping(ctx, xb_ranks == ctx.rank_table_dual())
     return ctx._masks[key]
 
 
@@ -232,26 +230,13 @@ class BvDistribution:
         self.ctx = ctx
         self.v = v
         field = ctx.field
-        q, n, m = ctx.q, ctx.n, ctx.m
-        phis = []
-        for idx in range(q**n):
-            phi = decode_vector(idx, n, q)
-            acc = 0
-            for a, b in zip(phi, v):
-                acc = field.add(acc, field.mul(int(a), int(b)))
-            if acc == 1:
-                phis.append(phi)
-        assert len(phis) == q ** (n - 1)
-        pairs = []
-        indices = []
-        for widx in range(q**m):
-            w = decode_vector(widx, m, q)
-            for phi in phis:
-                b = field.mul_table[w[:, None], phi[None, :]]  # (m, n) rank <= 1 map
-                pairs.append((w, phi))
-                indices.append(ctx.domain_index.to_index(b))
-        self.pairs = pairs
-        self.indices = np.array(indices, dtype=np.int64)
+        vectors = IndexMap(field, ctx.n, 1).digits_table()  # F_q^n, in index order
+        phis = vectors[mat_vec(field, vectors, v) == 1]
+        assert len(phis) == ctx.q ** (ctx.n - 1)
+        ws = IndexMap(field, ctx.m, 1).digits_table()
+        self.pairs = [(w, phi) for w in ws for phi in phis]
+        maps = field.mul_table[ws[:, None, :, None], phis[None, :, None, :]]  # (m, n) rank <= 1 maps
+        self.indices = maps.reshape(-1, ctx.k).astype(np.int64) @ ctx.domain_index.powers
         self._shift: np.ndarray | None = None
 
     def average(self, values: np.ndarray) -> np.ndarray:
@@ -424,22 +409,15 @@ def conditional_distribution_check(ctx: SchemeCtx, vp: Subspace, wp: Subspace, v
         raise ToolkitError("the direction vector must lie in V'")
     _, emb = ctx.restriction_embedding(vp, wp)
     bv = _bv_cached(ctx, v)
+    vecs = vp.vectors(field)
+    # (V'', W'') of each draw w (x) phi of B_v, whatever A is
+    conditions = [(span_of(field, vecs[mat_vec(field, vecs, phi) == 0]), span_of(field, np.vstack([wp.basis, w])))
+                  for w, phi in bv.pairs]
     buckets: dict = {}
     for a_idx in emb:
-        for (w, phi), b_idx in zip(bv.pairs, bv.indices):
+        for (vpp, wpp), b_idx in zip(conditions, bv.indices):
             m_idx = int(ctx.domain_index.add_indices(int(a_idx), int(b_idx)))
-            ann = []
-            for row in vp.vectors(field):
-                acc = 0
-                for x, y in zip(phi, row):
-                    acc = field.add(acc, field.mul(int(x), int(y)))
-                if acc == 0:
-                    ann.append(row)
-            vpp = span_of(field, ann) if ann else zero_space(field, ctx.n)
-            wpp_rows = list(wp.basis) + [w]
-            wpp = span_of(field, wpp_rows) if any(np.any(r) for r in wpp_rows) else zero_space(field, ctx.m)
-            key = (vpp.key, wpp.key)
-            entry = buckets.setdefault(key, {"vpp": vpp, "wpp": wpp, "counts": {}})
+            entry = buckets.setdefault((vpp.key, wpp.key), {"vpp": vpp, "wpp": wpp, "counts": {}})
             entry["counts"][m_idx] = entry["counts"].get(m_idx, 0) + 1
     for entry in buckets.values():
         vpp, wpp, counts = entry["vpp"], entry["wpp"], entry["counts"]

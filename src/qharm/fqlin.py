@@ -2,18 +2,17 @@
 
 Matrices are numpy uint8 arrays with entries in [0, q); all arithmetic
 goes through the FieldCtx tables, so q may be a proper prime power.
-Gaussian elimination is used throughout: domains are small enough that
-asymptotically faster algorithms would be noise.  It comes in two forms:
-the scalar `rref`, which serves single matrices and is the reference,
-and `batched_rank`, which eliminates a whole (B, r, c) stack at once
-with one Python step per column and table gathers across the batch.
-`mat_mul` broadcasts over leading axes in the same way, so per-index
-tables over a domain (ranks, spectral masks, restriction embeddings)
-are built without a Python loop per index.  `inv_matrix` broadcasts
-too: Gauss-Jordan on a whole (..., n, n) stack, one Python step per
-column.  `det` is the exception to elimination: a Leibniz expansion,
-n! signed products of table gathers, which broadcasts like `mat_mul`
-and serves a single matrix and all of L(F_q^n) alike.
+Gaussian elimination is used throughout (domains are small enough that
+asymptotically faster algorithms would be noise): the scalar `rref`
+serves single matrices and is the reference; `batched_rank` eliminates
+a (B, r, c) stack at once, one Python step per column, for
+`IndexMap.rank_table`.  `mat_mul`, `inv_matrix` (Gauss-Jordan) and `det`
+(the Leibniz expansion) broadcast over leading axes.  Per-index tables
+are not built from a stack of every matrix: restriction embeddings,
+character restrictions and spectral masks are index tables of F_q-linear
+maps M -> L M R, which `IndexMap.linear_image` builds by doubling over
+the digits, and a rank of an image is a lookup in the rank table of its
+shape.
 
 Canonical conventions, fixed once so that enumerations and audits are
 bit-reproducible:
@@ -250,16 +249,11 @@ class Subspace:
         return rank(ctx, stacked) == self.dim
 
     def vectors(self, ctx: FieldCtx) -> np.ndarray:
-        """All q^dim member vectors, one per row."""
-        q = ctx.q
-        out = np.zeros((q**self.dim, self.ambient), dtype=np.uint8)
-        for i in range(q**self.dim):
-            coeffs = [(i // q**j) % q for j in range(self.dim)]
-            v = np.zeros(self.ambient, dtype=np.uint8)
-            for c, row in zip(coeffs, self.basis):
-                v = ctx.add_table[v, ctx.mul_table[row, c]]
-            out[i] = v
-        return out
+        """All q^dim member vectors, one per row: row i is c @ basis, c the
+        coefficient row of index i."""
+        ambient = IndexMap(ctx, 1, self.ambient)
+        coeffs = IndexMap(ctx, 1, self.dim)
+        return ambient.digits_table()[coeffs.linear_image(np.eye(1, dtype=np.uint8), self.basis, ambient)]
 
 
 def zero_space(ctx: FieldCtx, n: int) -> Subspace:
@@ -419,6 +413,8 @@ class IndexMap:
 
     def add_indices(self, a, b):
         """Field addition of indices; broadcasts like numpy over a and b."""
+        if self.ctx.p == 2:  # an element encodes its coefficient bits, so adding is XOR, digit or index
+            return np.bitwise_xor(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         da = self.digits_table()[np.asarray(a, dtype=np.int64)]
         db = self.digits_table()[np.asarray(b, dtype=np.int64)]
         s = self.ctx.add_table[da, db].astype(np.int64)
@@ -433,3 +429,26 @@ class IndexMap:
         stack = self.digits_table().reshape(self.size, self.rows, self.cols)
         return batched_rank(self.ctx, stack).astype(np.int8)
 
+    def linear_image(self, left: np.ndarray, right: np.ndarray, target: "IndexMap") -> np.ndarray:
+        """Index in target of left @ M @ right for every index of M, as int64.
+
+        The map is F_q-linear, so the table doubles digit by digit: the block
+        of indices with digit d equal to c is the block below q^d plus c times
+        the image of the unit matrix of digit d, one index addition an entry.
+        """
+        field = self.ctx
+        left = np.asarray(left, dtype=np.uint8)
+        right = np.asarray(right, dtype=np.uint8)
+        if left.shape != (target.rows, self.rows) or right.shape != (self.cols, target.cols):
+            raise ToolkitError(f"{left.shape} @ ({self.rows}, {self.cols}) @ {right.shape}"
+                               f" is not {target.rows} x {target.cols}")
+        # the unit matrix of digit i*cols + j maps to column i of left times row j of right
+        images = field.mul_table[left.T[:, None, :, None], right[None, :, None, :]].reshape(self.k, target.k)
+        scalars = np.arange(1, self.q, dtype=np.uint8)[:, None, None]
+        multiples = field.mul_table[scalars, images].astype(np.int64) @ target.powers  # (q - 1, k)
+        table = np.zeros(self.size, dtype=np.int64)
+        step = 1
+        for d in range(self.k):
+            table[step: self.q * step] = target.add_indices(multiples[:, d, None], table[None, :step]).reshape(-1)
+            step *= self.q
+        return table

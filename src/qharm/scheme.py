@@ -35,13 +35,15 @@ from .fqlin import (
     IndexMap,
     QuotientFrame,
     Subspace,
-    mat_mul,
     enumerate_subspaces,
     rref,
 )
 from .gf import FieldCtx, get_field
 
 _NAIVE_CAP = 2048  # full character matrix only below this domain size
+# indices in the site stacks of one order, N per site (int64: 1 GiB); at
+# (2,5,4), N = 2^20, order 1 (47 sites) fits and order 2 (655 sites) does not
+_SITE_STACK_CAP = 2**27
 
 
 class SiteStack(NamedTuple):
@@ -112,10 +114,6 @@ class SchemeCtx:
             self._rank_dual = self.dual_index.rank_table()
         return self._rank_dual
 
-    def dual_matrices(self) -> np.ndarray:
-        """(N, n, m) read-only stack of every dual matrix X, in index order."""
-        return self.dual_index.digits_table().reshape(self.size, self.n, self.m)
-
     def subspaces(self, side: str, dim: int) -> list[Subspace]:
         """Cached subspace lists; side 'v' is F_q^n, side 'w' is F_q^m."""
         ambient = self.n if side == "v" else self.m
@@ -148,10 +146,13 @@ class SchemeCtx:
         axis is, row for row, the mean of values[members] of one site.  The
         stacks hold the only copy of the members: site_cosets hands out
         views of their rows, and each site's coset table is built straight
-        into its row.
+        into its row.  Stacks over _SITE_STACK_CAP indices raise SizeCapError.
         """
         if order not in self._stacks:
             pairs = self.restriction_pairs(order)
+            if len(pairs) * self.size > _SITE_STACK_CAP:
+                raise SizeCapError(f"the order-{order} site stacks of {self!r} would hold "
+                                   f"{len(pairs)} x {self.size} indices > cap {_SITE_STACK_CAP}")
             by_shape: dict = {}
             for i, (vp, wp) in enumerate(pairs):
                 sub_size = self.q ** ((self.n - vp.dim) * wp.dim)
@@ -255,11 +256,8 @@ class SchemeCtx:
         key = (vp.key, wp.key)
         if key not in self._embeddings:
             sub = get_scheme(self.q, self.n - vp.dim, wp.dim)
-            frame = self.quotient_frame(vp)
-            s_bar = sub.domain_index.digits_table().reshape(sub.size, wp.dim, sub.n)
-            embedded = mat_mul(self.field, mat_mul(self.field, wp.basis.T, s_bar), frame.quotient_map)
-            emb = embedded.reshape(sub.size, self.k).astype(np.int64) @ self.domain_index.powers
-            self._embeddings[key] = (sub, emb)
+            qmap = self.quotient_frame(vp).quotient_map
+            self._embeddings[key] = (sub, sub.domain_index.linear_image(wp.basis.T, qmap, self.domain_index))
         return self._embeddings[key]
 
     def restrict_values(self, values: np.ndarray, vp: Subspace, wp: Subspace, t_index: int) -> np.ndarray:
@@ -273,9 +271,8 @@ class SchemeCtx:
         key = ("char_restriction", vp.key, wp.key)
         if key not in self._embeddings:
             sub, _ = self.restriction_embedding(vp, wp)
-            qx = mat_mul(self.field, self.quotient_frame(vp).quotient_map, self.dual_matrices())
-            ys = mat_mul(self.field, qx, wp.basis.T)
-            self._embeddings[key] = ys.reshape(self.size, sub.k).astype(np.int64) @ sub.dual_index.powers
+            qmap = self.quotient_frame(vp).quotient_map
+            self._embeddings[key] = self.dual_index.linear_image(qmap, wp.basis.T, sub.dual_index)
         return self._embeddings[key]
 
     def site_cosets(self, vp: Subspace, wp: Subspace):

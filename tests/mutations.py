@@ -93,8 +93,8 @@ MUTATIONS = [
              "self._kernel_inv = np.conj(chars)",
              (SCH + "test_fast_transform_matches_naive",)),
     Mutation("character restriction with W' basis reversed", "src/qharm/scheme.py",
-             "ys = mat_mul(self.field, qx, wp.basis.T)",
-             "ys = mat_mul(self.field, qx, wp.basis.T[:, ::-1])",
+             "self._embeddings[key] = self.dual_index.linear_image(qmap, wp.basis.T, sub.dual_index)",
+             "self._embeddings[key] = self.dual_index.linear_image(qmap, wp.basis.T[:, ::-1], sub.dual_index)",
              (BT + "test_char_restriction_table_matches_scalar_map[domain0]",)),
     Mutation("dualize without the transpose", "src/qharm/scheme.py",
              "ctx._embeddings[key] = b.transpose(0, 2, 1).reshape(dual.size, ctx.k).astype(np.int64)"
@@ -106,24 +106,25 @@ MUTATIONS = [
              "stack = self.digits_table().reshape(self.size, self.cols, self.rows)",
              (BT + "test_rank_tables_match_scalar_loop[domain3]",)),
     Mutation("Laplacian mask ignores W1", "src/qharm/calculus.py",
-             "preimage_in_w1 = _stacked_rank(ctx, qx, w1_perp) == qx_rank",
-             "preimage_in_w1 = _stacked_rank(ctx, qx, w1_perp) >= qx_rank",
+             "preimage_in_w1 = (ctx.m - w1.dim) + yb_ranks == sub.rank_table_dual()",
+             "preimage_in_w1 = (ctx.m - w1.dim) + yb_ranks >= sub.rank_table_dual()",
              (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
     Mutation("quotient mask keeps every X", "src/qharm/calculus.py",
-             "ctx._masks[key] = _stacked_rank(ctx, xs_t, vp.basis) == vp.dim",
-             "ctx._masks[key] = _stacked_rank(ctx, xs_t, vp.basis) >= vp.dim",
+             "ctx._masks[key] = qx == 0",
+             "ctx._masks[key] = qx >= 0",
              (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
     Mutation("E_v damps v in Im(X)", "src/qharm/calculus.py",
-             "ctx._masks[key] = _damping(ctx, _stacked_rank(ctx, xs_t, v_row) != ctx.rank_table_dual())",
-             "ctx._masks[key] = _damping(ctx, _stacked_rank(ctx, xs_t, v_row) == ctx.rank_table_dual())",
+             "ctx._masks[key] = _damping(ctx, ~contains_v)",
+             "ctx._masks[key] = _damping(ctx, contains_v)",
              (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
     Mutation("E_W' spanning test against dim W'", "src/qharm/calculus.py",
-             "full = ctx.rank_table_dual() + wp_perp.shape[0]",
-             "full = ctx.rank_table_dual() + wp.dim",
+             "ctx._masks[key] = _damping(ctx, xb_ranks == ctx.rank_table_dual())",
+             "ctx._masks[key] = _damping(ctx, xb_ranks == wp.dim)",
              (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
     Mutation("restriction embedding read in reversed digits", "src/qharm/scheme.py",
-             "emb = embedded.reshape(sub.size, self.k).astype(np.int64) @ self.domain_index.powers",
-             "emb = embedded.reshape(sub.size, self.k).astype(np.int64) @ self.domain_index.powers[::-1]",
+             "self._embeddings[key] = (sub, sub.domain_index.linear_image(wp.basis.T, qmap, self.domain_index))",
+             "self._embeddings[key] = (sub, sub.domain_index.linear_image(wp.basis.T[::-1], qmap[:, ::-1],"
+             " self.domain_index))",
              (BT + "test_embeddings_and_cosets_match_scalar_loop[domain1]",)),
     Mutation("coset members in embedding order", "src/qharm/scheme.py",
              "return self.domain_index.add_indices(reps[:, None], np.sort(emb)[None, :])",
@@ -177,7 +178,7 @@ MUTATIONS = [
              "if value > best + 1e-15:",
              "if value >= best:",
              (GLO + "test_stacked_audits_match_per_site_oracles[2-2-2]",)),
-    Mutation("per-V1 eliminations keyed by dim V1", "src/qharm/calculus.py",
+    Mutation("per-V1 quotient images keyed by dim V1", "src/qharm/calculus.py",
              'key = ("lap_v1", v1.key)',
              'key = ("lap_v1", v1.dim)',
              (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
@@ -269,6 +270,14 @@ MUTATIONS = [
              'fh.write("".join([f"{i},{r!r},{m!r}\\n" for i, r, m in zip(range(start, start + len(re)), re, im)]))',
              'fh.write("".join([f"{i},{r!r},{m!r}\\n" for i, r, m in zip(range(len(re)), re, im)]))',
              (CLI + "test_function_csv_writer_is_byte_identical_to_reference[float64]",)),
+    Mutation("char-2 index addition by OR", "src/qharm/fqlin.py",
+             "return np.bitwise_xor(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))",
+             "return np.bitwise_or(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))",
+             ("tests/test_fqlin.py::test_linear_image_matches_per_matrix_product[4]",)),
+    Mutation("linear image doubles by the unit image, not c times it", "src/qharm/fqlin.py",
+             "multiples = field.mul_table[scalars, images].astype(np.int64) @ target.powers  # (q - 1, k)",
+             "multiples = np.broadcast_to(images, (self.q - 1,) + images.shape).astype(np.int64) @ target.powers",
+             ("tests/test_fqlin.py::test_linear_image_matches_per_matrix_product[3]",)),
 ]
 
 

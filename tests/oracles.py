@@ -12,7 +12,9 @@ Fast path (src/qharm)                 Oracle                         Comparing t
 fqlin.rref, fqlin.rank                brute_force_rank               test_fqlin::test_rank_matches_brute_force_random
 fqlin.batched_rank                    fqlin.rank, one matrix a call  test_fqlin::test_batched_rank_matches_scalar_rank
 fqlin.mat_mul over leading axes       fqlin.mat_mul, one matrix      test_fqlin::test_batched_mat_mul_matches_per_matrix_product
+IndexMap.linear_image (doubling)      fqlin.mat_mul, one matrix      test_fqlin::test_linear_image_matches_per_matrix_product
 fqlin.inv_matrix                      inv_by_rref                    test_fqlin::test_inv_matrix_stack_matches_rref_reference
+Subspace.vectors                      subspace_vectors_ref           test_fqlin::test_subspace_vectors_match_the_coefficient_loop
 fqlin.complete_basis                  least_index_completion         test_fqlin::test_complete_basis_matches_the_candidate_loop_on_random_rows
 fqlin.det (Leibniz)                   det_elimination                test_group_tables::test_det_matches_elimination_on_every_matrix
 IndexMap.rank_table                   rank_table_ref                 test_batched_tables::test_rank_tables_match_scalar_loop
@@ -24,12 +26,12 @@ SchemeCtx.char_restriction_table      char_restriction_dual_index    test_batche
 SchemeCtx.restriction_embedding       restriction_embedding_ref      test_batched_tables::test_embeddings_and_cosets_match_scalar_loop
 SchemeCtx.site_cosets                 site_cosets_ref                test_batched_tables::test_embeddings_and_cosets_match_scalar_loop
 SchemeCtx.site_stacks                 site_cosets, one site a row    test_batched_tables::test_embeddings_and_cosets_match_scalar_loop
+calculus.BvDistribution               bv_pairs_ref                   test_calculus::test_bv_distribution_support_size
 scheme.dualize                        dualize_perm_ref               test_scheme::test_dualize_matches_the_per_element_transpose
 calculus.laplacian_mask               laplacian_masks_ref            test_batched_tables::test_spectral_masks_match_scalar_loop
 calculus.quotient_mask                quotient_mask_ref              test_batched_tables::test_spectral_masks_match_scalar_loop
 calculus.vector_avg_factors           vector_avg_factors_ref         test_batched_tables::test_spectral_masks_match_scalar_loop
 calculus.dual_avg_factors             dual_avg_factors_ref           test_batched_tables::test_spectral_masks_match_scalar_loop
-calculus._v1_eliminations (per V1)    laplacian_masks_ref            test_batched_tables::test_spectral_masks_match_scalar_loop
 globality.global_audit                brute_force_global_audit       test_globality::test_global_audit_matches_brute_force
   (stacked coset means)               per_site_global_audit          test_globality::test_stacked_audits_match_per_site_oracles
 globality.lp_global_audit             per_site_lp_global_audit       test_globality::test_stacked_audits_match_per_site_oracles
@@ -111,6 +113,17 @@ def brute_force_rank(ctx, a):
     while q**d < span_size:
         d += 1
     return d
+
+
+def subspace_vectors_ref(ctx, sub):
+    """The q^dim member vectors of sub, row i the combination of the basis
+    rows with the base-q digits of i as coefficients, by scalar loops."""
+    q = ctx.q
+    out = np.zeros((q**sub.dim, sub.ambient), dtype=np.uint8)
+    for i in range(q**sub.dim):
+        for j, row in enumerate(sub.basis):
+            out[i] = ctx.add_table[out[i], ctx.mul_table[row, (i // q**j) % q]]
+    return out
 
 
 def inv_by_rref(ctx, a):
@@ -224,6 +237,22 @@ def char_restriction_dual_index(ctx, vp, wp, x_index):
     x = ctx.dual_index.to_matrix(x_index)
     y = mat_mul(ctx.field, mat_mul(ctx.field, frame.quotient_map, x), wp.basis.T.copy())
     return sub.dual_index.to_index(y)
+
+
+def bv_pairs_ref(ctx, v):
+    """The (w, phi) pairs of B_v, w outer and phi inner, each in index order,
+    and the domain index of each map w (x) phi, by scalar dot products."""
+    field = ctx.field
+    phis = []
+    for idx in range(ctx.q**ctx.n):
+        phi = decode_vector(idx, ctx.n, ctx.q)
+        acc = 0
+        for a, b in zip(phi, v):
+            acc = field.add(acc, field.mul(int(a), int(b)))
+        if acc == 1:
+            phis.append(phi)
+    pairs = [(decode_vector(w, ctx.m, ctx.q), phi) for w in range(ctx.q**ctx.m) for phi in phis]
+    return pairs, [ctx.domain_index.to_index(field.mul_table[w[:, None], phi[None, :]]) for w, phi in pairs]
 
 
 def dualize_perm_ref(ctx):

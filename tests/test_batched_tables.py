@@ -1,11 +1,13 @@
 """Per-index scheme tables against scalar reference loops.
 
-Rank tables, the four spectral masks, site cosets, restriction
-embeddings and the character-restriction table are built by batched
-elimination over every index at once; the site stacks regroup the site
-cosets of each order.  Each reference (tests/oracles.py)
-walks the indices one at a time with the scalar `rref`; the batched
-tables must equal them exactly.
+Rank tables come from batched elimination over every index at once.  The
+restriction embeddings, the character-restriction table and the four
+spectral masks come from index tables of F_q-linear maps M -> L M R
+(IndexMap.linear_image), the masks with rank lookups in the rank table of
+each image's shape; the site stacks regroup the site cosets of each
+order.  Each reference (tests/oracles.py) walks the indices one at a time
+with the scalar `rref` and per-matrix products; the tables must equal
+them exactly.
 """
 
 import numpy as np

@@ -4,7 +4,7 @@ averaging-operator equivalences, and the pure-degree Laplacian formulas."""
 import numpy as np
 import pytest
 
-from oracles import char_restriction_dual_index, char_value, influence
+from oracles import bv_pairs_ref, char_restriction_dual_index, char_value, influence
 from qharm.calculus import (
     BvDistribution,
     RestrictionSite,
@@ -20,7 +20,7 @@ from qharm.calculus import (
     t_operator,
 )
 from qharm.errors import ToolkitError
-from qharm.fqlin import full_space, span_of, zero_space
+from qharm.fqlin import decode_vector, full_space, span_of, zero_space
 from qharm.gf import get_field
 from qharm.scheme import (
     degree_decompose,
@@ -219,6 +219,16 @@ def test_bv_distribution_support_size():
     ctx = get_scheme(3, 2, 2)
     bv = BvDistribution(ctx, np.array([1, 2], dtype=np.uint8))
     assert len(bv.pairs) == ctx.q**ctx.m * ctx.q ** (ctx.n - 1)
+    # every nonzero v on three domains: the pairs and indices of the scalar loop
+    for q, n, m in [(3, 2, 2), (4, 2, 3), (2, 3, 2)]:
+        ctx = get_scheme(q, n, m)
+        for idx in range(1, q**n):
+            bv = BvDistribution(ctx, decode_vector(idx, n, q))
+            pairs, indices = bv_pairs_ref(ctx, decode_vector(idx, n, q))
+            assert len(bv.pairs) == len(pairs) == q**m * q ** (n - 1)
+            for (w, phi), (w_ref, phi_ref) in zip(bv.pairs, pairs):
+                assert np.array_equal(w, w_ref) and np.array_equal(phi, phi_ref)
+            assert bv.indices.dtype == np.int64 and list(bv.indices) == indices
 
 
 def test_avg_dual_cases():

@@ -389,3 +389,61 @@ def test_cli_group_outputs_are_byte_identical_to_recorded_digests(tmp_path, monk
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                for name in sorted(os.listdir(tmp_path / "out"))}
     assert digests == GROUP_OUTPUT_DIGESTS
+
+
+# SHA-256 of the files product-mixing writes for the three seeded sets below,
+# recorded from the command as it stood before this test was added.
+PRODUCT_MIXING_DIGESTS = {
+    "product-mixing_manifest.json": "71a5701e8c87a4b5ccd6ed00fbc5dea638e0623ebc2f53df97b217d37484f17e",
+    "product_mixing.json": "253dcd9f670ed191369a777b9b07f2ed136fa83c6488fddbc575d9fb3c9d190f",
+}
+
+
+def test_cli_product_mixing_outputs_are_byte_identical_to_recorded_digests(tmp_path, monkeypatch):
+    import hashlib
+
+    g = get_group("sl", 2, 3)
+    rng = np.random.default_rng(3)
+    monkeypatch.chdir(tmp_path)
+    for name, size in (("a.txt", 9), ("b.txt", 8), ("c.txt", 7)):
+        write_set_file(name, g, rng.choice(g.size, size=size, replace=False))
+    argv = ["product-mixing", "--q", "3", "--n", "2", "--set", "a.txt", "--set2", "b.txt", "--set3", "c.txt"]
+    assert main([*argv, "-o", "out"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(tmp_path / "out"))}
+    assert digests == PRODUCT_MIXING_DIGESTS
+
+
+def test_cli_verify_exits_0_iff_every_criterion_passes(tmp_path, capsys, monkeypatch):
+    import qharm.verify as verify
+
+    def stub(name, passed):
+        return lambda: verify.CheckResult(name, passed, 0.0, "stub")
+
+    monkeypatch.setattr(verify, "CRITERIA", [("1", stub("passing", True)), ("2", stub("failing", False))])
+    assert main(["verify", "-o", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["[PASS] criterion 1: passing (0.0s) - stub", "[FAIL] criterion 2: failing (0.0s) - stub"]
+    assert lines[2].startswith("[FAIL] criterion 9: end-to-end verify in ")
+    monkeypatch.setattr(verify, "CRITERIA", [("1", stub("passing", True))])
+    assert main(["verify", "-o", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("[PASS] criterion 9: end-to-end verify in ")
+    assert json.loads((tmp_path / "out" / "verify_manifest.json").read_text())["command"] == "verify"
+
+
+def test_cli_refuses_site_stacks_above_the_cap_with_status_2(tmp_path, capsys, monkeypatch):
+    import qharm.scheme as scheme
+
+    # a fresh scheme cache, so that no earlier test has built the stacks;
+    # (2,2,2) has 1 order-0 site and 6 order-1 sites of N = 16 indices each
+    monkeypatch.setattr(scheme, "_SCHEME_CACHE", {})
+    monkeypatch.setattr(scheme, "_SITE_STACK_CAP", 50)
+    path = tmp_path / "f.csv"
+    write_function_csv(str(path), np.arange(16, dtype=np.complex128))
+    for cmd in ("global-audit", "influence-audit"):
+        argv = [cmd, "--q", "2", "--n", "2", "--m", "2", "--input", str(path), "--dmax", "1"]
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the order-1 site stacks of SchemeCtx(q=2, n=2, m=2) would hold 6 x 16")
+        assert "Traceback" not in err

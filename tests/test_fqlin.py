@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_rank, inv_by_rref, least_index_completion
+from oracles import brute_force_rank, inv_by_rref, least_index_completion, subspace_vectors_ref
 from qharm.errors import SizeCapError, ToolkitError
 from qharm.fqlin import (
     IndexMap,
@@ -153,6 +153,16 @@ def test_subspace_counts_match_gaussian_binomial():
                 assert len({s.key for s in subs}) == len(subs)
 
 
+def test_subspace_vectors_match_the_coefficient_loop():
+    for q in (2, 3, 4, 5):
+        ctx = get_field(q)
+        for n in (1, 2, 3):
+            for d in range(n + 1):
+                for sub in enumerate_subspaces(ctx, n, d):
+                    vecs = sub.vectors(ctx)
+                    assert vecs.dtype == np.uint8 and np.array_equal(vecs, subspace_vectors_ref(ctx, sub))
+
+
 def test_subspace_canonical_equality():
     ctx = get_field(3)
     s1 = span_of(ctx, [[1, 2], [0, 0]])
@@ -273,6 +283,27 @@ def test_batched_mat_mul_matches_per_matrix_product():
         assert np.array_equal(got, np.stack([mat_mul(ctx, x, b) for x in a]))
         c = rng.integers(0, q, size=(5, 3)).astype(np.uint8)
         assert np.array_equal(mat_mul(ctx, c, a), np.stack([mat_mul(ctx, c, x) for x in a]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_linear_image_matches_per_matrix_product(q):
+    # (rows, cols) of M, then rows of left and cols of right; a zero dimension
+    # is the shape of a site with V' = V (no quotient rows) or W' = 0 (no
+    # basis columns), or of a restricted scheme with no entries at all
+    shapes = [(2, 2, 2, 2), (2, 2, 1, 3), (1, 3, 2, 2), (3, 1, 3, 1), (2, 2, 0, 2), (2, 2, 2, 0),
+              (0, 2, 2, 2), (2, 0, 2, 1), (0, 0, 1, 1)]
+    ctx = get_field(q)
+    rng = np.random.default_rng(13 + q)
+    for rows, cols, out_rows, out_cols in shapes:
+        src, dst = IndexMap(ctx, rows, cols), IndexMap(ctx, out_rows, out_cols)
+        for _ in range(2):
+            left = rng.integers(0, q, size=(out_rows, rows)).astype(np.uint8)
+            right = rng.integers(0, q, size=(cols, out_cols)).astype(np.uint8)
+            table = src.linear_image(left, right, dst)
+            ref = [dst.to_index(mat_mul(ctx, mat_mul(ctx, left, src.to_matrix(i)), right)) for i in range(src.size)]
+            assert table.dtype == np.int64 and np.array_equal(table, ref)
+    with pytest.raises(ToolkitError):
+        IndexMap(ctx, 2, 2).linear_image(np.eye(2, dtype=np.uint8), np.eye(3, dtype=np.uint8), IndexMap(ctx, 2, 3))
 
 
 def test_vector_encoding_round_trip():
