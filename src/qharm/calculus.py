@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConsistencyError, ToolkitError
 from .fqlin import (
     IndexMap,
+    Memo,
     Subspace,
     encode_vector,
     full_space,
@@ -86,10 +87,12 @@ def filtered_inverses(ctx: SchemeCtx, spectrum: np.ndarray, factors: list[np.nda
 
 
 # ---------------------------------------------------------------------------
-# spectral masks (cached per context)
+# spectral masks, each a memo entry of its context, held once
 #
-# Each mask compares ranks of linear images L X R of the dual matrices X:
-# IndexMap.linear_image tabulates the images, and their ranks are read from
+# The Laplacian masks of one order are the rows of one (pairs x N) stack,
+# and laplacian_mask hands out a view of its row.  Each mask compares ranks
+# of linear images L X R of the dual matrices X: IndexMap.linear_image
+# tabulates the images, and their ranks are read from
 # get_scheme(q, rows, cols).rank_table_dual() of the image's shape.  Q_U is
 # the quotient map of U <= V (ker Q_U = U), B_U a column basis of U <= W:
 #
@@ -116,64 +119,65 @@ def _damping(ctx: SchemeCtx, keep: np.ndarray) -> np.ndarray:
 
 
 def _quotient_image(ctx: SchemeCtx, v1: Subspace) -> tuple[SchemeCtx, np.ndarray, np.ndarray]:
-    """(sub, qx, Im(X) >= V1) over dual indices, cached per V1: qx is the
-    index of Q X in sub.dual_index, Q the quotient map of V1."""
-    key = ("lap_v1", v1.key)
-    if key not in ctx._masks:
-        sub = get_scheme(ctx.q, ctx.n - v1.dim, ctx.m)
-        qmap = ctx.quotient_frame(v1).quotient_map
-        qx = ctx.dual_index.linear_image(qmap, np.eye(ctx.m, dtype=np.uint8), sub.dual_index)
-        contains_v1 = v1.dim + sub.rank_table_dual()[qx] == ctx.rank_table_dual()
-        ctx._masks[key] = (sub, qx, contains_v1)
-    return ctx._masks[key]
+    """(sub, qx, Im(X) >= V1) over dual indices: qx is the index of Q X in
+    sub.dual_index, Q the quotient map of V1."""
+    sub = get_scheme(ctx.q, ctx.n - v1.dim, ctx.m)
+    qmap = ctx.quotient_frame(v1).quotient_map
+    qx = ctx.dual_index.linear_image(qmap, np.eye(ctx.m, dtype=np.uint8), sub.dual_index)
+    return sub, qx, v1.dim + sub.rank_table_dual()[qx] == ctx.rank_table_dual()
 
 
 def laplacian_mask(ctx: SchemeCtx, v1: Subspace, w1: Subspace) -> np.ndarray:
-    """Boolean mask over dual indices: Im(X) >= V1 and X^{-1}(V1) <= W1."""
-    key = ("lap", v1.key, w1.key)
-    if key not in ctx._masks:
-        sub, qx, contains_v1 = _quotient_image(ctx, v1)
-        # the W1 test on every Y = Q X of sub, then read at each X
-        yb_ranks = _image_ranks(sub.dual_index, np.eye(sub.n, dtype=np.uint8), w1.basis.T)
-        preimage_in_w1 = (ctx.m - w1.dim) + yb_ranks == sub.rank_table_dual()
-        ctx._masks[key] = contains_v1 & preimage_in_w1[qx]
-    return ctx._masks[key]
+    """Boolean mask over dual indices: Im(X) >= V1 and X^{-1}(V1) <= W1.
+
+    A view of the site's row of laplacian_masks, which the first call for a
+    site of an order builds for the whole order; every later call returns
+    the same object."""
+    order = v1.dim + ctx.m - w1.dim
+    return ctx.memo(("lap", v1.key, w1.key),
+                    lambda: laplacian_masks(ctx, order)[ctx.restriction_pairs(order).index((v1, w1))])
 
 
 def laplacian_masks(ctx: SchemeCtx, order: int) -> np.ndarray:
-    """laplacian_mask of every pair of restriction_pairs(order), one row each,
-    cached (order must have a pair)."""
-    key = ("lap_stack", order)
-    if key not in ctx._masks:
-        ctx._masks[key] = np.stack([laplacian_mask(ctx, v1, w1) for v1, w1 in ctx.restriction_pairs(order)])
-    return ctx._masks[key]
+    """laplacian_mask of every pair of restriction_pairs(order), one row each
+    (order must have a pair), built row by row; above _SITE_STACK_CAP
+    entries it raises SizeCapError.  The pairs of one V1 are consecutive,
+    so the quotient image of each V1 is built once and dropped after its
+    last pair."""
+
+    def build():
+        ctx.check_site_orders([order])
+        pairs = ctx.restriction_pairs(order)
+        out = np.empty((len(pairs), ctx.size), dtype=bool)
+        v1 = None
+        for row, (vp, w1) in zip(out, pairs):
+            if vp is not v1:
+                v1 = vp
+                sub, qx, contains_v1 = _quotient_image(ctx, v1)
+            # the W1 test on every Y = Q X of sub, then read at each X
+            yb_ranks = _image_ranks(sub.dual_index, np.eye(sub.n, dtype=np.uint8), w1.basis.T)
+            preimage_in_w1 = (ctx.m - w1.dim) + yb_ranks == sub.rank_table_dual()
+            np.logical_and(contains_v1, preimage_in_w1[qx], out=row)
+        return out
+
+    return ctx.memo(("lap_stack", order), build)
 
 
 def quotient_mask(ctx: SchemeCtx, vp: Subspace) -> np.ndarray:
     """Boolean mask over dual indices: Im(X) <= V'."""
-    key = ("quot", vp.key)
-    if key not in ctx._masks:
-        _, qx, _ = _quotient_image(ctx, vp)
-        ctx._masks[key] = qx == 0
-    return ctx._masks[key]
+    return ctx.memo(("quot", vp.key), lambda: _quotient_image(ctx, vp)[1] == 0)
 
 
 def vector_avg_factors(ctx: SchemeCtx, v: np.ndarray) -> np.ndarray:
     """Spectral multipliers of E_v: q^{-rank(X)} if v not in Im(X), else 0."""
-    key = ("eav", encode_vector(v, ctx.q))
-    if key not in ctx._masks:
-        _, _, contains_v = _quotient_image(ctx, span_of(ctx.field, v))
-        ctx._masks[key] = _damping(ctx, ~contains_v)
-    return ctx._masks[key]
+    return ctx.memo(("eav", encode_vector(v, ctx.q)),
+                    lambda: _damping(ctx, ~_quotient_image(ctx, span_of(ctx.field, v))[2]))
 
 
 def dual_avg_factors(ctx: SchemeCtx, wp: Subspace) -> np.ndarray:
     """Spectral multipliers of E_{W'}: q^{-rank(X)} if Ker(X) + W' = W."""
-    key = ("edu", wp.key)
-    if key not in ctx._masks:
-        xb_ranks = _image_ranks(ctx.dual_index, np.eye(ctx.n, dtype=np.uint8), wp.basis.T)
-        ctx._masks[key] = _damping(ctx, xb_ranks == ctx.rank_table_dual())
-    return ctx._masks[key]
+    return ctx.memo(("edu", wp.key), lambda: _damping(
+        ctx, _image_ranks(ctx.dual_index, np.eye(ctx.n, dtype=np.uint8), wp.basis.T) == ctx.rank_table_dual()))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +224,7 @@ def avg_quotient(f: FnTable, vp: Subspace) -> FnTable:
     return FnTable(ctx, spectral)
 
 
-class BvDistribution:
+class BvDistribution(Memo):
     """Uniform distribution over rank <= 1 maps w (x) phi with phi(v) = 1."""
 
     def __init__(self, ctx: SchemeCtx, v: np.ndarray):
@@ -237,32 +241,27 @@ class BvDistribution:
         self.pairs = [(w, phi) for w in ws for phi in phis]
         maps = field.mul_table[ws[:, None, :, None], phis[None, :, None, :]]  # (m, n) rank <= 1 maps
         self.indices = maps.reshape(-1, ctx.k).astype(np.int64) @ ctx.domain_index.powers
-        self._shift: np.ndarray | None = None
 
     def average(self, values: np.ndarray) -> np.ndarray:
         ctx = self.ctx
-        if self._shift is None:
-            self._shift = ctx.domain_index.add_indices(
-                np.arange(ctx.size, dtype=np.int64)[:, None], self.indices[None, :]
-            )
-        return np.mean(np.asarray(values)[self._shift], axis=1)
+        shift = self.memo("shift", lambda: ctx.domain_index.add_indices(
+            np.arange(ctx.size, dtype=np.int64)[:, None], self.indices[None, :]))
+        return np.mean(np.asarray(values)[shift], axis=1)
 
 
 def _bv_cached(ctx: SchemeCtx, v: np.ndarray) -> BvDistribution:
-    key = ("bv", encode_vector(v, ctx.q))
-    if key not in ctx._masks:
-        ctx._masks[key] = BvDistribution(ctx, v)
-    return ctx._masks[key]
+    return ctx.memo(("bv", encode_vector(v, ctx.q)), lambda: BvDistribution(ctx, v))
 
 
 def _planes_avoiding(ctx: SchemeCtx, v: np.ndarray) -> list[Subspace]:
     """The hyperplanes V' of V that do not contain v, in `ctx.subspaces` order."""
-    key = ("planes_avoiding", encode_vector(v, ctx.q))
-    if key not in ctx._masks:
+
+    def build():
         planes = [s for s in ctx.subspaces("v", ctx.n - 1) if not s.contains_vector(ctx.field, v)]
         assert len(planes) == ctx.q ** (ctx.n - 1)
-        ctx._masks[key] = planes
-    return ctx._masks[key]
+        return planes
+
+    return ctx.memo(("planes_avoiding", encode_vector(v, ctx.q)), build)
 
 
 def _direction_averages(f: FnTable, vs: list[np.ndarray], wps: list[Subspace]) -> np.ndarray:

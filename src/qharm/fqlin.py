@@ -12,7 +12,9 @@ are not built from a stack of every matrix: restriction embeddings,
 character restrictions and spectral masks are index tables of F_q-linear
 maps M -> L M R, which `IndexMap.linear_image` builds by doubling over
 the digits, and a rank of an image is a lookup in the rank table of its
-shape.
+shape.  Every derived table in qharm is held by its owner through one
+helper, `Memo.memo`, which builds it on first use and hands back that
+same object on every later call.
 
 Canonical conventions, fixed once so that enumerations and audits are
 bit-reproducible:
@@ -41,6 +43,22 @@ from .gf import FieldCtx
 
 DEFAULT_MAX_DOMAIN = 2**24
 DEFAULT_MAX_SUBSPACES = 2**20
+
+
+class Memo:
+    """An owner of derived tables: memo(key, build) returns build() on the
+    first call with key and that same object on every later one, so a hit
+    costs one dict lookup.  A build that raises stores nothing."""
+
+    def memo(self, key, build):
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        except AttributeError:  # the first table of this owner
+            self._memo = {}
+        value = self._memo[key] = build()
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +389,7 @@ def decode_vector(idx: int, n: int, q: int) -> np.ndarray:
     return np.array([(idx // q**i) % q for i in range(n)], dtype=np.uint8)
 
 
-class IndexMap:
+class IndexMap(Memo):
     """Bijection between r x c matrices over F_q and integers in [0, q^(r*c)).
 
     Entry (i, j) contributes digit i*c + j in base q; digit 0 is the
@@ -389,7 +407,6 @@ class IndexMap:
             raise SizeCapError(f"domain size {n_total} exceeds cap {DEFAULT_MAX_DOMAIN}")
         self.size = n_total
         self.powers = np.array([self.q**i for i in range(self.k)], dtype=np.int64)
-        self._digits: np.ndarray | None = None
 
     def to_index(self, mat: np.ndarray) -> int:
         flat = np.asarray(mat, dtype=np.int64).reshape(-1)
@@ -404,12 +421,15 @@ class IndexMap:
         return flat.astype(np.uint8).reshape(self.rows, self.cols)
 
     def digits_table(self) -> np.ndarray:
-        """(size, k) base-q digit decomposition of every index."""
-        if self._digits is None:
+        """(size, k) base-q digit decomposition of every index, read-only."""
+
+        def build():
             idx = np.arange(self.size, dtype=np.int64)
-            self._digits = ((idx[:, None] // self.powers[None, :]) % self.q).astype(np.uint8)
-            self._digits.setflags(write=False)
-        return self._digits
+            digits = ((idx[:, None] // self.powers[None, :]) % self.q).astype(np.uint8)
+            digits.setflags(write=False)
+            return digits
+
+        return self.memo("digits", build)
 
     def add_indices(self, a, b):
         """Field addition of indices; broadcasts like numpy over a and b."""

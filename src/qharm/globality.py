@@ -139,9 +139,11 @@ def _audit_rows(fs: list[FnTable], orders, order_chunks, zeta: float | None, kin
     d + 1 rows of an audit to any order D >= d equal the rows of the audit
     to order d exactly, whatever else the stack holds."""
     ctx = _scheme_of(fs[0])
+    all_orders = sorted(set().union(*orders))
+    ctx.check_site_orders(all_orders)  # refuse an oversized order before any audit work
     reports = [GlobalnessReport(kind, []) for _ in fs]
     bases = [f.norm2sq() for f in fs]
-    for d in sorted(set().union(*orders)):
+    for d in all_orders:
         live = [i for i, o in enumerate(orders) if d in o]
         pairs = ctx.restriction_pairs(d)
         maxima = np.empty((len(live), len(pairs)))
@@ -358,17 +360,19 @@ class SetAuditResult:
 
 def cell_umvirate(group: GroupTable, cell: int) -> Umvirate:
     """The mixed umvirate at a flat cell index of `group.dictator_systems()`,
-    built once per cell and kept in the table's `umvirates`.  Every caller
-    gets the same object, so none may mutate it."""
+    built once per cell, a memo entry of the table.  Every caller gets the
+    same object, so none may mutate it."""
     tables = group.dictator_systems()
     i, j = divmod(int(cell), len(tables.func_systems))
     key = int(cell)
-    if key not in tables.umvirates:
+
+    def build():
         n, q = group.n, group.q
         row, func = ([(decode_vector(v, n, q), decode_vector(w, n, q)) for v, w in s] for s in
                      (tables.row_systems[i], tables.func_systems[j]))
-        tables.umvirates[key] = Umvirate(group.field, n, row, func)
-    return tables.umvirates[key]
+        return Umvirate(group.field, n, row, func)
+
+    return tables.memo(("umvirate", key), build)
 
 
 def _set_ordinals(group: GroupTable, ordinals, what: str) -> np.ndarray:
@@ -439,12 +443,9 @@ def _block_restriction(group: GroupTable, in_set: np.ndarray, g: np.ndarray, h: 
 
 def block_subgroup_members(group: GroupTable, k: int) -> np.ndarray:
     """Ordinals of L_k = {diag(I_k, X) : X in SL_{n-k}}."""
-    key = ("Lk", k)
-    if key not in group._lk_cache:
-        if k < 0 or k > group.n:
-            raise ToolkitError(f"invalid block size k={k}")
-        group._lk_cache[key] = np.sort(group.ordinals_of(_block_embedding(group.n, k, group.q)))
-    return group._lk_cache[key]
+    if k < 0 or k > group.n:
+        raise ToolkitError(f"invalid block size k={k}")
+    return group.memo(("Lk", k), lambda: np.sort(group.ordinals_of(_block_embedding(group.n, k, group.q))))
 
 
 @dataclass

@@ -29,24 +29,23 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import RefinementError, SizeCapError, ToolkitError
-from .fqlin import IndexMap, Subspace, det, encode_vector, enumerate_subspaces, mat_mul
+from .fqlin import IndexMap, Memo, Subspace, det, encode_vector, enumerate_subspaces, mat_mul
 from .gf import FieldCtx, get_field
 from .scheme import FnTable, degree_project, get_scheme, random_table
-
-if TYPE_CHECKING:
-    from .globality import Umvirate
 
 DEFAULT_GROUP_CAP = 10**5
 _MUL_TABLE_CAP = 6000
 
 
-class GroupTable:
-    """Enumerated SL or GL with index maps, inverses, and class labels."""
+class GroupTable(Memo):
+    """Enumerated SL or GL with index maps, inverses, and class labels.
+
+    Its derived tables (products, actions, classes, dictator systems, block
+    subgroups, levels, isotypic report) are memo entries, each held once."""
 
     def __init__(self, kind: str, n: int, field: FieldCtx):
         if kind not in ("sl", "gl"):
@@ -66,12 +65,6 @@ class GroupTable:
         self.pos = np.full(self.scheme.size, -1, dtype=np.int64)
         self.pos[self.elements] = np.arange(self.size)
         self.mats = every[self.elements]
-        self._mul: np.ndarray | None = None
-        self._xyinv: np.ndarray | None = None
-        self._classes: np.ndarray | None = None
-        self._vec_action: dict = {}
-        self._dictator_systems: DictatorSystems | None = None
-        self._lk_cache: dict = {}  # block subgroup ordinals L_k, keyed by ("Lk", k)
         self._vectors = IndexMap(field, n, 1).digits_table()  # F_q^n, one vector per row, in index order
         self._units = field.q ** np.arange(n, dtype=np.int64)  # encodings of e_0, ..., e_{n-1}
         # column k of g^-1 is the preimage of e_k under g; each action row is a permutation
@@ -106,7 +99,8 @@ class GroupTable:
 
     def mul_table(self) -> np.ndarray:
         """Ordinals of g h in row g; column k of g h is g applied to column k of h."""
-        if self._mul is None:
+
+        def build():
             if self.size > _MUL_TABLE_CAP:
                 raise SizeCapError(f"multiplication table refused for |G|={self.size}")
             act = self.vector_action()
@@ -116,36 +110,35 @@ class GroupTable:
             m = np.empty((self.size, self.size), dtype=np.int32)
             for g in range(self.size):
                 m[g] = self.pos[placed[g][cols] @ self._units]
-            self._mul = m
-        return self._mul
+            return m
+
+        return self.memo("mul", build)
 
     def xyinv_table(self) -> np.ndarray:
         """Table of x y^{-1} ordinals, the kernel of group convolution."""
-        if self._xyinv is None:
-            self._xyinv = self.mul_table()[:, self.inv]
-        return self._xyinv
+        return self.memo("xyinv", lambda: self.mul_table()[:, self.inv])
 
     # -- actions ---------------------------------------------------------------
 
     def vector_action(self, transpose: bool = False) -> np.ndarray:
         """(size, q^n) encodings of g v (or g^T v) for every vector index."""
-        key = "t" if transpose else "s"
-        if key not in self._vec_action:
+
+        def build():
             mats = np.swapaxes(self.mats, 1, 2) if transpose else self.mats
-            self._vec_action[key] = self._units @ mat_mul(self.field, mats, self._vectors.T).astype(np.int64)
-        return self._vec_action[key]
+            return self._units @ mat_mul(self.field, mats, self._vectors.T).astype(np.int64)
+
+        return self.memo(("vector_action", transpose), build)
 
     def dictator_systems(self) -> DictatorSystems:
         """The shared table of independent dictator systems, built on first use."""
-        if self._dictator_systems is None:
-            self._dictator_systems = DictatorSystems(self)
-        return self._dictator_systems
+        return self.memo("dictator_systems", lambda: DictatorSystems(self))
 
     # -- conjugacy classes -------------------------------------------------------
 
     def conjugacy_classes(self) -> np.ndarray:
         """Class label per ordinal; labels are assigned in orbit-discovery order."""
-        if self._classes is None:
+
+        def build():
             m = self.mul_table()
             labels = np.full(self.size, -1, dtype=np.int64)
             next_label = 0
@@ -156,8 +149,9 @@ class GroupTable:
                 orbit = np.unique(m[m[allg, x], self.inv[allg]])
                 labels[orbit] = next_label
                 next_label += 1
-            self._classes = labels
-        return self._classes
+            return labels
+
+        return self.memo("classes", build)
 
     def class_count(self) -> int:
         return int(self.conjugacy_classes().max()) + 1
@@ -258,7 +252,7 @@ def _dictator_family(group: GroupTable, action: np.ndarray):
     return systems, np.array(orders, dtype=np.int64), np.stack(system_of, axis=1)
 
 
-class DictatorSystems:
+class DictatorSystems(Memo):
     """Every independent dictator system of order <= n on G, held as one
     per-element index.
 
@@ -279,8 +273,8 @@ class DictatorSystems:
     G.  A set audit counts |A & U| as np.bincount(cell_of[A]).  The flat
     cell keys are sorted as int32 while they fit, which halves the
     np.unique over them; the cells come out as int64 either way.
-    `umvirates` holds the mixed umvirate of each flat cell that
-    `globality.cell_umvirate` has built, keyed by flat index.
+    The mixed umvirate of each flat cell that `globality.cell_umvirate` has
+    built is a memo entry of the table.
     """
 
     def __init__(self, group: GroupTable):
@@ -295,7 +289,6 @@ class DictatorSystems:
         self.cell_orders = self.row_orders[cells // width] + self.func_orders[cells % width]
         self.cells = [cells[self.cell_orders == d] for d in range(2 * group.n + 1)]
         self.cell_sizes = [sizes[self.cell_orders == d] for d in range(2 * group.n + 1)]
-        self.umvirates: dict[int, Umvirate] = {}
 
 
 class _GramSchmidtRows:
@@ -393,14 +386,9 @@ def build_level_basis(group: GroupTable, dmax: int, mode: str = "strict") -> Lev
     return LevelBasisSet(group, mode, dims, rows.basis())
 
 
-_LEVEL_CACHE: dict[tuple, LevelBasisSet] = {}
-
-
 def get_levels(group: GroupTable, mode: str = "strict") -> LevelBasisSet:
-    key = (group.kind, group.n, group.q, mode)
-    if key not in _LEVEL_CACHE:
-        _LEVEL_CACHE[key] = build_level_basis(group, group.n, mode)
-    return _LEVEL_CACHE[key]
+    """Every level of the group in the given mode, a memo entry of the group."""
+    return group.memo(("levels", mode), lambda: build_level_basis(group, group.n, mode))
 
 
 def level_mode(group: GroupTable, strictness: str) -> str:
@@ -624,14 +612,9 @@ def glt_growth_report(group: GroupTable, report: IsotypicReport) -> dict:
     }
 
 
-_ISOTYPIC_CACHE: dict[tuple, IsotypicReport] = {}
-
-
 def get_isotypic(group: GroupTable) -> IsotypicReport:
-    key = (group.kind, group.n, group.q)
-    if key not in _ISOTYPIC_CACHE:
-        _ISOTYPIC_CACHE[key] = isotypic_refine(group)
-    return _ISOTYPIC_CACHE[key]
+    """isotypic_refine(group), a memo entry of the group."""
+    return group.memo("isotypic", lambda: isotypic_refine(group))
 
 
 random_group_table = random_table  # seeded random functions on G draw as on a scheme

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import SizeCapError, ToolkitError
 from .fqlin import (
     IndexMap,
+    Memo,
     QuotientFrame,
     Subspace,
     enumerate_subspaces,
@@ -57,8 +58,12 @@ class SiteStack(NamedTuple):
     members: np.ndarray  # (S, R, M), C-contiguous
 
 
-class SchemeCtx:
-    """Enumerated domain L(V, W) with its dual index and transform kernels."""
+class SchemeCtx(Memo):
+    """Enumerated domain L(V, W) with its dual index and transform kernels.
+
+    Its derived tables (rank table, subspaces, restriction pairs, frames,
+    embeddings, site stacks, spectral masks) are memo entries, each held once.
+    """
 
     def __init__(self, field: FieldCtx, n: int, m: int):
         self.field = field
@@ -89,16 +94,6 @@ class SchemeCtx:
         self._kernel_fwd = np.conj(chars) / q
         self._kernel_inv = chars
 
-        self._rank_dual: np.ndarray | None = None
-        self._char_matrix: np.ndarray | None = None
-        self._cosets: dict = {}
-        self._embeddings: dict = {}
-        self._subspaces: dict = {}
-        self._pairs: dict = {}
-        self._masks: dict = {}
-        self._refining: dict = {}
-        self._stacks: dict = {}
-
     # -- bookkeeping --------------------------------------------------------
 
     @property
@@ -109,22 +104,19 @@ class SchemeCtx:
         return f"SchemeCtx(q={self.q}, n={self.n}, m={self.m})"
 
     def rank_table_dual(self) -> np.ndarray:
-        """rank(X) for every dual index, cached."""
-        if self._rank_dual is None:
-            self._rank_dual = self.dual_index.rank_table()
-        return self._rank_dual
+        """rank(X) for every dual index."""
+        return self.memo("rank_dual", self.dual_index.rank_table)
 
     def subspaces(self, side: str, dim: int) -> list[Subspace]:
-        """Cached subspace lists; side 'v' is F_q^n, side 'w' is F_q^m."""
+        """The dim-dimensional subspaces of side 'v' (F_q^n) or 'w' (F_q^m)."""
         ambient = self.n if side == "v" else self.m
-        key = (side, dim)
-        if key not in self._subspaces:
-            self._subspaces[key] = enumerate_subspaces(self.field, ambient, dim)
-        return self._subspaces[key]
+        return self.memo(("subspaces", side, dim), lambda: enumerate_subspaces(self.field, ambient, dim))
 
     def restriction_pairs(self, order: int) -> list[tuple[Subspace, Subspace]]:
-        """All (V', W') with dim V' + codim W' = order, in canonical order."""
-        if order not in self._pairs:
+        """All (V', W') with dim V' + codim W' = order, in canonical order:
+        the pairs of one V' are consecutive."""
+
+        def build():
             pairs = []
             for dv in range(order + 1):
                 cw = order - dv
@@ -133,26 +125,36 @@ class SchemeCtx:
                 for vp in self.subspaces("v", dv):
                     for wp in self.subspaces("w", self.m - cw):
                         pairs.append((vp, wp))
-            self._pairs[order] = pairs
-        return self._pairs[order]
+            return pairs
+
+        return self.memo(("pairs", order), build)
+
+    def check_site_orders(self, orders) -> None:
+        """Raise SizeCapError if a table with one N-entry row per site, such as
+        the site stacks or the Laplacian masks, would pass _SITE_STACK_CAP
+        entries at some order of orders."""
+        for order in orders:
+            n_sites = len(self.restriction_pairs(order))
+            if n_sites * self.size > _SITE_STACK_CAP:
+                raise SizeCapError(f"the order-{order} site stacks of {self!r} would hold "
+                                   f"{n_sites} x {self.size} indices > cap {_SITE_STACK_CAP}")
 
     def site_stacks(self, order: int) -> list[SiteStack]:
         """The sites of restriction_pairs(order) grouped by the shape of their
         site_cosets members, one SiteStack per shape in order of first
-        appearance, cached; each stack keeps restriction_pairs order.
+        appearance; each stack keeps restriction_pairs order.
 
         Members are stacked along a new leading axis, so a gather
         values[stack.members] is C-contiguous and its mean over the last
         axis is, row for row, the mean of values[members] of one site.  The
-        stacks hold the only copy of the members: site_cosets hands out
-        views of their rows, and each site's coset table is built straight
-        into its row.  Stacks over _SITE_STACK_CAP indices raise SizeCapError.
+        stacks hold the only copy of the members, each site's coset table
+        built straight into its row; site_cosets hands out views of the
+        rows.  Stacks over _SITE_STACK_CAP indices raise SizeCapError.
         """
-        if order not in self._stacks:
+
+        def build():
+            self.check_site_orders([order])
             pairs = self.restriction_pairs(order)
-            if len(pairs) * self.size > _SITE_STACK_CAP:
-                raise SizeCapError(f"the order-{order} site stacks of {self!r} would hold "
-                                   f"{len(pairs)} x {self.size} indices > cap {_SITE_STACK_CAP}")
             by_shape: dict = {}
             for i, (vp, wp) in enumerate(pairs):
                 sub_size = self.q ** ((self.n - vp.dim) * wp.dim)
@@ -161,21 +163,20 @@ class SchemeCtx:
             for shape, positions in by_shape.items():
                 stack = SiteStack(np.array(positions, dtype=np.int64), np.empty((len(positions),) + shape, dtype=np.int64))
                 for members, i in zip(stack.members, positions):
-                    vp, wp = pairs[i]
-                    members[:] = self._coset_members(vp, wp)
-                    self._cosets[(vp.key, wp.key)] = (members[:, 0], members)
+                    members[:] = self._coset_members(*pairs[i])
                 stacks.append(stack)
-            self._stacks[order] = stacks
-        return self._stacks[order]
+            return stacks
+
+        return self.memo(("stacks", order), build)
 
     def refining_rows(self, u: Subspace, side: str, order: int) -> list[np.ndarray]:
         """For each stack of site_stacks(order), the rows of its sites that
-        refine the direction U, cached.
+        refine the direction U.
 
         Side 'v' keeps the sites with V' >= U, side 'w' those with W' <= U.
         """
-        key = (u.key, side, order)
-        if key not in self._refining:
+
+        def build():
             pairs = self.restriction_pairs(order)
             if side == "v":
                 keep = np.array([vp.contains(self.field, u) for vp, _ in pairs], dtype=bool)
@@ -183,8 +184,9 @@ class SchemeCtx:
                 keep = np.array([u.contains(self.field, wp) for _, wp in pairs], dtype=bool)
             else:
                 raise ToolkitError(f"unknown side {side!r}")
-            self._refining[key] = [np.flatnonzero(keep[s.positions]) for s in self.site_stacks(order)]
-        return self._refining[key]
+            return [np.flatnonzero(keep[s.positions]) for s in self.site_stacks(order)]
+
+        return self.memo(("refining", u.key, side, order), build)
 
     # -- characters and transforms -------------------------------------------
 
@@ -227,11 +229,9 @@ class SchemeCtx:
 
     def char_matrix(self) -> np.ndarray:
         """Full (N_dual, N) character matrix, for naive-path cross-checks."""
-        if self._char_matrix is None:
-            if self.size > _NAIVE_CAP:
-                raise SizeCapError(f"naive character matrix refused for N={self.size}")
-            self._char_matrix = self.char_rows(0, self.size)
-        return self._char_matrix
+        if self.size > _NAIVE_CAP:
+            raise SizeCapError(f"naive character matrix refused for N={self.size}")
+        return self.memo("char_matrix", lambda: self.char_rows(0, self.size))
 
     def fourier_forward_naive(self, values: np.ndarray) -> np.ndarray:
         c = self.char_matrix()
@@ -240,10 +240,7 @@ class SchemeCtx:
     # -- restrictions ---------------------------------------------------------
 
     def quotient_frame(self, vp: Subspace) -> QuotientFrame:
-        key = ("frame", vp.key)
-        if key not in self._embeddings:
-            self._embeddings[key] = QuotientFrame(self.field, vp)
-        return self._embeddings[key]
+        return self.memo(("frame", vp.key), lambda: QuotientFrame(self.field, vp))
 
     def restriction_embedding(self, vp: Subspace, wp: Subspace):
         """(sub_ctx, embedded domain indices aligned with sub enumeration).
@@ -253,12 +250,13 @@ class SchemeCtx:
         the deterministic quotient frame of V': S maps to Cw^T S Q, with
         Cw the basis of W' and Q the quotient map of V'.
         """
-        key = (vp.key, wp.key)
-        if key not in self._embeddings:
+
+        def build():
             sub = get_scheme(self.q, self.n - vp.dim, wp.dim)
             qmap = self.quotient_frame(vp).quotient_map
-            self._embeddings[key] = (sub, sub.domain_index.linear_image(wp.basis.T, qmap, self.domain_index))
-        return self._embeddings[key]
+            return sub, sub.domain_index.linear_image(wp.basis.T, qmap, self.domain_index)
+
+        return self.memo(("embedding", vp.key, wp.key), build)
 
     def restrict_values(self, values: np.ndarray, vp: Subspace, wp: Subspace, t_index: int) -> np.ndarray:
         sub, emb = self.restriction_embedding(vp, wp)
@@ -267,13 +265,9 @@ class SchemeCtx:
 
     def char_restriction_table(self, vp: Subspace, wp: Subspace) -> np.ndarray:
         """Dual index of Y = Q X Cw^T in the restricted scheme, for every X,
-        with Q the quotient map of V' and Cw the basis of W'; cached."""
-        key = ("char_restriction", vp.key, wp.key)
-        if key not in self._embeddings:
-            sub, _ = self.restriction_embedding(vp, wp)
-            qmap = self.quotient_frame(vp).quotient_map
-            self._embeddings[key] = self.dual_index.linear_image(qmap, wp.basis.T, sub.dual_index)
-        return self._embeddings[key]
+        with Q the quotient map of V' and Cw the basis of W'."""
+        return self.memo(("char_restriction", vp.key, wp.key), lambda: self.dual_index.linear_image(
+            self.quotient_frame(vp).quotient_map, wp.basis.T, self.restriction_embedding(vp, wp)[0].dual_index))
 
     def site_cosets(self, vp: Subspace, wp: Subspace):
         """(reps, members) for the coset partition of L(V,W) by the embedded
@@ -284,10 +278,15 @@ class SchemeCtx:
         site_stacks, which the first call for a site of an order builds for
         the whole order; every later call returns the same objects.
         """
-        key = (vp.key, wp.key)
-        if key not in self._cosets:
-            self.site_stacks(vp.dim + self.m - wp.dim)
-        return self._cosets[key]
+
+        def build():
+            order = vp.dim + self.m - wp.dim
+            i = self.restriction_pairs(order).index((vp, wp))
+            stack = next(s for s in self.site_stacks(order) if i in s.positions)
+            members = stack.members[np.searchsorted(stack.positions, i)]
+            return members[:, 0], members
+
+        return self.memo(("cosets", vp.key, wp.key), build)
 
     def _coset_members(self, vp: Subspace, wp: Subspace) -> np.ndarray:
         """The members table of site_cosets(vp, wp), built.
@@ -421,12 +420,9 @@ def dualize(f: FnTable) -> FnTable:
     """f*(A) = f(A^T): moves f to the scheme with V and W swapped."""
     ctx = _scheme_of(f)
     dual = get_scheme(ctx.q, ctx.m, ctx.n)
-    key = ("dual_perm",)
-    if key not in ctx._embeddings:
-        # entry idx is the index in ctx of B^T, B the (n, m) matrix of dual index idx
-        b = dual.domain_index.digits_table().reshape(dual.size, ctx.n, ctx.m)
-        ctx._embeddings[key] = b.transpose(0, 2, 1).reshape(dual.size, ctx.k).astype(np.int64) @ ctx.domain_index.powers
-    perm = ctx._embeddings[key]
+    # entry idx is the index in ctx of B^T, B the (n, m) matrix of dual index idx
+    perm = ctx.memo("dual_perm", lambda: dual.domain_index.digits_table().reshape(dual.size, ctx.n, ctx.m)
+                    .transpose(0, 2, 1).reshape(dual.size, ctx.k).astype(np.int64) @ ctx.domain_index.powers)
     return FnTable(dual, f.values[perm])
 
 

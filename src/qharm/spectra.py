@@ -23,6 +23,7 @@ import numpy as np
 from .bogolyubov import GroupSet, product_set
 from .calculus import avg_for_directions, direction_subspaces, filtered_inverses
 from .errors import ToolkitError
+from .fqlin import Memo
 from .globality import (
     GlobalnessReport,
     GoodUmvirate,
@@ -66,15 +67,6 @@ def conv_operator_matrix(f: FnTable, d: int) -> np.ndarray:
     return b.conj() @ convs.T / group.size  # [i, j] = <f*b_j, b_i>
 
 
-def conv_operator_norm(f: FnTable, d: int) -> float:
-    """||T_f|| restricted to V_{=d}: the largest singular value of its matrix."""
-    return _spectral_norm(conv_operator_matrix(f, d))
-
-
-def _spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0
-
-
 @dataclass
 class OperatorNormRow:
     d: int
@@ -99,7 +91,7 @@ def sarnak_xue_check(f: FnTable, d: int, c_report: float = 0.05) -> OperatorNorm
     its Frobenius^2, tr(T* T); the direct side is ||f_{=d}||_2^2."""
     group: GroupTable = f.domain
     m = conv_operator_matrix(f, d)
-    norm = _spectral_norm(m)
+    norm = float(np.linalg.norm(m, 2)) if m.size else 0.0  # ||T_f|| on V_{=d}, its largest singular value
     trace_matrix = float(np.sum(np.abs(m) ** 2))
     trace_direct = level_project_eq(f, d).norm2sq()
     iso = get_isotypic(group)
@@ -292,9 +284,9 @@ def _qpow(q: float, e: float) -> float:
     return float(q) ** e
 
 
-class _InstanceChecks:
-    """A function under test and one memo, _once, that builds each derived
-    function and audit report once; audits run to the top order, self.top."""
+class _InstanceChecks(Memo):
+    """A function under test whose derived functions and audit reports are
+    memo entries, each built once; audits run to the top order, self.top."""
 
     def __init__(self, name: str, f: FnTable):
         self.name = name
@@ -304,15 +296,9 @@ class _InstanceChecks:
             np.all(np.abs(f.values.imag) < 1e-12)
             and np.all(np.abs(f.values.real * (f.values.real - 1)) < 1e-9)
         )
-        self._memo: dict = {}
-
-    def _once(self, key, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
 
     def _lp_global(self, key, g: FnTable, ellp: float) -> GlobalnessReport:
-        return self._once(("lp", key, ellp), lambda: lp_global_audit(g, self.top, ellp))
+        return self.memo(("lp", key, ellp), lambda: lp_global_audit(g, self.top, ellp))
 
 
 class SchemeInstanceChecks(_InstanceChecks):
@@ -354,7 +340,7 @@ class SchemeInstanceChecks(_InstanceChecks):
     def _global(self, key) -> GlobalnessReport:
         """Global audit of the stacked function named key, to self.top."""
         names = ["f"] + self.part_names
-        return self._once("global", lambda: dict(zip(names, global_audits(
+        return self.memo("global", lambda: dict(zip(names, global_audits(
             [self.functions[k] for k in names], [range(self.top + 1)] * len(names)))))[key]
 
     def _square_global(self, d: int) -> GlobalnessReport:
@@ -366,7 +352,7 @@ class SchemeInstanceChecks(_InstanceChecks):
             squares = [FnTable(self.ctx, self.cum(e).values * self.cum(e).values) for e in ds]
             return dict(zip(ds, global_audits(squares, [range(2 * e, 2 * e + 1) for e in ds])))
 
-        return self._once("square", build)[d]
+        return self.memo("square", build)[d]
 
     def _influence_stack(self):
         """(influence audit of each part to its own degree, by name; L_U f^{=d}
@@ -392,7 +378,7 @@ class SchemeInstanceChecks(_InstanceChecks):
             reports = laplacian_audits([self.functions[k] for k in names], [range(d + 1) for _, d in names], laplacians)
             return dict(zip(names, reports)), lines
 
-        return self._once("influence", build)
+        return self.memo("influence", build)
 
     def _influences(self, key) -> GlobalnessReport:
         """Influence audit of the part named ("cum", d) or ("pure", d), to order d."""
@@ -401,7 +387,7 @@ class SchemeInstanceChecks(_InstanceChecks):
     def _averaged_refining_max(self, order: int) -> float:
         """Max over the directions U of the max restriction mass of E_U f over
         the order-`order` sites refining U."""
-        averages = self._once("averages", lambda: avg_for_directions(self.f, self.directions))
+        averages = self.memo("averages", lambda: avg_for_directions(self.f, self.directions))
         return float(np.max(refining_maxima(averages, self.directions, order), initial=-1.0))
 
     def _line_refining_max(self, d: int, order: int) -> float:
@@ -545,13 +531,13 @@ class GroupInstanceChecks(_InstanceChecks):
         self.jf = transfer(f)
 
     def _global(self, key, g: FnTable) -> GlobalnessReport:
-        return self._once(("global", key), lambda: global_audit(g, self.top))
+        return self.memo(("global", key), lambda: global_audit(g, self.top))
 
     def _level(self, d: int, strictness: str = "strict") -> FnTable:
         """f_{<=d}, keyed by the levels it reads, so that on SL the strict
         and tensor-rank checks share one projection."""
         mode = level_mode(self.group, strictness)
-        return self._once(("level", d, mode), lambda: level_project(self.f, d, mode))
+        return self.memo(("level", d, mode), lambda: level_project(self.f, d, mode))
 
     def check_strict_level_weight(self, d: int, ell: int):
         """(d,eps,L^{l'})-global on G: strict-level weight bounded by

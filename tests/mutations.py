@@ -93,13 +93,12 @@ MUTATIONS = [
              "self._kernel_inv = np.conj(chars)",
              (SCH + "test_fast_transform_matches_naive",)),
     Mutation("character restriction with W' basis reversed", "src/qharm/scheme.py",
-             "self._embeddings[key] = self.dual_index.linear_image(qmap, wp.basis.T, sub.dual_index)",
-             "self._embeddings[key] = self.dual_index.linear_image(qmap, wp.basis.T[:, ::-1], sub.dual_index)",
+             "self.quotient_frame(vp).quotient_map, wp.basis.T, self.restriction_embedding(vp, wp)[0].dual_index))",
+             "self.quotient_frame(vp).quotient_map, wp.basis.T[:, ::-1], self.restriction_embedding(vp, wp)[0].dual_index))",
              (BT + "test_char_restriction_table_matches_scalar_map[domain0]",)),
     Mutation("dualize without the transpose", "src/qharm/scheme.py",
-             "ctx._embeddings[key] = b.transpose(0, 2, 1).reshape(dual.size, ctx.k).astype(np.int64)"
-             " @ ctx.domain_index.powers",
-             "ctx._embeddings[key] = b.reshape(dual.size, ctx.k).astype(np.int64) @ ctx.domain_index.powers",
+             ".transpose(0, 2, 1).reshape(dual.size, ctx.k).astype(np.int64) @ ctx.domain_index.powers)",
+             ".reshape(dual.size, ctx.k).astype(np.int64) @ ctx.domain_index.powers)",
              (SCH + "test_dualize_matches_the_per_element_transpose[2-2-3]",)),
     Mutation("rank table of the reshaped digits", "src/qharm/fqlin.py",
              "stack = self.digits_table().reshape(self.size, self.rows, self.cols)",
@@ -110,21 +109,20 @@ MUTATIONS = [
              "preimage_in_w1 = (ctx.m - w1.dim) + yb_ranks >= sub.rank_table_dual()",
              (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
     Mutation("quotient mask keeps every X", "src/qharm/calculus.py",
-             "ctx._masks[key] = qx == 0",
-             "ctx._masks[key] = qx >= 0",
+             'return ctx.memo(("quot", vp.key), lambda: _quotient_image(ctx, vp)[1] == 0)',
+             'return ctx.memo(("quot", vp.key), lambda: _quotient_image(ctx, vp)[1] >= 0)',
              (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
     Mutation("E_v damps v in Im(X)", "src/qharm/calculus.py",
-             "ctx._masks[key] = _damping(ctx, ~contains_v)",
-             "ctx._masks[key] = _damping(ctx, contains_v)",
+             "lambda: _damping(ctx, ~_quotient_image(ctx, span_of(ctx.field, v))[2]))",
+             "lambda: _damping(ctx, _quotient_image(ctx, span_of(ctx.field, v))[2]))",
              (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
     Mutation("E_W' spanning test against dim W'", "src/qharm/calculus.py",
-             "ctx._masks[key] = _damping(ctx, xb_ranks == ctx.rank_table_dual())",
-             "ctx._masks[key] = _damping(ctx, xb_ranks == wp.dim)",
+             "ctx, _image_ranks(ctx.dual_index, np.eye(ctx.n, dtype=np.uint8), wp.basis.T) == ctx.rank_table_dual()))",
+             "ctx, _image_ranks(ctx.dual_index, np.eye(ctx.n, dtype=np.uint8), wp.basis.T) == wp.dim))",
              (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
     Mutation("restriction embedding read in reversed digits", "src/qharm/scheme.py",
-             "self._embeddings[key] = (sub, sub.domain_index.linear_image(wp.basis.T, qmap, self.domain_index))",
-             "self._embeddings[key] = (sub, sub.domain_index.linear_image(wp.basis.T[::-1], qmap[:, ::-1],"
-             " self.domain_index))",
+             "return sub, sub.domain_index.linear_image(wp.basis.T, qmap, self.domain_index)",
+             "return sub, sub.domain_index.linear_image(wp.basis.T[::-1], qmap[:, ::-1], self.domain_index)",
              (BT + "test_embeddings_and_cosets_match_scalar_loop[domain1]",)),
     Mutation("coset members in embedding order", "src/qharm/scheme.py",
              "return self.domain_index.add_indices(reps[:, None], np.sort(emb)[None, :])",
@@ -178,9 +176,9 @@ MUTATIONS = [
              "if value > best + 1e-15:",
              "if value >= best:",
              (GLO + "test_stacked_audits_match_per_site_oracles[2-2-2]",)),
-    Mutation("per-V1 quotient images keyed by dim V1", "src/qharm/calculus.py",
-             'key = ("lap_v1", v1.key)',
-             'key = ("lap_v1", v1.dim)',
+    Mutation("Laplacian masks keep the first V1's quotient image", "src/qharm/calculus.py",
+             "if vp is not v1:",
+             "if v1 is None:",
              (BT + "test_spectral_masks_match_scalar_loop[domain0]",)),
     Mutation("set audit ratio without 1/mu", "src/qharm/globality.py",
              "ratios = (counts[tables.cell_orders == d] / tables.cell_sizes[d]) / mu",
@@ -278,6 +276,14 @@ MUTATIONS = [
              "multiples = field.mul_table[scalars, images].astype(np.int64) @ target.powers  # (q - 1, k)",
              "multiples = np.broadcast_to(images, (self.q - 1,) + images.shape).astype(np.int64) @ target.powers",
              ("tests/test_fqlin.py::test_linear_image_matches_per_matrix_product[3]",)),
+    Mutation("memo rebuilds on every hit", "src/qharm/fqlin.py",
+             "return self._memo[key]",
+             "return build()",
+             ("tests/test_tracing_targets.py::test_builder_returns_its_table_again[SchemeCtx.rank_table_dual]",)),
+    Mutation("per-site mask copied out of its order stack", "src/qharm/calculus.py",
+             "lambda: laplacian_masks(ctx, order)[ctx.restriction_pairs(order).index((v1, w1))])",
+             "lambda: laplacian_masks(ctx, order)[ctx.restriction_pairs(order).index((v1, w1))].copy())",
+             ("tests/test_tracing_targets.py::test_laplacian_mask_is_a_view_of_its_order_stack",)),
 ]
 
 

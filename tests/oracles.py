@@ -29,6 +29,9 @@ SchemeCtx.site_stacks                 site_cosets, one site a row    test_batche
 calculus.BvDistribution               bv_pairs_ref                   test_calculus::test_bv_distribution_support_size
 scheme.dualize                        dualize_perm_ref               test_scheme::test_dualize_matches_the_per_element_transpose
 calculus.laplacian_mask               laplacian_masks_ref            test_batched_tables::test_spectral_masks_match_scalar_loop
+  (a view of its row of the one       its row of laplacian_masks     test_tracing_targets::test_laplacian_mask_is_a_view_of_its_order_stack
+  laplacian_masks stack per order)
+fqlin.Memo.memo (each table once)     a second call, compared by is  test_tracing_targets::test_builder_returns_its_table_again
 calculus.quotient_mask                quotient_mask_ref              test_batched_tables::test_spectral_masks_match_scalar_loop
 calculus.vector_avg_factors           vector_avg_factors_ref         test_batched_tables::test_spectral_masks_match_scalar_loop
 calculus.dual_avg_factors             dual_avg_factors_ref           test_batched_tables::test_spectral_masks_match_scalar_loop
@@ -576,17 +579,17 @@ class PerFunctionSchemeChecks(SchemeInstanceChecks):
             self.functions[("cum", d)] = degree_project(f, d, "cumulative")
 
     def _global(self, key):
-        return self._once(("global", key), lambda: per_function_global_audit(self.functions[key], self.top))
+        return self.memo(("global", key), lambda: per_function_global_audit(self.functions[key], self.top))
 
     def _lp_global(self, key, g, ellp):
-        return self._once(("lp", key, ellp), lambda: per_function_lp_global_audit(g, self.top, ellp))
+        return self.memo(("lp", key, ellp), lambda: per_function_lp_global_audit(g, self.top, ellp))
 
     def _square_global(self, d):
         g = self.cum(d)
         return per_function_global_audit(FnTable(self.ctx, g.values * g.values), 2 * d)
 
     def _influences(self, key):
-        return self._once(("influence", key), lambda: per_function_influence_audit(self.functions[key], key[1]))
+        return self.memo(("influence", key), lambda: per_function_influence_audit(self.functions[key], key[1]))
 
     def line_laplacians(self, d):
         """(U, side, L_U f^{=d}) for the direction of each order-1 site."""

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import read_function_csv_ref, write_function_csv_ref
 from qharm.cli import _ROW_BLOCK, main, read_function_csv, read_set_file, write_function_csv, write_set_file
-from qharm.errors import InputFormatError
+from qharm.errors import InputFormatError, SizeCapError
 from qharm.groups import get_group
 
 
@@ -447,3 +447,37 @@ def test_cli_refuses_site_stacks_above_the_cap_with_status_2(tmp_path, capsys, m
         err = capsys.readouterr().err
         assert err.startswith("error: the order-1 site stacks of SchemeCtx(q=2, n=2, m=2) would hold 6 x 16")
         assert "Traceback" not in err
+
+
+def test_cli_refuses_an_oversized_order_before_auditing_any_order(tmp_path, capsys, monkeypatch):
+    import qharm.calculus as calculus
+    import qharm.scheme as scheme
+
+    # (2,2,2) has 1, 6 and 11 sites at orders 0, 1 and 2, of N = 16 indices
+    # each, so a cap of 100 refuses order 2 alone
+    monkeypatch.setattr(scheme, "_SCHEME_CACHE", {})
+    monkeypatch.setattr(scheme, "_SITE_STACK_CAP", 100)
+    built = []
+
+    def counted(build):
+        def wrapper(*args):
+            built.append(build.__name__)
+            return build(*args)
+        return wrapper
+
+    # every site stack row and every Laplacian mask V1 goes through one of these
+    monkeypatch.setattr(scheme.SchemeCtx, "_coset_members", counted(scheme.SchemeCtx._coset_members))
+    monkeypatch.setattr(calculus, "_quotient_image", counted(calculus._quotient_image))
+    path = tmp_path / "f.csv"
+    write_function_csv(str(path), np.arange(16, dtype=np.complex128))
+    for cmd in ("global-audit", "influence-audit"):
+        argv = [cmd, "--q", "2", "--n", "2", "--m", "2", "--input", str(path), "--dmax", "2"]
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the order-2 site stacks of SchemeCtx(q=2, n=2, m=2) would hold 11 x 16")
+        assert "Traceback" not in err
+    assert built == []
+    ctx = scheme.get_scheme(2, 2, 2)
+    with pytest.raises(SizeCapError):
+        calculus.laplacian_mask(ctx, *ctx.restriction_pairs(2)[0])
+    assert built == []

@@ -34,7 +34,6 @@ from qharm.spectra import (
     SchemeInstanceChecks,
     bonami_isotypic_rows,
     conv_operator_matrix,
-    conv_operator_norm,
     level_invariance_residual,
     mixing_experiment,
     product_free_witness,
@@ -51,7 +50,7 @@ def test_operator_norm_constant_function():
     g = get_group("sl", 2, 3)
     ones = g.table(np.ones(g.size))
     for d in (1, 2):
-        assert conv_operator_norm(ones, d) < 1e-10
+        assert sarnak_xue_check(ones, d).norm < 1e-10
 
 
 def test_operator_norm_point_mass_identity():
@@ -59,7 +58,7 @@ def test_operator_norm_point_mass_identity():
     point = g.table(np.eye(1, g.size, g.identity)[0] * g.size)
     for d in range(g.n + 1):
         if get_levels(g).eq_basis(d).shape[0]:
-            assert abs(conv_operator_norm(point, d) - 1.0) < 1e-9
+            assert abs(sarnak_xue_check(point, d).norm - 1.0) < 1e-9
 
 
 def test_trace_identity_and_sx_bound():
@@ -254,7 +253,7 @@ def test_instance_memo_matches_rebuilding_every_quantity(monkeypatch):
         return spectra.equivalence_suite(), spectra.scheme_inequality_suite(), spectra.group_inequality_suite()
 
     memo = rows()
-    monkeypatch.setattr(spectra._InstanceChecks, "_once", lambda self, key, build: build())
+    monkeypatch.setattr(spectra._InstanceChecks, "memo", lambda self, key, build: build())
     assert rows() == memo
     assert all(memo)
 
