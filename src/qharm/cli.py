@@ -217,8 +217,8 @@ def write_json(path: str, payload) -> None:
 def validate_scheme_config(q: int, n: int, m: int, max_domain: int) -> None:
     if q not in SUPPORTED_Q:
         raise ToolkitError(f"--q must be one of {SUPPORTED_Q}")
-    if n < 0 or m < 0:
-        raise ToolkitError("dimensions must be nonnegative")
+    if n < 1 or m < 1:
+        raise ToolkitError("dimensions must be at least 1")
     if q ** (n * m) > max_domain:
         raise ToolkitError(f"domain size {q ** (n * m)} exceeds --max-domain {max_domain}")
 

@@ -140,6 +140,9 @@ def _audit_rows(fs: list[FnTable], orders, order_chunks, zeta: float | None, kin
     to order d exactly, whatever else the stack holds."""
     ctx = _scheme_of(fs[0])
     all_orders = sorted(set().union(*orders))
+    top = max(all_orders, default=0)
+    if top > ctx.n + ctx.m:
+        raise ToolkitError(f"dmax={top} too large for {ctx!r}")
     ctx.check_site_orders(all_orders)  # refuse an oversized order before any audit work
     reports = [GlobalnessReport(kind, []) for _ in fs]
     bases = [f.norm2sq() for f in fs]
@@ -187,9 +190,6 @@ def global_audits(fs: list[FnTable], orders, zeta: float = DEFAULT_ZETA) -> list
     report's rows equal the rows of that function's own global_audit at the
     same orders."""
     ctx = _scheme_of(fs[0])
-    top = max(max(o, default=0) for o in orders)
-    if top > ctx.n + ctx.m:
-        raise ToolkitError(f"dmax={top} too large for {ctx!r}")
     values = np.abs(np.array([f.values for f in fs])) ** 2
     return _audit_rows(fs, orders, _coset_means(ctx, values), zeta, "restriction-norm2")
 

@@ -8,10 +8,11 @@ vector action is one broadcast product with every vector, and inverses
 and products are read off it, since column k of g^-1 is the preimage of
 e_k and column k of g h is g applied to column k of h.  L^2(G) is filtered by
 the span of products of at most d dictator indicators 1[g v = u]; those
-spans realize the tensor-rank level spaces, and an eigen-refinement of
-convolution by random class functions splits each level into isotypic
-components, giving exact irreducible dimensions without any character
-theory.
+spans are the strict levels, which are the tensor-rank level spaces
+wherever every determinant is 1 (SL_n, and GL_n(F_2)), and an
+eigen-refinement of convolution by random class functions splits each
+level into isotypic components, giving exact irreducible dimensions
+without any character theory.
 
 Conventions: levels and set audits share one table of dictator
 systems per group (`GroupTable.dictator_systems`).  A system of order s
@@ -338,7 +339,6 @@ class LevelBasisSet:
     """Nested orthonormal bases of L^2(G)_{<=d} from umvirate-indicator spans."""
 
     group: GroupTable
-    mode: str  # "strict" or "twisted"
     dims: list[int]  # dims[d] = dim L^2(G)_{<=d}
     basis: np.ndarray  # (dims[-1], |G|), prefix-nested across levels
 
@@ -353,55 +353,35 @@ class LevelBasisSet:
         return len(self.dims) - 1
 
 
-def multiplicative_characters(group: GroupTable) -> np.ndarray:
-    """(q-1, |G|) values of all characters chi(det g) of the determinant."""
-    field = group.field
-    q = field.q
-    if group.kind == "sl" or q == 2:
-        return np.ones((1, group.size), dtype=np.complex128)
-    dlog = field.log_table[group.dets]
-    j = np.arange(q - 1)
-    return np.exp(2j * np.pi * j[:, None] * dlog[None, :] / (q - 1))
-
-
-def build_level_basis(group: GroupTable, dmax: int, mode: str = "strict") -> LevelBasisSet:
+def build_level_basis(group: GroupTable, dmax: int) -> LevelBasisSet:
     """Gram-Schmidt over the order-d row dictator systems, d = 0..dmax, in
-    table order, each times every determinant character in twisted mode.
+    table order.
     Functional systems span the same levels: tau(g) = g^-T maps them to row
     systems, and a level's central idempotent Psi is a GL_n class function
     equal to its complex conjugate, so Psi(tau g) = conj Psi(g^T) = Psi(g)."""
     if not 0 <= dmax <= group.n:
         raise ToolkitError(f"dmax={dmax} must lie in [0, n={group.n}]")
     systems = group.dictator_systems()
-    chars = multiplicative_characters(group) if mode == "twisted" else np.ones((1, group.size))
     column_orders = systems.row_orders[systems.row_of[0]]
     rows = _GramSchmidtRows(group.size)
     dims = []
     for d in range(dmax + 1):
         for column in systems.row_of.T[column_orders == d]:
             for k in np.unique(column):
-                for chi in chars:
-                    rows.extend((column == k) * chi)
+                rows.extend(column == k)
         dims.append(len(rows))
-    return LevelBasisSet(group, mode, dims, rows.basis())
+    return LevelBasisSet(group, dims, rows.basis())
 
 
-def get_levels(group: GroupTable, mode: str = "strict") -> LevelBasisSet:
-    """Every level of the group in the given mode, a memo entry of the group."""
-    return group.memo(("levels", mode), lambda: build_level_basis(group, group.n, mode))
+def get_levels(group: GroupTable) -> LevelBasisSet:
+    """Every level of the group, a memo entry of the group."""
+    return group.memo("levels", lambda: build_level_basis(group, group.n))
 
 
-def level_mode(group: GroupTable, strictness: str) -> str:
-    """The levels a projection of the given strictness reads: the twisted
-    levels only on GL; on SL, whose determinant characters are trivial,
-    both strictnesses read the strict levels."""
-    return strictness if group.kind == "gl" else "strict"
-
-
-def level_project(f: FnTable, d: int, strictness: str = "strict") -> FnTable:
+def level_project(f: FnTable, d: int) -> FnTable:
     """Orthogonal projection f_{<=d}; f_{=d} via level_project_eq."""
     group = _group_of(f)
-    b = get_levels(group, mode=level_mode(group, strictness)).cum_basis(d)
+    b = get_levels(group).cum_basis(d)
     coeffs = b.conj() @ f.values / group.size
     return FnTable(group, coeffs @ b)
 

@@ -44,7 +44,6 @@ from .groups import (
     get_isotypic,
     get_levels,
     isotypic_blocks,
-    level_mode,
     level_project,
     level_project_eq,
     transfer,
@@ -533,34 +532,30 @@ class GroupInstanceChecks(_InstanceChecks):
     def _global(self, key, g: FnTable) -> GlobalnessReport:
         return self.memo(("global", key), lambda: global_audit(g, self.top))
 
-    def _level(self, d: int, strictness: str = "strict") -> FnTable:
-        """f_{<=d}, keyed by the levels it reads, so that on SL the strict
-        and tensor-rank checks share one projection."""
-        mode = level_mode(self.group, strictness)
-        return self.memo(("level", d, mode), lambda: level_project(self.f, d, mode))
+    def _level(self, d: int) -> FnTable:
+        """f_{<=d}, one projection for every check that reads it."""
+        return self.memo(("level", d), lambda: level_project(self.f, d))
+
+    def _level_weight_row(self, family: str, constant: int, d: int, ell: int):
+        """(d,eps,L^{l'})-global on G: level weight bounded by
+        q^{constant d^2 ell} ||f||_{l'}^{l'} eps^{(ell-2)/(ell-1)}."""
+        ellp = ell / (ell - 1)
+        eps = self._lp_global("jf", self.jf, ellp).value_at(d)
+        rhs = _qpow(self.q, constant * d * d * ell) * self.f.lp_power(ellp) * eps ** ((ell - 2) / (ell - 1))
+        return _row(self.name, f"{family}(d={d},ell={ell})", self._level(d).norm2sq(), rhs)
 
     def check_strict_level_weight(self, d: int, ell: int):
-        """(d,eps,L^{l'})-global on G: strict-level weight bounded by
-        q^{461 d^2 ell} ||f||_{l'}^{l'} eps^{(ell-2)/(ell-1)}."""
-        ellp = ell / (ell - 1)
-        eps = self._lp_global("jf", self.jf, ellp).value_at(d)
-        rhs = (
-            _qpow(self.q, 461 * d * d * ell)
-            * self.f.lp_power(ellp)
-            * eps ** ((ell - 2) / (ell - 1))
-        )
-        return _row(self.name, f"strict-level-weight(d={d},ell={ell})", self._level(d).norm2sq(), rhs)
+        """Strict-level weight with the constant 461."""
+        return self._level_weight_row("strict-level-weight", 461, d, ell)
 
     def check_tensor_level_weight(self, d: int, ell: int):
-        """Tensor-rank version with the q-1 character factor folded into 462."""
-        ellp = ell / (ell - 1)
-        eps = self._lp_global("jf", self.jf, ellp).value_at(d)
-        rhs = (
-            _qpow(self.q, 462 * d * d * ell)
-            * self.f.lp_power(ellp)
-            * eps ** ((ell - 2) / (ell - 1))
-        )
-        return _row(self.name, f"tensor-level-weight(d={d},ell={ell})", self._level(d, "twisted").norm2sq(), rhs)
+        """Tensor-rank version with the q-1 character factor folded into 462.
+        On a group inside SL_n every determinant character is trivial, so the
+        tensor-rank levels are the strict ones; elsewhere they are not built."""
+        if np.any(self.group.dets != 1):
+            raise ToolkitError(f"tensor-rank levels are built only inside SL_n: {self.group!r} "
+                               f"has elements of determinant != 1")
+        return self._level_weight_row("tensor-level-weight", 462, d, ell)
 
     def check_flexible_level_weight(self, d: int):
         """Boolean global: ||f_{<=d}||^2 <= q^{926 d t} E[f] eps, eps >= q^{-t^2}."""

@@ -208,10 +208,6 @@ MUTATIONS = [
              "self.cells = [cells[self.cell_orders == d] for d in range(2 * group.n + 1)]",
              "self.cells = [cells[self.cell_orders == d] for d in range(1, 2 * group.n + 2)]",
              (GT + "test_dictator_systems_match_target_loop[sl-2-3]",)),
-    Mutation("twisted levels without determinant characters", "src/qharm/groups.py",
-             'chars = multiplicative_characters(group) if mode == "twisted" else np.ones((1, group.size))',
-             "chars = np.ones((1, group.size))",
-             ("tests/test_level_tables.py::test_levels_match_generator_stream_reference[gl-2-3-twisted-False]",)),
     Mutation("convolution through the transposed kernel", "src/qharm/groups.py",
              "return lambda values: kern @ values / group.size",
              "return lambda values: kern.T @ values / group.size",
@@ -244,10 +240,19 @@ MUTATIONS = [
              "for row in range(pr, rows):",
              "for row in range(pr + 1, rows):",
              ("tests/test_fqlin.py::test_rank_matches_brute_force_random",)),
-    Mutation("tensor-rank projection reads strict levels on GL", "src/qharm/groups.py",
-             'return strictness if group.kind == "gl" else "strict"',
-             'return "strict"',
-             ("tests/test_spectra.py::test_tensor_level_checks_read_twisted_levels_only_on_gl",)),
+    Mutation("tensor check accepts a group with determinant != 1", "src/qharm/spectra.py",
+             "if np.any(self.group.dets != 1):",
+             "if False:",
+             (SPE + "test_tensor_level_check_refuses_a_determinant_other_than_1",)),
+    Mutation("audit order bound admits n + m + 1", "src/qharm/globality.py",
+             "if top > ctx.n + ctx.m:",
+             "if top > ctx.n + ctx.m + 1:",
+             (GLO + "test_scheme_audits_reject_orders_above_n_plus_m[influence_audit]",
+              CLI + "test_cli_audits_refuse_orders_above_n_plus_m_with_status_2")),
+    Mutation("zero dimension accepted", "src/qharm/cli.py",
+             "if n < 1 or m < 1:",
+             "if n < 0 or m < 0:",
+             (CLI + "test_cli_zero_dimension_exits_with_status_2[levels n=0]",)),
     Mutation("function CSV imaginary part read from the re column", "src/qharm/cli.py",
              'values.imag[idx] = rows["im"]',
              'values.imag[idx] = rows["re"]',

@@ -89,7 +89,7 @@ from qharm.globality import (
     _rank_factor,
     umvirate_normal_form,
 )
-from qharm.groups import _GramSchmidtRows, convolve, get_group, get_isotypic, level_project_eq, multiplicative_characters
+from qharm.groups import _GramSchmidtRows, convolve, get_group, get_isotypic, level_project_eq
 from qharm.scheme import FnTable, degree_decompose, degree_project, get_scheme, restrict
 from qharm.spectra import OperatorNormRow, SchemeInstanceChecks, conv_operator_matrix
 
@@ -811,18 +811,16 @@ def level_generator_masks(group, d, include_dual=False):
     return np.array(rows, dtype=np.float64)
 
 
-def reference_levels(group, dmax, mode="strict", include_dual=False):
+def reference_levels(group, dmax, include_dual=False):
     """(dims, basis) of the levels by Gram-Schmidt over the generator stream,
     re-walking all lower orders for each d."""
-    chars = multiplicative_characters(group) if mode == "twisted" else np.ones((1, group.size))
     rows = _GramSchmidtRows(group.size)
     dims = []
     prev_gens = 0
     for d in range(dmax + 1):
         gens = level_generator_masks(group, d, include_dual)
         for row in gens[prev_gens:]:
-            for chi in chars:
-                rows.extend(row * chi)
+            rows.extend(row)
         prev_gens = gens.shape[0]
         dims.append(len(rows))
     return dims, rows.basis()

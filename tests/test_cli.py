@@ -481,3 +481,35 @@ def test_cli_refuses_an_oversized_order_before_auditing_any_order(tmp_path, caps
     with pytest.raises(SizeCapError):
         calculus.laplacian_mask(ctx, *ctx.restriction_pairs(2)[0])
     assert built == []
+
+
+def test_cli_audits_refuse_orders_above_n_plus_m_with_status_2(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    write_function_csv(str(path), np.arange(16, dtype=np.complex128))
+    for cmd in ("global-audit", "influence-audit"):
+        argv = [cmd, "--q", "2", "--n", "2", "--m", "2", "--input", str(path), "--dmax", "5"]
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: dmax=5 too large for SchemeCtx(q=2, n=2, m=2)\n"
+
+
+ZERO_DIMENSION_CASES = {
+    "global-audit n=0": ["global-audit", "--n", "0", "--m", "2"],
+    "global-audit m=0": ["global-audit", "--n", "2", "--m", "0"],
+    "influence-audit n=0": ["influence-audit", "--n", "0", "--m", "2"],
+    "influence-audit m=0": ["influence-audit", "--n", "2", "--m", "0"],
+    "levels n=0": ["levels", "--n", "0"],
+    "isotypic n=0": ["isotypic", "--n", "0"],
+    "fourier n=0": ["fourier", "--n", "0", "--m", "2"],
+    "project-degree m=0": ["project-degree", "--n", "2", "--m", "0", "--d", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", ZERO_DIMENSION_CASES.values(), ids=ZERO_DIMENSION_CASES.keys())
+def test_cli_zero_dimension_exits_with_status_2(tmp_path, capsys, argv):
+    path = tmp_path / "f.csv"
+    write_function_csv(str(path), np.ones(1, dtype=np.complex128))
+    if argv[0] not in ("levels", "isotypic"):
+        argv = [*argv, "--input", str(path)]
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: dimensions must be at least 1\n"
+    assert not (tmp_path / "out").exists()

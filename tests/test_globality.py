@@ -62,6 +62,14 @@ def test_scheme_audits_reject_negative_order(audit):
         audit(f, -1)
 
 
+@pytest.mark.parametrize("audit", [global_audit, influence_audit, lambda f, d: lp_global_audit(f, d, 4.0 / 3.0)])
+def test_scheme_audits_reject_orders_above_n_plus_m(audit):
+    f = random_table(get_scheme(2, 2, 2), RNG, "complex")
+    assert len(audit(f, 4).rows) == 5
+    with pytest.raises(ToolkitError, match="dmax=5 too large"):
+        audit(f, 5)
+
+
 def test_global_audit_umvirate_indicator():
     # indicator of {A : A v = w} has a 1-restriction of full mass
     ctx = get_scheme(2, 2, 2)

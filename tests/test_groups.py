@@ -260,25 +260,6 @@ def test_isotypic_sl2_f2_dims():
     assert rep.component_dims[0] == [1]
 
 
-def test_gl_twisted_levels():
-    # on GL the tensor-rank filtration twists the strict one by
-    # determinant characters; both saturate at d = n
-    g = get_group("gl", 2, 3)
-    strict = build_level_basis(g, 2, mode="strict")
-    twisted = build_level_basis(g, 2, mode="twisted")
-    assert strict.dims[2] == g.size and twisted.dims[2] == g.size
-    assert twisted.dims[0] >= strict.dims[0]
-    for d in range(3):
-        assert twisted.dims[d] >= strict.dims[d]
-    # twisted level 0 holds all determinant characters: dim q-1
-    assert twisted.dims[0] == g.q - 1
-    # on SL the two notions coincide
-    s = get_group("sl", 2, 3)
-    s_strict = build_level_basis(s, 2, mode="strict")
-    s_twisted = build_level_basis(s, 2, mode="twisted")
-    assert s_strict.dims == s_twisted.dims
-
-
 def test_glt_growth_report_shape():
     from qharm.groups import glt_growth_report
 

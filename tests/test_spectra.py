@@ -22,10 +22,12 @@ from oracles import (
 from qharm.calculus import avg_for_direction, avg_for_directions, direction_subspaces
 from qharm.globality import refining_maxima
 from qharm.bogolyubov import GroupSet
+from qharm.errors import ToolkitError
 from qharm.groups import (
     convolve,
     get_group,
     get_levels,
+    level_project,
     level_project_eq,
     random_group_table,
 )
@@ -324,23 +326,21 @@ def test_four_norm_row_reads_the_cumulative_influence_audit():
         assert (row["lhs"], row["rhs"]) == (g.lp_power(4), float(ctx.q) ** (103 * d * d) * eps * g.norm2sq())
 
 
-def test_tensor_level_checks_read_twisted_levels_only_on_gl(monkeypatch):
-    """On SL the strict and tensor-rank level checks share one projection;
-    on GL the tensor check projects onto the twisted levels."""
-    built = []
-    real = spectra.level_project
-    monkeypatch.setattr(spectra, "level_project", lambda f, d, mode: built.append(mode) or real(f, d, mode))
-    for key, modes in [(("sl", 2, 3), ["strict"]), (("gl", 2, 3), ["strict", "twisted"])]:
-        g = get_group(*key)
-        f = g.indicator(np.arange(0, g.size, 3))
-        checks = GroupInstanceChecks("inst", f, 1)
-        checks.check_strict_level_weight(1, 4)
-        tensor = checks.check_tensor_level_weight(1, 4)
-        assert built == modes
-        built.clear()
-        twisted = real(f, 1, "twisted")
-        assert tensor["lhs"] == twisted.norm2sq()
-        assert np.array_equal(twisted.values, real(f, 1).values) == (g.kind == "sl")
+@pytest.mark.parametrize("key", [("sl", 2, 3), ("sl", 3, 2), ("gl", 2, 2)])
+def test_tensor_level_check_reads_the_strict_levels_inside_sl(key):
+    # every determinant is 1, so the tensor-rank levels are the strict ones
+    g = get_group(*key)
+    checks = GroupInstanceChecks("inst", g.indicator(np.arange(0, g.size, 3)), 1)
+    strict = checks.check_strict_level_weight(1, 4)
+    tensor = checks.check_tensor_level_weight(1, 4)
+    assert tensor["lhs"] == strict["lhs"] == level_project(checks.f, 1).norm2sq()
+
+
+def test_tensor_level_check_refuses_a_determinant_other_than_1():
+    g = get_group("gl", 2, 3)
+    checks = GroupInstanceChecks("inst", g.indicator(np.arange(0, g.size, 3)), 1)
+    with pytest.raises(ToolkitError, match="determinant != 1"):
+        checks.check_tensor_level_weight(1, 4)
 
 
 def test_bonami_isotypic_small_group():
