@@ -493,6 +493,8 @@ def cmd_approx_group(args) -> int:
 
 def cmd_set_audit(args) -> int:
     group = _group_from_args(args)
+    if args.dmax is not None and args.dmax > 2 * group.n:
+        raise ToolkitError(f"set audit order dmax={args.dmax} exceeds 2n = {2 * group.n}")
     a = _indicator_from_args(args, group)
     res = set_global_audit(group, a.ordinals, rmax=args.dmax, zeta=args.zeta)
     outdir = _outdir(args)
@@ -503,7 +505,7 @@ def cmd_set_audit(args) -> int:
               f"[{'ok' if row.passed else 'VIOLATION'}]")
     write_manifest(outdir, "set-audit", {"group": args.group, "n": args.n, "q": args.q,
                                          "dmax": args.dmax, "zeta": args.zeta}, [path])
-    return 0
+    return 0 if res.report.passed else 1
 
 
 def cmd_verify(args) -> int:

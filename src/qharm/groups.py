@@ -12,7 +12,9 @@ spans are the strict levels, which are the tensor-rank level spaces
 wherever every determinant is 1 (SL_n, and GL_n(F_2)), and an
 eigen-refinement of convolution by random class functions splits each
 level into isotypic components, giving exact irreducible dimensions
-without any character theory.
+without any character theory.  Each component then yields one unitary
+irreducible representation, tabulated on every element, so an operator
+T_f on a level reduces to one small Fourier coefficient per irreducible.
 
 Conventions: levels and set audits share one table of dictator
 systems per group (`GroupTable.dictator_systems`).  A system of order s
@@ -46,7 +48,8 @@ class GroupTable(Memo):
     """Enumerated SL or GL with index maps, inverses, and class labels.
 
     Its derived tables (products, actions, classes, dictator systems, block
-    subgroups, levels, isotypic report) are memo entries, each held once."""
+    subgroups, levels, isotypic blocks and report, irreducibles) are memo
+    entries, each held once."""
 
     def __init__(self, kind: str, n: int, field: FieldCtx):
         if kind not in ("sl", "gl"):
@@ -224,7 +227,9 @@ def convolve(f: FnTable, g: FnTable) -> FnTable:
 
 
 def convolve_batch(f_values: np.ndarray, basis: np.ndarray, group: GroupTable) -> np.ndarray:
-    """f * b for every row b of basis; returns (n_rows, |G|)."""
+    """f * b for every row b of basis; returns (n_rows, |G|).  No src path
+    calls it; it stays because tests/oracles.py builds operator matrices
+    with it and perfbench/tracing.py wraps it by name."""
     return convolver(FnTable(group, f_values))(basis.T).T
 
 
@@ -501,6 +506,12 @@ def _cluster_eigvals(vals: np.ndarray) -> list[list[int]]:
 
 
 def isotypic_blocks(group: GroupTable) -> dict[int, list[np.ndarray]]:
+    """_refine_blocks(group), a memo entry of the group; callers must not
+    mutate the blocks."""
+    return group.memo("isotypic_blocks", lambda: _refine_blocks(group))
+
+
+def _refine_blocks(group: GroupTable) -> dict[int, list[np.ndarray]]:
     """Orthonormal bases of the isotypic components inside each level.
 
     Convolution by a class function acts as a scalar on each isotypic
@@ -595,6 +606,107 @@ def glt_growth_report(group: GroupTable, report: IsotypicReport) -> dict:
 def get_isotypic(group: GroupTable) -> IsotypicReport:
     """isotypic_refine(group), a memo entry of the group."""
     return group.memo("isotypic", lambda: isotypic_refine(group))
+
+
+# ---------------------------------------------------------------------------
+# irreducible representations, one per isotypic block
+# ---------------------------------------------------------------------------
+
+_IRREP_ELEMENTS = 3  # seeded elements of the right-translation operator, also the generators
+_IRREP_GAP = 1e-6  # least gap below the top d_rho eigenvalues of that operator
+
+
+def _translation_weights(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Complex weights w_k of the right-translation operator.  Real symmetric
+    sums cannot split a 2-dimensional representation of determinant 1:
+    there rho(s) + rho(s)^-1 is the scalar tr rho(s)."""
+    return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+
+@dataclass
+class Irreducible:
+    """A unitary irreducible representation rho of G, realized on one
+    minimal left ideal J of its isotypic block: rho(z)[i, j] = <L_z e_j, e_i>
+    for the orthonormal basis e of J, with (L_z h)(x) = h(z^-1 x)."""
+
+    degree: int
+    table: np.ndarray  # (|G|, degree^2): row z is rho(z), row-major
+
+    def fourier(self, values: np.ndarray) -> np.ndarray:
+        """rho_hat(f) = E_z f(z) rho(z), the block of T_f on J."""
+        return (values @ self.table / self.table.shape[0]).reshape(self.degree, self.degree)
+
+
+def _generation_layers(group: GroupTable, gens: np.ndarray):
+    """Breadth-first layers of G from the identity under right
+    multiplication by gens: per layer (elements, parents, generator
+    positions) with element = parent * gens[position], each element once.
+    None if gens do not generate G."""
+    mul = group.mul_table()
+    seen = np.zeros(group.size, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity])
+    layers = []
+    while frontier.size:
+        reached = mul[frontier][:, gens].reshape(-1)
+        parents = np.repeat(frontier, len(gens))
+        positions = np.tile(np.arange(len(gens)), len(frontier))
+        fresh = ~seen[reached]
+        frontier, first = np.unique(reached[fresh], return_index=True)
+        seen[frontier] = True
+        layers.append((frontier, parents[fresh][first], positions[fresh][first]))
+    return layers if seen.all() else None
+
+
+def _build_irreducibles(group: GroupTable) -> dict[int, list[Irreducible]]:
+    blocks = isotypic_blocks(group)
+    mul = group.mul_table()
+    rng = np.random.default_rng(0)
+    gens = rng.choice(group.size, size=min(_IRREP_ELEMENTS, group.size), replace=False)
+    while (layers := _generation_layers(group, gens)) is None:
+        gens = np.append(gens, rng.integers(group.size))
+    weights = _translation_weights(rng, len(gens))
+    # h(x s) and h(x s^-1) as functions of x: gathers of h at these columns
+    right, right_inv = mul[:, gens].T, mul[:, group.inv[gens]].T
+    left_inv = mul[group.inv[gens]]  # h(s^-1 x)
+
+    out: dict[int, list[Irreducible]] = {}
+    for d, blist in blocks.items():
+        out[d] = []
+        for qb in blist:
+            k = int(round(np.sqrt(qb.shape[0])))
+            # A = sum_k conj(w_k) R_{s_k^-1} + w_k R_{s_k} on the block: I_k (x) B
+            # for a generic Hermitian B, so its top eigenspace is a minimal left ideal
+            moved = sum(w.conjugate() * qb[:, ri] + w * qb[:, r] for w, r, ri in zip(weights, right, right_inv))
+            mat = qb.conj() @ moved.T / group.size  # mat[i, j] = <A q_j, q_i>
+            vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+            if k > 1 and not vals[-k] - vals[-k - 1] > _IRREP_GAP:
+                raise RefinementError(f"right-translation eigen-gap {vals[-k] - vals[-k - 1]:.2e} "
+                                      f"at level {d} (degree {k}) is not above {_IRREP_GAP}")
+            ideal = vecs[:, -k:].T @ qb  # (k, |G|), orthonormal under E_G
+            gen_rho = np.stack([ideal.conj() @ ideal[:, li].T / group.size for li in left_inv])
+            rho = np.empty((group.size, k, k), dtype=np.complex128)
+            rho[group.identity] = np.eye(k)
+            for elements, parents, positions in layers:
+                rho[elements] = rho[parents] @ gen_rho[positions]
+            out[d].append(Irreducible(k, rho.reshape(group.size, k * k)))
+    return out
+
+
+def get_irreducibles(group: GroupTable) -> dict[int, list[Irreducible]]:
+    """Per level, one tabulated irreducible per isotypic block, in block
+    order; a memo entry of the group, built on first use.
+
+    In each block Q, the top d_rho eigenvectors of the self-adjoint
+    right-translation operator h -> sum_k conj(w_k) h(. s_k^-1) + w_k h(. s_k)
+    (complex weights w_k; three elements s_k from default_rng(0), and more
+    until they generate G) span a minimal left ideal J.
+    rho is computed on the generators s_k from J and multiplied along the
+    breadth-first layers of right multiplication, rho(z s) = rho(z) rho(s).
+    The tables hold |G|^2 complex entries over all levels.  Raises
+    RefinementError when the eigen-gap below the top d_rho eigenvalues is
+    not above 1e-6."""
+    return group.memo("irreducibles", lambda: _build_irreducibles(group))
 
 
 random_group_table = random_table  # seeded random functions on G draw as on a scheme

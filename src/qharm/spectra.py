@@ -1,6 +1,11 @@
 """Convolution operators on tensor-rank levels, spectral bounds, mixing
 experiments, and the inequality falsification batteries.
 
+The operator T_f on a level V_{=d} is never built: on the isotypic block
+of each irreducible rho in the level it is d_rho copies of the Fourier
+coefficient rho_hat(f) = E_z f(z) rho(z), so its norm and tr(T* T) come
+from one d_rho x d_rho matrix per irreducible (`groups.get_irreducibles`).
+
 Every inequality check computes its pseudorandomness parameter epsilon
 from an exact audit of the instance at hand: nothing is assumed, so
 each check is a statement-level test of the inequality rather than a
@@ -38,9 +43,9 @@ from .globality import (
 from .groups import (
     GroupTable,
     convolve,
-    convolve_batch,
     convolver,
     get_group,
+    get_irreducibles,
     get_isotypic,
     get_levels,
     isotypic_blocks,
@@ -54,17 +59,6 @@ from .scheme import FnTable, SchemeCtx, degree_project, get_scheme
 # ---------------------------------------------------------------------------
 # operator norms on V_{=d}
 # ---------------------------------------------------------------------------
-
-def conv_operator_matrix(f: FnTable, d: int) -> np.ndarray:
-    """Matrix of T_f on the orthonormal basis of V_{=d}."""
-    group: GroupTable = f.domain
-    levels = get_levels(group)
-    b = levels.eq_basis(d)
-    if b.shape[0] == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    convs = convolve_batch(f.values, b, group)  # rows: f * b_i
-    return b.conj() @ convs.T / group.size  # [i, j] = <f*b_j, b_i>
-
 
 @dataclass
 class OperatorNormRow:
@@ -84,14 +78,17 @@ def sarnak_xue_check(f: FnTable, d: int, c_report: float = 0.05) -> OperatorNorm
     """Trace identity tr(T* T) = ||f_{=d}||_2^2 (two computations) and the
     spectral bound ||T_f||_{V_=d} <= ||f_{=d}||_2 / sqrt(m_d).
 
-    One matrix, that of T_f on V_{=d}, gives both the norm and the trace
-    side: V_{=d} is a two-sided ideal of the group algebra, so f - f_{=d}
-    convolves V_{=d} to zero and T_f = T_{f_{=d}} there.  The trace side is
-    its Frobenius^2, tr(T* T); the direct side is ||f_{=d}||_2^2."""
+    V_{=d} is the sum of the isotypic blocks of its irreducibles rho, and
+    on each block T_f is d_rho copies of rho_hat(f) = E_z f(z) rho(z)
+    (`groups.get_irreducibles`).  So the norm is the max over the
+    irreducibles of ||rho_hat(f)||_2, and the trace side tr(T* T) is
+    sum d_rho ||rho_hat(f)||_F^2, read off the representation tables; the
+    direct side ||f_{=d}||_2^2 comes from the Gram-Schmidt level basis."""
     group: GroupTable = f.domain
-    m = conv_operator_matrix(f, d)
-    norm = float(np.linalg.norm(m, 2)) if m.size else 0.0  # ||T_f|| on V_{=d}, its largest singular value
-    trace_matrix = float(np.sum(np.abs(m) ** 2))
+    hats = [(irr.degree, irr.fourier(f.values)) for irr in get_irreducibles(group)[d]]
+    norms = [np.linalg.norm(hat, 2) for _, hat in hats]
+    norm = float(max(norms, default=0.0))  # ||T_f|| on V_{=d}
+    trace_matrix = float(sum(degree * np.sum(np.abs(hat) ** 2) for degree, hat in hats))
     trace_direct = level_project_eq(f, d).norm2sq()
     iso = get_isotypic(group)
     m_d = iso.m_d.get(d, 0)

@@ -44,6 +44,7 @@ SCH = "tests/test_scheme.py::"
 GLO = "tests/test_globality.py::"
 CLI = "tests/test_cli.py::"
 SPE = "tests/test_spectra.py::"
+GRP = "tests/test_groups.py::"
 
 MUTATIONS = [
     Mutation("Leibniz sign", "src/qharm/fqlin.py",
@@ -220,10 +221,22 @@ MUTATIONS = [
              "key = int(cell)",
              "key = int(tables.row_orders[i] + tables.func_orders[j])",
              ("tests/test_set_audit_parity.py::test_back_to_back_audits_keep_their_own_witnesses[sl-2-3]",)),
-    Mutation("Sarnak-Xue matrix taken on level d - 1", "src/qharm/spectra.py",
-             "m = conv_operator_matrix(f, d)",
-             "m = conv_operator_matrix(f, d - 1)",
-             ("tests/test_spectra.py::test_sarnak_xue_matches_two_matrix_reference[sl-2-3]",)),
+    Mutation("Sarnak-Xue blocks taken on level d - 1", "src/qharm/spectra.py",
+             "hats = [(irr.degree, irr.fourier(f.values)) for irr in get_irreducibles(group)[d]]",
+             "hats = [(irr.degree, irr.fourier(f.values)) for irr in get_irreducibles(group)[d - 1]]",
+             (SPE + "test_sarnak_xue_matches_two_matrix_reference[sl-2-3]",)),
+    Mutation("Sarnak-Xue trace side weighted by 1, not d_rho", "src/qharm/spectra.py",
+             "trace_matrix = float(sum(degree * np.sum(np.abs(hat) ** 2) for degree, hat in hats))",
+             "trace_matrix = float(sum(np.sum(np.abs(hat) ** 2) for degree, hat in hats))",
+             (SPE + "test_sarnak_xue_matches_two_matrix_reference[sl-2-3]",)),
+    Mutation("Sarnak-Xue norm from the first irreducible, not the max", "src/qharm/spectra.py",
+             "norm = float(max(norms, default=0.0))  # ||T_f|| on V_{=d}",
+             "norm = float(norms[0] if norms else 0.0)",
+             (SPE + "test_sarnak_xue_matches_two_matrix_reference[sl-2-5]",)),
+    Mutation("generator's rho(s) built from s, not s^-1", "src/qharm/groups.py",
+             "left_inv = mul[group.inv[gens]]  # h(s^-1 x)",
+             "left_inv = mul[gens]  # h(s^-1 x)",
+             (GRP + "test_irreducible_tables_are_unitary_homomorphisms[sl-3-2-400]",)),
     Mutation("mixing level term convolves g, not g_{=d}", "src/qharm/spectra.py",
              "per_level.append(float(np.sqrt(FnTable(group, f_star(gd.values)).norm2sq())))",
              "per_level.append(float(np.sqrt(FnTable(group, f_star(g.values)).norm2sq())))",

@@ -61,7 +61,9 @@ groups.DictatorSystems                dictator_family_ref, cells_ref test_group_
 groups.build_level_basis              reference_levels               test_level_tables::test_levels_match_generator_stream_reference
 groups.convolve                       brute_convolution              test_groups::test_convolution_identities_and_oracle
   (one gather per mixing run)         mixing_terms_ref               test_spectra::test_mixing_terms_match_one_convolution_per_term
-spectra.sarnak_xue_check (one matrix) sarnak_xue_ref (two matrices)  test_spectra::test_sarnak_xue_matches_two_matrix_reference
+spectra.sarnak_xue_check              sarnak_xue_ref (two matrices)  test_spectra::test_sarnak_xue_matches_two_matrix_reference
+  (one rho_hat(f) per irreducible)    (SVDs of conv_operator_matrix)
+groups.get_irreducibles               mul_table, isotypic_blocks     test_groups::test_irreducible_tables_are_unitary_homomorphisms
 bogolyubov.product_set (mask)         brute_product                  test_bogolyubov::test_product_set_matches_double_loop
 cli.read_function_csv (numpy parser)  read_function_csv_ref          test_cli::test_function_csv_reader_matches_per_line_reference
   (2-column files)                    read_function_csv_ref          test_cli::test_two_column_function_csv_takes_the_numpy_path
@@ -89,9 +91,9 @@ from qharm.globality import (
     _rank_factor,
     umvirate_normal_form,
 )
-from qharm.groups import _GramSchmidtRows, convolve, get_group, get_isotypic, level_project_eq
+from qharm.groups import _GramSchmidtRows, convolve, convolve_batch, get_group, get_isotypic, get_levels, level_project_eq
 from qharm.scheme import FnTable, degree_decompose, degree_project, get_scheme, restrict
-from qharm.spectra import OperatorNormRow, SchemeInstanceChecks, conv_operator_matrix
+from qharm.spectra import OperatorNormRow, SchemeInstanceChecks
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +739,21 @@ def brute_product(group, a, b):
 # convolution operators and mixing
 # ---------------------------------------------------------------------------
 
+def conv_operator_matrix(f, d):
+    """Matrix of T_f on the orthonormal Gram-Schmidt basis of V_{=d}, from
+    one convolution per basis row: [i, j] = <f*b_j, b_i>."""
+    group = f.domain
+    b = get_levels(group).eq_basis(d)
+    if b.shape[0] == 0:
+        return np.zeros((0, 0), dtype=np.complex128)
+    convs = convolve_batch(f.values, b, group)  # rows: f * b_i
+    return b.conj() @ convs.T / group.size
+
+
 def sarnak_xue_ref(f, d, c_report=0.05):
-    """The Sarnak-Xue row from two operator matrices: the trace side from
-    the matrix of T_{f_{=d}} on V_{=d}, the norm from that of T_f."""
+    """The Sarnak-Xue row from two |V_{=d}| x |V_{=d}| operator matrices:
+    the trace side from the matrix of T_{f_{=d}} on V_{=d}, the norm from
+    the SVD of that of T_f."""
     group = f.domain
     fd = level_project_eq(f, d)
     trace_matrix = float(np.sum(np.abs(conv_operator_matrix(fd, d)) ** 2))

@@ -355,9 +355,29 @@ def test_cli_determinism(tmp_path):
     setfile = tmp_path / "a.txt"
     write_set_file(str(setfile), g, np.arange(7))
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    for out in (out1, out2):
-        assert main(["set-audit", "--q", "3", "--n", "2", "--set", str(setfile), "-o", str(out)]) == 0
+    for out in (out1, out2):  # the first seven elements violate the audit: status 1
+        assert main(["set-audit", "--q", "3", "--n", "2", "--set", str(setfile), "-o", str(out)]) == 1
     assert (out1 / "set_audit.csv").read_bytes() == (out2 / "set_audit.csv").read_bytes()
+
+
+def test_cli_set_audit_of_the_whole_group_exits_0(tmp_path, capsys):
+    g = get_group("sl", 2, 3)
+    setfile = tmp_path / "a.txt"
+    write_set_file(str(setfile), g, np.arange(g.size))
+    assert main(["set-audit", "--q", "3", "--n", "2", "--set", str(setfile), "-o", str(tmp_path / "out")]) == 0
+    assert "VIOLATION" not in capsys.readouterr().out
+
+
+def test_cli_set_audit_refuses_orders_above_2n(tmp_path, capsys):
+    g = get_group("sl", 2, 3)
+    setfile = tmp_path / "a.txt"
+    write_set_file(str(setfile), g, np.arange(7))
+    out = tmp_path / "out"
+    argv = ["set-audit", "--q", "3", "--n", "2", "--set", str(setfile), "-o", str(out)]
+    assert main(argv + ["--dmax", "5"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "set_audit.csv").exists()
+    assert main(argv + ["--dmax", "4"]) == 1
 
 
 # SHA-256 of every file that bogolyubov, approx-group and set-audit write for
@@ -384,8 +404,8 @@ def test_cli_group_outputs_are_byte_identical_to_recorded_digests(tmp_path, monk
     base = np.concatenate([block_subgroup_members(g, 1), np.random.default_rng(0).choice(g.size, size=1)])
     monkeypatch.chdir(tmp_path)  # relative paths keep the manifests free of tmp_path
     write_set_file("a.txt", g, np.union1d(base, g.inv[base]))
-    for cmd in ("bogolyubov", "approx-group", "set-audit"):
-        assert main([cmd, "--q", "2", "--n", "3", "--set", "a.txt", "-o", "out"]) == 0
+    for cmd, status in (("bogolyubov", 0), ("approx-group", 0), ("set-audit", 1)):  # the set violates the audit
+        assert main([cmd, "--q", "2", "--n", "3", "--set", "a.txt", "-o", "out"]) == status
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                for name in sorted(os.listdir(tmp_path / "out"))}
     assert digests == GROUP_OUTPUT_DIGESTS

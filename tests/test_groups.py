@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from oracles import brute_convolution
-from qharm.errors import ToolkitError
+from qharm.errors import RefinementError, ToolkitError
 from qharm.fqlin import span_of
 from qharm.groups import (
     build_level_basis,
     convolve,
     get_group,
+    get_irreducibles,
     get_isotypic,
     get_levels,
+    isotypic_blocks,
     junta_project,
     junta_test,
     level_lower_check,
@@ -258,6 +260,46 @@ def test_isotypic_sl2_f2_dims():
     alldims = sorted(x for v in rep.component_dims.values() for x in v)
     assert alldims == [1, 1, 2]
     assert rep.component_dims[0] == [1]
+
+
+@pytest.mark.parametrize("kind,n,q,pairs", [
+    ("sl", 2, 2, None), ("sl", 2, 3, None), ("sl", 2, 5, 400), ("sl", 3, 2, 400), ("gl", 2, 3, 400),
+])
+def test_irreducible_tables_are_unitary_homomorphisms(kind, n, q, pairs):
+    # rho(gh) = rho(g) rho(h) on every pair (or `pairs` seeded ones), each
+    # rho(z) unitary, sum_z |tr rho(z)|^2 = |G| (rho irreducible), its
+    # character that of its block Q, tr rho(z) = sum_i conj(q_i(z)) q_i(1) / d_rho
+    # (Q's projection is convolution by d_rho conj(chi)), and the degrees per
+    # level are the isotypic report's
+    g = get_group(kind, n, q)
+    irreducibles = get_irreducibles(g)
+    blocks = isotypic_blocks(g)
+    if pairs is None:
+        x, y = (a.reshape(-1) for a in np.meshgrid(np.arange(g.size), np.arange(g.size), indexing="ij"))
+    else:
+        x, y = np.random.default_rng(7).integers(g.size, size=(2, pairs))
+    prod = g.mul_table()[x, y]
+    for d, irrs in irreducibles.items():
+        assert sorted(irr.degree for irr in irrs) == get_isotypic(g).component_dims[d]
+        for irr, qb in zip(irrs, blocks[d]):
+            k = irr.degree
+            rho = irr.table.reshape(g.size, k, k)
+            chi = np.trace(rho, axis1=1, axis2=2)
+            assert np.max(np.abs(rho[prod] - rho[x] @ rho[y])) < 1e-10
+            assert np.max(np.abs(rho @ np.conj(np.swapaxes(rho, 1, 2)) - np.eye(k))) < 1e-10
+            assert abs(np.sum(np.abs(chi) ** 2) - g.size) < 1e-8
+            assert np.max(np.abs(chi - qb.conj().T @ qb[:, g.identity] / k)) < 1e-10
+
+
+def test_irreducibles_refuse_a_zero_eigen_gap(monkeypatch):
+    # zero weights make the right-translation operator 0 on every block, so
+    # no degree >= 2 block has a gap below its top eigenvalues
+    import qharm.groups as groups
+    from qharm.gf import get_field
+
+    monkeypatch.setattr(groups, "_translation_weights", lambda rng, count: np.zeros(count))
+    with pytest.raises(RefinementError, match="eigen-gap"):
+        get_irreducibles(groups.GroupTable("sl", 2, get_field(3)))
 
 
 def test_glt_growth_report_shape():
