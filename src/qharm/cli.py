@@ -28,8 +28,8 @@ from .errors import InputFormatError, ToolkitError
 from .gf import SUPPORTED_Q, get_field
 from .globality import DEFAULT_ZETA, global_audit, influence_audit, set_global_audit
 from .groups import (
-    build_level_basis,
     convolve,
+    get_characters,
     get_group,
     isotypic_refine,
 )
@@ -335,8 +335,10 @@ def cmd_influence_audit(args) -> int:
 def cmd_levels(args) -> int:
     group = _group_from_args(args)
     dmax = args.dmax if args.dmax is not None else group.n
-    levels = build_level_basis(group, dmax)
-    rows = [{"d": d, "dim_le_d": levels.dims[d]} for d in range(dmax + 1)]
+    if not 0 <= dmax <= group.n:
+        raise ToolkitError(f"dmax={dmax} must lie in [0, n={group.n}]")
+    dims = get_characters(group).level_dims()
+    rows = [{"d": d, "dim_le_d": dims[d]} for d in range(dmax + 1)]
     outdir = _outdir(args)
     path = os.path.join(outdir, "level_dims.csv")
     write_report_csv(path, rows)
@@ -363,9 +365,14 @@ def cmd_isotypic(args) -> int:
     }
     path = os.path.join(outdir, "isotypic.json")
     write_json(path, payload)
+    chars = get_characters(group)
+    csv_path = os.path.join(outdir, "irreducibles.csv")
+    write_report_csv(csv_path, [{"index": i, "degree": int(chars.degrees[i]), "level": int(chars.levels[i])}
+                                | {f"fixed_h{d}": int(m) for d, m in enumerate(chars.fixed[i])}
+                                for i in range(len(chars.degrees))])
     print(f"|G| = {rep.group_size}, classes = {rep.class_count}, "
           f"dims = {rep.component_dims}, m_d = {rep.m_d}")
-    write_manifest(outdir, "isotypic", {"group": args.group, "n": args.n, "q": args.q}, [path])
+    write_manifest(outdir, "isotypic", {"group": args.group, "n": args.n, "q": args.q}, [path, csv_path])
     return 0
 
 
@@ -584,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dmax", type=int, default=None)
     sp.set_defaults(fn=cmd_levels)
 
-    sp = sub.add_parser("isotypic", help="isotypic refinement and m_d")
+    sp = sub.add_parser("isotypic", help="irreducible dimensions per level and m_d")
     common(sp, group=True)
     sp.set_defaults(fn=cmd_isotypic)
 

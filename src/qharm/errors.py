@@ -22,7 +22,7 @@ class ConsistencyError(ToolkitError):
 
 
 class RefinementError(ToolkitError):
-    """Isotypic eigen-refinement failed to produce integer dimensions."""
+    """A character table or irreducible failed a check (eigen-gap, orthogonality, integrality)."""
 
 
 class InputFormatError(ToolkitError):

@@ -9,23 +9,25 @@ and products are read off it, since column k of g^-1 is the preimage of
 e_k and column k of g h is g applied to column k of h.  L^2(G) is filtered by
 the span of products of at most d dictator indicators 1[g v = u]; those
 spans are the strict levels, which are the tensor-rank level spaces
-wherever every determinant is 1 (SL_n, and GL_n(F_2)), and an
-eigen-refinement of convolution by random class functions splits each
-level into isotypic components, giving exact irreducible dimensions
-without any character theory.  Each component then yields one unitary
-irreducible representation, tabulated on every element, so an operator
-T_f on a level reduces to one small Fourier coefficient per irreducible.
+wherever every determinant is 1 (SL_n, and GL_n(F_2)).  The span at
+level d is the sum of the isotypic components of the irreducibles with a
+vector fixed by H_d, the pointwise stabilizer of e_1, ..., e_d, so one
+character table (Burnside-Dixon, `get_characters`) gives every level, its
+irreducible dimensions and, through the central idempotents, an
+orthonormal basis of each component.  Each component then yields one
+unitary irreducible representation, tabulated on every element, so an
+operator T_f on a level reduces to one small Fourier coefficient per
+irreducible.
 
-Conventions: levels and set audits share one table of dictator
-systems per group (`GroupTable.dictator_systems`).  A system of order s
-fixes the images of one basis of an s-dimensional subspace, with
-independent targets; products with dependent constraints collapse to
-shorter products or vanish on G, and for a fixed subspace every basis
-gives the same set of masks, so one basis per subspace spans the same
-levels.  The systems of a subspace with basis v are the distinct rows
-of the action's columns v, in lexicographic order: the target tuples
-that some element of G meets.  The table stores membership once: per
-element, the system it lies in on each subspace.
+Conventions: set audits read one table of dictator systems per group
+(`GroupTable.dictator_systems`).  A system of order s fixes the images of
+one basis of an s-dimensional subspace, with independent targets;
+products with dependent constraints collapse to shorter products or
+vanish on G, and for a fixed subspace every basis gives the same set of
+masks.  The systems of a subspace with basis v are the distinct rows of
+the action's columns v, in lexicographic order: the target tuples that
+some element of G meets.  The table stores membership once: per element,
+the system it lies in on each subspace.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class GroupTable(Memo):
     """Enumerated SL or GL with index maps, inverses, and class labels.
 
     Its derived tables (products, actions, classes, dictator systems, block
-    subgroups, levels, isotypic blocks and report, irreducibles) are memo
-    entries, each held once."""
+    subgroups, characters, levels, isotypic blocks and report, irreducibles)
+    are memo entries, each held once."""
 
     def __init__(self, kind: str, n: int, field: FieldCtx):
         if kind not in ("sl", "gl"):
@@ -234,7 +236,7 @@ def convolve_batch(f_values: np.ndarray, basis: np.ndarray, group: GroupTable) -
 
 
 # ---------------------------------------------------------------------------
-# tensor-rank level filtration
+# dictator systems
 # ---------------------------------------------------------------------------
 
 def _dictator_family(group: GroupTable, action: np.ndarray):
@@ -297,55 +299,110 @@ class DictatorSystems(Memo):
         self.cell_sizes = [sizes[self.cell_orders == d] for d in range(2 * group.n + 1)]
 
 
-class _GramSchmidtRows:
-    """Rows orthonormal under E_G, grown by modified Gram-Schmidt with one
-    re-orthogonalization pass.
+# ---------------------------------------------------------------------------
+# the character table
+# ---------------------------------------------------------------------------
 
-    The rows and their conjugates are kept in buffers that double when
-    full, so extending never re-stacks or re-conjugates the basis.
-    """
+_CHARACTER_GAP = 1e-6  # least distance between two eigenvalues of the class-coefficient combination
+_CHARACTER_TOL = 1e-6  # largest orthogonality residual and distance of an H_d multiplicity from an integer
 
-    def __init__(self, size: int):
-        self.size = size
-        self.count = 0
-        self._rows = np.empty((min(16, size), size), dtype=np.complex128)
-        self._conj = np.empty_like(self._rows)
 
-    def __len__(self) -> int:
-        return self.count
-
-    def extend(self, gen: np.ndarray) -> bool:
-        """Append the normalized residual of gen if its norm exceeds 1e-8."""
-        r = gen.astype(np.complex128)
-        if self.count:
-            b = self._rows[: self.count]
-            b_conj = self._conj[: self.count]
-            for _ in range(2):
-                coeffs = b_conj @ r / self.size
-                r = r - coeffs @ b
-        norm = np.sqrt(np.mean(np.abs(r) ** 2).real)
-        if norm <= 1e-8:
-            return False
-        if self.count == len(self._rows):
-            pad = np.empty((min(self.count, self.size - self.count), self.size), dtype=np.complex128)
-            self._rows = np.concatenate([self._rows, pad])
-            self._conj = np.concatenate([self._conj, pad])
-        self._rows[self.count] = r / norm
-        np.conj(self._rows[self.count], out=self._conj[self.count])
-        self.count += 1
-        return True
-
-    def basis(self) -> np.ndarray:
-        return self._rows[: self.count].copy()
+def _dixon_weights(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Complex weights w_i of the class-coefficient combination sum w_i A_i."""
+    return rng.standard_normal(count) + 1j * rng.standard_normal(count)
 
 
 @dataclass
-class LevelBasisSet:
-    """Nested orthonormal bases of L^2(G)_{<=d} from umvirate-indicator spans."""
+class Characters:
+    """The irreducible characters of G and the tensor-rank level of each.
 
-    group: GroupTable
+    Row i of `table` is chi_i on the classes, ordered by level and then
+    degree.  fixed[i, d] is the dimension of the vectors of rho_i fixed by
+    H_d, the pointwise stabilizer of e_1, ..., e_d, i.e.
+    E_{h in H_d} chi_i(h); fixed[i, n] is the degree.  rho_i lies in
+    L^2(G)_{<=d} iff it has an H_d-fixed vector, so its level is the least
+    such d."""
+
+    classes: np.ndarray  # class label per ordinal (GroupTable.conjugacy_classes)
+    sizes: np.ndarray  # |C_k| per class label
+    table: np.ndarray  # (#classes, #classes) complex
+    degrees: np.ndarray  # chi_i(1)
+    levels: np.ndarray
+    fixed: np.ndarray  # (#classes, n + 1) int
+
+    def values(self, i: int) -> np.ndarray:
+        """chi_i on every ordinal."""
+        return self.table[i][self.classes]
+
+    def level_dims(self) -> list[int]:
+        """dim L^2(G)_{<=d}, the sum of chi(1)^2 over the irreducibles of level <= d, for d = 0..n."""
+        return [int(np.sum(self.degrees[self.levels <= d] ** 2)) for d in range(self.fixed.shape[1])]
+
+
+def get_characters(group: GroupTable) -> Characters:
+    """The character table by Burnside-Dixon, a memo entry of the group.
+
+    With a[i, j, k] = #{x in C_i : x^-1 z_k in C_j} for class
+    representatives z_k, the matrices A_i = a[i] satisfy
+    A_i w = |C_i| chi(z_i) / chi(1) w for w_j = |C_j| chi(z_j) / chi(1), so the
+    eigenvectors of one seeded combination sum_i w_i A_i / |C_i| with
+    distinct eigenvalues are the characters up to scale.  Scaled by
+    sqrt|C_j| the combination is normal, which keeps the eigenvectors well
+    conditioned.  Each is normalized by chi(1) > 0 and
+    sum_k |C_k| |chi(z_k)|^2 = |G| (J. D. Dixon, Numer. Math. 10, 1967).
+    Raises RefinementError unless the eigen-gap is above _CHARACTER_GAP,
+    the rows are orthonormal, every H_d multiplicity is an integer (both
+    within _CHARACTER_TOL) and sum chi(1)^2 = |G|."""
+    return group.memo("characters", lambda: _character_table(group))
+
+
+def _character_table(group: GroupTable) -> Characters:
+    labels = group.conjugacy_classes()
+    k = group.class_count()
+    sizes = np.bincount(labels)
+    mul = group.mul_table()
+    coeffs = np.stack([np.bincount(labels * k + labels[mul[group.inv, z]], minlength=k * k).reshape(k, k)
+                       for z in np.unique(labels, return_index=True)[1]], axis=2)
+    root = np.sqrt(sizes)
+    weights = _dixon_weights(np.random.default_rng(0), k) / sizes
+    vals, vecs = np.linalg.eig(np.tensordot(weights, coeffs, axes=1) / root[:, None] * root)
+    gap = np.min(np.abs(vals[:, None] - vals)[~np.eye(k, dtype=bool)], initial=np.inf)
+    if not gap > _CHARACTER_GAP:
+        raise RefinementError(f"class-coefficient eigen-gap {gap:.2e} is not above {_CHARACTER_GAP}")
+    chi = vecs.T / root
+    chi *= np.sqrt(group.size / np.sum(sizes * np.abs(chi) ** 2, axis=1))[:, None]
+    one = chi[:, labels[group.identity]]
+    chi *= (np.abs(one) / one)[:, None]
+    residual = np.max(np.abs((chi * sizes) @ chi.conj().T / group.size - np.eye(k)))
+    if not residual < _CHARACTER_TOL:
+        raise RefinementError(f"character rows are not orthonormal: residual {residual:.2e}")
+    act, units = group.vector_action(False), group._units
+    stabilizers = np.stack([np.bincount(labels[np.all(act[:, units[:d]] == units[:d], axis=1)], minlength=k)
+                            for d in range(group.n + 1)], axis=1)  # |H_d & C_k|
+    multiplicities = chi @ stabilizers / stabilizers.sum(axis=0)
+    fixed = np.rint(multiplicities.real).astype(np.int64)
+    off = np.max(np.abs(multiplicities - fixed))
+    if not off < _CHARACTER_TOL:
+        raise RefinementError(f"an H_d multiplicity lies {off:.2e} from an integer")
+    degrees = fixed[:, group.n]
+    if np.sum(degrees**2) != group.size:
+        raise RefinementError(f"sum of squared degrees {np.sum(degrees**2)} != |G| = {group.size}")
+    levels = np.argmax(fixed > 0, axis=1)
+    order = np.lexsort((degrees, levels))
+    return Characters(labels, sizes, chi[order], degrees[order], levels[order], fixed[order])
+
+
+# ---------------------------------------------------------------------------
+# tensor-rank level filtration
+# ---------------------------------------------------------------------------
+
+@dataclass
+class LevelBasisSet:
+    """Nested orthonormal bases of L^2(G)_{<=d}: the isotypic blocks in
+    character-table order, hence in level order."""
+
     dims: list[int]  # dims[d] = dim L^2(G)_{<=d}
-    basis: np.ndarray  # (dims[-1], |G|), prefix-nested across levels
+    basis: np.ndarray  # (|G|, |G|), prefix-nested across levels
 
     def cum_basis(self, d: int) -> np.ndarray:
         return self.basis[: self.dims[d]]
@@ -354,51 +411,49 @@ class LevelBasisSet:
         lo = self.dims[d - 1] if d > 0 else 0
         return self.basis[lo: self.dims[d]]
 
-    def dmax(self) -> int:
-        return len(self.dims) - 1
-
-
-def build_level_basis(group: GroupTable, dmax: int) -> LevelBasisSet:
-    """Gram-Schmidt over the order-d row dictator systems, d = 0..dmax, in
-    table order.
-    Functional systems span the same levels: tau(g) = g^-T maps them to row
-    systems, and a level's central idempotent Psi is a GL_n class function
-    equal to its complex conjugate, so Psi(tau g) = conj Psi(g^T) = Psi(g)."""
-    if not 0 <= dmax <= group.n:
-        raise ToolkitError(f"dmax={dmax} must lie in [0, n={group.n}]")
-    systems = group.dictator_systems()
-    column_orders = systems.row_orders[systems.row_of[0]]
-    rows = _GramSchmidtRows(group.size)
-    dims = []
-    for d in range(dmax + 1):
-        for column in systems.row_of.T[column_orders == d]:
-            for k in np.unique(column):
-                rows.extend(column == k)
-        dims.append(len(rows))
-    return LevelBasisSet(group, dims, rows.basis())
-
 
 def get_levels(group: GroupTable) -> LevelBasisSet:
-    """Every level of the group, a memo entry of the group."""
-    return group.memo("levels", lambda: build_level_basis(group, group.n))
+    """Every level of the group, a memo entry of the group.
+
+    The isotypic block of rho is the range of its central idempotent,
+    convolution by chi(1) conj(chi): it is applied to chi(1)^2 seeded
+    complex columns, which are then orthonormalized, and the two steps are
+    done twice, since after one pass a block leaks up to about 1e-11 into
+    the others."""
+    return group.memo("levels", lambda: _level_basis(group))
+
+
+def _level_basis(group: GroupTable) -> LevelBasisSet:
+    chars = get_characters(group)
+    rng = np.random.default_rng(0)
+    basis = np.empty((group.size, group.size), dtype=np.complex128)
+    row = 0
+    for i, degree in enumerate(chars.degrees):
+        project = convolver(group.table(degree * np.conj(chars.values(i))))
+        cols = rng.standard_normal((group.size, degree**2)) + 1j * rng.standard_normal((group.size, degree**2))
+        for _ in range(2):
+            cols = np.linalg.qr(project(cols))[0]
+        basis[row: row + degree**2] = np.sqrt(group.size) * cols.T
+        row += degree**2
+    return LevelBasisSet(chars.level_dims(), basis)
+
+
+def _project(f: FnTable, b: np.ndarray) -> FnTable:
+    """Orthogonal projection of f onto the rows b, orthonormal under E_G; the
+    coefficients conj(b @ conj(f)) / |G| need no conjugate copy of b."""
+    group = _group_of(f)
+    coeffs = np.conj(b @ np.conj(f.values)) / group.size
+    return FnTable(group, coeffs @ b)
 
 
 def level_project(f: FnTable, d: int) -> FnTable:
     """Orthogonal projection f_{<=d}; f_{=d} via level_project_eq."""
-    group = _group_of(f)
-    b = get_levels(group).cum_basis(d)
-    coeffs = b.conj() @ f.values / group.size
-    return FnTable(group, coeffs @ b)
+    return _project(f, get_levels(_group_of(f)).cum_basis(d))
 
 
 def level_project_eq(f: FnTable, d: int) -> FnTable:
     """Orthogonal projection f_{=d} onto the strict level d."""
-    group = _group_of(f)
-    b = get_levels(group).eq_basis(d)
-    if b.shape[0] == 0:
-        return FnTable(group, np.zeros(group.size, dtype=np.complex128))
-    coeffs = b.conj() @ f.values / group.size
-    return FnTable(group, coeffs @ b)
+    return _project(f, get_levels(_group_of(f)).eq_basis(d))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +525,7 @@ def level_lower_check(f: FnTable, d: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# isotypic refinement
+# isotypic components
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -480,105 +535,29 @@ class IsotypicReport:
     component_dims: dict  # level d -> sorted list of irreducible dimensions
     m_d: dict  # level d -> minimal irreducible dimension (absent if empty)
 
-    def total_blocks(self) -> int:
-        return sum(len(v) for v in self.component_dims.values())
-
     def sum_of_squares(self) -> int:
         return int(sum(dim * dim for v in self.component_dims.values() for dim in v))
 
 
-_ISOTYPIC_DRAWS = 3  # random class-function convolutions per level
-
-
-def _cluster_eigvals(vals: np.ndarray) -> list[list[int]]:
-    """Eigenvalue indices grouped by first-come representatives within 1e-6."""
-    clusters: list[tuple[complex, list[int]]] = []
-    for i, lam in enumerate(vals):
-        placed = False
-        for rep, members in clusters:
-            if abs(lam - rep) <= 1e-6:
-                members.append(i)
-                placed = True
-                break
-        if not placed:
-            clusters.append((lam, [i]))
-    return [members for _, members in clusters]
-
-
 def isotypic_blocks(group: GroupTable) -> dict[int, list[np.ndarray]]:
-    """_refine_blocks(group), a memo entry of the group; callers must not
-    mutate the blocks."""
-    return group.memo("isotypic_blocks", lambda: _refine_blocks(group))
+    """Per level d, the orthonormal basis of the isotypic block of each
+    irreducible of level d, in character-table order: row views of the
+    level basis, a memo entry of the group; callers must not mutate them."""
 
+    def build():
+        chars = get_characters(group)
+        blocks = np.split(get_levels(group).basis, np.cumsum(chars.degrees**2)[:-1])
+        return {d: [b for b, level in zip(blocks, chars.levels) if level == d] for d in range(group.n + 1)}
 
-def _refine_blocks(group: GroupTable) -> dict[int, list[np.ndarray]]:
-    """Orthonormal bases of the isotypic components inside each level.
-
-    Convolution by a class function acts as a scalar on each isotypic
-    bimodule, so clustered eigenspaces of a random class-function
-    convolution are unions of components; intersecting the clusterings
-    across `_ISOTYPIC_DRAWS` draws from default_rng(0) removes accidental
-    collisions.
-    """
-    levels = get_levels(group)
-    labels = group.conjugacy_classes()
-    n_classes = group.class_count()
-    rng = np.random.default_rng(0)
-
-    out: dict[int, list[np.ndarray]] = {}
-    for d in range(levels.dmax() + 1):
-        eq = levels.eq_basis(d)
-        if eq.shape[0] == 0:
-            out[d] = []
-            continue
-        blocks = [eq]
-        for _ in range(_ISOTYPIC_DRAWS):
-            cvals = rng.standard_normal(n_classes)[labels].astype(np.complex128)
-            conv_c = convolver(FnTable(group, cvals))
-            new_blocks = []
-            for qb in blocks:
-                if qb.shape[0] == 1:
-                    new_blocks.append(qb)
-                    continue
-                conv = conv_c(qb.T).T  # rows: c * q_i
-                mat = qb.conj() @ conv.T / group.size  # mat[i,j] = <c*q_j, q_i>
-                vals, vecs = np.linalg.eig(mat)
-                for members in _cluster_eigvals(vals):
-                    coeffs = vecs[:, members].T  # rows span the cluster in block coords
-                    u, s, vh = np.linalg.svd(coeffs)
-                    ortho = vh[: len(members)]
-                    new_blocks.append(ortho @ qb)
-            blocks = new_blocks
-        out[d] = blocks
-    return out
+    return group.memo("isotypic_blocks", build)
 
 
 def isotypic_refine(group: GroupTable) -> IsotypicReport:
-    """Infer irreducible dimensions per level from the eigen-refinement."""
-    blocks = isotypic_blocks(group)
-    n_classes = group.class_count()
-    component_dims: dict[int, list[int]] = {}
-    m_d: dict[int, int] = {}
-    for d, blist in blocks.items():
-        dims = []
-        for qb in blist:
-            k = qb.shape[0]
-            root = np.sqrt(k)
-            if abs(root - round(root)) > 1e-6:
-                raise RefinementError(
-                    f"block of dimension {k} at level {d} is not a perfect square"
-                )
-            dims.append(int(round(root)))
-        component_dims[d] = sorted(dims)
-        if dims:
-            m_d[d] = min(dims)
-
-    report = IsotypicReport(group.size, n_classes, component_dims, m_d)
-    if report.sum_of_squares() != group.size:
-        raise RefinementError(
-            f"sum of squared dimensions {report.sum_of_squares()} != |G| = {group.size}"
-        )
-    return report
+    """Irreducible dimensions per level, read off the character table."""
+    chars = get_characters(group)
+    component_dims = {d: sorted(int(x) for x in chars.degrees[chars.levels == d]) for d in range(group.n + 1)}
+    m_d = {d: dims[0] for d, dims in component_dims.items() if dims}
+    return IsotypicReport(group.size, len(chars.degrees), component_dims, m_d)
 
 
 def glt_growth_report(group: GroupTable, report: IsotypicReport) -> dict:
@@ -635,6 +614,10 @@ class Irreducible:
     def fourier(self, values: np.ndarray) -> np.ndarray:
         """rho_hat(f) = E_z f(z) rho(z), the block of T_f on J."""
         return (values @ self.table / self.table.shape[0]).reshape(self.degree, self.degree)
+
+    def character(self) -> np.ndarray:
+        """tr rho(z) for every ordinal z."""
+        return self.table[:, :: self.degree + 1].sum(axis=1)
 
 
 def _generation_layers(group: GroupTable, gens: np.ndarray):

@@ -83,7 +83,8 @@ def sarnak_xue_check(f: FnTable, d: int, c_report: float = 0.05) -> OperatorNorm
     (`groups.get_irreducibles`).  So the norm is the max over the
     irreducibles of ||rho_hat(f)||_2, and the trace side tr(T* T) is
     sum d_rho ||rho_hat(f)||_F^2, read off the representation tables; the
-    direct side ||f_{=d}||_2^2 comes from the Gram-Schmidt level basis."""
+    direct side ||f_{=d}||_2^2 is the projection of f on the level basis,
+    whose rows come from the central idempotents of the characters."""
     group: GroupTable = f.domain
     hats = [(irr.degree, irr.fourier(f.values)) for irr in get_irreducibles(group)[d]]
     norms = [np.linalg.norm(hat, 2) for _, hat in hats]

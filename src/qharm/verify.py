@@ -41,8 +41,9 @@ from .errors import ToolkitError
 from .fqlin import encode_vector, enumerate_subspaces, full_space, mat_vec, span_of
 from .globality import GoodUmvirate, cell_umvirate, good_umvirate_partition
 from .groups import (
+    get_characters,
     get_group,
-    get_isotypic,
+    get_irreducibles,
     convolve,
     junta_project,
     junta_test,
@@ -361,7 +362,7 @@ def criterion_junta_level() -> CheckResult:
 
 
 def criterion_spectral() -> CheckResult:
-    """Trace identity, Sarnak-Xue bound, level invariance, isotypic exactness."""
+    """Trace identity, Sarnak-Xue bound, level invariance, characters against irreducible traces."""
     t0 = time.time()
     rng = np.random.default_rng(41)
     worst_trace = 0.0
@@ -370,9 +371,12 @@ def criterion_spectral() -> CheckResult:
     iso_ok = True
     for kind, n, q in [("sl", 2, 2), ("sl", 2, 3), ("sl", 3, 2)]:
         group = get_group(kind, n, q)
-        rep = get_isotypic(group)
-        iso_ok &= rep.sum_of_squares() == group.size
-        iso_ok &= rep.total_blocks() == group.class_count()
+        # each character against the trace of its irreducible's table, built
+        # from the right-translation eigenproblem on the character's block
+        chars, irreducibles = get_characters(group), get_irreducibles(group)
+        traces = [irr.character() for d in sorted(irreducibles) for irr in irreducibles[d]]
+        iso_ok &= len(traces) == len(chars.degrees)
+        iso_ok &= all(np.max(np.abs(t - chars.values(i))) < 1e-9 for i, t in enumerate(traces))
         for _ in range(10):
             f = random_group_table(group, rng, "real")
             for d in range(n + 1):

@@ -233,6 +233,19 @@ MUTATIONS = [
              "norm = float(max(norms, default=0.0))  # ||T_f|| on V_{=d}",
              "norm = float(norms[0] if norms else 0.0)",
              (SPE + "test_sarnak_xue_matches_two_matrix_reference[sl-2-5]",)),
+    Mutation("level read from H_{d+1}", "src/qharm/groups.py",
+             "stabilizers = np.stack([np.bincount(labels[np.all(act[:, units[:d]] == units[:d], axis=1)], minlength=k)",
+             "stabilizers = np.stack([np.bincount(labels[np.all(act[:, units[:d + 1]] == units[:d + 1], axis=1)],"
+             " minlength=k)",
+             ("tests/test_level_tables.py::test_levels_match_generator_stream_reference[sl-2-3-strict-False]",)),
+    Mutation("isotypic projector built from chi, not conj(chi)", "src/qharm/groups.py",
+             "project = convolver(group.table(degree * np.conj(chars.values(i))))",
+             "project = convolver(group.table(degree * chars.values(i)))",
+             (GRP + "test_characters_match_irreducible_traces[sl-2-3]",)),
+    Mutation("character normalization without the class sizes", "src/qharm/groups.py",
+             "chi *= np.sqrt(group.size / np.sum(sizes * np.abs(chi) ** 2, axis=1))[:, None]",
+             "chi *= np.sqrt(group.size / np.sum(np.abs(chi) ** 2, axis=1))[:, None]",
+             ("tests/test_level_tables.py::test_isotypic_dims_match_recorded[key1]",)),
     Mutation("generator's rho(s) built from s, not s^-1", "src/qharm/groups.py",
              "left_inv = mul[group.inv[gens]]  # h(s^-1 x)",
              "left_inv = mul[gens]  # h(s^-1 x)",

@@ -58,7 +58,10 @@ GroupTable elements, dets, inv, ...   element_tables_ref             test_group_
 GroupTable.vector_action              vector_action_ref              test_group_tables::test_element_tables_match_per_element_loops
 GroupTable.mul_table                  mul_row_ref                    test_group_tables::test_mul_table_matches_row_loop
 groups.DictatorSystems                dictator_family_ref, cells_ref test_group_tables::test_dictator_systems_match_target_loop
-groups.build_level_basis              reference_levels               test_level_tables::test_levels_match_generator_stream_reference
+groups.get_levels (character table,   reference_levels               test_level_tables::test_levels_match_generator_stream_reference
+  central idempotents)                (Gram-Schmidt, GramSchmidtRows)
+groups.get_characters                 Irreducible.character          test_groups::test_characters_match_irreducible_traces
+groups.level_project (no conj copy)   (b.conj() @ f / |G|) @ b       test_groups::test_level_projection_equals_the_conjugated_basis_product
 groups.convolve                       brute_convolution              test_groups::test_convolution_identities_and_oracle
   (one gather per mixing run)         mixing_terms_ref               test_spectra::test_mixing_terms_match_one_convolution_per_term
 spectra.sarnak_xue_check              sarnak_xue_ref (two matrices)  test_spectra::test_sarnak_xue_matches_two_matrix_reference
@@ -91,7 +94,7 @@ from qharm.globality import (
     _rank_factor,
     umvirate_normal_form,
 )
-from qharm.groups import _GramSchmidtRows, convolve, convolve_batch, get_group, get_isotypic, get_levels, level_project_eq
+from qharm.groups import convolve, convolve_batch, get_group, get_isotypic, get_levels, level_project_eq
 from qharm.scheme import FnTable, degree_decompose, degree_project, get_scheme, restrict
 from qharm.spectra import OperatorNormRow, SchemeInstanceChecks
 
@@ -825,10 +828,52 @@ def level_generator_masks(group, d, include_dual=False):
     return np.array(rows, dtype=np.float64)
 
 
+class GramSchmidtRows:
+    """Rows orthonormal under E_G, grown by modified Gram-Schmidt with one
+    re-orthogonalization pass.
+
+    The rows and their conjugates are kept in buffers that double when
+    full, so extending never re-stacks or re-conjugates the basis.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.count = 0
+        self._rows = np.empty((min(16, size), size), dtype=np.complex128)
+        self._conj = np.empty_like(self._rows)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def extend(self, gen: np.ndarray) -> bool:
+        """Append the normalized residual of gen if its norm exceeds 1e-8."""
+        r = gen.astype(np.complex128)
+        if self.count:
+            b = self._rows[: self.count]
+            b_conj = self._conj[: self.count]
+            for _ in range(2):
+                coeffs = b_conj @ r / self.size
+                r = r - coeffs @ b
+        norm = np.sqrt(np.mean(np.abs(r) ** 2).real)
+        if norm <= 1e-8:
+            return False
+        if self.count == len(self._rows):
+            pad = np.empty((min(self.count, self.size - self.count), self.size), dtype=np.complex128)
+            self._rows = np.concatenate([self._rows, pad])
+            self._conj = np.concatenate([self._conj, pad])
+        self._rows[self.count] = r / norm
+        np.conj(self._rows[self.count], out=self._conj[self.count])
+        self.count += 1
+        return True
+
+    def basis(self) -> np.ndarray:
+        return self._rows[: self.count].copy()
+
+
 def reference_levels(group, dmax, include_dual=False):
     """(dims, basis) of the levels by Gram-Schmidt over the generator stream,
     re-walking all lower orders for each d."""
-    rows = _GramSchmidtRows(group.size)
+    rows = GramSchmidtRows(group.size)
     dims = []
     prev_gens = 0
     for d in range(dmax + 1):

@@ -11,7 +11,7 @@ import pytest
 from oracles import read_function_csv_ref, write_function_csv_ref
 from qharm.cli import _ROW_BLOCK, main, read_function_csv, read_set_file, write_function_csv, write_set_file
 from qharm.errors import InputFormatError, SizeCapError
-from qharm.groups import get_group
+from qharm.groups import get_characters, get_group
 
 
 def test_function_csv_round_trip(tmp_path):
@@ -213,6 +213,26 @@ def test_cli_levels_and_isotypic(tmp_path):
     assert manifest["config"] == {"group": "sl", "n": 2, "q": 2}
 
 
+@pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 3, 2), ("gl", 2, 3)])
+def test_cli_isotypic_writes_the_irreducibles(tmp_path, kind, n, q):
+    # irreducibles.csv holds, per irreducible of the character table, its
+    # degree, level and the dimension of its H_d-fixed vectors, d = 0..n
+    out = tmp_path / "out"
+    assert main(["isotypic", "--q", str(q), "--n", str(n), "--group", kind, "-o", str(out)]) == 0
+    lines = (out / "irreducibles.csv").read_text().splitlines()
+    assert lines[0] == "index,degree,level," + ",".join(f"fixed_h{d}" for d in range(n + 1))
+    table = np.array([[int(x) for x in line.split(",")] for line in lines[1:]])
+    chars = get_characters(get_group(kind, n, q))
+    assert np.array_equal(table[:, 0], np.arange(len(chars.degrees)))
+    assert np.array_equal(table[:, 1], chars.degrees) and np.array_equal(table[:, 2], chars.levels)
+    assert np.array_equal(table[:, 3:], chars.fixed)
+    data = json.loads((out / "isotypic.json").read_text())
+    for d in range(n + 1):
+        assert sorted(table[table[:, 2] == d, 1].tolist()) == data["component_dims"][str(d)]
+    manifest = json.loads((out / "isotypic_manifest.json").read_text())
+    assert manifest["artifacts"] == [str(out / "isotypic.json"), str(out / "irreducibles.csv")]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--threads", "2"],
     ["levels", "--cache-dir", "cache"],
@@ -287,17 +307,19 @@ def test_cli_mixing_and_opnorm(tmp_path):
 
 
 def test_cli_convolve_refuses_groups_above_the_multiplication_table_cap(tmp_path, capsys):
-    # GL_2(F_11) (|G| = 13,200) builds, but convolution reads the multiplication
-    # table, which is refused above 6,000 elements
+    # GL_2(F_11) (|G| = 13,200) builds, but convolution and the character
+    # table behind levels and isotypic read the multiplication table, which
+    # is refused above 6,000 elements
     g = get_group("gl", 2, 11)
     setfile = tmp_path / "a.txt"
     write_set_file(str(setfile), g, [0, 1, 2])
-    out = tmp_path / "out"
-    rc = main(["convolve", "--q", "11", "--n", "2", "--group", "gl", "--set", str(setfile),
-               "--set2", str(setfile), "-o", str(out)])
-    assert rc == 2
-    assert "multiplication table refused for |G|=13200" in capsys.readouterr().err
-    assert not (out / "convolution.csv").exists()
+    group = ["--q", "11", "--n", "2", "--group", "gl"]
+    for argv, written in ((["convolve", "--set", str(setfile), "--set2", str(setfile)], "convolution.csv"),
+                          (["levels"], "level_dims.csv"), (["isotypic"], "isotypic.json")):
+        out = tmp_path / argv[0]
+        assert main([*argv, *group, "-o", str(out)]) == 2
+        assert "multiplication table refused for |G|=13200" in capsys.readouterr().err
+        assert not (out / written).exists()
 
 
 def test_cli_bogolyubov_on_coset(tmp_path):
@@ -411,12 +433,22 @@ def test_cli_group_outputs_are_byte_identical_to_recorded_digests(tmp_path, monk
     assert digests == GROUP_OUTPUT_DIGESTS
 
 
-# SHA-256 of the files product-mixing writes for the three seeded sets below,
-# recorded from the command as it stood before this test was added.
-PRODUCT_MIXING_DIGESTS = {
-    "product-mixing_manifest.json": "71a5701e8c87a4b5ccd6ed00fbc5dea638e0623ebc2f53df97b217d37484f17e",
-    "product_mixing.json": "253dcd9f670ed191369a777b9b07f2ed136fa83c6488fddbc575d9fb3c9d190f",
+# SHA-256 of the manifest product-mixing writes for the three seeded sets
+# below, and the fields of its JSON, recorded from the command as it stood
+# before this test was added.  `per_level` holds inner products of level
+# projections, which move in their last bits with the level basis, and
+# `decomposition_residual` is rounding noise; every other field is exact.
+PRODUCT_MIXING_MANIFEST_DIGEST = "71a5701e8c87a4b5ccd6ed00fbc5dea638e0623ebc2f53df97b217d37484f17e"
+PRODUCT_MIXING_JSON = {
+    "bound": 0.023493531796045724,
+    "bound_ratio": 0.07389740828168355,
+    "covers": True,
+    "deviation": 0.001736111111111105,
+    "triple": 0.038194444444444434,
+    "triple_bound": 0.023493531796045724,
+    "triple_deviation": 0.001736111111111105,
 }
+PRODUCT_MIXING_PER_LEVEL = [0.003906249999999999, -0.0021701388888888873]
 
 
 def test_cli_product_mixing_outputs_are_byte_identical_to_recorded_digests(tmp_path, monkeypatch):
@@ -429,9 +461,16 @@ def test_cli_product_mixing_outputs_are_byte_identical_to_recorded_digests(tmp_p
         write_set_file(name, g, rng.choice(g.size, size=size, replace=False))
     argv = ["product-mixing", "--q", "3", "--n", "2", "--set", "a.txt", "--set2", "b.txt", "--set3", "c.txt"]
     assert main([*argv, "-o", "out"]) == 0
-    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-               for name in sorted(os.listdir(tmp_path / "out"))}
-    assert digests == PRODUCT_MIXING_DIGESTS
+    assert sorted(os.listdir(tmp_path / "out")) == ["product-mixing_manifest.json", "product_mixing.json"]
+    manifest = (tmp_path / "out" / "product-mixing_manifest.json").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == PRODUCT_MIXING_MANIFEST_DIGEST
+    data = json.loads((tmp_path / "out" / "product_mixing.json").read_text())
+    per_level, residual = data.pop("per_level"), data.pop("decomposition_residual")
+    assert data == PRODUCT_MIXING_JSON
+    assert len(per_level) == len(PRODUCT_MIXING_PER_LEVEL)
+    for got, want in zip(per_level, PRODUCT_MIXING_PER_LEVEL):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert 0 <= residual < 1e-15
 
 
 def test_cli_verify_exits_0_iff_every_criterion_passes(tmp_path, capsys, monkeypatch):

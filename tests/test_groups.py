@@ -1,15 +1,15 @@
 """Group enumeration, transfer maps, convolution, level filtration, juntas,
-and the isotypic eigen-refinement."""
+the character table and the isotypic components."""
 
 import numpy as np
 import pytest
 
-from oracles import brute_convolution
+from oracles import GramSchmidtRows, brute_convolution
 from qharm.errors import RefinementError, ToolkitError
 from qharm.fqlin import span_of
 from qharm.groups import (
-    build_level_basis,
     convolve,
+    get_characters,
     get_group,
     get_irreducibles,
     get_isotypic,
@@ -117,9 +117,7 @@ def test_level_dims_match_naive_generator_stream():
     levels = get_levels(g)
     q, n = g.q, g.n
     act = g.vector_action(False)
-    from qharm.groups import _GramSchmidtRows
-
-    rows = _GramSchmidtRows(g.size)
+    rows = GramSchmidtRows(g.size)
     dims = []
     for d in range(n + 1):
         if d == 0:
@@ -249,7 +247,7 @@ def test_isotypic_refinement_consistency():
         g = get_group("sl", n, q)
         rep = get_isotypic(g)
         assert rep.sum_of_squares() == g.size
-        assert rep.total_blocks() == g.class_count()
+        assert sum(len(dims) for dims in rep.component_dims.values()) == g.class_count()
         for d, dims in rep.component_dims.items():
             assert all(isinstance(x, int) and x >= 1 for x in dims)
 
@@ -300,6 +298,47 @@ def test_irreducibles_refuse_a_zero_eigen_gap(monkeypatch):
     monkeypatch.setattr(groups, "_translation_weights", lambda rng, count: np.zeros(count))
     with pytest.raises(RefinementError, match="eigen-gap"):
         get_irreducibles(groups.GroupTable("sl", 2, get_field(3)))
+
+
+@pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 2, 5), ("sl", 2, 7), ("sl", 3, 2), ("gl", 2, 3)])
+def test_characters_match_irreducible_traces(kind, n, q):
+    # the table's characters, in order, are the traces tr rho(z) of the
+    # irreducibles tabulated from their blocks, on every element; the
+    # degrees, levels and H_d multiplicities are the table's own
+    g = get_group(kind, n, q)
+    chars = get_characters(g)
+    irreducibles = get_irreducibles(g)
+    traces = [(d, irr.character()) for d in sorted(irreducibles) for irr in irreducibles[d]]
+    assert len(traces) == len(chars.degrees) == g.class_count()
+    for i, (d, trace) in enumerate(traces):
+        assert chars.levels[i] == d and chars.degrees[i] == trace[g.identity].real
+        assert np.max(np.abs(trace - chars.values(i))) < 1e-9
+    assert np.array_equal(chars.fixed[:, n], chars.degrees)
+    assert np.all(chars.fixed[np.arange(len(chars.levels)), chars.levels] > 0)
+    assert np.all(chars.fixed[:, 0] == (chars.levels == 0))
+
+
+def test_characters_refuse_a_zero_eigen_gap(monkeypatch):
+    # zero weights make the class-coefficient combination 0, so every
+    # eigenvalue is 0 and no two characters are told apart
+    import qharm.groups as groups
+    from qharm.gf import get_field
+
+    monkeypatch.setattr(groups, "_dixon_weights", lambda rng, count: np.zeros(count))
+    with pytest.raises(RefinementError, match="class-coefficient eigen-gap 0.00e\\+00"):
+        get_characters(groups.GroupTable("sl", 2, get_field(3)))
+
+
+@pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 3, 2), ("gl", 2, 3)])
+def test_level_projection_equals_the_conjugated_basis_product(kind, n, q):
+    # the projections take their coefficients as conj(b @ conj(f)), which
+    # is bit for bit b.conj() @ f without the conjugate copy of b
+    g = get_group(kind, n, q)
+    levels = get_levels(g)
+    f = random_group_table(g, np.random.default_rng(11), "complex")
+    for d in range(n + 1):
+        for got, b in ((level_project(f, d), levels.cum_basis(d)), (level_project_eq(f, d), levels.eq_basis(d))):
+            assert np.array_equal(got.values, (b.conj() @ f.values / g.size) @ b)
 
 
 def test_glt_growth_report_shape():

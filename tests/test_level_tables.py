@@ -1,24 +1,23 @@
-"""Level bases from the shared dictator-system table against the
-generator stream they replaced.
+"""Level bases from the character table against the generator stream
+of dictator products they replaced.
 
 The reference (tests/oracles.py) enumerates, for each order s, every
 sorted tuple of independent monic input vectors (so every basis of each
 subspace, up to scaling) with every independent ordered target tuple,
-and re-walks all lower orders for each d.  The table takes one echelon basis per
-subspace.  For an s-dimensional subspace S the masks {g : g|_S = phi}
-over all injective phi are the same set whichever basis of S is used,
-so the spans, hence the dimensions and the cumulative projectors, must
-agree; the orthonormal bases themselves differ.  The reference stream
-with the functional (transpose-action) masks as well must span the
-same levels as the row-only table build.
+re-walks all lower orders for each d, and runs Gram-Schmidt over the
+indicators.  The table's levels are sums of isotypic components, with a
+basis from the central idempotents.  The spans, hence the dimensions
+and the cumulative projectors, must agree; the orthonormal bases
+themselves differ.  The reference stream with the functional
+(transpose-action) masks as well must span the same levels.
 """
 
 import numpy as np
 import pytest
 
 from oracles import level_generator_masks, reference_levels
-from qharm.errors import ToolkitError
-from qharm.groups import build_level_basis, get_group, get_isotypic
+from qharm.cli import main
+from qharm.groups import get_group, get_isotypic, get_levels
 
 
 LEVEL_CASES = [
@@ -29,6 +28,7 @@ LEVEL_CASES = [
     ("sl", 2, 5, True),
     ("sl", 3, 2, True),
     ("gl", 2, 3, True),
+    ("gl", 2, 5, False),
 ]
 
 
@@ -37,7 +37,7 @@ LEVEL_CASES = [
                          ids=[f"{k}-{n}-{q}-strict-{dual}" for k, n, q, dual in LEVEL_CASES])
 def test_levels_match_generator_stream_reference(kind, n, q, include_dual):
     g = get_group(kind, n, q)
-    levels = build_level_basis(g, n)
+    levels = get_levels(g)
     ref_dims, ref_basis = reference_levels(g, n, include_dual)
     assert levels.dims == ref_dims
     for d in range(n + 1):
@@ -59,11 +59,13 @@ def test_level_generators_are_one_basis_per_subspace():
     assert len({m.tobytes() for m in masks}) == len(masks)
 
 
-def test_level_build_rejects_orders_outside_0_to_n():
-    g = get_group("sl", 2, 3)
+def test_level_build_rejects_orders_outside_0_to_n(tmp_path, capsys):
+    # `qharm levels` refuses --dmax -1 and n + 1 with status 2 and writes nothing
     for dmax in (-1, 3):
-        with pytest.raises(ToolkitError, match="must lie in"):
-            build_level_basis(g, dmax)
+        out = tmp_path / str(dmax)
+        assert main(["levels", "--q", "3", "--n", "2", "--group", "sl", "--dmax", str(dmax), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: dmax={dmax} must lie in [0, n=2]\n"
+        assert not (out / "level_dims.csv").exists()
 
 
 RECORDED_ISOTYPIC = {
