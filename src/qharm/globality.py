@@ -4,11 +4,12 @@ Audits are exhaustive: every restriction site (scheme audits) or
 constraint system (set audits on a group) at each order is enumerated,
 the exact maximum is reported with a lexicographically-least witness,
 and pass/fail is judged against a threshold set by zeta.  Scheme audits
-run on stacks of functions of one scheme (global_audits,
-laplacian_audits, refining_maxima), each block of sites of one coset
-shape gathered and averaged once for the whole stack; the one-function
-entry points are the stacks of one, and a function's rows never depend
-on the rest of its stack.
+run on stacks of functions of one scheme (restriction_audits, whose
+rows may mix L^2 masses and L^{ell'} norms, laplacian_audits,
+refining_maxima), each block of sites of one coset shape gathered and
+averaged once for the whole stack; the one-function entry points are the
+stacks of one, and a function's rows never depend on the rest of its
+stack.
 
 Set audits enumerate mixed umvirate systems built from both group
 actions: row constraints g v = w and functional constraints g^T phi =
@@ -121,9 +122,17 @@ def _coset_mean(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
-def _audit_rows(fs: list[FnTable], orders, order_chunks, zeta: float | None, kind: str) -> list[GlobalnessReport]:
-    """One report per function of fs, with a row for each order of orders[i]
-    for fs[i].
+def audit_row(ctx: SchemeCtx, order: int, value: float, witness: str, base: float, zeta: float | None) -> ReportRow:
+    """The row of a scheme audit at `order` whose value is `value`: the
+    threshold is q^{zeta order n} base, base the squared 2-norm of the
+    audited function, or inf when zeta is None."""
+    thr = float("inf") if zeta is None else float(ctx.q) ** (zeta * order * ctx.n) * base
+    return ReportRow(order, value, witness, thr, bool(value <= thr + 1e-12))
+
+
+def _audit_rows(fs: list[FnTable], orders, order_chunks, zetas, kinds) -> list[GlobalnessReport]:
+    """One report per function of fs, of kind kinds[i], with a row for each
+    order of orders[i] for fs[i].
 
     order_chunks(d, live) covers the sites of restriction_pairs(d) for the
     functions fs[live], live the ascending list of the i with d in orders[i].
@@ -134,17 +143,17 @@ def _audit_rows(fs: list[FnTable], orders, order_chunks, zeta: float | None, kin
     argmax, and the row's value is the first site
     max, in restriction_pairs order, that beats every earlier one by more
     than 1e-15, so the witness is the site a scan one site at a time picks.
-    The order-d threshold is q^{zeta d n} ||f||_2^2, or inf when zeta is
-    None.  A row depends on its own function and order alone, so the first
-    d + 1 rows of an audit to any order D >= d equal the rows of the audit
-    to order d exactly, whatever else the stack holds."""
+    The rows of fs[i] take the thresholds of zetas[i] (audit_row).  A row
+    depends on its own function and order alone, so the first d + 1 rows of
+    an audit to any order D >= d equal the rows of the audit to order d
+    exactly, whatever else the stack holds."""
     ctx = _scheme_of(fs[0])
     all_orders = sorted(set().union(*orders))
     top = max(all_orders, default=0)
     if top > ctx.n + ctx.m:
         raise ToolkitError(f"dmax={top} too large for {ctx!r}")
     ctx.check_site_orders(all_orders)  # refuse an oversized order before any audit work
-    reports = [GlobalnessReport(kind, []) for _ in fs]
+    reports = [GlobalnessReport(kind, []) for kind in kinds]
     bases = [f.norm2sq() for f in fs]
     for d in all_orders:
         live = [i for i, o in enumerate(orders) if d in o]
@@ -162,36 +171,46 @@ def _audit_rows(fs: list[FnTable], orders, order_chunks, zeta: float | None, kin
                     best = value
                     at = pair_idx
             witness = "" if at is None else _site_witness(at, *pairs[at], int(ctx.site_cosets(*pairs[at])[0][cosets[k, at]]))
-            thr = float("inf") if zeta is None else float(ctx.q) ** (zeta * d * ctx.n) * bases[i]
-            reports[i].rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))
+            reports[i].rows.append(audit_row(ctx, d, best, witness, bases[i], zetas[i]))
     return reports
 
 
-def _coset_means(ctx: SchemeCtx, values: np.ndarray, exponent: float = 1.0):
-    """order_chunks for audits of the coset means of the rows of `values`
-    (K, N), each raised to `exponent`: per stack of site_stacks(d) and block
-    of blocks, one gather along axis 1 (np.take, so it is C-contiguous and
-    each mean is the one of a single site) and one np.mean."""
+def restriction_audits(fs: list[FnTable], orders, ellps, zeta: float = DEFAULT_ZETA) -> list[GlobalnessReport]:
+    """Restriction audits of the functions of fs, all on one scheme, fs[i] at
+    the orders of orders[i], as one stack: each block of sites of one coset
+    shape is gathered (np.take along axis 1, so it is C-contiguous and each
+    mean is the one of a single site) and averaged once for the whole stack.
+
+    fs[i] is audited for its masses ||f_{(V',W')->T}||_2^2 against the zeta
+    thresholds when ellps[i] is None, and for its norms
+    ||f_{(V',W')->T}||_{ell'} with no threshold (every row passes) when
+    ellps[i] = ell' >= 1.  A report's rows equal the rows of that
+    function's own global_audit or lp_global_audit at the same orders."""
+    ctx = _scheme_of(fs[0])
+    if any(ellp is not None and ellp < 1 for ellp in ellps):
+        raise ToolkitError("ell' must be >= 1")
+    values = np.array([np.abs(f.values) ** (2 if ellp is None else ellp) for f, ellp in zip(fs, ellps)])
+    roots = [None if ellp is None else 1.0 / ellp for ellp in ellps]
 
     def order_chunks(d, live):
         rows = values if len(live) == len(values) else values[live]
+        live_roots = [roots[i] for i in live]
         for stack in ctx.site_stacks(d):
             for funcs, sites in blocks(len(live), len(stack.positions), ctx.size):
                 means = _coset_mean(rows[funcs].take(stack.members[sites], axis=1))
-                yield funcs, stack.positions[sites], means**exponent
+                for k, root in enumerate(live_roots[funcs]):
+                    if root is not None:
+                        means[k] **= root
+                yield funcs, stack.positions[sites], means
 
-    return order_chunks
+    return _audit_rows(fs, orders, order_chunks, [zeta if ellp is None else None for ellp in ellps],
+                       ["restriction-norm2" if ellp is None else f"restriction-L{ellp}" for ellp in ellps])
 
 
 def global_audits(fs: list[FnTable], orders, zeta: float = DEFAULT_ZETA) -> list[GlobalnessReport]:
-    """Restriction-mass audits of the functions of fs, all on one scheme,
-    fs[i] at the orders of orders[i], as one stack: each block of sites of
-    one coset shape is gathered and averaged once for the whole stack.  A
-    report's rows equal the rows of that function's own global_audit at the
-    same orders."""
-    ctx = _scheme_of(fs[0])
-    values = np.abs(np.array([f.values for f in fs])) ** 2
-    return _audit_rows(fs, orders, _coset_means(ctx, values), zeta, "restriction-norm2")
+    """Restriction-mass audits of the functions of fs, fs[i] at the orders
+    of orders[i]: the restriction_audits stack with every ell' None."""
+    return restriction_audits(fs, orders, [None] * len(fs), zeta)
 
 
 def global_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
@@ -217,9 +236,9 @@ def laplacian_audits(fs: list[FnTable], orders, laplacians, zeta: float = DEFAUL
 
     The squared moduli of a batch are taken at once, and the sites of each
     stack of site_stacks(d) in the batch are gathered and averaged at once
-    for every function of the batch.  The values equal the per-site
-    reference `influence_per_rep` in tests/oracles.py at every site bit for
-    bit.
+    for every function of the batch.  From laplacian_batches, the values
+    equal the per-site reference `influence_per_rep` in tests/oracles.py
+    at every site bit for bit.
     """
     ctx = _scheme_of(fs[0])
 
@@ -236,7 +255,7 @@ def laplacian_audits(fs: list[FnTable], orders, laplacians, zeta: float = DEFAUL
                     influences = _coset_mean(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))
                     yield funcs, positions, influences
 
-    return _audit_rows(fs, orders, order_chunks, zeta, "influence")
+    return _audit_rows(fs, orders, order_chunks, [zeta] * len(fs), ["influence"] * len(fs))
 
 
 def influence_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> GlobalnessReport:
@@ -286,12 +305,9 @@ def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int) -> 
 
 def lp_global_audit(f: FnTable, rmax: int, ellp: float) -> GlobalnessReport:
     """Exact max of ||f_{(V',W')->T}||_{ell'} over r-restrictions; the
-    report carries no threshold (every row passes)."""
-    ctx = _scheme_of(f)
-    if ellp < 1:
-        raise ToolkitError("ell' must be >= 1")
-    means = _coset_means(ctx, np.abs(f.values[None]) ** ellp, 1.0 / ellp)
-    return _audit_rows([f], [_orders(rmax)], means, None, f"restriction-L{ellp}")[0]
+    report carries no threshold (every row passes): the stack-of-one
+    restriction_audits."""
+    return restriction_audits([f], [_orders(rmax)], [ellp])[0]
 
 
 # ---------------------------------------------------------------------------

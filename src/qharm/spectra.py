@@ -13,10 +13,14 @@ vacuous constant comparison.  An instance builds each derived function
 and audit once and reuses it in every check; audits run to the top
 order, since an audit's row at order d does not depend on how far it
 goes.  A scheme instance works on stacks: f^{=d} and f^{<=d} come from
-one spectrum of f, f and its parts are audited as one stack, E_U f comes
-for every direction U from one spectrum, and the refining maxima of all
-directions take one reduction per (order, coset shape).  Violations are
-findings, returned in the rows, never exceptions.
+one spectrum f_hat of f, f and its parts are audited as one stack, and
+the influence audits of the parts come from f_hat too: one inverse
+transform per pure part and site, the cumulative parts' Laplacians as
+running sums of the pure ones.  E_U f comes for every direction U from
+one spectrum, and the refining maxima of all directions take one
+reduction per (order, coset shape).  A group instance audits the L^2
+mass and both L^{ell'} norms of its transfer jf as one stack.
+Violations are findings, returned in the rows, never exceptions.
 """
 
 from __future__ import annotations
@@ -26,18 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogolyubov import GroupSet, product_set
-from .calculus import avg_for_directions, direction_subspaces, filtered_inverses
-from .errors import ToolkitError
+from .calculus import avg_for_directions, blocks, direction_subspaces, filtered_inverses, laplacian_masks
+from .errors import ConsistencyError, ToolkitError
 from .fqlin import Memo
 from .globality import (
+    DEFAULT_ZETA,
     GlobalnessReport,
     GoodUmvirate,
+    audit_row,
     global_audit,
     global_audits,
     laplacian_audits,
-    laplacian_batches,
-    lp_global_audit,
     refining_maxima,
+    restriction_audits,
     set_global_audit,
 )
 from .groups import (
@@ -281,6 +286,10 @@ def _qpow(q: float, e: float) -> float:
     return float(q) ** e
 
 
+# ell' = ell / (ell - 1) for the ell = 4 and 8 that the inequality batteries check
+_LP_EXPONENTS = (4 / 3, 8 / 7)
+
+
 class _InstanceChecks(Memo):
     """A function under test whose derived functions and audit reports are
     memo entries, each built once; audits run to the top order, self.top."""
@@ -294,24 +303,30 @@ class _InstanceChecks(Memo):
             and np.all(np.abs(f.values.real * (f.values.real - 1)) < 1e-9)
         )
 
-    def _lp_global(self, key, g: FnTable, ellp: float) -> GlobalnessReport:
-        return self.memo(("lp", key, ellp), lambda: lp_global_audit(g, self.top, ellp))
+    def _lp_global(self, ellp: float) -> GlobalnessReport:
+        """L^{ell'} audit to self.top for an ell' of _LP_EXPONENTS, read from
+        the subclass's one stacked audit of every such ell', _lp_stack()."""
+        return self._lp_stack()[ellp]
 
 
 class SchemeInstanceChecks(_InstanceChecks):
     """All scheme-side inequality checks for one function, computed as stacks.
 
     The stacked functions are f and its parts ("pure", d) = f^{=d} and
-    ("cum", d) = f^{<=d}, d = 1..dmax, which all come from one forward
-    transform of f and one batched inverse.  The first global audit audits
-    f and every part as one stack, and the first influence audit audits
-    every part to its own degree from one forward transform of the parts;
-    the line Laplacians L_U f^{=d} are the order-1 batches of that audit.
-    E_U f comes for every direction U at once from one spectrum of f and one
-    of dualize(f) (calculus.avg_for_directions), and the refining maxima of
-    all directions take one reduction per (order, coset shape)
-    (globality.refining_maxima).  Each row equals, bit for bit, the row of
-    the per-function path that tests/oracles.py keeps as the reference.
+    ("cum", d) = f^{<=d}, d = 1..dmax, which all come from the one spectrum
+    f_hat of f and one batched inverse.  The first global audit audits f
+    and every part as one stack, and the first L^{ell'} audit audits f for
+    both ell' of _LP_EXPONENTS as a stack of two.  The influence audits of
+    the parts come from f_hat as well, with one inverse transform per pure
+    part and site (_influence_stack); the line Laplacians L_U f^{=d} are
+    its order-1 Laplacians.  E_U f comes for every direction U at once
+    from one spectrum of f and one of dualize(f)
+    (calculus.avg_for_directions), and the refining maxima of all
+    directions take one reduction per (order, coset shape)
+    (globality.refining_maxima).  The parts, the global and L^{ell'} audits,
+    E_U f and the refining maxima equal, bit for bit, those of the
+    per-function path that tests/oracles.py keeps as the reference; the
+    influence audits and line Laplacians agree with it to rounding.
     """
 
     def __init__(self, name: str, f: FnTable, dmax: int, rmax: int):
@@ -325,7 +340,9 @@ class SchemeInstanceChecks(_InstanceChecks):
         self.part_names = [("pure", d) for d in degrees] + [("cum", d) for d in degrees]
         ranks = self.ctx.rank_table_dual()
         masks = [ranks == d for d in degrees] + [ranks <= d for d in degrees]
-        parts = filtered_inverses(self.ctx, self.ctx.fourier_forward(f.values), masks)
+        spectrum = self.ctx.fourier_forward(f.values)
+        parts = filtered_inverses(self.ctx, spectrum, masks)
+        self.pure_spectra = spectrum * np.stack(masks[:self.dmax])
         self.functions = {"f": f, **{key: FnTable(self.ctx, part) for key, part in zip(self.part_names, parts)}}
 
     def pure(self, d: int) -> FnTable:
@@ -340,6 +357,10 @@ class SchemeInstanceChecks(_InstanceChecks):
         return self.memo("global", lambda: dict(zip(names, global_audits(
             [self.functions[k] for k in names], [range(self.top + 1)] * len(names)))))[key]
 
+    def _lp_stack(self) -> dict:
+        return self.memo("lp", lambda: dict(zip(_LP_EXPONENTS, restriction_audits(
+            [self.f] * len(_LP_EXPONENTS), [range(self.top + 1)] * len(_LP_EXPONENTS), _LP_EXPONENTS))))
+
     def _square_global(self, d: int) -> GlobalnessReport:
         """Global audit of (f^{<=d})^2 at order 2d alone, for every d <= dmax
         with 2d <= n + m as one stack."""
@@ -353,27 +374,59 @@ class SchemeInstanceChecks(_InstanceChecks):
 
     def _influence_stack(self):
         """(influence audit of each part to its own degree, by name; L_U f^{=d}
-        for the direction U of each order-1 site, by d).  The parts are
-        transformed once, and the line Laplacians are kept from the order-1
-        Laplacian batches of the pure parts' audits."""
+        for the direction U of each order-1 site, by d), from the pure
+        parts' spectra f_hat [rank = d].
+
+        An order-o Laplacian mask keeps only dual indices of rank >= o, so at
+        an order-o site L f^{<=D} = sum over e = o..D of L f^{=e}.  Per block
+        of sites, each f^{=e} with e >= o is inverse-transformed once per
+        site, and the Laplacians of the f^{<=e} are the running sums of
+        those pure ones in the same block.  The order-0 mask keeps every X,
+        so the order-0 rows are read off the parts' values.  At order d,
+        f^{<=d} has the Laplacians of f^{=d}, so its order-d row is f^{=d}'s
+        value and witness with its own threshold.  The line Laplacians are
+        the order-1 Laplacians of the pure parts."""
 
         def build():
             ctx = self.ctx
-            names = self.part_names
-            spectra = ctx.fourier_forward(np.array([self.functions[k].values for k in names]))
-            lines = {d: np.empty((len(ctx.restriction_pairs(1)), ctx.size), dtype=np.complex128)
-                     for kind, d in names if kind == "pure"}
+            degrees = range(1, self.dmax + 1)
+            # f^{<=1}, f^{=1}, f^{<=2}, ...: f^{<=e} is audited to order e - 1,
+            # so at order o the live parts are f^{=o}, f^{<=o+1}, f^{=o+1}, ...,
+            # the order of a block's Laplacians with L f^{<=o} left out
+            names = [(kind, d) for d in degrees for kind in ("cum", "pure")]
+            fs = [self.functions[k] for k in names]
+            lines = {d: np.empty((len(ctx.restriction_pairs(1)), ctx.size), dtype=np.complex128) for d in degrees}
 
             def laplacians(order, live):
-                for funcs, lo, laps in laplacian_batches(ctx, spectra, order, live):
-                    if order == 1:
-                        for i, lap in zip(live[funcs], laps):
-                            if names[i][0] == "pure":
-                                lines[names[i][1]][lo: lo + len(lap)] = lap
-                    yield funcs, lo, laps
+                if order == 0:
+                    for funcs, _ in blocks(len(live), 1, ctx.size):
+                        yield funcs, 0, np.array([fs[i].values for i in live[funcs]])[:, None]
+                    return
+                masks = laplacian_masks(ctx, order)
+                spectra = self.pure_spectra[order - 1:, None, :]
+                for _, sites in blocks(1, len(masks), 2 * len(spectra) * ctx.size):
+                    total = 0
+                    # the pure rows split only when one site's rows pass the bound
+                    for rows, _ in blocks(len(spectra), 1, 2 * len(masks[sites]) * ctx.size):
+                        # laps[j] = (L f^{<=e}, L f^{=e}), e = order + rows.start + j
+                        laps = np.empty((len(spectra[rows]), 2, len(masks[sites]), ctx.size), dtype=np.complex128)
+                        laps[:, 1] = ctx.fourier_inverse(spectra[rows] * masks[sites])
+                        np.cumsum(laps[:, 1], axis=0, out=laps[:, 0])
+                        laps[:, 0] += total
+                        total = laps[-1, 0]
+                        if order == 1:
+                            for d, lap in zip(degrees[rows], laps[:, 1]):
+                                lines[d][sites] = lap
+                        skip = int(rows.start == 0)  # f^{<=order}, not live
+                        yield (slice(2 * rows.start - 1 + skip, 2 * rows.stop - 1), sites.start,
+                               laps.reshape(-1, *laps.shape[2:])[skip:])
 
-            reports = laplacian_audits([self.functions[k] for k in names], [range(d + 1) for _, d in names], laplacians)
-            return dict(zip(names, reports)), lines
+            orders = [range(d + 1) if kind == "pure" else range(d) for kind, d in names]
+            reports = dict(zip(names, laplacian_audits(fs, orders, laplacians)))
+            for d in degrees:
+                row, base = reports[("pure", d)].rows[d], self.cum(d).norm2sq()
+                reports[("cum", d)].rows.append(audit_row(ctx, d, row.value, row.witness, base, DEFAULT_ZETA))
+            return reports, lines
 
         return self.memo("influence", build)
 
@@ -499,7 +552,8 @@ class SchemeInstanceChecks(_InstanceChecks):
         if base < 1e-14:
             return None
         beta = self._influences(("pure", d)).max_upto(d) / base
-        assert beta >= 1 - 1e-9
+        if beta < 1 - 1e-9:  # the order-0 row is ||f^{=d}||^2 itself
+            raise ConsistencyError(f"influence audit of f^{{={d}}} below its squared norm: beta = {beta}")
         ellp = ell / (ell - 1)
         rhs = _qpow(self.q, 420 * d * d * ell) * beta ** (1 - 2 / ell) * self.f.lp_norm(ellp) ** 2
         return _row(self.name, f"influence-level(d={d},ell={ell})", base, rhs)
@@ -507,7 +561,7 @@ class SchemeInstanceChecks(_InstanceChecks):
     def check_lp_global_influences(self, d: int, ell: int):
         """(d,eps,L^{l'})-global: f^{=d} has (d, q^{500 d^2 ell} eps^2)-small influences."""
         ellp = ell / (ell - 1)
-        eps = self._lp_global("f", self.f, ellp).value_at(d)
+        eps = self._lp_global(ellp).value_at(d)
         inf = self._influences(("pure", d)).max_upto(d)
         return _row(
             self.name,
@@ -527,8 +581,18 @@ class GroupInstanceChecks(_InstanceChecks):
         self.top = self.dmax
         self.jf = transfer(f)
 
-    def _global(self, key, g: FnTable) -> GlobalnessReport:
-        return self.memo(("global", key), lambda: global_audit(g, self.top))
+    def _audits(self) -> dict:
+        """jf's L^2 mass audit (key None) and its L^{ell'} audits for every
+        ell' of _LP_EXPONENTS, to self.top, as one stack."""
+        keys = (None, *_LP_EXPONENTS)
+        return self.memo("audits", lambda: dict(zip(keys, restriction_audits(
+            [self.jf] * len(keys), [range(self.top + 1)] * len(keys), keys))))
+
+    def _global(self) -> GlobalnessReport:
+        return self._audits()[None]
+
+    def _lp_stack(self) -> dict:
+        return self._audits()
 
     def _level(self, d: int) -> FnTable:
         """f_{<=d}, one projection for every check that reads it."""
@@ -538,7 +602,7 @@ class GroupInstanceChecks(_InstanceChecks):
         """(d,eps,L^{l'})-global on G: level weight bounded by
         q^{constant d^2 ell} ||f||_{l'}^{l'} eps^{(ell-2)/(ell-1)}."""
         ellp = ell / (ell - 1)
-        eps = self._lp_global("jf", self.jf, ellp).value_at(d)
+        eps = self._lp_global(ellp).value_at(d)
         rhs = _qpow(self.q, constant * d * d * ell) * self.f.lp_power(ellp) * eps ** ((ell - 2) / (ell - 1))
         return _row(self.name, f"{family}(d={d},ell={ell})", self._level(d).norm2sq(), rhs)
 
@@ -559,7 +623,7 @@ class GroupInstanceChecks(_InstanceChecks):
         """Boolean global: ||f_{<=d}||^2 <= q^{926 d t} E[f] eps, eps >= q^{-t^2}."""
         if not self.is_boolean:
             return None
-        eps = self._global("jf", self.jf).value_at(d)
+        eps = self._global().value_at(d)
         if eps <= 0:
             return None
         t = float(np.sqrt(max(np.log(1 / eps) / np.log(self.q), 0.0)))

@@ -146,8 +146,8 @@ MUTATIONS = [
              "refining = [[np.arange(len(s.positions)) for s in ctx.site_stacks(order)] for _ in directions]",
              (GLO + "test_stacked_audits_match_per_site_oracles[2-2-2]",)),
     Mutation("stacked audit rows filed under the previous function", "src/qharm/globality.py",
-             "reports[i].rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))",
-             "reports[i - 1].rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))",
+             "reports[i].rows.append(audit_row(ctx, d, best, witness, bases[i], zetas[i]))",
+             "reports[i - 1].rows.append(audit_row(ctx, d, best, witness, bases[i], zetas[i]))",
              (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
     Mutation("refining maxima scattered to the next function", "src/qharm/globality.py",
              "np.maximum.at(best, owner[block], _coset_mean(np.take(mass, members)).max(axis=-1))",
@@ -162,9 +162,33 @@ MUTATIONS = [
              "means = _coset_mean(rows[funcs][:, stack.members[sites]])",
              (SPE + "test_stacked_instance_checks_match_per_function_reference[2-3-3]",)),
     Mutation("line Laplacians kept from the cumulative parts", "src/qharm/spectra.py",
-             'if names[i][0] == "pure":',
-             'if names[i][0] == "cum":',
+             "for d, lap in zip(degrees[rows], laps[:, 1]):",
+             "for d, lap in zip(degrees[rows], laps[:, 0]):",
              (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
+    Mutation("cumulative Laplacians summed from e = o + 1", "src/qharm/spectra.py",
+             "np.cumsum(laps[:, 1], axis=0, out=laps[:, 0])",
+             "np.cumsum(laps[:, 1], axis=0, out=laps[:, 0]); laps[:, 0] -= laps[:1, 1]",
+             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
+    Mutation("running sum dropped between chunks of pure rows", "src/qharm/spectra.py",
+             "laps[:, 0] += total",
+             "laps[:, 0] += 0",
+             (SPE + "test_influence_stack_splits_a_site_s_rows_within_the_element_bound",)),
+    Mutation("order-0 influence rows read from f, not the part", "src/qharm/spectra.py",
+             "yield funcs, 0, np.array([fs[i].values for i in live[funcs]])[:, None]",
+             "yield funcs, 0, np.array([self.f.values for i in live[funcs]])[:, None]",
+             (SPE + "test_order_0_influence_rows_are_the_parts_squared_norms[3-2-2]",)),
+    Mutation("reused f^{<=o} row keeps the threshold of f^{=o}", "src/qharm/spectra.py",
+             'reports[("cum", d)].rows.append(audit_row(ctx, d, row.value, row.witness, base, DEFAULT_ZETA))',
+             'reports[("cum", d)].rows.append(row)',
+             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
+    Mutation("pure spectra masked with rank <= d", "src/qharm/spectra.py",
+             "self.pure_spectra = spectrum * np.stack(masks[:self.dmax])",
+             "self.pure_spectra = spectrum * np.stack(masks[self.dmax:])",
+             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
+    Mutation("L^{ell'} root applied to the mirrored row of a block", "src/qharm/globality.py",
+             "for k, root in enumerate(live_roots[funcs]):",
+             "for k, root in enumerate(live_roots[funcs][::-1]):",
+             (GLO + "test_mixed_restriction_audit_stack_matches_per_site_oracles[False]",)),
     Mutation("E_v hyperplane average reuses the first plane", "src/qharm/calculus.py",
              "quotients[vp.key] = _avg_quotient_direct(f, vp)",
              "quotients[vp.key] = _avg_quotient_direct(f, planes[0])",

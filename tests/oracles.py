@@ -41,9 +41,13 @@ globality.lp_global_audit             per_site_lp_global_audit       test_global
 globality.max_refining_restriction    max_refining_restriction_ref   test_globality::test_stacked_audits_match_per_site_oracles
 globality.influence_audit             per_site_influence_audit       test_globality::test_batched_influence_audit_matches_per_site_oracle
   (laplacian_batches)                 influence (the witness site)   test_globality::test_audit_witness_is_attained
+globality.restriction_audits          per_site_global_audit,         test_globality::test_mixed_restriction_audit_stack_matches_per_site_oracles
+  (L^2 and L^{ell'} rows, one stack)  per_site_lp_global_audit
 globality.global_audits (stacked)     per_function_global_audit      test_spectra::test_stacked_instance_checks_match_per_function_reference
 globality.lp_global_audit             per_function_lp_global_audit   test_spectra::test_stacked_instance_checks_match_per_function_reference
 globality.laplacian_audits (stacked)  per_function_influence_audit   test_spectra::test_stacked_instance_checks_match_per_function_reference
+  (from f_hat, to rounding)           per_site_influence_audit       test_spectra::test_four_norm_row_reads_the_cumulative_influence_audit
+spectra.GroupInstanceChecks (stack)   per_function_*_audit of jf     test_spectra::test_group_checks_audit_jf_as_one_stack_equal_to_one_audit_each
 globality.refining_maxima (stacked)   per_function_refining_max      test_spectra::test_stacked_instance_checks_match_per_function_reference
 calculus.avg_for_directions           avg_for_direction_ref          test_spectra::test_stacked_instance_checks_match_per_function_reference
 spectra.SchemeInstanceChecks (stacks) PerFunctionSchemeChecks        test_spectra::test_stacked_instance_checks_match_per_function_reference
@@ -586,8 +590,8 @@ class PerFunctionSchemeChecks(SchemeInstanceChecks):
     def _global(self, key):
         return self.memo(("global", key), lambda: per_function_global_audit(self.functions[key], self.top))
 
-    def _lp_global(self, key, g, ellp):
-        return self.memo(("lp", key, ellp), lambda: per_function_lp_global_audit(g, self.top, ellp))
+    def _lp_global(self, ellp):
+        return self.memo(("lp", ellp), lambda: per_function_lp_global_audit(self.f, self.top, ellp))
 
     def _square_global(self, d):
         g = self.cum(d)

@@ -16,6 +16,7 @@ from qharm.calculus import (
     derivative,
     direction_subspaces,
     laplacian,
+    laplacian_masks,
     spectral_laplacian_line,
     t_operator,
 )
@@ -331,3 +332,36 @@ def test_conditional_distribution_exhaustive():
             assert conditional_distribution_check(ctx, vp, wp, v)
         with pytest.raises(ToolkitError, match="must lie in V'"):
             conditional_distribution_check(ctx, span_of(ctx.field, [[0, 1]]), wp, v)
+
+
+RANK_DOMAINS = [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 3, 3), (2, 2, 4)]
+
+
+@pytest.mark.parametrize("q, n, m", RANK_DOMAINS)
+def test_order_o_laplacian_masks_keep_only_rank_at_least_o(q, n, m):
+    # Im(X) >= V1 and X^{-1}(V1) <= W1 force rk X >= dim V1 + codim W1 = o;
+    # the order-0 mask keeps every X, so the order-0 Laplacian is the identity
+    ctx = get_scheme(q, n, m)
+    ranks = ctx.rank_table_dual()
+    for order in range(n + m + 1):
+        masks = laplacian_masks(ctx, order)
+        assert not np.any(masks[:, ranks < order]), order
+    assert laplacian_masks(ctx, 0).all()
+
+
+@pytest.mark.parametrize("q, n, m", RANK_DOMAINS)
+def test_cumulative_laplacian_is_the_sum_of_pure_laplacians_from_its_order(q, n, m):
+    # at an order-o site, L f^{<=D} = sum over e = o..D of L f^{=e}, each part
+    # transformed on its own
+    ctx = get_scheme(q, n, m)
+    f = random_table(ctx, np.random.default_rng(q + 10 * n + 100 * m), "complex")
+    tol = 1e-12 * np.sqrt(f.norm2sq())
+    top = min(n, m)
+    pure = [ctx.fourier_forward(degree_project(f, e, "pure").values) for e in range(top + 1)]
+    for dmax in range(1, top + 1):
+        cum = ctx.fourier_forward(degree_project(f, dmax, "cumulative").values)
+        for order in range(dmax + 1):
+            masks = laplacian_masks(ctx, order)
+            want = ctx.fourier_inverse(cum * masks)
+            got = sum(ctx.fourier_inverse(pure[e] * masks) for e in range(order, dmax + 1))
+            assert np.max(np.abs(got - want)) <= tol, (dmax, order)

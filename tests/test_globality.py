@@ -28,6 +28,7 @@ from qharm.globality import (
     influence_audit,
     lp_global_audit,
     max_refining_restriction,
+    restriction_audits,
     set_global_audit,
     umvirate_normal_form,
 )
@@ -164,6 +165,24 @@ def test_stacked_audits_match_per_site_oracles(q, n, m):
         for u, side in direction_subspaces(ctx):
             for order in range(top + 1):
                 assert max_refining_restriction(f, u, side, order) == max_refining_restriction_ref(f, u, side, order)
+
+
+@pytest.mark.parametrize("small_batches", [False, True])
+def test_mixed_restriction_audit_stack_matches_per_site_oracles(monkeypatch, small_batches):
+    # L^2 masses and L^{ell'} norms in one stack, each function to its own order
+    import qharm.calculus as calculus
+
+    for q, n, m in PARITY_DOMAINS:
+        ctx = get_scheme(q, n, m)
+        if small_batches:
+            # two (function, site) pairs per block, so blocks split the stack
+            monkeypatch.setattr(calculus, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
+        fs = [random_table(ctx, RNG, kind) for kind in ("real", "boolean", "complex", "boolean")]
+        ellps, tops = [4 / 3, None, 2.0, 8 / 7], [n + m, n + m - 1, 1, n + m]
+        reports = restriction_audits(fs, [range(top + 1) for top in tops], ellps)
+        for f, ellp, top, report in zip(fs, ellps, tops, reports):
+            want = per_site_global_audit(f, top) if ellp is None else per_site_lp_global_audit(f, top, ellp)
+            assert (report.kind, report.rows) == (want.kind, want.rows)
 
 
 @pytest.mark.parametrize("q, n, m", [(2, 2, 2), (3, 2, 2), (2, 3, 3)])

@@ -21,9 +21,9 @@ from oracles import (
     sarnak_xue_ref,
 )
 from qharm.calculus import avg_for_direction, avg_for_directions, direction_subspaces
-from qharm.globality import refining_maxima
+from qharm.globality import GlobalnessReport, ReportRow, refining_maxima
 from qharm.bogolyubov import GroupSet
-from qharm.errors import ToolkitError
+from qharm.errors import ConsistencyError, ToolkitError
 from qharm.groups import (
     convolve,
     get_group,
@@ -290,29 +290,65 @@ def _scheme_rows(checks, family):
     return rows
 
 
+def _assert_rows_close(got, want):
+    """Criterion rows with the same keys, fields and verdicts; lhs and rhs
+    agree by _close, and the margins within 1e-12 of the larger side."""
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    rounded = ("lhs", "rhs", "margin")
+    assert {k: v for k, v in got.items() if k not in rounded} == {k: v for k, v in want.items() if k not in rounded}
+    assert got.keys() == want.keys() and _close(got["lhs"], want["lhs"]) and _close(got["rhs"], want["rhs"]), (got, want)
+    scale = max(abs(want["lhs"]), abs(want["rhs"]))
+    assert got["margin"] == want["margin"] or abs(got["margin"] - want["margin"]) <= 1e-12 * scale, (got, want)
+
+
+def _assert_influence_rows_close(got, want, scale):
+    """Influence report rows of one part: order, threshold and verdict equal;
+    the value within 1e-12 max(|ref|, scale), scale = ||f||_2^2 of the
+    instance; the witness equal wherever the reference value exceeds
+    1e-12 scale (below that, ties in rounding noise may pick another coset)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.order, g.threshold, g.passed) == (w.order, w.threshold, w.passed)
+        assert abs(g.value - w.value) <= 1e-12 * max(abs(w.value), scale), (g, w)
+        if w.value > 1e-12 * scale:
+            assert g.witness == w.witness, (g, w)
+
+
 @pytest.mark.parametrize("q, n, m", [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 3, 3)])
 def test_stacked_instance_checks_match_per_function_reference(q, n, m):
-    """Stacked instance checks against the one-function-at-a-time path: every
-    criterion-3 and criterion-4 row, every audit report row, every E_U f and
-    every L_U f^{=d} are equal bit for bit."""
+    """Stacked instance checks against the one-function-at-a-time path.  The
+    parts, every global and L^{ell'} audit row, every E_U f and every
+    refining max are equal bit for bit.  The influence audits and line
+    Laplacians come from sums of transforms of f_hat's pure parts where the
+    reference transforms each part, so they, and the criterion rows that
+    read them, agree to rounding: rows by _assert_rows_close, influence rows
+    by _assert_influence_rows_close, L_U f^{=d} within 1e-12
+    max(max |ref|, ||f||_2)."""
     ctx = get_scheme(q, n, m)
     dirs = direction_subspaces(ctx)
     for name, f, _ in spectra.scheme_corpus(ctx, np.random.default_rng(q * n * m), 4, 2):
+        scale = f.norm2sq()
         for family, dmax, rmax in ((3, min(3, n, m), 3), (4, 2, 2)):
             got, want = SchemeInstanceChecks(name, f, dmax, rmax), PerFunctionSchemeChecks(name, f, dmax, rmax)
-            assert _scheme_rows(got, family) == _scheme_rows(want, family)
+            got_rows, want_rows = _scheme_rows(got, family), _scheme_rows(want, family)
+            assert len(got_rows) == len(want_rows)
+            for got_row, want_row in zip(got_rows, want_rows):
+                _assert_rows_close(got_row, want_row)
             for key, g in got.functions.items():
                 assert g.values.tobytes() == want.functions[key].values.tobytes()
                 assert got._global(key).rows == per_function_global_audit(g, got.top).rows
                 if key != "f":
-                    assert got._influences(key).rows == per_function_influence_audit(g, key[1]).rows
+                    _assert_influence_rows_close(got._influences(key).rows,
+                                                 per_function_influence_audit(g, key[1]).rows, scale)
             for ellp in (4 / 3, 8 / 7):
-                assert got._lp_global("f", f, ellp).rows == per_function_lp_global_audit(f, got.top, ellp).rows
+                assert got._lp_global(ellp).rows == per_function_lp_global_audit(f, got.top, ellp).rows
             for d in range(1, got.dmax + 1):
                 lines = want.line_laplacians(d)
                 assert len(got._influence_stack()[1][d]) == len(lines)
                 for lap, (_, _, ref) in zip(got._influence_stack()[1][d], lines):
-                    assert lap.tobytes() == ref.tobytes()
+                    assert np.max(np.abs(lap - ref)) <= 1e-12 * max(np.max(np.abs(ref)), np.sqrt(scale))
         averages = avg_for_directions(f, dirs)
         for (u, side), avg in zip(dirs, averages):
             ref = avg_for_direction_ref(f, u, side).tobytes()
@@ -330,9 +366,65 @@ def test_four_norm_row_reads_the_cumulative_influence_audit():
     checks = SchemeInstanceChecks("f", f, 2, 2)
     for d in (1, 2):
         g = degree_project(f, d, "cumulative")
-        eps = per_site_influence_audit(g, d).max_upto(d)
+        ref = per_site_influence_audit(g, d)
+        _assert_influence_rows_close(checks._influences(("cum", d)).rows, ref.rows, f.norm2sq())
         row = checks.check_four_norm(d)
-        assert (row["lhs"], row["rhs"]) == (g.lp_power(4), float(ctx.q) ** (103 * d * d) * eps * g.norm2sq())
+        assert row["lhs"] == g.lp_power(4)
+        assert _close(row["rhs"], float(ctx.q) ** (103 * d * d) * ref.max_upto(d) * g.norm2sq())
+
+
+def test_influence_stack_splits_a_site_s_rows_within_the_element_bound(monkeypatch):
+    # a bound of two rows splits each site's pure rows into chunks of one,
+    # the running sum carried from chunk to chunk; every Laplacian batch
+    # keeps the bound, and the audits agree with the unsplit ones
+    import qharm.calculus as calculus
+
+    ctx = get_scheme(2, 3, 3)
+    f = random_table(ctx, np.random.default_rng(6), "complex")
+    whole, whole_lines = SchemeInstanceChecks("f", f, 3, 3)._influence_stack()
+    bound = 2 * ctx.size
+    monkeypatch.setattr(calculus, "_LAPLACIAN_BATCH_ELEMENTS", bound)
+    sizes = []
+    audits = spectra.laplacian_audits
+
+    def recording(fs, orders, laplacians):
+        def batches(d, live):
+            for funcs, lo, laps in laplacians(d, live):
+                sizes.append(laps.size)
+                yield funcs, lo, laps
+        return audits(fs, orders, batches)
+
+    monkeypatch.setattr(spectra, "laplacian_audits", recording)
+    split, lines = SchemeInstanceChecks("f", f, 3, 3)._influence_stack()
+    assert max(sizes) == bound
+    for key, report in split.items():
+        _assert_influence_rows_close(report.rows, whole[key].rows, f.norm2sq())
+    for d, lap in lines.items():
+        assert lap.tobytes() == whole_lines[d].tobytes()
+
+
+@pytest.mark.parametrize("q, n, m", [(3, 2, 2), (2, 3, 3)])
+def test_order_0_influence_rows_are_the_parts_squared_norms(q, n, m):
+    # the order-0 Laplacian is the identity, so each part's order-0 row is
+    # read off the part's own values
+    ctx = get_scheme(q, n, m)
+    for name, f, _ in spectra.scheme_corpus(ctx, np.random.default_rng(4), 2, 2):
+        checks = SchemeInstanceChecks(name, f, 3, 3)
+        for key in checks.part_names:
+            row = checks._influences(key).rows[0]
+            assert (row.order, row.value) == (0, checks.functions[key].norm2sq())
+
+
+def test_influence_level_weight_refuses_an_audit_below_the_squared_norm(monkeypatch):
+    # beta >= 1 holds because the order-0 influence row is ||f^{=d}||^2; an
+    # audit that breaks it raises, also under python -O
+    ctx = get_scheme(2, 2, 2)
+    checks = SchemeInstanceChecks("f", random_table(ctx, np.random.default_rng(5), "real"), 2, 2)
+    assert checks.check_influence_level_weight(1, 4)["holds"]
+    low = GlobalnessReport("influence", [ReportRow(0, 0.0, "", 0.0, True)])
+    monkeypatch.setattr(SchemeInstanceChecks, "_influences", lambda self, key: low)
+    with pytest.raises(ConsistencyError, match="beta"):
+        checks.check_influence_level_weight(1, 4)
 
 
 @pytest.mark.parametrize("key", [("sl", 2, 3), ("sl", 3, 2), ("gl", 2, 2)])
@@ -343,6 +435,16 @@ def test_tensor_level_check_reads_the_strict_levels_inside_sl(key):
     strict = checks.check_strict_level_weight(1, 4)
     tensor = checks.check_tensor_level_weight(1, 4)
     assert tensor["lhs"] == strict["lhs"] == level_project(checks.f, 1).norm2sq()
+
+
+@pytest.mark.parametrize("key", [("sl", 2, 3), ("sl", 3, 2)])
+def test_group_checks_audit_jf_as_one_stack_equal_to_one_audit_each(key):
+    # the L^2 mass and both L^{ell'} audits of jf come from one stack
+    g = get_group(*key)
+    checks = GroupInstanceChecks("inst", g.indicator(np.arange(0, g.size, 3)), 2)
+    assert checks._global().rows == per_function_global_audit(checks.jf, checks.top).rows
+    for ellp in (4 / 3, 8 / 7):
+        assert checks._lp_global(ellp).rows == per_function_lp_global_audit(checks.jf, checks.top, ellp).rows
 
 
 def test_tensor_level_check_refuses_a_determinant_other_than_1():
