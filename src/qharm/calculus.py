@@ -201,7 +201,7 @@ def derivative(f: FnTable, site: RestrictionSite) -> FnTable:
 
 def _avg_quotient_direct(f: FnTable, vp: Subspace) -> np.ndarray:
     ctx = _scheme_of(f)
-    wfull = full_space(ctx.field, ctx.m)
+    (wfull,) = ctx.subspaces("w", ctx.m)
     _, members = ctx.site_cosets(vp, wfull)
     out = np.empty_like(f.values)
     out[members] = np.mean(f.values[members], axis=1)[:, None]
@@ -264,11 +264,13 @@ def _planes_avoiding(ctx: SchemeCtx, v: np.ndarray) -> list[Subspace]:
     return ctx.memo(("planes_avoiding", encode_vector(v, ctx.q)), build)
 
 
-def _direction_averages(f: FnTable, vs: list[np.ndarray], wps: list[Subspace]) -> np.ndarray:
+def _direction_averages(f: FnTable, vs: list[np.ndarray], wps: list[Subspace],
+                        spectrum: np.ndarray | None = None) -> np.ndarray:
     """E_v f for each nonzero vector v of vs, then E_{W'} f for each
     hyperplane W' of wps, as the rows of one array.
 
-    All of them come from the one spectrum of f, and the E_{W'} composites
+    All of them come from the one spectrum of f (fourier_forward(f.values),
+    transformed here unless the caller passes it), and the E_{W'} composites
     from the one spectrum of dualize(f).  Each direction keeps its own
     cross-checks: E_v against the rank-one resampling distribution B_v and
     against the hyperplane average of e_{V/V'} (each e_{V/V'} f is built once
@@ -279,7 +281,8 @@ def _direction_averages(f: FnTable, vs: list[np.ndarray], wps: list[Subspace]) -
     if not all(np.any(v) for v in vs):
         raise ToolkitError("E_v requires a nonzero vector")
     phis = [annihilator_functional(ctx, wp) for wp in wps]
-    spectrum = ctx.fourier_forward(f.values)
+    if spectrum is None:
+        spectrum = ctx.fourier_forward(f.values)
     out = filtered_inverses(ctx, spectrum, [vector_avg_factors(ctx, v) for v in vs]
                             + [dual_avg_factors(ctx, wp) for wp in wps])
     quotients: dict = {}
@@ -317,16 +320,23 @@ def avg_vector(f: FnTable, v: np.ndarray) -> FnTable:
 
 
 def annihilator_functional(ctx: SchemeCtx, wp: Subspace) -> np.ndarray:
-    """Canonical nonzero functional vanishing on a codimension-1 subspace."""
+    """Canonical nonzero functional vanishing on a codimension-1 subspace: a
+    memo entry of ctx per W', read-only."""
     if wp.dim != ctx.m - 1:
         raise ToolkitError("expected a codimension-1 subspace of W")
-    if wp.dim == 0:
-        phi = np.zeros(ctx.m, dtype=np.uint8)
-        phi[0] = 1
+
+    def build():
+        if wp.dim == 0:
+            phi = np.zeros(ctx.m, dtype=np.uint8)
+            phi[0] = 1
+        else:
+            ker = kernel_basis(ctx.field, wp.basis)
+            assert ker.shape[0] == 1
+            phi = ker[0].copy()
+        phi.setflags(write=False)
         return phi
-    ker = kernel_basis(ctx.field, wp.basis)
-    assert ker.shape[0] == 1
-    return ker[0]
+
+    return ctx.memo(("annihilator", wp.key), build)
 
 
 def avg_dual(f: FnTable, wp: Subspace) -> FnTable:
@@ -340,11 +350,13 @@ def _avg_vector_spectral(f: FnTable, v: np.ndarray) -> np.ndarray:
     return ctx.fourier_inverse(ctx.fourier_forward(f.values) * vector_avg_factors(ctx, v))
 
 
-def avg_for_directions(f: FnTable, directions) -> list[FnTable]:
+def avg_for_directions(f: FnTable, directions, spectrum: np.ndarray | None = None) -> list[FnTable]:
     """E_U f for each direction (U, side) of directions: a line U in V (side
     'v') or a hyperplane U in W (side 'w').  One spectrum of f (and one of
-    dualize(f) when a hyperplane is present) serves every direction; each
-    E_U f equals avg_for_direction(f, U, side) bit for bit."""
+    dualize(f) when a hyperplane is present) serves every direction; a
+    caller that holds f's spectrum, fourier_forward(f.values), passes it
+    and f is not transformed again.  Each E_U f equals
+    avg_for_direction(f, U, side) bit for bit."""
     vs, wps = [], []
     for u, side in directions:
         if side == "v":
@@ -355,7 +367,7 @@ def avg_for_directions(f: FnTable, directions) -> list[FnTable]:
             wps.append(u)
         else:
             raise ToolkitError(f"unknown side {side!r}")
-    rows = _direction_averages(f, vs, wps)
+    rows = _direction_averages(f, vs, wps, spectrum)
     v_rows, w_rows = iter(rows[: len(vs)]), iter(rows[len(vs):])
     return [FnTable(f.domain, next(v_rows if side == "v" else w_rows)) for _, side in directions]
 

@@ -9,7 +9,9 @@ rows may mix L^2 masses and L^{ell'} norms, laplacian_audits,
 refining_maxima), each block of sites of one coset shape gathered and
 averaged once for the whole stack; the one-function entry points are the
 stacks of one, and a function's rows never depend on the rest of its
-stack.
+stack.  Index arrays that depend only on the scheme (site stacks,
+refining rows, the refining index of a direction list) are memo entries
+of the scheme, built once; a call builds only its functions' values.
 
 Set audits enumerate mixed umvirate systems built from both group
 actions: row constraints g v = w and functional constraints g^T phi =
@@ -269,6 +271,31 @@ def influence_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> Global
     return laplacian_audits([f], [_orders(dmax)], lambda d, live: laplacian_batches(ctx, spectra, d, live), zeta)[0]
 
 
+def refining_index(ctx: SchemeCtx, directions, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each stack of site_stacks(order), (owner, sites): the rows `sites`
+    of the stack's sites that refine directions[i] (SchemeCtx.refining_rows),
+    concatenated over i, and owner[j] = i beside them.
+
+    A memo entry of ctx per order and direction list, keyed by the
+    directions' (U.key, side), so each is built once; the arrays are
+    shared with every later call and read-only."""
+    key = ("refining_index", order, tuple((u.key, side) for u, side in directions))
+
+    def build():
+        refining = [ctx.refining_rows(u, side, order) for u, side in directions]
+        index = []
+        for s in range(len(ctx.site_stacks(order))):
+            pairs = [(i, rows[s]) for i, rows in enumerate(refining)]
+            owner = np.concatenate([np.full(sites.size, i) for i, sites in pairs])
+            sites = np.concatenate([sites for _, sites in pairs])
+            owner.setflags(write=False)
+            sites.setflags(write=False)
+            index.append((owner, sites))
+        return index
+
+    return ctx.memo(key, build)
+
+
 def refining_maxima(fs: list[FnTable], directions, order: int) -> np.ndarray:
     """For each i, the max restriction mass of fs[i] over the order-`order`
     sites refining the direction directions[i] = (U, side); -1.0 where no
@@ -276,21 +303,17 @@ def refining_maxima(fs: list[FnTable], directions, order: int) -> np.ndarray:
 
     Restrictions compose, so the r-restrictions of f_{U->T} over every T
     are exactly the (r+1)-restrictions of f at sites with V' >= U (side
-    'v') or W' <= U (side 'w').  Those sites are cached rows of the
-    order's site stacks (SchemeCtx.refining_rows), so a call does no
-    subspace containment tests once the rows for (U, side, order) exist.
-    Per stack, the refining (function, site) pairs of every direction are
-    gathered in blocks and averaged at once, and each function keeps the
-    max of its own pairs (np.maximum.at).
+    'v') or W' <= U (side 'w').  Those sites are the rows of the order's
+    site stacks that refining_index holds, built once per (order,
+    directions), so a call does no subspace containment tests and builds
+    no index array: per stack, the refining (function, site) pairs of
+    every direction are gathered in blocks and averaged at once, and each
+    function keeps the max of its own pairs (np.maximum.at).
     """
     ctx = _scheme_of(fs[0])
     mass = (np.abs(np.array([f.values for f in fs])) ** 2).reshape(-1)
-    refining = [ctx.refining_rows(u, side, order) for u, side in directions]
     best = np.full(len(fs), -1.0)
-    for s, stack in enumerate(ctx.site_stacks(order)):
-        pairs = [(i, rows[s]) for i, rows in enumerate(refining)]
-        owner = np.concatenate([np.full(sites.size, i) for i, sites in pairs])
-        sites = np.concatenate([sites for _, sites in pairs])
+    for stack, (owner, sites) in zip(ctx.site_stacks(order), refining_index(ctx, directions, order)):
         for _, block in blocks(1, owner.size, ctx.size):
             members = stack.members[sites[block]] + (owner[block] * ctx.size)[:, None, None]
             np.maximum.at(best, owner[block], _coset_mean(np.take(mass, members)).max(axis=-1))

@@ -17,7 +17,7 @@ one spectrum f_hat of f, f and its parts are audited as one stack, and
 the influence audits of the parts come from f_hat too: one inverse
 transform per pure part and site, the cumulative parts' Laplacians as
 running sums of the pure ones.  E_U f comes for every direction U from
-one spectrum, and the refining maxima of all directions take one
+f_hat as well, and the refining maxima of all directions take one
 reduction per (order, coset shape).  A group instance audits the L^2
 mass and both L^{ell'} norms of its transfer jf as one stack.
 Violations are findings, returned in the rows, never exceptions.
@@ -320,13 +320,15 @@ class SchemeInstanceChecks(_InstanceChecks):
     the parts come from f_hat as well, with one inverse transform per pure
     part and site (_influence_stack); the line Laplacians L_U f^{=d} are
     its order-1 Laplacians.  E_U f comes for every direction U at once
-    from one spectrum of f and one of dualize(f)
-    (calculus.avg_for_directions), and the refining maxima of all
-    directions take one reduction per (order, coset shape)
-    (globality.refining_maxima).  The parts, the global and L^{ell'} audits,
-    E_U f and the refining maxima equal, bit for bit, those of the
-    per-function path that tests/oracles.py keeps as the reference; the
-    influence audits and line Laplacians agree with it to rounding.
+    from f_hat, which the instance keeps, and one spectrum of dualize(f)
+    (calculus.avg_for_directions), so f is transformed once per instance.
+    The refining maxima of all directions take one reduction per (order,
+    coset shape) over index arrays that the scheme builds once per (order,
+    direction list) (globality.refining_maxima).  The parts, the global
+    and L^{ell'} audits, E_U f and the refining maxima equal, bit for
+    bit, those of the per-function path that tests/oracles.py keeps as
+    the reference; the influence audits and line Laplacians agree with it
+    to rounding.
     """
 
     def __init__(self, name: str, f: FnTable, dmax: int, rmax: int):
@@ -340,9 +342,9 @@ class SchemeInstanceChecks(_InstanceChecks):
         self.part_names = [("pure", d) for d in degrees] + [("cum", d) for d in degrees]
         ranks = self.ctx.rank_table_dual()
         masks = [ranks == d for d in degrees] + [ranks <= d for d in degrees]
-        spectrum = self.ctx.fourier_forward(f.values)
-        parts = filtered_inverses(self.ctx, spectrum, masks)
-        self.pure_spectra = spectrum * np.stack(masks[:self.dmax])
+        self.spectrum = self.ctx.fourier_forward(f.values)
+        parts = filtered_inverses(self.ctx, self.spectrum, masks)
+        self.pure_spectra = self.spectrum * np.stack(masks[:self.dmax])
         self.functions = {"f": f, **{key: FnTable(self.ctx, part) for key, part in zip(self.part_names, parts)}}
 
     def pure(self, d: int) -> FnTable:
@@ -434,11 +436,14 @@ class SchemeInstanceChecks(_InstanceChecks):
         """Influence audit of the part named ("cum", d) or ("pure", d), to order d."""
         return self._influence_stack()[0][key]
 
+    def averages(self) -> list[FnTable]:
+        """E_U f for each direction U of self.directions, from f_hat."""
+        return self.memo("averages", lambda: avg_for_directions(self.f, self.directions, self.spectrum))
+
     def _averaged_refining_max(self, order: int) -> float:
         """Max over the directions U of the max restriction mass of E_U f over
         the order-`order` sites refining U."""
-        averages = self.memo("averages", lambda: avg_for_directions(self.f, self.directions))
-        return float(np.max(refining_maxima(averages, self.directions, order), initial=-1.0))
+        return float(np.max(refining_maxima(self.averages(), self.directions, order), initial=-1.0))
 
     def _line_refining_max(self, d: int, order: int) -> float:
         """Max over the directions U of the max restriction mass of L_U f^{=d}

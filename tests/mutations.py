@@ -145,6 +145,14 @@ MUTATIONS = [
              "refining = [ctx.refining_rows(u, side, order) for u, side in directions]",
              "refining = [[np.arange(len(s.positions)) for s in ctx.site_stacks(order)] for _ in directions]",
              (GLO + "test_stacked_audits_match_per_site_oracles[2-2-2]",)),
+    Mutation("refining index memo key without the order", "src/qharm/globality.py",
+             'key = ("refining_index", order, tuple((u.key, side) for u, side in directions))',
+             'key = ("refining_index", tuple((u.key, side) for u, side in directions))',
+             (GLO + "test_refining_index_is_built_once_per_order_and_direction_list[2-2-2]",)),
+    Mutation("refining index memo key without the directions", "src/qharm/globality.py",
+             'key = ("refining_index", order, tuple((u.key, side) for u, side in directions))',
+             'key = ("refining_index", order)',
+             (GLO + "test_refining_index_is_built_once_per_order_and_direction_list[2-2-2]",)),
     Mutation("stacked audit rows filed under the previous function", "src/qharm/globality.py",
              "reports[i].rows.append(audit_row(ctx, d, best, witness, bases[i], zetas[i]))",
              "reports[i - 1].rows.append(audit_row(ctx, d, best, witness, bases[i], zetas[i]))",
@@ -182,8 +190,8 @@ MUTATIONS = [
              'reports[("cum", d)].rows.append(row)',
              (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
     Mutation("pure spectra masked with rank <= d", "src/qharm/spectra.py",
-             "self.pure_spectra = spectrum * np.stack(masks[:self.dmax])",
-             "self.pure_spectra = spectrum * np.stack(masks[self.dmax:])",
+             "self.pure_spectra = self.spectrum * np.stack(masks[:self.dmax])",
+             "self.pure_spectra = self.spectrum * np.stack(masks[self.dmax:])",
              (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
     Mutation("L^{ell'} root applied to the mirrored row of a block", "src/qharm/globality.py",
              "for k, root in enumerate(live_roots[funcs]):",

@@ -49,7 +49,10 @@ globality.laplacian_audits (stacked)  per_function_influence_audit   test_spectr
   (from f_hat, to rounding)           per_site_influence_audit       test_spectra::test_four_norm_row_reads_the_cumulative_influence_audit
 spectra.GroupInstanceChecks (stack)   per_function_*_audit of jf     test_spectra::test_group_checks_audit_jf_as_one_stack_equal_to_one_audit_each
 globality.refining_maxima (stacked)   per_function_refining_max      test_spectra::test_stacked_instance_checks_match_per_function_reference
+  (one refining_index per order and   per_function_refining_max      test_globality::test_refining_index_is_built_once_per_order_and_direction_list
+  direction list)
 calculus.avg_for_directions           avg_for_direction_ref          test_spectra::test_stacked_instance_checks_match_per_function_reference
+  (from the instance's f_hat)         avg_for_directions             test_spectra::test_criterion_3_instance_transforms_f_once
 spectra.SchemeInstanceChecks (stacks) PerFunctionSchemeChecks        test_spectra::test_stacked_instance_checks_match_per_function_reference
 globality.set_global_audit            reference_set_global_audit     test_set_audit_parity::test_set_audit_equals_dense_reference
   (witnesses memoized per cell)       reference_set_global_audit     test_set_audit_parity::test_back_to_back_audits_keep_their_own_witnesses

@@ -43,7 +43,7 @@ from qharm.spectra import (
     sarnak_xue_check,
     violations,
 )
-from qharm.scheme import degree_project, get_scheme, random_table
+from qharm.scheme import SchemeCtx, degree_project, get_scheme, random_table
 
 RNG = np.random.default_rng(777)
 
@@ -356,6 +356,29 @@ def test_stacked_instance_checks_match_per_function_reference(q, n, m):
         for order in range(n + m + 1):
             want = [per_function_refining_max(avg, u, side, order) for avg, (u, side) in zip(averages, dirs)]
             assert refining_maxima(averages, dirs, order).tolist() == want
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 2, 2), (3, 2, 2)])
+def test_criterion_3_instance_transforms_f_once(monkeypatch, q, n, m):
+    # E_U f comes from the instance's f_hat: the criterion-3 rows transform f
+    # once, and the averages equal avg_for_directions' own transform of f
+    ctx = get_scheme(q, n, m)
+    f = random_table(ctx, np.random.default_rng(q), "real")
+    forward = SchemeCtx.fourier_forward
+    transforms_of_f = []
+
+    def counting(self, values):
+        if self is ctx and np.asarray(values).tobytes() == f.values.tobytes():
+            transforms_of_f.append(values)
+        return forward(self, values)
+
+    monkeypatch.setattr(SchemeCtx, "fourier_forward", counting)
+    checks = SchemeInstanceChecks("f", f, 2, 3)
+    assert any(row is not None for row in _scheme_rows(checks, 3))
+    assert len(transforms_of_f) == 1
+    monkeypatch.undo()
+    for got, want in zip(checks.averages(), avg_for_directions(f, checks.directions), strict=True):
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_four_norm_row_reads_the_cumulative_influence_audit():
