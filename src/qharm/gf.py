@@ -171,12 +171,6 @@ class FieldCtx:
 
     # -- scalar operations --------------------------------------------------
 
-    def add(self, x: int, y: int) -> int:
-        return int(self.add_table[x, y])
-
-    def mul(self, x: int, y: int) -> int:
-        return int(self.mul_table[x, y])
-
     def neg(self, x: int) -> int:
         return int(self.neg_table[x])
 

@@ -13,11 +13,11 @@ wherever every determinant is 1 (SL_n, and GL_n(F_2)).  The span at
 level d is the sum of the isotypic components of the irreducibles with a
 vector fixed by H_d, the pointwise stabilizer of e_1, ..., e_d, so one
 character table (Burnside-Dixon, `get_characters`) gives every level, its
-irreducible dimensions and, through the central idempotents, an
-orthonormal basis of each component.  Each component then yields one
-unitary irreducible representation, tabulated on every element, so an
-operator T_f on a level reduces to one small Fourier coefficient per
-irreducible.
+irreducible dimensions and, as one real class function per level, its
+projector: one |G| x |G| real kernel, no basis.  Each component, the
+range of a central idempotent, yields one unitary irreducible
+representation, tabulated on every element, so an operator T_f on a
+level reduces to one small Fourier coefficient per irreducible.
 
 Conventions: set audits read one table of dictator systems per group
 (`GroupTable.dictator_systems`).  A system of order s fixes the images of
@@ -50,8 +50,8 @@ class GroupTable(Memo):
     """Enumerated SL or GL with index maps, inverses, and class labels.
 
     Its derived tables (products, actions, classes, dictator systems, block
-    subgroups, characters, levels, isotypic blocks and report, irreducibles)
-    are memo entries, each held once."""
+    subgroups, characters, levels and their kernels, isotypic report,
+    irreducibles) are memo entries, each held once."""
 
     def __init__(self, kind: str, n: int, field: FieldCtx):
         if kind not in ("sl", "gl"):
@@ -397,63 +397,68 @@ def _character_table(group: GroupTable) -> Characters:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LevelBasisSet:
-    """Nested orthonormal bases of L^2(G)_{<=d}: the isotypic blocks in
-    character-table order, hence in level order."""
+class Levels:
+    """psi[d] = Psi_{=d}, the sum of chi(1) conj(chi) over the irreducibles of
+    level d: convolution by it projects onto L^2(G)_{=d}."""
 
     dims: list[int]  # dims[d] = dim L^2(G)_{<=d}
-    basis: np.ndarray  # (|G|, |G|), prefix-nested across levels
-
-    def cum_basis(self, d: int) -> np.ndarray:
-        return self.basis[: self.dims[d]]
-
-    def eq_basis(self, d: int) -> np.ndarray:
-        lo = self.dims[d - 1] if d > 0 else 0
-        return self.basis[lo: self.dims[d]]
+    psi: np.ndarray  # (n + 1, |G|) float
 
 
-def get_levels(group: GroupTable) -> LevelBasisSet:
-    """Every level of the group, a memo entry of the group.
-
-    The isotypic block of rho is the range of its central idempotent,
-    convolution by chi(1) conj(chi): it is applied to chi(1)^2 seeded
-    complex columns, which are then orthonormalized, and the two steps are
-    done twice, since after one pass a block leaks up to about 1e-11 into
-    the others."""
-    return group.memo("levels", lambda: _level_basis(group))
+def get_levels(group: GroupTable) -> Levels:
+    """Every level of the group, read off the character table; a memo entry
+    of the group.  A level is closed under duals, so Psi_{=d} is real:
+    raises RefinementError if its imaginary part exceeds _CHARACTER_TOL."""
+    return group.memo("levels", lambda: _level_functions(group))
 
 
-def _level_basis(group: GroupTable) -> LevelBasisSet:
+def _level_functions(group: GroupTable) -> Levels:
     chars = get_characters(group)
-    rng = np.random.default_rng(0)
-    basis = np.empty((group.size, group.size), dtype=np.complex128)
-    row = 0
-    for i, degree in enumerate(chars.degrees):
-        project = convolver(group.table(degree * np.conj(chars.values(i))))
-        cols = rng.standard_normal((group.size, degree**2)) + 1j * rng.standard_normal((group.size, degree**2))
-        for _ in range(2):
-            cols = np.linalg.qr(project(cols))[0]
-        basis[row: row + degree**2] = np.sqrt(group.size) * cols.T
-        row += degree**2
-    return LevelBasisSet(chars.level_dims(), basis)
+    weighted = chars.degrees[:, None] * np.conj(chars.table)
+    psi = np.stack([weighted[chars.levels == d].sum(axis=0) for d in range(group.n + 1)])
+    off = np.max(np.abs(psi.imag))
+    if not off <= _CHARACTER_TOL:
+        raise RefinementError(f"a level's class function has imaginary part {off:.2e}")
+    return Levels(chars.level_dims(), psi.real[:, chars.classes])
 
 
-def _project(f: FnTable, b: np.ndarray) -> FnTable:
-    """Orthogonal projection of f onto the rows b, orthonormal under E_G; the
-    coefficients conj(b @ conj(f)) / |G| need no conjugate copy of b."""
-    group = _group_of(f)
-    coeffs = np.conj(b @ np.conj(f.values)) / group.size
-    return FnTable(group, coeffs @ b)
+def _check_order(group: GroupTable, d: int) -> None:
+    if not 0 <= d <= group.n:
+        raise ToolkitError(f"level order d={d} must lie in [0, n={group.n}]")
+
+
+def level_kernel(group: GroupTable, d: int) -> np.ndarray:
+    """K_d[x, y] = Psi_{=d}(x y^-1) / |G|, the real symmetric matrix of the
+    orthogonal projection onto L^2(G)_{=d}; a memo entry of the group, built
+    on first use by one gather."""
+    _check_order(group, d)
+
+    def build():
+        kern = get_levels(group).psi[d][group.xyinv_table()]
+        kern /= group.size
+        return kern
+
+    return group.memo(("level_kernel", d), build)
+
+
+def _pairs(f: FnTable) -> np.ndarray:
+    """f's values as a (|G|, 2) real view of their (re, im) pairs, so that a
+    real kernel applies to both parts in one product."""
+    return np.ascontiguousarray(f.values).view(np.float64).reshape(-1, 2)
 
 
 def level_project(f: FnTable, d: int) -> FnTable:
-    """Orthogonal projection f_{<=d}; f_{=d} via level_project_eq."""
-    return _project(f, get_levels(_group_of(f)).cum_basis(d))
+    """Orthogonal projection f_{<=d}, the sum of the f_{=e} for e <= d."""
+    group = _group_of(f)
+    _check_order(group, d)
+    pairs = _pairs(f)
+    return FnTable(group, sum(level_kernel(group, e) @ pairs for e in range(d + 1)).view(np.complex128).reshape(-1))
 
 
 def level_project_eq(f: FnTable, d: int) -> FnTable:
     """Orthogonal projection f_{=d} onto the strict level d."""
-    return _project(f, get_levels(_group_of(f)).eq_basis(d))
+    group = _group_of(f)
+    return FnTable(group, (level_kernel(group, d) @ _pairs(f)).view(np.complex128).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +544,12 @@ class IsotypicReport:
         return int(sum(dim * dim for v in self.component_dims.values() for dim in v))
 
 
-def isotypic_blocks(group: GroupTable) -> dict[int, list[np.ndarray]]:
-    """Per level d, the orthonormal basis of the isotypic block of each
-    irreducible of level d, in character-table order: row views of the
-    level basis, a memo entry of the group; callers must not mutate them."""
-
-    def build():
-        chars = get_characters(group)
-        blocks = np.split(get_levels(group).basis, np.cumsum(chars.degrees**2)[:-1])
-        return {d: [b for b, level in zip(blocks, chars.levels) if level == d] for d in range(group.n + 1)}
-
-    return group.memo("isotypic_blocks", build)
+def isotypic_projector(group: GroupTable, i: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Convolution by chi_i(1) conj(chi_i), the central idempotent of
+    irreducible i of the character table: the orthogonal projection onto
+    its isotypic block."""
+    chars = get_characters(group)
+    return convolver(group.table(chars.degrees[i] * np.conj(chars.values(i))))
 
 
 def isotypic_refine(group: GroupTable) -> IsotypicReport:
@@ -642,7 +642,7 @@ def _generation_layers(group: GroupTable, gens: np.ndarray):
 
 
 def _build_irreducibles(group: GroupTable) -> dict[int, list[Irreducible]]:
-    blocks = isotypic_blocks(group)
+    chars = get_characters(group)
     mul = group.mul_table()
     rng = np.random.default_rng(0)
     gens = rng.choice(group.size, size=min(_IRREP_ELEMENTS, group.size), replace=False)
@@ -653,35 +653,41 @@ def _build_irreducibles(group: GroupTable) -> dict[int, list[Irreducible]]:
     right, right_inv = mul[:, gens].T, mul[:, group.inv[gens]].T
     left_inv = mul[group.inv[gens]]  # h(s^-1 x)
 
-    out: dict[int, list[Irreducible]] = {}
-    for d, blist in blocks.items():
-        out[d] = []
-        for qb in blist:
-            k = int(round(np.sqrt(qb.shape[0])))
-            # A = sum_k conj(w_k) R_{s_k^-1} + w_k R_{s_k} on the block: I_k (x) B
-            # for a generic Hermitian B, so its top eigenspace is a minimal left ideal
-            moved = sum(w.conjugate() * qb[:, ri] + w * qb[:, r] for w, r, ri in zip(weights, right, right_inv))
-            mat = qb.conj() @ moved.T / group.size  # mat[i, j] = <A q_j, q_i>
-            vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-            if k > 1 and not vals[-k] - vals[-k - 1] > _IRREP_GAP:
-                raise RefinementError(f"right-translation eigen-gap {vals[-k] - vals[-k - 1]:.2e} "
-                                      f"at level {d} (degree {k}) is not above {_IRREP_GAP}")
-            ideal = vecs[:, -k:].T @ qb  # (k, |G|), orthonormal under E_G
-            gen_rho = np.stack([ideal.conj() @ ideal[:, li].T / group.size for li in left_inv])
-            rho = np.empty((group.size, k, k), dtype=np.complex128)
-            rho[group.identity] = np.eye(k)
-            for elements, parents, positions in layers:
-                rho[elements] = rho[parents] @ gen_rho[positions]
-            out[d].append(Irreducible(k, rho.reshape(group.size, k * k)))
+    draws = np.random.default_rng(0)  # the block draws, in character-table order
+    out: dict[int, list[Irreducible]] = {d: [] for d in range(group.n + 1)}
+    for i, (d, k) in enumerate(zip(chars.levels.tolist(), chars.degrees.tolist())):
+        # the block Q: its projector on k^2 seeded complex columns, then QR, done twice,
+        # since after one pass a block leaks up to about 1e-11 into the others
+        project = isotypic_projector(group, i)
+        cols = draws.standard_normal((group.size, k * k)) + 1j * draws.standard_normal((group.size, k * k))
+        for _ in range(2):
+            cols = np.linalg.qr(project(cols))[0]
+        qb = np.ascontiguousarray(np.sqrt(group.size) * cols.T)  # rows orthonormal under E_G
+        # A = sum_k conj(w_k) R_{s_k^-1} + w_k R_{s_k} on the block: I_k (x) B
+        # for a generic Hermitian B, so its top eigenspace is a minimal left ideal
+        moved = sum(w.conjugate() * qb[:, ri] + w * qb[:, r] for w, r, ri in zip(weights, right, right_inv))
+        mat = qb.conj() @ moved.T / group.size  # mat[i, j] = <A q_j, q_i>
+        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+        if k > 1 and not vals[-k] - vals[-k - 1] > _IRREP_GAP:
+            raise RefinementError(f"right-translation eigen-gap {vals[-k] - vals[-k - 1]:.2e} "
+                                  f"at level {d} (degree {k}) is not above {_IRREP_GAP}")
+        ideal = vecs[:, -k:].T @ qb  # (k, |G|), orthonormal under E_G
+        gen_rho = np.stack([ideal.conj() @ ideal[:, li].T / group.size for li in left_inv])
+        rho = np.empty((group.size, k, k), dtype=np.complex128)
+        rho[group.identity] = np.eye(k)
+        for elements, parents, positions in layers:
+            rho[elements] = rho[parents] @ gen_rho[positions]
+        out[d].append(Irreducible(k, rho.reshape(group.size, k * k)))
     return out
 
 
 def get_irreducibles(group: GroupTable) -> dict[int, list[Irreducible]]:
-    """Per level, one tabulated irreducible per isotypic block, in block
-    order; a memo entry of the group, built on first use.
+    """Per level, one tabulated irreducible per isotypic block, in
+    character-table order; a memo entry of the group, built on first use.
 
-    In each block Q, the top d_rho eigenvectors of the self-adjoint
-    right-translation operator h -> sum_k conj(w_k) h(. s_k^-1) + w_k h(. s_k)
+    Each block Q is built in turn and dropped, its columns drawn from a
+    second default_rng(0) stream.  In Q, the top d_rho eigenvectors of the
+    self-adjoint right-translation operator h -> sum_k conj(w_k) h(. s_k^-1) + w_k h(. s_k)
     (complex weights w_k; three elements s_k from default_rng(0), and more
     until they generate G) span a minimal left ideal J.
     rho is computed on the generators s_k from J and multiplied along the

@@ -5,6 +5,9 @@ The operator T_f on a level V_{=d} is never built: on the isotypic block
 of each irreducible rho in the level it is d_rho copies of the Fourier
 coefficient rho_hat(f) = E_z f(z) rho(z), so its norm and tr(T* T) come
 from one d_rho x d_rho matrix per irreducible (`groups.get_irreducibles`).
+No level basis is built either: f_{=d} is f convolved by the level's
+class function (`groups.level_kernel`), and a random element of a level
+or of an isotypic component is the projection of a random function.
 
 Every inequality check computes its pseudorandomness parameter epsilon
 from an exact audit of the instance at hand: nothing is assumed, so
@@ -49,11 +52,12 @@ from .groups import (
     GroupTable,
     convolve,
     convolver,
+    get_characters,
     get_group,
     get_irreducibles,
     get_isotypic,
-    get_levels,
-    isotypic_blocks,
+    isotypic_projector,
+    level_kernel,
     level_project,
     level_project_eq,
     transfer,
@@ -88,8 +92,8 @@ def sarnak_xue_check(f: FnTable, d: int, c_report: float = 0.05) -> OperatorNorm
     (`groups.get_irreducibles`).  So the norm is the max over the
     irreducibles of ||rho_hat(f)||_2, and the trace side tr(T* T) is
     sum d_rho ||rho_hat(f)||_F^2, read off the representation tables; the
-    direct side ||f_{=d}||_2^2 is the projection of f on the level basis,
-    whose rows come from the central idempotents of the characters."""
+    direct side ||f_{=d}||_2^2 is the projection of f by the level's kernel,
+    convolution by the class function Psi_{=d} read off the characters."""
     group: GroupTable = f.domain
     hats = [(irr.degree, irr.fourier(f.values)) for irr in get_irreducibles(group)[d]]
     norms = [np.linalg.norm(hat, 2) for _, hat in hats]
@@ -121,14 +125,10 @@ def sarnak_xue_check(f: FnTable, d: int, c_report: float = 0.05) -> OperatorNorm
 
 
 def level_invariance_residual(f: FnTable, d: int, rng: np.random.Generator) -> float:
-    """max ||(T_f h)_{=d'}|| over d' != d for a random h in V_{=d}."""
+    """max ||(T_f h)_{=d'}|| over d' != d for h = K_d r in V_{=d}, r a
+    random real function."""
     group: GroupTable = f.domain
-    levels = get_levels(group)
-    b = levels.eq_basis(d)
-    if b.shape[0] == 0:
-        return 0.0
-    coeff = rng.standard_normal(b.shape[0])
-    h = FnTable(group, coeff @ b)
+    h = FnTable(group, level_kernel(group, d) @ rng.standard_normal(group.size))
     th = convolve(f, h)
     worst = 0.0
     for dp in range(group.n + 1):
@@ -639,16 +639,15 @@ class GroupInstanceChecks(_InstanceChecks):
 def bonami_isotypic_rows(group: GroupTable, rng: np.random.Generator):
     """Bonami bound q^{1212 d^2 ell^2}, ell = 4 and 8, for two random
     functions inside each isotypic component of tensor rank d, with
-    epsilon audited exactly."""
-    blocks = isotypic_blocks(group)
+    epsilon audited exactly.  Each function is P_rho r for a random complex
+    r, P_rho the projector onto the component (`groups.isotypic_projector`)."""
+    levels = get_characters(group).levels
     rows = []
-    for d, blist in blocks.items():
-        if d < 1:
-            continue
-        for bi, qb in enumerate(blist):
+    for d in range(1, group.n + 1):
+        for bi, i in enumerate(np.flatnonzero(levels == d)):
+            project = isotypic_projector(group, i)
             for rep in range(2):
-                coeff = rng.standard_normal(qb.shape[0]) + 1j * rng.standard_normal(qb.shape[0])
-                f = FnTable(group, coeff @ qb)
+                f = FnTable(group, project(rng.standard_normal(group.size) + 1j * rng.standard_normal(group.size)))
                 jf = transfer(f)
                 eps = global_audit(jf, d).value_at(d)
                 for ell in (4, 8):

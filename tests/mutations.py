@@ -271,9 +271,26 @@ MUTATIONS = [
              " minlength=k)",
              ("tests/test_level_tables.py::test_levels_match_generator_stream_reference[sl-2-3-strict-False]",)),
     Mutation("isotypic projector built from chi, not conj(chi)", "src/qharm/groups.py",
-             "project = convolver(group.table(degree * np.conj(chars.values(i))))",
-             "project = convolver(group.table(degree * chars.values(i)))",
+             "return convolver(group.table(chars.degrees[i] * np.conj(chars.values(i))))",
+             "return convolver(group.table(chars.degrees[i] * chars.values(i)))",
              (GRP + "test_characters_match_irreducible_traces[sl-2-3]",)),
+    Mutation("strict level kernel built from Psi_{<=d}", "src/qharm/groups.py",
+             "psi = np.stack([weighted[chars.levels == d].sum(axis=0) for d in range(group.n + 1)])",
+             "psi = np.stack([weighted[chars.levels <= d].sum(axis=0) for d in range(group.n + 1)])",
+             ("tests/test_level_tables.py::test_level_kernels_are_orthogonal_projectors_summing_to_the_identity"
+              "[sl-2-3-strict-False]",)),
+    Mutation("level kernel gathered at x y, not x y^-1", "src/qharm/groups.py",
+             "kern = get_levels(group).psi[d][group.xyinv_table()]",
+             "kern = get_levels(group).psi[d][group.mul_table()]",
+             ("tests/test_level_tables.py::test_levels_match_generator_stream_reference[sl-2-3-strict-False]",)),
+    Mutation("level_project sums the strict levels e < d only", "src/qharm/groups.py",
+             "return FnTable(group, sum(level_kernel(group, e) @ pairs for e in range(d + 1)).view(np.complex128).reshape(-1))",
+             "return FnTable(group, sum(level_kernel(group, e) @ pairs for e in range(d)).view(np.complex128).reshape(-1))",
+             (GRP + "test_level_projections_are_the_kernels_and_their_sums[sl-2-3]",)),
+    Mutation("Bonami draw left unprojected", "src/qharm/spectra.py",
+             "f = FnTable(group, project(rng.standard_normal(group.size) + 1j * rng.standard_normal(group.size)))",
+             "f = FnTable(group, rng.standard_normal(group.size) + 1j * rng.standard_normal(group.size))",
+             (SPE + "test_bonami_draws_lie_in_their_isotypic_components[sl-2-3]",)),
     Mutation("character normalization without the class sizes", "src/qharm/groups.py",
              "chi *= np.sqrt(group.size / np.sum(sizes * np.abs(chi) ** 2, axis=1))[:, None]",
              "chi *= np.sqrt(group.size / np.sum(np.abs(chi) ** 2, axis=1))[:, None]",

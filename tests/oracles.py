@@ -65,15 +65,18 @@ GroupTable elements, dets, inv, ...   element_tables_ref             test_group_
 GroupTable.vector_action              vector_action_ref              test_group_tables::test_element_tables_match_per_element_loops
 GroupTable.mul_table                  mul_row_ref                    test_group_tables::test_mul_table_matches_row_loop
 groups.DictatorSystems                dictator_family_ref, cells_ref test_group_tables::test_dictator_systems_match_target_loop
-groups.get_levels (character table,   reference_levels               test_level_tables::test_levels_match_generator_stream_reference
-  central idempotents)                (Gram-Schmidt, GramSchmidtRows)
+groups.get_levels, level_kernel       reference_levels               test_level_tables::test_levels_match_generator_stream_reference
+  (class functions Psi_{=d})          (Gram-Schmidt, r^* r / |G|)
+                                      K_d K_e = [d = e] K_d, sum I   test_level_tables::test_level_kernels_are_orthogonal_projectors_summing_to_the_identity
 groups.get_characters                 Irreducible.character          test_groups::test_characters_match_irreducible_traces
-groups.level_project (no conj copy)   (b.conj() @ f / |G|) @ b       test_groups::test_level_projection_equals_the_conjugated_basis_product
+groups.level_project (sum of K_e)     level_project_eq, e <= d       test_groups::test_level_projections_are_the_kernels_and_their_sums
 groups.convolve                       brute_convolution              test_groups::test_convolution_identities_and_oracle
   (one gather per mixing run)         mixing_terms_ref               test_spectra::test_mixing_terms_match_one_convolution_per_term
 spectra.sarnak_xue_check              sarnak_xue_ref (two matrices)  test_spectra::test_sarnak_xue_matches_two_matrix_reference
-  (one rho_hat(f) per irreducible)    (SVDs of conv_operator_matrix)
-groups.get_irreducibles               mul_table, isotypic_blocks     test_groups::test_irreducible_tables_are_unitary_homomorphisms
+  (one rho_hat(f) per irreducible)    (SVDs of conv_operator_matrix,
+                                      on level_basis)
+groups.get_irreducibles               mul_table, isotypic_projector  test_groups::test_irreducible_tables_are_unitary_homomorphisms
+spectra.bonami_isotypic_rows          isotypic_projector             test_spectra::test_bonami_draws_lie_in_their_isotypic_components
 bogolyubov.product_set (mask)         brute_product                  test_bogolyubov::test_product_set_matches_double_loop
 cli.read_function_csv (numpy parser)  read_function_csv_ref          test_cli::test_function_csv_reader_matches_per_line_reference
   (2-column files)                    read_function_csv_ref          test_cli::test_two_column_function_csv_takes_the_numpy_path
@@ -84,6 +87,7 @@ cli.write_function_csv (row blocks)   write_function_csv_ref         test_cli::t
 that its comparing test fails.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -101,7 +105,7 @@ from qharm.globality import (
     _rank_factor,
     umvirate_normal_form,
 )
-from qharm.groups import convolve, convolve_batch, get_group, get_isotypic, get_levels, level_project_eq
+from qharm.groups import convolve, convolve_batch, get_group, get_isotypic, level_kernel, level_project_eq
 from qharm.scheme import FnTable, degree_decompose, degree_project, get_scheme, restrict
 from qharm.spectra import OperatorNormRow, SchemeInstanceChecks
 
@@ -109,6 +113,16 @@ from qharm.spectra import OperatorNormRow, SchemeInstanceChecks
 # ---------------------------------------------------------------------------
 # F_q linear algebra
 # ---------------------------------------------------------------------------
+
+def field_add(field, x, y):
+    """x + y in F_q, one scalar read off the addition table."""
+    return int(field.add_table[x, y])
+
+
+def field_mul(field, x, y):
+    """x y in F_q, one scalar read off the multiplication table."""
+    return int(field.mul_table[x, y])
+
 
 def brute_force_rank(ctx, a):
     """Dimension of the row span, counted by enumerating all row combinations."""
@@ -179,7 +193,7 @@ def det_elimination(ctx, a):
             m[[col, found]] = m[[found, col]]
             d = ctx.neg(d)
         piv = int(m[col, col])
-        d = ctx.mul(d, piv)
+        d = field_mul(ctx, d, piv)
         piv_inv = ctx.inv(piv)
         m[col] = ctx.mul_table[m[col], piv_inv]
         for row in range(col + 1, n):
@@ -224,7 +238,7 @@ def char_value(ctx, x, a):
     acc = 0
     for i in range(ctx.n):
         for j in range(ctx.m):
-            acc = f.add(acc, f.mul(int(x[i, j]), int(a[j, i])))
+            acc = field_add(f, acc, field_mul(f, int(x[i, j]), int(a[j, i])))
     return complex(f.char_table[acc])
 
 
@@ -263,7 +277,7 @@ def bv_pairs_ref(ctx, v):
         phi = decode_vector(idx, ctx.n, ctx.q)
         acc = 0
         for a, b in zip(phi, v):
-            acc = field.add(acc, field.mul(int(a), int(b)))
+            acc = field_add(field, acc, field_mul(field, int(a), int(b)))
         if acc == 1:
             phis.append(phi)
     pairs = [(decode_vector(w, ctx.m, ctx.q), phi) for w in range(ctx.q**ctx.m) for phi in phis]
@@ -749,11 +763,19 @@ def brute_product(group, a, b):
 # convolution operators and mixing
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def level_basis(group, d):
+    """Rows orthonormal under E_G that span V_{=d}: sqrt|G| times the unit
+    eigenvectors of the projector K_d for the eigenvalue 1."""
+    vals, vecs = np.linalg.eigh(level_kernel(group, d))
+    return np.sqrt(group.size) * vecs[:, vals > 0.5].T.astype(np.complex128)
+
+
 def conv_operator_matrix(f, d):
-    """Matrix of T_f on the orthonormal Gram-Schmidt basis of V_{=d}, from
-    one convolution per basis row: [i, j] = <f*b_j, b_i>."""
+    """Matrix of T_f on an orthonormal basis of V_{=d}, from one convolution
+    per basis row: [i, j] = <f*b_j, b_i>."""
     group = f.domain
-    b = get_levels(group).eq_basis(d)
+    b = level_basis(group, d)
     if b.shape[0] == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     convs = convolve_batch(f.values, b, group)  # rows: f * b_i
@@ -1024,7 +1046,7 @@ def _piece_to_good_umvirate(group, d_mat, c_mat, kk, big_k, big_b, big_c):
         rgt[:kk, kk:] = field.neg_table[mat_mul(field, k_inv, big_b)]
     left = mat_mul(field, inv_by_rref(field, d_mat), inv_by_rref(field, lft))
     right = mat_mul(field, inv_by_rref(field, rgt), inv_by_rref(field, c_mat))
-    delta = field.mul(field.inv(det(field, left)), field.inv(det(field, right)))
+    delta = field_mul(field, field.inv(det(field, left)), field.inv(det(field, right)))
     if kk == n:
         if delta != 1:
             return None

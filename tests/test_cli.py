@@ -436,7 +436,7 @@ def test_cli_group_outputs_are_byte_identical_to_recorded_digests(tmp_path, monk
 # SHA-256 of the manifest product-mixing writes for the three seeded sets
 # below, and the fields of its JSON, recorded from the command as it stood
 # before this test was added.  `per_level` holds inner products of level
-# projections, which move in their last bits with the level basis, and
+# projections, which move in their last bits with the level projector, and
 # `decomposition_residual` is rounding noise; every other field is exact.
 PRODUCT_MIXING_MANIFEST_DIGEST = "71a5701e8c87a4b5ccd6ed00fbc5dea638e0623ebc2f53df97b217d37484f17e"
 PRODUCT_MIXING_JSON = {

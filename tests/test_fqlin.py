@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_rank, inv_by_rref, least_index_completion, subspace_vectors_ref
+from oracles import brute_force_rank, field_mul, inv_by_rref, least_index_completion, subspace_vectors_ref
 from qharm.errors import SizeCapError, ToolkitError
 from qharm.fqlin import (
     IndexMap,
@@ -76,7 +76,7 @@ def test_det_multiplicative_and_inverse():
         for _ in range(20):
             a = rng.integers(0, q, size=(3, 3)).astype(np.uint8)
             b = rng.integers(0, q, size=(3, 3)).astype(np.uint8)
-            assert det(ctx, mat_mul(ctx, a, b)) == ctx.mul(det(ctx, a), det(ctx, b))
+            assert det(ctx, mat_mul(ctx, a, b)) == field_mul(ctx, det(ctx, a), det(ctx, b))
             if det(ctx, a):
                 ainv = inv_matrix(ctx, a)
                 assert np.array_equal(mat_mul(ctx, a, ainv), np.eye(3, dtype=np.uint8))

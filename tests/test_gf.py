@@ -2,6 +2,7 @@ import cmath
 
 import pytest
 
+from oracles import field_add, field_mul
 from qharm.errors import FieldError
 from qharm.gf import SUPPORTED_Q, FieldCtx, get_field
 
@@ -9,14 +10,14 @@ from qharm.gf import SUPPORTED_Q, FieldCtx, get_field
 def test_f4_multiplication_by_hand():
     # omega * omega = omega + 1 under x^2 + x + 1 (encodings 2*2 -> 3)
     f4 = get_field(4)
-    assert f4.mul(2, 2) == 3
+    assert field_mul(f4, 2, 2) == 3
 
 
 def test_multiplicative_identity_all_fields():
     for q in SUPPORTED_Q:
         f = get_field(q)
         for x in range(f.q):
-            assert f.mul(1, x) == x
+            assert field_mul(f, 1, x) == x
 
 
 def test_f5_inverse_of_two():
@@ -32,7 +33,7 @@ def test_every_nonzero_element_invertible():
     for q in SUPPORTED_Q:
         f = get_field(q)
         for x in range(1, q):
-            assert f.mul(x, f.inv(x)) == 1
+            assert field_mul(f, x, f.inv(x)) == 1
 
 
 def test_field_axioms_exhaustive_small():
@@ -42,11 +43,11 @@ def test_field_axioms_exhaustive_small():
         els = list(range(f.q))
         for a in els:
             for b in els:
-                assert f.add(a, b) == f.add(b, a)
-                assert f.mul(a, b) == f.mul(b, a)
+                assert field_add(f, a, b) == field_add(f, b, a)
+                assert field_mul(f, a, b) == field_mul(f, b, a)
                 for c in els[:4]:
-                    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                    assert field_mul(f, field_mul(f, a, b), c) == field_mul(f, a, field_mul(f, b, c))
+                    assert field_mul(f, a, field_add(f, b, c)) == field_add(f, field_mul(f, a, b), field_mul(f, a, c))
 
 
 def test_trace_prime_field_is_identity():
@@ -68,7 +69,7 @@ def test_trace_additive_and_frobenius_invariant():
         for x in range(f.q):
             assert f.trace_table[f.pow(x, f.p)] == f.trace_table[x]
             for y in range(f.q):
-                assert f.trace_table[f.add(x, y)] == (int(f.trace_table[x]) + int(f.trace_table[y])) % f.p
+                assert f.trace_table[field_add(f, x, y)] == (int(f.trace_table[x]) + int(f.trace_table[y])) % f.p
 
 
 def test_character_values():
@@ -85,14 +86,14 @@ def test_character_homomorphism_exhaustive():
         f = get_field(q)
         for x in range(f.q):
             for y in range(f.q):
-                assert abs(f.char_table[f.add(x, y)] - f.char_table[x] * f.char_table[y]) < 1e-12
+                assert abs(f.char_table[field_add(f, x, y)] - f.char_table[x] * f.char_table[y]) < 1e-12
 
 
 def test_character_sums_vanish():
     for q in SUPPORTED_Q:
         f = get_field(q)
         for c in range(f.q):
-            s = sum(f.char_table[f.mul(c, x)] for x in range(f.q))
+            s = sum(f.char_table[field_mul(f, c, x)] for x in range(f.q))
             if c == 0:
                 assert abs(s - q) < 1e-9
             else:

@@ -14,9 +14,10 @@ from qharm.groups import (
     get_irreducibles,
     get_isotypic,
     get_levels,
-    isotypic_blocks,
+    isotypic_projector,
     junta_project,
     junta_test,
+    level_kernel,
     level_lower_check,
     level_project,
     level_project_eq,
@@ -104,10 +105,9 @@ def test_level_dims_nested_and_saturating():
         assert levels.dims[0] == 1
         assert all(levels.dims[d] <= levels.dims[d + 1] for d in range(n))
         assert levels.dims[n] == g.size
-        # orthonormality of the basis
-        b = levels.basis
-        gram = b.conj() @ b.T / g.size
-        assert np.max(np.abs(gram - np.eye(b.shape[0]))) < 1e-8
+        # each kernel is a projector, so its trace is the dimension of its level
+        traces = np.cumsum([np.trace(level_kernel(g, d)) for d in range(n + 1)])
+        assert np.max(np.abs(traces - levels.dims)) < 1e-9
 
 
 def test_level_dims_match_naive_generator_stream():
@@ -265,13 +265,13 @@ def test_isotypic_sl2_f2_dims():
 ])
 def test_irreducible_tables_are_unitary_homomorphisms(kind, n, q, pairs):
     # rho(gh) = rho(g) rho(h) on every pair (or `pairs` seeded ones), each
-    # rho(z) unitary, sum_z |tr rho(z)|^2 = |G| (rho irreducible), its
-    # character that of its block Q, tr rho(z) = sum_i conj(q_i(z)) q_i(1) / d_rho
-    # (Q's projection is convolution by d_rho conj(chi)), and the degrees per
-    # level are the isotypic report's
+    # rho(z) unitary, sum_z |tr rho(z)|^2 = |G| (rho irreducible), the
+    # conjugate of each matrix coefficient z -> rho(z)[a, b] in the isotypic
+    # block of its character (the block's projection is convolution by
+    # d_rho conj(chi)), and the degrees per level are the isotypic report's
     g = get_group(kind, n, q)
     irreducibles = get_irreducibles(g)
-    blocks = isotypic_blocks(g)
+    table_order = iter(range(g.class_count()))
     if pairs is None:
         x, y = (a.reshape(-1) for a in np.meshgrid(np.arange(g.size), np.arange(g.size), indexing="ij"))
     else:
@@ -279,14 +279,14 @@ def test_irreducible_tables_are_unitary_homomorphisms(kind, n, q, pairs):
     prod = g.mul_table()[x, y]
     for d, irrs in irreducibles.items():
         assert sorted(irr.degree for irr in irrs) == get_isotypic(g).component_dims[d]
-        for irr, qb in zip(irrs, blocks[d]):
+        for irr, i in zip(irrs, table_order):
             k = irr.degree
             rho = irr.table.reshape(g.size, k, k)
             chi = np.trace(rho, axis1=1, axis2=2)
             assert np.max(np.abs(rho[prod] - rho[x] @ rho[y])) < 1e-10
             assert np.max(np.abs(rho @ np.conj(np.swapaxes(rho, 1, 2)) - np.eye(k))) < 1e-10
             assert abs(np.sum(np.abs(chi) ** 2) - g.size) < 1e-8
-            assert np.max(np.abs(chi - qb.conj().T @ qb[:, g.identity] / k)) < 1e-10
+            assert np.max(np.abs(isotypic_projector(g, i)(irr.table.conj()) - irr.table.conj())) < 1e-10
 
 
 def test_irreducibles_refuse_a_zero_eigen_gap(monkeypatch):
@@ -330,15 +330,27 @@ def test_characters_refuse_a_zero_eigen_gap(monkeypatch):
 
 
 @pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 3, 2), ("gl", 2, 3)])
-def test_level_projection_equals_the_conjugated_basis_product(kind, n, q):
-    # the projections take their coefficients as conj(b @ conj(f)), which
-    # is bit for bit b.conj() @ f without the conjugate copy of b
+def test_level_projections_are_the_kernels_and_their_sums(kind, n, q):
+    # f_{=d} is K_d applied to the real and imaginary parts of f (one product
+    # with both as columns, so to rounding); f_{<=d} is the sum of the f_{=e}
+    # for e <= d, and f_{<=n} is f
     g = get_group(kind, n, q)
-    levels = get_levels(g)
     f = random_group_table(g, np.random.default_rng(11), "complex")
+    parts = [level_project_eq(f, d).values for d in range(n + 1)]
     for d in range(n + 1):
-        for got, b in ((level_project(f, d), levels.cum_basis(d)), (level_project_eq(f, d), levels.eq_basis(d))):
-            assert np.array_equal(got.values, (b.conj() @ f.values / g.size) @ b)
+        kern = level_kernel(g, d)
+        assert np.max(np.abs(parts[d] - (kern @ f.values.real + 1j * (kern @ f.values.imag)))) < 1e-14
+        assert np.max(np.abs(level_project(f, d).values - np.sum(parts[: d + 1], axis=0))) < 1e-12
+    assert np.max(np.abs(level_project(f, n).values - f.values)) < 1e-12
+
+
+def test_level_projections_refuse_orders_outside_0_to_n():
+    g = get_group("sl", 2, 3)
+    f = random_group_table(g, np.random.default_rng(12), "complex")
+    for project in (level_project, level_project_eq):
+        for d in (-1, g.n + 1):
+            with pytest.raises(ToolkitError, match=rf"level order d={d} must lie in \[0, n=2\]"):
+                project(f, d)
 
 
 def test_glt_growth_report_shape():
@@ -354,7 +366,6 @@ def test_glt_growth_report_shape():
 def test_level_spaces_spanned_by_juntas():
     # each strict level-d space is inside the span of d-junta projections
     g = get_group("sl", 2, 3)
-    levels = get_levels(g)
     from qharm.fqlin import enumerate_subspaces
 
     for d in (1, 2):
@@ -367,13 +378,12 @@ def test_level_spaces_spanned_by_juntas():
                 row[m[x, h]] = 1.0 / len(h)
                 gen_rows.append(row)
         gen = np.array(gen_rows)
-        # project the =d basis onto the junta span and check zero residual
+        # project the =d kernel's rows, which span the level, onto the junta
+        # span and check zero residual
         u_, s_, vh = np.linalg.svd(gen, full_matrices=False)
-        keep = s_ > 1e-8
-        qrows = vh[keep]
-        eq = levels.eq_basis(d)
-        coeffs = eq @ qrows.conj().T
-        recon = coeffs @ qrows
+        qrows = vh[s_ > 1e-8]
+        eq = level_kernel(g, d)
+        recon = eq @ qrows.conj().T @ qrows
         assert np.max(np.abs(recon - eq)) < 1e-8
 
 

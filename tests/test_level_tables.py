@@ -1,15 +1,15 @@
-"""Level bases from the character table against the generator stream
-of dictator products they replaced.
+"""Level projectors from the character table against the generator
+stream of dictator products they replaced.
 
 The reference (tests/oracles.py) enumerates, for each order s, every
 sorted tuple of independent monic input vectors (so every basis of each
 subspace, up to scaling) with every independent ordered target tuple,
 re-walks all lower orders for each d, and runs Gram-Schmidt over the
-indicators.  The table's levels are sums of isotypic components, with a
-basis from the central idempotents.  The spans, hence the dimensions
-and the cumulative projectors, must agree; the orthonormal bases
-themselves differ.  The reference stream with the functional
-(transpose-action) masks as well must span the same levels.
+indicators.  The table's levels are sums of isotypic components, each
+projected onto by convolution with a class function, so one real kernel
+K_d per strict level.  The dimensions and the cumulative projectors must
+agree.  The reference stream with the functional (transpose-action)
+masks as well must span the same levels.
 """
 
 import numpy as np
@@ -17,7 +17,9 @@ import pytest
 
 from oracles import level_generator_masks, reference_levels
 from qharm.cli import main
-from qharm.groups import get_group, get_isotypic, get_levels
+from qharm.errors import RefinementError
+from qharm.gf import get_field
+from qharm.groups import GroupTable, get_group, get_isotypic, get_levels, level_kernel
 
 
 LEVEL_CASES = [
@@ -40,12 +42,42 @@ def test_levels_match_generator_stream_reference(kind, n, q, include_dual):
     levels = get_levels(g)
     ref_dims, ref_basis = reference_levels(g, n, include_dual)
     assert levels.dims == ref_dims
+    proj = np.zeros((g.size, g.size))
     for d in range(n + 1):
-        b = levels.cum_basis(d)
+        proj += level_kernel(g, d)
         r = ref_basis[: ref_dims[d]]
-        proj = b.conj().T @ b / g.size
-        ref_proj = r.conj().T @ r / g.size
-        assert np.max(np.abs(proj - ref_proj)) < 1e-12
+        assert np.max(np.abs(proj - r.conj().T @ r / g.size)) < 1e-12
+
+
+@pytest.mark.parametrize("kind,n,q,include_dual", LEVEL_CASES,
+                         ids=[f"{k}-{n}-{q}-strict-{dual}" for k, n, q, dual in LEVEL_CASES])
+def test_level_kernels_are_orthogonal_projectors_summing_to_the_identity(kind, n, q, include_dual):
+    # each K_d is real, symmetric and idempotent, K_d K_e = 0 for d != e,
+    # and the K_d sum to the identity
+    g = get_group(kind, n, q)
+    kernels = [level_kernel(g, d) for d in range(n + 1)]
+    for d, kern in enumerate(kernels):
+        assert kern.dtype == np.float64 and np.max(np.abs(kern - kern.T)) < 1e-15
+        for e, other in enumerate(kernels):
+            assert np.max(np.abs(kern @ other - (kern if d == e else 0))) < 1e-12
+    assert np.max(np.abs(np.sum(kernels, axis=0) - np.eye(g.size))) < 1e-12
+
+
+def test_levels_refuse_a_class_function_with_an_imaginary_part(monkeypatch):
+    # a character table whose level-1 row is rotated off the reals breaks
+    # the closure of a level under duals that makes each Psi_{=d} real
+    import qharm.groups as groups
+
+    build = groups._character_table
+
+    def rotated(group):
+        chars = build(group)
+        chars.table[chars.levels == 1] *= 1j
+        return chars
+
+    monkeypatch.setattr(groups, "_character_table", rotated)
+    with pytest.raises(RefinementError, match="imaginary part"):
+        get_levels(GroupTable("sl", 2, get_field(3)))
 
 
 def test_level_generators_are_one_basis_per_subspace():

@@ -26,11 +26,14 @@ from qharm.bogolyubov import GroupSet
 from qharm.errors import ConsistencyError, ToolkitError
 from qharm.groups import (
     convolve,
+    get_characters,
     get_group,
     get_levels,
+    isotypic_projector,
     level_project,
     level_project_eq,
     random_group_table,
+    transfer,
 )
 from qharm.spectra import (
     GroupInstanceChecks,
@@ -58,8 +61,9 @@ def test_operator_norm_constant_function():
 def test_operator_norm_point_mass_identity():
     g = get_group("sl", 2, 3)
     point = g.table(np.eye(1, g.size, g.identity)[0] * g.size)
+    dims = [0] + get_levels(g).dims
     for d in range(g.n + 1):
-        if get_levels(g).eq_basis(d).shape[0]:
+        if dims[d + 1] > dims[d]:
             assert abs(sarnak_xue_check(point, d).norm - 1.0) < 1e-9
 
 
@@ -481,6 +485,22 @@ def test_bonami_isotypic_small_group():
     g = get_group("sl", 2, 2)
     rows = bonami_isotypic_rows(g, RNG)
     assert rows and not violations(rows)
+
+
+@pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 3, 2)])
+def test_bonami_draws_lie_in_their_isotypic_components(kind, n, q, monkeypatch):
+    # each row pair's function is P_rho r for its own irreducible rho of
+    # level d >= 1, in character-table order, two draws per component:
+    # nonzero and fixed by P_rho
+    g = get_group(kind, n, q)
+    drawn = []
+    monkeypatch.setattr(spectra, "transfer", lambda f: drawn.append(f) or transfer(f))
+    rows = bonami_isotypic_rows(g, np.random.default_rng(5))
+    components = [i for i, level in enumerate(get_characters(g).levels) if level >= 1]
+    assert len(drawn) == 2 * len(components) == len(rows) // 2
+    for i, f in zip(np.repeat(components, 2), drawn):
+        assert f.norm2sq() > 1e-3
+        assert np.max(np.abs(isotypic_projector(g, i)(f.values) - f.values)) < 1e-12
 
 
 def test_empirical_convolution_exponent_reported():
