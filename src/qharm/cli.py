@@ -9,6 +9,7 @@ check or assertion failed.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import os
@@ -180,14 +181,15 @@ def write_set_file(path: str, group, ordinals: np.ndarray) -> None:
 
 
 def write_report_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        open(path, "w").close()
-        return
-    keys = list(rows[0].keys())
+    """rows as CSV under a header of the first row's keys; a field holding a
+    comma (audit witnesses do) is quoted, and an empty list writes an empty
+    file."""
     with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for r in rows:
-            fh.write(",".join(str(r[k]) for k in keys) + "\n")
+        if rows:
+            keys = list(rows[0])
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(keys)
+            writer.writerows([str(r[k]) for k in keys] for r in rows)
 
 
 def write_manifest(outdir: str, command: str, config: dict, artifacts: list[str]) -> None:

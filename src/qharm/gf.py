@@ -141,22 +141,21 @@ class FieldCtx:
             [self._encode([(-c) % p for c in digits[x]]) for x in range(q)], dtype=np.uint8
         )
 
-        # Discrete log tables for a fixed primitive element.
-        self.exp_table, self.log_table = self._build_log_tables()
-        inv = np.zeros(q, dtype=np.uint8)
-        for x in range(1, q):
-            inv[x] = self.exp_table[(q - 1 - int(self.log_table[x])) % (q - 1)]
-        self.inv_table = inv
+        self.inv_table = np.argmax(mul == 1, axis=1).astype(np.uint8)  # row 0 holds no 1, so 0 -> 0
 
-        tr = np.zeros(q, dtype=np.uint8)
-        for x in range(q):
-            acc = 0
-            for i in range(m):
-                acc = int(add[acc, self.pow(x, p**i)])
-            if acc >= p:
-                raise FieldError("absolute trace left the prime subfield")
-            tr[x] = acc
-        self.trace_table = tr
+        # Tr(x) = x + x^p + ... + x^(p^(m-1)), the Frobenius x -> x^p read off
+        # p - 1 products
+        xs = np.arange(q)
+        frob = xs
+        for _ in range(p - 1):
+            frob = mul[frob, xs]
+        conj, tr = xs, xs
+        for _ in range(m - 1):
+            conj = frob[conj]
+            tr = add[tr, conj]
+        if np.any(tr >= p):
+            raise FieldError("absolute trace left the prime subfield")
+        self.trace_table = tr = tr.astype(np.uint8)
         self.char_table = np.array(
             [cmath.exp(2j * cmath.pi * int(tr[x]) / p) for x in range(q)], dtype=np.complex128
         )
@@ -178,42 +177,6 @@ class FieldCtx:
         if x == 0:
             raise FieldError("zero has no multiplicative inverse")
         return int(self.inv_table[x])
-
-    def pow(self, x: int, k: int) -> int:
-        if x == 0:
-            return 0 if k else 1
-        if self.q == 2:
-            return 1
-        return int(self.exp_table[(int(self.log_table[x]) * k) % (self.q - 1)])
-
-    def _build_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.q
-        exp = np.zeros(max(q - 1, 1), dtype=np.uint8)
-        log = np.zeros(q, dtype=np.int64)
-        if q == 2:
-            exp[0] = 1
-            return exp, log
-        for g in range(2, q):
-            val = 1
-            seen = set()
-            order = 0
-            while True:
-                val = int(self.mul_table[val, g])
-                order += 1
-                if val == 1:
-                    break
-                if val in seen:  # pragma: no cover - defensive
-                    order = 0
-                    break
-                seen.add(val)
-            if order == q - 1:
-                val = 1
-                for k in range(q - 1):
-                    exp[k] = val
-                    log[val] = k
-                    val = int(self.mul_table[val, g])
-                return exp, log
-        raise FieldError(f"no primitive element found for q={q}")  # pragma: no cover
 
     def __repr__(self) -> str:
         return f"FieldCtx(q={self.q})"

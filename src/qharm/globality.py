@@ -5,13 +5,14 @@ constraint system (set audits on a group) at each order is enumerated,
 the exact maximum is reported with a lexicographically-least witness,
 and pass/fail is judged against a threshold set by zeta.  Scheme audits
 run on stacks of functions of one scheme (restriction_audits, whose
-rows may mix L^2 masses and L^{ell'} norms, laplacian_audits,
-refining_maxima), each block of sites of one coset shape gathered and
-averaged once for the whole stack; the one-function entry points are the
-stacks of one, and a function's rows never depend on the rest of its
-stack.  Index arrays that depend only on the scheme (site stacks,
-refining rows, the refining index of a direction list) are memo entries
-of the scheme, built once; a call builds only its functions' values.
+rows may mix L^2 masses and L^{ell'} norms, and laplacian_audits), each
+block of sites of one coset shape gathered and averaged once for the
+whole stack; the one-function entry points are the stacks of one, and a
+function's rows never depend on the rest of its stack.  refining_maxima
+reads each function at the sites refining its own direction alone.
+Index arrays that depend only on the scheme (site stacks, the refining
+rows of a direction) are memo entries of the scheme, built once; a call
+builds only its functions' values.
 
 Set audits enumerate mixed umvirate systems built from both group
 actions: row constraints g v = w and functional constraints g^T phi =
@@ -271,31 +272,6 @@ def influence_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> Global
     return laplacian_audits([f], [_orders(dmax)], lambda d, live: laplacian_batches(ctx, spectra, d, live), zeta)[0]
 
 
-def refining_index(ctx: SchemeCtx, directions, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each stack of site_stacks(order), (owner, sites): the rows `sites`
-    of the stack's sites that refine directions[i] (SchemeCtx.refining_rows),
-    concatenated over i, and owner[j] = i beside them.
-
-    A memo entry of ctx per order and direction list, keyed by the
-    directions' (U.key, side), so each is built once; the arrays are
-    shared with every later call and read-only."""
-    key = ("refining_index", order, tuple((u.key, side) for u, side in directions))
-
-    def build():
-        refining = [ctx.refining_rows(u, side, order) for u, side in directions]
-        index = []
-        for s in range(len(ctx.site_stacks(order))):
-            pairs = [(i, rows[s]) for i, rows in enumerate(refining)]
-            owner = np.concatenate([np.full(sites.size, i) for i, sites in pairs])
-            sites = np.concatenate([sites for _, sites in pairs])
-            owner.setflags(write=False)
-            sites.setflags(write=False)
-            index.append((owner, sites))
-        return index
-
-    return ctx.memo(key, build)
-
-
 def refining_maxima(fs: list[FnTable], directions, order: int) -> np.ndarray:
     """For each i, the max restriction mass of fs[i] over the order-`order`
     sites refining the direction directions[i] = (U, side); -1.0 where no
@@ -304,20 +280,25 @@ def refining_maxima(fs: list[FnTable], directions, order: int) -> np.ndarray:
     Restrictions compose, so the r-restrictions of f_{U->T} over every T
     are exactly the (r+1)-restrictions of f at sites with V' >= U (side
     'v') or W' <= U (side 'w').  Those sites are the rows of the order's
-    site stacks that refining_index holds, built once per (order,
-    directions), so a call does no subspace containment tests and builds
-    no index array: per stack, the refining (function, site) pairs of
-    every direction are gathered in blocks and averaged at once, and each
-    function keeps the max of its own pairs (np.maximum.at).
+    site stacks that SchemeCtx.refining_rows holds, built once per
+    direction and order, so a call does no subspace containment tests.
+    Per stack and block of its sites, each function's mass is gathered at
+    the rows of its own direction that the block covers.  A block's max
+    coset mean is its max coset sum over the coset size, bit for bit,
+    since division by the size is monotone.
     """
     ctx = _scheme_of(fs[0])
-    mass = (np.abs(np.array([f.values for f in fs])) ** 2).reshape(-1)
-    best = np.full(len(fs), -1.0)
-    for stack, (owner, sites) in zip(ctx.site_stacks(order), refining_index(ctx, directions, order)):
-        for _, block in blocks(1, owner.size, ctx.size):
-            members = stack.members[sites[block]] + (owner[block] * ctx.size)[:, None, None]
-            np.maximum.at(best, owner[block], _coset_mean(np.take(mass, members)).max(axis=-1))
-    return best
+    masses = np.abs(np.array([f.values for f in fs])) ** 2
+    refining = [ctx.refining_rows(u, side, order) for u, side in directions]
+    maxima = [[-1.0] for _ in fs]
+    for s, stack in enumerate(ctx.site_stacks(order)):
+        for _, block in blocks(1, len(stack.positions), ctx.size):
+            for mass, rows, found in zip(masses, refining, maxima):
+                sites = rows[s][block]
+                if sites.size:
+                    sums = np.add.reduce(mass.take(stack.members.take(sites, axis=0)), axis=-1)
+                    found.append(sums.max() / stack.members.shape[-1])
+    return np.array([max(found) for found in maxima])
 
 
 def max_refining_restriction(f: FnTable, u: Subspace, side: str, order: int) -> float:
@@ -560,8 +541,7 @@ class UmvirateNormalForm:
 
     For g in the umvirate, (D g C) has its first `b` rows equal to
     fixed_rows and its first `a` columns equal to fixed_cols; the
-    overlap block M = fixed_rows[:, :a] has rank h.  is_good is set when
-    a == b == rank(M), the square invertible case.
+    overlap block M = fixed_rows[:, :a] has rank h.
     """
 
     d_mat: np.ndarray
@@ -571,7 +551,6 @@ class UmvirateNormalForm:
     a: int
     b: int
     h: int
-    is_good: bool
 
 
 def umvirate_normal_form(group: GroupTable, u: Umvirate) -> UmvirateNormalForm:
@@ -590,8 +569,7 @@ def umvirate_normal_form(group: GroupTable, u: Umvirate) -> UmvirateNormalForm:
         assert np.array_equal(fixed_rows[:, :a], fixed_cols[:b, :])
     m_block = fixed_rows[:, :a].copy() if (a and b) else np.zeros((b, a), dtype=np.uint8)
     h = rank(field, m_block) if (a and b) else 0
-    is_good = a == b == h
-    return UmvirateNormalForm(d_mat, c_mat, fixed_rows, fixed_cols, a, b, h, is_good)
+    return UmvirateNormalForm(d_mat, c_mat, fixed_rows, fixed_cols, a, b, h)
 
 
 def _require_det_one(group: GroupTable, what: str) -> None:

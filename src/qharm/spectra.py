@@ -20,8 +20,8 @@ one spectrum f_hat of f, f and its parts are audited as one stack, and
 the influence audits of the parts come from f_hat too: one inverse
 transform per pure part and site, the cumulative parts' Laplacians as
 running sums of the pure ones.  E_U f comes for every direction U from
-f_hat as well, and the refining maxima of all directions take one
-reduction per (order, coset shape).  A group instance audits the L^2
+f_hat as well, and its refining maxima read the sites refining U from
+rows the scheme keeps per direction.  A group instance audits the L^2
 mass and both L^{ell'} norms of its transfer jf as one stack.
 Violations are findings, returned in the rows, never exceptions.
 """
@@ -51,7 +51,6 @@ from .globality import (
 from .groups import (
     GroupTable,
     convolve,
-    convolver,
     get_characters,
     get_group,
     get_irreducibles,
@@ -170,14 +169,12 @@ def mixing_experiment(a: GroupSet, b: GroupSet) -> MixingReport:
     group = a.group
     f = group.indicator(a.ordinals)
     g = group.indicator(b.ordinals)
-    f_star = convolver(f)
-    conv = f_star(g.values)
+    conv = convolve(f, g)
     mean_term = f.mean().real * g.mean().real
-    dev = float(np.sqrt(np.mean(np.abs(conv - mean_term) ** 2)))
-    per_level = []
-    for d in range(1, group.n + 1):
-        gd = level_project_eq(g, d)
-        per_level.append(float(np.sqrt(FnTable(group, f_star(gd.values)).norm2sq())))
+    dev = float(np.sqrt(np.mean(np.abs(conv.values - mean_term) ** 2)))
+    # f * g_{=d} = (f * g)_{=d}: the level projection is convolution by the
+    # class function Psi_{=d}, which commutes with every convolution
+    per_level = [float(np.sqrt(level_project_eq(conv, d).norm2sq())) for d in range(1, group.n + 1)]
     resid = abs(dev**2 - sum(x**2 for x in per_level))
     bound = float(group.q) ** (-group.n / 4) * mean_term
     return MixingReport(
@@ -198,19 +195,14 @@ def product_mixing(a: GroupSet, b: GroupSet, c: GroupSet) -> MixingReport:
     f = group.indicator(a.ordinals)
     g = group.indicator(b.ordinals)
     h = group.indicator(c.ordinals)
-    f_star = convolver(f)
-    triple = float(FnTable(group, f_star(g.values)).inner(h).real)
+    conv = convolve(f, g)
+    triple = float(conv.inner(h).real)
     means = f.mean().real * g.mean().real * h.mean().real
     dev = abs(triple - means)
-    per_level = []
-    total = 0.0
-    for d in range(1, group.n + 1):
-        gd = level_project_eq(g, d)
-        hd = level_project_eq(h, d)
-        term = FnTable(group, f_star(gd.values)).inner(hd).real
-        per_level.append(float(term))
-        total += term
-    resid = abs(triple - (means + total))
+    # <f * g_{=d}, h_{=d}> = <(f * g)_{=d}, h>: the level kernel K_d is a
+    # self-adjoint idempotent
+    per_level = [float(level_project_eq(conv, d).inner(h).real) for d in range(1, group.n + 1)]
+    resid = abs(triple - (means + sum(per_level)))
     abc = product_set(product_set(a, b), c)
     bound = float(group.q) ** (-group.n / 5) * means
     return MixingReport(
@@ -322,13 +314,12 @@ class SchemeInstanceChecks(_InstanceChecks):
     its order-1 Laplacians.  E_U f comes for every direction U at once
     from f_hat, which the instance keeps, and one spectrum of dualize(f)
     (calculus.avg_for_directions), so f is transformed once per instance.
-    The refining maxima of all directions take one reduction per (order,
-    coset shape) over index arrays that the scheme builds once per (order,
-    direction list) (globality.refining_maxima).  The parts, the global
-    and L^{ell'} audits, E_U f and the refining maxima equal, bit for
-    bit, those of the per-function path that tests/oracles.py keeps as
-    the reference; the influence audits and line Laplacians agree with it
-    to rounding.
+    The refining maxima gather each direction's sites through the rows the
+    scheme builds once per direction and order (globality.refining_maxima).
+    The parts, the global and L^{ell'} audits, E_U f and the refining maxima
+    equal, bit for bit, those of the per-function and per-site paths that
+    tests/oracles.py keeps as the reference; the influence audits and line
+    Laplacians agree with it to rounding.
     """
 
     def __init__(self, name: str, f: FnTable, dmax: int, rmax: int):
@@ -751,12 +742,13 @@ def scheme_inequality_suite() -> list[dict]:
 
 
 def group_inequality_suite() -> list[dict]:
-    """Criterion family: tensor-rank level inequalities on SL/GL."""
-    rng = np.random.default_rng(2)
+    """Criterion family: tensor-rank level inequalities on SL/GL.  Each
+    group's set corpus and Bonami functions come from generators of their
+    own, so a change to the draws of one leaves the rows of the others."""
     rows = []
-    for kind, n, q in [("sl", 2, 3), ("sl", 2, 5), ("sl", 3, 2)]:
+    for i, (kind, n, q) in enumerate([("sl", 2, 3), ("sl", 2, 5), ("sl", 3, 2)]):
         group = get_group(kind, n, q)
-        for name, ordinals in group_set_corpus(group, rng, 40):
+        for name, ordinals in group_set_corpus(group, np.random.default_rng([2, i, 0]), 40):
             f = group.indicator(ordinals)
             checks = GroupInstanceChecks(name, f, 2)
             for d in range(1, checks.dmax + 1):
@@ -764,7 +756,7 @@ def group_inequality_suite() -> list[dict]:
                 for ell in (4, 8):
                     rows.append(checks.check_strict_level_weight(d, ell))
                     rows.append(checks.check_tensor_level_weight(d, ell))
-        rows.extend(bonami_isotypic_rows(group, rng))
+        rows.extend(bonami_isotypic_rows(group, np.random.default_rng([2, i, 1])))
     return [r for r in rows if r is not None]
 
 

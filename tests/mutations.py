@@ -145,25 +145,25 @@ MUTATIONS = [
              "refining = [ctx.refining_rows(u, side, order) for u, side in directions]",
              "refining = [[np.arange(len(s.positions)) for s in ctx.site_stacks(order)] for _ in directions]",
              (GLO + "test_stacked_audits_match_per_site_oracles[2-2-2]",)),
-    Mutation("refining index memo key without the order", "src/qharm/globality.py",
-             'key = ("refining_index", order, tuple((u.key, side) for u, side in directions))',
-             'key = ("refining_index", tuple((u.key, side) for u, side in directions))',
-             (GLO + "test_refining_index_is_built_once_per_order_and_direction_list[2-2-2]",)),
-    Mutation("refining index memo key without the directions", "src/qharm/globality.py",
-             'key = ("refining_index", order, tuple((u.key, side) for u, side in directions))',
-             'key = ("refining_index", order)',
-             (GLO + "test_refining_index_is_built_once_per_order_and_direction_list[2-2-2]",)),
+    Mutation("refining maxima filed in reverse order", "src/qharm/globality.py",
+             "return np.array([max(found) for found in maxima])",
+             "return np.array([max(found) for found in maxima[::-1]])",
+             (GLO + "test_refining_maxima_match_the_per_site_oracle[2-2-2]",)),
+    Mutation("every direction read on the first function", "src/qharm/globality.py",
+             "masses = np.abs(np.array([f.values for f in fs])) ** 2",
+             "masses = np.abs(np.array([fs[0].values for f in fs])) ** 2",
+             (GLO + "test_refining_maxima_match_the_per_site_oracle[2-2-2]",)),
+    Mutation("refining rows past a direction's first block dropped", "src/qharm/globality.py",
+             "for _, block in blocks(1, len(stack.positions), ctx.size):",
+             "for _, block in list(blocks(1, len(stack.positions), ctx.size))[:1]:",
+             (GLO + "test_refining_maxima_match_the_per_site_oracle[2-3-3]",)),
+    Mutation("coset sums divided by the coset count, not the coset size", "src/qharm/globality.py",
+             "found.append(sums.max() / stack.members.shape[-1])",
+             "found.append(sums.max() / stack.members.shape[-2])",
+             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
     Mutation("stacked audit rows filed under the previous function", "src/qharm/globality.py",
              "reports[i].rows.append(audit_row(ctx, d, best, witness, bases[i], zetas[i]))",
              "reports[i - 1].rows.append(audit_row(ctx, d, best, witness, bases[i], zetas[i]))",
-             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
-    Mutation("refining maxima scattered to the next function", "src/qharm/globality.py",
-             "np.maximum.at(best, owner[block], _coset_mean(np.take(mass, members)).max(axis=-1))",
-             "np.maximum.at(best, (owner[block] + 1) % best.size, _coset_mean(np.take(mass, members)).max(axis=-1))",
-             (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
-    Mutation("last direction's refining rows dropped", "src/qharm/globality.py",
-             "pairs = [(i, rows[s]) for i, rows in enumerate(refining)]",
-             "pairs = [(i, rows[s]) for i, rows in enumerate(refining)][:-1]",
              (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
     Mutation("stacked coset gather written as values[:, members]", "src/qharm/globality.py",
              "means = _coset_mean(rows[funcs].take(stack.members[sites], axis=1))",
@@ -299,9 +299,13 @@ MUTATIONS = [
              "left_inv = mul[group.inv[gens]]  # h(s^-1 x)",
              "left_inv = mul[gens]  # h(s^-1 x)",
              (GRP + "test_irreducible_tables_are_unitary_homomorphisms[sl-3-2-400]",)),
-    Mutation("mixing level term convolves g, not g_{=d}", "src/qharm/spectra.py",
-             "per_level.append(float(np.sqrt(FnTable(group, f_star(gd.values)).norm2sq())))",
-             "per_level.append(float(np.sqrt(FnTable(group, f_star(g.values)).norm2sq())))",
+    Mutation("mixing level term projects g, not f*g", "src/qharm/spectra.py",
+             "per_level = [float(np.sqrt(level_project_eq(conv, d).norm2sq())) for d in range(1, group.n + 1)]",
+             "per_level = [float(np.sqrt(level_project_eq(g, d).norm2sq())) for d in range(1, group.n + 1)]",
+             ("tests/test_spectra.py::test_mixing_terms_match_one_convolution_per_term[sl-2-3]",)),
+    Mutation("product-mixing level term paired with g, not h", "src/qharm/spectra.py",
+             "per_level = [float(level_project_eq(conv, d).inner(h).real) for d in range(1, group.n + 1)]",
+             "per_level = [float(level_project_eq(conv, d).inner(g).real) for d in range(1, group.n + 1)]",
              ("tests/test_spectra.py::test_mixing_terms_match_one_convolution_per_term[sl-2-3]",)),
     Mutation("inverse without the pivot row swap", "src/qharm/fqlin.py",
              "aug[lane, found] = aug[:, col]",

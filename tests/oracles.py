@@ -48,9 +48,9 @@ globality.lp_global_audit             per_function_lp_global_audit   test_spectr
 globality.laplacian_audits (stacked)  per_function_influence_audit   test_spectra::test_stacked_instance_checks_match_per_function_reference
   (from f_hat, to rounding)           per_site_influence_audit       test_spectra::test_four_norm_row_reads_the_cumulative_influence_audit
 spectra.GroupInstanceChecks (stack)   per_function_*_audit of jf     test_spectra::test_group_checks_audit_jf_as_one_stack_equal_to_one_audit_each
-globality.refining_maxima (stacked)   per_function_refining_max      test_spectra::test_stacked_instance_checks_match_per_function_reference
-  (one refining_index per order and   per_function_refining_max      test_globality::test_refining_index_is_built_once_per_order_and_direction_list
-  direction list)
+globality.refining_maxima             max_refining_restriction_ref   test_spectra::test_stacked_instance_checks_match_per_function_reference
+  (one direction a function, through  max_refining_restriction_ref   test_globality::test_refining_maxima_match_the_per_site_oracle
+  SchemeCtx.refining_rows)
 calculus.avg_for_directions           avg_for_direction_ref          test_spectra::test_stacked_instance_checks_match_per_function_reference
   (from the instance's f_hat)         avg_for_directions             test_spectra::test_criterion_3_instance_transforms_f_once
 spectra.SchemeInstanceChecks (stacks) PerFunctionSchemeChecks        test_spectra::test_stacked_instance_checks_match_per_function_reference
@@ -71,7 +71,7 @@ groups.get_levels, level_kernel       reference_levels               test_level_
 groups.get_characters                 Irreducible.character          test_groups::test_characters_match_irreducible_traces
 groups.level_project (sum of K_e)     level_project_eq, e <= d       test_groups::test_level_projections_are_the_kernels_and_their_sums
 groups.convolve                       brute_convolution              test_groups::test_convolution_identities_and_oracle
-  (one gather per mixing run)         mixing_terms_ref               test_spectra::test_mixing_terms_match_one_convolution_per_term
+  (mixing: levels of the one f*g)     mixing_terms_ref (g_{=d})      test_spectra::test_mixing_terms_match_one_convolution_per_term
 spectra.sarnak_xue_check              sarnak_xue_ref (two matrices)  test_spectra::test_sarnak_xue_matches_two_matrix_reference
   (one rho_hat(f) per irreducible)    (SVDs of conv_operator_matrix,
                                       on level_basis)
@@ -571,18 +571,6 @@ def per_function_influence_audit(f, dmax, zeta=DEFAULT_ZETA):
     return per_function_audit_rows(f, dmax, order_chunks, zeta, "influence")
 
 
-def per_function_refining_max(f, u, side, order):
-    """Max restriction mass of one function over the order-`order` sites
-    refining U, per stack through SchemeCtx.refining_rows; -1.0 when none does."""
-    ctx = f.domain
-    ab = np.abs(f.values) ** 2
-    best = -1.0
-    for stack, rows in zip(ctx.site_stacks(order), ctx.refining_rows(u, side, order)):
-        if rows.size:
-            best = max(best, float(np.max(np.mean(ab[stack.members[rows]], axis=-1))))
-    return best
-
-
 def avg_for_direction_ref(f, u, side):
     """The spectral form of E_U f for one direction, from its own forward transform."""
     ctx = f.domain
@@ -594,7 +582,8 @@ class PerFunctionSchemeChecks(SchemeInstanceChecks):
     """SchemeInstanceChecks with every part, audit, average and refining max
     built for one function and one direction at a time: f^{=d} from
     degree_decompose, f^{<=d} from degree_project, E_U f one direction a
-    call, and L_U f^{=d} from a forward transform of f^{=d}."""
+    call, L_U f^{=d} from a forward transform of f^{=d}, and each refining
+    max one site at a time (max_refining_restriction_ref)."""
 
     def __init__(self, name, f, dmax, rmax):
         super().__init__(name, f, dmax, rmax)
@@ -627,13 +616,13 @@ class PerFunctionSchemeChecks(SchemeInstanceChecks):
         worst = -1.0
         for u, side in direction_subspaces(self.ctx):
             ef = FnTable(self.ctx, avg_for_direction_ref(self.f, u, side))
-            worst = max(worst, per_function_refining_max(ef, u, side, order))
+            worst = max(worst, max_refining_restriction_ref(ef, u, side, order))
         return worst
 
     def _line_refining_max(self, d, order):
         eps1 = 0.0
         for u, side, lap in self.line_laplacians(d):
-            eps1 = max(eps1, per_function_refining_max(FnTable(self.ctx, lap), u, side, order))
+            eps1 = max(eps1, max_refining_restriction_ref(FnTable(self.ctx, lap), u, side, order))
         return eps1
 
 
@@ -806,7 +795,8 @@ def sarnak_xue_ref(f, d, c_report=0.05):
 
 def mixing_terms_ref(group, a, b, c):
     """(||f*g_{=d}||_2, <f*g_{=d}, h_{=d}>) for d = 1..n, with f, g, h the
-    indicators of A, B, C and one `convolve` call, so one kernel gather, per term."""
+    indicators of A, B, C: g and h projected to each level, and one `convolve`
+    call, so one kernel gather, per term."""
     f, g, h = (group.indicator(s) for s in (a, b, c))
     out = []
     for d in range(1, group.n + 1):

@@ -1,6 +1,7 @@
 """CLI round trips: file formats, subcommand artifacts, manifests, and the
 exit-status contract."""
 
+import csv
 import json
 import os
 import warnings
@@ -195,6 +196,32 @@ def test_cli_global_audit_on_set(tmp_path):
     # the full-group indicator fails the q^{zeta d n}-threshold at order 1
     data = json.loads((out / "global_audit.json").read_text())
     assert any(not row["pass"] for row in data["rows"]) == (rc == 1)
+
+
+def test_cli_reports_read_back_as_their_rows(tmp_path):
+    # audit witnesses such as site#0(dimV'=0,dimW'=1)@T=3 hold commas: a
+    # report read back by csv.DictReader gives every row's fields as written
+    from qharm.globality import global_audit, influence_audit, set_global_audit
+    from qharm.scheme import get_scheme
+
+    g = get_group("sl", 2, 3)
+    ordinals = np.random.default_rng(3).choice(g.size, size=7, replace=False)
+    setfile = tmp_path / "a.txt"
+    write_set_file(str(setfile), g, ordinals)
+    values = np.zeros(get_scheme(3, 2, 2).size, dtype=np.complex128)
+    values[g.elements[np.sort(ordinals)]] = 1.0
+    f = get_scheme(3, 2, 2).table(values)
+    group = ["--q", "3", "--n", "2", "--set", str(setfile)]
+    reports = [("global-audit", ["--m", "2"], "global_audit.csv", global_audit(f, 2).as_rows()),
+               ("influence-audit", ["--m", "2"], "influence_audit.csv", influence_audit(f, 2).as_rows()),
+               ("set-audit", [], "set_audit.csv", set_global_audit(g, ordinals).report.as_rows())]
+    for cmd, extra, name, rows in reports:
+        out = tmp_path / cmd
+        main([cmd, *group, *extra, "-o", str(out)])
+        with open(out / name, newline="") as fh:
+            got = list(csv.DictReader(fh))
+        assert any("," in row["witness"] for row in rows)
+        assert got == [{k: str(v) for k, v in row.items()} for row in rows]
 
 
 def test_cli_levels_and_isotypic(tmp_path):
@@ -404,16 +431,17 @@ def test_cli_set_audit_refuses_orders_above_2n(tmp_path, capsys):
 
 # SHA-256 of every file that bogolyubov, approx-group and set-audit write for
 # the set below, recorded before the product sets became masks and the set
-# audit's witnesses a per-cell memo.  The outputs are count ratios and
-# umvirate descriptions, not floating-point sums, so they must not move by
-# a byte.
+# audit's witnesses a per-cell memo; set_audit.csv was re-recorded once its
+# witnesses, which hold commas, were quoted.  The outputs are count ratios
+# and umvirate descriptions, not floating-point sums, so they must not move
+# by a byte.
 GROUP_OUTPUT_DIGESTS = {
     "approx-group_manifest.json": "b7c4ee5a973112c21f4bcb02514dc9e909d6e12912b0ed0ee3a255d06a2e9a8b",
     "approx_group.json": "0be53ff2af5ee0e2553965b239fb076d6c724c247866eba015d394905bb9bceb",
     "bogolyubov.json": "7c880b85775e85a39a8588dbc5096f3e480d15dc702aae9edb237a22fa105a11",
     "bogolyubov_manifest.json": "e35b129b2359168d2cb8369d87c45a6ccca95e194834dfaf05c1f4e96faa578a",
     "set-audit_manifest.json": "38835d2bf339669213060c8fd7e842ec0d6e635a2aeb413ae89dcdffc08d2573",
-    "set_audit.csv": "a015126ba2e8b0f6a6eaf2eb8897e297a3464b1bf2861b6fdfa3bf49c45c2740",
+    "set_audit.csv": "2d4cfb94357925ef5a9c06be29140cc9c8d03b4d9c31530420d62ecb5647605b",
 }
 
 

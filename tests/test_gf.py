@@ -67,7 +67,10 @@ def test_trace_additive_and_frobenius_invariant():
     for q in SUPPORTED_Q:
         f = get_field(q)
         for x in range(f.q):
-            assert f.trace_table[f.pow(x, f.p)] == f.trace_table[x]
+            xp = 1
+            for _ in range(f.p):
+                xp = field_mul(f, xp, x)
+            assert f.trace_table[xp] == f.trace_table[x]
             for y in range(f.q):
                 assert f.trace_table[field_add(f, x, y)] == (int(f.trace_table[x]) + int(f.trace_table[y])) % f.p
 

@@ -12,7 +12,6 @@ from oracles import (
     brute_force_set_ratios,
     influence,
     max_refining_restriction_ref,
-    per_function_refining_max,
     per_site_global_audit,
     per_site_influence_audit,
     per_site_lp_global_audit,
@@ -29,14 +28,13 @@ from qharm.globality import (
     influence_audit,
     lp_global_audit,
     max_refining_restriction,
-    refining_index,
     refining_maxima,
     restriction_audits,
     set_global_audit,
     umvirate_normal_form,
 )
 from qharm.groups import get_group
-from qharm.scheme import SchemeCtx, get_scheme, random_table, restrict
+from qharm.scheme import get_scheme, random_table, restrict
 
 RNG = np.random.default_rng(31337)
 
@@ -244,36 +242,27 @@ def test_refining_pairs_match_contains_filter():
 
 
 @pytest.mark.parametrize("q, n, m", PARITY_DOMAINS)
-def test_refining_index_is_built_once_per_order_and_direction_list(monkeypatch, q, n, m):
-    # the stacked maxima equal the per-function oracle at every order, for the
-    # directions in order and reversed; a repeated call resolves no refining
-    # rows, and the reversed list, of the same length, has an entry of its own
+def test_refining_maxima_match_the_per_site_oracle(monkeypatch, q, n, m):
+    # each function read at the sites refining its own direction, at every
+    # order, for the directions in order and reversed, and with one site a
+    # block, so a direction's rows span several blocks
+    import qharm.calculus as calculus
+
     ctx = get_scheme(q, n, m)
     dirs = direction_subspaces(ctx)
     fs = [random_table(ctx, RNG, ("real", "boolean", "complex")[i % 3]) for i in range(len(dirs))]
-    resolved = []
-    refining_rows = SchemeCtx.refining_rows
-
-    def counting(self, u, side, order):
-        resolved.append((u.key, side, order))
-        return refining_rows(self, u, side, order)
-
-    monkeypatch.setattr(SchemeCtx, "refining_rows", counting)
     for order in range(n + m + 1):
         for directions in (dirs, dirs[::-1]):
-            want = [per_function_refining_max(f, u, side, order) for f, (u, side) in zip(fs, directions)]
+            want = [max_refining_restriction_ref(f, u, side, order) for f, (u, side) in zip(fs, directions)]
             assert refining_maxima(fs, directions, order).tolist() == want
-            resolved.clear()
-            assert refining_maxima(fs, directions, order).tolist() == want
-            assert resolved == []
-        assert refining_index(ctx, dirs, order) is not refining_index(ctx, dirs[::-1], order)
+            with monkeypatch.context() as patch:
+                patch.setattr(calculus, "_LAPLACIAN_BATCH_ELEMENTS", ctx.size)
+                assert refining_maxima(fs, directions, order).tolist() == want
 
 
 def test_shared_index_arrays_and_annihilators_are_read_only():
     ctx = get_scheme(2, 2, 3)
-    dirs = direction_subspaces(ctx)
-    arrays = [a for order in range(ctx.n + ctx.m + 1) for pair in refining_index(ctx, dirs, order) for a in pair]
-    arrays += [annihilator_functional(ctx, u) for u, side in dirs if side == "w"]
+    arrays = [annihilator_functional(ctx, u) for u, side in direction_subspaces(ctx) if side == "w"]
     assert sum(a.size for a in arrays) > 0
     for a in arrays:
         with pytest.raises(ValueError):

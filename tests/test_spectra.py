@@ -12,11 +12,11 @@ from oracles import (
     avg_for_direction_ref,
     brute_convolution,
     conv_operator_matrix,
+    max_refining_restriction_ref,
     mixing_terms_ref,
     per_function_global_audit,
     per_function_influence_audit,
     per_function_lp_global_audit,
-    per_function_refining_max,
     per_site_influence_audit,
     sarnak_xue_ref,
 )
@@ -160,8 +160,9 @@ def test_mixing_decomposition_and_oracle():
 
 @pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 3, 2)])
 def test_mixing_terms_match_one_convolution_per_term(kind, n, q):
-    # both experiments gather f's kernel once; each level term must still be
-    # the one that a separate convolution of f with g_{=d} gives, bit for bit
+    # both experiments project the one convolution f*g; each level term must
+    # still be the one that a separate convolution of f with g_{=d} gives, to
+    # rounding (they differ in the last bits)
     g = get_group(kind, n, q)
     rng = np.random.default_rng(31 + n)
     for _ in range(3):
@@ -170,8 +171,8 @@ def test_mixing_terms_match_one_convolution_per_term(kind, n, q):
         want = mixing_terms_ref(g, a, b, c)
         mix = mixing_experiment(GroupSet(g, a), GroupSet(g, b))
         triple = product_mixing(GroupSet(g, a), GroupSet(g, b), GroupSet(g, c))
-        assert mix.per_level == [norm for norm, _ in want]
-        assert triple.per_level == [term for _, term in want]
+        np.testing.assert_allclose(mix.per_level, [norm for norm, _ in want], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(triple.per_level, [term for _, term in want], rtol=1e-12, atol=1e-14)
         fa, fb = g.indicator(a), g.indicator(b)
         conv = convolve(fa, fb)
         assert mix.deviation == float(np.sqrt(np.mean(np.abs(conv.values - fa.mean().real * fb.mean().real) ** 2)))
@@ -273,6 +274,26 @@ def test_instance_memo_matches_rebuilding_every_quantity(monkeypatch):
     assert all(memo)
 
 
+def test_group_suite_parts_draw_from_generators_of_their_own(monkeypatch):
+    # one more value drawn ahead of SL_2(F_3)'s Bonami functions redraws
+    # those rows alone: its set rows and every later group's rows stay ==
+    group_set_corpus, bonami = spectra.group_set_corpus, spectra.bonami_isotypic_rows
+    monkeypatch.setattr(spectra, "group_set_corpus", lambda g, rng, n: group_set_corpus(g, rng, 3))
+    before = spectra.group_inequality_suite()
+    first = get_group("sl", 2, 3)
+
+    def shifted(group, rng):
+        if group is first:
+            rng.standard_normal()
+        return bonami(group, rng)
+
+    monkeypatch.setattr(spectra, "bonami_isotypic_rows", shifted)
+    after = spectra.group_inequality_suite()
+    assert [row["instance"] for row in after] == [row["instance"] for row in before]
+    changed = {row["instance"] for row, old in zip(after, before) if row != old}
+    assert changed and all(name.startswith(f"{first!r}:iso(") for name in changed)
+
+
 def _scheme_rows(checks, family):
     """The criterion-3 (equivalence) or criterion-4 (inequality) rows of one
     instance, in the order the suites run them."""
@@ -358,7 +379,7 @@ def test_stacked_instance_checks_match_per_function_reference(q, n, m):
             ref = avg_for_direction_ref(f, u, side).tobytes()
             assert avg.values.tobytes() == ref and avg_for_direction(f, u, side).values.tobytes() == ref
         for order in range(n + m + 1):
-            want = [per_function_refining_max(avg, u, side, order) for avg, (u, side) in zip(averages, dirs)]
+            want = [max_refining_restriction_ref(avg, u, side, order) for avg, (u, side) in zip(averages, dirs)]
             assert refining_maxima(averages, dirs, order).tolist() == want
 
 
