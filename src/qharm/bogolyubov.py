@@ -5,6 +5,10 @@ enumeration by the (fixed subspace, invariant complement) parametrization
 cross-checked against conjugation orbits, containment searches in
 A A^{-1} A A^{-1}, the 0.99-density step through the density-bump
 search, and easy-set covers for approximate subgroups.
+
+Product sets, the dense-set meet check (U' <= T1 T1^{-1}), cover coset
+labels and conjugation orbits are each one gather of the multiplication
+table; the per-element loops they replace are references in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -105,16 +109,11 @@ def groumvirate_orbit_count(group: GroupTable, k: int) -> tuple[int, int]:
     """(number of distinct conjugates by direct orbit enumeration,
     |G| / |normalizer of L_k|) for cross-checking the parametrization."""
     lk = block_subgroup_members(group, k)
-    lk_set = frozenset(lk.tolist())
     m = group.mul_table()
-    seen = set()
-    normalizer = 0
-    for g in range(group.size):
-        conj = frozenset(m[m[g, lk], group.inv[g]].tolist())
-        seen.add(conj)
-        if conj == lk_set:
-            normalizer += 1
-    return len(seen), group.size // normalizer
+    # row g is g L_k g^-1, sorted; equal rows are equal conjugates
+    conj = np.sort(m[m[:, lk], group.inv[:, None]], axis=1)
+    normalizer = int(np.all(conj == lk, axis=1).sum())
+    return len(np.unique(conj, axis=0)), group.size // normalizer
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +173,8 @@ def density_bogolyubov(a: GroupSet, zeta: float = DEFAULT_ZETA) -> DensityBogoly
     U' = U (U)^{-1} = g L_k g^{-1}, measures the exact density of
     A A^{-1} in U', and when it reaches 0.99 verifies the containment
     U' <= A A^{-1} A A^{-1} both directly and by the two-dense-sets
-    mechanism (for each x in U', the 0.99-dense sets AA^{-1} & U' and
-    x AA^{-1} & U' must meet)."""
+    mechanism: for each x in U', the 0.99-dense sets T1 = AA^{-1} & U'
+    and x T1 must meet, that is U' <= T1 T1^{-1}."""
     group = a.group
     bump = density_bump_search(group, a.ordinals, zeta=zeta)
     uprime = GoodUmvirate(group, bump.k, bump.g, int(group.inv[bump.g]))
@@ -187,18 +186,11 @@ def density_bogolyubov(a: GroupSet, zeta: float = DEFAULT_ZETA) -> DensityBogoly
     reached = density >= 0.99
     verified = False
     if reached:
-        s = product_set(aai, aai)
-        smask = s.mask()
-        verified = bool(np.all(smask[members]))
-        m = group.mul_table()
-        inside = np.flatnonzero(aai_mask[members])
-        t1 = members[inside]
-        t1_mask = np.zeros(group.size, dtype=bool)
-        t1_mask[t1] = True
-        for x in members:
-            shifted = m[x, t1]
-            if not np.any(t1_mask[shifted]):
-                raise ToolkitError("two 0.99-dense subsets of a group failed to meet")
+        verified = bool(np.all(product_set(aai, aai).mask()[members]))
+        # x T1 meets T1 iff x lies in T1 T1^-1
+        t1 = GroupSet(group, members[aai_mask[members]])
+        if not np.all(product_set(t1, inverse_set(t1)).mask()[members]):
+            raise ToolkitError("two 0.99-dense subsets of a group failed to meet")
         assert verified
     return DensityBogolyubovResult(uprime, density, reached, bump, verified)
 
@@ -217,9 +209,8 @@ class EasySet:
     beta: float  # density bound for the union
 
     def members(self) -> np.ndarray:
-        m = self.umvirate.group.mul_table()
-        u = self.umvirate.members()
-        return np.unique(m[np.ix_(self.representatives, u)])
+        group = self.umvirate.group
+        return product_set(GroupSet(group, self.representatives), GroupSet(group, self.umvirate.members())).ordinals
 
 
 @dataclass
@@ -249,21 +240,14 @@ def easy_set_cover(a: GroupSet) -> CoverResult:
     found = bogolyubov_search(a)
     u = found.contained
     u_members = u.members()
-    m = group.mul_table()
-    reps = {}
-    for x in a.ordinals:
-        label = int(np.min(m[x, u_members]))
-        if label not in reps:
-            reps[label] = int(x)
-    x_arr = np.array(sorted(reps.values()), dtype=np.int64)
+    # label each left coset x U by its least element; keep the least x of A per label
+    labels = group.mul_table()[np.ix_(a.ordinals, u_members)].min(axis=1)
+    x_arr = np.sort(a.ordinals[np.unique(labels, return_index=True)[1]])
     easy = EasySet(u, x_arr, u.density(), len(x_arr) * u.density())
     j_members = easy.members()
-    jmask = np.zeros(group.size, dtype=bool)
-    jmask[j_members] = True
-    covers = bool(np.all(jmask[a.ordinals]))
-    a5 = product_set(a, product_set(a2, a2))
-    a5mask = a5.mask()
-    inside = bool(np.all(a5mask[j_members]))
+    covers = bool(np.all(np.isin(a.ordinals, j_members)))
+    # A = A^-1, so the search's A A^-1 A A^-1 is A^4
+    inside = bool(np.all(product_set(a, found.product_set).mask()[j_members]))
     if not (covers and inside):
         raise ToolkitError("easy-set cover failed the exact containment A <= XU <= A^5")
     mu_u = u.density()

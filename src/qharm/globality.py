@@ -49,7 +49,7 @@ from .fqlin import (
 )
 from .gf import FieldCtx
 from .groups import GroupTable, get_group
-from .scheme import FnTable, SchemeCtx
+from .scheme import FnTable, SchemeCtx, mean_last_axis
 
 DEFAULT_ZETA = 0.01
 
@@ -116,13 +116,6 @@ def _orders(dmax: int) -> range:
     if dmax < 0:
         raise ToolkitError(f"audit order dmax={dmax} must be >= 0")
     return range(dmax + 1)
-
-
-def _coset_mean(values: np.ndarray) -> np.ndarray:
-    """np.mean(values, axis=-1) bit for bit (the same pairwise sum, then one
-    division by the count) without np.mean's per-call overhead, which
-    dominates on the small stacks of small domains."""
-    return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
 def audit_row(ctx: SchemeCtx, order: int, value: float, witness: str, base: float, zeta: float | None) -> ReportRow:
@@ -200,7 +193,7 @@ def restriction_audits(fs: list[FnTable], orders, ellps, zeta: float = DEFAULT_Z
         live_roots = [roots[i] for i in live]
         for stack in ctx.site_stacks(d):
             for funcs, sites in blocks(len(live), len(stack.positions), ctx.size):
-                means = _coset_mean(rows[funcs].take(stack.members[sites], axis=1))
+                means = mean_last_axis(rows[funcs].take(stack.members[sites], axis=1))
                 for k, root in enumerate(live_roots[funcs]):
                     if root is not None:
                         means[k] **= root
@@ -255,7 +248,7 @@ def laplacian_audits(fs: list[FnTable], orders, laplacians, zeta: float = DEFAUL
                 if first < stop:
                     positions, members = stack.positions[first:stop], stack.members[first:stop]
                     rows = np.arange(n_funcs)[:, None] * n_sites + (positions - lo)
-                    influences = _coset_mean(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))
+                    influences = mean_last_axis(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))
                     yield funcs, positions, influences
 
     return _audit_rows(fs, orders, order_chunks, [zeta] * len(fs), ["influence"] * len(fs))

@@ -467,6 +467,8 @@ def level_project_eq(f: FnTable, d: int) -> FnTable:
 
 def pointwise_stabilizer(group: GroupTable, u: Subspace) -> np.ndarray:
     """Ordinals of elements fixing the subspace pointwise."""
+    if u.ambient != group.n:
+        raise ToolkitError(f"subspace of F_q^{u.ambient} given for a group acting on F_q^{group.n}")
     act = group.vector_action(False)
     mask = np.ones(group.size, dtype=bool)
     for row in u.basis:
@@ -475,26 +477,22 @@ def pointwise_stabilizer(group: GroupTable, u: Subspace) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def _stabilizer_translates(f: FnTable, u: Subspace) -> np.ndarray:
+    """(|H|, |G|) values f(g h), one row per h in the pointwise stabilizer H."""
+    group = _group_of(f)
+    return f.values[group.mul_table().T[pointwise_stabilizer(group, u)]]
+
+
 def junta_test(f: FnTable, u: Subspace) -> bool:
     """True iff f is invariant under right multiplication by the stabilizer."""
-    group = _group_of(f)
-    h = pointwise_stabilizer(group, u)
-    m = group.mul_table()
-    for ho in h:
-        if np.max(np.abs(f.values[m[:, ho]] - f.values)) > 1e-9:
-            return False
-    return True
+    return bool(np.max(np.abs(_stabilizer_translates(f, u) - f.values)) <= 1e-9)
 
 
 def junta_project(f: FnTable, u: Subspace) -> FnTable:
     """Average over right cosets of the stabilizer: the nearest junta."""
-    group = _group_of(f)
-    h = pointwise_stabilizer(group, u)
-    m = group.mul_table()
-    acc = np.zeros(group.size, dtype=np.complex128)
-    for ho in h:
-        acc += f.values[m[:, ho]]
-    return FnTable(group, acc / len(h))
+    translates = _stabilizer_translates(f, u)
+    # a sum over axis 0 adds the rows in order, as a loop over h would
+    return FnTable(f.domain, np.add.reduce(translates, axis=0) / translates.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -335,20 +335,27 @@ class FnTable:
         self.values = np.asarray(values, dtype=np.complex128)
 
     def mean(self) -> complex:
-        return complex(self.values.mean())
+        return complex(mean_last_axis(self.values))
 
     def norm2sq(self) -> float:
-        return float(np.mean(np.abs(self.values) ** 2))
+        return float(mean_last_axis(np.abs(self.values) ** 2))
 
     def inner(self, other: "FnTable") -> complex:
-        return complex(np.mean(self.values * np.conj(other.values)))
+        return complex(mean_last_axis(self.values * np.conj(other.values)))
 
     def lp_norm(self, p: float) -> float:
-        return float(np.mean(np.abs(self.values) ** p) ** (1.0 / p))
+        return float(mean_last_axis(np.abs(self.values) ** p) ** (1.0 / p))
 
     def lp_power(self, p: float) -> float:
         """E|f|^p (the p-th power of the p-norm)."""
-        return float(np.mean(np.abs(self.values) ** p))
+        return float(mean_last_axis(np.abs(self.values) ** p))
+
+
+def mean_last_axis(values: np.ndarray):
+    """np.mean(values, axis=-1) bit for bit (the same pairwise sum, then one
+    division by the count) without np.mean's per-call overhead, which
+    dominates on the small tables and stacks of small domains."""
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
 class SpectrumTable:

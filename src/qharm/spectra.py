@@ -231,17 +231,12 @@ def product_free_witness(a: GroupSet) -> ProductFreeReport:
     """Exact product-freeness check; for product-free sets, the umvirate
     density audit locates where the set concentrates."""
     group = a.group
-    m = group.mul_table()
-    amask = a.mask()
-    collision = None
-    for x in a.ordinals:
-        prods = m[x, a.ordinals]
-        hit = np.flatnonzero(amask[prods])
-        if hit.size:
-            collision = (int(x), int(a.ordinals[hit[0]]), int(prods[hit[0]]))
-            break
-    if collision is not None:
-        return ProductFreeReport(False, collision, None, None, None)
+    prods = group.mul_table()[np.ix_(a.ordinals, a.ordinals)]
+    hit = a.mask()[prods]
+    if hit.any():
+        # the first x y in A, x then y in increasing order
+        i, j = np.unravel_index(np.argmax(hit), hit.shape)
+        return ProductFreeReport(False, (int(a.ordinals[i]), int(a.ordinals[j]), int(prods[i, j])), None, None, None)
     res = set_global_audit(group, a.ordinals)
     best_order, best_ratio = 0, 1.0
     for row in res.report.rows:

@@ -45,6 +45,7 @@ GLO = "tests/test_globality.py::"
 CLI = "tests/test_cli.py::"
 SPE = "tests/test_spectra.py::"
 GRP = "tests/test_groups.py::"
+GSP = "tests/test_group_set_parity.py::"
 
 MUTATIONS = [
     Mutation("Leibniz sign", "src/qharm/fqlin.py",
@@ -130,12 +131,12 @@ MUTATIONS = [
              "return self.domain_index.add_indices(reps[:, None], emb[None, :])",
              (BT + "test_embeddings_and_cosets_match_scalar_loop[domain1]",)),
     Mutation("restriction mass as a coset max", "src/qharm/globality.py",
-             "means = _coset_mean(rows[funcs].take(stack.members[sites], axis=1))",
+             "means = mean_last_axis(rows[funcs].take(stack.members[sites], axis=1))",
              "means = rows[funcs].take(stack.members[sites], axis=1).max(axis=-1)",
              (GLO + "test_global_audit_matches_brute_force",)),
     Mutation("influence as the squared mean modulus", "src/qharm/globality.py",
-             "influences = _coset_mean(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))",
-             "influences = _coset_mean(np.sqrt(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))) ** 2",
+             "influences = mean_last_axis(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))",
+             "influences = mean_last_axis(np.sqrt(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))) ** 2",
              (GLO + "test_batched_influence_audit_matches_per_site_oracle[False]",)),
     Mutation("site Laplacians paired with reversed masks", "src/qharm/globality.py",
              "yield funcs, sites.start, ctx.fourier_inverse(spectra[live[funcs], None, :] * masks)",
@@ -166,8 +167,8 @@ MUTATIONS = [
              "reports[i - 1].rows.append(audit_row(ctx, d, best, witness, bases[i], zetas[i]))",
              (SPE + "test_stacked_instance_checks_match_per_function_reference[2-2-2]",)),
     Mutation("stacked coset gather written as values[:, members]", "src/qharm/globality.py",
-             "means = _coset_mean(rows[funcs].take(stack.members[sites], axis=1))",
-             "means = _coset_mean(rows[funcs][:, stack.members[sites]])",
+             "means = mean_last_axis(rows[funcs].take(stack.members[sites], axis=1))",
+             "means = mean_last_axis(rows[funcs][:, stack.members[sites]])",
              (SPE + "test_stacked_instance_checks_match_per_function_reference[2-3-3]",)),
     Mutation("line Laplacians kept from the cumulative parts", "src/qharm/spectra.py",
              "for d, lap in zip(degrees[rows], laps[:, 1]):",
@@ -249,6 +250,34 @@ MUTATIONS = [
              "hit[group.mul_table()[np.ix_(a.ordinals, b.ordinals)]] = True",
              "hit[group.mul_table()[np.ix_(b.ordinals, a.ordinals)]] = True",
              ("tests/test_bogolyubov.py::test_product_set_matches_double_loop",)),
+    Mutation("cover cosets labelled as right cosets U x", "src/qharm/bogolyubov.py",
+             "labels = group.mul_table()[np.ix_(a.ordinals, u_members)].min(axis=1)",
+             "labels = group.mul_table()[np.ix_(u_members, a.ordinals)].min(axis=0)",
+             (GSP + "test_cover_representatives_match_the_coset_loop[sl-3-2]",)),
+    Mutation("easy set J built as U X", "src/qharm/bogolyubov.py",
+             "return product_set(GroupSet(group, self.representatives), GroupSet(group, self.umvirate.members())).ordinals",
+             "return product_set(GroupSet(group, self.umvirate.members()), GroupSet(group, self.representatives)).ordinals",
+             (GSP + "test_cover_representatives_match_the_coset_loop[sl-3-2]",)),
+    Mutation("cover checked inside A^2, not A A^4", "src/qharm/bogolyubov.py",
+             "inside = bool(np.all(product_set(a, found.product_set).mask()[j_members]))",
+             "inside = bool(np.all(product_set(a, a).mask()[j_members]))",
+             (GSP + "test_cover_representatives_match_the_coset_loop[sl-2-5]",)),
+    Mutation("dense-set meet checked on the complement of T1", "src/qharm/bogolyubov.py",
+             "t1 = GroupSet(group, members[aai_mask[members]])",
+             "t1 = GroupSet(group, members[~aai_mask[members]])",
+             (GSP + "test_density_step_meets_as_the_per_element_loop[sl-3-2]",)),
+    Mutation("orbit rows g L_k without the inverse", "src/qharm/bogolyubov.py",
+             "conj = np.sort(m[m[:, lk], group.inv[:, None]], axis=1)",
+             "conj = np.sort(m[:, lk], axis=1)",
+             (GSP + "test_orbit_counts_match_the_frozenset_loop[sl-2-3]",)),
+    Mutation("stabilizer translates read as f(h g)", "src/qharm/groups.py",
+             "return f.values[group.mul_table().T[pointwise_stabilizer(group, u)]]",
+             "return f.values[group.mul_table()[pointwise_stabilizer(group, u)]]",
+             (GSP + "test_juntas_match_the_stabilizer_loops[sl-2-3]",)),
+    Mutation("first collision read from y x", "src/qharm/spectra.py",
+             "hit = a.mask()[prods]",
+             "hit = a.mask()[prods.T]",
+             (GSP + "test_first_collision_matches_the_pair_loop[sl-2-3]",)),
     Mutation("witness memo keyed by order instead of cell", "src/qharm/globality.py",
              "key = int(cell)",
              "key = int(tables.row_orders[i] + tables.func_orders[j])",

@@ -78,6 +78,15 @@ spectra.sarnak_xue_check              sarnak_xue_ref (two matrices)  test_spectr
 groups.get_irreducibles               mul_table, isotypic_projector  test_groups::test_irreducible_tables_are_unitary_homomorphisms
 spectra.bonami_isotypic_rows          isotypic_projector             test_spectra::test_bonami_draws_lie_in_their_isotypic_components
 bogolyubov.product_set (mask)         brute_product                  test_bogolyubov::test_product_set_matches_double_loop
+bogolyubov.easy_set_cover             coset_representatives_ref      test_group_set_parity::test_cover_representatives_match_the_coset_loop
+  (coset labels, one (|A|, |U|)       brute_product (X U)            test_group_set_parity::test_cover_representatives_match_the_coset_loop
+  gather; J = product_set(X, U))
+bogolyubov.density_bogolyubov         dense_sets_meet_ref            test_group_set_parity::test_density_step_meets_as_the_per_element_loop
+  (meet as U' <= T1 T1^-1)            dense_sets_meet_ref            test_group_set_parity::test_meet_is_containment_in_t_t_inverse
+bogolyubov.groumvirate_orbit_count    orbit_count_ref (frozensets)   test_group_set_parity::test_orbit_counts_match_the_frozenset_loop
+groups.junta_test, junta_project      junta_test_ref,                test_group_set_parity::test_juntas_match_the_stabilizer_loops
+  (one (|H|, |G|) translate gather)   junta_project_ref
+spectra.product_free_witness          first_collision_ref            test_group_set_parity::test_first_collision_matches_the_pair_loop
 cli.read_function_csv (numpy parser)  read_function_csv_ref          test_cli::test_function_csv_reader_matches_per_line_reference
   (2-column files)                    read_function_csv_ref          test_cli::test_two_column_function_csv_takes_the_numpy_path
                                       read_function_csv_ref          test_cli::test_function_csv_reader_matches_reference_on_random_text
@@ -103,9 +112,18 @@ from qharm.globality import (
     SetAuditResult,
     Umvirate,
     _rank_factor,
+    block_subgroup_members,
     umvirate_normal_form,
 )
-from qharm.groups import convolve, convolve_batch, get_group, get_isotypic, level_kernel, level_project_eq
+from qharm.groups import (
+    convolve,
+    convolve_batch,
+    get_group,
+    get_isotypic,
+    level_kernel,
+    level_project_eq,
+    pointwise_stabilizer,
+)
 from qharm.scheme import FnTable, degree_decompose, degree_project, get_scheme, restrict
 from qharm.spectra import OperatorNormRow, SchemeInstanceChecks
 
@@ -746,6 +764,71 @@ def brute_product(group, a, b):
     """The product set {x y : x in A, y in B} by a double loop, as a Python set."""
     m = group.mul_table()
     return {int(m[x, y]) for x in a for y in b}
+
+
+def coset_representatives_ref(group, a, u):
+    """The least x of A in each left coset x U meeting A, a coset labelled by
+    its least element, one x at a time."""
+    m = group.mul_table()
+    reps = {}
+    for x in np.sort(a):
+        label = int(np.min(m[x, u]))
+        if label not in reps:
+            reps[label] = int(x)
+    return np.array(sorted(reps.values()), dtype=np.int64)
+
+
+def dense_sets_meet_ref(group, members, t1):
+    """True iff x T1 meets T1 for every x in `members`, one x at a time."""
+    m = group.mul_table()
+    t1_mask = np.zeros(group.size, dtype=bool)
+    t1_mask[t1] = True
+    return all(np.any(t1_mask[m[x, t1]]) for x in members)
+
+
+def orbit_count_ref(group, k):
+    """(distinct conjugates g L_k g^-1, |G| / |normalizer of L_k|), one g at a
+    time, each conjugate held as a frozenset."""
+    lk = block_subgroup_members(group, k)
+    lk_set = frozenset(lk.tolist())
+    m = group.mul_table()
+    seen = set()
+    normalizer = 0
+    for g in range(group.size):
+        conj = frozenset(m[m[g, lk], group.inv[g]].tolist())
+        seen.add(conj)
+        normalizer += conj == lk_set
+    return len(seen), group.size // normalizer
+
+
+def junta_test_ref(f, u):
+    """f(g h) = f(g) for every g, one h of the pointwise stabilizer at a time."""
+    m = f.domain.mul_table()
+    return all(np.max(np.abs(f.values[m[:, h]] - f.values)) <= 1e-9
+               for h in pointwise_stabilizer(f.domain, u))
+
+
+def junta_project_ref(f, u):
+    """The mean of the right translates f(g h) over the stabilizer, summed one h at a time."""
+    m = f.domain.mul_table()
+    h_all = pointwise_stabilizer(f.domain, u)
+    acc = np.zeros(f.domain.size, dtype=np.complex128)
+    for h in h_all:
+        acc += f.values[m[:, h]]
+    return acc / len(h_all)
+
+
+def first_collision_ref(group, a):
+    """The first (x, y, x y) with x, y and x y in A, x then y in increasing
+    order, or None when A is product-free."""
+    m = group.mul_table()
+    a = np.sort(a)
+    in_a = set(a.tolist())
+    for x in a:
+        for y in a:
+            if int(m[x, y]) in in_a:
+                return int(x), int(y), int(m[x, y])
+    return None
 
 
 # ---------------------------------------------------------------------------

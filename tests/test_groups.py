@@ -208,6 +208,17 @@ def test_junta_project_idempotent_and_contractive():
         assert p.norm2sq() <= f.norm2sq() + 1e-12
 
 
+def test_subspace_of_the_wrong_ambient_dimension_is_refused():
+    # a line of F_2^2 is not a line of F_2^3: no zero-padding to (1, 1, 0)
+    g = get_group("sl", 3, 2)
+    u = span_of(g.field, [1, 1])
+    f = random_group_table(g, RNG, "real")
+    for call in (lambda: pointwise_stabilizer(g, u), lambda: junta_test(f, u), lambda: junta_project(f, u)):
+        with pytest.raises(ToolkitError, match="subspace of F_q\\^2 given for a group acting on F_q\\^3"):
+            call()
+    assert pointwise_stabilizer(g, span_of(g.field, [1, 1, 0])).size == 24
+
+
 def test_level_lower_check_random():
     for (n, q) in [(2, 3), (2, 5), (3, 2)]:
         g = get_group("sl", n, q)

@@ -253,3 +253,24 @@ def test_dualize_matches_the_per_element_transpose(q, n, m):
     perm = dualize_perm_ref(ctx)
     f = FnTable(ctx, np.arange(ctx.size, dtype=np.complex128))
     assert np.array_equal(dualize(f).values, f.values[perm])
+
+
+def _conj_product(f, g):
+    # written as in FnTable.inner: from 2^14 complex entries numpy multiplies
+    # into the temporary conj(g) in place, which rounds differently from a
+    # product into a new array, and pytest's rewritten asserts hold on to
+    # their intermediate values, so no temporary is reused inside one
+    return f.values * np.conj(g.values)
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 1, 1), (2, 2, 2), (3, 2, 2), (2, 3, 3), (5, 2, 2), (2, 4, 4)])
+def test_fn_table_expectations_equal_their_np_mean_form(q, n, m):
+    ctx = get_scheme(q, n, m)
+    for kind in ("real", "complex", "boolean"):
+        f, g = random_table(ctx, RNG, kind), random_table(ctx, RNG, kind)
+        assert f.mean() == complex(np.mean(f.values))
+        assert f.norm2sq() == float(np.mean(np.abs(f.values) ** 2))
+        assert f.inner(g) == complex(np.mean(_conj_product(f, g)))
+        for p in (1.0, 1.5, 4.0):
+            assert f.lp_power(p) == float(np.mean(np.abs(f.values) ** p))
+            assert f.lp_norm(p) == float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
