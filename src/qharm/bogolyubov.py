@@ -8,7 +8,9 @@ search, and easy-set covers for approximate subgroups.
 
 Product sets, the dense-set meet check (U' <= T1 T1^{-1}), cover coset
 labels and conjugation orbits are each one gather of the multiplication
-table; the per-element loops they replace are references in tests/oracles.py.
+table, and so is the containment scan, per k; groumvirates come from one
+batched determinant.  The loops these replace are references in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToolkitError
-from .fqlin import det, enumerate_subspaces, rank
+from .errors import ConsistencyError, ToolkitError
+from .fqlin import det, enumerate_subspaces
 from .globality import (
     DEFAULT_ZETA,
     BumpResult,
     GoodUmvirate,
     block_subgroup_members,
+    coset_rows,
     density_bump_search,
 )
 from .groups import GroupTable
@@ -84,25 +87,18 @@ def groumvirate_enumerate(group: GroupTable, k: int) -> list[GoodUmvirate]:
     invariant complement) pair."""
     n = group.n
     field = group.field
-    if k == 0:
-        return [GoodUmvirate(group, 0, group.identity, group.identity)]
-    if n - k <= 1:  # L_k = SL_{n-k} is trivial
+    if k == 0 or n - k <= 1:  # L_0 = G, or L_k = SL_{n-k} is trivial: one conjugate
         return [GoodUmvirate(group, k, group.identity, group.identity)]
-    out = []
-    for fsub in enumerate_subspaces(field, n, k):
-        for csub in enumerate_subspaces(field, n, n - k):
-            stacked = np.concatenate([fsub.basis, csub.basis])
-            if rank(field, stacked) != n:
-                continue
-            g = np.concatenate([fsub.basis, csub.basis]).T.copy()
-            d = det(field, g)
-            if d != 1:
-                g = g.copy()
-                g[:, 0] = field.mul_table[g[:, 0], field.inv(d)]
-            g_ord = int(group.ordinals_of(g))
-            assert g_ord >= 0
-            out.append(GoodUmvirate(group, k, g_ord, int(group.inv[g_ord])))
-    return out
+    fixed, comps = (np.stack([s.basis for s in enumerate_subspaces(field, n, dim)]) for dim in (k, n - k))
+    # columns: a fixed basis, then a complement basis, for every pair, fixed-major
+    g = np.concatenate([fixed.repeat(len(comps), axis=0), np.tile(comps, (len(fixed), 1, 1))], axis=1).transpose(0, 2, 1)
+    d = det(field, g)  # != 0 exactly when the pair spans F_q^n
+    g, d = g[d != 0], d[d != 0]
+    g[:, :, 0] = field.mul_table[g[:, :, 0], field.inv_table[d][:, None]]  # det 1, unchanged where d = 1
+    ords = group.ordinals_of(g)
+    if (ords < 0).any():
+        raise ConsistencyError("a det-1 groumvirate conjugator left the group")
+    return [GoodUmvirate(group, k, int(o), int(group.inv[o])) for o in ords]
 
 
 def groumvirate_orbit_count(group: GroupTable, k: int) -> tuple[int, int]:
@@ -131,29 +127,27 @@ class BogolyubovResult:
 def bogolyubov_search(a: GroupSet) -> BogolyubovResult:
     """Maximum-density good groumvirate contained in A A^{-1} A A^{-1}.
 
-    Scans k upward (densities decrease with k); the singleton {e} at
-    k = n is always contained, so the search cannot fail.
+    Scans k upward (densities decrease with k), all groumvirates of one
+    k in one gather; the singleton {e} at k = n is always contained, so
+    the search cannot fail.
     """
     if a.size == 0:
         raise ToolkitError("empty set")
     group = a.group
     s = quadruple_product(a)
     smask = s.mask()
-    best = None
     for k in range(group.n + 1):
-        for gu in groumvirate_enumerate(group, k):
-            if np.all(smask[gu.members()]):
-                best = gu
-                break
-        if best is not None:
+        found = groumvirate_enumerate(group, k)
+        g = np.array([gu.g for gu in found])
+        inside = np.all(smask[coset_rows(group, k, g, group.inv[g])], axis=1)
+        if inside.any():
+            best = found[int(np.argmax(inside))]
             break
-    assert best is not None  # k = n gives {e} <= A A^{-1} A A^{-1}
-    mu_u = best.density()
-    mu_a = a.mu
-    if mu_a >= 1.0:
-        exponent = 0.0 if mu_u == 1.0 else float("inf")
     else:
-        exponent = float(np.log(mu_u) / np.log(mu_a))
+        raise ConsistencyError("no good groumvirate, not even {e}, lies in A A^-1 A A^-1")
+    mu_u = best.density()
+    # U = G, as whenever A = G, achieves C = +0 (log 1 / log mu(A) would read -0)
+    exponent = 0.0 if mu_u == 1.0 else float(np.log(mu_u) / np.log(a.mu))
     return BogolyubovResult(best, mu_u, exponent, s)
 
 
@@ -191,7 +185,8 @@ def density_bogolyubov(a: GroupSet, zeta: float = DEFAULT_ZETA) -> DensityBogoly
         t1 = GroupSet(group, members[aai_mask[members]])
         if not np.all(product_set(t1, inverse_set(t1)).mask()[members]):
             raise ToolkitError("two 0.99-dense subsets of a group failed to meet")
-        assert verified
+        if not verified:
+            raise ConsistencyError("U' = U U^-1 is 0.99-dense in A A^-1 but not inside A A^-1 A A^-1")
     return DensityBogolyubovResult(uprime, density, reached, bump, verified)
 
 
@@ -273,6 +268,6 @@ def pigeonhole_check(a: GroupSet) -> dict:
         "aainv_is_group": aai.size == group.size,
         "quad_is_group": quad.size == group.size,
     }
-    if a.mu > 0.5:
-        assert out["aainv_is_group"] and out["quad_is_group"]
+    if a.mu > 0.5 and not (out["aainv_is_group"] and out["quad_is_group"]):
+        raise ConsistencyError("mu(A) > 1/2 but A A^-1 or A A^-1 A A^-1 is not the whole group")
     return out

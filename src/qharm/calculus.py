@@ -236,7 +236,8 @@ class BvDistribution(Memo):
         field = ctx.field
         vectors = IndexMap(field, ctx.n, 1).digits_table()  # F_q^n, in index order
         phis = vectors[mat_vec(field, vectors, v) == 1]
-        assert len(phis) == ctx.q ** (ctx.n - 1)
+        if len(phis) != ctx.q ** (ctx.n - 1):
+            raise ConsistencyError(f"{len(phis)} functionals take the value 1 at v, not q^(n-1)")
         ws = IndexMap(field, ctx.m, 1).digits_table()
         self.pairs = [(w, phi) for w in ws for phi in phis]
         maps = field.mul_table[ws[:, None, :, None], phis[None, :, None, :]]  # (m, n) rank <= 1 maps
@@ -258,7 +259,8 @@ def _planes_avoiding(ctx: SchemeCtx, v: np.ndarray) -> list[Subspace]:
 
     def build():
         planes = [s for s in ctx.subspaces("v", ctx.n - 1) if not s.contains_vector(ctx.field, v)]
-        assert len(planes) == ctx.q ** (ctx.n - 1)
+        if len(planes) != ctx.q ** (ctx.n - 1):
+            raise ConsistencyError(f"{len(planes)} hyperplanes avoid v, not q^(n-1)")
         return planes
 
     return ctx.memo(("planes_avoiding", encode_vector(v, ctx.q)), build)
@@ -331,7 +333,8 @@ def annihilator_functional(ctx: SchemeCtx, wp: Subspace) -> np.ndarray:
             phi[0] = 1
         else:
             ker = kernel_basis(ctx.field, wp.basis)
-            assert ker.shape[0] == 1
+            if ker.shape[0] != 1:
+                raise ConsistencyError(f"a codimension-1 subspace has a {ker.shape[0]}-dimensional annihilator")
             phi = ker[0].copy()
         phi.setflags(write=False)
         return phi

@@ -38,7 +38,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import SizeCapError, ToolkitError
+from .errors import ConsistencyError, SizeCapError, ToolkitError
 from .gf import FieldCtx
 
 DEFAULT_MAX_DOMAIN = 2**24
@@ -295,7 +295,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         return 0
     num = reduce(lambda a, b: a * b, [q**(n - i) - 1 for i in range(k)], 1)
     den = reduce(lambda a, b: a * b, [q**(k - i) - 1 for i in range(k)], 1)
-    assert num % den == 0
+    if num % den:
+        raise ConsistencyError(f"Gaussian binomial [{n} choose {k}]_{q} is not an integer")
     return num // den
 
 
@@ -330,7 +331,8 @@ def enumerate_subspaces(ctx: FieldCtx, n: int, dim: int) -> list[Subspace]:
                 m[r, c] = x
             out.append(Subspace(ctx, n, m))
     out.sort(key=lambda s: s.key)
-    assert len(out) == count
+    if len(out) != count:
+        raise ConsistencyError(f"enumerated {len(out)} subspaces of dimension {dim}, not {count}")
     return out
 
 

@@ -24,7 +24,9 @@ never be the binding case.
 The second half implements the block normal form of umvirates, the
 partition of an umvirate into good umvirates (cosets g L_k h of the
 block subgroup L_k), and the density-bump search that restricts a set
-inside good umvirates until it becomes global relative to one.
+inside good umvirates until it becomes global relative to one.  A bump
+step reads all its pieces g_i L_k h_i from one gather of the
+multiplication table (coset_rows) and accumulates its coset as ordinals.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import blocks, laplacian_masks
-from .errors import ToolkitError
+from .errors import ConsistencyError, ToolkitError
 from .fqlin import (
     IndexMap,
     Subspace,
@@ -439,26 +441,30 @@ def set_global_audit(
 # good umvirates and normal forms
 # ---------------------------------------------------------------------------
 
-def _block_embedding(n: int, k: int, q: int) -> np.ndarray:
-    """diag(I_k, X) for every X in SL_{n-k}(F_q), in the ordinal order of SL_{n-k}."""
-    blocks = get_group("sl", n - k, q).mats if k < n else np.zeros((1, 0, 0), dtype=np.uint8)
-    out = np.tile(np.eye(n, dtype=np.uint8), (len(blocks), 1, 1))
-    out[:, k:, k:] = blocks
-    return out
+def _block_ordinals(group: GroupTable, k: int) -> np.ndarray:
+    """Ordinals of diag(I_k, X) for every X in SL_{n-k}(F_q), in the ordinal order of SL_{n-k}."""
 
+    def build():
+        blocks = get_group("sl", group.n - k, group.q).mats if k < group.n else np.zeros((1, 0, 0), dtype=np.uint8)
+        out = np.tile(np.eye(group.n, dtype=np.uint8), (len(blocks), 1, 1))
+        out[:, k:, k:] = blocks
+        return group.ordinals_of(out)
 
-def _block_restriction(group: GroupTable, in_set: np.ndarray, g: np.ndarray, h: np.ndarray, k: int) -> np.ndarray:
-    """Ordinals of the X in SL_{n-k} with g diag(I_k, X) h in the set given
-    by the mask in_set over G; g and h are matrices."""
-    prods = mat_mul(group.field, mat_mul(group.field, g, _block_embedding(group.n, k, group.q)), h)
-    return np.flatnonzero(in_set[group.ordinals_of(prods)])
+    return group.memo(("Lk-block", k), build)
 
 
 def block_subgroup_members(group: GroupTable, k: int) -> np.ndarray:
     """Ordinals of L_k = {diag(I_k, X) : X in SL_{n-k}}."""
     if k < 0 or k > group.n:
         raise ToolkitError(f"invalid block size k={k}")
-    return group.memo(("Lk", k), lambda: np.sort(group.ordinals_of(_block_embedding(group.n, k, group.q))))
+    return group.memo(("Lk", k), lambda: np.sort(_block_ordinals(group, k)))
+
+
+def coset_rows(group: GroupTable, k: int, g, h) -> np.ndarray:
+    """Row i, column X: the ordinal of g_i diag(I_k, X) h_i, X in SL_{n-k} in ordinal order."""
+    m = group.mul_table()
+    g, h = np.asarray(g), np.asarray(h)
+    return m[g[:, None], m[_block_ordinals(group, k)[None, :], h[:, None]]]
 
 
 @dataclass
@@ -475,9 +481,7 @@ class GoodUmvirate:
         return 2 * self.k
 
     def members(self) -> np.ndarray:
-        m = self.group.mul_table()
-        lk = block_subgroup_members(self.group, self.k)
-        return np.sort(m[self.g, m[lk, self.h]])
+        return np.sort(coset_rows(self.group, self.k, [self.g], [self.h])[0])
 
     def density(self) -> float:
         return len(block_subgroup_members(self.group, self.k)) / self.group.size
@@ -558,8 +562,8 @@ def umvirate_normal_form(group: GroupTable, u: Umvirate) -> UmvirateNormalForm:
     psi_rows = np.array([psi for _, psi in u.funcs], dtype=np.uint8).reshape(b, n) if b else np.zeros((0, n), dtype=np.uint8)
     fixed_cols = mat_mul(field, d_mat, w_cols) if a else np.zeros((n, 0), dtype=np.uint8)
     fixed_rows = mat_mul(field, psi_rows, c_mat) if b else np.zeros((0, n), dtype=np.uint8)
-    if a and b:
-        assert np.array_equal(fixed_rows[:, :a], fixed_cols[:b, :])
+    if a and b and not np.array_equal(fixed_rows[:, :a], fixed_cols[:b, :]):
+        raise ConsistencyError("the row and column constraints disagree on their overlap block")
     m_block = fixed_rows[:, :a].copy() if (a and b) else np.zeros((b, a), dtype=np.uint8)
     h = rank(field, m_block) if (a and b) else 0
     return UmvirateNormalForm(d_mat, c_mat, fixed_rows, fixed_cols, a, b, h)
@@ -601,7 +605,8 @@ def good_umvirate_partition(group: GroupTable, u: Umvirate) -> list[GoodUmvirate
 
     if a and b:
         e, f, h2 = _rank_factor(field, fixed_rows[:, :a].copy())
-        assert h2 == h
+        if h2 != h:
+            raise ConsistencyError(f"rank factorization found rank {h2}, elimination {h}")
         e_ext = np.eye(n, dtype=np.uint8)
         e_ext[:b, :b] = e
         f_ext = np.eye(n, dtype=np.uint8)
@@ -703,11 +708,10 @@ def density_bump_search(group: GroupTable, ordinals: np.ndarray, zeta: float = D
     ordinals = _set_ordinals(group, ordinals, "bump search")
     r = float(group.q) ** (zeta * group.n / 2)
 
-    field = group.field
+    m = group.mul_table()
     cur_group = group
     cur_ordinals = ordinals
-    g_acc = np.eye(group.n, dtype=np.uint8)
-    h_acc = np.eye(group.n, dtype=np.uint8)
+    g_acc = h_acc = group.identity
     k_acc = 0
     trace: list[BumpTrace] = []
 
@@ -720,62 +724,41 @@ def density_bump_search(group: GroupTable, ordinals: np.ndarray, zeta: float = D
             reason = "global"
             break
         worst = max(audit.violations, key=lambda v: v["ratio"])
-        uv: Umvirate = worst["umvirate"]
-        pieces = good_umvirate_partition(cur_group, uv)
+        pieces = good_umvirate_partition(cur_group, worst["umvirate"])
         if not pieces:
             raise ToolkitError("violating umvirate has no good partition")  # pragma: no cover
         mu_before = cur_ordinals.size / cur_group.size
-        in_set = np.zeros(cur_group.size, dtype=bool)
-        in_set[cur_ordinals] = True
-        best_piece, best_density = None, -1.0
-        for piece in pieces:
-            mem = piece.members()
-            dens = float(np.mean(in_set[mem]))
-            if dens > best_density + 1e-15:
-                best_density = dens
-                best_piece = piece
-        piece = best_piece
-        k_step = piece.k
-        # translate: S <- {x in SL_{n-k}: g' diag(I, x) h' in S}
-        sub_n = cur_group.n - k_step
-        gp = cur_group.mats[piece.g]
-        hp = cur_group.mats[piece.h]
-        if sub_n >= 1:
-            sub_group = get_group("sl", sub_n, group.q)
-            new_ordinals = _block_restriction(cur_group, in_set, gp, hp, k_step)
-        else:
-            sub_group = None
-            new_ordinals = None
+        # every piece shares k; row i, column X is g_i diag(I_k, X) h_i
+        k_step = pieces[0].k
+        g, h = np.array([(p.g, p.h) for p in pieces]).T
+        rows = coset_rows(cur_group, k_step, g, h)
+        inside = np.isin(rows, cur_ordinals)
+        counts = inside.sum(axis=1)
+        best = int(np.argmax(counts))  # the first densest piece
         trace.append(
             BumpTrace(
                 violation_order=worst["order"],
                 violation_ratio=worst["ratio"],
-                piece_order=piece.order,
+                piece_order=pieces[best].order,
                 density_before=mu_before,
-                density_after=best_density,
+                density_after=float(counts[best] / rows.shape[1]),
                 guarantee=r ** worst["order"] * mu_before,
             )
         )
-        # accumulate into the original group's coordinates
-        emb_g = np.eye(group.n, dtype=np.uint8)
-        emb_g[k_acc:, k_acc:] = gp
-        emb_h = np.eye(group.n, dtype=np.uint8)
-        emb_h[k_acc:, k_acc:] = hp
-        g_acc = mat_mul(field, g_acc, emb_g)
-        h_acc = mat_mul(field, emb_h, h_acc)
+        # accumulate in G: g_acc diag(I, g') and diag(I, h') h_acc.  cur_group is
+        # SL_{n - k_acc} (a group inside SL_n has the ordinals of SL_n)
+        embed = _block_ordinals(group, k_acc)
+        g_acc = int(m[g_acc, embed[g[best]]])
+        h_acc = int(m[embed[h[best]], h_acc])
         k_acc += k_step
-        if sub_group is None:
+        if k_acc == group.n:
             reason = "trivial_group"
-            cur_group = None
-            cur_ordinals = None
+            cur_group, cur_ordinals = group, np.array([], dtype=np.int64)
             break
-        cur_group = sub_group
-        cur_ordinals = new_ordinals
+        # translate: S <- {X in SL_{n-k}: g' diag(I, X) h' in S}
+        cur_group = get_group("sl", group.n - k_acc, group.q)
+        cur_ordinals = np.flatnonzero(inside[best])
         if cur_ordinals.size == 0:  # pragma: no cover - densities only grow
             raise ToolkitError("restriction emptied the set")
 
-    g_ord, h_ord = (int(o) for o in group.ordinals_of(np.stack([g_acc, h_acc])))
-    if cur_group is None:
-        cur_group = group
-        cur_ordinals = np.array([], dtype=np.int64)
-    return BumpResult(k_acc, g_ord, h_ord, cur_group, cur_ordinals, trace, reason)
+    return BumpResult(k_acc, g_acc, h_acc, cur_group, cur_ordinals, trace, reason)

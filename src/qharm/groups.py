@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RefinementError, SizeCapError, ToolkitError
+from .errors import ConsistencyError, RefinementError, SizeCapError, ToolkitError
 from .fqlin import IndexMap, Memo, Subspace, det, encode_vector, enumerate_subspaces, mat_mul
 from .gf import FieldCtx, get_field
 from .scheme import FnTable, degree_project, get_scheme, random_table
@@ -517,7 +517,8 @@ def level_lower_check(f: FnTable, d: int) -> dict:
     bound = group.size / float(group.q) ** (group.n**2)
     weak = 1.0 / (4 * group.q)
     ok = ratio_j >= bound - 1e-9 and ratio_t >= bound - 1e-9
-    assert bound >= weak - 1e-12
+    if bound < weak - 1e-12:
+        raise ConsistencyError(f"|G| / q^(n^2) = {bound} fell below 1/(4q) = {weak}")
     return {
         "ratio_j": float(ratio_j),
         "ratio_t": float(ratio_t),

@@ -46,6 +46,7 @@ CLI = "tests/test_cli.py::"
 SPE = "tests/test_spectra.py::"
 GRP = "tests/test_groups.py::"
 GSP = "tests/test_group_set_parity.py::"
+BP = "tests/test_bogolyubov_parity.py::"
 
 MUTATIONS = [
     Mutation("Leibniz sign", "src/qharm/fqlin.py",
@@ -231,9 +232,25 @@ MUTATIONS = [
              "delta = field.inv_table[det_left]",
              ("tests/test_partition_parity.py::test_batched_partition_matches_scalar_reference[sl2_f3_all_cells]",)),
     Mutation("block restriction with g and h swapped", "src/qharm/globality.py",
-             "prods = mat_mul(group.field, mat_mul(group.field, g, _block_embedding(group.n, k, group.q)), h)",
-             "prods = mat_mul(group.field, mat_mul(group.field, h, _block_embedding(group.n, k, group.q)), g)",
+             "return m[g[:, None], m[_block_ordinals(group, k)[None, :], h[:, None]]]",
+             "return m[h[:, None], m[_block_ordinals(group, k)[None, :], g[:, None]]]",
              (GT + "test_block_restriction_matches_member_loop[sl-2-3]",)),
+    Mutation("bump search takes the sparsest piece", "src/qharm/globality.py",
+             "best = int(np.argmax(counts))  # the first densest piece",
+             "best = int(np.argmin(counts))",
+             (BP + "test_bump_search_matches_the_piece_loop[sl-3-2]",)),
+    Mutation("groumvirate pairs kept only at det 1", "src/qharm/bogolyubov.py",
+             "g, d = g[d != 0], d[d != 0]",
+             "g, d = g[d == 1], d[d == 1]",
+             (BP + "test_groumvirates_match_the_pair_loop[sl-3-3]",)),
+    Mutation("containment scan accepts a groumvirate meeting A A^-1 A A^-1", "src/qharm/bogolyubov.py",
+             "inside = np.all(smask[coset_rows(group, k, g, group.inv[g])], axis=1)",
+             "inside = np.any(smask[coset_rows(group, k, g, group.inv[g])], axis=1)",
+             (BP + "test_search_matches_the_groumvirate_scan[sl-3-2]",)),
+    Mutation("exponent of H = G left as log 1 / log mu(A)", "src/qharm/bogolyubov.py",
+             "exponent = 0.0 if mu_u == 1.0 else float(np.log(mu_u) / np.log(a.mu))",
+             "exponent = float(np.log(mu_u) / np.log(a.mu))",
+             ("tests/test_bogolyubov.py::test_exponent_of_the_whole_group_is_plus_zero",)),
     Mutation("vector actions swapped", "src/qharm/groups.py",
              "mats = np.swapaxes(self.mats, 1, 2) if transpose else self.mats",
              "mats = self.mats if transpose else np.swapaxes(self.mats, 1, 2)",

@@ -60,7 +60,17 @@ globality.set_global_audit            reference_set_global_audit     test_set_au
                                       dictator_ratio                 test_set_audit_parity::test_set_audit_witnesses_recount_on_gl2_f7
 globality.good_umvirate_partition     reference_partition            test_partition_parity::test_batched_partition_matches_scalar_reference
 globality.block_subgroup_members      block_subgroup_ref             test_group_tables::test_block_subgroups_match_member_loop
-globality._block_restriction          block_restriction_ref          test_group_tables::test_block_restriction_matches_member_loop
+globality.coset_rows                  block_restriction_ref          test_group_tables::test_block_restriction_matches_member_loop
+  (g_i diag(I_k, X) h_i, one gather)
+globality._block_ordinals             mat_mul by diag(I_k, X)        test_bogolyubov_parity::test_block_ordinals_compose_as_matrix_products
+bogolyubov.groumvirate_enumerate      groumvirate_enumerate_ref      test_bogolyubov_parity::test_groumvirates_match_the_pair_loop
+  (one det of every pair)
+bogolyubov.bogolyubov_search          first_contained_ref            test_bogolyubov_parity::test_search_matches_the_groumvirate_scan
+  (one coset_rows gather per k)
+globality.density_bump_search         density_bump_search_ref        test_bogolyubov_parity::test_bump_search_matches_the_piece_loop
+  (argmax of piece-row counts,        (densest_piece_ref, block_restriction_ref,
+  coset accumulated as ordinals)      n x n matrix accumulation)
+bogolyubov.density_bogolyubov         density_bump_search_ref        test_bogolyubov_parity::test_density_step_matches_the_piece_loop
 GroupTable elements, dets, inv, ...   element_tables_ref             test_group_tables::test_element_tables_match_per_element_loops
 GroupTable.vector_action              vector_action_ref              test_group_tables::test_element_tables_match_per_element_loops
 GroupTable.mul_table                  mul_row_ref                    test_group_tables::test_mul_table_matches_row_loop
@@ -107,12 +117,19 @@ from qharm.fqlin import decode_vector, det, encode_vector, enumerate_subspaces, 
 from qharm.gf import get_field
 from qharm.globality import (
     DEFAULT_ZETA,
+    BumpResult,
+    BumpTrace,
     GlobalnessReport,
+    GoodUmvirate,
     ReportRow,
     SetAuditResult,
     Umvirate,
     _rank_factor,
+    _require_det_one,
+    _set_ordinals,
     block_subgroup_members,
+    good_umvirate_partition,
+    set_global_audit,
     umvirate_normal_form,
 )
 from qharm.groups import (
@@ -748,6 +765,93 @@ def block_restriction_ref(group, in_set, g, h, k):
         if in_set[group.pos[group.scheme.domain_index.to_index(prod)]]:
             out.append(xo)
     return np.array(out, dtype=np.int64)
+
+
+def groumvirate_enumerate_ref(group, k):
+    """The good groumvirates g L_k g^-1, one (fixed subspace, complement)
+    pair at a time: a rank test, a determinant and an ordinal lookup each."""
+    n, field = group.n, group.field
+    if k == 0 or n - k <= 1:
+        return [GoodUmvirate(group, k, group.identity, group.identity)]
+    out = []
+    for fsub in enumerate_subspaces(field, n, k):
+        for csub in enumerate_subspaces(field, n, n - k):
+            stacked = np.concatenate([fsub.basis, csub.basis])
+            if rank(field, stacked) != n:
+                continue
+            g = stacked.T.copy()
+            d = det(field, g)
+            if d != 1:
+                g[:, 0] = field.mul_table[g[:, 0], field.inv(d)]
+            g_ord = int(group.ordinals_of(g))
+            out.append(GoodUmvirate(group, k, g_ord, int(group.inv[g_ord])))
+    return out
+
+
+def first_contained_ref(group, smask):
+    """The first good groumvirate, k upward, whose members all lie in the
+    set marked by smask, one groumvirate at a time."""
+    for k in range(group.n + 1):
+        for gu in groumvirate_enumerate_ref(group, k):
+            if np.all(smask[gu.members()]):
+                return gu
+    return None
+
+
+def densest_piece_ref(in_set, pieces):
+    """(piece, density): the first piece of greatest density of the set
+    marked by in_set, one piece at a time, ties within 1e-15 kept."""
+    best_piece, best_density = None, -1.0
+    for piece in pieces:
+        dens = float(np.mean(in_set[piece.members()]))
+        if dens > best_density + 1e-15:
+            best_piece, best_density = piece, dens
+    return best_piece, best_density
+
+
+def density_bump_search_ref(group, ordinals, zeta=DEFAULT_ZETA):
+    """The density-bump search with a per-piece density loop, restrictions
+    by block_restriction_ref and the coset accumulated as n x n matrix
+    products, turned into ordinals at the end."""
+    _require_det_one(group, "bump search")
+    cur_ordinals = _set_ordinals(group, ordinals, "bump search")
+    r = float(group.q) ** (zeta * group.n / 2)
+    field, cur_group = group.field, group
+    g_acc = np.eye(group.n, dtype=np.uint8)
+    h_acc = np.eye(group.n, dtype=np.uint8)
+    k_acc = 0
+    trace = []
+    for _ in range(group.n):
+        if cur_group.n < 2:
+            reason = "trivial_group"
+            break
+        audit = set_global_audit(cur_group, cur_ordinals, r=r, zeta=zeta)
+        if not audit.violations:
+            reason = "global"
+            break
+        worst = max(audit.violations, key=lambda v: v["ratio"])
+        in_set = np.zeros(cur_group.size, dtype=bool)
+        in_set[cur_ordinals] = True
+        piece, density = densest_piece_ref(in_set, good_umvirate_partition(cur_group, worst["umvirate"]))
+        mu_before = cur_ordinals.size / cur_group.size
+        trace.append(BumpTrace(worst["order"], worst["ratio"], piece.order, mu_before, density,
+                               r ** worst["order"] * mu_before))
+        gp, hp = cur_group.mats[piece.g], cur_group.mats[piece.h]
+        emb_g = np.eye(group.n, dtype=np.uint8)
+        emb_g[k_acc:, k_acc:] = gp
+        emb_h = np.eye(group.n, dtype=np.uint8)
+        emb_h[k_acc:, k_acc:] = hp
+        g_acc = mat_mul(field, g_acc, emb_g)
+        h_acc = mat_mul(field, emb_h, h_acc)
+        k_acc += piece.k
+        if k_acc == group.n:
+            reason = "trivial_group"
+            cur_group, cur_ordinals = group, np.array([], dtype=np.int64)
+            break
+        cur_ordinals = block_restriction_ref(cur_group, in_set, gp, hp, piece.k)
+        cur_group = get_group("sl", group.n - k_acc, group.q)
+    g_ord, h_ord = (int(o) for o in group.ordinals_of(np.stack([g_acc, h_acc])))
+    return BumpResult(k_acc, g_ord, h_ord, cur_group, cur_ordinals, trace, reason)
 
 
 def brute_convolution(group, a, b):

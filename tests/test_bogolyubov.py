@@ -1,9 +1,12 @@
 """Product-set algebra, groumvirate enumeration, the Bogolyubov containment
 search, the 0.99-density step, and easy-set covers."""
 
+import math
+
 import numpy as np
 import pytest
 
+import qharm.bogolyubov as bogolyubov
 from oracles import brute_product
 from qharm.bogolyubov import (
     GroupSet,
@@ -17,7 +20,7 @@ from qharm.bogolyubov import (
     inverse_set,
     product_set,
 )
-from qharm.errors import ToolkitError
+from qharm.errors import ConsistencyError, ToolkitError
 from qharm.globality import GoodUmvirate, block_subgroup_members
 from qharm.groups import get_group
 
@@ -103,6 +106,24 @@ def test_bogolyubov_search_dense_set_pigeonhole():
         assert res.contained.k == 0
         out = pigeonhole_check(a)
         assert out["aainv_is_group"] and out["quad_is_group"]
+
+
+def test_exponent_of_the_whole_group_is_plus_zero():
+    # H = G has mu(H) = 1, so C = log 1 / log mu(A) is 0 with a positive sign
+    g = get_group("sl", 2, 5)
+    a = GroupSet(g, np.random.default_rng(6).choice(g.size, size=72, replace=False))  # density 0.6
+    res = bogolyubov_search(a)
+    assert res.density == 1.0 and a.mu == 0.6
+    assert res.exponent == 0.0 and math.copysign(1, res.exponent) == 1
+
+
+def test_pigeonhole_law_failure_raises_consistency_error(monkeypatch):
+    g = get_group("sl", 2, 3)
+    a = GroupSet(g, np.arange(13))  # mu(A) > 1/2
+    assert pigeonhole_check(a)["aainv_is_group"]
+    monkeypatch.setattr(bogolyubov, "product_set", lambda x, y: GroupSet(g, [g.identity]))
+    with pytest.raises(ConsistencyError):
+        pigeonhole_check(a)
 
 
 def test_singleton_fallback():

@@ -6,8 +6,9 @@ dictator systems as the distinct action rows per subspace.  Each
 reference in tests/oracles.py is the earlier loop: one elimination
 determinant and one inverse per matrix, one product row per element,
 one vector per action column, one mask per independent target tuple,
-and one matrix per member of L_k and of a bump restriction.  Every
-table must equal its reference exactly, dtype included.
+and one matrix per member of L_k and of a bump restriction (which src
+reads from one `coset_rows` gather).  Every table must equal its
+reference exactly, dtype included.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from oracles import (
 from qharm.errors import ToolkitError
 from qharm.fqlin import IndexMap, det
 from qharm.gf import get_field
-from qharm.globality import _block_restriction, block_subgroup_members
+from qharm.globality import block_subgroup_members, coset_rows
 from qharm.groups import get_group
 
 TABLE_GROUPS = [
@@ -137,8 +138,9 @@ def test_block_restriction_matches_member_loop(key):
     for k in range(g.n):
         for density in (0.2, 0.6):
             in_set = rng.random(g.size) < density
-            gp, hp = g.mats[rng.integers(g.size, size=2)]
-            _assert_identical(_block_restriction(g, in_set, gp, hp, k), block_restriction_ref(g, in_set, gp, hp, k))
+            go, ho = rng.integers(g.size, size=2)
+            restricted = np.flatnonzero(in_set[coset_rows(g, k, [go], [ho])[0]])
+            _assert_identical(restricted, block_restriction_ref(g, in_set, g.mats[go], g.mats[ho], k))
 
 
 def test_ordinals_of_maps_stacks_and_marks_non_members():
