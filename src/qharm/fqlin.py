@@ -410,12 +410,6 @@ class IndexMap(Memo):
         self.size = n_total
         self.powers = np.array([self.q**i for i in range(self.k)], dtype=np.int64)
 
-    def to_index(self, mat: np.ndarray) -> int:
-        flat = np.asarray(mat, dtype=np.int64).reshape(-1)
-        if flat.shape[0] != self.k:
-            raise ToolkitError("matrix shape does not match index map")
-        return int(flat @ self.powers)
-
     def to_matrix(self, idx: int) -> np.ndarray:
         if not (0 <= idx < self.size):
             raise ToolkitError(f"index {idx} out of range [0, {self.size})")

@@ -14,12 +14,13 @@ Index arrays that depend only on the scheme (site stacks, the refining
 rows of a direction) are memo entries of the scheme, built once; a call
 builds only its functions' values.
 
-Set audits enumerate mixed umvirate systems built from both group
-actions: row constraints g v = w and functional constraints g^T phi =
-psi (the concatenated standard plus dual permutation action).  Only
-systems with independent constraint vectors are enumerated; redundant
-systems repeat a lower-order ratio against a weaker threshold and can
-never be the binding case.
+Set audits read the mixed umvirates as the cells of the group's
+dictator-system table: a row system (g v = w) met with a functional
+system (g^T phi = psi), each an echelon basis with independent
+targets; redundant systems repeat a lower-order ratio against a weaker
+threshold and can never be the binding case.  An `Umvirate` is the
+view of one cell, and the only umvirate that the normal form, the
+partition and the bump search take.
 
 The second half implements the block normal form of umvirates, the
 partition of an umvirate into good umvirates (cosets g L_k h of the
@@ -43,7 +44,6 @@ from .fqlin import (
     complete_basis,
     decode_vector,
     det,
-    encode_vector,
     inv_matrix,
     mat_mul,
     rank,
@@ -313,57 +313,53 @@ def lp_global_audit(f: FnTable, rmax: int, ellp: float) -> GlobalnessReport:
 # umvirates on SL/GL
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Umvirate:
-    """An intersection of dictators, normalized to independent constraints.
+    """The mixed umvirate at one cell of `group.dictator_systems()`: row
+    system i met with functional system j, flat cell
+    i * len(func_systems) + j.
 
-    Row constraints are pairs (v, w) meaning g v = w; functional
-    constraints are (phi, psi) meaning g^T phi = psi.  Within each
-    family a dependent constraint is either implied (dropped) or
-    contradictory (the umvirate is empty).
+    Row pairs (v, w) mean g v = w and functional pairs (phi, psi) mean
+    g^T phi = psi; each family is an echelon basis with independent
+    targets, decoded from the table on access.  Every nonempty umvirate
+    of order <= 2n is exactly one cell.
     """
 
-    def __init__(self, field: FieldCtx, n: int, row_pairs=(), func_pairs=()):
-        self.field = field
-        self.n = n
-        self.rows, empty_r = self._normalize(row_pairs)
-        self.funcs, empty_f = self._normalize(func_pairs)
-        self.is_empty_constraints = empty_r or empty_f
-        self.order = len(self.rows) + len(self.funcs)
+    group: GroupTable
+    cell: int
 
-    def _normalize(self, pairs):
-        field, n = self.field, self.n
-        if not len(pairs):
-            return [], False
-        stack = np.array(
-            [np.concatenate([np.asarray(v, dtype=np.uint8), np.asarray(w, dtype=np.uint8)]) for v, w in pairs],
-            dtype=np.uint8,
-        )
-        r, pivots = rref(field, stack, n_pivot_cols=n)
-        out = []
-        empty = False
-        for row in r:
-            if np.any(row[:n]):
-                out.append((row[:n].copy(), row[n:].copy()))
-            elif np.any(row[n:]):
-                empty = True
-        return out, empty
+    @property
+    def systems(self) -> tuple[int, int]:
+        """(i, j), the cell's row and functional system."""
+        return divmod(self.cell, len(self.group.dictator_systems().func_systems))
 
-    def members_mask(self, group: GroupTable) -> np.ndarray:
-        if self.is_empty_constraints:
-            return np.zeros(group.size, dtype=bool)
-        mask = np.ones(group.size, dtype=bool)
-        std = group.vector_action(False)
-        dual = group.vector_action(True)
-        q = group.q
-        for v, w in self.rows:
-            mask &= std[:, encode_vector(v, q)] == encode_vector(w, q)
-        for phi, psi in self.funcs:
-            mask &= dual[:, encode_vector(phi, q)] == encode_vector(psi, q)
-        return mask
+    def _pairs(self, system) -> list[tuple[np.ndarray, np.ndarray]]:
+        n, q = self.group.n, self.group.q
+        return [(decode_vector(v, n, q), decode_vector(w, n, q)) for v, w in system]
+
+    @property
+    def rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return self._pairs(self.group.dictator_systems().row_systems[self.systems[0]])
+
+    @property
+    def funcs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return self._pairs(self.group.dictator_systems().func_systems[self.systems[1]])
+
+    @property
+    def order(self) -> int:
+        tables = self.group.dictator_systems()
+        i, j = self.systems
+        return int(tables.row_orders[i] + tables.func_orders[j])
+
+    def members(self) -> np.ndarray:
+        """Sorted ordinals of U & G, read off the table: a system other than
+        0 fills one column of row_of (func_of), and system 0 all of G."""
+        tables = self.group.dictator_systems()
+        i, j = self.systems
+        return np.flatnonzero((tables.row_of == i).any(1) & (tables.func_of == j).any(1))
 
     def describe(self) -> str:
-        rr = ";".join(f"{list(map(int,v))}->{list(map(int,w))}" for v, w in self.rows)
-        ff = ";".join(f"{list(map(int,p))}->{list(map(int,s))}" for p, s in self.funcs)
+        rr, ff = (";".join(f"{v.tolist()}->{w.tolist()}" for v, w in pairs) for pairs in (self.rows, self.funcs))
         return f"rows[{rr}]funcs[{ff}]"
 
 
@@ -371,23 +367,6 @@ class Umvirate:
 class SetAuditResult:
     report: GlobalnessReport
     violations: list[dict]  # each: order, ratio, umvirate
-
-
-def cell_umvirate(group: GroupTable, cell: int) -> Umvirate:
-    """The mixed umvirate at a flat cell index of `group.dictator_systems()`,
-    built once per cell, a memo entry of the table.  Every caller gets the
-    same object, so none may mutate it."""
-    tables = group.dictator_systems()
-    i, j = divmod(int(cell), len(tables.func_systems))
-    key = int(cell)
-
-    def build():
-        n, q = group.n, group.q
-        row, func = ([(decode_vector(v, n, q), decode_vector(w, n, q)) for v, w in s] for s in
-                     (tables.row_systems[i], tables.func_systems[j]))
-        return Umvirate(group.field, n, row, func)
-
-    return tables.memo(("umvirate", key), build)
 
 
 def _set_ordinals(group: GroupTable, ordinals, what: str) -> np.ndarray:
@@ -430,7 +409,7 @@ def set_global_audit(
         k = int(np.argmax(ratios))
         best = float(ratios[k])
         thr = float(r**d)
-        u = cell_umvirate(group, cells[k])
+        u = Umvirate(group, int(cells[k]))
         rows.append(ReportRow(d, best, u.describe(), thr, bool(best <= thr + 1e-12)))
         if best > thr + 1e-12:
             violations.append({"order": d, "ratio": best, "umvirate": u})
@@ -550,9 +529,9 @@ class UmvirateNormalForm:
     h: int
 
 
-def umvirate_normal_form(group: GroupTable, u: Umvirate) -> UmvirateNormalForm:
-    field = group.field
-    n = group.n
+def umvirate_normal_form(u: Umvirate) -> UmvirateNormalForm:
+    field = u.group.field
+    n = u.group.n
     a = len(u.rows)
     b = len(u.funcs)
     c_mat = complete_basis(field, [v for v, _ in u.rows], n).T.copy()
@@ -577,7 +556,7 @@ def _require_det_one(group: GroupTable, what: str) -> None:
                            f"L_k = SL_(n-k), and {group!r} has elements of determinant != 1")
 
 
-def good_umvirate_partition(group: GroupTable, u: Umvirate) -> list[GoodUmvirate]:
+def good_umvirate_partition(u: Umvirate) -> list[GoodUmvirate]:
     """Partition U & G into disjoint good k*-umvirates, k* = order - rank(M).
 
     The common umvirate order of the pieces is 2 k* <= 2 * order(U), and
@@ -593,10 +572,11 @@ def good_umvirate_partition(group: GroupTable, u: Umvirate) -> list[GoodUmvirate
     delta = (det left det right)^-1 and c_fix = diag(det right, 1, ...)
     put both factors in SL.  K^-1 is the only per-piece inverse.
     """
+    group = u.group
     _require_det_one(group, "umvirate partition")
     field = group.field
     n = group.n
-    nf = umvirate_normal_form(group, u)
+    nf = umvirate_normal_form(u)
     a, b, h = nf.a, nf.b, nf.h
     if a + b == 0:
         return [GoodUmvirate(group, 0, group.identity, group.identity)]
@@ -703,6 +683,14 @@ def density_bump_search(group: GroupTable, ordinals: np.ndarray, zeta: float = D
     the trace certifies each step's gain against the proof's r^s bound.
     A step lowers n by the piece's k >= 1 and the search stops below
     n = 2, so the loop always ends at a break within n steps.
+
+    When 1/mu(A) > r^{2n} (beyond the audit's 1e-12) and zeta >= 0, the
+    search takes exactly one step.  Each a in A is an order-2n cell {a}
+    of ratio 1/mu, so order 2n violates, and no cell's ratio
+    (|A & U| / |U|) / mu exceeds 1/mu.  The chosen violation therefore
+    has ratio 1/mu, that is U & G <= A: every piece lies in A, and the
+    first one is taken with density 1.  The next audit sees all of
+    SL_{n-k}, where every ratio is 1 <= r^d, or the group is trivial.
     """
     _require_det_one(group, "bump search")
     ordinals = _set_ordinals(group, ordinals, "bump search")
@@ -724,7 +712,7 @@ def density_bump_search(group: GroupTable, ordinals: np.ndarray, zeta: float = D
             reason = "global"
             break
         worst = max(audit.violations, key=lambda v: v["ratio"])
-        pieces = good_umvirate_partition(cur_group, worst["umvirate"])
+        pieces = good_umvirate_partition(worst["umvirate"])
         if not pieces:
             raise ToolkitError("violating umvirate has no good partition")  # pragma: no cover
         mu_before = cur_ordinals.size / cur_group.size

@@ -260,7 +260,7 @@ def _dictator_family(group: GroupTable, action: np.ndarray):
     return systems, np.array(orders, dtype=np.int64), np.stack(system_of, axis=1)
 
 
-class DictatorSystems(Memo):
+class DictatorSystems:
     """Every independent dictator system of order <= n on G, held as one
     per-element index.
 
@@ -270,7 +270,8 @@ class DictatorSystems(Memo):
     with g^T in place of g.  System k has order `row_orders[k]`
     (`func_orders[k]`), and index 0 is the empty system (all of G).  Each
     g lies in exactly one system per subspace, so row_of[g, s] names g's
-    row system on subspace s, and system k is {g : row_of[g, s] == k}.
+    row system on subspace s (func_of[g, s] its functional system), and
+    system k is {g : row_of[g, s] == k}.
 
     The set audit's mixed umvirates are the cells U = row system i &
     functional system j, flat index i * len(func_systems) + j, of order
@@ -281,16 +282,15 @@ class DictatorSystems(Memo):
     G.  A set audit counts |A & U| as np.bincount(cell_of[A]).  The flat
     cell keys are sorted as int32 while they fit, which halves the
     np.unique over them; the cells come out as int64 either way.
-    The mixed umvirate of each flat cell that `globality.cell_umvirate` has
-    built is a memo entry of the table.
+    `globality.Umvirate` is the view of one flat cell.
     """
 
     def __init__(self, group: GroupTable):
         self.row_systems, self.row_orders, self.row_of = _dictator_family(group, group.vector_action(False))
-        self.func_systems, self.func_orders, func_of = _dictator_family(group, group.vector_action(True))
+        self.func_systems, self.func_orders, self.func_of = _dictator_family(group, group.vector_action(True))
         width = len(self.func_systems)
         key_type = np.int32 if len(self.row_systems) * width < 2**31 else np.int64
-        keys = self.row_of.astype(key_type)[:, :, None] * width + func_of.astype(key_type)[:, None, :]
+        keys = self.row_of.astype(key_type)[:, :, None] * width + self.func_of.astype(key_type)[:, None, :]
         cells, cell_of, sizes = np.unique(keys, return_inverse=True, return_counts=True)
         cells = cells.astype(np.int64)
         self.cell_of = cell_of.reshape(group.size, -1)

@@ -415,10 +415,10 @@ def degree_decompose(f: FnTable) -> list[FnTable]:
     return parts
 
 
-def restrict(f: FnTable, vp: Subspace, wp: Subspace, t) -> FnTable:
-    """f_{(V',W')->T}(S) = f(S + T) on the identified copy of L(V/V', W')."""
+def restrict(f: FnTable, vp: Subspace, wp: Subspace, t_index: int) -> FnTable:
+    """f_{(V',W')->T}(S) = f(S + T) on the identified copy of L(V/V', W'),
+    T given by its domain index."""
     ctx = _scheme_of(f)
-    t_index = t if isinstance(t, (int, np.integer)) else ctx.domain_index.to_index(t)
     sub, _ = ctx.restriction_embedding(vp, wp)
     return FnTable(sub, ctx.restrict_values(f.values, vp, wp, int(t_index)))
 

@@ -39,7 +39,7 @@ from .calculus import (
 )
 from .errors import ToolkitError
 from .fqlin import encode_vector, enumerate_subspaces, full_space, mat_vec, span_of
-from .globality import GoodUmvirate, cell_umvirate, good_umvirate_partition
+from .globality import GoodUmvirate, Umvirate, good_umvirate_partition
 from .groups import (
     get_characters,
     get_group,
@@ -473,13 +473,10 @@ def criterion_bogolyubov() -> CheckResult:
     tables = g3.dictator_systems()
     n_checked = 0
     for cell in np.concatenate(tables.cells[1:3]):
-        u = cell_umvirate(g3, cell)
-        mask = u.members_mask(g3)
-        parts = good_umvirate_partition(g3, u)
+        u = Umvirate(g3, int(cell))
+        parts = good_umvirate_partition(u)
         union = np.concatenate([p.members() for p in parts])
-        if len(union) != len(np.unique(union)) or set(union.tolist()) != set(
-            np.flatnonzero(mask).tolist()
-        ):
+        if len(union) != len(np.unique(union)) or set(union.tolist()) != set(u.members().tolist()):
             issues.append(f"partition failed for {u.describe()}")
         if len({p.order for p in parts}) != 1 or parts[0].order > 2 * u.order:
             issues.append(f"partition order wrong for {u.describe()}")

@@ -295,10 +295,22 @@ MUTATIONS = [
              "hit = a.mask()[prods]",
              "hit = a.mask()[prods.T]",
              (GSP + "test_first_collision_matches_the_pair_loop[sl-2-3]",)),
-    Mutation("witness memo keyed by order instead of cell", "src/qharm/globality.py",
-             "key = int(cell)",
-             "key = int(tables.row_orders[i] + tables.func_orders[j])",
+    Mutation("set audit witness read at the order's first cell", "src/qharm/globality.py",
+             "u = Umvirate(group, int(cells[k]))",
+             "u = Umvirate(group, int(cells[0]))",
              ("tests/test_set_audit_parity.py::test_back_to_back_audits_keep_their_own_witnesses[sl-2-3]",)),
+    Mutation("umvirate cell decoded with its row and functional systems swapped", "src/qharm/globality.py",
+             "return divmod(self.cell, len(self.group.dictator_systems().func_systems))",
+             "return divmod(self.cell, len(self.group.dictator_systems().func_systems))[::-1]",
+             ("tests/test_set_audit_parity.py::test_set_audit_equals_dense_reference[sl-2-3]",)),
+    Mutation("umvirate members read row_of for both families", "src/qharm/globality.py",
+             "return np.flatnonzero((tables.row_of == i).any(1) & (tables.func_of == j).any(1))",
+             "return np.flatnonzero((tables.row_of == i).any(1) & (tables.row_of == j).any(1))",
+             ("tests/test_set_audit_parity.py::test_cell_members_match_the_vector_action_loop[sl-2-3]",)),
+    Mutation("bump coset accumulated as diag(I, g') g_acc", "src/qharm/globality.py",
+             "g_acc = int(m[g_acc, embed[g[best]]])",
+             "g_acc = int(m[embed[g[best]], g_acc])",
+             (BP + "test_second_bump_step_accumulates_as_the_matrix_reference",)),
     Mutation("Sarnak-Xue blocks taken on level d - 1", "src/qharm/spectra.py",
              "hats = [(irr.degree, irr.fourier(f.values)) for irr in get_irreducibles(group)[d]]",
              "hats = [(irr.degree, irr.fourier(f.values)) for irr in get_irreducibles(group)[d - 1]]",

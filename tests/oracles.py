@@ -10,6 +10,7 @@ per-matrix `mat_mul`), src keeps it because src or the benchmark runs it.
 Fast path (src/qharm)                 Oracle                         Comparing test (tests/)
 -----------------------------------   ----------------------------   ------------------------------------------------------------
 fqlin.rref, fqlin.rank                brute_force_rank               test_fqlin::test_rank_matches_brute_force_random
+IndexMap.to_matrix                    to_index                       test_fqlin::test_index_map_round_trip_and_examples
 fqlin.batched_rank                    fqlin.rank, one matrix a call  test_fqlin::test_batched_rank_matches_scalar_rank
 fqlin.mat_mul over leading axes       fqlin.mat_mul, one matrix      test_fqlin::test_batched_mat_mul_matches_per_matrix_product
 IndexMap.linear_image (doubling)      fqlin.mat_mul, one matrix      test_fqlin::test_linear_image_matches_per_matrix_product
@@ -55,10 +56,14 @@ calculus.avg_for_directions           avg_for_direction_ref          test_spectr
   (from the instance's f_hat)         avg_for_directions             test_spectra::test_criterion_3_instance_transforms_f_once
 spectra.SchemeInstanceChecks (stacks) PerFunctionSchemeChecks        test_spectra::test_stacked_instance_checks_match_per_function_reference
 globality.set_global_audit            reference_set_global_audit     test_set_audit_parity::test_set_audit_equals_dense_reference
-  (witnesses memoized per cell)       reference_set_global_audit     test_set_audit_parity::test_back_to_back_audits_keep_their_own_witnesses
-                                      brute_force_set_ratios         test_globality::test_set_audit_matches_counting_oracle
-                                      dictator_ratio                 test_set_audit_parity::test_set_audit_witnesses_recount_on_gl2_f7
+  (witnesses: cell views, their text  (witness text: describe_ref)   test_set_audit_parity::test_back_to_back_audits_keep_their_own_witnesses
+  decoded from the table)             brute_force_set_ratios         test_globality::test_set_audit_matches_counting_oracle
+                                      dictator_ratio,                test_set_audit_parity::test_set_audit_witnesses_recount_on_gl2_f7
+                                      umvirate_members_ref
+globality.Umvirate.members            umvirate_members_ref           test_set_audit_parity::test_cell_members_match_the_vector_action_loop
+  (read off row_of and func_of)       (the vector-action loop)
 globality.good_umvirate_partition     reference_partition            test_partition_parity::test_batched_partition_matches_scalar_reference
+  (of a cell view)                    umvirate_members_ref (union)   test_globality::test_partition_disjoint_covering_all_1_and_2_umvirates
 globality.block_subgroup_members      block_subgroup_ref             test_group_tables::test_block_subgroups_match_member_loop
 globality.coset_rows                  block_restriction_ref          test_group_tables::test_block_restriction_matches_member_loop
   (g_i diag(I_k, X) h_i, one gather)
@@ -70,6 +75,8 @@ bogolyubov.bogolyubov_search          first_contained_ref            test_bogoly
 globality.density_bump_search         density_bump_search_ref        test_bogolyubov_parity::test_bump_search_matches_the_piece_loop
   (argmax of piece-row counts,        (densest_piece_ref, block_restriction_ref,
   coset accumulated as ordinals)      n x n matrix accumulation)
+  (a second step, k_acc > 0, from     density_bump_search_ref        test_bogolyubov_parity::test_second_bump_step_accumulates_as_the_matrix_reference
+  an audit patched to report a cell)
 bogolyubov.density_bogolyubov         density_bump_search_ref        test_bogolyubov_parity::test_density_step_matches_the_piece_loop
 GroupTable elements, dets, inv, ...   element_tables_ref             test_group_tables::test_element_tables_match_per_element_loops
 GroupTable.vector_action              vector_action_ref              test_group_tables::test_element_tables_match_per_element_loops
@@ -148,6 +155,14 @@ from qharm.spectra import OperatorNormRow, SchemeInstanceChecks
 # ---------------------------------------------------------------------------
 # F_q linear algebra
 # ---------------------------------------------------------------------------
+
+def to_index(index_map, mat):
+    """The index of a matrix under an IndexMap: its digits times the powers of q."""
+    flat = np.asarray(mat, dtype=np.int64).reshape(-1)
+    if flat.shape[0] != index_map.k:
+        raise ToolkitError("matrix shape does not match index map")
+    return int(flat @ index_map.powers)
+
 
 def field_add(field, x, y):
     """x + y in F_q, one scalar read off the addition table."""
@@ -300,7 +315,7 @@ def char_restriction_dual_index(ctx, vp, wp, x_index):
     frame = ctx.quotient_frame(vp)
     x = ctx.dual_index.to_matrix(x_index)
     y = mat_mul(ctx.field, mat_mul(ctx.field, frame.quotient_map, x), wp.basis.T.copy())
-    return sub.dual_index.to_index(y)
+    return to_index(sub.dual_index, y)
 
 
 def bv_pairs_ref(ctx, v):
@@ -316,13 +331,13 @@ def bv_pairs_ref(ctx, v):
         if acc == 1:
             phis.append(phi)
     pairs = [(decode_vector(w, ctx.m, ctx.q), phi) for w in range(ctx.q**ctx.m) for phi in phis]
-    return pairs, [ctx.domain_index.to_index(field.mul_table[w[:, None], phi[None, :]]) for w, phi in pairs]
+    return pairs, [to_index(ctx.domain_index, field.mul_table[w[:, None], phi[None, :]]) for w, phi in pairs]
 
 
 def dualize_perm_ref(ctx):
     """Entry idx: the index in ctx of B^T, B the matrix of index idx in the dual scheme."""
     dual = get_scheme(ctx.q, ctx.m, ctx.n)
-    return np.array([ctx.domain_index.to_index(dual.domain_index.to_matrix(idx).T.copy())
+    return np.array([to_index(ctx.domain_index, dual.domain_index.to_matrix(idx).T.copy())
                      for idx in range(dual.size)])
 
 
@@ -405,7 +420,7 @@ def restriction_embedding_ref(ctx, vp, wp):
             embedded = mat_mul(ctx.field, mat_mul(ctx.field, cw_t, s_bar), qmap)
         else:
             embedded = np.zeros((ctx.m, ctx.n), dtype=np.uint8)
-        emb[kk] = ctx.domain_index.to_index(embedded)
+        emb[kk] = to_index(ctx.domain_index, embedded)
     return emb
 
 
@@ -677,8 +692,8 @@ def element_tables_ref(kind, n, q):
     pos = np.full(di.size, -1, dtype=np.int64)
     pos[elements] = np.arange(elements.size)
     mats = np.stack([di.to_matrix(i) for i in elements])
-    inv = np.array([pos[di.to_index(inv_by_rref(field, m))] for m in mats], dtype=np.int64)
-    identity = int(pos[di.to_index(np.eye(n, dtype=np.uint8))])
+    inv = np.array([pos[to_index(di, inv_by_rref(field, m))] for m in mats], dtype=np.int64)
+    identity = int(pos[to_index(di, np.eye(n, dtype=np.uint8))])
     return {"elements": elements, "dets": dets[elements], "pos": pos, "mats": mats, "inv": inv}, identity
 
 
@@ -750,7 +765,7 @@ def block_subgroup_ref(group, k):
     for x in mats:
         m = np.eye(n, dtype=np.uint8)
         m[k:, k:] = x
-        out.append(group.pos[group.scheme.domain_index.to_index(m)])
+        out.append(group.pos[to_index(group.scheme.domain_index, m)])
     return np.array(sorted(out), dtype=np.int64)
 
 
@@ -762,7 +777,7 @@ def block_restriction_ref(group, in_set, g, h, k):
         m = np.eye(group.n, dtype=np.uint8)
         m[k:, k:] = sub.mats[xo]
         prod = mat_mul(group.field, mat_mul(group.field, g, m), h)
-        if in_set[group.pos[group.scheme.domain_index.to_index(prod)]]:
+        if in_set[group.pos[to_index(group.scheme.domain_index, prod)]]:
             out.append(xo)
     return np.array(out, dtype=np.int64)
 
@@ -832,7 +847,7 @@ def density_bump_search_ref(group, ordinals, zeta=DEFAULT_ZETA):
         worst = max(audit.violations, key=lambda v: v["ratio"])
         in_set = np.zeros(cur_group.size, dtype=bool)
         in_set[cur_ordinals] = True
-        piece, density = densest_piece_ref(in_set, good_umvirate_partition(cur_group, worst["umvirate"]))
+        piece, density = densest_piece_ref(in_set, good_umvirate_partition(worst["umvirate"]))
         mu_before = cur_ordinals.size / cur_group.size
         trace.append(BumpTrace(worst["order"], worst["ratio"], piece.order, mu_before, density,
                                r ** worst["order"] * mu_before))
@@ -1101,10 +1116,25 @@ def _system_masks(group, systems, transpose):
     return np.array([np.all(act[:, [v for v, _ in s]] == [u for _, u in s], axis=1) for s in systems], dtype=np.uint8)
 
 
-def _system_umvirate(group, row_system, func_system):
+def describe_ref(group, row_system, func_system):
+    """The witness text of a row system met with a functional system,
+    formatted from their encoded constraint vectors."""
     n, q = group.n, group.q
-    row, func = ([(decode_vector(v, n, q), decode_vector(w, n, q)) for v, w in s] for s in (row_system, func_system))
-    return Umvirate(group.field, n, row, func)
+    row, func = (";".join(f"{decode_vector(v, n, q).tolist()}->{decode_vector(w, n, q).tolist()}" for v, w in s)
+                 for s in (row_system, func_system))
+    return f"rows[{row}]funcs[{func}]"
+
+
+def umvirate_members_ref(group, rows, funcs):
+    """Sorted ordinals of the umvirate g v = w for each row pair (v, w) and
+    g^T phi = psi for each functional pair (phi, psi), one constraint at a
+    time through the vector actions."""
+    mask = np.ones(group.size, dtype=bool)
+    for pairs, transpose in ((rows, False), (funcs, True)):
+        act = group.vector_action(transpose)
+        for v, w in pairs:
+            mask &= act[:, encode_vector(v, group.q)] == encode_vector(w, group.q)
+    return np.flatnonzero(mask)
 
 
 def reference_set_global_audit(group, ordinals, rmax=None, r=None, zeta=DEFAULT_ZETA):
@@ -1139,13 +1169,13 @@ def reference_set_global_audit(group, ordinals, rmax=None, r=None, zeta=DEFAULT_
         i, j = divmod(flat, ratios.shape[1])
         best = float(ratios[i, j])
         thr = r**d
-        u = _system_umvirate(group, tables.row_systems[i], tables.func_systems[j])
-        rows.append(ReportRow(d, best, u.describe(), float(thr), bool(best <= thr + 1e-12)))
+        witness = describe_ref(group, tables.row_systems[i], tables.func_systems[j])
+        rows.append(ReportRow(d, best, witness, float(thr), bool(best <= thr + 1e-12)))
         if best > thr + 1e-12:
             vi, vj = np.nonzero(sel & (ratios > thr + 1e-12))
             order_pairs = sorted(zip(vi, vj), key=lambda p: -ratios[p[0], p[1]])
             bi, bj = order_pairs[0]
-            uv = _system_umvirate(group, tables.row_systems[bi], tables.func_systems[bj])
+            uv = Umvirate(group, int(bi) * ratios.shape[1] + int(bj))
             violations.append({"order": d, "ratio": float(ratios[bi, bj]), "umvirate": uv})
     return SetAuditResult(GlobalnessReport("set-umvirate-density", rows), violations)
 
@@ -1243,13 +1273,14 @@ def _piece_to_good_umvirate(group, d_mat, c_mat, kk, big_k, big_b, big_c):
     return (kk, int(g_ord), int(h_ord))
 
 
-def reference_partition(group, u):
+def reference_partition(u):
     """(k, g, h) of every piece, one fill of the free entries at a time:
     six scalar inverses per piece, the greedy leftmost-full-rank column
     pick and 0/1 permutation matrices."""
+    group = u.group
     field = group.field
     n = group.n
-    nf = umvirate_normal_form(group, u)
+    nf = umvirate_normal_form(u)
     a, b, h = nf.a, nf.b, nf.h
     if a + b == 0:
         return [(0, group.identity, group.identity)]

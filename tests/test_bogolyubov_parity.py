@@ -12,15 +12,24 @@ output must be equal to theirs.
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     density_bump_search_ref,
     first_contained_ref,
     groumvirate_enumerate_ref,
 )
+from qharm import globality
 from qharm.bogolyubov import GroupSet, bogolyubov_search, density_bogolyubov, groumvirate_enumerate, quadruple_product
 from qharm.errors import ToolkitError
 from qharm.fqlin import mat_mul
-from qharm.globality import GoodUmvirate, _block_ordinals, density_bump_search
+from qharm.globality import (
+    GoodUmvirate,
+    SetAuditResult,
+    Umvirate,
+    _block_ordinals,
+    density_bump_search,
+    set_global_audit,
+)
 from qharm.groups import get_group
 
 GROUPS = [("sl", 2, 3), ("sl", 2, 4), ("sl", 2, 5), ("sl", 2, 7), ("sl", 3, 2), ("gl", 2, 3), ("gl", 3, 2)]
@@ -88,6 +97,65 @@ def test_bump_search_matches_the_piece_loop(key):
             reasons.add(got[-1] if len(got) > 2 else "refused")
     # GL_2(F_3) has elements of determinant 2, so the search refuses it
     assert reasons == ({"refused"} if key == ("gl", 2, 3) else {"global", "trivial_group"})
+
+
+@pytest.mark.parametrize("key", [("sl", 2, 3), ("sl", 2, 5), ("sl", 2, 7), ("sl", 3, 2), ("gl", 3, 2)],
+                         ids=["sl-2-3", "sl-2-5", "sl-2-7", "sl-3-2", "gl-3-2"])
+def test_bump_search_takes_one_step_when_one_over_mu_exceeds_r_to_the_2n(key):
+    # each a in A is an order-2n cell {a} of ratio 1/mu, which no cell exceeds,
+    # so the chosen violation lies in A, and so does the piece it steps into
+    group = get_group(*key)
+    checked = 0
+    for a in _seeded_sets(group, 36):
+        mu = a.ordinals.size / group.size
+        for zeta in (0.0, 0.01, 0.1, 1.0, 3.0):
+            r = float(group.q) ** (zeta * group.n / 2)
+            if 1.0 / mu <= r ** (2 * group.n) + 1e-12:
+                continue
+            trace = density_bump_search(group, a.ordinals, zeta=zeta).trace
+            assert len(trace) == 1
+            assert trace[0].violation_ratio == 1.0 / mu
+            assert trace[0].density_after == 1.0
+            checked += 1
+    assert checked >= 20
+
+
+def _audit_reporting_at_second_call(cell):
+    """set_global_audit, except that its second call reports the given cell
+    of the restricted group as its one violation, at its true ratio."""
+    calls = []
+
+    def audit(group, ordinals, **kwargs):
+        calls.append(group)
+        res = set_global_audit(group, ordinals, **kwargs)
+        if len(calls) != 2:
+            return res
+        u = Umvirate(group, cell)
+        members = u.members()
+        ratio = (np.count_nonzero(np.isin(members, ordinals)) / members.size) / (ordinals.size / group.size)
+        return SetAuditResult(res.report, [{"order": u.order, "ratio": ratio, "umvirate": u}])
+
+    return audit
+
+
+def test_second_bump_step_accumulates_as_the_matrix_reference(monkeypatch):
+    # no seeded search takes a second step (the density_bump_search docstring
+    # proves one case), so the second audit is made to report a real cell of
+    # SL_2(F_2): its pieces are then accumulated after a first step of k = 1
+    group = get_group("sl", 3, 2)
+    a = GoodUmvirate(group, 1, 17, 101).members()
+    cells = np.concatenate(get_group("sl", 2, 2).dictator_systems().cells[1:3])
+    reasons = set()
+    for cell in cells:
+        monkeypatch.setattr(globality, "set_global_audit", _audit_reporting_at_second_call(int(cell)))
+        monkeypatch.setattr(oracles, "set_global_audit", _audit_reporting_at_second_call(int(cell)))
+        got = _bump(group, a, 0.01, density_bump_search)
+        assert got == _bump(group, a, 0.01, density_bump_search_ref)
+        trace = got[5]
+        assert len(trace) == 2 and trace[0]["piece_order"] == 2
+        reasons.add((got[0], got[-1]))
+    # order-1 cells step into SL_1, order-2 cells can end at k = n
+    assert reasons == {(2, "trivial_group"), (3, "trivial_group")}
 
 
 @pytest.mark.parametrize("key", GROUPS[:5] + GROUPS[6:], ids=IDS[:5] + IDS[6:])

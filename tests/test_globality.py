@@ -15,6 +15,7 @@ from oracles import (
     per_site_global_audit,
     per_site_influence_audit,
     per_site_lp_global_audit,
+    umvirate_members_ref,
 )
 from qharm.calculus import RestrictionSite, annihilator_functional, direction_subspaces
 from qharm.errors import ToolkitError
@@ -292,24 +293,35 @@ def test_set_audit_full_group():
         assert abs(row.value - 1.0) < 1e-12
 
 
+def _cell(g, rows=(), funcs=()):
+    """The cell of g's dictator-system table that meets the row system
+    `rows` with the functional system `funcs`, each a tuple of (v, w)
+    vector encodings."""
+    tables = g.dictator_systems()
+    u = Umvirate(g, tables.row_systems.index(rows) * len(tables.func_systems) + tables.func_systems.index(funcs))
+    assert u.members().size, "the systems do not meet on G"
+    return u
+
+
 def test_set_audit_own_umvirate_ratio():
     g = get_group("sl", 2, 3)
-    u = Umvirate(g.field, 2, [(np.array([1, 0], np.uint8), np.array([1, 0], np.uint8))])
-    mask = u.members_mask(g)
-    res = set_global_audit(g, np.flatnonzero(mask))
+    u = _cell(g, rows=((1, 1),))  # g e1 = e1
+    members = u.members()
+    res = set_global_audit(g, members)
     # at its own witness the ratio is |G| / |U & G|
-    expected = g.size / mask.sum()
+    expected = g.size / members.size
     assert res.report.value_at(1) >= expected - 1e-9
 
 
-def _witness_umvirate(g, text):
-    """The Umvirate that `Umvirate.describe` printed as text."""
+def _witness_members(g, text):
+    """Ordinals of the umvirate that `Umvirate.describe` printed as text,
+    recounted from its constraints."""
     rows, funcs = re.fullmatch(r"rows\[(.*)\]funcs\[(.*)\]", text).groups()
 
     def pairs(part):
         return [tuple(np.array(json.loads(x), np.uint8) for x in p.split("->")) for p in part.split(";") if p]
 
-    return Umvirate(g.field, g.n, pairs(rows), pairs(funcs))
+    return umvirate_members_ref(g, pairs(rows), pairs(funcs))
 
 
 def test_set_audit_matches_counting_oracle():
@@ -323,40 +335,22 @@ def test_set_audit_matches_counting_oracle():
             assert res.report.value_at(d) == pytest.approx(oracle[d], abs=1e-9)
         # each witness, recounted from its own members, has the reported ratio
         for row in res.report.rows:
-            mask = _witness_umvirate(g, row.witness).members_mask(g)
-            assert mask.sum() > 0
-            assert (np.count_nonzero(mask[ordinals]) / mask.sum()) / mu == row.value
+            members = _witness_members(g, row.witness)
+            assert members.size > 0
+            assert (np.count_nonzero(np.isin(members, ordinals)) / members.size) / mu == row.value
 
 
 # ---------------------------------------------------------------------------
 # umvirate normal forms and partitions
 # ---------------------------------------------------------------------------
 
-def _random_umvirate(g, n_rows, n_funcs, rng):
-    while True:
-        rows = []
-        for _ in range(n_rows):
-            x = g.mats[rng.integers(0, g.size)]
-            rows.append((x[:, 0].copy(), x[:, 1].copy() if False else x[:, 0].copy()))
-        # use actual group elements to guarantee nonemptiness:
-        witness = g.mats[rng.integers(0, g.size)]
-        from qharm.fqlin import mat_vec
-
-        rows = []
-        for _ in range(n_rows):
-            v = rng.integers(0, g.q, size=g.n).astype(np.uint8)
-            if not np.any(v):
-                continue
-            rows.append((v, mat_vec(g.field, witness, v)))
-        funcs = []
-        for _ in range(n_funcs):
-            phi = rng.integers(0, g.q, size=g.n).astype(np.uint8)
-            if not np.any(phi):
-                continue
-            funcs.append((phi, mat_vec(g.field, witness.T.copy(), phi)))
-        u = Umvirate(g.field, g.n, rows, funcs)
-        if not u.is_empty_constraints and u.members_mask(g).any():
-            return u
+def _random_cell(g, n_rows, n_funcs, rng):
+    """A random nonempty cell of n_rows row and n_funcs functional constraints."""
+    tables = g.dictator_systems()
+    cells = np.concatenate(tables.cells)
+    width = len(tables.func_systems)
+    cells = cells[(tables.row_orders[cells // width] == n_rows) & (tables.func_orders[cells % width] == n_funcs)]
+    return Umvirate(g, int(rng.choice(cells)))
 
 
 def test_normal_form_reproduces_member_set():
@@ -364,9 +358,10 @@ def test_normal_form_reproduces_member_set():
     from qharm.fqlin import mat_mul
 
     for trial in range(8):
-        u = _random_umvirate(g, (trial % 2) + 1, (trial // 2) % 2 + 1, RNG)
-        nf = umvirate_normal_form(g, u)
-        mask = u.members_mask(g)
+        u = _random_cell(g, (trial % 2) + 1, (trial // 2) % 2 + 1, RNG)
+        nf = umvirate_normal_form(u)
+        mask = np.zeros(g.size, dtype=bool)
+        mask[umvirate_members_ref(g, u.rows, u.funcs)] = True
         for x in range(g.size):
             h = mat_mul(g.field, mat_mul(g.field, nf.d_mat, g.mats[x]), nf.c_mat)
             in_nf = np.array_equal(h[: nf.b, :], nf.fixed_rows) and np.array_equal(
@@ -403,8 +398,8 @@ def test_good_umvirate_members_match_blockform():
 
 def test_partition_trivial_cases():
     g = get_group("sl", 3, 2)
-    u_all = Umvirate(g.field, 3)
-    parts = good_umvirate_partition(g, u_all)
+    u_all = Umvirate(g, 0)
+    parts = good_umvirate_partition(u_all)
     assert len(parts) == 1 and parts[0].k == 0
     assert len(parts[0].members()) == g.size
 
@@ -413,52 +408,36 @@ def test_partition_disjoint_covering_all_1_and_2_umvirates():
     g = get_group("sl", 3, 2)
     tables = g.dictator_systems()
     checked = 0
-    for i, rsys in enumerate(tables.row_systems):
-        for j, fsys in enumerate(tables.func_systems):
-            order = tables.row_orders[i] + tables.func_orders[j]
-            if order < 1 or order > 2:
-                continue
-            from qharm.fqlin import decode_vector
-
-            u = Umvirate(
-                g.field,
-                3,
-                [(decode_vector(v, 3, 2), decode_vector(w, 3, 2)) for v, w in rsys],
-                [(decode_vector(v, 3, 2), decode_vector(w, 3, 2)) for v, w in fsys],
-            )
-            mask = u.members_mask(g)
-            if not mask.any():
-                continue
-            parts = good_umvirate_partition(g, u)
-            union = np.concatenate([p.members() for p in parts]) if parts else np.array([], int)
-            assert len(union) == len(np.unique(union)), "pieces overlap"
-            assert set(union.tolist()) == set(np.flatnonzero(mask).tolist()), "pieces miss"
-            orders = {p.order for p in parts}
-            assert len(orders) == 1
-            assert orders.pop() <= 2 * u.order
-            checked += 1
+    for cell in np.concatenate(tables.cells[1:3]):
+        u = Umvirate(g, int(cell))
+        parts = good_umvirate_partition(u)
+        union = np.concatenate([p.members() for p in parts]) if parts else np.array([], int)
+        assert len(union) == len(np.unique(union)), "pieces overlap"
+        assert set(union.tolist()) == set(umvirate_members_ref(g, u.rows, u.funcs).tolist()), "pieces miss"
+        orders = {p.order for p in parts}
+        assert len(orders) == 1
+        assert orders.pop() <= 2 * u.order
+        checked += 1
     # 98 order-1 systems plus the nonempty order-2 systems
     assert checked == 1911
 
 
 def test_partition_of_good_umvirate_is_singleton():
     g = get_group("sl", 3, 2)
-    # U = L_1 presented as a mixed 2-umvirate
-    e1 = np.array([1, 0, 0], np.uint8)
-    u = Umvirate(g.field, 3, [(e1, e1)], [(e1, e1)])
-    parts = good_umvirate_partition(g, u)
+    # U = L_1 presented as a mixed 2-umvirate: g e1 = e1 and g^T e1 = e1
+    u = _cell(g, rows=((1, 1),), funcs=((1, 1),))
+    parts = good_umvirate_partition(u)
     assert len(parts) == 1
     assert parts[0].k == 1
-    assert set(parts[0].members().tolist()) == set(np.flatnonzero(u.members_mask(g)).tolist())
+    assert set(parts[0].members().tolist()) == set(umvirate_members_ref(g, u.rows, u.funcs).tolist())
 
 
 def test_partition_and_bump_search_reject_gl_beyond_f2():
     # on GL_2(F_3) the determinant fix lands in SL, so pieces would miss U & G
     g = get_group("gl", 2, 3)
-    u = Umvirate(g.field, 2, [(np.array([1, 0], np.uint8), np.array([2, 0], np.uint8))])
-    assert u.members_mask(g).any()
+    u = _cell(g, rows=((1, 2),))  # g e1 = 2 e1
     with pytest.raises(ToolkitError, match="inside SL_n"):
-        good_umvirate_partition(g, u)
+        good_umvirate_partition(u)
     with pytest.raises(ToolkitError, match="inside SL_n"):
         density_bump_search(g, np.arange(5))
 
@@ -466,12 +445,10 @@ def test_partition_and_bump_search_reject_gl_beyond_f2():
 def test_partition_covers_gl3_f2():
     # GL_3(F_2) equals SL_3(F_2), so its partitions stay exact
     g = get_group("gl", 3, 2)
-    e1 = np.array([1, 0, 0], np.uint8)
-    e2 = np.array([0, 1, 0], np.uint8)
-    u = Umvirate(g.field, 3, [(e1, e2)], [(e2, e1)])
-    parts = good_umvirate_partition(g, u)
+    u = _cell(g, rows=((1, 2),), funcs=((2, 1),))  # g e1 = e2, g^T e2 = e1
+    parts = good_umvirate_partition(u)
     union = np.concatenate([p.members() for p in parts])
-    assert sorted(union.tolist()) == np.flatnonzero(u.members_mask(g)).tolist()
+    assert sorted(union.tolist()) == umvirate_members_ref(g, u.rows, u.funcs).tolist()
 
 
 # ---------------------------------------------------------------------------

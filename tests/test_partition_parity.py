@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_partition
-from qharm.globality import cell_umvirate, good_umvirate_partition
+from qharm.globality import Umvirate, good_umvirate_partition
 from qharm.groups import get_group
 
 
@@ -27,8 +27,8 @@ def test_batched_partition_matches_scalar_reference(key, sample):
         cells = np.sort(np.random.default_rng(8).choice(cells, size=sample, replace=False))
     n_pieces = 0
     for cell in cells:
-        u = cell_umvirate(g, cell)
-        got = [(p.k, p.g, p.h) for p in good_umvirate_partition(g, u)]
-        assert got == reference_partition(g, u), u.describe()
+        u = Umvirate(g, int(cell))
+        got = [(p.k, p.g, p.h) for p in good_umvirate_partition(u)]
+        assert got == reference_partition(u), u.describe()
         n_pieces += len(got)
     assert n_pieces >= len(cells)  # every cell is nonempty, so it has a piece

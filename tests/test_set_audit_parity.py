@@ -2,18 +2,20 @@
 
 The reference (tests/oracles.py) builds the indicator of every row and
 functional system from the vector action, recomputes every row x
-functional intersection size with int64 matrix products on each call
-and re-sorts the violating cells to pick the violation witness.  The
-audit under test counts |A & U| with one np.bincount over the group's
-cached cell index; every report row and every violation must be equal.
-On GL_2(F_7), too big for the dense reference in a quick test, each
-witness is recounted.
+functional intersection size with int64 matrix products on each call,
+re-sorts the violating cells to pick the violation witness and formats
+each witness from the encoded systems.  The audit under test counts
+|A & U| with one np.bincount over the group's cached cell index and
+reads its witnesses as cell views; every report row and every violation
+must be equal.  On GL_2(F_7), too big for the dense reference in a
+quick test, each witness is recounted.  A cell view's members, read off
+the table, equal the vector-action loop over its constraints.
 """
 
 import numpy as np
 import pytest
 
-from oracles import dictator_ratio, reference_set_global_audit
+from oracles import dictator_ratio, reference_set_global_audit, umvirate_members_ref
 from qharm.errors import ToolkitError
 from qharm.globality import GoodUmvirate, Umvirate, density_bump_search, set_global_audit
 from qharm.groups import get_group
@@ -36,9 +38,7 @@ def _sets(g, rng):
 def _assert_same(res, ref):
     assert res.report.kind == ref.report.kind
     assert res.report.rows == ref.report.rows
-    got = [(v["order"], v["ratio"], v["umvirate"].describe()) for v in res.violations]
-    want = [(v["order"], v["ratio"], v["umvirate"].describe()) for v in ref.violations]
-    assert got == want
+    assert res.violations == ref.violations
 
 
 @pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 2, 5), ("sl", 2, 7), ("sl", 3, 2), ("gl", 2, 3)])
@@ -58,8 +58,8 @@ def test_set_audit_equals_dense_reference(kind, n, q):
 
 @pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 3, 2)])
 def test_back_to_back_audits_keep_their_own_witnesses(kind, n, q):
-    # witnesses are memoized per cell on the group's table: a second audit of
-    # another set on the same group must not read the first one's witnesses
+    # witnesses are cell views read off the group's shared table: a second
+    # audit of another set on the same group must not report the first one's
     g = get_group(kind, n, q)
     rng = np.random.default_rng(77 + n)
     first, second = (GoodUmvirate(g, 1, int(rng.integers(g.size)), int(rng.integers(g.size))).members()
@@ -104,10 +104,23 @@ def test_set_audit_witnesses_recount_on_gl2_f7():
     mu = a.size / g.size
     # r < 1 makes every order >= 1 a violation that carries its witness umvirate
     res = set_global_audit(g, a, r=0.5)
-    witnesses = [Umvirate(g.field, 2)] + [v["umvirate"] for v in res.violations]
+    witnesses = [Umvirate(g, 0)] + [v["umvirate"] for v in res.violations]
     assert [row.order for row in res.report.rows] == list(range(5))
     for row, u in zip(res.report.rows, witnesses, strict=True):
         assert u.describe() == row.witness
-        mask = u.members_mask(g)
-        assert row.value == (np.count_nonzero(mask & in_a) / np.count_nonzero(mask)) / mu
+        members = umvirate_members_ref(g, u.rows, u.funcs)
+        assert row.value == (np.count_nonzero(in_a[members]) / members.size) / mu
     assert res.report.value_at(1) == dictator_ratio(g, a)
+
+
+@pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 2, 5), ("sl", 3, 2), ("gl", 2, 3)])
+def test_cell_members_match_the_vector_action_loop(kind, n, q):
+    g = get_group(kind, n, q)
+    tables = g.dictator_systems()
+    for d, (cells, sizes) in enumerate(zip(tables.cells, tables.cell_sizes)):
+        for cell, size in zip(cells, sizes):
+            u = Umvirate(g, int(cell))
+            rows, funcs = u.rows, u.funcs
+            assert u.order == len(rows) + len(funcs) == d
+            assert np.array_equal(u.members(), umvirate_members_ref(g, rows, funcs))
+            assert u.members().size == size
