@@ -38,7 +38,7 @@ from .fqlin import (
     span_of,
     zero_space,
 )
-from .scheme import FnTable, SchemeCtx, dualize, get_scheme, restrict
+from .scheme import FnTable, SchemeCtx, dualize, get_scheme, restrict, scheme_of
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,6 @@ class RestrictionSite:
     v1: Subspace
     w1: Subspace
     t_index: int = 0
-
-
-def _scheme_of(f: FnTable) -> SchemeCtx:
-    if not isinstance(f.domain, SchemeCtx):
-        raise ToolkitError("operator requires a scheme-domain function")
-    return f.domain
 
 
 # elements of each stacked temporary of the batched operators and scheme
@@ -186,7 +180,7 @@ def dual_avg_factors(ctx: SchemeCtx, wp: Subspace) -> np.ndarray:
 
 def laplacian(f: FnTable, v1: Subspace, w1: Subspace) -> FnTable:
     """Spectral projection onto characters admissible for (V1, W1)."""
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     mask = laplacian_mask(ctx, v1, w1)
     coeffs = ctx.fourier_forward(f.values) * mask
     return FnTable(ctx, ctx.fourier_inverse(coeffs))
@@ -194,13 +188,13 @@ def laplacian(f: FnTable, v1: Subspace, w1: Subspace) -> FnTable:
 
 def derivative(f: FnTable, site: RestrictionSite) -> FnTable:
     """D_{V1,W1,T}(f): the (V1,W1) -> T restriction of the Laplacian."""
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     lap = laplacian(f, site.v1, site.w1)
     return restrict(lap, site.v1, site.w1, site.t_index)
 
 
 def _avg_quotient_direct(f: FnTable, vp: Subspace) -> np.ndarray:
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     (wfull,) = ctx.subspaces("w", ctx.m)
     _, members = ctx.site_cosets(vp, wfull)
     out = np.empty_like(f.values)
@@ -214,7 +208,7 @@ def avg_quotient(f: FnTable, vp: Subspace) -> FnTable:
     Computes the direct coset average and the spectral filter and
     asserts they agree.
     """
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     coeffs = ctx.fourier_forward(f.values) * quotient_mask(ctx, vp)
     spectral = ctx.fourier_inverse(coeffs)
     direct = _avg_quotient_direct(f, vp)
@@ -279,7 +273,7 @@ def _direction_averages(f: FnTable, vs: list[np.ndarray], wps: list[Subspace],
     and summed in the same order for every v), E_{W'} against
     dualize -> E_phi -> dualize.
     """
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     if not all(np.any(v) for v in vs):
         raise ToolkitError("E_v requires a nonzero vector")
     phis = [annihilator_functional(ctx, wp) for wp in wps]
@@ -349,7 +343,7 @@ def avg_dual(f: FnTable, wp: Subspace) -> FnTable:
 
 
 def _avg_vector_spectral(f: FnTable, v: np.ndarray) -> np.ndarray:
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     return ctx.fourier_inverse(ctx.fourier_forward(f.values) * vector_avg_factors(ctx, v))
 
 
@@ -385,7 +379,7 @@ def t_operator(f: FnTable, i: int, u: Subspace, side: str) -> FnTable:
     """f - (q^i + q^{i-1}) E_U f + q^{2i-1} E_U^2 f."""
     if i < 1:
         raise ToolkitError("t_operator needs order i >= 1")
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     q = float(ctx.q)
     e1 = avg_for_direction(f, u, side)
     e2 = avg_for_direction(e1, u, side)
@@ -395,7 +389,7 @@ def t_operator(f: FnTable, i: int, u: Subspace, side: str) -> FnTable:
 
 def spectral_laplacian_line(f: FnTable, u: Subspace, side: str) -> FnTable:
     """The order-1 spectral Laplacian for a line in V or hyperplane in W."""
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     if side == "v":
         return laplacian(f, u, full_space(ctx.field, ctx.m))
     return laplacian(f, zero_space(ctx.field, ctx.n), u)

@@ -1,9 +1,16 @@
 """Command-line entry point.
 
-One binary, subcommand style.  Every run writes a JSON manifest beside
-its outputs with the full configuration and seed, so identical
-invocations produce byte-identical artifacts.  Exit status is 0 iff no
-check or assertion failed.
+One binary, subcommand style.  A handler reads its inputs, computes,
+prints, and returns its exit status and artifacts; record() alone writes
+them into --output, then `<command>_manifest.json`.  The manifest holds
+the command, the version, the config and exactly the paths written, in
+write order.  The config is the computation options the subcommand
+names beside its parser entry: sizes, orders, modes and thresholds.  It
+holds no input or output path, and no seed: no subcommand takes one, as
+every random draw inside qharm uses a fixed seed.  Identical invocations
+produce byte-identical artifacts.  Exit status is 0 iff no check or
+assertion failed; an error prints an `error:` line and exits 2, and an
+error raised by a handler leaves no artifact.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .groups import (
     convolve,
     get_characters,
     get_group,
+    glt_growth_report,
     isotypic_refine,
 )
 from .scheme import degree_project, fourier_forward, get_scheme
@@ -194,10 +202,9 @@ def write_report_csv(path: str, rows: list[dict]) -> None:
 
 def write_manifest(outdir: str, command: str, config: dict, artifacts: list[str]) -> None:
     path = os.path.join(outdir, f"{command}_manifest.json")
-    clean = {k: v for k, v in config.items() if not callable(v)}
     with open(path, "w") as fh:
         json.dump(
-            {"command": command, "version": __version__, "config": clean, "artifacts": artifacts},
+            {"command": command, "version": __version__, "config": config, "artifacts": artifacts},
             fh,
             indent=2,
             sort_keys=True,
@@ -210,6 +217,17 @@ def write_json(path: str, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
+
+
+def record(args, artifacts) -> None:
+    """Write each artifact (file name, writer, payload) of a run into
+    --output, in order, then its manifest: args.command, the options the
+    subcommand names in its `config` default and the paths just written."""
+    os.makedirs(args.output, exist_ok=True)
+    paths = [os.path.join(args.output, name) for name, _, _ in artifacts]
+    for path, (_, write, payload) in zip(paths, artifacts):
+        write(path, payload)
+    write_manifest(args.output, args.command, {key: getattr(args, key) for key in args.config}, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +243,6 @@ def validate_scheme_config(q: int, n: int, m: int, max_domain: int) -> None:
         raise ToolkitError(f"domain size {q ** (n * m)} exceeds --max-domain {max_domain}")
 
 
-def _outdir(args) -> str:
-    os.makedirs(args.output, exist_ok=True)
-    return args.output
-
-
 def _group_from_args(args):
     validate_scheme_config(args.q, args.n, args.n, args.max_domain)
     return get_group(args.group, args.n, args.q)
@@ -241,12 +254,12 @@ def _indicator_from_args(args, group):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its exit status and its artifacts, each
+# a (file name, writer, payload) that record() writes into --output
 # ---------------------------------------------------------------------------
 
-def cmd_field_info(args) -> int:
+def cmd_field_info(args):
     field = get_field(args.q)
-    outdir = _outdir(args)
     payload = {
         "q": field.q,
         "p": field.p,
@@ -256,38 +269,28 @@ def cmd_field_info(args) -> int:
         "character_re": [float(c.real) for c in field.char_table],
         "character_im": [float(c.imag) for c in field.char_table],
     }
-    path = os.path.join(outdir, f"field_q{args.q}.json")
-    write_json(path, payload)
-    print(f"F_{field.q} = F_{field.p}^{field.m}, modulus {list(field.modulus)} -> {path}")
-    write_manifest(outdir, "field-info", {"q": args.q}, [path])
-    return 0
+    name = f"field_q{args.q}.json"
+    print(f"F_{field.q} = F_{field.p}^{field.m}, modulus {list(field.modulus)} -> {os.path.join(args.output, name)}")
+    return 0, [(name, write_json, payload)]
 
 
-def cmd_fourier(args) -> int:
+def cmd_fourier(args):
     validate_scheme_config(args.q, args.n, args.m, args.max_domain)
     ctx = get_scheme(args.q, args.n, args.m)
-    values = read_function_csv(args.input, ctx.size)
-    outdir = _outdir(args)
-    spec = fourier_forward(ctx.table(values))
-    path = os.path.join(outdir, "spectrum.csv")
-    write_function_csv(path, spec.coefficients)
-    print(f"spectrum of {args.input} over L(F_{args.q}^{args.m}, F_{args.q}^{args.n}) -> {path}")
-    write_manifest(outdir, "fourier", vars(args) | {"func": None}, [path])
-    return 0
+    spec = fourier_forward(ctx.table(read_function_csv(args.input, ctx.size)))
+    name = "spectrum.csv"
+    print(f"spectrum of {args.input} over L(F_{args.q}^{args.m}, F_{args.q}^{args.n}) -> "
+          f"{os.path.join(args.output, name)}")
+    return 0, [(name, write_function_csv, spec.coefficients)]
 
 
-def cmd_project_degree(args) -> int:
+def cmd_project_degree(args):
     validate_scheme_config(args.q, args.n, args.m, args.max_domain)
     ctx = get_scheme(args.q, args.n, args.m)
-    values = read_function_csv(args.input, ctx.size)
-    out = degree_project(ctx.table(values), args.d, args.mode)
-    outdir = _outdir(args)
-    path = os.path.join(outdir, f"degree_{args.mode}_{args.d}.csv")
-    write_function_csv(path, out.values)
-    print(f"degree-{args.d} {args.mode} part -> {path}")
-    write_manifest(outdir, "project-degree", {"q": args.q, "n": args.n, "m": args.m, "d": args.d,
-                                              "mode": args.mode}, [path])
-    return 0
+    out = degree_project(ctx.table(read_function_csv(args.input, ctx.size)), args.d, args.mode)
+    name = f"degree_{args.mode}_{args.d}.csv"
+    print(f"degree-{args.d} {args.mode} part -> {os.path.join(args.output, name)}")
+    return 0, [(name, write_function_csv, out.values)]
 
 
 def _load_scheme_function(args, ctx):
@@ -302,61 +305,42 @@ def _load_scheme_function(args, ctx):
     raise ToolkitError("provide --input (function CSV) or --set (matrix file)")
 
 
-def cmd_global_audit(args) -> int:
+def cmd_global_audit(args):
     validate_scheme_config(args.q, args.n, args.m, args.max_domain)
     ctx = get_scheme(args.q, args.n, args.m)
-    f = _load_scheme_function(args, ctx)
-    rep = global_audit(f, args.dmax, zeta=args.zeta)
-    outdir = _outdir(args)
-    path = os.path.join(outdir, "global_audit.csv")
-    write_report_csv(path, rep.as_rows())
-    write_json(os.path.join(outdir, "global_audit.json"), {"pass": rep.passed, "rows": rep.as_rows()})
+    rep = global_audit(_load_scheme_function(args, ctx), args.dmax, zeta=args.zeta)
     for row in rep.rows:
         print(f"order {row.order}: max {row.value:.6g} vs threshold {row.threshold:.6g} "
               f"[{'ok' if row.passed else 'VIOLATION'}] witness {row.witness}")
-    write_manifest(outdir, "global-audit", {"q": args.q, "n": args.n, "m": args.m, "dmax": args.dmax,
-                                            "zeta": args.zeta}, [path])
-    return 0 if rep.passed else 1
+    return 0 if rep.passed else 1, [("global_audit.csv", write_report_csv, rep.as_rows()),
+                                    ("global_audit.json", write_json, {"pass": rep.passed, "rows": rep.as_rows()})]
 
 
-def cmd_influence_audit(args) -> int:
+def cmd_influence_audit(args):
     validate_scheme_config(args.q, args.n, args.m, args.max_domain)
     ctx = get_scheme(args.q, args.n, args.m)
-    f = _load_scheme_function(args, ctx)
-    rep = influence_audit(f, args.dmax, zeta=args.zeta)
-    outdir = _outdir(args)
-    path = os.path.join(outdir, "influence_audit.csv")
-    write_report_csv(path, rep.as_rows())
+    rep = influence_audit(_load_scheme_function(args, ctx), args.dmax, zeta=args.zeta)
     for row in rep.rows:
         print(f"order {row.order}: max influence {row.value:.6g} witness {row.witness}")
-    write_manifest(outdir, "influence-audit", {"q": args.q, "n": args.n, "m": args.m,
-                                               "dmax": args.dmax, "zeta": args.zeta}, [path])
-    return 0 if rep.passed else 1
+    return 0 if rep.passed else 1, [("influence_audit.csv", write_report_csv, rep.as_rows())]
 
 
-def cmd_levels(args) -> int:
+def cmd_levels(args):
     group = _group_from_args(args)
-    dmax = args.dmax if args.dmax is not None else group.n
-    if not 0 <= dmax <= group.n:
-        raise ToolkitError(f"dmax={dmax} must lie in [0, n={group.n}]")
+    if args.dmax is None:
+        args.dmax = group.n  # the manifest records the order resolved here
+    if not 0 <= args.dmax <= group.n:
+        raise ToolkitError(f"dmax={args.dmax} must lie in [0, n={group.n}]")
     dims = get_characters(group).level_dims()
-    rows = [{"d": d, "dim_le_d": dims[d]} for d in range(dmax + 1)]
-    outdir = _outdir(args)
-    path = os.path.join(outdir, "level_dims.csv")
-    write_report_csv(path, rows)
+    rows = [{"d": d, "dim_le_d": dims[d]} for d in range(args.dmax + 1)]
     for r in rows:
         print(r)
-    write_manifest(outdir, "levels", {"group": args.group, "n": args.n, "q": args.q,
-                                      "dmax": dmax}, [path])
-    return 0
+    return 0, [("level_dims.csv", write_report_csv, rows)]
 
 
-def cmd_isotypic(args) -> int:
-    from .groups import glt_growth_report
-
+def cmd_isotypic(args):
     group = _group_from_args(args)
     rep = isotypic_refine(group)
-    outdir = _outdir(args)
     payload = {
         "group_size": rep.group_size,
         "class_count": rep.class_count,
@@ -365,20 +349,16 @@ def cmd_isotypic(args) -> int:
         "sum_of_squares": rep.sum_of_squares(),
         "growth_report": glt_growth_report(group, rep),
     }
-    path = os.path.join(outdir, "isotypic.json")
-    write_json(path, payload)
     chars = get_characters(group)
-    csv_path = os.path.join(outdir, "irreducibles.csv")
-    write_report_csv(csv_path, [{"index": i, "degree": int(chars.degrees[i]), "level": int(chars.levels[i])}
-                                | {f"fixed_h{d}": int(m) for d, m in enumerate(chars.fixed[i])}
-                                for i in range(len(chars.degrees))])
+    irreducibles = [{"index": i, "degree": int(chars.degrees[i]), "level": int(chars.levels[i])}
+                    | {f"fixed_h{d}": int(m) for d, m in enumerate(chars.fixed[i])}
+                    for i in range(len(chars.degrees))]
     print(f"|G| = {rep.group_size}, classes = {rep.class_count}, "
           f"dims = {rep.component_dims}, m_d = {rep.m_d}")
-    write_manifest(outdir, "isotypic", {"group": args.group, "n": args.n, "q": args.q}, [path, csv_path])
-    return 0
+    return 0, [("isotypic.json", write_json, payload), ("irreducibles.csv", write_report_csv, irreducibles)]
 
 
-def cmd_opnorm(args) -> int:
+def cmd_opnorm(args):
     group = _group_from_args(args)
     a = _indicator_from_args(args, group)
     f = group.indicator(a.ordinals)
@@ -390,65 +370,46 @@ def cmd_opnorm(args) -> int:
         rows.append(vars(row))
         print(f"d={d}: ||T_f|| = {row.norm:.6g}, SX bound {row.sx_bound:.6g} "
               f"(m_d={row.m_d}), empirical c = {row.empirical_c:.4g}")
-    outdir = _outdir(args)
-    path = os.path.join(outdir, "opnorm.csv")
-    write_report_csv(path, rows)
-    write_manifest(outdir, "opnorm", {"group": args.group, "n": args.n, "q": args.q, "c": args.c},
-                   [path])
-    return 0 if ok else 1
+    return 0 if ok else 1, [("opnorm.csv", write_report_csv, rows)]
 
 
-def cmd_convolve(args) -> int:
+def cmd_convolve(args):
     group = _group_from_args(args)
     a = _indicator_from_args(args, group)
     b = GroupSet(group, read_set_file(args.set2, group))
     conv = convolve(group.indicator(a.ordinals), group.indicator(b.ordinals))
-    outdir = _outdir(args)
-    path = os.path.join(outdir, "convolution.csv")
-    write_function_csv(path, conv.values)
-    print(f"1_A * 1_B -> {path} (mean {conv.mean().real:.6g})")
-    write_manifest(outdir, "convolve", {"group": args.group, "n": args.n, "q": args.q}, [path])
-    return 0
+    name = "convolution.csv"
+    print(f"1_A * 1_B -> {os.path.join(args.output, name)} (mean {conv.mean().real:.6g})")
+    return 0, [(name, write_function_csv, conv.values)]
 
 
-def cmd_mixing(args) -> int:
+def cmd_mixing(args):
     group = _group_from_args(args)
     a = _indicator_from_args(args, group)
     b = GroupSet(group, read_set_file(args.set2, group))
     rep = mixing_experiment(a, b)
-    ok = rep.decomposition_residual < 1e-8
-    outdir = _outdir(args)
-    path = os.path.join(outdir, "mixing.json")
-    write_json(path, vars(rep))
     print(f"||f*g - E[f]E[g]||_2 = {rep.deviation:.6g}; per-level {rep.per_level}; "
           f"identity residual {rep.decomposition_residual:.2e}; "
           f"reported bound {rep.bound:.3g} (ratio {rep.bound_ratio:.3g})")
-    write_manifest(outdir, "mixing", {"group": args.group, "n": args.n, "q": args.q}, [path])
-    return 0 if ok else 1
+    return 0 if rep.decomposition_residual < 1e-8 else 1, [("mixing.json", write_json, vars(rep))]
 
 
-def cmd_product_mixing(args) -> int:
+def cmd_product_mixing(args):
     group = _group_from_args(args)
     a = _indicator_from_args(args, group)
     b = GroupSet(group, read_set_file(args.set2, group))
     c = GroupSet(group, read_set_file(args.set3, group))
     rep = product_mixing(a, b, c)
-    ok = rep.decomposition_residual < 1e-8
-    outdir = _outdir(args)
-    path = os.path.join(outdir, "product_mixing.json")
-    write_json(path, vars(rep))
     print(f"<f*g,h> = {rep.triple:.6g}, deviation {rep.triple_deviation:.6g}, "
           f"ABC covers G: {rep.covers}")
-    write_manifest(outdir, "product-mixing", {"group": args.group, "n": args.n, "q": args.q}, [path])
-    return 0 if ok else 1
+    return 0 if rep.decomposition_residual < 1e-8 else 1, [("product_mixing.json", write_json, vars(rep))]
 
 
-def cmd_bogolyubov(args) -> int:
+def cmd_bogolyubov(args):
     group = _group_from_args(args)
     a = _indicator_from_args(args, group)
     dres = density_bogolyubov(a, zeta=args.zeta)  # refuses groups outside SL_n, so it runs first
     res = bogolyubov_search(a)
-    outdir = _outdir(args)
     payload = {
         "mu_A": a.mu,
         "contained_groumvirate": res.contained.describe(),
@@ -462,21 +423,16 @@ def cmd_bogolyubov(args) -> int:
         "bump_trace": [vars(t) for t in dres.bump.trace],
         "bump_reason": dres.bump.reason,
     }
-    path = os.path.join(outdir, "bogolyubov.json")
-    write_json(path, payload)
     print(f"AA^-1AA^-1 contains {res.contained.describe()} of density {res.density:.6g} "
           f"(exponent {res.exponent:.3g}); density step: {dres.density_in_groumvirate:.4g} "
           f"in {dres.groumvirate.describe()} [{dres.bump.reason}]")
-    write_manifest(outdir, "bogolyubov", {"group": args.group, "n": args.n, "q": args.q,
-                                          "zeta": args.zeta}, [path])
-    return 0
+    return 0, [("bogolyubov.json", write_json, payload)]
 
 
-def cmd_approx_group(args) -> int:
+def cmd_approx_group(args):
     group = _group_from_args(args)
     a = _indicator_from_args(args, group)
     res = easy_set_cover(a)
-    outdir = _outdir(args)
     payload = {
         "K": res.k_ratio,
         "coset_count": res.coset_count,
@@ -491,39 +447,29 @@ def cmd_approx_group(args) -> int:
         "covers": res.covers,
         "inside_A5": res.inside_a5,
     }
-    path = os.path.join(outdir, "approx_group.json")
-    write_json(path, payload)
     print(f"K = {res.k_ratio:.4g}; J = {res.coset_count} cosets of "
           f"{res.easy_set.umvirate.describe()}; A <= J <= A^5: "
           f"{res.covers and res.inside_a5}")
-    write_manifest(outdir, "approx-group", {"group": args.group, "n": args.n, "q": args.q}, [path])
-    return 0 if (res.covers and res.inside_a5) else 1
+    return 0 if (res.covers and res.inside_a5) else 1, [("approx_group.json", write_json, payload)]
 
 
-def cmd_set_audit(args) -> int:
+def cmd_set_audit(args):
     group = _group_from_args(args)
     if args.dmax is not None and args.dmax > 2 * group.n:
         raise ToolkitError(f"set audit order dmax={args.dmax} exceeds 2n = {2 * group.n}")
     a = _indicator_from_args(args, group)
     res = set_global_audit(group, a.ordinals, rmax=args.dmax, zeta=args.zeta)
-    outdir = _outdir(args)
-    path = os.path.join(outdir, "set_audit.csv")
-    write_report_csv(path, res.report.as_rows())
     for row in res.report.rows:
         print(f"order {row.order}: ratio {row.value:.6g} vs r^d = {row.threshold:.6g} "
               f"[{'ok' if row.passed else 'VIOLATION'}]")
-    write_manifest(outdir, "set-audit", {"group": args.group, "n": args.n, "q": args.q,
-                                         "dmax": args.dmax, "zeta": args.zeta}, [path])
-    return 0 if res.report.passed else 1
+    return 0 if res.report.passed else 1, [("set_audit.csv", write_report_csv, res.report.as_rows())]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from .verify import run_all
 
     _, ok = run_all()
-    outdir = _outdir(args)
-    write_manifest(outdir, "verify", {}, [])
-    return 0 if ok else 1
+    return 0 if ok else 1, []
 
 
 # ---------------------------------------------------------------------------
@@ -551,90 +497,94 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", "-o", default="out")
         sp.add_argument("--max-domain", type=int, default=DEFAULT_MAX_DOMAIN)
 
+    # the options each subcommand's manifest records, named once beside its parser entry
+    scheme_config = ("q", "n", "m")
+    group_config = ("group", "n", "q")
+
     sp = sub.add_parser("field-info", help="print field tables and characters")
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--output", "-o", default="out")
-    sp.set_defaults(fn=cmd_field_info)
+    sp.set_defaults(fn=cmd_field_info, config=("q",))
 
     sp = sub.add_parser("fourier", help="forward transform of a function CSV")
     common(sp, scheme=True)
     sp.add_argument("--input", required=True)
-    sp.set_defaults(fn=cmd_fourier)
+    sp.set_defaults(fn=cmd_fourier, config=scheme_config)
 
     sp = sub.add_parser("project-degree", help="degree projection of a function CSV")
     common(sp, scheme=True)
     sp.add_argument("--input", required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--mode", choices=["pure", "cumulative"], default="pure")
-    sp.set_defaults(fn=cmd_project_degree)
+    sp.set_defaults(fn=cmd_project_degree, config=scheme_config + ("d", "mode"))
 
     sp = sub.add_parser("global-audit", help="exact restriction-norm audit")
     common(sp, scheme=True, group=True, zeta=True)
     sp.add_argument("--input")
     sp.add_argument("--set")
     sp.add_argument("--dmax", type=int, default=2)
-    sp.set_defaults(fn=cmd_global_audit)
+    sp.set_defaults(fn=cmd_global_audit, config=scheme_config + ("dmax", "zeta"))
 
     sp = sub.add_parser("influence-audit", help="exact generalized-influence audit")
     common(sp, scheme=True, group=True, zeta=True)
     sp.add_argument("--input")
     sp.add_argument("--set")
     sp.add_argument("--dmax", type=int, default=2)
-    sp.set_defaults(fn=cmd_influence_audit)
+    sp.set_defaults(fn=cmd_influence_audit, config=scheme_config + ("dmax", "zeta"))
 
     sp = sub.add_parser("set-audit", help="umvirate density audit of a set on G")
     common(sp, group=True, zeta=True)
     sp.add_argument("--set", required=True)
     sp.add_argument("--dmax", type=int, default=None)
-    sp.set_defaults(fn=cmd_set_audit)
+    sp.set_defaults(fn=cmd_set_audit, config=group_config + ("dmax", "zeta"))
 
     sp = sub.add_parser("levels", help="tensor-rank level dimensions")
     common(sp, group=True)
     sp.add_argument("--dmax", type=int, default=None)
-    sp.set_defaults(fn=cmd_levels)
+    sp.set_defaults(fn=cmd_levels, config=group_config + ("dmax",))
 
     sp = sub.add_parser("isotypic", help="irreducible dimensions per level and m_d")
     common(sp, group=True)
-    sp.set_defaults(fn=cmd_isotypic)
+    sp.set_defaults(fn=cmd_isotypic, config=group_config)
 
     sp = sub.add_parser("opnorm", help="convolution operator norms on levels")
     common(sp, group=True)
     sp.add_argument("--set", required=True)
     sp.add_argument("--c", type=float, default=0.05)
-    sp.set_defaults(fn=cmd_opnorm)
+    sp.set_defaults(fn=cmd_opnorm, config=group_config + ("c",))
 
     sp = sub.add_parser("convolve", help="convolution of two set indicators")
     common(sp, group=True)
     sp.add_argument("--set", required=True)
     sp.add_argument("--set2", required=True)
-    sp.set_defaults(fn=cmd_convolve)
+    sp.set_defaults(fn=cmd_convolve, config=group_config)
 
     sp = sub.add_parser("mixing", help="two-set mixing experiment")
     common(sp, group=True)
     sp.add_argument("--set", required=True)
     sp.add_argument("--set2", required=True)
-    sp.set_defaults(fn=cmd_mixing)
+    sp.set_defaults(fn=cmd_mixing, config=group_config)
 
     sp = sub.add_parser("product-mixing", help="three-set mixing experiment")
     common(sp, group=True)
     sp.add_argument("--set", required=True)
     sp.add_argument("--set2", required=True)
     sp.add_argument("--set3", required=True)
-    sp.set_defaults(fn=cmd_product_mixing)
+    sp.set_defaults(fn=cmd_product_mixing, config=group_config)
 
     sp = sub.add_parser("bogolyubov", help="groumvirate containment in AA^-1AA^-1")
     common(sp, group=True, zeta=True)
     sp.add_argument("--set", required=True)
-    sp.set_defaults(fn=cmd_bogolyubov)
+    sp.set_defaults(fn=cmd_bogolyubov, config=group_config + ("zeta",))
 
     sp = sub.add_parser("approx-group", help="easy-set cover of an approximate subgroup")
     common(sp, group=True)
     sp.add_argument("--set", required=True)
-    sp.set_defaults(fn=cmd_approx_group)
+    sp.set_defaults(fn=cmd_approx_group, config=group_config)
 
     sp = sub.add_parser("verify", help="run the full invariant/acceptance suite")
     sp.add_argument("--output", "-o", default="out")
-    sp.set_defaults(fn=cmd_verify)
+    sp.set_defaults(fn=cmd_verify, config=())
 
     return p
 
@@ -642,7 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status, artifacts = args.fn(args)
+        record(args, artifacts)
+        return status
     except (ToolkitError, InputFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -80,20 +80,13 @@ def mat_vec(ctx: FieldCtx, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat_mul(ctx, a, np.asarray(v, dtype=np.uint8).reshape(-1, 1))[:, 0]
 
 
-def rref(ctx: FieldCtx, a: np.ndarray, n_pivot_cols: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form with unit pivots; returns (R, pivot columns).
-
-    Pivots are searched only in the first n_pivot_cols columns (default
-    all); row operations still apply to the full width, so augmented
-    columns are carried along.
-    """
+def rref(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form with unit pivots; returns (R, pivot columns)."""
     r = np.array(a, dtype=np.uint8)
     rows, cols = r.shape
-    if n_pivot_cols is None:
-        n_pivot_cols = cols
     pivots: list[int] = []
     pr = 0
-    for col in range(n_pivot_cols):
+    for col in range(cols):
         if pr >= rows:
             break
         found = -1

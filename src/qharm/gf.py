@@ -35,8 +35,6 @@ _EXTENSION_MODULI = {
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
-TAU = 1e-9  # global comparison tolerance for complex arithmetic
-
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     for p in (2, 3, 5, 7, 11, 13):

@@ -32,6 +32,7 @@ multiplication table (coset_rows) and accumulates its coset as ordinals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ from .fqlin import (
 )
 from .gf import FieldCtx
 from .groups import GroupTable, get_group
-from .scheme import FnTable, SchemeCtx, mean_last_axis
+from .scheme import FnTable, SchemeCtx, mean_last_axis, scheme_of
 
 DEFAULT_ZETA = 0.01
 
@@ -103,12 +104,6 @@ class GlobalnessReport:
         ]
 
 
-def _scheme_of(f: FnTable) -> SchemeCtx:
-    if not isinstance(f.domain, SchemeCtx):
-        raise ToolkitError("scheme audit requires a scheme-domain function")
-    return f.domain
-
-
 def _site_witness(pair_idx: int, vp: Subspace, wp: Subspace, rep: int) -> str:
     return f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={rep}"
 
@@ -118,6 +113,18 @@ def _orders(dmax: int) -> range:
     if dmax < 0:
         raise ToolkitError(f"audit order dmax={dmax} must be >= 0")
     return range(dmax + 1)
+
+
+def check_threshold(zeta: float | None = None, r: float | None = None) -> None:
+    """Refuse a zeta that is not finite or is negative, and an r that is
+    NaN or below 1; None is not checked.  A NaN threshold fails every
+    order of an audit but passes every order of the bump search, and
+    r < 1 makes even all of G violate, so the search would step with no
+    gain."""
+    if zeta is not None and not (math.isfinite(zeta) and zeta >= 0):
+        raise ToolkitError(f"zeta={zeta} must be finite and >= 0")
+    if r is not None and not r >= 1:
+        raise ToolkitError(f"r={r} must be >= 1")
 
 
 def audit_row(ctx: SchemeCtx, order: int, value: float, witness: str, base: float, zeta: float | None) -> ReportRow:
@@ -145,7 +152,9 @@ def _audit_rows(fs: list[FnTable], orders, order_chunks, zetas, kinds) -> list[G
     depends on its own function and order alone, so the first d + 1 rows of
     an audit to any order D >= d equal the rows of the audit to order d
     exactly, whatever else the stack holds."""
-    ctx = _scheme_of(fs[0])
+    ctx = scheme_of(fs[0])
+    for zeta in zetas:
+        check_threshold(zeta)
     all_orders = sorted(set().union(*orders))
     top = max(all_orders, default=0)
     if top > ctx.n + ctx.m:
@@ -184,7 +193,7 @@ def restriction_audits(fs: list[FnTable], orders, ellps, zeta: float = DEFAULT_Z
     ||f_{(V',W')->T}||_{ell'} with no threshold (every row passes) when
     ellps[i] = ell' >= 1.  A report's rows equal the rows of that
     function's own global_audit or lp_global_audit at the same orders."""
-    ctx = _scheme_of(fs[0])
+    ctx = scheme_of(fs[0])
     if any(ellp is not None and ellp < 1 for ellp in ellps):
         raise ToolkitError("ell' must be >= 1")
     values = np.array([np.abs(f.values) ** (2 if ellp is None else ellp) for f, ellp in zip(fs, ellps)])
@@ -238,7 +247,7 @@ def laplacian_audits(fs: list[FnTable], orders, laplacians, zeta: float = DEFAUL
     equal the per-site reference `influence_per_rep` in tests/oracles.py
     at every site bit for bit.
     """
-    ctx = _scheme_of(fs[0])
+    ctx = scheme_of(fs[0])
 
     def order_chunks(d, live):
         stacks = ctx.site_stacks(d)
@@ -262,7 +271,7 @@ def influence_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> Global
     The (d, eps)-small-influences reading aggregates orders <= d; use
     report.max_upto(d) for that.
     """
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     spectra = ctx.fourier_forward(f.values[None])
     return laplacian_audits([f], [_orders(dmax)], lambda d, live: laplacian_batches(ctx, spectra, d, live), zeta)[0]
 
@@ -282,7 +291,7 @@ def refining_maxima(fs: list[FnTable], directions, order: int) -> np.ndarray:
     coset mean is its max coset sum over the coset size, bit for bit,
     since division by the size is monotone.
     """
-    ctx = _scheme_of(fs[0])
+    ctx = scheme_of(fs[0])
     masses = np.abs(np.array([f.values for f in fs])) ** 2
     refining = [ctx.refining_rows(u, side, order) for u, side in directions]
     maxima = [[-1.0] for _ in fs]
@@ -390,8 +399,10 @@ def set_global_audit(
     standard + dual action).  Pass threshold is r^d with the configured
     r (default q^{zeta n / 2}); |A & U| is one np.bincount of the cell
     index over A.  The witness of each order is its row-major first
-    maximal cell, and also its violation above the threshold.
+    maximal cell, and also its violation above the threshold.  zeta and
+    r are refused as check_threshold says.
     """
+    check_threshold(zeta, r)
     ordinals = _set_ordinals(group, ordinals, "set audit")
     rmax = 2 * group.n if rmax is None else rmax
     if rmax < 0:
@@ -693,6 +704,7 @@ def density_bump_search(group: GroupTable, ordinals: np.ndarray, zeta: float = D
     SL_{n-k}, where every ratio is 1 <= r^d, or the group is trivial.
     """
     _require_det_one(group, "bump search")
+    check_threshold(zeta)
     ordinals = _set_ordinals(group, ordinals, "bump search")
     r = float(group.q) ** (zeta * group.n / 2)
 
@@ -707,7 +719,7 @@ def density_bump_search(group: GroupTable, ordinals: np.ndarray, zeta: float = D
         if cur_group.n < 2:
             reason = "trivial_group"
             break
-        audit = set_global_audit(cur_group, cur_ordinals, r=r, zeta=zeta)
+        audit = set_global_audit(cur_group, cur_ordinals, r=r)
         if not audit.violations:
             reason = "global"
             break

@@ -382,20 +382,21 @@ def get_scheme(q: int, n: int, m: int) -> SchemeCtx:
     return _SCHEME_CACHE[key]
 
 
-def _scheme_of(f: FnTable) -> SchemeCtx:
+def scheme_of(f: FnTable) -> SchemeCtx:
+    """The scheme f lives on; ToolkitError when f is not a scheme function."""
     if not isinstance(f.domain, SchemeCtx):
         raise ToolkitError("operation requires a scheme-domain function")
     return f.domain
 
 
 def fourier_forward(f: FnTable) -> SpectrumTable:
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     return SpectrumTable(ctx, ctx.fourier_forward(f.values))
 
 
 def degree_project(f: FnTable, d: int, mode: str = "pure") -> FnTable:
     """f^{=d} (pure) or f^{<=d} (cumulative): spectral mass at rank(X) = d or <= d."""
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     if not 0 <= d <= min(ctx.n, ctx.m):
         raise ToolkitError(f"degree {d} out of range for {ctx!r}")
     ranks = ctx.rank_table_dual()
@@ -406,7 +407,7 @@ def degree_project(f: FnTable, d: int, mode: str = "pure") -> FnTable:
 
 def degree_decompose(f: FnTable) -> list[FnTable]:
     """All pure parts f^{=0..dmax} in one pass."""
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     ranks = ctx.rank_table_dual()
     coeffs = ctx.fourier_forward(f.values)
     parts = []
@@ -418,14 +419,14 @@ def degree_decompose(f: FnTable) -> list[FnTable]:
 def restrict(f: FnTable, vp: Subspace, wp: Subspace, t_index: int) -> FnTable:
     """f_{(V',W')->T}(S) = f(S + T) on the identified copy of L(V/V', W'),
     T given by its domain index."""
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     sub, _ = ctx.restriction_embedding(vp, wp)
     return FnTable(sub, ctx.restrict_values(f.values, vp, wp, int(t_index)))
 
 
 def dualize(f: FnTable) -> FnTable:
     """f*(A) = f(A^T): moves f to the scheme with V and W swapped."""
-    ctx = _scheme_of(f)
+    ctx = scheme_of(f)
     dual = get_scheme(ctx.q, ctx.m, ctx.n)
     # entry idx is the index in ctx of B^T, B the (n, m) matrix of dual index idx
     perm = ctx.memo("dual_perm", lambda: dual.domain_index.digits_table().reshape(dual.size, ctx.n, ctx.m)

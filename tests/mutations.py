@@ -426,6 +426,14 @@ MUTATIONS = [
              "lambda: laplacian_masks(ctx, order)[ctx.restriction_pairs(order).index((v1, w1))])",
              "lambda: laplacian_masks(ctx, order)[ctx.restriction_pairs(order).index((v1, w1))].copy())",
              ("tests/test_tracing_targets.py::test_laplacian_mask_is_a_view_of_its_order_stack",)),
+    Mutation("record path drops its last artifact from the manifest", "src/qharm/cli.py",
+             "write_manifest(args.output, args.command, {key: getattr(args, key) for key in args.config}, paths)",
+             "write_manifest(args.output, args.command, {key: getattr(args, key) for key in args.config}, paths[:-1])",
+             (CLI + "test_cli_manifest_lists_exactly_the_files_written[global-audit]",)),
+    Mutation("NaN zeta accepted", "src/qharm/globality.py",
+             "if zeta is not None and not (math.isfinite(zeta) and zeta >= 0):",
+             "if zeta is not None and zeta < 0:",
+             (CLI + "test_cli_refuses_a_nan_zeta_with_status_2[bogolyubov]",)),
 ]
 
 

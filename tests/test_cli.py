@@ -1,6 +1,7 @@
 """CLI round trips: file formats, subcommand artifacts, manifests, and the
 exit-status contract."""
 
+import argparse
 import csv
 import json
 import os
@@ -9,8 +10,17 @@ import warnings
 import numpy as np
 import pytest
 
+import qharm.verify as verify
 from oracles import read_function_csv_ref, write_function_csv_ref
-from qharm.cli import _ROW_BLOCK, main, read_function_csv, read_set_file, write_function_csv, write_set_file
+from qharm.cli import (
+    _ROW_BLOCK,
+    build_parser,
+    main,
+    read_function_csv,
+    read_set_file,
+    write_function_csv,
+    write_set_file,
+)
 from qharm.errors import InputFormatError, SizeCapError
 from qharm.groups import get_characters, get_group
 
@@ -427,6 +437,69 @@ def test_cli_set_audit_refuses_orders_above_2n(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert not (out / "set_audit.csv").exists()
     assert main(argv + ["--dmax", "4"]) == 1
+
+
+# one small run of every subcommand, in a directory holding f.csv (a
+# function on L(F_2^2, F_2^2)), a.txt and b.txt (sets of SL_2(F_3)) and
+# g.txt (all of SL_2(F_3))
+SCHEME_RUN = ["--q", "2", "--n", "2", "--m", "2", "--input", "f.csv"]
+GROUP_RUN = ["--q", "3", "--n", "2"]
+SUBCOMMAND_RUNS = {
+    "field-info": ["--q", "4"],
+    "fourier": SCHEME_RUN,
+    "project-degree": [*SCHEME_RUN, "--d", "1"],
+    "global-audit": [*SCHEME_RUN, "--dmax", "1"],
+    "influence-audit": [*SCHEME_RUN, "--dmax", "1"],
+    "set-audit": [*GROUP_RUN, "--set", "a.txt"],
+    "levels": GROUP_RUN,
+    "isotypic": GROUP_RUN,
+    "opnorm": [*GROUP_RUN, "--set", "a.txt"],
+    "convolve": [*GROUP_RUN, "--set", "a.txt", "--set2", "b.txt"],
+    "mixing": [*GROUP_RUN, "--set", "a.txt", "--set2", "b.txt"],
+    "product-mixing": [*GROUP_RUN, "--set", "a.txt", "--set2", "b.txt", "--set3", "g.txt"],
+    "bogolyubov": [*GROUP_RUN, "--set", "a.txt"],
+    "approx-group": [*GROUP_RUN, "--set", "g.txt"],
+    "verify": [],
+}
+
+
+def test_every_subcommand_has_a_small_run():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(SUBCOMMAND_RUNS)
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMAND_RUNS)
+def test_cli_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch, cmd):
+    monkeypatch.setattr(verify, "CRITERIA", [])  # verify's own run is test_acceptance's
+    monkeypatch.chdir(tmp_path)
+    g = get_group("sl", 2, 3)
+    write_function_csv("f.csv", np.arange(16.0))
+    write_set_file("a.txt", g, np.arange(0, g.size, 3))
+    write_set_file("b.txt", g, np.arange(1, g.size, 4))
+    write_set_file("g.txt", g, np.arange(g.size))
+    assert main([cmd, *SUBCOMMAND_RUNS[cmd], "-o", "out"]) in (0, 1)
+    manifest = json.loads((tmp_path / "out" / f"{cmd}_manifest.json").read_text())
+    assert manifest["command"] == cmd
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(
+        [f"{cmd}_manifest.json"] + [os.path.basename(path) for path in manifest["artifacts"]])
+    assert all(os.path.dirname(path) == "out" for path in manifest["artifacts"])
+    if cmd == "fourier":
+        assert manifest["config"] == {"m": 2, "n": 2, "q": 2}
+
+
+@pytest.mark.parametrize("argv", [["set-audit", "--q", "2", "--n", "3"],
+                                  ["bogolyubov", "--q", "2", "--n", "3"],
+                                  ["global-audit", "--q", "2", "--n", "3", "--m", "3"]], ids=lambda argv: argv[0])
+def test_cli_refuses_a_nan_zeta_with_status_2(tmp_path, capsys, argv):
+    # a NaN threshold judged every order a violation in set-audit and none in
+    # the bump search behind bogolyubov, which reported the set as global
+    g = get_group("sl", 3, 2)
+    setfile = tmp_path / "a.txt"
+    write_set_file(str(setfile), g, np.random.default_rng(1).choice(g.size, size=60, replace=False))
+    out = tmp_path / "out"
+    assert main([*argv, "--set", str(setfile), "--zeta", "nan", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: zeta=nan must be finite and >= 0\n"
+    assert not out.exists()
 
 
 # SHA-256 of every file that bogolyubov, approx-group and set-audit write for

@@ -23,6 +23,7 @@ from qharm.globality import (
     GoodUmvirate,
     Umvirate,
     block_subgroup_members,
+    check_threshold,
     density_bump_search,
     global_audit,
     good_umvirate_partition,
@@ -478,6 +479,30 @@ def test_bump_search_umvirate_coset_lands_exactly():
         # the found umvirate contains A
         found = GoodUmvirate(g, res.k, res.g, res.h)
         assert set(a.tolist()) <= set(found.members().tolist())
+
+
+def test_bump_search_refuses_a_negative_zeta():
+    # with zeta < 0, r < 1, so every order of SL_3(F_2) would violate and the
+    # search would step from density 1.0 to 1.0
+    g = get_group("sl", 3, 2)
+    with pytest.raises(ToolkitError, match="zeta=-0.5 must be finite and >= 0"):
+        density_bump_search(g, np.arange(0, g.size, 2), zeta=-0.5)
+
+
+@pytest.mark.parametrize("zeta,r", [(float("nan"), None), (float("inf"), None), (-1e-9, None),
+                                    (None, 0.5), (None, float("nan"))])
+def test_audits_refuse_a_bad_zeta_or_r(zeta, r):
+    threshold = {"r": r} if zeta is None else {"zeta": zeta}
+    with pytest.raises(ToolkitError, match="must be"):
+        check_threshold(**threshold)
+    with pytest.raises(ToolkitError, match="must be"):
+        set_global_audit(get_group("sl", 2, 3), np.arange(5), **threshold)
+    if zeta is not None:
+        f = random_table(get_scheme(2, 2, 2), np.random.default_rng(0))
+        for audit in (global_audit, influence_audit):
+            with pytest.raises(ToolkitError, match="must be"):
+                audit(f, 1, zeta=zeta)
+    check_threshold(0.0, 1.0)
 
 
 def test_bump_search_trace_verified_by_counting():

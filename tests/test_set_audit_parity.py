@@ -15,6 +15,7 @@ the table, equal the vector-action loop over its constraints.
 import numpy as np
 import pytest
 
+import qharm.globality as globality
 from oracles import dictator_ratio, reference_set_global_audit, umvirate_members_ref
 from qharm.errors import ToolkitError
 from qharm.globality import GoodUmvirate, Umvirate, density_bump_search, set_global_audit
@@ -35,6 +36,14 @@ def _sets(g, rng):
     ]
 
 
+@pytest.fixture
+def r_below_one(monkeypatch):
+    """set_global_audit with its refusal of r < 1 lifted: r = 0.5 makes every
+    order >= 1 a violation, even of G, so each order's violation witness is
+    compared.  The refusal itself is tested in tests/test_globality.py."""
+    monkeypatch.setattr(globality, "check_threshold", lambda zeta=None, r=None: None)
+
+
 def _assert_same(res, ref):
     assert res.report.kind == ref.report.kind
     assert res.report.rows == ref.report.rows
@@ -42,6 +51,7 @@ def _assert_same(res, ref):
 
 
 @pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 2, 5), ("sl", 2, 7), ("sl", 3, 2), ("gl", 2, 3)])
+@pytest.mark.usefixtures("r_below_one")
 def test_set_audit_equals_dense_reference(kind, n, q):
     g = get_group(kind, n, q)
     rng = np.random.default_rng(1000 * n + q)
@@ -57,6 +67,7 @@ def test_set_audit_equals_dense_reference(kind, n, q):
 
 
 @pytest.mark.parametrize("kind,n,q", [("sl", 2, 3), ("sl", 3, 2)])
+@pytest.mark.usefixtures("r_below_one")
 def test_back_to_back_audits_keep_their_own_witnesses(kind, n, q):
     # witnesses are cell views read off the group's shared table: a second
     # audit of another set on the same group must not report the first one's
@@ -96,6 +107,7 @@ def test_bump_search_ignores_duplicate_ordinals():
     assert twice.trace[0].density_before == a.size / g.size
 
 
+@pytest.mark.usefixtures("r_below_one")
 def test_set_audit_witnesses_recount_on_gl2_f7():
     g = get_group("gl", 2, 7)
     a = np.sort(np.random.default_rng(7).choice(g.size, size=g.size // 2, replace=False))
