@@ -6,7 +6,8 @@ before returning; a disagreement raises ConsistencyError.  This makes
 the equivalences first-class runtime checks instead of trusted code
 paths.
 
-Spectral conventions (X ranges over the dual index L(W, V)):
+Spectral conventions (X ranges over the dual index L(W, V); the averages
+of many directions take their rows from one SchemeCtx.filter):
 
     laplacian L_{V1,W1}   keeps X with Im(X) >= V1 and X^{-1}(V1) <= W1
     avg_quotient e_{V/V'} keeps X with Im(X) <= V'
@@ -48,36 +49,6 @@ class RestrictionSite:
     v1: Subspace
     w1: Subspace
     t_index: int = 0
-
-
-# elements of each stacked temporary of the batched operators and scheme
-# audits, counted across the whole stack: an inverse transform of a batch of
-# filtered spectra (complex) or a gather of coset members (float); bounds its
-# peak memory at about 16 MB whatever the domain and the stack size
-_LAPLACIAN_BATCH_ELEMENTS = 2**20
-
-
-def blocks(n_funcs: int, n_sites: int, size: int):
-    """(funcs, sites) slices that tile n_funcs functions x n_sites sites (or
-    filters) with blocks of at most max(1, _LAPLACIAN_BATCH_ELEMENTS // size)
-    pairs, so that a block of rows of `size` entries each keeps the bound;
-    one function takes that many sites a block."""
-    per = max(1, _LAPLACIAN_BATCH_ELEMENTS // size)
-    f_step = max(1, min(n_funcs, per))
-    s_step = max(1, per // f_step)
-    for f0 in range(0, n_funcs, f_step):
-        for s0 in range(0, n_sites, s_step):
-            yield slice(f0, f0 + f_step), slice(s0, s0 + s_step)
-
-
-def filtered_inverses(ctx: SchemeCtx, spectrum: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """fourier_inverse(spectrum * factor) for each spectral multiplier of
-    factors, as the rows of one (len(factors), N) array; the products are
-    inverted in blocks.  Row for row bit-identical to one inverse a factor."""
-    out = np.empty((len(factors), ctx.size), dtype=np.complex128)
-    for _, rows in blocks(1, len(factors), ctx.size):
-        out[rows] = ctx.fourier_inverse(spectrum * np.stack(factors[rows]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +152,7 @@ def dual_avg_factors(ctx: SchemeCtx, wp: Subspace) -> np.ndarray:
 def laplacian(f: FnTable, v1: Subspace, w1: Subspace) -> FnTable:
     """Spectral projection onto characters admissible for (V1, W1)."""
     ctx = scheme_of(f)
-    mask = laplacian_mask(ctx, v1, w1)
-    coeffs = ctx.fourier_forward(f.values) * mask
-    return FnTable(ctx, ctx.fourier_inverse(coeffs))
+    return FnTable(ctx, ctx.fourier_inverse(ctx.fourier_forward(f.values) * laplacian_mask(ctx, v1, w1)))
 
 
 def derivative(f: FnTable, site: RestrictionSite) -> FnTable:
@@ -209,8 +178,7 @@ def avg_quotient(f: FnTable, vp: Subspace) -> FnTable:
     asserts they agree.
     """
     ctx = scheme_of(f)
-    coeffs = ctx.fourier_forward(f.values) * quotient_mask(ctx, vp)
-    spectral = ctx.fourier_inverse(coeffs)
+    spectral = ctx.fourier_inverse(ctx.fourier_forward(f.values) * quotient_mask(ctx, vp))
     direct = _avg_quotient_direct(f, vp)
     err = float(np.max(np.abs(spectral - direct)))
     if err > 1e-8:
@@ -279,8 +247,7 @@ def _direction_averages(f: FnTable, vs: list[np.ndarray], wps: list[Subspace],
     phis = [annihilator_functional(ctx, wp) for wp in wps]
     if spectrum is None:
         spectrum = ctx.fourier_forward(f.values)
-    out = filtered_inverses(ctx, spectrum, [vector_avg_factors(ctx, v) for v in vs]
-                            + [dual_avg_factors(ctx, wp) for wp in wps])
+    out = ctx.filter(spectrum, [vector_avg_factors(ctx, v) for v in vs] + [dual_avg_factors(ctx, wp) for wp in wps])
     quotients: dict = {}
     for v, spectral in zip(vs, out):
         via_bv = _bv_cached(ctx, v).average(f.values)
@@ -300,8 +267,8 @@ def _direction_averages(f: FnTable, vs: list[np.ndarray], wps: list[Subspace],
     if wps:
         fd = dualize(f)
         dual = fd.domain
-        factors = [vector_avg_factors(dual, phi) for phi in phis]
-        for spectral, composite in zip(out[len(vs):], filtered_inverses(dual, dual.fourier_forward(fd.values), factors)):
+        composites = dual.filter(dual.fourier_forward(fd.values), [vector_avg_factors(dual, phi) for phi in phis])
+        for spectral, composite in zip(out[len(vs):], composites):
             err = float(np.max(np.abs(spectral - dualize(FnTable(dual, composite)).values)))
             if err > 1e-8:
                 raise ConsistencyError(f"E_W' realizations disagree by {err}")
@@ -340,11 +307,6 @@ def avg_dual(f: FnTable, wp: Subspace) -> FnTable:
     """E_{W'} for codim-1 W': dualize -> E_phi -> dualize, cross-checked
     against the dual spectral filter."""
     return FnTable(f.domain, _direction_averages(f, [], [wp])[0])
-
-
-def _avg_vector_spectral(f: FnTable, v: np.ndarray) -> np.ndarray:
-    ctx = scheme_of(f)
-    return ctx.fourier_inverse(ctx.fourier_forward(f.values) * vector_avg_factors(ctx, v))
 
 
 def avg_for_directions(f: FnTable, directions, spectrum: np.ndarray | None = None) -> list[FnTable]:

@@ -19,6 +19,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -44,7 +45,6 @@ from .groups import (
 )
 from .scheme import degree_project, fourier_forward, get_scheme
 from .spectra import mixing_experiment, product_mixing, sarnak_xue_check
-from .fqlin import DEFAULT_MAX_DOMAIN
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +63,11 @@ def read_function_csv(path: str, size: int) -> np.ndarray:
     exactly one comma.  It refuses every row the per-line reader refuses
     and more (a file mixing 2- and 3-column rows, 4-column rows, `1_0` or
     `1.0` as an index); those files, and files with an index out of range
-    or repeated, go to the per-line reader, which alone decides their
-    values and error messages.  Non-ASCII text and the separators
-    \\x1c-\\x1f go there too: numpy strips them around a field as
-    whitespace, or reads some non-ASCII letters as digits, where Python's
-    int() and float() refuse them.
+    or repeated or a value that is not finite, go to the per-line reader,
+    which alone decides their values and error messages.  Non-ASCII text
+    and the separators \\x1c-\\x1f go there too: numpy strips them around
+    a field as whitespace, or reads some non-ASCII letters as digits, where
+    Python's int() and float() refuse them.
     """
     try:
         with open(path, encoding="ascii") as fh:
@@ -88,7 +88,8 @@ def read_function_csv(path: str, size: int) -> np.ndarray:
     except ValueError:  # UnicodeDecodeError included
         return _read_function_lines(path, size)
     idx = rows["index"]
-    if idx.size and (idx.min() < 0 or idx.max() >= size or np.bincount(idx).max() > 1):
+    finite = all(np.isfinite(rows[part]).all() for part in rows.dtype.names[1:])
+    if idx.size and (idx.min() < 0 or idx.max() >= size or np.bincount(idx).max() > 1 or not finite):
         return _read_function_lines(path, size)
     values = np.zeros(size, dtype=np.complex128)
     values.real[idx] = rows["re"]
@@ -115,7 +116,8 @@ def _line_blocks(fh):
 
 
 def _read_function_lines(path: str, size: int) -> np.ndarray:
-    """The per-line reader: later rows win, errors name `path:line`."""
+    """The per-line reader: later rows win, errors name `path:line`, and a
+    value that is not finite is an error."""
     values = np.zeros(size, dtype=np.complex128)
     with open(path) as fh:
         for ln, line in _numbered_lines(path, fh):
@@ -131,6 +133,8 @@ def _read_function_lines(path: str, size: int) -> np.ndarray:
                 raise InputFormatError(f"{path}:{ln}: malformed function row {line!r}") from e
             if not 0 <= idx < size:
                 raise InputFormatError(f"{path}:{ln}: index {idx} out of range [0, {size})")
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise InputFormatError(f"{path}:{ln}: function value {line!r} is not finite")
             values[idx] = complex(re, im)
     return values
 
@@ -234,17 +238,15 @@ def record(args, artifacts) -> None:
 # configuration
 # ---------------------------------------------------------------------------
 
-def validate_scheme_config(q: int, n: int, m: int, max_domain: int) -> None:
+def validate_scheme_config(q: int, n: int, m: int) -> None:
     if q not in SUPPORTED_Q:
         raise ToolkitError(f"--q must be one of {SUPPORTED_Q}")
     if n < 1 or m < 1:
         raise ToolkitError("dimensions must be at least 1")
-    if q ** (n * m) > max_domain:
-        raise ToolkitError(f"domain size {q ** (n * m)} exceeds --max-domain {max_domain}")
 
 
 def _group_from_args(args):
-    validate_scheme_config(args.q, args.n, args.n, args.max_domain)
+    validate_scheme_config(args.q, args.n, args.n)
     return get_group(args.group, args.n, args.q)
 
 
@@ -275,7 +277,7 @@ def cmd_field_info(args):
 
 
 def cmd_fourier(args):
-    validate_scheme_config(args.q, args.n, args.m, args.max_domain)
+    validate_scheme_config(args.q, args.n, args.m)
     ctx = get_scheme(args.q, args.n, args.m)
     spec = fourier_forward(ctx.table(read_function_csv(args.input, ctx.size)))
     name = "spectrum.csv"
@@ -285,7 +287,7 @@ def cmd_fourier(args):
 
 
 def cmd_project_degree(args):
-    validate_scheme_config(args.q, args.n, args.m, args.max_domain)
+    validate_scheme_config(args.q, args.n, args.m)
     ctx = get_scheme(args.q, args.n, args.m)
     out = degree_project(ctx.table(read_function_csv(args.input, ctx.size)), args.d, args.mode)
     name = f"degree_{args.mode}_{args.d}.csv"
@@ -306,7 +308,7 @@ def _load_scheme_function(args, ctx):
 
 
 def cmd_global_audit(args):
-    validate_scheme_config(args.q, args.n, args.m, args.max_domain)
+    validate_scheme_config(args.q, args.n, args.m)
     ctx = get_scheme(args.q, args.n, args.m)
     rep = global_audit(_load_scheme_function(args, ctx), args.dmax, zeta=args.zeta)
     for row in rep.rows:
@@ -317,7 +319,7 @@ def cmd_global_audit(args):
 
 
 def cmd_influence_audit(args):
-    validate_scheme_config(args.q, args.n, args.m, args.max_domain)
+    validate_scheme_config(args.q, args.n, args.m)
     ctx = get_scheme(args.q, args.n, args.m)
     rep = influence_audit(_load_scheme_function(args, ctx), args.dmax, zeta=args.zeta)
     for row in rep.rows:
@@ -495,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         if zeta:
             sp.add_argument("--zeta", type=float, default=DEFAULT_ZETA)
         sp.add_argument("--output", "-o", default="out")
-        sp.add_argument("--max-domain", type=int, default=DEFAULT_MAX_DOMAIN)
 
     # the options each subcommand's manifest records, named once beside its parser entry
     scheme_config = ("q", "n", "m")
@@ -595,7 +596,7 @@ def main(argv=None) -> int:
         status, artifacts = args.fn(args)
         record(args, artifacts)
         return status
-    except (ToolkitError, InputFormatError, OSError) as e:
+    except (ToolkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -5,11 +5,14 @@ constraint system (set audits on a group) at each order is enumerated,
 the exact maximum is reported with a lexicographically-least witness,
 and pass/fail is judged against a threshold set by zeta.  Scheme audits
 run on stacks of functions of one scheme (restriction_audits, whose
-rows may mix L^2 masses and L^{ell'} norms, and laplacian_audits), each
-block of sites of one coset shape gathered and averaged once for the
-whole stack; the one-function entry points are the stacks of one, and a
-function's rows never depend on the rest of its stack.  refining_maxima
-reads each function at the sites refining its own direction alone.
+rows may mix L^2 masses and L^{ell'} norms, and laplacian_audits, fed
+the site Laplacians by SchemeCtx.filtered), each block of sites of one
+coset shape gathered and averaged once for the whole stack; the
+one-function entry points are the stacks of one, and a function's rows
+never depend on the rest of its stack.  A row's witness is the first
+site whose max is within a relative 1e-15 of the order's maximum, the
+least of the sites that tie up to rounding.  refining_maxima reads each
+function at the sites refining its own direction alone.
 Index arrays that depend only on the scheme (site stacks, the refining
 rows of a direction) are memo entries of the scheme, built once; a call
 builds only its functions' values.
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import blocks, laplacian_masks
+from .calculus import laplacian_masks
 from .errors import ConsistencyError, ToolkitError
 from .fqlin import (
     IndexMap,
@@ -52,7 +55,7 @@ from .fqlin import (
 )
 from .gf import FieldCtx
 from .groups import GroupTable, get_group
-from .scheme import FnTable, SchemeCtx, mean_last_axis, scheme_of
+from .scheme import FnTable, SchemeCtx, blocks, mean_last_axis, scheme_of
 
 DEFAULT_ZETA = 0.01
 
@@ -145,9 +148,9 @@ def _audit_rows(fs: list[FnTable], orders, order_chunks, zetas, kinds) -> list[G
     functions fs[live[funcs]], the value at each coset of the sites at
     positions (S,), cosets in site_cosets order; together the chunks cover
     every (function, site) pair once.  A site's max is taken at its first
-    argmax, and the row's value is the first site
-    max, in restriction_pairs order, that beats every earlier one by more
-    than 1e-15, so the witness is the site a scan one site at a time picks.
+    argmax, and the row's witness is the first site, in restriction_pairs
+    order, whose max is within a relative 1e-15 of the largest, so sites
+    that tie up to rounding give the least one at any scale.
     The rows of fs[i] take the thresholds of zetas[i] (audit_row).  A row
     depends on its own function and order alone, so the first d + 1 rows of
     an audit to any order D >= d equal the rows of the audit to order d
@@ -170,14 +173,11 @@ def _audit_rows(fs: list[FnTable], orders, order_chunks, zetas, kinds) -> list[G
         for funcs, positions, values in order_chunks(d, live):
             maxima[funcs, positions] = values.max(axis=-1)
             cosets[funcs, positions] = values.argmax(axis=-1)
-        for k, i in enumerate(live):
-            best = -1.0
-            at = None
-            for pair_idx, value in enumerate(maxima[k].tolist()):
-                if value > best + 1e-15:
-                    best = value
-                    at = pair_idx
-            witness = "" if at is None else _site_witness(at, *pairs[at], int(ctx.site_cosets(*pairs[at])[0][cosets[k, at]]))
+        tops = maxima.max(axis=1, keepdims=True)
+        ats = np.argmax(maxima >= tops - 1e-15 * tops, axis=1).tolist()
+        for k, (i, at) in enumerate(zip(live, ats)):
+            best = float(maxima[k, at])
+            witness = _site_witness(at, *pairs[at], int(ctx.site_cosets(*pairs[at])[0][cosets[k, at]]))
             reports[i].rows.append(audit_row(ctx, d, best, witness, bases[i], zetas[i]))
     return reports
 
@@ -226,24 +226,15 @@ def global_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> Globalnes
     return global_audits([f], [_orders(dmax)], zeta)[0]
 
 
-def laplacian_batches(ctx: SchemeCtx, spectra: np.ndarray, order: int, live: list[int]):
-    """Yield (funcs, lo, laps) with laps[k, i] = L_{V',W'} g for the function
-    g whose spectrum is spectra[live[funcs]][k] and the pair lo + i of
-    restriction_pairs(order): the masked spectra are inverted in blocks of
-    (function, site) pairs."""
-    for funcs, sites in blocks(len(live), len(ctx.restriction_pairs(order)), ctx.size):
-        masks = laplacian_masks(ctx, order)[sites]
-        yield funcs, sites.start, ctx.fourier_inverse(spectra[live[funcs], None, :] * masks)
-
-
 def laplacian_audits(fs: list[FnTable], orders, laplacians, zeta: float = DEFAULT_ZETA) -> list[GlobalnessReport]:
     """Influence audits of the functions of fs, all on one scheme, fs[i] at
     the orders of orders[i], from the Laplacian batches that
-    laplacians(d, live) yields, in the form laplacian_batches yields them.
+    laplacians(d, live) yields in the form SchemeCtx.filtered yields them
+    for the spectra of fs[live] under laplacian_masks(ctx, d).
 
     The squared moduli of a batch are taken at once, and the sites of each
     stack of site_stacks(d) in the batch are gathered and averaged at once
-    for every function of the batch.  From laplacian_batches, the values
+    for every function of the batch.  From SchemeCtx.filtered, the values
     equal the per-site reference `influence_per_rep` in tests/oracles.py
     at every site bit for bit.
     """
@@ -251,14 +242,14 @@ def laplacian_audits(fs: list[FnTable], orders, laplacians, zeta: float = DEFAUL
 
     def order_chunks(d, live):
         stacks = ctx.site_stacks(d)
-        for funcs, lo, laps in laplacians(d, live):
+        for funcs, sites, laps in laplacians(d, live):
             mass = (np.abs(laps) ** 2).reshape(-1)
             n_funcs, n_sites = laps.shape[:2]
             for stack in stacks:
-                first, stop = np.searchsorted(stack.positions, (lo, lo + n_sites))
+                first, stop = np.searchsorted(stack.positions, (sites.start, sites.start + n_sites))
                 if first < stop:
                     positions, members = stack.positions[first:stop], stack.members[first:stop]
-                    rows = np.arange(n_funcs)[:, None] * n_sites + (positions - lo)
+                    rows = np.arange(n_funcs)[:, None] * n_sites + (positions - sites.start)
                     influences = mean_last_axis(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))
                     yield funcs, positions, influences
 
@@ -273,7 +264,7 @@ def influence_audit(f: FnTable, dmax: int, zeta: float = DEFAULT_ZETA) -> Global
     """
     ctx = scheme_of(f)
     spectra = ctx.fourier_forward(f.values[None])
-    return laplacian_audits([f], [_orders(dmax)], lambda d, live: laplacian_batches(ctx, spectra, d, live), zeta)[0]
+    return laplacian_audits([f], [_orders(dmax)], lambda d, live: ctx.filtered(spectra[live], laplacian_masks(ctx, d)), zeta)[0]
 
 
 def refining_maxima(fs: list[FnTable], directions, order: int) -> np.ndarray:

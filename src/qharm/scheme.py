@@ -19,9 +19,11 @@ table as (batch, q, rest), contracts the leading digit with the kernel
 and moves it to the back, so after k = nm steps the digits are back in
 order and one transpose applies the permutation.  That is the only
 fast path; the naive character matrix is kept for cross-checks on
-small domains.  The slow references the tests compare these paths with
-(the scalar character value, the naive inverse transform, the per-index
-character restriction) live in tests/oracles.py.
+small domains.  SchemeCtx.filtered applies a stack of Fourier
+multipliers in blocks of _BATCH_ELEMENTS entries at most.  The slow
+references the tests compare these paths with (the scalar character
+value, the naive inverse transform, the per-index character
+restriction) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -45,6 +47,24 @@ _NAIVE_CAP = 2048  # full character matrix only below this domain size
 # indices in the site stacks of one order, N per site (int64: 1 GiB); at
 # (2,5,4), N = 2^20, order 1 (47 sites) fits and order 2 (655 sites) does not
 _SITE_STACK_CAP = 2**27
+# elements of each stacked temporary of the batched transforms and scheme
+# audits, counted across the whole stack: an inverse transform of a batch of
+# filtered spectra (complex) or a gather of coset members (float); bounds its
+# peak memory at about 16 MB whatever the domain and the stack size
+_BATCH_ELEMENTS = 2**20
+
+
+def blocks(n_funcs: int, n_sites: int, size: int):
+    """(funcs, sites) slices that tile n_funcs functions x n_sites sites (or
+    filters) with blocks of at most max(1, _BATCH_ELEMENTS // size) pairs,
+    so that a block of rows of `size` entries each keeps the bound; one
+    function takes that many sites a block."""
+    per = max(1, _BATCH_ELEMENTS // size)
+    f_step = max(1, min(n_funcs, per))
+    s_step = max(1, per // f_step)
+    for f0 in range(0, n_funcs, f_step):
+        for s0 in range(0, n_sites, s_step):
+            yield slice(f0, f0 + f_step), slice(s0, s0 + s_step)
 
 
 class SiteStack(NamedTuple):
@@ -214,6 +234,20 @@ class SchemeCtx(Memo):
 
     def fourier_inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return self._transform(coeffs, self._kernel_inv, self._perm_inv)
+
+    def filtered(self, spectra: np.ndarray, factors):
+        """Yield (funcs, sites, fourier_inverse(spectra[funcs, None] * factors[sites]))
+        over the blocks of (spectrum, factor) pairs, factors an (S, N) array or
+        a list; each row is bit-identical to one inverse of spectrum * factor."""
+        for funcs, sites in blocks(len(spectra), len(factors), self.size):
+            yield funcs, sites, self.fourier_inverse(spectra[funcs, None] * np.asarray(factors[sites]))
+
+    def filter(self, spectrum: np.ndarray, factors) -> np.ndarray:
+        """fourier_inverse(spectrum * factor) for each factor, as the rows of one array."""
+        out = np.empty((len(factors), self.size), dtype=np.complex128)
+        for _, sites, rows in self.filtered(spectrum[None], factors):
+            out[sites] = rows[0]
+        return out
 
     def char_rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 of the character matrix: u_X(A) for the dual
@@ -401,19 +435,15 @@ def degree_project(f: FnTable, d: int, mode: str = "pure") -> FnTable:
         raise ToolkitError(f"degree {d} out of range for {ctx!r}")
     ranks = ctx.rank_table_dual()
     mask = (ranks == d) if mode == "pure" else (ranks <= d)
-    coeffs = ctx.fourier_forward(f.values) * mask
-    return FnTable(ctx, ctx.fourier_inverse(coeffs))
+    return FnTable(ctx, ctx.fourier_inverse(ctx.fourier_forward(f.values) * mask))
 
 
 def degree_decompose(f: FnTable) -> list[FnTable]:
     """All pure parts f^{=0..dmax} in one pass."""
     ctx = scheme_of(f)
     ranks = ctx.rank_table_dual()
-    coeffs = ctx.fourier_forward(f.values)
-    parts = []
-    for d in range(min(ctx.n, ctx.m) + 1):
-        parts.append(FnTable(ctx, ctx.fourier_inverse(coeffs * (ranks == d))))
-    return parts
+    parts = ctx.filter(ctx.fourier_forward(f.values), [ranks == d for d in range(min(ctx.n, ctx.m) + 1)])
+    return [FnTable(ctx, part) for part in parts]
 
 
 def restrict(f: FnTable, vp: Subspace, wp: Subspace, t_index: int) -> FnTable:

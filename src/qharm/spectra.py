@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogolyubov import GroupSet, product_set
-from .calculus import avg_for_directions, blocks, direction_subspaces, filtered_inverses, laplacian_masks
+from .calculus import avg_for_directions, direction_subspaces, laplacian_masks
 from .errors import ConsistencyError, ToolkitError
 from .fqlin import Memo
 from .globality import (
@@ -61,7 +61,7 @@ from .groups import (
     level_project_eq,
     transfer,
 )
-from .scheme import FnTable, SchemeCtx, degree_project, get_scheme
+from .scheme import FnTable, SchemeCtx, blocks, degree_project, get_scheme
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,7 @@ class SchemeInstanceChecks(_InstanceChecks):
         ranks = self.ctx.rank_table_dual()
         masks = [ranks == d for d in degrees] + [ranks <= d for d in degrees]
         self.spectrum = self.ctx.fourier_forward(f.values)
-        parts = filtered_inverses(self.ctx, self.spectrum, masks)
+        parts = self.ctx.filter(self.spectrum, masks)
         self.pure_spectra = self.spectrum * np.stack(masks[:self.dmax])
         self.functions = {"f": f, **{key: FnTable(self.ctx, part) for key, part in zip(self.part_names, parts)}}
 
@@ -388,7 +388,7 @@ class SchemeInstanceChecks(_InstanceChecks):
             def laplacians(order, live):
                 if order == 0:
                     for funcs, _ in blocks(len(live), 1, ctx.size):
-                        yield funcs, 0, np.array([fs[i].values for i in live[funcs]])[:, None]
+                        yield funcs, slice(0, 1), np.array([fs[i].values for i in live[funcs]])[:, None]
                     return
                 masks = laplacian_masks(ctx, order)
                 spectra = self.pure_spectra[order - 1:, None, :]
@@ -406,7 +406,7 @@ class SchemeInstanceChecks(_InstanceChecks):
                             for d, lap in zip(degrees[rows], laps[:, 1]):
                                 lines[d][sites] = lap
                         skip = int(rows.start == 0)  # f^{<=order}, not live
-                        yield (slice(2 * rows.start - 1 + skip, 2 * rows.stop - 1), sites.start,
+                        yield (slice(2 * rows.start - 1 + skip, 2 * rows.stop - 1), sites,
                                laps.reshape(-1, *laps.shape[2:])[skip:])
 
             orders = [range(d + 1) if kind == "pure" else range(d) for kind, d in names]

@@ -25,12 +25,12 @@ from .bogolyubov import (
 from .calculus import (
     RestrictionSite,
     _avg_quotient_direct,
-    _avg_vector_spectral,
     _bv_cached,
     _planes_avoiding,
     annihilator_functional,
     avg_for_direction,
     avg_quotient,
+    avg_vector,
     conditional_distribution_check,
     derivative,
     direction_subspaces,
@@ -52,7 +52,6 @@ from .groups import (
     transfer,
 )
 from .scheme import (
-    FnTable,
     degree_decompose,
     degree_project,
     dualize,
@@ -197,10 +196,7 @@ def criterion_operator_identities() -> CheckResult:
                 acc = np.mean([_avg_quotient_direct(f, s) for s in _planes_avoiding(ctx, v)], axis=0)
                 track("avg-vector-hyperplane", np.max(np.abs(ev.values - acc)))
             else:
-                fd = dualize(f)
-                comp = dualize(
-                    FnTable(fd.domain, _avg_vector_spectral(fd, annihilator_functional(ctx, u)))
-                )
+                comp = dualize(avg_vector(dualize(f), annihilator_functional(ctx, u)))
                 track("avg-dual-forms", np.max(np.abs(ev.values - comp.values)))
 
             # pure-degree Laplacian formula and the almost-pure operator

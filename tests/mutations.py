@@ -139,10 +139,14 @@ MUTATIONS = [
              "influences = mean_last_axis(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))",
              "influences = mean_last_axis(np.sqrt(np.take(mass, members + (rows * ctx.size)[:, :, None, None]))) ** 2",
              (GLO + "test_batched_influence_audit_matches_per_site_oracle[False]",)),
-    Mutation("site Laplacians paired with reversed masks", "src/qharm/globality.py",
-             "yield funcs, sites.start, ctx.fourier_inverse(spectra[live[funcs], None, :] * masks)",
-             "yield funcs, sites.start, ctx.fourier_inverse(spectra[live[funcs], None, :] * masks[::-1])",
+    Mutation("site Laplacians paired with reversed masks", "src/qharm/scheme.py",
+             "yield funcs, sites, self.fourier_inverse(spectra[funcs, None] * np.asarray(factors[sites]))",
+             "yield funcs, sites, self.fourier_inverse(spectra[funcs, None] * np.asarray(factors[sites])[::-1])",
              (GLO + "test_audit_witness_is_attained",)),
+    Mutation("filtered rows of a block written in reverse", "src/qharm/scheme.py",
+             "out[sites] = rows[0]",
+             "out[sites] = rows[0][::-1]",
+             (GLO + "test_site_laplacians_equal_the_single_site_laplacian[True]",)),
     Mutation("refining rows ignored: max over every site of the order", "src/qharm/globality.py",
              "refining = [ctx.refining_rows(u, side, order) for u, side in directions]",
              "refining = [[np.arange(len(s.positions)) for s in ctx.site_stacks(order)] for _ in directions]",
@@ -184,8 +188,8 @@ MUTATIONS = [
              "laps[:, 0] += 0",
              (SPE + "test_influence_stack_splits_a_site_s_rows_within_the_element_bound",)),
     Mutation("order-0 influence rows read from f, not the part", "src/qharm/spectra.py",
-             "yield funcs, 0, np.array([fs[i].values for i in live[funcs]])[:, None]",
-             "yield funcs, 0, np.array([self.f.values for i in live[funcs]])[:, None]",
+             "yield funcs, slice(0, 1), np.array([fs[i].values for i in live[funcs]])[:, None]",
+             "yield funcs, slice(0, 1), np.array([self.f.values for i in live[funcs]])[:, None]",
              (SPE + "test_order_0_influence_rows_are_the_parts_squared_norms[3-2-2]",)),
     Mutation("reused f^{<=o} row keeps the threshold of f^{=o}", "src/qharm/spectra.py",
              'reports[("cum", d)].rows.append(audit_row(ctx, d, row.value, row.witness, base, DEFAULT_ZETA))',
@@ -208,8 +212,8 @@ MUTATIONS = [
              "rows = _load_rows(fh, 2)[:0]",
              (CLI + "test_function_csv_reader_matches_per_line_reference[2-column file]",)),
     Mutation("audit witness taken at the last tied site", "src/qharm/globality.py",
-             "if value > best + 1e-15:",
-             "if value >= best:",
+             "ats = np.argmax(maxima >= tops - 1e-15 * tops, axis=1).tolist()",
+             "ats = (maxima.shape[1] - 1 - np.argmax((maxima >= tops - 1e-15 * tops)[:, ::-1], axis=1)).tolist()",
              (GLO + "test_stacked_audits_match_per_site_oracles[2-2-2]",)),
     Mutation("Laplacian masks keep the first V1's quotient image", "src/qharm/calculus.py",
              "if vp is not v1:",

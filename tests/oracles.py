@@ -22,6 +22,8 @@ IndexMap.rank_table                   rank_table_ref                 test_batche
 SchemeCtx._transform                  moveaxis_transform             test_scheme::test_transform_bit_identical_to_moveaxis_reference
 SchemeCtx.fourier_forward             fourier_forward_naive (src)    test_scheme::test_fast_transform_matches_naive
 SchemeCtx.fourier_inverse             fourier_inverse_naive          test_scheme::test_fast_transform_matches_naive
+SchemeCtx.filtered, filter            fourier_inverse, one factor    test_globality::test_site_laplacians_equal_the_single_site_laplacian
+  (blocks of spectrum x factor pairs) a call
 SchemeCtx.char_rows, char_matrix      char_value                     test_scheme::test_char_value_examples
 SchemeCtx.char_restriction_table      char_restriction_dual_index    test_batched_tables::test_char_restriction_table_matches_scalar_map
 SchemeCtx.restriction_embedding       restriction_embedding_ref      test_batched_tables::test_embeddings_and_cosets_match_scalar_loop
@@ -41,7 +43,7 @@ globality.global_audit                brute_force_global_audit       test_global
 globality.lp_global_audit             per_site_lp_global_audit       test_globality::test_stacked_audits_match_per_site_oracles
 globality.max_refining_restriction    max_refining_restriction_ref   test_globality::test_stacked_audits_match_per_site_oracles
 globality.influence_audit             per_site_influence_audit       test_globality::test_batched_influence_audit_matches_per_site_oracle
-  (laplacian_batches)                 influence (the witness site)   test_globality::test_audit_witness_is_attained
+  (Laplacians: SchemeCtx.filtered)    influence (the witness site)   test_globality::test_audit_witness_is_attained
 globality.restriction_audits          per_site_global_audit,         test_globality::test_mixed_restriction_audit_stack_matches_per_site_oracles
   (L^2 and L^{ell'} rows, one stack)  per_site_lp_global_audit
 globality.global_audits (stacked)     per_function_global_audit      test_spectra::test_stacked_instance_checks_match_per_function_reference
@@ -466,20 +468,19 @@ def per_site_audit_rows(f, dmax, order_values, zeta, kind):
 
     order_values(d) yields (coset reps, value per rep) for each pair of
     restriction_pairs(d), in that order; the row keeps the first site max
-    that beats every earlier one by more than 1e-15.
+    within a relative 1e-15 of the largest.
     """
     ctx = f.domain
     base = f.norm2sq()
     rows = []
     for d in range(dmax + 1):
-        best = -1.0
-        witness = ""
+        found = []
         pairs = ctx.restriction_pairs(d)
         for pair_idx, ((vp, wp), (reps, vals)) in enumerate(zip(pairs, order_values(d), strict=True)):
             j = int(np.argmax(vals))
-            if vals[j] > best + 1e-15:
-                best = float(vals[j])
-                witness = f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={int(reps[j])}"
+            found.append((float(vals[j]), f"site#{pair_idx}(dimV'={vp.dim},dimW'={wp.dim})@T={int(reps[j])}"))
+        top = max(value for value, _ in found)
+        best, witness = next(row for row in found if row[0] >= top - 1e-15 * top)
         thr = float("inf") if zeta is None else float(ctx.q) ** (zeta * d * ctx.n) * base
         rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))
     return GlobalnessReport(kind, rows)
@@ -563,13 +564,10 @@ def per_function_audit_rows(f, dmax, order_chunks, zeta, kind):
             j = np.argmax(values, axis=1)
             maxima[positions] = values[sites, j]
             reps[positions] = members[sites, j, 0]
-        best = -1.0
-        at = None
-        for pair_idx, value in enumerate(maxima.tolist()):
-            if value > best + 1e-15:
-                best = value
-                at = pair_idx
-        witness = "" if at is None else f"site#{at}(dimV'={pairs[at][0].dim},dimW'={pairs[at][1].dim})@T={int(reps[at])}"
+        top = max(maxima.tolist())
+        at = next(pair_idx for pair_idx, value in enumerate(maxima.tolist()) if value >= top - 1e-15 * top)
+        best = float(maxima[at])
+        witness = f"site#{at}(dimV'={pairs[at][0].dim},dimW'={pairs[at][1].dim})@T={int(reps[at])}"
         thr = float("inf") if zeta is None else float(ctx.q) ** (zeta * d * ctx.n) * base
         rows.append(ReportRow(d, best, witness, thr, bool(best <= thr + 1e-12)))
     return GlobalnessReport(kind, rows)
@@ -1354,7 +1352,8 @@ def reference_partition(u):
 
 def read_function_csv_ref(path, size):
     """One line at a time: header on line 1 only, blank lines skipped, `im`
-    optional, the later row wins for a repeated index."""
+    optional, the later row wins for a repeated index, a value that is not
+    finite refused."""
     values = np.zeros(size, dtype=np.complex128)
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
@@ -1370,6 +1369,8 @@ def read_function_csv_ref(path, size):
                 raise InputFormatError(f"{path}:{ln}: malformed function row {line!r}") from e
             if not 0 <= idx < size:
                 raise InputFormatError(f"{path}:{ln}: index {idx} out of range [0, {size})")
+            if not (np.isfinite(re) and np.isfinite(im)):
+                raise InputFormatError(f"{path}:{ln}: function value {line!r} is not finite")
             values[idx] = complex(re, im)
     return values
 

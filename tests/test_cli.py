@@ -140,6 +140,18 @@ def test_function_csv_writer_is_byte_identical_to_reference(tmp_path, dtype):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["global-audit"], ["project-degree", "--d", "1"]])
+@pytest.mark.parametrize("text", ["0,1,0\n1,nan,0\n2,0,1\n", "0,1\n1,-inf\n"], ids=["3-column", "2-column"])
+def test_cli_refuses_non_finite_function_values_with_status_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: function value ") and err.endswith(" is not finite\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, text", [
     (["fourier", "--q", "2", "--n", "1", "--m", "1", "--input"], b"0,1,2\n\xff\xfe,1\n"),
     (["bogolyubov", "--q", "2", "--n", "2", "--set"], b"1,0,0,1\n\xff\n"),
@@ -280,6 +292,10 @@ def test_cli_isotypic_writes_the_irreducibles(tmp_path, kind, n, q):
     ["verify", "--max-domain", "64"],
     ["field-info", "--n", "3"],
     ["field-info", "--max-domain", "64"],
+    ["fourier", "--input", "f.csv", "--max-domain", "64"],
+    ["global-audit", "--input", "f.csv", "--max-domain", "64"],
+    ["levels", "--max-domain", "64"],
+    ["bogolyubov", "--set", "a.txt", "--max-domain", "64"],
     ["field-info", "--seed", "1"],
     ["fourier", "--input", "f.csv", "--seed", "1"],
     ["fourier", "--input", "f.csv", "--zeta", "0.1"],

@@ -144,13 +144,13 @@ PARITY_DOMAINS = [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 3, 3), (2, 2, 4)]
 
 @pytest.mark.parametrize("small_batches", [False, True])
 def test_batched_influence_audit_matches_per_site_oracle(monkeypatch, small_batches):
-    import qharm.calculus as calculus
+    import qharm.scheme as scheme
 
     for q, n, m in PARITY_DOMAINS:
         ctx = get_scheme(q, n, m)
         if small_batches:
             # two sites per batched inverse, so every order of size > 2 spans several batches
-            monkeypatch.setattr(calculus, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
+            monkeypatch.setattr(scheme, "_BATCH_ELEMENTS", 2 * ctx.size + 1)
         for kind in ("real", "boolean", "complex"):
             f = random_table(ctx, RNG, kind)
             assert influence_audit(f, n + m).rows == per_site_influence_audit(f, n + m).rows
@@ -173,19 +173,34 @@ def test_stacked_audits_match_per_site_oracles(q, n, m):
 @pytest.mark.parametrize("small_batches", [False, True])
 def test_mixed_restriction_audit_stack_matches_per_site_oracles(monkeypatch, small_batches):
     # L^2 masses and L^{ell'} norms in one stack, each function to its own order
-    import qharm.calculus as calculus
+    import qharm.scheme as scheme
 
     for q, n, m in PARITY_DOMAINS:
         ctx = get_scheme(q, n, m)
         if small_batches:
             # two (function, site) pairs per block, so blocks split the stack
-            monkeypatch.setattr(calculus, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
+            monkeypatch.setattr(scheme, "_BATCH_ELEMENTS", 2 * ctx.size + 1)
         fs = [random_table(ctx, RNG, kind) for kind in ("real", "boolean", "complex", "boolean")]
         ellps, tops = [4 / 3, None, 2.0, 8 / 7], [n + m, n + m - 1, 1, n + m]
         reports = restriction_audits(fs, [range(top + 1) for top in tops], ellps)
         for f, ellp, top, report in zip(fs, ellps, tops, reports):
             want = per_site_global_audit(f, top) if ellp is None else per_site_lp_global_audit(f, top, ellp)
             assert (report.kind, report.rows) == (want.kind, want.rows)
+
+
+def test_audits_of_a_scaled_function_scale_with_the_same_witnesses():
+    # a row takes the first exact maximum at any scale: every value of
+    # 1e-9 f lies below 1e-15, under which an absolute margin keeps site 0;
+    # pass flags are not compared, as audit_row allows 1e-12 over a threshold
+    ctx = get_scheme(2, 2, 3)
+    f = random_table(ctx, np.random.default_rng(11), "complex")
+    small = ctx.table(1e-9 * f.values)
+    for audit in (global_audit, influence_audit):
+        got, want = audit(small, 5).rows, audit(f, 5).rows
+        assert [(r.order, r.witness) for r in got] == [(r.order, r.witness) for r in want]
+        for field in ("value", "threshold"):
+            scaled = [1e-18 * getattr(r, field) for r in want]
+            assert np.allclose([getattr(r, field) for r in got], scaled, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("q, n, m", [(2, 2, 2), (3, 2, 2), (2, 3, 3)])
@@ -203,26 +218,40 @@ def test_audit_rows_do_not_depend_on_dmax(q, n, m):
 
 @pytest.mark.parametrize("small_batches", [False, True])
 def test_site_laplacians_equal_the_single_site_laplacian(monkeypatch, small_batches):
-    import qharm.calculus as calculus
-    import qharm.globality as globality
-    from qharm.calculus import laplacian
+    # SchemeCtx.filtered under the Laplacian masks of an order, and
+    # SchemeCtx.filter under rank, quotient and averaging factors: every row
+    # equals one inverse of its spectrum times its factor, also when a bound
+    # of two rows splits the pairs into many blocks
+    import qharm.scheme as scheme
+    from qharm.calculus import (dual_avg_factors, laplacian, laplacian_mask, laplacian_masks, quotient_mask,
+                                vector_avg_factors)
 
     for (q, n, m) in [(2, 2, 2), (3, 2, 2), (2, 3, 3)]:
         ctx = get_scheme(q, n, m)
         if small_batches:
-            monkeypatch.setattr(calculus, "_LAPLACIAN_BATCH_ELEMENTS", 2 * ctx.size + 1)
+            monkeypatch.setattr(scheme, "_BATCH_ELEMENTS", 2 * ctx.size + 1)
         fs = [random_table(ctx, RNG, "complex") for _ in range(3)]
         spectra = ctx.fourier_forward(np.stack([f.values for f in fs]))
         live = [0, 2]
         for order in (1, 2):
             pairs = ctx.restriction_pairs(order)
             seen = []
-            for funcs, lo, laps in globality.laplacian_batches(ctx, spectra, order, live):
+            for funcs, sites, laps in ctx.filtered(spectra[live], laplacian_masks(ctx, order)):
                 for i, row in zip(live[funcs], laps):
-                    for (vp, wp), lap in zip(pairs[lo: lo + len(row)], row):
+                    for (vp, wp), lap in zip(pairs[sites], row, strict=True):
                         seen.append((int(i), vp.key, wp.key))
                         assert np.array_equal(lap, laplacian(fs[i], vp, wp).values)
+                        assert np.array_equal(lap, ctx.fourier_inverse(spectra[i] * laplacian_mask(ctx, vp, wp)))
             assert sorted(seen) == sorted((i, vp.key, wp.key) for i in (0, 2) for vp, wp in pairs)
+        ranks = ctx.rank_table_dual()
+        factors = [ranks == d for d in range(min(n, m) + 1)] + [ranks <= d for d in range(min(n, m) + 1)]
+        factors += [quotient_mask(ctx, vp) for d in range(n + 1) for vp in ctx.subspaces("v", d)]
+        factors += [vector_avg_factors(ctx, u.basis[0]) if side == "v" else dual_avg_factors(ctx, u)
+                    for u, side in direction_subspaces(ctx)]
+        rows = ctx.filter(spectra[1], factors)
+        assert rows.shape == (len(factors), ctx.size)
+        for factor, row in zip(factors, rows):
+            assert np.array_equal(row, ctx.fourier_inverse(spectra[1] * factor))
 
 
 def test_refining_pairs_match_contains_filter():
@@ -248,7 +277,7 @@ def test_refining_maxima_match_the_per_site_oracle(monkeypatch, q, n, m):
     # each function read at the sites refining its own direction, at every
     # order, for the directions in order and reversed, and with one site a
     # block, so a direction's rows span several blocks
-    import qharm.calculus as calculus
+    import qharm.scheme as scheme
 
     ctx = get_scheme(q, n, m)
     dirs = direction_subspaces(ctx)
@@ -258,7 +287,7 @@ def test_refining_maxima_match_the_per_site_oracle(monkeypatch, q, n, m):
             want = [max_refining_restriction_ref(f, u, side, order) for f, (u, side) in zip(fs, directions)]
             assert refining_maxima(fs, directions, order).tolist() == want
             with monkeypatch.context() as patch:
-                patch.setattr(calculus, "_LAPLACIAN_BATCH_ELEMENTS", ctx.size)
+                patch.setattr(scheme, "_BATCH_ELEMENTS", ctx.size)
                 assert refining_maxima(fs, directions, order).tolist() == want
 
 

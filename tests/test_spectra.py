@@ -425,21 +425,21 @@ def test_influence_stack_splits_a_site_s_rows_within_the_element_bound(monkeypat
     # a bound of two rows splits each site's pure rows into chunks of one,
     # the running sum carried from chunk to chunk; every Laplacian batch
     # keeps the bound, and the audits agree with the unsplit ones
-    import qharm.calculus as calculus
+    import qharm.scheme as scheme
 
     ctx = get_scheme(2, 3, 3)
     f = random_table(ctx, np.random.default_rng(6), "complex")
     whole, whole_lines = SchemeInstanceChecks("f", f, 3, 3)._influence_stack()
     bound = 2 * ctx.size
-    monkeypatch.setattr(calculus, "_LAPLACIAN_BATCH_ELEMENTS", bound)
+    monkeypatch.setattr(scheme, "_BATCH_ELEMENTS", bound)
     sizes = []
     audits = spectra.laplacian_audits
 
     def recording(fs, orders, laplacians):
         def batches(d, live):
-            for funcs, lo, laps in laplacians(d, live):
+            for funcs, sites, laps in laplacians(d, live):
                 sizes.append(laps.size)
-                yield funcs, lo, laps
+                yield funcs, sites, laps
         return audits(fs, orders, batches)
 
     monkeypatch.setattr(spectra, "laplacian_audits", recording)
